@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from arguesia.conics import Conic, ConicError, ConicParametrization, Pencil, pencil_member
 from arguesia.involution import Involution, InvolutionError, NodeCouples
-from arguesia.menelaus_engine import NonGenericError, SectorFigure, replay_ramee_proof
+from arguesia.menelaus_engine import NonGenericError, SectorFigure, check_ramee_replayable
 from arguesia.projective_core import (
     INF,
     AffineChart,
@@ -148,6 +148,9 @@ def _make_menelaus(rng: SplitMix64, bounds: int) -> dict:
 
 
 def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
+    """A generic ramee couple: the drawn data must pass
+    ``check_ramee_replayable``, the precondition of ``replay_ramee_proof``,
+    so the verifier's replay runs on every accepted instance."""
     chart = _chart(rng, bounds)
     a = rng.int_between(-bounds, bounds)
     b = rng.int_between(-bounds, bounds)
@@ -172,7 +175,7 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     for p, q in pairs:
         if incident(p, delta.line) or incident(q, delta.line):
             raise NonGenericError("image line through a noeud: shortcut case")
-    replay_ramee_proof(arbre, k, delta)  # precondition probe only
+    check_ramee_replayable(arbre, k, delta)
     return {"arbre": arbre, "k": k, "delta": delta, "involution": inv}
 
 

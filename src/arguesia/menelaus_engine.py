@@ -18,16 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from arguesia._kernel import det3
 from arguesia.exact_scalar import Rat, rat_str
 from arguesia.involution import NodeCouples
 from arguesia.projective_core import (
-    INF,
     AffineChart,
     GeometryError,
     PLine,
     PPoint,
-    collinear,
-    default_chart,
     incident,
     join,
     meet,
@@ -93,21 +91,23 @@ class Ratio:
     def __post_init__(self):
         if self.origin == self.den_end:
             raise NonGenericError("ratio with zero denominator segment")
-        if not collinear(self.origin, self.den_end, self.num_end):
+        if det3(self.origin.coords, self.den_end.coords, self.num_end.coords) != 0:
             raise NonGenericError("ratio of non-collinear points")
 
     def value(self) -> Rat:
-        """Chart-independent signed value; requires finite points."""
-        base = join(self.origin, self.den_end)
-        chart = default_chart(base)
-        ts = []
-        for p in (self.origin, self.num_end, self.den_end):
-            t = chart.coordinate(p)
-            if t is INF:
-                raise NonGenericError("ratio endpoint at infinity")
-            ts.append(t)
-        to, tn, td = ts
-        return (tn - to) / (td - to)
+        """Chart-independent signed value; requires finite points.
+
+        A bracket quotient of the integer triples o, n, d (origin, num_end,
+        den_end): along a coordinate i where den_end and origin differ
+        affinely, (n_i/n_z - o_i/o_z) / (d_i/d_z - o_i/o_z), cleared to
+        (n_i o_z - o_i n_z) d_z / ((d_i o_z - o_i d_z) n_z).
+        """
+        o, n, d = self.origin.coords, self.num_end.coords, self.den_end.coords
+        oz, nz, dz = o[2], n[2], d[2]
+        if oz == 0 or nz == 0 or dz == 0:
+            raise NonGenericError("ratio endpoint at infinity")
+        i = 0 if d[0] * oz != o[0] * dz else 1
+        return Fraction((n[i] * oz - o[i] * nz) * dz, (d[i] * oz - o[i] * dz) * nz)
 
     def inverse(self) -> "Ratio":
         if self.origin == self.num_end:
@@ -247,13 +247,17 @@ def _finite_projection(center: PPoint, p: PPoint, target: PLine, what: str) -> P
     return q
 
 
-def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> ProofTrace:
-    """Machine-replay of the ramee derivation: two series of four Menelaus
-    applications through the intermediate line of the mixed couple (D, f),
-    then the alpha aggregations and the conclusion.
+def check_ramee_replayable(
+    arbre: NodeCouples, k: PPoint, delta: AffineChart
+) -> dict[str, PPoint]:
+    """Raise NonGenericError unless ``replay_ramee_proof`` can run on the data.
 
-    When the image line passes through D the trace degenerates to the
-    single-series shortcut ending in the involution (D,f),(2,5),(3,4).
+    This is the replay's whole genericity precondition, and the replay
+    starts by calling it.  It needs no ratio: only the six projections from
+    K onto the image line and, off the shortcut, the four onto the
+    intermediate line join(D, f), with their finiteness and distinctness.
+    Returns those projections by name (b h c g d f 2 3 4 5; on the
+    shortcut f 2 3 4 5).
     """
     tronc = arbre.chart.line
     if incident(k, tronc) or incident(k, delta.line):
@@ -269,23 +273,44 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
         raise NonGenericError("mixed couple (D, F) must be finite for the replay")
 
     if incident(D, delta.line):
-        return _replay_ramee_shortcut(arbre, k, delta)
+        pts = {"f": _finite_projection(k, F, delta.line, "f")}
+        for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5")):
+            pts[nm] = _finite_projection(k, p, delta.line, nm)
+        if len({D, *pts.values()}) != 6:
+            raise NonGenericError("image points are not pairwise distinct")
+    else:
+        pts = {
+            nm: _finite_projection(k, p, delta.line, nm)
+            for p, nm in ((B, "b"), (H, "h"), (C, "c"), (G, "g"), (D, "d"), (F, "f"))
+        }
+        if len(set(pts.values())) != 6:
+            raise NonGenericError("image points are not pairwise distinct")
+        inter = join(D, pts["f"])
+        if incident(k, inter):
+            raise NonGenericError("projection point on the intermediate line")
+        for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5")):
+            pts[nm] = _finite_projection(k, p, inter, nm)
+    # the replay's ratios X->D : X->F on the tronc need finite noeuds
+    if any(p.is_at_infinity() for p in (B, H, C, G)):
+        raise NonGenericError("ratio endpoint at infinity")
+    return pts
 
-    img = {
-        name: _finite_projection(k, p, delta.line, name.lower())
-        for name, p in (("B", B), ("H", H), ("C", C), ("G", G), ("D", D), ("F", F))
-    }
-    b, h, c, g, d, f = (img[n] for n in "BHCGDF")
-    if len({b, h, c, g, d, f}) != 6:
-        raise NonGenericError("image points are not pairwise distinct")
 
-    inter = join(D, f)
-    if incident(k, inter):
-        raise NonGenericError("projection point on the intermediate line")
-    n2, n3, n4, n5 = (
-        _finite_projection(k, p, inter, nm)
-        for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5"))
-    )
+def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> ProofTrace:
+    """Machine-replay of the ramee derivation: two series of four Menelaus
+    applications through the intermediate line of the mixed couple (D, f),
+    then the alpha aggregations and the conclusion.
+
+    When the image line passes through D the trace degenerates to the
+    single-series shortcut ending in the involution (D,f),(2,5),(3,4).
+    Raises NonGenericError exactly when ``check_ramee_replayable`` does,
+    which it calls first for the projected points.
+    """
+    pts = check_ramee_replayable(arbre, k, delta)
+    (B, H), (C, G), (D, F) = arbre.pairs
+    if incident(D, delta.line):
+        return _replay_ramee_shortcut(arbre, k, delta, pts)
+    b, h, c, g, d, f, n2, n3, n4, n5 = (pts[n] for n in "bhcgdf2345")
 
     trace = ProofTrace("ramee")
     trace.notes["images"] = {
@@ -365,17 +390,13 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     return trace
 
 
-def _replay_ramee_shortcut(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> ProofTrace:
+def _replay_ramee_shortcut(
+    arbre: NodeCouples, k: PPoint, delta: AffineChart, pts: dict[str, PPoint]
+) -> ProofTrace:
     """Projection onto a line through D: one series of four suffices and the
     image couples are (D, f), (2, 5), (3, 4)."""
     (B, H), (C, G), (D, F) = arbre.pairs
-    f = _finite_projection(k, F, delta.line, "f")
-    n2, n3, n4, n5 = (
-        _finite_projection(k, p, delta.line, nm)
-        for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5"))
-    )
-    if len({D, f, n2, n3, n4, n5}) != 6:
-        raise NonGenericError("image points are not pairwise distinct")
+    f, n2, n3, n4, n5 = (pts[n] for n in "f2345")
 
     trace = ProofTrace("ramee")
     trace.notes["shortcut"] = True

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from arguesia._kernel import (
     cross3,
@@ -62,18 +63,22 @@ def param_str(t) -> str:
     return rat_str(Fraction(t))
 
 
-def _clear_triple(coords) -> tuple[int, int, int]:
+def _clear_denominators(coords: tuple) -> tuple[int, ...]:
+    """Integer homogeneous coordinates proportional to rational ones.
+
+    Integer tuples, such as the output of ``cross3``, are returned as they
+    are; ``bool`` is not ``int`` here and takes the general path.
+    """
+    for c in coords:
+        if type(c) is not int:
+            break
+    else:
+        return coords
     xs = [Fraction(c) for c in coords]
     den = 1
     for c in xs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     return tuple(int(c * den) for c in xs)
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class PPoint:
     coords: tuple[int, int, int]
 
     def __init__(self, x, y, z):
-        t = _clear_triple((x, y, z))
+        t = _clear_denominators((x, y, z))
         try:
             object.__setattr__(self, "coords", norm3(*t))
         except ValueError:
@@ -133,7 +138,7 @@ class PLine:
     coeffs: tuple[int, int, int]
 
     def __init__(self, u, v, w):
-        t = _clear_triple((u, v, w))
+        t = _clear_denominators((u, v, w))
         try:
             object.__setattr__(self, "coeffs", norm3(*t))
         except ValueError:
@@ -591,17 +596,7 @@ def directions_parallel(v, w) -> bool:
 # minimal projective 3-space
 
 
-def _clear_quad(coords) -> tuple[int, int, int, int]:
-    xs = [Fraction(c) for c in coords]
-    den = 1
-    for c in xs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    return tuple(int(c * den) for c in xs)
-
-
 def _norm4(t):
-    from math import gcd
-
     g = 0
     for c in t:
         g = gcd(g, abs(c))
@@ -619,7 +614,7 @@ class P3Point:
     coords: tuple[int, int, int, int]
 
     def __init__(self, x, y, z, w):
-        object.__setattr__(self, "coords", _norm4(_clear_quad((x, y, z, w))))
+        object.__setattr__(self, "coords", _norm4(_clear_denominators((x, y, z, w))))
 
     def __repr__(self):
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -630,7 +625,7 @@ class P3Plane:
     coeffs: tuple[int, int, int, int]
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "coeffs", _norm4(_clear_quad((a, b, c, d))))
+        object.__setattr__(self, "coeffs", _norm4(_clear_denominators((a, b, c, d))))
 
     def contains(self, p: P3Point) -> bool:
         return sum(a * x for a, x in zip(self.coeffs, p.coords)) == 0

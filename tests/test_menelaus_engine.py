@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from arguesia.involution import NodeCouples, equivalence_check
 from arguesia.instances import InstanceConfig, generate_instance
@@ -9,17 +11,22 @@ from arguesia.menelaus_engine import (
     Ratio,
     RatioChain,
     SectorFigure,
+    check_ramee_replayable,
     decompose_ratio,
     menelaus_product,
     replay_quadrangle_proof,
     replay_ramee_proof,
 )
 from arguesia.projective_core import (
+    INF,
+    GeometryError,
     PLine,
     PPoint,
     default_chart,
     incident,
     join,
+    meet,
+    project_point,
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import QuadrangleConfig
@@ -29,14 +36,11 @@ CH = default_chart(PLine(0, 1, 0))
 
 
 def x_axis_arbre(vals):
-    return NodeCouples(
-        CH,
-        tuple(
-            (CH.point_at(F(*a) if isinstance(a, tuple) else F(a)),
-             CH.point_at(F(*b) if isinstance(b, tuple) else F(b)))
-            for a, b in vals
-        ),
-    )
+    """Couples on the x-axis from parameters: ints, (p, q) fractions or INF."""
+    def at(t):
+        return CH.point_at(F(*t) if isinstance(t, tuple) else t)
+
+    return NodeCouples(CH, tuple((at(a), at(b)) for a, b in vals))
 
 
 ARBRE = x_axis_arbre([(1, 4), (8, (1, 2)), (-1, -4)])
@@ -192,6 +196,176 @@ def test_ramee_replay_on_random_generic_instances():
         assert trace.verdict and len(trace.steps) == 11
 
 
+# -- the replay precondition ---------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """("ok", None) or ("raise", message) for a call that may be non-generic."""
+    try:
+        fn(*args)
+    except NonGenericError as exc:
+        return ("raise", str(exc))
+    return ("ok", None)
+
+
+def _agree(arbre, k, delta):
+    pre = _outcome(check_ramee_replayable, arbre, k, delta)
+    assert pre == _outcome(replay_ramee_proof, arbre, k, delta)
+    return pre
+
+
+SMALL = st.integers(-4, 4)
+# chart parameters on the tronc, the point at infinity among them
+PARAMS = st.sampled_from((*range(-9, 10), INF))
+
+
+@st.composite
+def small_point(draw, z=st.integers(0, 2)):
+    coords = (draw(SMALL), draw(SMALL), draw(z))
+    assume(any(coords))
+    return PPoint(*coords)
+
+
+@st.composite
+def ramee_data(draw):
+    """Unfiltered (arbre, k, delta): any tronc, couples with infinite or
+    doubled noeuds, any K (finite or not), and image lines through D half
+    the time so the shortcut is drawn too."""
+    p, q = draw(small_point(z=st.just(1))), draw(small_point(z=st.just(1)))
+    assume(p != q)
+    chart = default_chart(join(p, q))
+    ts = draw(st.lists(PARAMS, min_size=6, max_size=6, unique=True))
+    doubled = draw(st.sampled_from((None,) * 6 + (0, 1, 2)))
+    if doubled is not None:
+        ts[2 * doubled + 1] = ts[2 * doubled]
+    pts = [chart.point_at(t) for t in ts]
+    arbre = NodeCouples(chart, tuple(zip(pts[::2], pts[1::2])))
+    k = draw(small_point(z=st.sampled_from((1, 1, 1, 2, 0))))
+    a = draw(small_point(z=st.just(1)))
+    d_pt = arbre.pairs[2][0]
+    b = d_pt if draw(st.booleans()) and not d_pt.is_at_infinity() else draw(
+        small_point(z=st.just(1))
+    )
+    assume(a != b)
+    return arbre, k, default_chart(join(a, b))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ramee_data())
+def test_replay_precondition_matches_replay(data):
+    # the generator's cheap probe raises exactly when, and as, the replay does
+    _agree(*data)
+
+
+DELTA = default_chart(join(A(0, 1), A(5, 2)))
+
+
+def test_replay_precondition_noeud_at_infinity():
+    for pairs in (
+        [(INF, 4), (8, 3), (-1, -4)],
+        [(1, 4), (8, INF), (-1, -4)],
+        [(1, 4), (INF, 3), (-1, -4)],
+    ):
+        assert _agree(x_axis_arbre(pairs), A(2, 3), DELTA) == (
+            "raise", "ratio endpoint at infinity",
+        )
+    assert _agree(x_axis_arbre([(1, 4), (8, 3), (INF, -4)]), A(2, 3), DELTA) == (
+        "raise", "mixed couple (D, F) must be finite for the replay",
+    )
+
+
+def test_replay_precondition_image_at_infinity():
+    # the image line is parallel to KB (direction (1, 3)), so b is infinite
+    parallel = default_chart(join(A(0, 5), A(1, 8)))
+    assert _agree(ARBRE, A(2, 3), parallel) == (
+        "raise", "image b at infinity; configuration not generic",
+    )
+    # on the shortcut: the image line through D = -1 is parallel to KC
+    through_d = default_chart(join(CH.point_at(F(-1)), A(0, 3)))
+    assert _agree(ARBRE, A(9, 3), through_d) == (
+        "raise", "image 3 at infinity; configuration not generic",
+    )
+
+
+def test_replay_precondition_shortcut():
+    delta = default_chart(join(CH.point_at(F(-1)), A(0, 5)))
+    pts = check_ramee_replayable(ARBRE, A(2, 3), delta)
+    assert sorted(pts) == ["2", "3", "4", "5", "f"]
+    assert _agree(ARBRE, A(2, 3), delta) == ("ok", None)
+    # a doubled couple (B, B) projects to 2 = 5
+    doubled = x_axis_arbre([(1, 1), (8, (1, 2)), (-1, -4)])
+    assert _agree(doubled, A(2, 3), delta) == (
+        "raise", "image points are not pairwise distinct",
+    )
+    assert _agree(doubled, A(2, 3), DELTA) == (
+        "raise", "image points are not pairwise distinct",
+    )
+
+
+def test_replay_precondition_k_on_intermediate_line():
+    # K on join(D, f) would put f on line KD as well as on KF, so f = K; but
+    # f is on the image line and K is not.  The check cannot fire: aiming K
+    # at the intermediate line of one K moves f, and with it that line.
+    d_pt, f_pt = ARBRE.pairs[2]
+    f0 = project_point(A(2, 3), f_pt, DELTA.line)
+    aimed = default_chart(join(d_pt, f0))
+    for t in (F(-3), F(1, 2), F(2), F(7)):
+        k = aimed.point_at(t)
+        assert _agree(ARBRE, k, DELTA) == ("ok", None)
+        f = project_point(k, f_pt, DELTA.line)
+        assert f != f0 and not incident(k, join(d_pt, f))
+    # the one point of that line that keeps f = f0 is f0, on the image line
+    assert _agree(ARBRE, f0, DELTA) == (
+        "raise", "projection point lies on a carrier line",
+    )
+
+
+# -- Ratio.value against the chart formula ---------------------------------------
+
+
+def _chart_ratio(r: Ratio):
+    """Ratio value through chart parameters (the reference formula)."""
+    chart = default_chart(join(r.origin, r.den_end))
+    ts = []
+    for p in (r.origin, r.num_end, r.den_end):
+        t = chart.coordinate(p)
+        if t is INF:
+            raise NonGenericError("ratio endpoint at infinity")
+        ts.append(t)
+    to, tn, td = ts
+    return (tn - to) / (td - to)
+
+
+LINE_COEFF = st.integers(-9, 9)
+
+
+@st.composite
+def small_line(draw):
+    coeffs = (draw(LINE_COEFF), draw(LINE_COEFF), draw(LINE_COEFF))
+    assume(coeffs[0] or coeffs[1])
+    return PLine(*coeffs)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(small_line(), small_line(), small_line(), small_line())
+@example(PLine(0, 1, 0), PLine(1, 0, 0), PLine(0, 1, 5), PLine(1, 0, -3))
+def test_ratio_value_matches_chart_formula(carrier, m0, m1, m2):
+    # meets give collinear points whose z is rarely 1, and at infinity when
+    # a cutting line is parallel to the carrier
+    try:
+        origin, num_end, den_end = (meet(carrier, m) for m in (m0, m1, m2))
+        r = Ratio(origin, num_end, den_end)
+    except GeometryError:
+        assume(False)
+    if any(p.is_at_infinity() for p in (origin, num_end, den_end)):
+        with pytest.raises(NonGenericError, match="ratio endpoint at infinity"):
+            r.value()
+        with pytest.raises(NonGenericError, match="ratio endpoint at infinity"):
+            _chart_ratio(r)
+    else:
+        assert r.value() == _chart_ratio(r)
+
+
 # -- the quadrangle replay --------------------------------------------------------
 
 
@@ -235,3 +409,15 @@ def test_ratio_validation():
     r = Ratio(A(0, 0), A(2, 2), A(3, 3))
     assert r.value() == F(2, 3)
     assert RatioChain((r, r.inverse())).value() == 1
+    # representatives with z = 3, -7 and 7 (stored as z = -1)
+    assert Ratio(PPoint(3, 6, 3), PPoint(-14, -28, -7), PPoint(-7, -14, 7)).value() == F(-1, 2)
+    # on a vertical line the quotient is taken along y
+    assert Ratio(PPoint(2, 1, 2), PPoint(3, 5, 3), PPoint(1, -2, 1)).value() == F(-7, 15)
+    at_inf = PPoint(1, 1, 0)
+    for pts in (
+        (at_inf, A(1, 1), A(2, 2)),
+        (A(0, 0), at_inf, A(2, 2)),
+        (A(0, 0), A(1, 1), at_inf),
+    ):
+        with pytest.raises(NonGenericError, match="ratio endpoint at infinity"):
+            Ratio(*pts).value()
