@@ -36,7 +36,7 @@ from arguesia.projective_core import (
     join,
     param_str,
 )
-from arguesia.svg_figures import render_figure
+from arguesia.svg_figures import FigureError, render_figure
 from arguesia.theorems import (
     TheoremReport,
     beaugrand_replay,
@@ -202,7 +202,7 @@ def replay_one(kind: str, seed: int, bounds: int = 32) -> dict:
 
 
 def _json_dump(data) -> str:
-    return json.dumps(data, indent=2, default=str) + "\n"
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _format_verify_text(kind: str, reports: list[dict]) -> str:
@@ -235,9 +235,12 @@ def _emit(text: str, path: str | None):
 
 def _default_seed() -> int:
     env = os.environ.get("ARGUESIA_SEED")
-    if env is not None:
+    if env is None:
+        return 1
+    try:
         return int(env)
-    return 1
+    except ValueError:
+        raise InstanceError(f"ARGUESIA_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,7 @@ def main(argv=None) -> int:
         InvolutionError,
         ConicError,
         NonGenericError,
-        ValueError,
+        FigureError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -48,8 +48,13 @@ def rat_str(x: Rat) -> str:
 def square_free_decomposition(n: int) -> tuple[int, int]:
     """Write n > 0 as s**2 * d with d squarefree; returns (s, d).
 
-    Trial division; adequate at desk scale (the instance generators keep
-    magnitudes small, and a perfect-square cofactor is caught by isqrt).
+    Trial division runs only while p**3 <= n, over the cofactor n that
+    shrinks as primes are divided out, so an 80-bit n takes at most about
+    2**26 steps instead of 2**39.  Stopping there is exact: every prime below
+    p is gone from the cofactor and p**3 exceeds it, so it has at most two
+    prime factors and is 1, q, q*q' or q*q.  Only q*q is not squarefree,
+    and isqrt recognises it.  This is the classical split (Cohen, *A Course
+    in Computational Algebraic Number Theory*, 1993, section 1.7).
     """
     if n <= 0:
         raise ScalarError("square_free_decomposition needs a positive integer")
@@ -58,7 +63,7 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     if r * r == n:
         return r, 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -68,12 +73,11 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        r = isqrt(n)
-        if r * r == n:
-            s *= r
-        else:
-            d *= n
+    r = isqrt(n)
+    if r * r == n:
+        s *= r
+    else:
+        d *= n
     return s, d
 
 
@@ -85,6 +89,12 @@ class QuadExt:
     rejected rather than coerced.  Values with b = 0 are never built: those
     collapse to plain ``Rat`` at construction time, so equality with an
     embedded rational works through :func:`quad_make`.
+
+    A radicand is checked where it enters: the public constructor (and so
+    :func:`quad_make`) rejects a d that is not squarefree, and
+    :func:`quad_sqrt` produces d by the square-free split itself.
+    Arithmetic results take d from an operand that was already checked, so
+    they are built by :func:`_quad` without factoring d again.
     """
 
     a: Rat
@@ -98,19 +108,21 @@ class QuadExt:
             raise ScalarError(f"radicand must be squarefree > 1, got {self.d}")
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _quad(self.a, -self.b, self.d)
 
     def norm(self) -> Rat:
         return self.a * self.a - self.b * self.b * self.d
 
     def __add__(self, other):
-        a, b, d = _coerce_pair(self, other)
-        return quad_make(self.a + a, self.b + b, d if d else self.d)
+        if isinstance(other, QuadExt):
+            _same_radicand(self, other)
+            return _make(self.a + other.a, self.b + other.b, self.d)
+        return _quad(self.a + Fraction(other), self.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, QuadExt) else -Fraction(other))
@@ -120,22 +132,20 @@ class QuadExt:
 
     def __mul__(self, other):
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ScalarError("mixed radicands")
-            return quad_make(
+            _same_radicand(self, other)
+            return _make(
                 self.a * other.a + self.b * other.b * self.d,
                 self.a * other.b + self.b * other.a,
                 self.d,
             )
         other = Fraction(other)
-        return quad_make(self.a * other, self.b * other, self.d)
+        return _make(self.a * other, self.b * other, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ScalarError("mixed radicands")
+            _same_radicand(self, other)
             n = other.norm()
             if n == 0:
                 raise ZeroDivisionError("division by zero QuadExt")
@@ -143,7 +153,7 @@ class QuadExt:
         other = Fraction(other)
         if other == 0:
             raise ZeroDivisionError
-        return quad_make(self.a / other, self.b / other, self.d)
+        return _quad(self.a / other, self.b / other, self.d)
 
     def __rtruediv__(self, other):
         n = self.norm()
@@ -168,12 +178,23 @@ class QuadExt:
         return {"a": rat_str(self.a), "b": rat_str(self.b), "d": str(self.d)}
 
 
-def _coerce_pair(x: QuadExt, other):
-    if isinstance(other, QuadExt):
-        if other.d != x.d:
-            raise ScalarError("mixed radicands")
-        return other.a, other.b, other.d
-    return Fraction(other), Fraction(0), 0
+def _quad(a: Rat, b: Rat, d: int) -> QuadExt:
+    """a + b*sqrt(d) for b != 0 and a d already known squarefree > 1."""
+    q = object.__new__(QuadExt)
+    object.__setattr__(q, "a", a)
+    object.__setattr__(q, "b", b)
+    object.__setattr__(q, "d", d)
+    return q
+
+
+def _make(a: Rat, b: Rat, d: int):
+    """:func:`quad_make` for a d already known squarefree > 1."""
+    return a if b == 0 else _quad(a, b, d)
+
+
+def _same_radicand(x: QuadExt, y: QuadExt) -> None:
+    if x.d != y.d:
+        raise ScalarError("mixed radicands")
 
 
 def quad_make(a: Rat, b: Rat, d: int):
@@ -200,7 +221,8 @@ def quad_sqrt(x: Rat):
     # sqrt(n/m) = sqrt(n*m)/m
     n = x.numerator * x.denominator
     s, d = square_free_decomposition(n)
-    root = quad_make(Fraction(0), Fraction(s, x.denominator), d)
+    b = Fraction(s, x.denominator)
+    root = b if d == 1 else _quad(Fraction(0), b, d)
     if root * root != x:  # decomposition is checked, never trusted
         raise ScalarError(f"square root extraction failed for {x}")
     return root

@@ -314,12 +314,11 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
 
     trace = ProofTrace("ramee")
     trace.notes["images"] = {
-        nm: delta.coordinate(pt) for nm, pt in zip("bhcgdf", (b, h, c, g, d, f))
+        nm: str(delta.coordinate(pt)) for nm, pt in zip("bhcgdf", (b, h, c, g, d, f))
     }
     trace.notes["shortcut"] = False
 
     kd_over_kD = Ratio(k, d, D)
-    first = {}
     for x_pt, n_pt, xn, nn, cite in (
         (g, n4, "g", "4", "p.11 l.38"),
         (c, n3, "c", "3", "p.11 l.40"),
@@ -328,7 +327,6 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     ):
         lhs = Ratio(x_pt, d, f)
         rhs = RatioChain((kd_over_kD, Ratio(n_pt, D, f)))
-        first[nn] = (lhs.value(), Ratio(n_pt, D, f).value())
         trace.add(
             f"{xn}d/{xn}f = (Kd/KD)({nn}D/{nn}f)",
             lhs.value(),
@@ -401,7 +399,7 @@ def _replay_ramee_shortcut(
     trace = ProofTrace("ramee")
     trace.notes["shortcut"] = True
     trace.notes["images"] = {
-        nm: delta.coordinate(pt)
+        nm: str(delta.coordinate(pt))
         for nm, pt in (("D", D), ("f", f), ("2", n2), ("3", n3), ("4", n4), ("5", n5))
     }
 

@@ -28,6 +28,10 @@ _STYLE = {
 }
 
 
+class FigureError(ValueError):
+    """Raised when a configuration cannot be drawn."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
@@ -58,7 +62,7 @@ class SvgDoc:
 
     def _world_box(self):
         if not self.labeled_points:
-            raise ValueError("unbounded configuration: no finite labeled points")
+            raise FigureError("unbounded configuration: no finite labeled points")
         xs = [p[0] for p in self.labeled_points]
         ys = [p[1] for p in self.labeled_points]
         x0, x1 = min(xs), max(xs)
@@ -255,7 +259,7 @@ def render_figure(kind: str, instance: dict) -> bytes:
     try:
         builder = _FIGURES[kind]
     except KeyError:
-        raise ValueError(f"no figure renderer for kind {kind!r}")
+        raise FigureError(f"no figure renderer for kind {kind!r}")
     return builder(instance).to_bytes()
 
 

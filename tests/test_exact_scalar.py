@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arguesia import exact_scalar
 from arguesia.exact_scalar import (
     QuadExt,
     ScalarError,
@@ -68,6 +72,115 @@ def test_square_free_decomposition():
     assert square_free_decomposition(8) == (2, 2)
     assert square_free_decomposition(360) == (6, 10)
     assert square_free_decomposition(10**6) == (1000, 1)
+
+
+def _brute_square_free(n):
+    """Largest s with s*s dividing n, by trying every s up to sqrt(n)."""
+    s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
+
+
+def _is_squarefree(d):
+    return all(d % (k * k) for k in range(2, isqrt(d) + 1))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def _primes_from(n, count):
+    out = []
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=2 * 10**6))
+def test_square_free_decomposition_matches_brute_force(n):
+    s, d = square_free_decomposition(n)
+    assert s * s * d == n
+    assert _is_squarefree(d)
+    assert (s, d) == _brute_square_free(n)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 65521, 65537, 65539, 1048573)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_SMALL_PRIMES), st.integers(1, 3)),
+                min_size=1, max_size=4))
+def test_square_free_decomposition_of_known_factorizations(factors):
+    exps = {}
+    for p, e in factors:
+        exps[p] = exps.get(p, 0) + e
+    n, s, d = 1, 1, 1
+    for p, e in exps.items():
+        n *= p**e
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    assert square_free_decomposition(n) == (s, d)
+
+
+# Primes near 2**12, 2**16 and 2**24: their products sit on either side of
+# the cube-root cutoff at sizes up to about 50 bits.
+P12 = _primes_from(2**12 - 40, 2)
+P16 = _primes_from(2**16 - 40, 3)
+P24 = _primes_from(2**24 - 40, 2)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (6 * P24[0] ** 2, (P24[0], 6)),  # p*p left above the cutoff: found by isqrt
+    (P24[0] * P24[1], (1, P24[0] * P24[1])),  # p*q left above the cutoff
+    (P16[0] ** 2 * P16[1], (P16[0], P16[1])),  # p*p*q, smaller prime squared
+    (P16[1] ** 2 * P16[0], (P16[1], P16[0])),  # p*p*q, larger prime squared
+    (P16[0] ** 3, (P16[0], P16[0])),  # q**3: the cutoff is reached exactly
+    (P16[0] ** 3 * 2, (P16[0], 2 * P16[0])),
+    (P16[0] * P16[1] * P16[2], (1, P16[0] * P16[1] * P16[2])),  # three primes near the cube root
+    (P12[0] ** 2 * P24[0], (P12[0], P24[0])),
+    (P12[0] * P12[1] * P24[0], (1, P12[0] * P12[1] * P24[0])),
+])
+def test_square_free_decomposition_near_cube_root_cutoff(n, expected):
+    assert n < 2**51
+    assert square_free_decomposition(n) == expected
+
+
+def _count_square_free_calls(monkeypatch):
+    calls = []
+    original = exact_scalar.square_free_decomposition
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(exact_scalar, "square_free_decomposition", counting)
+    return calls
+
+
+def test_quadext_arithmetic_does_not_refactor_radicand(monkeypatch):
+    d = P24[0] * P24[1]
+    x = QuadExt(Fraction(1, 3), Fraction(2), d)
+    y = QuadExt(Fraction(-5), Fraction(1, 7), d)
+    calls = _count_square_free_calls(monkeypatch)
+    results = [
+        x + y, x - y, x * y, x / y, x + 1, 1 + x, x - 2, 2 - x,
+        x * 3, 3 * x, x / 4, 4 / x, -x, x.conjugate(), x * x.conjugate(),
+    ]
+    assert calls == []
+    assert (x / y) * y == x
+    assert x + 1 == QuadExt(Fraction(4, 3), Fraction(2), d)  # same value as a checked build
+    assert hash(-x) == hash(QuadExt(Fraction(-1, 3), Fraction(-2), d))
+    assert all(r.d == d for r in results if isinstance(r, QuadExt))
+
+
+def test_quad_sqrt_splits_once(monkeypatch):
+    expected = QuadExt(Fraction(0), Fraction(3, 2), P24[0] * P24[1])
+    calls = _count_square_free_calls(monkeypatch)
+    r = quad_sqrt(Fraction(P24[0] * P24[1] * 9, 4))
+    assert len(calls) == 1
+    assert r == expected
 
 
 def test_quadext_conjugate_and_norm():

@@ -1,13 +1,19 @@
 """Golden output: sha256 of the exact bytes of fixed CLI commands.
 
 Each verify kind runs on seeds 1..20 (``--seed 1 --trials 20``) with
-``--json``, plus one ramee replay.  The digests pin every output byte, so a
-change to the arithmetic that alters a value, a canonical form or the
-order of claims shows up here; a change that only makes the same bytes
-faster leaves them alone.
+``--json``, plus one ramee replay, and ramee runs again at wide bounds,
+where the discriminants are large enough that square roots need real
+factoring.  The digests pin every output byte, so a change to the
+arithmetic that alters a value, a canonical form or the order of claims
+shows up here; a change that only makes the same bytes faster leaves them
+alone.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +31,19 @@ GOLDEN = {
     "verify bisector": "52407f7d74df02be0f72b2be4473cbd6118ac0b0c80461e3c460c30234f36cdb",
     "verify retablissement": "cba4a06cf49d14a31c57190ab66d63922c1d466da2e9e0b2d3414ba4e6a5bc72",
     "replay ramee": "693f2407d6a8e803ec8d7e01b17daa84f99c61341e5e2b98e3aac35c034ac1e2",
+    "verify ramee --bounds 30000":
+        "f2815dcce3550bb1b15c89c32f27190c7c9e5921b39907ecd7dee61792e4fb3a",
+    "verify ramee --trials 10 --bounds 1000000":
+        "accc92b4fe077a82441b72066ab0389759f0ed134f078a4bf48949e615fc64bc",
 }
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _command(name: str) -> list[str]:
-    command, kind = name.split(" ")
-    if command == "verify":
-        return ["verify", kind, "--seed", "1", "--trials", "20", "--json"]
+    command, kind, *extra = name.split(" ")
+    if command == "verify":  # options in the name override the defaults
+        return ["verify", kind, "--seed", "1", "--trials", "20", *extra, "--json"]
     return ["replay", kind, "--seed", "1", "--json"]
 
 
@@ -40,3 +52,16 @@ def test_golden_output(name, capsys):
     assert main(_command(name)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_verify_ramee_at_bounds_1e12_finishes():
+    # ~80-bit discriminants: square roots must not fall back on O(sqrt n) trial division
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("ARGUESIA_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arguesia.cli", "verify", "ramee", "--bounds", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("1/1 verdicts true\n")

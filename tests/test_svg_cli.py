@@ -183,3 +183,30 @@ def test_replay_all_kinds():
 
 def test_main_inprocess_exit_codes():
     assert main(["verify", "bisector", "--seed", "4"]) == 0
+
+
+def test_json_dump_rejects_non_json_values():
+    from fractions import Fraction
+
+    from arguesia.cli import _json_dump
+
+    assert _json_dump({"x": "1/2"}) == '{\n  "x": "1/2"\n}\n'
+    with pytest.raises(TypeError):
+        _json_dump({"x": Fraction(1, 2)})
+
+
+def test_malformed_env_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ARGUESIA_SEED", "abc")
+    assert main(["verify", "ramee"]) == 2
+    assert "ARGUESIA_SEED" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    from arguesia import cli
+
+    def broken(kind, seed, bounds=32):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "verify_one", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "ramee", "--seed", "1"])
