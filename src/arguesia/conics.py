@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from arguesia._kernel import conic_eval, conic_polar, cross3
 from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
@@ -21,6 +22,7 @@ from arguesia.projective_core import (
     GeometryError,
     PLine,
     PPoint,
+    _clear_denominators,
     collinear,
     displacement,
     dot2,
@@ -34,13 +36,7 @@ class ConicError(GeometryError):
 
 
 def _norm6(entries) -> tuple[int, ...]:
-    from math import gcd
-
-    xs = [Fraction(e) for e in entries]
-    den = 1
-    for e in xs:
-        den = den * e.denominator // gcd(den, e.denominator)
-    ints = [int(e * den) for e in xs]
+    ints = _clear_denominators(entries)
     g = 0
     for e in ints:
         g = gcd(g, abs(e))
@@ -108,7 +104,7 @@ class Conic:
         return PLine(u, v, w)
 
     def to_json(self) -> list[str]:
-        return [rat_str(Fraction(e)) for e in self.m]
+        return [rat_str(e) for e in self.m]
 
     @staticmethod
     def from_lines(l: PLine, m: PLine) -> "Conic":

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from arguesia.conics import Conic, ConicError, ConicParametrization, Pencil, pencil_member
+from arguesia.conics import (
+    Conic,
+    ConicError,
+    ConicParametrization,
+    Pencil,
+    conic_line_intersection,
+    pencil_member,
+)
 from arguesia.involution import Involution, InvolutionError, NodeCouples
 from arguesia.menelaus_engine import NonGenericError, SectorFigure, check_ramee_replayable
 from arguesia.projective_core import (
@@ -267,6 +274,10 @@ def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
     c_pt = meet(mu, ko)
     if c_pt.is_at_infinity() or c_pt == f_pt or circle.contains(c_pt):
         raise NonGenericError("auxiliary point C degenerate")
+    # mu is the auxiliary parallel chord of beaugrand_replay; through q0 it
+    # is rational, but it must cut the circle twice, not touch it at q0
+    if conic_line_intersection(circle, mu).count != 2:
+        raise NonGenericError("auxiliary parallel chord tangent at Q")
     transversal = join(c_pt, f_pt)
     return {
         "conic": circle,

@@ -110,12 +110,11 @@ class PPoint:
         return self.coords[2] == 0
 
     def affine(self) -> tuple[Rat, Rat]:
-        if self.is_at_infinity():
-            raise GeometryError(f"{self} has no affine coordinates")
+        _require_finite(self)
         return Fraction(self.x, self.z), Fraction(self.y, self.z)
 
     def to_json(self) -> list[str]:
-        return [rat_str(Fraction(c)) for c in self.coords]
+        return [rat_str(c) for c in self.coords]
 
     @staticmethod
     def from_json(data) -> "PPoint":
@@ -148,7 +147,7 @@ class PLine:
         return self.coeffs[0] == 0 and self.coeffs[1] == 0
 
     def to_json(self) -> list[str]:
-        return [rat_str(Fraction(c)) for c in self.coeffs]
+        return [rat_str(c) for c in self.coeffs]
 
     def __repr__(self):
         u, v, w = self.coeffs
@@ -156,6 +155,13 @@ class PLine:
 
 
 LINE_AT_INFINITY = PLine(0, 0, 1)
+
+
+def _require_finite(*points: PPoint) -> None:
+    """Raise for the first point at infinity, in argument order."""
+    for p in points:
+        if p.coords[2] == 0:
+            raise GeometryError(f"{p} has no affine coordinates")
 
 
 def incident(p: PPoint, l: PLine) -> bool:
@@ -321,7 +327,12 @@ def _gcross(a, b):
     )
 
 
-@lru_cache(maxsize=None)
+# Charts are cheap to rebuild and rarely asked for twice: the cache only
+# catches repeats within one figure, so it keeps the most recent lines.
+CHART_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CHART_CACHE_SIZE)
 def default_chart(line: PLine) -> AffineChart:
     """Deterministic chart on any line that has finite points."""
     u, v, w = line.coeffs
@@ -550,26 +561,41 @@ def dot2(v, w) -> Rat:
     return v[0] * w[0] + v[1] * w[1]
 
 
+def _scaled_displacement(p: PPoint, q: PPoint) -> tuple[int, int]:
+    """Integer vector p->q times p.z * q.z (both points finite)."""
+    px, py, pz = p.coords
+    qx, qy, qz = q.coords
+    return qx * pz - px * qz, qy * pz - py * qz
+
+
 def chord_product(origin: PPoint, p: PPoint, q: PPoint) -> Rat:
     """Signed euclidean product origin->p . origin->q for collinear data.
 
     For three collinear finite points this is the power-of-a-point style
     product of signed lengths times the (positive) squared direction scale,
     so equalities of such products are scale-consistent within one figure.
+    Computed on the integer coordinates, with one Fraction at the end.
     """
-    return dot2(displacement(origin, p), displacement(origin, q))
+    _require_finite(origin, p, q)
+    v = _scaled_displacement(origin, p)
+    w = _scaled_displacement(origin, q)
+    oz = origin.coords[2]
+    return Fraction(v[0] * w[0] + v[1] * w[1], oz * oz * p.coords[2] * q.coords[2])
 
 
 def parallel_ratio(p1: PPoint, p2: PPoint, q1: PPoint, q2: PPoint) -> Rat:
     """t with vector(p1->p2) = t * vector(q1->q2); segments must be parallel."""
-    v = displacement(p1, p2)
-    w = displacement(q1, q2)
+    _require_finite(p1, p2, q1, q2)
+    v = _scaled_displacement(p1, p2)
+    w = _scaled_displacement(q1, q2)
     if v[0] * w[1] != v[1] * w[0]:
         raise GeometryError("segments are not parallel")
-    if w[0] != 0:
-        return v[0] / w[0]
-    if w[1] != 0:
-        return v[1] / w[1]
+    # v and w carry the scales p1.z * p2.z and q1.z * q2.z
+    scale_v = p1.coords[2] * p2.coords[2]
+    scale_w = q1.coords[2] * q2.coords[2]
+    for i in (0, 1):
+        if w[i] != 0:
+            return Fraction(v[i] * scale_w, scale_v * w[i])
     raise GeometryError("zero reference segment")
 
 

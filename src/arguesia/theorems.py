@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from arguesia.exact_scalar import QuadExt, Rat, rat_str, scalar_str
 from arguesia.conics import (
@@ -56,6 +57,7 @@ from arguesia.projective_core import (
     PPoint,
     central_projection_3d,
     chart_through,
+    chord_product,
     collinear,
     cross_ratio,
     default_chart,
@@ -86,7 +88,7 @@ def _show(v) -> str:
     if v is INF:
         return "inf"
     if isinstance(v, (Fraction, int)):
-        return rat_str(Fraction(v))
+        return rat_str(v)
     if isinstance(v, QuadExt):
         return scalar_str(v)
     if isinstance(v, PPoint):
@@ -146,6 +148,12 @@ class QuadrangleConfig:
     them in the couples (I, K), (P, Q), (G, H).  Generic means: no three
     bornes collinear, the transversal is parallel to no bornale and avoids
     the bornes and diagonal points.
+
+    The derived geometry (six bornales, three diagonal points, six cuts) is
+    computed once per instance, when it is built; ``bornales()`` and
+    ``diagonal_points()`` return copies.  The involution of the three
+    couples is built on first use and kept: by Desargues' theorem it is the
+    one every conic of the pencil through the bornes cuts on the transversal.
     """
 
     bornes: tuple[PPoint, PPoint, PPoint, PPoint]
@@ -160,19 +168,7 @@ class QuadrangleConfig:
             rest = [p for i, p in enumerate(self.bornes) if i != skip]
             if collinear(*rest):
                 raise NonGenericError("three bornes are collinear")
-        delta = self.transversal.line
-        for name, line in self.bornales().items():
-            if line == delta:
-                raise NonGenericError(f"transversal equals bornale {name}")
-            if self.strict and meet(delta, line).is_at_infinity():
-                raise NonGenericError(f"transversal parallel to bornale {name}")
-        for p in self.bornes + tuple(self.diagonal_points().values()):
-            if incident(p, delta):
-                raise NonGenericError("transversal through a special point")
-
-    def bornales(self) -> dict[str, PLine]:
-        b, c, d, e = self.bornes
-        return {
+        ln = {
             "BC": join(b, c),
             "ED": join(e, d),
             "BE": join(b, e),
@@ -180,51 +176,71 @@ class QuadrangleConfig:
             "BD": join(b, d),
             "CE": join(c, e),
         }
-
-    def diagonal_points(self) -> dict[str, PPoint]:
-        ln = self.bornales()
-        return {
+        delta = self.transversal.line
+        cuts = {}
+        for name, line in ln.items():
+            if line == delta:
+                raise NonGenericError(f"transversal equals bornale {name}")
+            cuts[name] = meet(delta, line)
+            if self.strict and cuts[name].is_at_infinity():
+                raise NonGenericError(f"transversal parallel to bornale {name}")
+        diagonals = {
             "N": meet(ln["BC"], ln["ED"]),
             "F": meet(ln["BE"], ln["DC"]),
             "R": meet(ln["BD"], ln["CE"]),
         }
+        for p in self.bornes + tuple(diagonals.values()):
+            if incident(p, delta):
+                raise NonGenericError("transversal through a special point")
+        object.__setattr__(self, "_bornales", ln)
+        object.__setattr__(self, "_diagonals", diagonals)
+        object.__setattr__(self, "_cuts", cuts)
+
+    def bornales(self) -> dict[str, PLine]:
+        return dict(self._bornales)
+
+    def diagonal_points(self) -> dict[str, PPoint]:
+        return dict(self._diagonals)
 
     @property
     def pivot(self) -> PPoint:
-        return self.diagonal_points()["F"]
-
-    def _cut(self, name: str) -> PPoint:
-        return meet(self.transversal.line, self.bornales()[name])
+        return self._diagonals["F"]
 
     @property
     def I(self) -> PPoint:
-        return self._cut("BC")
+        return self._cuts["BC"]
 
     @property
     def K(self) -> PPoint:
-        return self._cut("ED")
+        return self._cuts["ED"]
 
     @property
     def P(self) -> PPoint:
-        return self._cut("BE")
+        return self._cuts["BE"]
 
     @property
     def Q(self) -> PPoint:
-        return self._cut("DC")
+        return self._cuts["DC"]
 
     @property
     def G(self) -> PPoint:
-        return self._cut("BD")
+        return self._cuts["BD"]
 
     @property
     def H(self) -> PPoint:
-        return self._cut("CE")
+        return self._cuts["CE"]
 
     def couples(self):
         return ((self.I, self.K), (self.P, self.Q), (self.G, self.H))
 
     def node_couples(self) -> NodeCouples:
         return NodeCouples(self.transversal, self.couples())
+
+    @cached_property
+    def involution(self) -> Involution:
+        """The involution swapping I, K and P, Q and G, H; InvolutionError
+        when the couples are not in involution."""
+        return nc_involution(self.node_couples())
 
     def to_json(self) -> dict:
         return {
@@ -586,8 +602,8 @@ def desargues_involution_by_perspectives(q: QuadrangleConfig) -> Involution:
     center D from the transversal to CE, center P from CE to BD, center C
     from BD back to the transversal."""
     b, c, d, e = q.bornes
-    ce = default_chart(join(c, e))
-    bd = default_chart(join(b, d))
+    ce = default_chart(q._bornales["CE"])
+    bd = default_chart(q._bornales["BD"])
     s1 = perspective_map(d, q.transversal, ce)
     s2 = perspective_map(q.P, ce, bd)
     s3 = perspective_map(c, bd, q.transversal)
@@ -609,7 +625,7 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
         "pencil_involution",
         inputs=q.to_json() | {"member": member.to_json()},
     )
-    inv = nc_involution(q.node_couples())
+    inv = q.involution
     delta = q.transversal
 
     if member.is_degenerate():
@@ -655,11 +671,11 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
 
 
 def _degenerate_chord(q: QuadrangleConfig, member: Conic):
-    b, c, d, e = q.bornes
+    ln = q._bornales
     pairs = {
-        "IK": (join(b, c), join(e, d), (q.I, q.K)),
-        "PQ": (join(b, e), join(d, c), (q.P, q.Q)),
-        "GH": (join(b, d), join(c, e), (q.G, q.H)),
+        "IK": (ln["BC"], ln["ED"], (q.I, q.K)),
+        "PQ": (ln["BE"], ln["DC"], (q.P, q.Q)),
+        "GH": (ln["BD"], ln["CE"], (q.G, q.H)),
     }
     for name, (l1, l2, couple) in pairs.items():
         if Conic.from_lines(l1, l2) == member:
@@ -672,15 +688,12 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
     rectangle identities, one per choice of the non-parallel line playing
     the tronc role."""
     b, c, d, e = q.bornes
-    if meet(join(b, c), join(e, d)) != infinity_point_of(join(b, c)):
+    if q._diagonals["N"] != infinity_point_of(q._bornales["BC"]):
         raise GeometryError("BC and ED must be parallel (N at infinity)")
     report = TheoremReport("parallel_bornales", inputs=q.to_json())
     i_pt, k_pt = q.I, q.K
     p_pt, q_pt = q.P, q.Q
     f_pt = q.pivot
-
-    def prod(o, x, y):
-        return dot2(displacement(o, x), displacement(o, y))
 
     report.claim(
         "Thales at Q: IC/KD = IQ/KQ",
@@ -689,18 +702,18 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
     )
     report.claim(
         "IC.IB/(KD.KE) = IQ.IP/(KQ.KP)",
-        Fraction(prod(i_pt, c, b)) / prod(k_pt, d, e),
-        Fraction(prod(i_pt, q_pt, p_pt)) / prod(k_pt, q_pt, p_pt),
+        chord_product(i_pt, c, b) / chord_product(k_pt, d, e),
+        chord_product(i_pt, q_pt, p_pt) / chord_product(k_pt, q_pt, p_pt),
     )
     report.claim(
         "CI.CB/(DK.DE) = CQ.CF/(DQ.DF)",
-        Fraction(prod(c, i_pt, b)) / prod(d, k_pt, e),
-        Fraction(prod(c, q_pt, f_pt)) / prod(d, q_pt, f_pt),
+        chord_product(c, i_pt, b) / chord_product(d, k_pt, e),
+        chord_product(c, q_pt, f_pt) / chord_product(d, q_pt, f_pt),
     )
     report.claim(
         "BI.BC/(EK.ED) = BF.BP/(EF.EP)",
-        Fraction(prod(b, i_pt, c)) / prod(e, k_pt, d),
-        Fraction(prod(b, f_pt, p_pt)) / prod(e, f_pt, p_pt),
+        chord_product(b, i_pt, c) / chord_product(e, k_pt, d),
+        chord_product(b, f_pt, p_pt) / chord_product(e, f_pt, p_pt),
     )
     return report
 
@@ -747,9 +760,6 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
     if len(set(pts)) != len(pts):
         raise NonGenericError("named points are not pairwise distinct")
 
-    def prod(origin, x, y):
-        return dot2(displacement(origin, x), displacement(origin, y))
-
     trace = ProofTrace("beaugrand")
     trace.notes["points"] = {
         "F": f_pt.to_json(),
@@ -763,20 +773,20 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
 
     trace.add(
         "NP.PV/(QC.CR) = KP.PO/(KC.CO)",
-        Fraction(prod(p_pt, n, v)) / prod(c_pt, q_pt, r_pt),
-        Fraction(prod(p_pt, k, o)) / prod(c_pt, k, o),
+        chord_product(p_pt, n, v) / chord_product(c_pt, q_pt, r_pt),
+        chord_product(p_pt, k, o) / chord_product(c_pt, k, o),
         "Advis p.5 l.25",
         kind="apollonius",
     )
-    lhs2 = Fraction(prod(a_pt, n, v)) / prod(c_pt, q_pt, r_pt)
-    rhs2 = (Fraction(prod(a_pt, n, v)) / prod(p_pt, n, v)) * (
-        Fraction(prod(p_pt, k, o)) / prod(c_pt, k, o)
+    lhs2 = chord_product(a_pt, n, v) / chord_product(c_pt, q_pt, r_pt)
+    rhs2 = (chord_product(a_pt, n, v) / chord_product(p_pt, n, v)) * (
+        chord_product(p_pt, k, o) / chord_product(c_pt, k, o)
     )
     trace.add("AN.AV/(QC.CR) = (AN.AV/(PN.PV))(PK.PO/(CK.CO))", lhs2, rhs2, "Advis p.5 l.26", kind="composition")
     trace.add(
         "AN.AV/(AF.AG) = CQ.CR/(CF.CG)",
-        Fraction(prod(a_pt, n, v)) / prod(a_pt, f_pt, g_pt),
-        Fraction(prod(c_pt, q_pt, r_pt)) / prod(c_pt, f_pt, g_pt),
+        chord_product(a_pt, n, v) / chord_product(a_pt, f_pt, g_pt),
+        chord_product(c_pt, q_pt, r_pt) / chord_product(c_pt, f_pt, g_pt),
         "Advis p.5 l.28",
         kind="apollonius",
     )
@@ -797,28 +807,28 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
     trace.add(
         "(AN.AV/(PN.PV))(PK.PO/(CK.CO)) = BA.AE/(BC.CE)",
         rhs2,
-        Fraction(prod(a_pt, b_pt, e_pt)) / prod(c_pt, b_pt, e_pt),
+        chord_product(a_pt, b_pt, e_pt) / chord_product(c_pt, b_pt, e_pt),
         "Advis p.5 l.35",
         kind="composition",
     )
     trace.add(
         "FA.AG/(FC.CG) = BA.AE/(BC.CE)",
-        Fraction(prod(a_pt, f_pt, g_pt)) / prod(c_pt, f_pt, g_pt),
-        Fraction(prod(a_pt, b_pt, e_pt)) / prod(c_pt, b_pt, e_pt),
+        chord_product(a_pt, f_pt, g_pt) / chord_product(c_pt, f_pt, g_pt),
+        chord_product(a_pt, b_pt, e_pt) / chord_product(c_pt, b_pt, e_pt),
         "Advis p.5 l.38",
         kind="final",
     )
     trace.add(
         "BF.BG/(EF.EG) = BA.BC/(EA.EC)",
-        Fraction(prod(b_pt, f_pt, g_pt)) / prod(e_pt, f_pt, g_pt),
-        Fraction(prod(b_pt, a_pt, c_pt)) / prod(e_pt, a_pt, c_pt),
+        chord_product(b_pt, f_pt, g_pt) / chord_product(e_pt, f_pt, g_pt),
+        chord_product(b_pt, a_pt, c_pt) / chord_product(e_pt, a_pt, c_pt),
         "Advis p.5 l.40",
         kind="analogy",
     )
     trace.add(
         "FA.FC/(GA.GC) = FB.FE/(GB.GE)",
-        Fraction(prod(f_pt, a_pt, c_pt)) / prod(g_pt, a_pt, c_pt),
-        Fraction(prod(f_pt, b_pt, e_pt)) / prod(g_pt, b_pt, e_pt),
+        chord_product(f_pt, a_pt, c_pt) / chord_product(g_pt, a_pt, c_pt),
+        chord_product(f_pt, b_pt, e_pt) / chord_product(g_pt, b_pt, e_pt),
         "Advis p.6 l.20",
         kind="analogy",
     )
@@ -885,9 +895,6 @@ def _pascal_circle_replay(report, circle, p, k, v, o, n, q_pt, m_pt, s_pt):
 
     trace = ProofTrace("pascal_circle")
 
-    def pw(origin, x, y):
-        return dot2(displacement(origin, x), displacement(origin, y))
-
     trace.add(
         "MA/Malpha = (VA/Vbeta)(Obeta/Oalpha)",
         Ratio(m_pt, a_pt, alpha).value(),
@@ -904,36 +911,36 @@ def _pascal_circle_replay(report, circle, p, k, v, o, n, q_pt, m_pt, s_pt):
     )
     trace.add(
         "Kalpha.Palpha = Nalpha.Oalpha",
-        Fraction(pw(alpha, k, p)),
-        Fraction(pw(alpha, n, o)),
+        chord_product(alpha, k, p),
+        chord_product(alpha, n, o),
         "Euclid III.35/36",
         kind="power",
     )
     trace.add(
         "Nbeta.Obeta = Vbeta.Qbeta",
-        Fraction(pw(beta, n, o)),
-        Fraction(pw(beta, v, q_pt)),
+        chord_product(beta, n, o),
+        chord_product(beta, v, q_pt),
         "Euclid III.35/36",
         kind="power",
     )
     trace.add(
         "PA.KA = QA.VA",
-        Fraction(pw(a_pt, p, k)),
-        Fraction(pw(a_pt, q_pt, v)),
+        chord_product(a_pt, p, k),
+        chord_product(a_pt, q_pt, v),
         "Euclid III.35/36",
         kind="power",
     )
     trace.add(
         "Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)",
         Ratio(p, alpha, a_pt).value(),
-        Fraction(pw(alpha, n, o)) / pw(a_pt, q_pt, v) * Ratio(k, a_pt, alpha).value(),
+        chord_product(alpha, n, o) / chord_product(a_pt, q_pt, v) * Ratio(k, a_pt, alpha).value(),
         "substitution",
         kind="substitution",
     )
     trace.add(
         "Qbeta/QA = (Nbeta/PA)(Obeta/KA)(VA/Vbeta)",
         Ratio(q_pt, beta, a_pt).value(),
-        Fraction(pw(beta, n, o)) / pw(a_pt, p, k) * Ratio(v, a_pt, beta).value(),
+        chord_product(beta, n, o) / chord_product(a_pt, p, k) * Ratio(v, a_pt, beta).value(),
         "substitution",
         kind="substitution",
     )

@@ -1,9 +1,9 @@
 """Golden output: sha256 of the exact bytes of fixed CLI commands.
 
 Each verify kind runs on seeds 1..20 (``--seed 1 --trials 20``) with
-``--json``, plus one ramee replay, and ramee runs again at wide bounds,
-where the discriminants are large enough that square roots need real
-factoring.  The digests pin every output byte, so a change to the
+``--json``, plus one replay of each kind and the quadrangle figure, and
+ramee runs again at wide bounds, where the discriminants are large enough
+that square roots need real factoring.  The digests pin every output byte, so a change to the
 arithmetic that alters a value, a canonical form or the order of claims
 shows up here; a change that only makes the same bytes faster leaves them
 alone.
@@ -31,6 +31,9 @@ GOLDEN = {
     "verify bisector": "52407f7d74df02be0f72b2be4473cbd6118ac0b0c80461e3c460c30234f36cdb",
     "verify retablissement": "cba4a06cf49d14a31c57190ab66d63922c1d466da2e9e0b2d3414ba4e6a5bc72",
     "replay ramee": "693f2407d6a8e803ec8d7e01b17daa84f99c61341e5e2b98e3aac35c034ac1e2",
+    "replay quadrangle": "f536cd424d930cb8b971e2ba77f3c5f5690451787a3cfcd78f309c1b2cb43dd5",
+    "replay beaugrand": "bb699eb1cba6e0fb6cfdd94b9e20bfd78c9eb531d56c0a3600d5fec7f79147f2",
+    "replay pascal": "f7c35dbba6cc7c9f22fed7cad440d3f304750614f72e4d42b511c6f04645a98c",
     "verify ramee --bounds 30000":
         "f2815dcce3550bb1b15c89c32f27190c7c9e5921b39907ecd7dee61792e4fb3a",
     "verify ramee --trials 10 --bounds 1000000":
@@ -52,6 +55,16 @@ def test_golden_output(name, capsys):
     assert main(_command(name)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+
+
+FIGURE_QUADRANGLE = "c6a5b29a0448a4fb6a0b9b24c20f64aae016c46ddf5d71d89fb1effba2395a56"
+
+
+def test_golden_figure_quadrangle(tmp_path):
+    # the SVG draws the bornales and the six transversal cuts of the config
+    out = tmp_path / "quadrangle.svg"
+    assert main(["figure", "quadrangle", "--seed", "1", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_QUADRANGLE
 
 
 def test_verify_ramee_at_bounds_1e12_finishes():

@@ -70,3 +70,13 @@ def test_generated_sizes_respect_bounds():
     for p in inst["triangle"]:
         x, y = p.affine()
         assert abs(x) <= 16 and abs(y) <= 16
+
+
+@pytest.mark.parametrize("seed", [920, 5001634, 7000597])
+def test_beaugrand_tangent_auxiliary_chord_resamples(seed, capsys):
+    # these seeds first drew an auxiliary parallel chord tangent to the circle
+    from arguesia.cli import main
+
+    assert main(["verify", "beaugrand", "--seed", str(seed), "--json"]) == 0
+    assert main(["replay", "beaugrand", "--seed", str(seed), "--json"]) == 0
+    assert "error" not in capsys.readouterr().err

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arguesia.projective_core import (
+    CHART_CACHE_SIZE,
     INF,
     AffineChart,
     GeometryError,
@@ -13,10 +16,13 @@ from arguesia.projective_core import (
     PPoint,
     central_projection_3d,
     chart_through,
+    chord_product,
     collinear,
     cross_ratio,
     cross_ratio_params,
     default_chart,
+    displacement,
+    dot2,
     harmonic_partner_param,
     homography_from_three,
     identity_map,
@@ -29,6 +35,7 @@ from arguesia.projective_core import (
     plane_basis,
     plane_to_p2,
     p2_to_plane,
+    parallel_ratio,
     project_point,
 )
 from arguesia.rng import SplitMix64
@@ -305,3 +312,96 @@ def test_midpoint_and_infinity_point():
     assert infinity_point_of(PLine(1, -1, 3)) == PPoint(-1, -1, 0)
     with pytest.raises(GeometryError):
         midpoint(A(0, 0), PPoint(1, 0, 0))
+
+
+# -- chord products and parallel ratios ----------------------------------------
+
+
+def _old_chord_product(origin, p, q):
+    # the affine formula, kept as the oracle of the integer one
+    return dot2(displacement(origin, p), displacement(origin, q))
+
+
+def _old_parallel_ratio(p1, p2, q1, q2):
+    v = displacement(p1, p2)
+    w = displacement(q1, q2)
+    if v[0] * w[1] != v[1] * w[0]:
+        raise GeometryError("segments are not parallel")
+    if w[0] != 0:
+        return v[0] / w[0]
+    if w[1] != 0:
+        return v[1] / w[1]
+    raise GeometryError("zero reference segment")
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except GeometryError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+def _points(z):
+    return st.tuples(st.integers(-12, 12), st.integers(-12, 12), z).filter(any).map(
+        lambda t: PPoint(*t)
+    )
+
+
+FINITE = _points(st.integers(-6, 6).filter(bool))  # mostly z != 1 after reduction
+SOME_POINT = st.one_of(FINITE, FINITE, FINITE, _points(st.just(0)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(SOME_POINT, SOME_POINT, SOME_POINT)
+@example(PPoint(1, 2, 3), PPoint(-4, 1, 6), PPoint(5, 5, -2))
+@example(PPoint(1, 2, 0), PPoint(3, 1, 0), PPoint(1, 1, 1))
+def test_chord_product_matches_affine_formula(origin, p, q):
+    assert _outcome(chord_product, origin, p, q) == _outcome(_old_chord_product, origin, p, q)
+
+
+@st.composite
+def parallel_data(draw):
+    p1, p2, q1 = draw(SOME_POINT), draw(SOME_POINT), draw(SOME_POINT)
+    if draw(st.booleans()) or any(p.is_at_infinity() for p in (p1, p2, q1)):
+        return p1, p2, q1, draw(SOME_POINT)
+    # q2 = q1 + t * (p2 - p1): parallel segments, t = 0 gives a zero one
+    t = F(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    (x1, y1), (x2, y2), (qx, qy) = p1.affine(), p2.affine(), q1.affine()
+    q2 = PPoint(qx + t * (x2 - x1), qy + t * (y2 - y1), 1)
+    return p1, p2, q1, q2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(parallel_data())
+@example((PPoint(1, 2, 3), PPoint(4, 1, 3), PPoint(0, 5, 2), PPoint(0, 5, 2)))
+@example((PPoint(1, 2, 3), PPoint(1, 5, 3), PPoint(2, 1, 7), PPoint(2, 4, 7)))
+def test_parallel_ratio_matches_affine_formula(data):
+    assert _outcome(parallel_ratio, *data) == _outcome(_old_parallel_ratio, *data)
+
+
+def test_chord_products_name_the_first_point_at_infinity():
+    finite = [PPoint(1, 2, 3), PPoint(-4, 1, 6), PPoint(5, 5, -2), PPoint(2, 7, 5)]
+    far = [PPoint(1, 3, 0), PPoint(2, -1, 0)]
+    for f, old, n in ((chord_product, _old_chord_product, 3),
+                      (parallel_ratio, _old_parallel_ratio, 4)):
+        for i in range(n):
+            args = finite[:n]
+            args[i] = far[0]
+            with pytest.raises(GeometryError, match=r"^\(1:3:0\) has no affine"):
+                f(*args)
+            assert _outcome(f, *args) == _outcome(old, *args)
+            for j in range(i + 1, n):
+                args[j] = far[1]
+                assert _outcome(f, *args) == _outcome(old, *args) == (
+                    "error", "(1:3:0) has no affine coordinates")
+
+
+def test_default_chart_cache_is_bounded():
+    default_chart.cache_clear()
+    for k in range(CHART_CACHE_SIZE + 40):
+        chart = default_chart(PLine(1, k + 1, 7))
+        assert chart is default_chart(PLine(1, k + 1, 7))
+    info = default_chart.cache_info()
+    assert info.maxsize == CHART_CACHE_SIZE
+    assert info.currsize <= CHART_CACHE_SIZE

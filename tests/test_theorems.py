@@ -213,6 +213,73 @@ def test_quadrangle_and_perspectives_agree_200_seeds():
         assert other.map.compose(other.map).is_identity()
 
 
+def test_quadrangle_config_builds_its_geometry_once(monkeypatch):
+    import arguesia.theorems as theorems
+
+    calls = []
+
+    def counting(f):
+        def wrapped(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(theorems, "join", counting(join))
+    monkeypatch.setattr(theorems, "meet", counting(theorems.meet))
+    q = quad_config()
+    for _ in range(3):
+        q.bornales(), q.diagonal_points(), q.pivot, q.couples(), q.node_couples()
+        q.I, q.K, q.P, q.Q, q.G, q.H
+    # six bornales; six transversal cuts and three diagonal points
+    assert calls.count("join") == 6
+    assert calls.count("meet") == 9
+
+
+def test_quadrangle_config_hands_out_copies():
+    q = quad_config()
+    fresh = quad_config()
+    q.bornales()["BC"] = q.bornales()["ED"]
+    q.bornales().clear()
+    q.diagonal_points()["F"] = q.diagonal_points()["N"]
+    q.diagonal_points().clear()
+    assert q.bornales() == fresh.bornales() and len(q.bornales()) == 6
+    assert q.diagonal_points() == fresh.diagonal_points()
+    assert q.pivot == fresh.pivot and q.couples() == fresh.couples()
+    assert q == fresh and hash(q) == hash(fresh)
+
+
+def test_pencil_builds_one_involution_per_quadrangle(monkeypatch):
+    import arguesia.theorems as theorems
+    from arguesia.cli import verify_one
+
+    calls = []
+
+    def counting_check(nc):
+        calls.append(nc)
+        return equivalence_check(nc)
+
+    monkeypatch.setattr(theorems, "equivalence_check", counting_check)
+    for seed in (1, 2, 3):
+        calls.clear()
+        out = verify_one("pencil", seed)
+        assert out["verdict"] and len(out["members"]) == 5
+        assert len(calls) == 1
+
+
+def test_pencil_check_rejects_couples_not_in_involution():
+    from arguesia.involution import InvolutionError
+
+    q = quad_config()
+    # move H along the transversal: G's partner is no longer H
+    moved = q.transversal.point_at(q.transversal.coordinate(q.H) + 1)
+    assert moved not in (q.I, q.K, q.P, q.Q, q.G)
+    object.__setattr__(q, "_cuts", dict(q._cuts, CE=moved))
+    member = Pencil.through(*q.bornes).gen1
+    with pytest.raises(InvolutionError, match="couples are not in involution"):
+        pencil_involution_check(q, member)
+
+
 def test_perspectives_map_named_couples():
     q = quad_config()
     inv = desargues_involution_by_perspectives(q)
