@@ -1,32 +1,119 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""Hot kernels for exact homogeneous-coordinate arithmetic.
 
-Set ``ARGUESIA_PURE=1`` to force the pure-Python kernel (used by the
-benchmark and by tests that must exercise both implementations).
+All functions work on plain Python integers (arbitrary precision) and
+tuples of them.
+
+Canonical form used throughout: a tuple is divided by the gcd of its
+entries and the sign is flipped so the first nonzero entry is positive.
+Two projective objects are then equal iff their canonical tuples are.
 """
 
-import os
+import sys
+from math import gcd
 
-if os.environ.get("ARGUESIA_PURE") == "1":
-    from arguesia import _pykernel as _impl
-else:
-    try:
-        from arguesia import _ckernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from arguesia import _pykernel as _impl
-
-BACKEND = _impl.BACKEND
-norm3 = _impl.norm3
-cross3 = _impl.cross3
-dot3 = _impl.dot3
-det3 = _impl.det3
-norm2 = _impl.norm2
-norm_mat2 = _impl.norm_mat2
-mat2_mul = _impl.mat2_mul
-mat2_pair = _impl.mat2_pair
-conic_eval = _impl.conic_eval
-conic_polar = _impl.conic_polar
+# The module that holds the kernel functions; perfbench's tracer reads it.
+_impl = sys.modules[__name__]
 
 
 def kernel_backend() -> str:
-    """Name of the kernel implementation in use ("cython" or "python")."""
-    return BACKEND
+    """Name of the kernel implementation: always "python"."""
+    return "python"
+
+
+def norm3(x, y, z):
+    """Canonical representative of (x : y : z).  Raises on the zero triple."""
+    g = gcd(gcd(abs(x), abs(y)), abs(z))
+    if g == 0:
+        raise ValueError("zero homogeneous triple")
+    x //= g
+    y //= g
+    z //= g
+    lead = x if x != 0 else (y if y != 0 else z)
+    if lead < 0:
+        return (-x, -y, -z)
+    return (x, y, z)
+
+
+def cross3(a, b):
+    """Cross product of integer triples; join of points / meet of lines."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def det3(a, b, c):
+    """Determinant of the 3x3 matrix with rows a, b, c."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def norm2(u, v):
+    """Canonical representative of the projective pair (u : v)."""
+    g = gcd(abs(u), abs(v))
+    if g == 0:
+        raise ValueError("zero projective pair")
+    u //= g
+    v //= g
+    lead = u if u != 0 else v
+    if lead < 0:
+        return (-u, -v)
+    return (u, v)
+
+
+def norm_mat2(m):
+    """Canonical representative of a 2x2 integer matrix up to scale."""
+    a, b, c, d = m
+    g = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
+    if g == 0:
+        raise ValueError("zero matrix")
+    a //= g
+    b //= g
+    c //= g
+    d //= g
+    for lead in (a, b, c, d):
+        if lead != 0:
+            if lead < 0:
+                return (-a, -b, -c, -d)
+            return (a, b, c, d)
+    raise ValueError("zero matrix")
+
+
+def mat2_mul(m, n):
+    """Product of 2x2 matrices stored row-major as (a, b, c, d)."""
+    return (
+        m[0] * n[0] + m[1] * n[2],
+        m[0] * n[1] + m[1] * n[3],
+        m[2] * n[0] + m[3] * n[2],
+        m[2] * n[1] + m[3] * n[3],
+    )
+
+
+def conic_eval(m6, p):
+    """Evaluate the symmetric form (m00,m01,m02,m11,m12,m22) at a triple."""
+    x, y, z = p
+    m00, m01, m02, m11, m12, m22 = m6
+    return (
+        x * (m00 * x + m01 * y + m02 * z)
+        + y * (m01 * x + m11 * y + m12 * z)
+        + z * (m02 * x + m12 * y + m22 * z)
+    )
+
+
+def conic_polar(m6, p):
+    """Matrix-vector product M.p, the polar line of p."""
+    x, y, z = p
+    m00, m01, m02, m11, m12, m22 = m6
+    return (
+        m00 * x + m01 * y + m02 * z,
+        m01 * x + m11 * y + m12 * z,
+        m02 * x + m12 * y + m22 * z,
+    )

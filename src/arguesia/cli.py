@@ -18,11 +18,12 @@ import os
 import sys
 
 from arguesia.conics import ConicError
-from arguesia.exact_scalar import ScalarError, rat_parse, rat_str
+from arguesia.exact_scalar import ScalarError, rat_parse
 from arguesia.instances import InstanceConfig, InstanceError, generate_instance
-from arguesia.involution import InvolutionError, equivalence_check, NodeCouples
+from arguesia.involution import InvolutionError
 from arguesia.menelaus_engine import (
     NonGenericError,
+    Ratio,
     SectorFigure,
     menelaus_product,
     replay_quadrangle_proof,
@@ -157,12 +158,8 @@ def verify_one(kind: str, seed: int, bounds: int = 32) -> dict:
 def _menelaus_converse(figure: SectorFigure) -> bool:
     """Reconstruct the third noeud from the unit-product constraint and
     check it falls back on the tronc (zero incidence residual)."""
-    from fractions import Fraction
-
     n1, n2, n3 = figure.nodes
     a, b, c = figure.vertices()
-    from arguesia.menelaus_engine import Ratio
-
     r1 = Ratio(n1, b, c).value()
     r2 = Ratio(n2, c, a).value()
     target = 1 / (r1 * r2)  # required value of Ratio(N3; a, b)

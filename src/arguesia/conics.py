@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from arguesia._kernel import conic_eval, conic_polar, cross3
+from arguesia._kernel import conic_eval, conic_polar
 from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,

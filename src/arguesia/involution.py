@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from arguesia._kernel import mat2_mul
 from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,

@@ -25,7 +25,6 @@ from arguesia._kernel import (
     det3,
     dot3,
     mat2_mul,
-    mat2_pair,
     norm2,
     norm3,
     norm_mat2,
@@ -413,14 +412,6 @@ class LineMap:
     def det(self) -> int:
         a, b, c, d = self.matrix
         return a * d - b * c
-
-    def same_map(self, other: "LineMap") -> bool:
-        """Projective equality of matrices on identical charts."""
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.matrix == other.matrix
-        )
 
     def __repr__(self):
         a, b, c, d = self.matrix

@@ -11,7 +11,6 @@ fixed precision and there is no randomness or timestamping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from arguesia.conics import Conic
 from arguesia.projective_core import PLine, PPoint

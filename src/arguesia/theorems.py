@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from arguesia.exact_scalar import QuadExt, Rat, rat_str, scalar_str
+from arguesia.exact_scalar import QuadExt, rat_str, scalar_str
 from arguesia.conics import (
     Conic,
     ConicError,
     ConicParametrization,
-    Pencil,
     conic_line_intersection,
-    pencil_member,
     second_intersection,
 )
 from arguesia.involution import (
@@ -33,11 +31,9 @@ from arguesia.involution import (
     classify,
     classify_kind,
     equivalence_check,
-    involution_from_pairs,
     involution_json,
     partner,
     partner_param,
-    rectangle_identity_check,
 )
 from arguesia.menelaus_engine import (
     NonGenericError,
@@ -50,13 +46,11 @@ from arguesia.projective_core import (
     INF,
     AffineChart,
     GeometryError,
-    LineMap,
     P3Plane,
     P3Point,
     PLine,
     PPoint,
     central_projection_3d,
-    chart_through,
     chord_product,
     collinear,
     cross_ratio,

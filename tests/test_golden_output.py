@@ -6,7 +6,8 @@ ramee runs again at wide bounds, where the discriminants are large enough
 that square roots need real factoring.  The digests pin every output byte, so a change to the
 arithmetic that alters a value, a canonical form or the order of claims
 shows up here; a change that only makes the same bytes faster leaves them
-alone.
+alone.  Every verify kind also runs once at ``--bounds 10**12`` under a
+time budget.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from arguesia.cli import main
+from arguesia.cli import VERIFY_KINDS, main
 
 GOLDEN = {
     "verify menelaus": "77d94a5b7d05e11498faba640697061714e4fc04b5ec9773173beeabece2572e",
@@ -67,13 +68,14 @@ def test_golden_figure_quadrangle(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_QUADRANGLE
 
 
-def test_verify_ramee_at_bounds_1e12_finishes():
+@pytest.mark.parametrize("kind", VERIFY_KINDS)
+def test_verify_at_bounds_1e12_finishes(kind):
     # ~80-bit discriminants: square roots must not fall back on O(sqrt n) trial division
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.pop("ARGUESIA_SEED", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "arguesia.cli", "verify", "ramee", "--bounds", "1000000000000"],
+        [sys.executable, "-m", "arguesia.cli", "verify", kind, "--bounds", "1000000000000"],
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 0, proc.stderr

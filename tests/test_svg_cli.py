@@ -210,3 +210,24 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "verify_one", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["verify", "ramee", "--seed", "1"])
+
+
+def test_false_verdict_exits_one(monkeypatch, capsys):
+    # K moved off the Thales circle on BC: the preconditions hold, the theorem does not
+    from arguesia import cli
+    from arguesia.projective_core import PPoint
+
+    def perturbed(config):
+        inst = generate_instance(config)
+        x, y = inst["k"].affine()
+        return dict(inst, k=PPoint.affine_point(x + 1, y + 2))
+
+    monkeypatch.setattr(cli, "generate_instance", perturbed)
+    assert main(["verify", "bisector", "--seed", "1"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "bisector", "--seed", "1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["all_true"] is False
+    (report,) = data["reports"]
+    assert report["verdict"] is False
+    assert any(c["equal"] is False for c in report["claims"])
