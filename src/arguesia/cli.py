@@ -37,11 +37,9 @@ from arguesia.projective_core import (
     join,
     param_str,
 )
-from arguesia.svg_figures import FigureError, render_figure
 from arguesia.theorems import (
     TheoremReport,
     beaugrand_replay,
-    construct_involution_p13,
     desargues_involution_by_perspectives,
     harmonic_conjugate,
     parallel_bornales_identities,
@@ -144,9 +142,6 @@ def verify_one(kind: str, seed: int, bounds: int = 32) -> dict:
         report = retablissement_demo(
             inst["apex"], inst["base"], inst["cut"], inst["params"]
         )
-        out = report.to_json()
-    elif kind == "p13":
-        report = construct_involution_p13(inst["b"], inst["h"], inst["g"], inst["k"])
         out = report.to_json()
     else:
         raise InstanceError(f"no verifier for kind {kind!r}")
@@ -325,10 +320,16 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "figure":
+            # Only this command renders, so only it imports the renderer.
+            from arguesia.svg_figures import FigureError, render_figure
+
             seed = args.seed if args.seed is not None else _default_seed()
             kind = _instance_kind(args.kind)
             inst = generate_instance(InstanceConfig(kind, seed, args.bounds))
-            payload = render_figure(kind, inst)
+            try:
+                payload = render_figure(kind, inst)
+            except FigureError as exc:
+                return _usage_error(exc)
             with open(args.output, "wb") as fh:
                 fh.write(payload)
             return 0
@@ -341,10 +342,13 @@ def main(argv=None) -> int:
         InvolutionError,
         ConicError,
         NonGenericError,
-        FigureError,
     ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _usage_error(exc)
+    return 2
+
+
+def _usage_error(exc: Exception) -> int:
+    sys.stderr.write(f"error: {exc}\n")
     return 2
 
 

@@ -11,10 +11,10 @@ III.35/36 for circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from arguesia._frozen import Frozen
 from arguesia._kernel import conic_eval, conic_polar
 from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
 from arguesia.projective_core import (
@@ -51,14 +51,13 @@ def _norm6(entries) -> tuple[int, ...]:
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(Frozen):
     """Symmetric conic matrix, canonical up to scale.
 
     Entries are the upper triangle row-major: (m00, m01, m02, m11, m12, m22).
     """
 
-    m: tuple[int, int, int, int, int, int]
+    _fields = ("m",)
 
     def __init__(self, m00, m01, m02, m11, m12, m22):
         object.__setattr__(self, "m", _norm6((m00, m01, m02, m11, m12, m22)))
@@ -239,13 +238,15 @@ def conic_through_five(points) -> Conic:
 # pencils
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(Frozen):
     """Linear pencil of conics through four base points in general position."""
 
-    base: tuple[PPoint, PPoint, PPoint, PPoint]
-    gen1: Conic
-    gen2: Conic
+    _fields = ("base", "gen1", "gen2")
+
+    def __init__(self, base: tuple[PPoint, ...], gen1: Conic, gen2: Conic):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "gen1", gen1)
+        object.__setattr__(self, "gen2", gen2)
 
     @staticmethod
     def through(b: PPoint, c: PPoint, d: PPoint, e: PPoint) -> "Pencil":
@@ -283,16 +284,18 @@ def pencil_member(pencil: Pencil, through: PPoint) -> Conic:
 # line intersection
 
 
-@dataclass(frozen=True)
-class ChordIntersection:
+class ChordIntersection(Frozen):
     """Conic-line intersection: discriminant sign decides 0, 1 or 2 points.
 
     Rational points come back as PPoint; irrational ones as triples of
     QuadExt scalars (same radicand), each satisfying the conic exactly.
     """
 
-    discriminant: Rat
-    points: tuple
+    _fields = ("discriminant", "points")
+
+    def __init__(self, discriminant: Rat, points: tuple):
+        object.__setattr__(self, "discriminant", discriminant)
+        object.__setattr__(self, "points", points)
 
     @property
     def count(self) -> int:
@@ -406,8 +409,7 @@ def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:
 # rational parametrization
 
 
-@dataclass(frozen=True)
-class ConicParametrization:
+class ConicParametrization(Frozen):
     """Slope parametrization of a nondegenerate conic from a rational point.
 
     Parameter t is the slope of the chord through the seed; t = INF is the
@@ -415,13 +417,14 @@ class ConicParametrization:
     map covers every point of the conic exactly once.
     """
 
-    conic: Conic
-    seed: PPoint
+    _fields = ("conic", "seed")
 
-    def __post_init__(self):
-        if self.conic.is_degenerate():
+    def __init__(self, conic: Conic, seed: PPoint):
+        object.__setattr__(self, "conic", conic)
+        object.__setattr__(self, "seed", seed)
+        if conic.is_degenerate():
             raise ConicError("parametrization needs a nondegenerate conic")
-        if not self.conic.contains(self.seed):
+        if not conic.contains(seed):
             raise ConicError("seed point is not on the conic")
 
     def point_at(self, t) -> PPoint:

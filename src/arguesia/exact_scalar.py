@@ -11,9 +11,10 @@ conic chords.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from arguesia._frozen import Frozen
 
 Rat = Fraction
 
@@ -81,8 +82,7 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     return s, d
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class QuadExt(Frozen):
     """Exact value a + b*sqrt(d) with a, b rational and d a squarefree int > 1.
 
     Arithmetic is closed within one radicand; mixing distinct radicands is
@@ -97,15 +97,16 @@ class QuadExt:
     they are built by :func:`_quad` without factoring d again.
     """
 
-    a: Rat
-    b: Rat
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        if self.b == 0:
+    def __init__(self, a: Rat, b: Rat, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        if b == 0:
             raise ScalarError("QuadExt with b = 0 must be a plain Rat")
-        if self.d <= 1 or square_free_decomposition(self.d)[1] != self.d:
-            raise ScalarError(f"radicand must be squarefree > 1, got {self.d}")
+        if d <= 1 or square_free_decomposition(d)[1] != d:
+            raise ScalarError(f"radicand must be squarefree > 1, got {d}")
 
     def conjugate(self) -> "QuadExt":
         return _quad(self.a, -self.b, self.d)

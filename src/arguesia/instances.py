@@ -10,9 +10,9 @@ failing precondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from arguesia._frozen import Frozen
 from arguesia.conics import (
     Conic,
     ConicError,
@@ -62,17 +62,16 @@ class InstanceError(ValueError):
     """Instance generation failed (bad kind, bounds, or retries exhausted)."""
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
-    kind: str
-    seed: int
-    bounds: int = 32
-    overrides: dict = field(default_factory=dict)
+class InstanceConfig(Frozen):
+    _fields = ("kind", "seed", "bounds")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InstanceError(f"unknown instance kind {self.kind!r}")
-        if not 0 <= self.seed < (1 << 64):
+    def __init__(self, kind: str, seed: int, bounds: int = 32):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "bounds", bounds)
+        if kind not in KINDS:
+            raise InstanceError(f"unknown instance kind {kind!r}")
+        if not 0 <= seed < (1 << 64):
             raise InstanceError("seed must fit in 64 bits")
 
     def to_json(self) -> dict:

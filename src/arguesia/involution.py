@@ -15,9 +15,9 @@ asserts that the two characterizations agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from arguesia._frozen import Frozen
 from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,
@@ -35,8 +35,7 @@ class InvolutionError(GeometryError):
     """Data does not determine (or violates) an involution."""
 
 
-@dataclass(frozen=True)
-class NodeCouples:
+class NodeCouples(Frozen):
     """Three couples of noeuds on one charted tronc.
 
     A couple may be doubled (both members equal: a noeud moyen double), but
@@ -44,24 +43,25 @@ class NodeCouples:
     point of one couple may equal a point of a different couple.
     """
 
-    chart: AffineChart
-    pairs: tuple[tuple[PPoint, PPoint], ...]
+    _fields = ("chart", "pairs")
 
-    def __post_init__(self):
-        if len(self.pairs) != 3:
+    def __init__(self, chart: AffineChart, pairs: tuple[tuple[PPoint, PPoint], ...]):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "pairs", pairs)
+        if len(pairs) != 3:
             raise InvolutionError("exactly three couples are required")
-        for p, q in self.pairs:
-            if not (incident(p, self.chart.line) and incident(q, self.chart.line)):
+        for p, q in pairs:
+            if not (incident(p, chart.line) and incident(q, chart.line)):
                 raise InvolutionError("all noeuds must lie on the tronc")
-        unordered = [frozenset((p, q)) for p, q in self.pairs]
+        unordered = [frozenset((p, q)) for p, q in pairs]
         if len(set(unordered)) != 3:
             raise InvolutionError("couples must be pairwise distinct")
         for i in range(3):
             for j in range(3):
                 if i == j:
                     continue
-                for pt in self.pairs[i]:
-                    if pt in self.pairs[j]:
+                for pt in pairs[i]:
+                    if pt in pairs[j]:
                         raise InvolutionError(
                             "a point of one couple equals a point of another"
                         )
@@ -80,19 +80,18 @@ class NodeCouples:
         ]
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Frozen):
     """An involutive homography of a line (trace zero, non-identity)."""
 
-    map: LineMap
+    _fields = ("map",)
 
-    def __post_init__(self):
-        m = self.map
-        if m.src != m.dst:
+    def __init__(self, map: LineMap):
+        object.__setattr__(self, "map", map)
+        if map.src != map.dst:
             raise InvolutionError("an involution maps a line to itself")
-        if m.trace() != 0:
+        if map.trace() != 0:
             raise InvolutionError("matrix is not involutive (nonzero trace)")
-        if m.det() == 0:
+        if map.det() == 0:
             raise InvolutionError("degenerate matrix")
 
     @property

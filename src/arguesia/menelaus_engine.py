@@ -15,9 +15,9 @@ exactly and logging it with its Brouillon citation tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from arguesia._frozen import Frozen
 from arguesia._kernel import det3
 from arguesia.exact_scalar import Rat, rat_str
 from arguesia.involution import NodeCouples
@@ -38,27 +38,27 @@ class NonGenericError(GeometryError):
     generic for the requested replay."""
 
 
-@dataclass(frozen=True)
-class SectorFigure:
+class SectorFigure(Frozen):
     """Tronc with three noeuds and three deployed rays (figure secteur)."""
 
-    tronc: PLine
-    nodes: tuple[PPoint, PPoint, PPoint]
-    rays: tuple[PLine, PLine, PLine]
+    _fields = ("tronc", "nodes", "rays")
 
-    def __post_init__(self):
-        n1, n2, n3 = self.nodes
+    def __init__(self, tronc: PLine, nodes: tuple[PPoint, ...], rays: tuple[PLine, ...]):
+        object.__setattr__(self, "tronc", tronc)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "rays", rays)
+        n1, n2, n3 = nodes
         if len({n1, n2, n3}) != 3:
             raise NonGenericError("noeuds must be pairwise distinct")
-        for n, r in zip(self.nodes, self.rays):
-            if r == self.tronc:
+        for n, r in zip(nodes, rays):
+            if r == tronc:
                 raise NonGenericError("ray folded onto the tronc (not deployed)")
-            if not incident(n, self.tronc) or not incident(n, r):
+            if not incident(n, tronc) or not incident(n, r):
                 raise NonGenericError("each noeud must lie on tronc and its ray")
-        if len(set(self.rays)) != 3:
+        if len(set(rays)) != 3:
             raise NonGenericError("rays must be pairwise distinct")
         for v in self.vertices():
-            if incident(v, self.tronc):
+            if incident(v, tronc):
                 raise NonGenericError("a vertex fell on the tronc")
 
     def vertices(self) -> tuple[PPoint, PPoint, PPoint]:
@@ -80,18 +80,18 @@ class SectorFigure:
         return SectorFigure(transversal, nodes, (r1, r2, r3))
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(Frozen):
     """Signed ratio origin->num_end : origin->den_end on one line."""
 
-    origin: PPoint
-    num_end: PPoint
-    den_end: PPoint
+    __slots__ = _fields = ("origin", "num_end", "den_end")
 
-    def __post_init__(self):
-        if self.origin == self.den_end:
+    def __init__(self, origin: PPoint, num_end: PPoint, den_end: PPoint):
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "num_end", num_end)
+        object.__setattr__(self, "den_end", den_end)
+        if origin == den_end:
             raise NonGenericError("ratio with zero denominator segment")
-        if det3(self.origin.coords, self.den_end.coords, self.num_end.coords) != 0:
+        if det3(origin.coords, den_end.coords, num_end.coords) != 0:
             raise NonGenericError("ratio of non-collinear points")
 
     def value(self) -> Rat:
@@ -115,11 +115,13 @@ class Ratio:
         return Ratio(self.origin, self.den_end, self.num_end)
 
 
-@dataclass(frozen=True)
-class RatioChain:
+class RatioChain(Frozen):
     """Ordered product of ratios."""
 
-    factors: tuple[Ratio, ...]
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[Ratio, ...]):
+        object.__setattr__(self, "factors", factors)
 
     def value(self) -> Rat:
         v = Fraction(1)
@@ -128,13 +130,17 @@ class RatioChain:
         return v
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    label: str
-    lhs: Rat
-    rhs: Rat
-    cite: str
-    meta: dict = field(default_factory=dict, compare=False)
+class ProofStep(Frozen):
+    """One claimed identity of a replay; ``meta`` takes no part in equality."""
+
+    _fields = ("label", "lhs", "rhs", "cite")
+
+    def __init__(self, label: str, lhs: Rat, rhs: Rat, cite: str, meta: dict | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "cite", cite)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
     @property
     def equal(self) -> bool:
@@ -151,11 +157,11 @@ class ProofStep:
         }
 
 
-@dataclass
 class ProofTrace:
-    name: str
-    steps: list[ProofStep] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    def __init__(self, name: str):
+        self.name = name
+        self.steps: list[ProofStep] = []
+        self.notes: dict = {}
 
     @property
     def verdict(self) -> bool:
@@ -190,10 +196,12 @@ def menelaus_product(sf: SectorFigure) -> Rat:
     return chain.value()
 
 
-@dataclass(frozen=True)
-class DecompositionIdentity:
-    lhs: Ratio
-    rhs: RatioChain
+class DecompositionIdentity(Frozen):
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Ratio, rhs: RatioChain):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def lhs_value(self) -> Rat:
         return self.lhs.value()

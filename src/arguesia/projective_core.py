@@ -15,7 +15,6 @@ the base and cutting planes of a cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -29,6 +28,7 @@ from arguesia._kernel import (
     norm3,
     norm_mat2,
 )
+from arguesia._frozen import Frozen
 from arguesia.exact_scalar import QuadExt, Rat, rat_str
 
 
@@ -80,11 +80,10 @@ def _clear_denominators(coords: tuple) -> tuple[int, ...]:
     return tuple(int(c * den) for c in xs)
 
 
-@dataclass(frozen=True)
-class PPoint:
+class PPoint(Frozen):
     """Point (x : y : z); z = 0 marks a point at infinity."""
 
-    coords: tuple[int, int, int]
+    __slots__ = ("coords",)
 
     def __init__(self, x, y, z):
         t = _clear_denominators((x, y, z))
@@ -92,6 +91,14 @@ class PPoint:
             object.__setattr__(self, "coords", norm3(*t))
         except ValueError:
             raise GeometryError("point with all coordinates zero")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def x(self):
@@ -129,11 +136,10 @@ class PPoint:
         return f"({self.coords[0]}:{self.coords[1]}:{self.coords[2]})"
 
 
-@dataclass(frozen=True)
-class PLine:
+class PLine(Frozen):
     """Line (u : v : w), incidence u*x + v*y + w*z = 0."""
 
-    coeffs: tuple[int, int, int]
+    __slots__ = ("coeffs",)
 
     def __init__(self, u, v, w):
         t = _clear_denominators((u, v, w))
@@ -141,6 +147,14 @@ class PLine:
             object.__setattr__(self, "coeffs", norm3(*t))
         except ValueError:
             raise GeometryError("line with all coefficients zero")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     def is_infinity_line(self) -> bool:
         return self.coeffs[0] == 0 and self.coeffs[1] == 0
@@ -221,8 +235,7 @@ def midpoint(p: PPoint, q: PPoint) -> PPoint:
 # charts and parameters
 
 
-@dataclass(frozen=True)
-class AffineChart:
+class AffineChart(Frozen):
     """Affine coordinate on a line: origin at 0, unit at 1, infinity at INF.
 
     Origin and unit must be finite so the chart's infinity agrees with the
@@ -230,17 +243,26 @@ class AffineChart:
     segment ratios along the line.
     """
 
-    line: PLine
-    origin: PPoint
-    unit: PPoint
+    __slots__ = ("line", "origin", "unit")
 
-    def __post_init__(self):
-        if self.origin == self.unit:
+    def __init__(self, line: PLine, origin: PPoint, unit: PPoint):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "unit", unit)
+        if origin == unit:
             raise GeometryError("chart origin and unit coincide")
-        if self.origin.is_at_infinity() or self.unit.is_at_infinity():
+        if origin.is_at_infinity() or unit.is_at_infinity():
             raise GeometryError("chart origin and unit must be finite")
-        if not (incident(self.origin, self.line) and incident(self.unit, self.line)):
+        if not (incident(origin, line) and incident(unit, line)):
             raise GeometryError("chart base points must lie on the chart line")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.line, self.origin, self.unit) == (other.line, other.origin, other.unit)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.line, self.origin, self.unit))
 
     def contains(self, p: PPoint) -> bool:
         return incident(p, self.line)
@@ -355,13 +377,10 @@ def chart_through(p: PPoint, q: PPoint) -> AffineChart:
 # homographies of a line
 
 
-@dataclass(frozen=True)
-class LineMap:
+class LineMap(Frozen):
     """Homography between charted lines: t -> (m00*t + m01)/(m10*t + m11)."""
 
-    matrix: tuple[int, int, int, int]
-    src: AffineChart
-    dst: AffineChart
+    __slots__ = ("matrix", "src", "dst")
 
     def __init__(self, matrix, src: AffineChart, dst: AffineChart):
         m = norm_mat2(tuple(int(e) for e in matrix))
@@ -370,6 +389,14 @@ class LineMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.matrix, self.src, self.dst) == (other.matrix, other.src, other.dst)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.matrix, self.src, self.dst))
 
     def apply_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
         a, b, c, d = self.matrix
@@ -626,9 +653,8 @@ def _norm4(t):
     raise GeometryError("zero homogeneous quadruple")
 
 
-@dataclass(frozen=True)
-class P3Point:
-    coords: tuple[int, int, int, int]
+class P3Point(Frozen):
+    _fields = ("coords",)
 
     def __init__(self, x, y, z, w):
         object.__setattr__(self, "coords", _norm4(_clear_denominators((x, y, z, w))))
@@ -637,9 +663,8 @@ class P3Point:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class P3Plane:
-    coeffs: tuple[int, int, int, int]
+class P3Plane(Frozen):
+    _fields = ("coeffs",)
 
     def __init__(self, a, b, c, d):
         object.__setattr__(self, "coeffs", _norm4(_clear_denominators((a, b, c, d))))

@@ -11,8 +11,12 @@ same instances from (kind, seed):
 
 The stream for a named kind starts from state = seed XOR fnv1a64(kind),
 where fnv1a64 is the 64-bit FNV-1a hash of the kind's ASCII bytes.
-Bounded draws use rejection sampling on the high bits so every value in
-range is equally likely and the stream stays reproducible.
+Bounded draws use rejection sampling so every value in range is equally
+likely and the stream stays reproducible.  ``below(n)`` reads
+k = max(1, ceil(bitlength(n - 1) / 64)) outputs as one k*64-bit integer,
+most significant output first, accepts it below the largest multiple of n
+that fits in k*64 bits and returns it mod n; otherwise it draws again.
+Every n <= 2^64 takes one output per draw.
 """
 
 from __future__ import annotations
@@ -49,12 +53,16 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection."""
+        """Uniform integer in [0, n), by rejection on k*64-bit draws."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
+        words = ((n - 1).bit_length() + 63) // 64 or 1
+        span = 1 << (64 * words)
+        limit = span - span % n
         while True:
             v = self.next_u64()
+            for _ in range(words - 1):
+                v = (v << 64) | self.next_u64()
             if v < limit:
                 return v % n
 

@@ -10,8 +10,6 @@ fixed precision and there is no randomness or timestamping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from arguesia.conics import Conic
 from arguesia.projective_core import PLine, PPoint
 
@@ -35,14 +33,14 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-@dataclass
 class SvgDoc:
     """Collects labeled points, lines and conic paths, then renders."""
 
-    labeled_points: list = field(default_factory=list)
-    lines: list = field(default_factory=list)
-    conics: list = field(default_factory=list)
-    infinities: list = field(default_factory=list)
+    def __init__(self):
+        self.labeled_points: list = []
+        self.lines: list = []
+        self.conics: list = []
+        self.infinities: list = []
 
     def add_point(self, p: PPoint, label: str):
         if p.is_at_infinity():

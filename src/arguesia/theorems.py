@@ -12,10 +12,10 @@ labels; everything else is projective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from arguesia._frozen import Frozen
 from arguesia.exact_scalar import QuadExt, rat_str, scalar_str
 from arguesia.conics import (
     Conic,
@@ -90,13 +90,13 @@ def _show(v) -> str:
     return str(v)
 
 
-@dataclass
 class TheoremReport:
-    name: str
-    inputs: dict = field(default_factory=dict)
-    claims: list = field(default_factory=list)
-    trace: ProofTrace | None = None
-    notes: dict = field(default_factory=dict)
+    def __init__(self, name: str, inputs: dict):
+        self.name = name
+        self.inputs = inputs
+        self.claims: list = []
+        self.trace: ProofTrace | None = None
+        self.notes: dict = {}
 
     def claim(self, label: str, lhs, rhs) -> bool:
         equal = lhs == rhs or (lhs is INF and rhs is INF)
@@ -133,8 +133,7 @@ class TheoremReport:
 # quadrangle configuration
 
 
-@dataclass(frozen=True)
-class QuadrangleConfig:
+class QuadrangleConfig(Frozen):
     """Complete quadrangle B, C, D, E with a generic transversal.
 
     Bornales come in the three opposite couples (BC, ED), (BE, DC),
@@ -150,16 +149,17 @@ class QuadrangleConfig:
     one every conic of the pencil through the bornes cuts on the transversal.
     """
 
-    bornes: tuple[PPoint, PPoint, PPoint, PPoint]
-    transversal: AffineChart
-    strict: bool = True
+    _fields = ("bornes", "transversal", "strict")
 
-    def __post_init__(self):
-        b, c, d, e = self.bornes
-        if len(set(self.bornes)) != 4:
+    def __init__(self, bornes: tuple[PPoint, ...], transversal: AffineChart, strict: bool = True):
+        object.__setattr__(self, "bornes", bornes)
+        object.__setattr__(self, "transversal", transversal)
+        object.__setattr__(self, "strict", strict)
+        b, c, d, e = bornes
+        if len(set(bornes)) != 4:
             raise NonGenericError("bornes must be distinct")
         for skip in range(4):
-            rest = [p for i, p in enumerate(self.bornes) if i != skip]
+            rest = [p for i, p in enumerate(bornes) if i != skip]
             if collinear(*rest):
                 raise NonGenericError("three bornes are collinear")
         ln = {
@@ -170,20 +170,20 @@ class QuadrangleConfig:
             "BD": join(b, d),
             "CE": join(c, e),
         }
-        delta = self.transversal.line
+        delta = transversal.line
         cuts = {}
         for name, line in ln.items():
             if line == delta:
                 raise NonGenericError(f"transversal equals bornale {name}")
             cuts[name] = meet(delta, line)
-            if self.strict and cuts[name].is_at_infinity():
+            if strict and cuts[name].is_at_infinity():
                 raise NonGenericError(f"transversal parallel to bornale {name}")
         diagonals = {
             "N": meet(ln["BC"], ln["ED"]),
             "F": meet(ln["BE"], ln["DC"]),
             "R": meet(ln["BD"], ln["CE"]),
         }
-        for p in self.bornes + tuple(diagonals.values()):
+        for p in bornes + tuple(diagonals.values()):
             if incident(p, delta):
                 raise NonGenericError("transversal through a special point")
         object.__setattr__(self, "_bornales", ln)

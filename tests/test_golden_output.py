@@ -7,7 +7,9 @@ that square roots need real factoring.  The digests pin every output byte, so a 
 arithmetic that alters a value, a canonical form or the order of claims
 shows up here; a change that only makes the same bytes faster leaves them
 alone.  Every verify kind also runs once at ``--bounds 10**12`` under a
-time budget.
+time budget.  Two start-up checks run in fresh interpreters: importing
+``arguesia.cli`` loads neither ``dataclasses`` nor the SVG renderer, and
+``figure`` loads the renderer and still writes the golden bytes.
 """
 
 import hashlib
@@ -71,12 +73,38 @@ def test_golden_figure_quadrangle(tmp_path):
 @pytest.mark.parametrize("kind", VERIFY_KINDS)
 def test_verify_at_bounds_1e12_finishes(kind):
     # ~80-bit discriminants: square roots must not fall back on O(sqrt n) trial division
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    env.pop("ARGUESIA_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-m", "arguesia.cli", "verify", kind, "--bounds", "1000000000000"],
-        env=env, capture_output=True, text=True, timeout=30,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("1/1 verdicts true\n")
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("ARGUESIA_SEED", None)
+    return env
+
+
+def test_cli_import_leaves_out_dataclasses_and_the_renderer():
+    probe = ("import sys, arguesia.cli; print(' '.join(m for m in "
+             "('dataclasses', 'inspect', 'arguesia.svg_figures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_figure_loads_the_renderer_and_keeps_its_bytes(tmp_path):
+    out = tmp_path / "quadrangle.svg"
+    probe = (
+        "import sys; from arguesia.cli import main; "
+        f"code = main(['figure', 'quadrangle', '--seed', '1', '-o', {str(out)!r}]); "
+        "print(code, 'arguesia.svg_figures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0 True\n", proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_QUADRANGLE

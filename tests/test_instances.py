@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arguesia.instances import (
     KINDS,
@@ -7,6 +14,8 @@ from arguesia.instances import (
     generate_instance,
 )
 from arguesia.rng import SplitMix64, fnv1a64
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_splitmix64_reference_vector():
@@ -80,3 +89,55 @@ def test_beaugrand_tangent_auxiliary_chord_resamples(seed, capsys):
     assert main(["verify", "beaugrand", "--seed", str(seed), "--json"]) == 0
     assert main(["replay", "beaugrand", "--seed", str(seed), "--json"]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def _below_one_word(rng: SplitMix64, n: int) -> int:
+    """The single-output draw below() used for every n before wide bounds."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        v = rng.next_u64()
+        if v < limit:
+            return v % n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**64))
+@example(seed=0, n=1)
+@example(seed=0, n=2**64)
+@example(seed=5, n=2**63 + 1)
+def test_below_keeps_the_one_word_draw_up_to_2_64(seed, n):
+    new, old = SplitMix64(seed), SplitMix64(seed)
+    assert [new.below(n) for _ in range(5)] == [_below_one_word(old, n) for _ in range(5)]
+    assert new.state == old.state
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**200))
+@example(seed=0, n=2**64 + 1)
+@example(seed=0, n=2**200)
+def test_below_stays_in_range_for_any_bound(seed, n):
+    rng = SplitMix64(seed)
+    for _ in range(5):
+        assert 0 <= rng.below(n) < n
+
+
+def test_wide_draw_reads_outputs_most_significant_first():
+    # 2**128 is a multiple of 2**128, so the first two-output draw is accepted
+    rng, ref = SplitMix64(7), SplitMix64(7)
+    assert rng.below(1 << 128) == (ref.next_u64() << 64) | ref.next_u64()
+    assert rng.state == ref.state
+
+
+@pytest.mark.parametrize("kind", ["menelaus", "quadrangle"])
+@pytest.mark.parametrize("bounds", [2**63, 2**64 + 1])
+def test_verify_at_bounds_past_2_63_finishes(kind, bounds):
+    # below(2*bounds + 1) needs more than one 64-bit output per draw here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("ARGUESIA_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arguesia.cli", "verify", kind, "--bounds", str(bounds)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("1/1 verdicts true\n")

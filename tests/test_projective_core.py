@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -405,3 +407,40 @@ def test_default_chart_cache_is_bounded():
     info = default_chart.cache_info()
     assert info.maxsize == CHART_CACHE_SIZE
     assert info.currsize <= CHART_CACHE_SIZE
+
+
+def test_value_classes_compare_hash_and_freeze_by_value():
+    from arguesia.exact_scalar import QuadExt
+
+    p, q = PPoint(1, 2, 3), PPoint(4, 1, 3)
+    line = PLine(*join(p, q).coeffs)
+    chart = AffineChart(line, p, q)
+    root = QuadExt(F(1, 2), F(3), 5)
+    twins = [
+        (p, PPoint(2, 4, 6)),
+        (p, PPoint.affine_point(F(1, 3), F(2, 3))),
+        (join(p, q), line),
+        (chart, AffineChart(join(q, p), PPoint(-1, -2, -3), q)),
+        (LineMap((1, 2, 3, 4), chart, chart), LineMap((-2, -4, -6, -8), chart, chart)),
+        (root, QuadExt(F(2, 4), F(6, 2), 5)),
+    ]
+    for a, b in twins:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    assert p != q and hash(PPoint(0, 0, 1)) == hash(((0, 0, 1),))
+    assert p != p.coords and (p == p.coords) is False
+
+    default_chart.cache_clear()
+    first = default_chart(join(p, q))
+    assert default_chart(line) is first
+    assert default_chart.cache_info().hits == 1
+
+    for obj, field in ((p, "coords"), (line, "coeffs"), (chart, "origin"),
+                       (twins[4][0], "matrix"), (root, "a")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1

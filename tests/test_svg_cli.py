@@ -231,3 +231,16 @@ def test_false_verdict_exits_one(monkeypatch, capsys):
     (report,) = data["reports"]
     assert report["verdict"] is False
     assert any(c["equal"] is False for c in report["claims"])
+
+
+def test_figure_error_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    import arguesia.svg_figures as svg_figures
+
+    def unbounded(kind, inst):
+        raise svg_figures.FigureError("unbounded configuration: no finite labeled points")
+
+    monkeypatch.setattr(svg_figures, "render_figure", unbounded)
+    out = tmp_path / "fig.svg"
+    assert main(["figure", "harmonic", "--seed", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unbounded configuration: no finite labeled points\n"
+    assert not out.exists()
