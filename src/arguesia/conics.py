@@ -2,11 +2,11 @@
 
 A conic is the canonical integer 6-tuple (m00, m01, m02, m11, m12, m22) of
 its symmetric matrix; a point lies on it iff p.M.p = 0.  The module covers
-five-point construction by exact nullspace, pencils through four base
-points with their three degenerate line-pair members, line intersection
-over the quadratic extension, the rational parametrization used to
-generate exact instances, and the power-of-a-point identities of Euclid
-III.35/36 for circles.
+pencils through four base points, spanned by two of their degenerate
+line-pair members, line intersection over the quadratic extension, and the
+rational parametrization used to generate exact instances.  The power of a
+point (Euclid III.35/36) is ``projective_core.chord_product``, which the
+Pascal circle replay uses.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from arguesia.projective_core import (
     PPoint,
     _clear_denominators,
     collinear,
-    displacement,
-    dot2,
-    incident,
     join,
 )
 
@@ -127,112 +124,6 @@ class Conic(Frozen):
     def unit_circle() -> "Conic":
         return Conic(1, 0, 0, 1, 0, -1)
 
-    def apply_collineation(self, t_rows) -> "Conic":
-        """Image conic under p -> T.p for an invertible integer matrix T."""
-        a = _adjugate(t_rows)
-        m = self.rows()
-        prod = _mat3_mul(_mat3_mul(_transpose(a), m), a)
-        return Conic(prod[0][0], prod[0][1], prod[0][2], prod[1][1], prod[1][2], prod[2][2])
-
-
-def _transpose(m):
-    return tuple(zip(*m))
-
-
-def _mat3_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def _adjugate(t):
-    def minor(i, j):
-        rows = [r for k, r in enumerate(t) if k != i]
-        cols = [[e for k, e in enumerate(r) if k != j] for r in rows]
-        return cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-
-    return tuple(
-        tuple((-1) ** (i + j) * minor(j, i) for j in range(3)) for i in range(3)
-    )
-
-
-def apply_collineation_point(t_rows, p: PPoint) -> PPoint:
-    c = p.coords
-    return PPoint(*(sum(t_rows[i][k] * c[k] for k in range(3)) for i in range(3)))
-
-
-# ---------------------------------------------------------------------------
-# five-point construction
-
-
-def _conic_row(p: PPoint):
-    x, y, z = p.coords
-    return [
-        Fraction(x * x),
-        Fraction(2 * x * y),
-        Fraction(2 * x * z),
-        Fraction(y * y),
-        Fraction(2 * y * z),
-        Fraction(z * z),
-    ]
-
-
-def _nullspace(rows):
-    """Basis of the nullspace of a small exact matrix (list of Fraction rows)."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def conic_through_five(points) -> Conic:
-    """Unique conic through five points; exact nullspace computation.
-
-    Rank-deficient input (for instance a repeated point, or four collinear
-    points) is rejected as ambiguous.  Three collinear points are fine and
-    produce the corresponding degenerate line pair.
-    """
-    pts = list(points)
-    if len(pts) != 5:
-        raise ConicError("exactly five points required")
-    basis = _nullspace([_conic_row(p) for p in pts])
-    if len(basis) != 1:
-        raise ConicError(f"ambiguous conic: nullspace dimension {len(basis)}")
-    conic = Conic(*basis[0])
-    for p in pts:
-        if not conic.contains(p):
-            raise ConicError("constructed conic misses an input point")
-    return conic
-
 
 # ---------------------------------------------------------------------------
 # pencils
@@ -265,10 +156,6 @@ class Pencil(Frozen):
         if lam == 0 and mu == 0:
             raise ConicError("zero pencil coefficients")
         return Conic.combine(lam, self.gen1, mu, self.gen2)
-
-    def third_degenerate(self) -> Conic:
-        b, c, d, e = self.base
-        return Conic.from_lines(join(b, d), join(c, e))
 
 
 def pencil_member(pencil: Pencil, through: PPoint) -> Conic:
@@ -436,73 +323,3 @@ class ConicParametrization(Frozen):
         if direction == self.seed:
             return self.seed
         return second_intersection(self.conic, self.seed, direction)
-
-    def parameter_of(self, p: PPoint):
-        """Recover the slope that yields p; tangent slope for the seed."""
-        if not self.conic.contains(p):
-            raise ConicError("point is not on the conic")
-        if p == self.seed:
-            tangent = self.conic.polar_line(self.seed)
-            u, v, _ = tangent.coeffs
-            if v == 0:
-                return INF
-            return Fraction(-u, v)
-        dx = p.x * self.seed.z - self.seed.x * p.z
-        dy = p.y * self.seed.z - self.seed.y * p.z
-        if dx == 0:
-            return INF
-        return Fraction(dy, dx)
-
-
-# ---------------------------------------------------------------------------
-# power of a point (Euclid III.35 / III.36)
-
-
-def chord_power(circle: Conic, p: PPoint, chord: PLine) -> Rat:
-    """Signed product of the two chord segments from p, exactly.
-
-    Uses the chord's own direction scale consistently: the value is
-    t1*t2*|dir|^2 for affine parameters p + t*dir, which makes products on
-    different chords through the same circle comparable.
-    """
-    if not incident(p, chord):
-        raise ConicError("point not on the chord")
-    hit = conic_line_intersection(circle, chord)
-    if hit.rational_points() is None or hit.count == 0:
-        raise ConicError(
-            f"irrational or empty chord (discriminant {hit.discriminant})"
-        )
-    pts = hit.points if hit.count == 2 else (hit.points[0], hit.points[0])
-    u, v, _ = chord.coeffs
-    direction = (Fraction(v), Fraction(-u))
-    scale = dot2(direction, direction)
-    ts = []
-    for q in pts:
-        d = displacement(p, q)
-        t = d[0] / direction[0] if direction[0] != 0 else d[1] / direction[1]
-        ts.append(t)
-    return ts[0] * ts[1] * scale
-
-
-def power_identity_check(circle: Conic, p: PPoint, chord1: PLine, chord2: PLine) -> dict:
-    """Verify QA.QB = QC.QD for two chords of a circle through p.
-
-    Interior and exterior positions are unified by the signed convention;
-    p on the circle is rejected (zero power carries no information here).
-    """
-    if not circle.is_circle():
-        raise ConicError("power identity is stated for circles only")
-    if circle.contains(p):
-        raise ConicError("point lies on the circle")
-    if p.is_at_infinity():
-        raise ConicError("power of an infinite point is not defined here")
-    if chord1 == chord2:
-        raise ConicError("chords must be distinct")
-    v1 = chord_power(circle, p, chord1)
-    v2 = chord_power(circle, p, chord2)
-    return {
-        "label": "QA.QB = QC.QD",
-        "lhs": rat_str(v1),
-        "rhs": rat_str(v2),
-        "equal": v1 == v2,
-    }

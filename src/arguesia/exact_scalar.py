@@ -86,13 +86,14 @@ class QuadExt(Frozen):
     """Exact value a + b*sqrt(d) with a, b rational and d a squarefree int > 1.
 
     Arithmetic is closed within one radicand; mixing distinct radicands is
-    rejected rather than coerced.  Values with b = 0 are never built: those
-    collapse to plain ``Rat`` at construction time, so equality with an
-    embedded rational works through :func:`quad_make`.
+    rejected rather than coerced.  Values with b = 0 are never built: the
+    public constructor rejects them, and arithmetic results collapse to a
+    plain ``Rat`` through :func:`_make`, so an embedded rational compares
+    as a ``Rat``.
 
-    A radicand is checked where it enters: the public constructor (and so
-    :func:`quad_make`) rejects a d that is not squarefree, and
-    :func:`quad_sqrt` produces d by the square-free split itself.
+    A radicand is checked where it enters: the public constructor rejects
+    a d that is not squarefree, and :func:`quad_sqrt` produces d by the
+    square-free split itself.
     Arithmetic results take d from an operand that was already checked, so
     they are built by :func:`_quad` without factoring d again.
     """
@@ -175,9 +176,6 @@ class QuadExt(Frozen):
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
-    def to_json(self) -> dict:
-        return {"a": rat_str(self.a), "b": rat_str(self.b), "d": str(self.d)}
-
 
 def _quad(a: Rat, b: Rat, d: int) -> QuadExt:
     """a + b*sqrt(d) for b != 0 and a d already known squarefree > 1."""
@@ -189,22 +187,14 @@ def _quad(a: Rat, b: Rat, d: int) -> QuadExt:
 
 
 def _make(a: Rat, b: Rat, d: int):
-    """:func:`quad_make` for a d already known squarefree > 1."""
+    """a + b*sqrt(d), collapsed to the Rat a when b = 0; d is already
+    known squarefree > 1."""
     return a if b == 0 else _quad(a, b, d)
 
 
 def _same_radicand(x: QuadExt, y: QuadExt) -> None:
     if x.d != y.d:
         raise ScalarError("mixed radicands")
-
-
-def quad_make(a: Rat, b: Rat, d: int):
-    """Build a + b*sqrt(d), collapsing to Rat when b = 0 or d = 1."""
-    if b == 0:
-        return a
-    if d == 1:
-        return a + b
-    return QuadExt(a, b, d)
 
 
 def quad_sqrt(x: Rat):

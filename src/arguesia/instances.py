@@ -39,7 +39,12 @@ from arguesia.projective_core import (
     parallel_line_through,
 )
 from arguesia.rng import SplitMix64
-from arguesia.theorems import QuadrangleConfig, harmonic_conjugate, retablissement_demo
+from arguesia.theorems import (
+    QuadrangleConfig,
+    harmonic_conjugate,
+    pascal_circle_points,
+    retablissement_demo,
+)
 
 KINDS = (
     "menelaus",
@@ -256,6 +261,7 @@ def _make_pascal(rng: SplitMix64, bounds: int) -> dict:
     pts = tuple(par.point_at(t) for t in params)
     if len(set(pts)) != 6:
         raise NonGenericError("hexagon points collide")
+    pascal_circle_points(*pts)  # the circle replay needs its five points
     return {"conic": circle, "hexagon": pts, "params": params}
 
 
@@ -372,17 +378,3 @@ _MAKERS = {
     "p13": _make_p13,
 }
 
-
-def random_collineation(rng: SplitMix64, bounds: int = 5):
-    """Random invertible 3x3 integer matrix (rows), for transport tests."""
-    while True:
-        rows = tuple(
-            tuple(rng.int_between(-bounds, bounds) for _ in range(3)) for _ in range(3)
-        )
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-        if det != 0:
-            return rows

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
+from arguesia.exact_scalar import quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,
     AffineChart,
@@ -97,10 +97,6 @@ class Involution(Frozen):
     @property
     def chart(self) -> AffineChart:
         return self.map.src
-
-    def discriminant(self) -> Rat:
-        """-det of the trace-zero matrix; sign classifies the involution."""
-        return Fraction(-self.map.det())
 
     def __repr__(self):
         return f"Involution{self.map.matrix}"
@@ -323,21 +319,12 @@ def equivalence_check(nc: NodeCouples) -> dict:
     }
 
 
-def involution_json(inv: Involution, with_fixed_points: bool = False) -> dict:
-    """Serializable involution summary.
-
-    Fixed points need a square-root extraction, so they are included only
-    on request (QuadExt values go out as {a, b, d} dicts).
-    """
+def involution_json(inv: Involution) -> dict:
+    """Serializable involution summary: matrix, kind and souche (the
+    partner of the point at infinity)."""
     a, b, c, d = inv.map.matrix
-    out = {
+    return {
         "matrix": [str(a), str(b), str(c), str(d)],
         "kind": classify_kind(inv),
         "souche": param_str(partner_param(inv, INF)),
     }
-    if with_fixed_points:
-        out["fixed_points"] = [
-            t.to_json() if isinstance(t, QuadExt) else param_str(t)
-            for t in classify(inv)["fixed_points"]
-        ]
-    return out

@@ -264,9 +264,6 @@ class AffineChart(Frozen):
     def __hash__(self):
         return hash((self.line, self.origin, self.unit))
 
-    def contains(self, p: PPoint) -> bool:
-        return incident(p, self.line)
-
     def param_pair(self, p: PPoint) -> tuple[int, int]:
         """Projective parameter pair (u : v) with t = u/v and INF = (1 : 0)."""
         if not incident(p, self.line):
@@ -368,11 +365,6 @@ def default_chart(line: PLine) -> AffineChart:
     return AffineChart(line, origin, unit)
 
 
-def chart_through(p: PPoint, q: PPoint) -> AffineChart:
-    """Chart on join(p, q) with origin p and unit q (both finite)."""
-    return AffineChart(join(p, q), p, q)
-
-
 # ---------------------------------------------------------------------------
 # homographies of a line
 
@@ -429,10 +421,6 @@ class LineMap(Frozen):
         a, b, c, d = self.matrix
         return LineMap((d, -b, -c, a), self.dst, self.src)
 
-    def is_identity(self) -> bool:
-        a, b, c, d = self.matrix
-        return self.src == self.dst and b == 0 and c == 0 and a == d
-
     def trace(self) -> int:
         return self.matrix[0] + self.matrix[3]
 
@@ -443,10 +431,6 @@ class LineMap(Frozen):
     def __repr__(self):
         a, b, c, d = self.matrix
         return f"LineMap[({a},{b});({c},{d})]"
-
-
-def identity_map(chart: AffineChart) -> LineMap:
-    return LineMap((1, 0, 0, 1), chart, chart)
 
 
 def _matrix_sending_012inf(pairs) -> tuple[int, int, int, int]:
@@ -467,21 +451,6 @@ def _as_pair(t) -> tuple[int, int]:
         return (1, 0)
     t = Fraction(t)
     return (t.numerator, t.denominator)
-
-
-def homography_from_three(src_params, dst_params, src: AffineChart, dst: AffineChart) -> LineMap:
-    """The unique LineMap sending three distinct parameters to three others."""
-    for triple in (src_params, dst_params):
-        pairs = [_as_pair(t) for t in triple]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if pairs[i][0] * pairs[j][1] == pairs[i][1] * pairs[j][0]:
-                    raise GeometryError("repeated point in homography data")
-    m_src = _matrix_sending_012inf([_as_pair(t) for t in src_params])
-    m_dst = _matrix_sending_012inf([_as_pair(t) for t in dst_params])
-    a, b, c, d = m_src
-    inv_src = (d, -b, -c, a)
-    return LineMap(mat2_mul(m_dst, inv_src), src, dst)
 
 
 def project_point(center: PPoint, p: PPoint, target: PLine) -> PPoint:
@@ -539,11 +508,6 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint):
     chart = default_chart(base)
     pa, pb, pc, pd = (chart.param_pair(p) for p in (a, b, c, d))
     return cross_ratio_pairs(pa, pb, pc, pd)
-
-
-def cross_ratio_params(a, b, c, d):
-    """Cross-ratio of four parameters (Rat or INF) on one chart."""
-    return cross_ratio_pairs(_as_pair(a), _as_pair(b), _as_pair(c), _as_pair(d))
 
 
 def harmonic_partner_param(a, b, c):
@@ -615,10 +579,6 @@ def parallel_ratio(p1: PPoint, p2: PPoint, q1: PPoint, q2: PPoint) -> Rat:
         if w[i] != 0:
             return Fraction(v[i] * scale_w, scale_v * w[i])
     raise GeometryError("zero reference segment")
-
-
-def perpendicular(v, w) -> bool:
-    return dot2(v, w) == 0
 
 
 def reflect_direction(axis, v):

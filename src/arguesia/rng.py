@@ -81,6 +81,3 @@ class SplitMix64:
             f = self.fraction(bounds, den_max)
             if f != 0:
                 return f
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

@@ -409,18 +409,16 @@ def _fig_retablissement(inst) -> SvgDoc:
 
 
 def _fig_p13(inst) -> SvgDoc:
-    from arguesia.projective_core import join, meet, midpoint, parallel_line_through
+    from arguesia.projective_core import join, parallel_line_through
+    from arguesia.theorems import construct_involution_p13
 
     doc = SvgDoc()
     b, h, g, k = inst["b"], inst["h"], inst["g"], inst["k"]
-    f_mid = midpoint(g, h)
-    bg = join(b, g)
-    big_f = meet(join(k, f_mid), bg)
-    big_d = meet(parallel_line_through(join(g, h), k), bg)
+    (f_mid, big_f, big_d), _ = construct_involution_p13(b, h, g, k)
     for p, nm in ((b, "B"), (h, "h"), (g, "G"), (k, "K"), (f_mid, "f"), (big_f, "F"), (big_d, "D")):
         doc.add_point(p, nm)
     doc.add_line(join(b, k), "carrier")
-    doc.add_line(bg, "carrier")
+    doc.add_line(join(b, g), "carrier")
     doc.add_line(join(g, h), "construction")
     doc.add_line(join(k, f_mid), "construction")
     doc.add_line(parallel_line_through(join(g, h), k), "construction")

@@ -521,10 +521,11 @@ def verify_bisector_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     return report
 
 
-def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint) -> TheoremReport:
+def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
     """The page-13 construction: h on BK, f the midpoint of Gh, F on Kf^BG
     and D on the parallel to Gh through K; then B, D, G, F are four points
-    in involution (B and G doubled), i.e. [B,G;D,F] = -1.
+    in involution (B and G doubled), i.e. [B,G;D,F] = -1.  Returns the
+    constructed points (f, F, D) and the report.
     """
     if b == k:
         raise GeometryError("B and K must differ")
@@ -560,7 +561,7 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint) -> Theo
         cross_ratio(b, g, big_d, big_f),
         Fraction(-1),
     )
-    return report
+    return (f_mid, big_f, big_d), report
 
 
 # ---------------------------------------------------------------------------
@@ -868,23 +869,40 @@ def pascal_collinear(conic: Conic, p: PPoint, k: PPoint, v: PPoint, o: PPoint, n
     report.notes["X"] = x_pt.to_json()
 
     if conic.is_circle():
-        _pascal_circle_replay(report, conic, p, k, v, o, n, q_pt, m_pt, s_pt)
+        _pascal_circle_replay(report, p, k, v, o, n, q_pt)
     return report
 
 
-def _pascal_circle_replay(report, circle, p, k, v, o, n, q_pt, m_pt, s_pt):
+def pascal_circle_points(p, k, v, o, n, q_pt):
+    """The five named points of the circle replay: alpha = NO^PK,
+    beta = NO^QV, A = PK^QV, M = PK^VO and S = NK^VQ.
+
+    The replay's Menelaus sectors and chord products need them finite and
+    distinct; otherwise NonGenericError.  The hexagon generator asks the
+    same question, so every generated hexagon has its replay.
+    """
     no_line = join(n, o)
     pk_line = join(p, k)
     qv_line = join(q_pt, v)
-    alpha = meet(no_line, pk_line)
-    beta = meet(no_line, qv_line)
-    a_pt = meet(pk_line, qv_line)
-    named = (alpha, beta, a_pt, m_pt, s_pt)
+    named = (
+        meet(no_line, pk_line),
+        meet(no_line, qv_line),
+        meet(pk_line, qv_line),
+        meet(pk_line, join(v, o)),
+        meet(join(n, k), qv_line),
+    )
     if any(pt.is_at_infinity() for pt in named):
-        report.notes["circle_replay"] = "skipped: auxiliary point at infinity"
-        return
+        raise NonGenericError("auxiliary point at infinity")
     if len(set(named)) != 5:
-        report.notes["circle_replay"] = "skipped: auxiliary points merge"
+        raise NonGenericError("auxiliary points merge")
+    return named
+
+
+def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
+    try:
+        alpha, beta, a_pt, m_pt, s_pt = pascal_circle_points(p, k, v, o, n, q_pt)
+    except NonGenericError as exc:
+        report.notes["circle_replay"] = f"skipped: {exc}"
         return
 
     trace = ProofTrace("pascal_circle")

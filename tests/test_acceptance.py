@@ -14,13 +14,8 @@ import pytest
 
 from arguesia.cli import replay_one, verify_one
 from arguesia.conics import ConicParametrization, Pencil
-from arguesia.instances import (
-    InstanceConfig,
-    generate_instance,
-    random_collineation,
-)
+from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import NodeCouples, classify, equivalence_check, partner_param
-from arguesia.conics import Conic, apply_collineation_point
 from arguesia.menelaus_engine import (
     NonGenericError,
     menelaus_product,
@@ -48,6 +43,7 @@ from arguesia.theorems import (
     verify_midpoint_case,
     verify_ramee,
 )
+from collineation import apply_collineation, apply_collineation_point, random_collineation
 
 _TOTALS = {"elapsed": 0.0}
 
@@ -165,7 +161,7 @@ def test_criterion_04_special_cases_200_each():
             assert rep.verdict, f"bisector seed {seed}"
         for seed in range(1, 201):
             p = generate_instance(InstanceConfig("p13", seed))
-            rep = construct_involution_p13(p["b"], p["h"], p["g"], p["k"])
+            _, rep = construct_involution_p13(p["b"], p["h"], p["g"], p["k"])
             assert rep.verdict, f"p13 seed {seed}"
 
     _criterion(
@@ -266,7 +262,7 @@ def test_criterion_09_pascal_200_plus_collineations():
         done = 0
         while done < 20:
             t_rows = random_collineation(rng)
-            conic = base["conic"].apply_collineation(t_rows)
+            conic = apply_collineation(base["conic"], t_rows)
             pts = [apply_collineation_point(t_rows, p) for p in base["hexagon"]]
             try:
                 rep = pascal_collinear(conic, *pts)

@@ -8,56 +8,18 @@ from arguesia.conics import (
     ConicError,
     ConicParametrization,
     Pencil,
-    chord_power,
     conic_line_intersection,
-    conic_through_five,
     pencil_member,
-    power_identity_check,
     second_intersection,
 )
 from arguesia.exact_scalar import QuadExt
-from arguesia.projective_core import INF, PLine, PPoint, join
+from arguesia.projective_core import INF, PLine, PPoint, chord_product, join, meet
 from arguesia.rng import SplitMix64
+from collineation import apply_collineation, apply_collineation_point
 
 A = PPoint.affine_point
 UC = Conic.unit_circle()
 PAR = ConicParametrization(UC, A(-1, 0))
-
-
-# -- five-point construction ---------------------------------------------------
-
-
-def test_unit_circle_through_five():
-    pts = [A(1, 0), A(0, 1), A(-1, 0), A(0, -1), A(F(3, 5), F(4, 5))]
-    c = conic_through_five(pts)
-    assert c == UC
-    for p in pts:
-        assert c.contains(p)
-
-
-def test_three_collinear_gives_line_pair():
-    pts = [A(0, 0), A(1, 0), A(2, 0), A(0, 1), A(1, 2)]
-    c = conic_through_five(pts)
-    assert c.det() == 0
-    for p in pts:
-        assert c.contains(p)
-
-
-def test_repeated_point_is_rank_error():
-    with pytest.raises(ConicError):
-        conic_through_five([A(0, 0), A(1, 0), A(2, 1), A(0, 1), A(0, 1)])
-
-
-def test_five_point_uniqueness_on_random_conic_points():
-    rng = SplitMix64.for_kind("five-point", 3)
-    for _ in range(25):
-        ts = []
-        while len(ts) < 5:
-            t = rng.fraction(12)
-            if t not in ts:
-                ts.append(t)
-        pts = [PAR.point_at(t) for t in ts]
-        assert conic_through_five(pts) == UC
 
 
 # -- pencils -------------------------------------------------------------------
@@ -65,6 +27,12 @@ def test_five_point_uniqueness_on_random_conic_points():
 
 def square_pencil():
     return Pencil.through(A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
+
+
+def third_line_pair(pen):
+    """The degenerate member BD + CE that the pencil's generators leave out."""
+    b, c, d, e = pen.base
+    return Conic.from_lines(join(b, d), join(c, e))
 
 
 def test_pencil_member_through_circle_point_is_circle():
@@ -120,7 +88,7 @@ def test_exactly_three_degenerate_members_on_100_quadrangles():
             pen = Pencil.through(*pts)
         except ConicError:
             continue
-        third = pen.third_degenerate()
+        third = third_line_pair(pen)
         assert pen.gen1.det() == 0 and pen.gen2.det() == 0 and third.det() == 0
         assert len({pen.gen1, pen.gen2, third}) == 3
         # the cubic lam*mu*(b*lam + c*mu): read b, c off two raw evaluations
@@ -149,7 +117,7 @@ def _pencil_det(pen, lam, mu):
 
 def test_third_degenerate_is_in_the_pencil():
     pen = square_pencil()
-    third = pen.third_degenerate()
+    third = third_line_pair(pen)
     # probe a point of the third line pair that is not a base point
     probe = A(2, 0)
     assert third.contains(probe) and probe not in pen.base
@@ -212,12 +180,15 @@ def test_classic_parametrization_values():
 
 
 def test_parameter_recovery_on_100_points():
+    # t is the slope of the chord from the seed (-1, 0) to point_at(t)
     rng = SplitMix64.for_kind("param-recovery", 1)
     for _ in range(100):
         t = rng.fraction(40)
-        p = PAR.point_at(t)
-        assert PAR.parameter_of(p) == t
-    assert PAR.parameter_of(A(-1, 0)) is INF
+        x, y = PAR.point_at(t).affine()
+        assert x != -1 and y / (x + 1) == t
+    # the seed itself is the tangent slope, vertical at (-1, 0)
+    assert PAR.point_at(INF) == A(-1, 0)
+    assert UC.polar_line(A(-1, 0)).coeffs[1] == 0
 
 
 def test_parametrization_rejects_bad_seed():
@@ -231,32 +202,20 @@ def test_second_intersection_tangent_returns_base():
     assert second_intersection(UC, p, direction) == p
 
 
-# -- power of a point -------------------------------------------------------------
+# -- power of a point (Euclid III.35/36) through chord_product ----------------------
 
 
 def test_power_origin_symmetric_chords():
-    r = power_identity_check(UC, A(0, 0), PLine(0, 1, 0), PLine(1, 0, 0))
-    assert r["equal"] and r["lhs"] == "-1/1"
+    o = A(0, 0)
+    assert chord_product(o, A(1, 0), A(-1, 0)) == F(-1)
+    assert chord_product(o, A(0, 1), A(0, -1)) == F(-1)
 
 
 def test_power_exterior_point():
     p = A(F(5, 4), 0)
-    chord2 = join(p, A(F(3, 5), F(4, 5)))
-    r = power_identity_check(UC, p, PLine(0, 1, 0), chord2)
-    assert r["equal"] and r["lhs"] == "9/16"
-
-
-def test_power_rejects_point_on_circle():
-    with pytest.raises(ConicError):
-        power_identity_check(UC, A(1, 0), PLine(0, 1, 0), PLine(1, -1, 0))
-
-
-def test_power_rejects_irrational_chord():
-    # the chord of slope 1 through (0, 1/2) meets the circle where
-    # 2x^2 + x - 3/4 = 0, discriminant 7: not rational
-    p = A(0, F(1, 2))
-    with pytest.raises(ConicError):
-        chord_power(UC, p, join(p, A(1, F(3, 2))))
+    q = A(F(3, 5), F(4, 5))
+    assert chord_product(p, A(1, 0), A(-1, 0)) == F(9, 16)
+    assert chord_product(p, q, second_intersection(UC, q, p)) == F(9, 16)
 
 
 def test_power_random_chords_agree():
@@ -267,18 +226,10 @@ def test_power_random_chords_agree():
         if len({t1, t2, t3, t4}) != 4:
             continue
         a, b, c, d = (PAR.point_at(t) for t in (t1, t2, t3, t4))
-        try:
-            p = PPoint(*(
-                __import__("arguesia._kernel", fromlist=["cross3"]).cross3(
-                    join(a, b).coeffs, join(c, d).coeffs
-                )
-            ))
-            if p.is_at_infinity() or UC.contains(p):
-                continue
-            r = power_identity_check(UC, p, join(a, b), join(c, d))
-        except ConicError:
+        p = meet(join(a, b), join(c, d))
+        if p.is_at_infinity() or UC.contains(p):
             continue
-        assert r["equal"]
+        assert chord_product(p, a, b) == chord_product(p, c, d)
         done += 1
 
 
@@ -287,10 +238,8 @@ def test_power_random_chords_agree():
 
 def test_collineation_preserves_incidence():
     t_rows = ((2, 1, 0), (0, 1, 1), (1, 0, 3))
-    image = UC.apply_collineation(t_rows)
+    image = apply_collineation(UC, t_rows)
     rng = SplitMix64.for_kind("collineation", 7)
-    from arguesia.conics import apply_collineation_point
-
     for _ in range(50):
         p = PAR.point_at(rng.fraction(20))
         assert image.contains(apply_collineation_point(t_rows, p))

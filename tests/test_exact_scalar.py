@@ -9,7 +9,6 @@ from arguesia import exact_scalar
 from arguesia.exact_scalar import (
     QuadExt,
     ScalarError,
-    quad_make,
     quad_sqrt,
     rat_parse,
     rat_str,
@@ -192,7 +191,8 @@ def test_quadext_conjugate_and_norm():
 
 def test_quadext_embeds_rationals():
     # b = 0 collapses to the plain rational, so comparisons work
-    assert quad_make(Fraction(7, 3), Fraction(0), 5) == Fraction(7, 3)
+    w = QuadExt(Fraction(7, 3), Fraction(1), 5)
+    assert w - QuadExt(Fraction(0), Fraction(1), 5) == Fraction(7, 3)
     v = QuadExt(Fraction(1), Fraction(1), 2)
     assert v - QuadExt(Fraction(0), Fraction(1), 2) == Fraction(1)
 
@@ -243,12 +243,12 @@ def test_field_axioms_on_random_rats():
 
 def test_field_axioms_on_quadext():
     rng = SplitMix64.for_kind("quadext-axioms", 2)
+    sqrt2 = QuadExt(Fraction(0), Fraction(1), 2)
     for _ in range(200):
-        d = 2
-        mk = lambda: quad_make(
-            Fraction(rng.int_between(-50, 50), rng.int_between(1, 9)),
-            Fraction(rng.int_between(-50, 50), rng.int_between(1, 9)),
-            d,
+        # a + b*sqrt(2), a plain Rat when b = 0
+        mk = lambda: (
+            Fraction(rng.int_between(-50, 50), rng.int_between(1, 9))
+            + Fraction(rng.int_between(-50, 50), rng.int_between(1, 9)) * sqrt2
         )
         a, b, c = mk(), mk(), mk()
         assert (a + b) + c == a + (b + c)

@@ -91,6 +91,25 @@ def test_beaugrand_tangent_auxiliary_chord_resamples(seed, capsys):
     assert "error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [210000003, 210000037])
+def test_pascal_hexagon_without_circle_replay_resamples(seed, capsys):
+    # these seeds first drew a hexagon whose replay point was at infinity
+    # (210000003) or merged with another (210000037)
+    from arguesia.cli import main
+
+    assert main(["replay", "pascal", "--seed", str(seed)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1763, 2092, 2105, 2229, 2491])
+def test_every_generated_pascal_hexagon_has_its_circle_replay(seed):
+    from arguesia.cli import verify_one
+
+    report = verify_one("pascal", seed)
+    assert report["verdict"] and "trace" in report
+    assert "circle_replay" not in report["notes"]
+
+
 def _below_one_word(rng: SplitMix64, n: int) -> int:
     """The single-output draw below() used for every n before wide bounds."""
     limit = (1 << 64) - ((1 << 64) % n)

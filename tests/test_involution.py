@@ -284,10 +284,10 @@ def test_involution_json_serialization():
     from arguesia.involution import involution_json
 
     inv = Involution(LineMap((0, 2, 1, 0), CH, CH))  # x -> 2/x
-    data = involution_json(inv, with_fixed_points=True)
-    assert data["kind"] == "hyperbolic"
-    assert data["souche"] == "0/1"
-    assert {"a": "0/1", "b": "1/1", "d": "2"} in data["fixed_points"]
+    data = involution_json(inv)
+    assert data == {"matrix": ["0", "2", "1", "0"], "kind": "hyperbolic", "souche": "0/1"}
+    # the fixed points +-sqrt(2) stay out of the summary; classify finds them
+    assert QuadExt(F(0), F(1), 2) in classify(inv)["fixed_points"]
 
 
 def test_conjugation_preserves_involution_and_class():

@@ -17,17 +17,14 @@ from arguesia.projective_core import (
     PLine,
     PPoint,
     central_projection_3d,
-    chart_through,
     chord_product,
     collinear,
     cross_ratio,
-    cross_ratio_params,
+    cross_ratio_pairs,
     default_chart,
     displacement,
     dot2,
     harmonic_partner_param,
-    homography_from_three,
-    identity_map,
     incident,
     infinity_point_of,
     join,
@@ -127,8 +124,9 @@ def test_cross_ratio_rejects_bad_input():
 
 
 def test_cross_ratio_params_with_infinity():
-    assert cross_ratio_params(F(0), F(1), F(2), INF) == F(2)
-    assert cross_ratio_params(INF, F(0), F(1), F(2)) == F(2)
+    # parameters as projective pairs (u, v) = u/v; (1, 0) is the point at infinity
+    assert cross_ratio_pairs((0, 1), (1, 1), (2, 1), (1, 0)) == F(2)
+    assert cross_ratio_pairs((1, 0), (0, 1), (1, 1), (2, 1)) == F(2)
 
 
 def test_harmonic_partner_param():
@@ -142,7 +140,7 @@ def test_harmonic_partner_param():
 def test_perspective_identity_when_lines_equal():
     ch = default_chart(X_AXIS)
     m = perspective_map(A(0, 5), ch, ch)
-    assert m.is_identity()
+    assert m.matrix == (1, 0, 0, 1)
 
 
 def test_perspective_vertical_projection():
@@ -183,7 +181,7 @@ def test_perspective_roundtrip_is_identity():
             back = perspective_map(k, dst, src)
         except GeometryError:
             continue
-        assert back.compose(fwd).is_identity()
+        assert back.compose(fwd).matrix == (1, 0, 0, 1)
 
 
 def test_cross_ratio_invariant_under_maps():
@@ -212,18 +210,6 @@ def test_cross_ratio_invariant_under_maps():
         except GeometryError:
             continue
         done += 1
-
-
-def test_homography_from_three_examples():
-    ch = default_chart(X_AXIS)
-    ident = homography_from_three((F(0), F(1), INF), (F(0), F(1), INF), ch, ch)
-    assert ident.is_identity()
-    inv = homography_from_three((F(0), F(1), INF), (INF, F(1), F(0)), ch, ch)
-    assert inv.matrix == (0, 1, 1, 0)
-    again = homography_from_three((F(0), F(1), INF), (INF, F(1), F(0)), ch, ch)
-    assert inv.matrix == again.matrix
-    with pytest.raises(GeometryError):
-        homography_from_three((F(0), F(0), INF), (F(1), F(2), F(3)), ch, ch)
 
 
 def test_linemap_composition_matches_pointwise():

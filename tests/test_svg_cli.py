@@ -36,6 +36,16 @@ def test_harmonic_figure_structure():
     assert svg.count("<text") == 4
 
 
+def test_p13_figure_draws_the_theorem_construction(tmp_path):
+    # the figure takes f, F and D from construct_involution_p13
+    import hashlib
+
+    out = tmp_path / "p13.svg"
+    assert main(["figure", "p13", "--seed", "1", "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "dc6930f2319882f70015fb41d3464b46445337083e34a4c98c9ebee26ab2a551"
+
+
 def test_pascal_figure_structure():
     inst = generate_instance(InstanceConfig("pascal", 1))
     svg = render_figure("pascal", inst).decode()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from arguesia.conics import Conic, ConicError, ConicParametrization, Pencil, pencil_member
-from arguesia.instances import InstanceConfig, generate_instance, random_collineation
+from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import NodeCouples, classify, classify_kind, equivalence_check
 from arguesia.menelaus_engine import NonGenericError
 from arguesia.projective_core import (
@@ -19,7 +19,6 @@ from arguesia.projective_core import (
     join,
 )
 from arguesia.rng import SplitMix64
-from arguesia.conics import apply_collineation_point
 from arguesia.theorems import (
     QuadrangleConfig,
     beaugrand_replay,
@@ -27,6 +26,7 @@ from arguesia.theorems import (
     desargues_involution_by_perspectives,
     harmonic_conjugate,
     parallel_bornales_identities,
+    pascal_circle_points,
     pascal_collinear,
     pencil_involution_check,
     quadrangle_involution,
@@ -35,6 +35,7 @@ from arguesia.theorems import (
     verify_midpoint_case,
     verify_ramee,
 )
+from collineation import apply_collineation, apply_collineation_point, random_collineation
 
 A = PPoint.affine_point
 CH = default_chart(PLine(0, 1, 0))
@@ -162,7 +163,7 @@ def test_bisector_case_negative_control():
 
 
 def test_p13_construction_harmonic():
-    rep = construct_involution_p13(A(0, 0), A(F(4, 3), 2), A(5, 1), A(2, 3))
+    _, rep = construct_involution_p13(A(0, 0), A(F(4, 3), 2), A(5, 1), A(2, 3))
     assert rep.verdict
 
 
@@ -210,7 +211,7 @@ def test_quadrangle_and_perspectives_agree_200_seeds():
         assert rep.verdict
         other = desargues_involution_by_perspectives(q)
         assert other.map.matrix == inv.map.matrix
-        assert other.map.compose(other.map).is_identity()
+        assert other.map.compose(other.map).matrix == (1, 0, 0, 1)
 
 
 def test_quadrangle_config_builds_its_geometry_once(monkeypatch):
@@ -310,7 +311,8 @@ def test_pencil_members_and_tangency():
         rep = pencil_involution_check(q, member)
         assert rep.verdict, name
     # the third line pair reproduces the (G, H) couple
-    third = inst["pencil"].third_degenerate()
+    b, c, d, e = inst["pencil"].base
+    third = Conic.from_lines(join(b, d), join(c, e))
     rep3 = pencil_involution_check(q, third)
     assert rep3.verdict
     assert any("couple GH" in c["label"] for c in rep3.claims)
@@ -477,6 +479,24 @@ def test_pascal_params_0_to_5():
     assert rep.trace is not None and rep.trace.verdict
 
 
+@pytest.mark.parametrize(
+    "params, reason",
+    [
+        ((-2, 4, -5, 13, F(-23, 7), F(12, 7)), "auxiliary point at infinity"),
+        ((F(26, 5), F(-5, 4), 4, F(29, 2), -2, -1), "auxiliary points merge"),
+    ],
+)
+def test_pascal_circle_replay_skips_where_the_generator_resamples(params, reason):
+    # hand-built hexagons the generator now rejects: the collinearity still
+    # holds, and the replay names the same obstruction
+    pts = [PAR.point_at(F(t)) for t in params]
+    with pytest.raises(NonGenericError, match=reason):
+        pascal_circle_points(*pts)
+    rep = pascal_collinear(UC, *pts)
+    assert rep.verdict and rep.trace is None
+    assert rep.notes["circle_replay"] == f"skipped: {reason}"
+
+
 def test_pascal_rejects_coincident_vertices():
     pts = [PAR.point_at(F(t)) for t in (0, 1, 2, 3, 4, 4)]
     with pytest.raises(GeometryError):
@@ -488,7 +508,7 @@ def test_pascal_collineation_images():
     rng = SplitMix64.for_kind("pascal-collineation", 1)
     for _ in range(20):
         t_rows = random_collineation(rng)
-        image_conic = UC.apply_collineation(t_rows)
+        image_conic = apply_collineation(UC, t_rows)
         image_pts = [apply_collineation_point(t_rows, p) for p in pts]
         try:
             rep = pascal_collinear(image_conic, *image_pts)
