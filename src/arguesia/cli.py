@@ -13,9 +13,9 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from arguesia.conics import ConicError
 from arguesia.exact_scalar import ScalarError, rat_parse
@@ -194,7 +194,61 @@ def replay_one(kind: str, seed: int, bounds: int = 32) -> dict:
 
 
 def _json_dump(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """Exactly ``json.dumps(data, indent=2) + "\\n"``, without the
+    pure-Python encoder that ``json.dumps`` falls back to for an indent.
+
+    Accepts ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``
+    (``bool`` included), and ``None``; anything else, a ``float`` or a
+    non-``str`` key among it, raises ``TypeError``.  Strings go through the
+    C ``encode_basestring_ascii``, as ``json.dumps`` does.
+    """
+    out = []
+    _json_write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(value, newline: str, out: list) -> None:
+    """Append the indent-2 JSON text of value; newline holds the newline
+    and the indent of the line value starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
 
 def _format_verify_text(kind: str, reports: list[dict]) -> str:

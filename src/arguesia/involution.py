@@ -7,7 +7,10 @@ satisfy the three rectangle-product identities
     FC.FG/(DC.DG) = FB.FH/(DB.DH)
     HC.HG/(BC.BG) = HD.HF/(BD.BF)
 
-evaluated here with signed chart differences (each side is sign-invariant).
+evaluated here with signed chart differences (each side is sign-invariant),
+on the integer parameter pairs (u : v) of the noeuds: each side is a
+quotient of integer brackets u*v' - u'*v, and a ``Fraction`` is built only
+for the printed value.
 Modern form: the couples are swapped by an involutive homography of the
 line, which a trace-zero 2x2 matrix realizes.  ``equivalence_check``
 asserts that the two characterizations agree.
@@ -66,14 +69,9 @@ class NodeCouples(Frozen):
                             "a point of one couple equals a point of another"
                         )
 
-    def params(self):
-        """Chart parameters of the six points, couple by couple."""
-        return [
-            (self.chart.coordinate(p), self.chart.coordinate(q))
-            for p, q in self.pairs
-        ]
-
     def param_pairs(self):
+        """Projective parameter pairs (u : v) of the six points, couple by
+        couple."""
         return [
             (self.chart.param_pair(p), self.chart.param_pair(q))
             for p, q in self.pairs
@@ -165,25 +163,34 @@ _IDENTITY_SCHEMES = (
 )
 
 
-def _rect_side(e1, e2, w1, w2):
-    """(e1-w1)(e1-w2) / ((e2-w1)(e2-w2)) over chart parameters."""
-    num = (w1 - e1) * (w2 - e1)
-    den = (w1 - e2) * (w2 - e2)
+def _rect_pair(e1, e2, w1, w2) -> tuple[int, int]:
+    """(w1-e1)(w2-e1) / ((w1-e2)(w2-e2)) as an integer (numerator,
+    denominator) pair, from the parameter pairs (u : v) of finite noeuds.
+
+    With [w, e] = u_w*v_e - u_e*v_w, a difference is w - e = [w, e]/(v_w*v_e),
+    so the side is [w1,e1][w2,e1]*v_e2**2 / ([w1,e2][w2,e2]*v_e1**2).
+    """
+    (ue1, ve1), (ue2, ve2) = e1, e2
+    (uw1, vw1), (uw2, vw2) = w1, w2
+    den = (uw1 * ve2 - ue2 * vw1) * (uw2 * ve2 - ue2 * vw2) * ve1 * ve1
     if den == 0:
         raise InvolutionError("zero denominator in rectangle identity")
-    return num / den
+    num = (uw1 * ve1 - ue1 * vw1) * (uw2 * ve1 - ue1 * vw2) * ve2 * ve2
+    return num, den
 
 
 def rectangle_identity_check(nc: NodeCouples) -> tuple[bool, list[dict]]:
     """Evaluate the three rectangle-product identities exactly.
 
     Returns (all_equal, report); the report lists each identity with both
-    sides as canonical rationals.  Requires finite noeuds (a couple with a
-    point at infinity is checked through the homography form instead).
+    sides as canonical rationals.  Each side is an integer quotient of
+    parameter-pair brackets, and the two sides are compared by
+    cross-multiplying.  Requires finite noeuds (a couple with a point at
+    infinity is checked through the homography form instead).
     """
-    params = nc.params()
-    for p, q in params:
-        if p is INF or q is INF:
+    pairs = nc.param_pairs()
+    for p, q in pairs:
+        if p[1] == 0 or q[1] == 0:
             raise InvolutionError(
                 "rectangle identities need finite noeuds; use the homography form"
             )
@@ -195,20 +202,19 @@ def rectangle_identity_check(nc: NodeCouples) -> tuple[bool, list[dict]]:
     report = []
     ok = True
     for (ev, lhs_c, rhs_c), label in zip(_IDENTITY_SCHEMES, labels):
-        e2, e1 = params[ev]  # evaluate at the second member first (G before C)
-        l1, l2 = params[lhs_c]
-        r1, r2 = params[rhs_c]
-        lhs = _rect_side(e1, e2, l1, l2)
-        rhs = _rect_side(e1, e2, r1, r2)
+        e2, e1 = pairs[ev]  # evaluate at the second member first (G before C)
+        l_num, l_den = _rect_pair(e1, e2, *pairs[lhs_c])
+        r_num, r_den = _rect_pair(e1, e2, *pairs[rhs_c])
+        equal = l_num * r_den == r_num * l_den
         report.append(
             {
                 "label": label,
-                "lhs": rat_str(lhs),
-                "rhs": rat_str(rhs),
-                "equal": lhs == rhs,
+                "lhs": rat_str(Fraction(l_num, l_den)),
+                "rhs": rat_str(Fraction(r_num, r_den)),
+                "equal": equal,
             }
         )
-        ok = ok and lhs == rhs
+        ok = ok and equal
     return ok, report
 
 

@@ -29,7 +29,7 @@ from arguesia._kernel import (
     norm_mat2,
 )
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, Rat, rat_str
+from arguesia.exact_scalar import QuadExt, Rat, _quad, rat_str
 
 
 class GeometryError(ValueError):
@@ -402,11 +402,13 @@ class LineMap(Frozen):
             if c == 0:
                 return INF
             return Fraction(a, c)
-        num = a * t + b
-        den = c * t + d
+        if isinstance(t, QuadExt):
+            return _apply_quad(self.matrix, t)
+        p, q = t.numerator, t.denominator
+        den = c * p + d * q
         if den == 0:
             return INF
-        return num / den
+        return Fraction(a * p + b * q, den)
 
     def apply_point(self, p: PPoint) -> PPoint:
         return self.dst.point_at_pair(self.apply_pair(self.src.param_pair(p)))
@@ -431,6 +433,31 @@ class LineMap(Frozen):
     def __repr__(self):
         a, b, c, d = self.matrix
         return f"LineMap[({a},{b});({c},{d})]"
+
+
+def _apply_quad(matrix, t: QuadExt) -> QuadExt:
+    """(a*t + b)/(c*t + d) for t = x + y*sqrt(D), in closed form.
+
+    With t = (p + q*sqrt(D))/den over integers, the quotient is
+    (X + Y*sqrt(D))/(Z + W*sqrt(D)) for X = a*p + b*den, Y = a*q,
+    Z = c*p + d*den and W = c*q, that is
+    ((XZ - YWD) + (YZ - XW)*sqrt(D))/(Z^2 - W^2*D).
+    The norm Z^2 - W^2*D is never 0, because D is not a square and the
+    determinant ad - bc is not 0: with W != 0 it would make D = (Z/W)^2, and
+    W = c*q = 0 means c = 0, so Z = d*den with d != 0.  The sqrt(D) part
+    YZ - XW = q*den*(ad - bc) is never 0 either, so the image is irrational
+    like t.
+    """
+    a, b, c, d = matrix
+    x, y, rad = t.a, t.b, t.d
+    p, q = x.numerator * y.denominator, y.numerator * x.denominator
+    den = x.denominator * y.denominator
+    xx, yy = a * p + b * den, a * q
+    zz, ww = c * p + d * den, c * q
+    norm = zz * zz - ww * ww * rad
+    return _quad(
+        Fraction(xx * zz - yy * ww * rad, norm), Fraction(yy * zz - xx * ww, norm), rad
+    )
 
 
 def _matrix_sending_012inf(pairs) -> tuple[int, int, int, int]:

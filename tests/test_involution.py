@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from arguesia.exact_scalar import QuadExt
+from arguesia.exact_scalar import QuadExt, rat_str
 from arguesia.involution import (
     Involution,
     InvolutionError,
@@ -18,6 +20,7 @@ from arguesia.involution import (
 )
 from arguesia.projective_core import (
     INF,
+    AffineChart,
     LineMap,
     PLine,
     PPoint,
@@ -60,6 +63,97 @@ def test_rectangle_identities_fail_on_perturbation():
 def test_rectangle_identities_four_point_harmonic():
     ok, _ = rectangle_identity_check(couples((0, 0), (2, 2), (3, (3, 2))))
     assert ok
+
+
+def _rect_side_oracle(e1, e2, w1, w2):
+    """One side over Fraction chart parameters, the first form of the identities."""
+    num = (w1 - e1) * (w2 - e1)
+    den = (w1 - e2) * (w2 - e2)
+    if den == 0:
+        raise InvolutionError("zero denominator in rectangle identity")
+    return num / den
+
+
+def _rectangle_oracle(nc):
+    params = [(nc.chart.coordinate(p), nc.chart.coordinate(q)) for p, q in nc.pairs]
+    for p, q in params:
+        if p is INF or q is INF:
+            raise InvolutionError(
+                "rectangle identities need finite noeuds; use the homography form"
+            )
+    report = []
+    for ev, lhs_c, rhs_c in ((1, 2, 0), (2, 1, 0), (0, 1, 2)):
+        e2, e1 = params[ev]
+        lhs = _rect_side_oracle(e1, e2, *params[lhs_c])
+        rhs = _rect_side_oracle(e1, e2, *params[rhs_c])
+        report.append((rat_str(lhs), rat_str(rhs), lhs == rhs))
+    return all(equal for _, _, equal in report), report
+
+
+def _unchecked_couples(chart, pairs):
+    """NodeCouples without its validation, so shared noeuds and noeuds at
+    infinity reach the identities."""
+    nc = object.__new__(NodeCouples)
+    object.__setattr__(nc, "chart", chart)
+    object.__setattr__(nc, "pairs", pairs)
+    return nc
+
+
+# a chart whose origin and unit are off z = 1
+TILTED = AffineChart(join(PPoint(1, 2, 3), PPoint(-2, 1, 2)), PPoint(1, 2, 3), PPoint(-2, 1, 2))
+
+
+@st.composite
+def _charts(draw):
+    coord, z = st.integers(-6, 6), st.integers(1, 5)
+    origin = PPoint(draw(coord), draw(coord), draw(z))
+    unit = PPoint(draw(coord), draw(coord), draw(z))
+    assume(origin != unit)
+    return AffineChart(join(origin, unit), origin, unit)
+
+
+_PARAMS = st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 4)), min_size=6, max_size=6)
+_MATRICES = st.one_of(st.none(), st.tuples(*[st.integers(-5, 5)] * 3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.just(TILTED), _charts()),
+    _PARAMS,
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    _MATRICES,
+    st.integers(0, 30),
+)
+@example(TILTED, [F(1), F(4), F(8), F(1, 2), F(-1), F(-4)], [False] * 3, None, 6)
+@example(TILTED, [F(1), F(4), F(8), F(1, 2), F(3), F(3)], [False, False, True], None, 6)
+@example(TILTED, [F(1), F(4), F(8), F(1, 2), F(8), F(3)], [False] * 3, None, 6)  # zero denominator
+@example(TILTED, [F(1), F(4), F(8), F(1, 2), F(-1), F(-4)], [False] * 3, None, 1)  # noeud at infinity
+def test_rectangle_identities_match_fraction_oracle(chart, params, doubled, matrix, inf_slot):
+    """The integer identities against the Fraction oracle: on random couples,
+    on couples of a random involution (second members are partners), with
+    doubled couples, a noeud at infinity in slot inf_slot < 6, and shared
+    noeuds that give a zero denominator."""
+    if matrix is not None:
+        a, b, c = matrix
+        if a * a + b * c != 0:
+            inv = LineMap((a, b, c, -a), chart, chart)
+            params[1::2] = [inv.apply_param(t) for t in params[0::2]]
+    if inf_slot < 6:
+        params[inf_slot] = INF
+    points = [chart.point_at(t) for t in params]
+    pairs = tuple(
+        (points[2 * i], points[2 * i] if doubled[i] else points[2 * i + 1]) for i in range(3)
+    )
+    nc = _unchecked_couples(chart, pairs)
+    try:
+        expected = _rectangle_oracle(nc)
+    except InvolutionError as exc:
+        with pytest.raises(InvolutionError) as got:
+            rectangle_identity_check(nc)
+        assert str(got.value) == str(exc)
+        return
+    ok, report = rectangle_identity_check(nc)
+    assert (ok, [(r["lhs"], r["rhs"], r["equal"]) for r in report]) == expected
 
 
 def test_node_couples_validation():
@@ -135,6 +229,20 @@ def test_classify_quadext_fixed_points():
     assert isinstance(f1, QuadExt) and f1.d == 2
     for t in (f1, f2):
         assert partner_param(inv, t) == t
+
+
+def test_classify_quadext_fixed_points_off_centre():
+    # t -> (t + 2)/(3t - 1): a != 0 puts the roots (1 +- sqrt(7))/3 off
+    # centre, and |c| > 1 tells dividing by c from multiplying by it
+    inv = Involution(LineMap((1, 2, 3, -1), CH, CH))
+    f1, f2 = classify(inv)["fixed_points"]
+    assert isinstance(f1, QuadExt) and f1.d == 7
+    assert f1 != f2
+    for t in (f1, f2):
+        assert partner_param(inv, t) == t
+    # the roots of c*t^2 - 2a*t - b = 0
+    assert f1 + f2 == F(2, 3)  # 2a/c
+    assert f1 * f2 == F(-2, 3)  # -b/c
 
 
 def test_involution_invariants_rejected():
@@ -253,6 +361,31 @@ def test_degenerate_third_couple_requires_fixed_point():
     assert equivalence_check(nc)["equivalent"]
     nc_bad = NodeCouples(CH, ((pt(1), pt(4)), (pt(8), pt((1, 2))), (pt(7), pt(7))))
     assert not equivalence_check(nc_bad)["equivalent"]
+
+
+def _with_doubled_couple(t):
+    # t -> (2t - 3)/(t - 2) has the fixed points 1 and 3; its couples
+    # (0, 3/2) and (4, 5/2) and a doubled couple (t, t), on TILTED
+    inv = Involution(LineMap((2, -3, 1, -2), TILTED, TILTED))
+    pairs = [
+        (TILTED.point_at(s), TILTED.point_at(partner_param(inv, s))) for s in (F(0), F(4))
+    ]
+    pairs.append((TILTED.point_at(t), TILTED.point_at(t)))
+    return NodeCouples(TILTED, tuple(pairs))
+
+
+def test_doubled_couple_at_a_fixed_point_is_in_involution():
+    eq = equivalence_check(_with_doubled_couple(F(3)))
+    assert eq["equivalent"] is True
+    assert eq["rectangle_identities"] is True
+    assert all(r["equal"] for r in eq["identities"])
+
+
+def test_doubled_couple_off_the_fixed_points_is_not_in_involution():
+    eq = equivalence_check(_with_doubled_couple(F(5)))  # 5 -> 7/3
+    assert eq["equivalent"] is False
+    assert eq["rectangle_identities"] is False
+    assert not all(r["equal"] for r in eq["identities"])
 
 
 def test_arrangement_matches_classification_dichotomy():

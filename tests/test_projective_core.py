@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arguesia.projective_core import (
@@ -37,6 +37,7 @@ from arguesia.projective_core import (
     parallel_ratio,
     project_point,
 )
+from arguesia.exact_scalar import QuadExt, quad_sqrt
 from arguesia.rng import SplitMix64
 
 A = PPoint.affine_point
@@ -149,6 +150,35 @@ def test_perspective_vertical_projection():
     m = perspective_map(PPoint(0, 1, 0), src, dst)
     for t in (F(0), F(5), F(-3, 2)):
         assert m.apply_param(t) == t
+
+
+_SMALL = st.integers(-9, 9)
+_MATRICES = st.one_of(
+    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL),
+    st.tuples(_SMALL, _SMALL, _SMALL).map(lambda m: (m[0], m[1], 0, m[2])),  # c = 0
+)
+_QUAD_PARTS = st.tuples(
+    st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
+    st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 9)),
+    st.builds(F, st.integers(1, 10**6), st.integers(1, 50)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_MATRICES, _QUAD_PARTS)
+@example((0, 2, 1, 0), (F(0), F(1), F(2)))
+@example((3, -1, 0, 2), (F(1, 2), F(-3), F(5, 7)))
+@example((1, 2, 3, -1), (F(1, 3), F(1, 3), F(7)))
+def test_apply_param_on_quadext_matches_generic_arithmetic(matrix, parts):
+    x, y, n = parts
+    root = quad_sqrt(n)
+    assume(isinstance(root, QuadExt))
+    a, b, c, d = matrix
+    assume(a * d - b * c != 0)
+    t = x + y * root
+    got = LineMap(matrix, default_chart(X_AXIS), default_chart(X_AXIS)).apply_param(t)
+    assert got == (a * t + b) / (c * t + d)
+    assert isinstance(got, QuadExt) and got.d == t.d
 
 
 def test_perspective_matches_pointwise_meet_join():

@@ -3,8 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arguesia.cli import main, replay_one, verify_one
+from arguesia.cli import _json_dump, main, replay_one, verify_one
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.svg_figures import render_figure
 
@@ -198,11 +200,31 @@ def test_main_inprocess_exit_codes():
 def test_json_dump_rejects_non_json_values():
     from fractions import Fraction
 
-    from arguesia.cli import _json_dump
-
     assert _json_dump({"x": "1/2"}) == '{\n  "x": "1/2"\n}\n'
-    with pytest.raises(TypeError):
-        _json_dump({"x": Fraction(1, 2)})
+    for value in ({"x": Fraction(1, 2)}, {1: "x"}, {"x": [1.5]}, 1.5, {(1, 2): 0}):
+        with pytest.raises(TypeError):
+            _json_dump(value)
+
+
+_JSON_TEXT = st.text() | st.sampled_from(['"', "\\", '\\"\n\t\x00\x1f\x7f', "ramée", "√2 ≠ ∞", "🜁", "\ud83d"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _JSON_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": (), "d": [True, False, None], "e": [-(2**64) - 1, 2**65]})
+@example([{"\"q\"\\": ["\x01\u00e9\U0001f701"]}, [[]], ({},)])
+@example("")
+def test_json_dump_matches_json_dumps_indent_2(value):
+    assert _json_dump(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_malformed_env_seed_is_usage_error(monkeypatch, capsys):
