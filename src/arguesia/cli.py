@@ -1,9 +1,9 @@
 """Command-line surface: verify, replay, construct, figure.
 
     arguesia verify <kind> [--seed N] [--trials N] [--bounds M] [--json] [-o FILE]
-    arguesia replay <ramee|quadrangle|beaugrand|pascal> [--seed N] [--json]
+    arguesia replay <ramee|quadrangle|beaugrand|pascal> [--seed N] [--bounds M] [--json]
     arguesia construct harmonic --b RAT --c RAT --d RAT
-    arguesia figure <kind> [--seed N] -o FILE.svg
+    arguesia figure <kind> [--seed N] [--bounds M] -o FILE.svg
 
 Exit codes: 0 when every verdict is true, 1 when any is false, 2 on usage
 or configuration errors.  ARGUESIA_SEED provides the default seed.
@@ -17,12 +17,9 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from arguesia.conics import ConicError
 from arguesia.exact_scalar import ScalarError, rat_parse
 from arguesia.instances import InstanceConfig, InstanceError, generate_instance
-from arguesia.involution import InvolutionError
 from arguesia.menelaus_engine import (
-    NonGenericError,
     Ratio,
     SectorFigure,
     menelaus_product,
@@ -389,14 +386,7 @@ def main(argv=None) -> int:
             return 0
 
         parser.error("unknown command")
-    except (
-        InstanceError,
-        ScalarError,
-        GeometryError,
-        InvolutionError,
-        ConicError,
-        NonGenericError,
-    ) as exc:
+    except (InstanceError, ScalarError, GeometryError) as exc:
         return _usage_error(exc)
     return 2
 

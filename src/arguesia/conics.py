@@ -3,8 +3,10 @@
 A conic is the canonical integer 6-tuple (m00, m01, m02, m11, m12, m22) of
 its symmetric matrix; a point lies on it iff p.M.p = 0.  The module covers
 pencils through four base points, spanned by two of their degenerate
-line-pair members, line intersection over the quadratic extension, and the
-rational parametrization used to generate exact instances.  The power of a
+line-pair members, the rational points of a chord, the binary form a conic
+induces on a charted line (which decides a chord without rational points by
+its symmetric functions, with no square root), and the rational
+parametrization used to generate exact instances.  The power of a
 point (Euclid III.35/36) is ``projective_core.chord_product``, which the
 Pascal circle replay uses.
 """
@@ -12,13 +14,14 @@ Pascal circle replay uses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from arguesia._frozen import Frozen
-from arguesia._kernel import conic_eval, conic_polar
-from arguesia.exact_scalar import QuadExt, Rat, quad_sqrt, rat_str
+from arguesia._kernel import conic_eval, conic_polar, det3, dot3
+from arguesia.exact_scalar import rat_str
 from arguesia.projective_core import (
     INF,
+    AffineChart,
     GeometryError,
     PLine,
     PPoint,
@@ -66,26 +69,11 @@ class Conic(Frozen):
     def evaluate(self, p: PPoint) -> int:
         return conic_eval(self.m, p.coords)
 
-    def evaluate_triple(self, triple):
-        """Exact form value on a scalar triple (QuadExt allowed)."""
-        x, y, z = triple
-        m00, m01, m02, m11, m12, m22 = self.m
-        return (
-            x * (m00 * x + m01 * y + m02 * z)
-            + y * (m01 * x + m11 * y + m12 * z)
-            + z * (m02 * x + m12 * y + m22 * z)
-        )
-
     def contains(self, p: PPoint) -> bool:
         return self.evaluate(p) == 0
 
     def det(self) -> int:
-        r = self.rows()
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return det3(*self.rows())
 
     def is_degenerate(self) -> bool:
         return self.det() == 0
@@ -172,15 +160,18 @@ def pencil_member(pencil: Pencil, through: PPoint) -> Conic:
 
 
 class ChordIntersection(Frozen):
-    """Conic-line intersection: discriminant sign decides 0, 1 or 2 points.
+    """The rational points where a line meets a nondegenerate conic.
 
-    Rational points come back as PPoint; irrational ones as triples of
-    QuadExt scalars (same radicand), each satisfying the conic exactly.
+    The integer discriminant of the form the conic induces on the line
+    decides: negative, no real point; zero, one double point; a nonzero
+    square, two rational points.  A positive non-square gives two conjugate
+    irrational points, which are not returned: ``count`` is 0, as for a
+    line that misses the conic, and the discriminant tells the two apart.
     """
 
     _fields = ("discriminant", "points")
 
-    def __init__(self, discriminant: Rat, points: tuple):
+    def __init__(self, discriminant: int, points: tuple):
         object.__setattr__(self, "discriminant", discriminant)
         object.__setattr__(self, "points", points)
 
@@ -190,11 +181,6 @@ class ChordIntersection(Frozen):
 
     def is_tangent(self) -> bool:
         return self.discriminant == 0
-
-    def rational_points(self):
-        if all(isinstance(p, PPoint) for p in self.points):
-            return self.points
-        return None
 
 
 def _line_span(l: PLine):
@@ -212,10 +198,11 @@ def _line_span(l: PLine):
 
 
 def conic_line_intersection(c: Conic, l: PLine) -> ChordIntersection:
-    """Intersect a nondegenerate conic with a line, exactly.
+    """The rational points of a nondegenerate conic on a line, exactly.
 
-    The line is parametrized by two canonical points, the form restricted
-    to a binary quadratic, and the roots solved over Rat or QuadExt.
+    The line is parametrized by two canonical points and the form
+    restricted to the binary quadratic a*s**2 + 2*b*s*t + cc*t**2, whose
+    roots are rational exactly when the integer b*b - a*cc is a square.
     """
     if c.is_degenerate():
         raise ConicError("degenerate conic: split it into its two lines")
@@ -223,50 +210,42 @@ def conic_line_intersection(c: Conic, l: PLine) -> ChordIntersection:
     a = c.evaluate(p0)
     b = _bilinear(c, p0.coords, p1.coords)
     cc = c.evaluate(p1)
-    disc = Fraction(b * b - a * cc)
-    if disc < 0:
+    disc = b * b - a * cc
+    root = isqrt(disc) if disc > 0 else 0
+    if disc < 0 or root * root != disc:
         return ChordIntersection(disc, ())
-    roots = []
     if a == 0:
-        roots.append((1, 0))
-        if b != 0:
-            roots.append((-cc, 2 * b))
-        elif cc == 0:
-            raise ConicError("line lies on the conic (impossible if nondegenerate)")
-        else:
-            roots.append((1, 0))
+        # p0 is on the conic; with b = 0 the line is tangent there
+        roots = [(1, 0), (-cc, 2 * b)]
     else:
-        root = quad_sqrt(disc)
-        if isinstance(root, QuadExt):
-            s1 = (-b + root) / a
-            s2 = (-b - root) / a
-            pts = tuple(
-                tuple(s * x0 + x1 for x0, x1 in zip(p0.coords, p1.coords))
-                for s in (s1, s2)
-            )
-            for t in pts:
-                if c.evaluate_triple(t) != 0:
-                    raise ConicError("QuadExt intersection failed exactness check")
-            return ChordIntersection(disc, pts)
-        r = Fraction(root)
-        roots.append(((-b + r).numerator, (-b + r).denominator * a))
-        if disc != 0:
-            roots.append(((-b - r).numerator, (-b - r).denominator * a))
+        roots = [(-b + root, a), (-b - root, a)]
     pts = []
-    for s, t in roots:
+    for s, t in roots[: 1 if disc == 0 else 2]:
         coords = tuple(s * x0 + t * x1 for x0, x1 in zip(p0.coords, p1.coords))
         pt = PPoint(*coords)
         if not c.contains(pt):
             raise ConicError("rational intersection failed exactness check")
         pts.append(pt)
-    if disc == 0:
-        pts = pts[:1]
     return ChordIntersection(disc, tuple(pts))
 
 
 def _bilinear(c: Conic, p, q) -> int:
-    r = c.rows()
-    return sum(p[i] * sum(r[i][j] * q[j] for j in range(3)) for i in range(3))
+    return dot3(p, conic_polar(c.m, q))
+
+
+def chord_quadratic(c: Conic, chart: AffineChart) -> tuple[int, int, int]:
+    """(A, B, C) with A*u**2 + B*u*v + C*v**2 the form of c on the point
+    ``chart.point_at_pair((u, v))``.
+
+    That point is u*X1 + v*X0 for X0 = U_z*O and X1 = O_z*U - U_z*O (O the
+    origin, U the unit), so A and C are the form at X1 and X0 and B is
+    twice their polar product.  The chord's two parameters are the roots,
+    real or not, and A, B, C are their symmetric functions up to scale.
+    """
+    o, un = chart.origin.coords, chart.unit.coords
+    x0 = tuple(un[2] * e for e in o)
+    x1 = tuple(o[2] * f - un[2] * e for e, f in zip(o, un))
+    return conic_eval(c.m, x1), 2 * _bilinear(c, x1, x0), conic_eval(c.m, x0)
 
 
 def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:

@@ -1,11 +1,11 @@
-"""Exact scalars: arbitrary-precision rationals and one quadratic extension.
+"""Exact scalars: arbitrary-precision rationals and quadratic irrationals.
 
 ``Rat`` is the standard-library :class:`fractions.Fraction`, which already
 maintains the canonical reduced form (positive denominator, coprime
 numerator/denominator) and exact field arithmetic.  This module adds the
-strict textual form used in configs and reports, and a quadratic extension
-``QuadExt`` for the square roots that appear at involution fixed points and
-conic chords.
+strict textual form used in configs and reports, and the value ``QuadExt``
+for the square roots that appear at involution fixed points.  Conic chords
+need none: a chord is rational or is decided by its symmetric functions.
 """
 
 from __future__ import annotations
@@ -85,17 +85,16 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
 class QuadExt(Frozen):
     """Exact value a + b*sqrt(d) with a, b rational and d a squarefree int > 1.
 
-    Arithmetic is closed within one radicand; mixing distinct radicands is
-    rejected rather than coerced.  Values with b = 0 are never built: the
-    public constructor rejects them, and arithmetic results collapse to a
-    plain ``Rat`` through :func:`_make`, so an embedded rational compares
-    as a ``Rat``.
+    A value, not a field: it is built only for an involution's irrational
+    fixed points (:func:`quad_sqrt` and ``involution.classify``), moved only
+    by a line homography (``projective_core._apply_quad``), and compared,
+    hashed and printed.  Values with b = 0 are never built, so an
+    irrational value never equals a rational one.
 
     A radicand is checked where it enters: the public constructor rejects
     a d that is not squarefree, and :func:`quad_sqrt` produces d by the
-    square-free split itself.
-    Arithmetic results take d from an operand that was already checked, so
-    they are built by :func:`_quad` without factoring d again.
+    square-free split itself.  Values whose d comes from a checked one are
+    built by :func:`_quad` without factoring d again.
     """
 
     __slots__ = ("a", "b", "d")
@@ -108,60 +107,6 @@ class QuadExt(Frozen):
             raise ScalarError("QuadExt with b = 0 must be a plain Rat")
         if d <= 1 or square_free_decomposition(d)[1] != d:
             raise ScalarError(f"radicand must be squarefree > 1, got {d}")
-
-    def conjugate(self) -> "QuadExt":
-        return _quad(self.a, -self.b, self.d)
-
-    def norm(self) -> Rat:
-        return self.a * self.a - self.b * self.b * self.d
-
-    def __add__(self, other):
-        if isinstance(other, QuadExt):
-            _same_radicand(self, other)
-            return _make(self.a + other.a, self.b + other.b, self.d)
-        return _quad(self.a + Fraction(other), self.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _quad(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadExt) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, QuadExt):
-            _same_radicand(self, other)
-            return _make(
-                self.a * other.a + self.b * other.b * self.d,
-                self.a * other.b + self.b * other.a,
-                self.d,
-            )
-        other = Fraction(other)
-        return _make(self.a * other, self.b * other, self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, QuadExt):
-            _same_radicand(self, other)
-            n = other.norm()
-            if n == 0:
-                raise ZeroDivisionError("division by zero QuadExt")
-            return (self * other.conjugate()) / n
-        other = Fraction(other)
-        if other == 0:
-            raise ZeroDivisionError
-        return _quad(self.a / other, self.b / other, self.d)
-
-    def __rtruediv__(self, other):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero-norm QuadExt")
-        return (self.conjugate() * Fraction(other)) / n
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -186,17 +131,6 @@ def _quad(a: Rat, b: Rat, d: int) -> QuadExt:
     return q
 
 
-def _make(a: Rat, b: Rat, d: int):
-    """a + b*sqrt(d), collapsed to the Rat a when b = 0; d is already
-    known squarefree > 1."""
-    return a if b == 0 else _quad(a, b, d)
-
-
-def _same_radicand(x: QuadExt, y: QuadExt) -> None:
-    if x.d != y.d:
-        raise ScalarError("mixed radicands")
-
-
 def quad_sqrt(x: Rat):
     """Exact square root of a nonnegative rational.
 
@@ -213,10 +147,9 @@ def quad_sqrt(x: Rat):
     n = x.numerator * x.denominator
     s, d = square_free_decomposition(n)
     b = Fraction(s, x.denominator)
-    root = b if d == 1 else _quad(Fraction(0), b, d)
-    if root * root != x:  # decomposition is checked, never trusted
+    if b * b * d != x:  # decomposition is checked, never trusted
         raise ScalarError(f"square root extraction failed for {x}")
-    return root
+    return b if d == 1 else _quad(Fraction(0), b, d)
 
 
 def scalar_str(x) -> str:

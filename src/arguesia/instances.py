@@ -15,13 +15,12 @@ from fractions import Fraction
 from arguesia._frozen import Frozen
 from arguesia.conics import (
     Conic,
-    ConicError,
     ConicParametrization,
     Pencil,
     conic_line_intersection,
     pencil_member,
 )
-from arguesia.involution import Involution, InvolutionError, NodeCouples
+from arguesia.involution import Involution, NodeCouples
 from arguesia.menelaus_engine import NonGenericError, SectorFigure, check_ramee_replayable
 from arguesia.projective_core import (
     INF,
@@ -96,7 +95,7 @@ def generate_instance(cfg: InstanceConfig) -> dict:
     for _ in range(MAX_RETRIES):
         try:
             inst = maker(rng, cfg.bounds)
-        except (GeometryError, InvolutionError, ConicError, ZeroDivisionError) as exc:
+        except GeometryError as exc:
             last_error = str(exc)
             continue
         inst["config"] = cfg.to_json()

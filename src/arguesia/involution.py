@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import quad_sqrt, rat_str
+from arguesia.exact_scalar import QuadExt, _quad, quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,
     AffineChart,
@@ -271,17 +271,15 @@ def classify(inv: Involution) -> dict:
     if disc < 0:
         return {"kind": "elliptic", "fixed_points": (), "discriminant": disc}
     root = quad_sqrt(disc)
-    if c != 0:
-        f1 = (a + root) / c
-        f2 = (a - root) / c
-        fixed = (f1, f2)
-    else:
+    if c == 0:
         fixed = (Fraction(-b, 2 * a), INF)
+    elif isinstance(root, QuadExt):
+        # (a +- b*sqrt(d))/c, built as a/c +- (b/c)*sqrt(d)
+        centre, half = Fraction(a, c), root.b / c
+        fixed = (_quad(centre, half, root.d), _quad(centre, -half, root.d))
+    else:
+        fixed = ((a + root) / c, (a - root) / c)
     return {"kind": "hyperbolic", "fixed_points": fixed, "discriminant": disc}
-
-
-def is_fixed_param(inv: Involution, t) -> bool:
-    return partner_param(inv, t) == t if t is not INF else partner_param(inv, t) is INF
 
 
 def equivalence_check(nc: NodeCouples) -> dict:
@@ -305,7 +303,8 @@ def equivalence_check(nc: NodeCouples) -> dict:
     if inv is not None:
         d, f = c3
         if d == f:
-            homographic = is_fixed_param(inv, nc.chart.coordinate(d))
+            pp = nc.chart.param_pair(d)
+            homographic = inv.map.apply_pair(pp) == pp
         else:
             homographic = partner(inv, d) == f
     rectangles = None

@@ -303,22 +303,6 @@ class AffineChart(Frozen):
     def infinity_point(self) -> PPoint:
         return infinity_point_of(self.line)
 
-    def coordinate_generic(self, triple):
-        """Chart coordinate of a point given by exact scalars (QuadExt ok)."""
-        o, u = self.origin.coords, self.unit.coords
-        c_ou = cross3(o, u)
-        i = _first_nonzero(c_ou)
-        pu = _gcross(triple, u)
-        po = _gcross(triple, o)
-        a = pu[i] / Fraction(c_ou[i])
-        b = po[i] / Fraction(cross3(u, o)[i])
-        alpha = a * o[2]
-        beta = b * u[2]
-        den = alpha + beta
-        if den == 0:
-            return INF
-        return beta / den
-
     def to_json(self) -> dict:
         return {
             "line": self.line.to_json(),
@@ -335,14 +319,6 @@ def _first_nonzero(t) -> int:
         if c != 0:
             return i
     raise GeometryError("degenerate span")
-
-
-def _gcross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 # Charts are cheap to rebuild and rarely asked for twice: the cache only

@@ -27,6 +27,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+# Largest denominator of a random rational (capped by the bounds).
+DEN_MAX = 8
 
 
 def fnv1a64(text: str) -> int:
@@ -70,14 +72,15 @@ class SplitMix64:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.below(hi - lo + 1)
 
-    def fraction(self, bounds: int, den_max: int = 8) -> Fraction:
-        """Random rational with |numerator| <= bounds, denominator <= den_max."""
+    def fraction(self, bounds: int) -> Fraction:
+        """Random rational: numerator in [-bounds, bounds], then denominator
+        in [1, min(DEN_MAX, bounds)]."""
         num = self.int_between(-bounds, bounds)
-        den = self.int_between(1, min(den_max, bounds))
+        den = self.int_between(1, min(DEN_MAX, bounds))
         return Fraction(num, den)
 
-    def nonzero_fraction(self, bounds: int, den_max: int = 8) -> Fraction:
+    def nonzero_fraction(self, bounds: int) -> Fraction:
         while True:
-            f = self.fraction(bounds, den_max)
+            f = self.fraction(bounds)
             if f != 0:
                 return f

@@ -21,6 +21,7 @@ from arguesia.conics import (
     Conic,
     ConicError,
     ConicParametrization,
+    chord_quadratic,
     conic_line_intersection,
     second_intersection,
 )
@@ -367,13 +368,12 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
         raise GeometryError("harmonic conjugate needs three distinct points")
     if not collinear(b, c, d):
         raise GeometryError("harmonic conjugate needs collinear points")
-    base = join(b, c)
-    chart = default_chart(base)
+    chart = default_chart(join(b, c))
     t = harmonic_partner_param(
         chart.coordinate(b), chart.coordinate(c), chart.coordinate(d)
     )
     f_closed = chart.point_at(t)
-    f_built = _harmonic_by_construction(b, c, d, base)
+    f_built = _harmonic_by_construction(b, c, d)
     if f_built is not None and f_built != f_closed:
         raise GeometryError("harmonic constructions disagree")
     return f_closed
@@ -407,7 +407,7 @@ def harmonic_construction_data(b: PPoint, c: PPoint, d: PPoint):
     return None
 
 
-def _harmonic_by_construction(b: PPoint, c: PPoint, d: PPoint, base: PLine):
+def _harmonic_by_construction(b: PPoint, c: PPoint, d: PPoint):
     data = harmonic_construction_data(b, c, d)
     return None if data is None else data["f"]
 
@@ -609,9 +609,14 @@ def desargues_involution_by_perspectives(q: QuadrangleConfig) -> Involution:
 def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport:
     """One conic of the pencil through the bornes cuts the transversal in a
     couple of the same involution; a tangent member's double point is a
-    fixed point.  For a nondegenerate member the conic-induced map sigma
-    (pencils at E and D) must satisfy sigma(P)=G, sigma(H)=Q and fix the
-    chord points.
+    fixed point.  For a nondegenerate member with a rational chord the
+    conic-induced map sigma (pencils at E and D) must satisfy sigma(P)=G,
+    sigma(H)=Q and fix the chord points.  A chord with no rational point,
+    irrational or imaginary, is the root couple of the member's form
+    A*u**2 + B*u*v + C*v**2 on the transversal, and it is a couple of the
+    involution ((a, b), (c, -a)) exactly when c*C + a*B - b*A = 0: the
+    relation c*t*t' - a*(t + t') - b = 0 in the symmetric functions
+    t + t' = -B/A and t*t' = C/A, so no square root is taken.
     """
     for p in q.bornes:
         if not member.contains(p):
@@ -635,33 +640,29 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
     hit = conic_line_intersection(member, delta.line)
     report.notes["discriminant"] = rat_str(hit.discriminant)
     if hit.count == 0:
-        report.claim_true(
-            "no real chord (transversal misses the member)", hit.discriminant < 0
+        big_a, big_b, big_c = chord_quadratic(member, inv.chart)
+        a, b, c, _ = inv.map.matrix
+        report.claim(
+            "chord couple in the involution: c*C + a*B - b*A = 0",
+            c * big_c + a * big_b - b * big_a,
+            0,
         )
         return report
 
-    if hit.rational_points() is not None:
-        if hit.is_tangent():
-            t_pt = hit.points[0]
-            report.claim("tangency double point is a fixed point", partner(inv, t_pt), t_pt)
-            sigma_pts = (t_pt,)
-        else:
-            l_pt, m_pt = hit.points
-            report.claim("chord couple swapped: partner(L) = M", partner(inv, l_pt), m_pt)
-            sigma_pts = (l_pt, m_pt)
-        b, c, d, e = q.bornes
-        sigma = lambda x: meet(join(d, second_intersection(member, e, x)), delta.line)
-        report.claim("sigma(a) = c  [sigma(P) = G]", sigma(q.P), q.G)
-        report.claim("sigma(c') = a'  [sigma(H) = Q]", sigma(q.H), q.Q)
-        for i, pt in enumerate(sigma_pts):
-            report.claim(f"sigma fixes chord point {i + 1}", sigma(pt), pt)
+    if hit.is_tangent():
+        t_pt = hit.points[0]
+        report.claim("tangency double point is a fixed point", partner(inv, t_pt), t_pt)
+        sigma_pts = (t_pt,)
     else:
-        tl, tm = (delta.coordinate_generic(p) for p in hit.points)
-        report.claim(
-            "chord couple swapped over QuadExt: partner(L) = M",
-            partner_param(inv, tl),
-            tm,
-        )
+        l_pt, m_pt = hit.points
+        report.claim("chord couple swapped: partner(L) = M", partner(inv, l_pt), m_pt)
+        sigma_pts = (l_pt, m_pt)
+    b, c, d, e = q.bornes
+    sigma = lambda x: meet(join(d, second_intersection(member, e, x)), delta.line)
+    report.claim("sigma(a) = c  [sigma(P) = G]", sigma(q.P), q.G)
+    report.claim("sigma(c') = a'  [sigma(H) = Q]", sigma(q.H), q.Q)
+    for i, pt in enumerate(sigma_pts):
+        report.claim(f"sigma fixes chord point {i + 1}", sigma(pt), pt)
     return report
 
 
@@ -730,7 +731,7 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
         if not conic.contains(p):
             raise ConicError("the four bornes must lie on the conic")
     hit = conic_line_intersection(conic, transversal)
-    if hit.rational_points() is None or hit.count != 2:
+    if hit.count != 2:
         raise ConicError(
             f"transversal chord is not two rational points (disc {hit.discriminant})"
         )
@@ -744,7 +745,7 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
     p_pt = meet(ko, vn)
     mu = parallel_line_through(vn, c_pt)
     mu_hit = conic_line_intersection(conic, mu)
-    if mu_hit.rational_points() is None or mu_hit.count != 2:
+    if mu_hit.count != 2:
         raise ConicError(
             f"auxiliary parallel chord irrational (disc {mu_hit.discriminant})"
         )

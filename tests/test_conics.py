@@ -8,12 +8,12 @@ from arguesia.conics import (
     ConicError,
     ConicParametrization,
     Pencil,
+    chord_quadratic,
     conic_line_intersection,
     pencil_member,
     second_intersection,
 )
-from arguesia.exact_scalar import QuadExt
-from arguesia.projective_core import INF, PLine, PPoint, chord_product, join, meet
+from arguesia.projective_core import INF, PLine, PPoint, chord_product, default_chart, join, meet
 from arguesia.rng import SplitMix64
 from collineation import apply_collineation, apply_collineation_point
 
@@ -144,14 +144,35 @@ def test_missing_line_empty():
     assert hit.count == 0 and hit.discriminant < 0
 
 
-def test_quadext_intersection_satisfies_conic():
-    hit = conic_line_intersection(UC, PLine(1, -1, 0))  # y = x
-    assert hit.count == 2
-    for p in hit.points:
-        assert not isinstance(p, PPoint)
-        assert UC.evaluate_triple(p) == 0
-        assert any(isinstance(c, QuadExt) for c in p)
-    assert hit.rational_points() is None
+def test_irrational_chord_has_no_rational_points():
+    hit = conic_line_intersection(UC, PLine(1, -1, 0))  # y = x meets at +-sqrt(1/2)
+    assert hit.count == 0 and hit.discriminant > 0 and not hit.is_tangent()
+
+
+def test_chord_quadratic_is_the_form_on_chart_parameters():
+    # A*u^2 + B*u*v + C*v^2 vanishes at the parameter pair of each rational
+    # chord point, and its discriminant has the chord discriminant's sign
+    rng = SplitMix64.for_kind("chord-form", 1)
+    seen = {1: 0, 0: 0, -1: 0}
+    rational = 0
+    for i in range(300):
+        # every third line passes through a rational point of the circle
+        p = PAR.point_at(rng.fraction(6)) if i % 3 == 0 else A(rng.fraction(6), rng.fraction(6))
+        q = A(rng.fraction(6), rng.fraction(6))
+        if p == q:
+            continue
+        chart = default_chart(join(p, q))
+        big_a, big_b, big_c = chord_quadratic(UC, chart)
+        hit = conic_line_intersection(UC, chart.line)
+        rational += hit.count
+        for pt in hit.points:
+            u, v = chart.param_pair(pt)
+            assert big_a * u * u + big_b * u * v + big_c * v * v == 0
+        sign = (hit.discriminant > 0) - (hit.discriminant < 0)
+        form_disc = big_b * big_b - 4 * big_a * big_c
+        assert (form_disc > 0) - (form_disc < 0) == sign
+        seen[sign] += 1
+    assert seen[1] > 20 and seen[-1] > 20 and rational > 100
 
 
 def test_tangency_iff_polar_line():

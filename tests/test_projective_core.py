@@ -39,6 +39,7 @@ from arguesia.projective_core import (
 )
 from arguesia.exact_scalar import QuadExt, quad_sqrt
 from arguesia.rng import SplitMix64
+from quadfield import homography, pair
 
 A = PPoint.affine_point
 X_AXIS = PLine(0, 1, 0)
@@ -175,10 +176,10 @@ def test_apply_param_on_quadext_matches_generic_arithmetic(matrix, parts):
     assume(isinstance(root, QuadExt))
     a, b, c, d = matrix
     assume(a * d - b * c != 0)
-    t = x + y * root
+    t = QuadExt(x, y * root.b, root.d)
     got = LineMap(matrix, default_chart(X_AXIS), default_chart(X_AXIS)).apply_param(t)
-    assert got == (a * t + b) / (c * t + d)
     assert isinstance(got, QuadExt) and got.d == t.d
+    assert pair(got) == homography(matrix, pair(t), t.d)
 
 
 def test_perspective_matches_pointwise_meet_join():

@@ -2,13 +2,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from arguesia.conics import Conic, ConicError, ConicParametrization, Pencil, pencil_member
+from arguesia.conics import (
+    Conic,
+    ConicError,
+    ConicParametrization,
+    Pencil,
+    chord_quadratic,
+    conic_line_intersection,
+    pencil_member,
+)
 from arguesia.instances import InstanceConfig, generate_instance
-from arguesia.involution import NodeCouples, classify, classify_kind, equivalence_check
+from arguesia.involution import Involution, NodeCouples, classify, classify_kind, equivalence_check
 from arguesia.menelaus_engine import NonGenericError
 from arguesia.projective_core import (
     INF,
     GeometryError,
+    LineMap,
     P3Plane,
     P3Point,
     PLine,
@@ -331,24 +340,101 @@ def test_pencil_member_not_through_bornes_rejected():
         pencil_involution_check(q, UC)
 
 
+CHORD_CLAIM = "chord couple in the involution: c*C + a*B - b*A = 0"
+
+
 def test_pencil_empty_chord_reported_not_error():
-    # a member that misses the transversal is a reported observation
+    # a member that misses the transversal has its imaginary chord couple
+    # decided by the integer identity, without a square root
     bornes = (A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
     delta = default_chart(PLine(0, 1, -2))  # y = 2 misses the unit circle
     q = QuadrangleConfig(bornes, delta, strict=False)
     rep = pencil_involution_check(q, UC)
     assert rep.verdict
-    assert any("no real chord" in c["label"] for c in rep.claims)
+    assert rep.notes["discriminant"].startswith("-")
+    assert [(c["label"], c["lhs"]) for c in rep.claims] == [(CHORD_CLAIM, "0/1")]
 
 
 def test_pencil_quadext_chord():
-    # a member meeting the transversal in conjugate QuadExt points still has
-    # its chord swapped by the involution
+    # a member meeting the transversal in two conjugate irrational points:
+    # the same identity decides the couple
     bornes = (A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
     delta = default_chart(join(A(F(1, 5), F(1, 2)), A(1, 3)))
     q = QuadrangleConfig(bornes, delta, strict=False)
     rep = pencil_involution_check(q, UC)
     assert rep.verdict
+    assert int(rep.notes["discriminant"].split("/")[0]) > 0
+    assert [c["label"] for c in rep.claims] == [CHORD_CLAIM]
+
+
+def _irrational_chord_samples(seed, want=40):
+    """Quadrangles with bornes on the unit circle and random nondegenerate
+    pencil members whose chord on a random transversal has no rational
+    point; yields (q, member, discriminant sign)."""
+    rng = SplitMix64.for_kind("pencil-chord-identity", seed)
+    seen = {1: 0, -1: 0}
+    while min(seen.values()) < want:
+        bornes = tuple(PAR.point_at(rng.fraction(12)) for _ in range(4))
+        p, r = (A(rng.fraction(12), rng.fraction(12)) for _ in range(2))
+        try:
+            q = QuadrangleConfig(bornes, default_chart(join(p, r)))
+        except GeometryError:
+            continue
+        member = Pencil.through(*bornes).member(rng.fraction(9), rng.nonzero_fraction(9))
+        if member.is_degenerate():
+            continue
+        hit = conic_line_intersection(member, q.transversal.line)
+        sign = 1 if hit.discriminant > 0 else -1
+        if hit.count or seen[sign] >= want:
+            continue
+        seen[sign] += 1
+        yield q, member, sign
+
+
+def test_pencil_chord_identity_true_on_members():
+    for q, member, _ in _irrational_chord_samples(1):
+        rep = pencil_involution_check(q, member)
+        assert rep.verdict
+        assert [(c["label"], c["lhs"], c["equal"]) for c in rep.claims] == [
+            (CHORD_CLAIM, "0/1", True)
+        ]
+        big_a, big_b, big_c = chord_quadratic(member, q.transversal)
+        assert big_a != 0 and big_c != 0  # both chord points are finite
+
+
+def test_pencil_chord_identity_false_for_perturbed_involution(monkeypatch):
+    for q, member, _ in _irrational_chord_samples(2, want=20):
+        a, b, c, _ = q.involution.map.matrix
+        chart = q.involution.chart
+        # one of b + 1, b + 2 keeps the perturbed matrix nondegenerate
+        k = 1 if a * a + (b + 1) * c != 0 else 2
+        wrong = Involution(LineMap((a, b + k, c, -a), chart, chart))
+        monkeypatch.setattr(QuadrangleConfig, "involution", property(lambda self: wrong))
+        rep = pencil_involution_check(q, member)
+        monkeypatch.undo()
+        assert not rep.verdict
+        assert rep.claims[0]["label"] == CHORD_CLAIM and rep.claims[0]["equal"] is False
+
+
+def test_pencil_chord_identity_false_for_conic_outside_pencil(monkeypatch):
+    import arguesia.theorems as theorems
+
+    done = 0
+    for q, member, _ in _irrational_chord_samples(3, want=20):
+        if q.involution.map.matrix[2] == 0:
+            continue  # INF is fixed: adding z^2 would not move the claim
+        # member + z^2 passes through none of the bornes (z = 1 there)
+        outside = Conic(*(m + (i == 5) for i, m in enumerate(member.m)))
+        if outside.is_degenerate():
+            continue
+        assert not any(outside.contains(p) for p in q.bornes)
+        monkeypatch.setattr(theorems, "chord_quadratic", lambda m, ch: chord_quadratic(outside, ch))
+        rep = pencil_involution_check(q, member)
+        monkeypatch.undo()
+        assert not rep.verdict
+        assert rep.claims[0]["label"] == CHORD_CLAIM and rep.claims[0]["equal"] is False
+        done += 1
+    assert done >= 20
 
 
 def test_hyperbolic_iff_two_tangent_members():
