@@ -1,13 +1,14 @@
 """Command-line surface: verify, replay, construct, figure.
 
     arguesia verify <kind> [--seed N] [--trials N] [--bounds M] [--json] [-o FILE]
-    arguesia replay <ramee|quadrangle|beaugrand|pascal> [--seed N] [--bounds M] [--json]
+    arguesia replay <kind> [--seed N] [--bounds M] [--json]
     arguesia construct harmonic --b RAT --c RAT --d RAT
     arguesia figure <kind> [--seed N] [--bounds M] -o FILE.svg
 
 Exit codes: 0 when every verdict is true, 1 when any is false, 2 on usage
-or configuration errors.  ARGUESIA_SEED provides the default seed.
-Identical invocations produce byte-identical output.
+or configuration errors, an unwritable ``-o`` file included.
+ARGUESIA_SEED provides the default seed.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,169 +19,81 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from arguesia.exact_scalar import ScalarError, rat_parse
-from arguesia.instances import InstanceConfig, InstanceError, generate_instance
-from arguesia.menelaus_engine import (
-    Ratio,
-    SectorFigure,
-    menelaus_product,
-    replay_quadrangle_proof,
-    replay_ramee_proof,
-)
+from arguesia.instances import KINDS, InstanceConfig, InstanceError, generate_instance
+from arguesia.menelaus_engine import replay_quadrangle_proof, replay_ramee_proof
 from arguesia.projective_core import (
     GeometryError,
     PPoint,
     default_chart,
-    incident,
     join,
     param_str,
 )
 from arguesia.theorems import (
-    TheoremReport,
     beaugrand_replay,
-    desargues_involution_by_perspectives,
     harmonic_conjugate,
     parallel_bornales_identities,
     pascal_collinear,
-    pencil_involution_check,
     quadrangle_involution,
     retablissement_demo,
     verify_bisector_case,
+    verify_menelaus,
     verify_midpoint_case,
+    verify_pencil,
     verify_ramee,
 )
 
-VERIFY_KINDS = (
-    "menelaus",
-    "ramee",
-    "quadrangle",
-    "pencil",
-    "pascal",
-    "beaugrand",
-    "parallel-bornales",
-    "midpoint",
-    "bisector",
-    "retablissement",
-)
-REPLAY_KINDS = ("ramee", "quadrangle", "beaugrand", "pascal")
-FIGURE_KINDS = (
-    "menelaus",
-    "ramee",
-    "quadrangle",
-    "pencil",
-    "pascal",
-    "beaugrand",
-    "harmonic",
-    "bisector",
-    "parallel-bornales",
-    "retablissement",
-    "p13",
-)
+
+def _beaugrand(inst: dict):
+    return beaugrand_replay(inst["conic"], *inst["bornes"], inst["transversal"])
 
 
-def _instance_kind(kind: str) -> str:
-    kind = kind.replace("-", "_")
-    return {"midpoint": "harmonic"}.get(kind, kind)
+def _trace_report(trace) -> dict:
+    return {"name": trace.name, "trace": trace.to_json(), "verdict": trace.verdict}
+
+
+# Each entry reaches its verifier through this module's globals, not a
+# function object stored at import, so a rebound verifier is the one called.
+# verify kind -> (instance kind, the JSON report of an instance)
+VERIFIERS = {
+    "menelaus": ("menelaus", lambda i: verify_menelaus(i["figure"], i["config"]).to_json()),
+    "ramee": ("ramee", lambda i: verify_ramee(i["arbre"], i["k"], i["delta"]).to_json()),
+    "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i["quadrangle"])[1].to_json()),
+    "pencil": ("pencil", lambda i: verify_pencil(i["quadrangle"], i["members"])),
+    "pascal": ("pascal", lambda i: pascal_collinear(i["conic"], *i["hexagon"]).to_json()),
+    "beaugrand": ("beaugrand", lambda i: _trace_report(_beaugrand(i))),
+    "parallel-bornales": ("parallel_bornales",
+                          lambda i: parallel_bornales_identities(i["quadrangle"]).to_json()),
+    "midpoint": ("harmonic", lambda i: verify_midpoint_case(
+        i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
+    "bisector": ("bisector", lambda i: verify_bisector_case(
+        i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
+    "retablissement": ("retablissement", lambda i: retablissement_demo(
+        i["apex"], i["base"], i["cut"], i["params"]).to_json()),
+}
+# replay kind (also its instance kind) -> the proof trace of an instance
+REPLAYS = {
+    "ramee": lambda i: replay_ramee_proof(i["arbre"], i["k"], i["delta"]),
+    "quadrangle": lambda i: replay_quadrangle_proof(i["quadrangle"]),
+    "beaugrand": _beaugrand,
+    # every generated hexagon has its circle replay (pascal_circle_points)
+    "pascal": lambda i: pascal_collinear(i["conic"], *i["hexagon"]).trace,
+}
+VERIFY_KINDS = tuple(VERIFIERS)
+REPLAY_KINDS = tuple(REPLAYS)
+FIGURE_KINDS = tuple(kind.replace("_", "-") for kind in KINDS)
 
 
 def verify_one(kind: str, seed: int, bounds: int = 32) -> dict:
     """Generate the seeded instance for a suite and verify it exactly."""
-    inst = generate_instance(InstanceConfig(_instance_kind(kind), seed, bounds))
-    kind = kind.replace("-", "_")
-    if kind == "menelaus":
-        figure: SectorFigure = inst["figure"]
-        report = TheoremReport("menelaus", inputs=inst["config"])
-        report.claim("menelaus product", menelaus_product(figure), 1)
-        report.claim_true("converse: unit product forces collinearity",
-                          _menelaus_converse(figure))
-        out = report.to_json()
-    elif kind == "ramee":
-        report = verify_ramee(inst["arbre"], inst["k"], inst["delta"])
-        out = report.to_json()
-    elif kind == "quadrangle":
-        inv, report = quadrangle_involution(inst["quadrangle"])
-        by_persp = desargues_involution_by_perspectives(inst["quadrangle"])
-        report.claim(
-            "three-perspective construction matches",
-            by_persp.map.matrix,
-            inv.map.matrix,
-        )
-        out = report.to_json()
-    elif kind == "pencil":
-        q = inst["quadrangle"]
-        sub = []
-        for name, member in inst["members"]:
-            rep = pencil_involution_check(q, member)
-            sub.append({"member": name, "report": rep.to_json()})
-        out = {
-            "name": "pencil",
-            "members": sub,
-            "verdict": all(s["report"]["verdict"] for s in sub),
-        }
-    elif kind == "pascal":
-        report = pascal_collinear(inst["conic"], *inst["hexagon"])
-        out = report.to_json()
-    elif kind == "beaugrand":
-        trace = beaugrand_replay(inst["conic"], *inst["bornes"], inst["transversal"])
-        out = {"name": "beaugrand", "trace": trace.to_json(), "verdict": trace.verdict}
-    elif kind == "parallel_bornales":
-        report = parallel_bornales_identities(inst["quadrangle"])
-        out = report.to_json()
-    elif kind == "midpoint":
-        report = verify_midpoint_case(
-            inst["b"], inst["c"], inst["d"], inst["f"], inst["k"]
-        )
-        out = report.to_json()
-    elif kind == "bisector":
-        report = verify_bisector_case(
-            inst["b"], inst["c"], inst["d"], inst["f"], inst["k"]
-        )
-        out = report.to_json()
-    elif kind == "retablissement":
-        report = retablissement_demo(
-            inst["apex"], inst["base"], inst["cut"], inst["params"]
-        )
-        out = report.to_json()
-    else:
-        raise InstanceError(f"no verifier for kind {kind!r}")
+    instance_kind, report = VERIFIERS[kind]
+    out = report(generate_instance(InstanceConfig(instance_kind, seed, bounds)))
     out["seed"] = seed
-    out["kind"] = kind
+    out["kind"] = kind.replace("-", "_")
     return out
 
 
-def _menelaus_converse(figure: SectorFigure) -> bool:
-    """Reconstruct the third noeud from the unit-product constraint and
-    check it falls back on the tronc (zero incidence residual)."""
-    n1, n2, n3 = figure.nodes
-    a, b, c = figure.vertices()
-    r1 = Ratio(n1, b, c).value()
-    r2 = Ratio(n2, c, a).value()
-    target = 1 / (r1 * r2)  # required value of Ratio(N3; a, b)
-    ray = default_chart(join(a, b))
-    ta, tb = ray.coordinate(a), ray.coordinate(b)
-    # solve (ta - t) / (tb - t) = target
-    if target == 1:
-        return False
-    t = (ta - target * tb) / (1 - target)
-    candidate = ray.point_at(t)
-    return candidate == n3 and incident(candidate, figure.tronc)
-
-
 def replay_one(kind: str, seed: int, bounds: int = 32) -> dict:
-    inst = generate_instance(InstanceConfig(_instance_kind(kind), seed, bounds))
-    if kind == "ramee":
-        trace = replay_ramee_proof(inst["arbre"], inst["k"], inst["delta"])
-    elif kind == "quadrangle":
-        trace = replay_quadrangle_proof(inst["quadrangle"])
-    elif kind == "beaugrand":
-        trace = beaugrand_replay(inst["conic"], *inst["bornes"], inst["transversal"])
-    elif kind == "pascal":
-        report = pascal_collinear(inst["conic"], *inst["hexagon"])
-        if report.trace is None:
-            raise InstanceError("pascal replay needs the circle case")
-        trace = report.trace
-    else:
-        raise InstanceError(f"no replay for kind {kind!r}")
-    out = trace.to_json()
+    out = REPLAYS[kind](generate_instance(InstanceConfig(kind, seed, bounds))).to_json()
     out["seed"] = seed
     out["kind"] = kind
     return out
@@ -370,25 +283,21 @@ def main(argv=None) -> int:
             sys.stdout.write(param_str(chart.coordinate(f)) + "\n")
             return 0
 
-        if args.command == "figure":
-            # Only this command renders, so only it imports the renderer.
-            from arguesia.svg_figures import FigureError, render_figure
+        # figure, the last command: only it renders, so only it imports the renderer
+        from arguesia.svg_figures import FigureError, render_figure
 
-            seed = args.seed if args.seed is not None else _default_seed()
-            kind = _instance_kind(args.kind)
-            inst = generate_instance(InstanceConfig(kind, seed, args.bounds))
-            try:
-                payload = render_figure(kind, inst)
-            except FigureError as exc:
-                return _usage_error(exc)
-            with open(args.output, "wb") as fh:
-                fh.write(payload)
-            return 0
-
-        parser.error("unknown command")
-    except (InstanceError, ScalarError, GeometryError) as exc:
+        seed = args.seed if args.seed is not None else _default_seed()
+        kind = args.kind.replace("-", "_")
+        inst = generate_instance(InstanceConfig(kind, seed, args.bounds))
+        try:
+            payload = render_figure(kind, inst)
+        except FigureError as exc:
+            return _usage_error(exc)
+        with open(args.output, "wb") as fh:
+            fh.write(payload)
+        return 0
+    except (InstanceError, ScalarError, GeometryError, OSError) as exc:
         return _usage_error(exc)
-    return 2
 
 
 def _usage_error(exc: Exception) -> int:

@@ -45,20 +45,6 @@ from arguesia.theorems import (
     retablissement_demo,
 )
 
-KINDS = (
-    "menelaus",
-    "ramee",
-    "quadrangle",
-    "pencil",
-    "pascal",
-    "beaugrand",
-    "harmonic",
-    "bisector",
-    "parallel_bornales",
-    "retablissement",
-    "p13",
-)
-
 MAX_RETRIES = 400
 
 
@@ -376,4 +362,4 @@ _MAKERS = {
     "retablissement": _make_retablissement,
     "p13": _make_p13,
 }
-
+KINDS = tuple(_MAKERS)

@@ -26,6 +26,7 @@ from arguesia.projective_core import (
     GeometryError,
     PLine,
     PPoint,
+    default_chart,
     incident,
     join,
     meet,
@@ -130,58 +131,31 @@ class RatioChain(Frozen):
         return v
 
 
-class ProofStep(Frozen):
-    """One claimed identity of a replay; ``meta`` takes no part in equality."""
-
-    _fields = ("label", "lhs", "rhs", "cite")
-
-    def __init__(self, label: str, lhs: Rat, rhs: Rat, cite: str, meta: dict | None = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "cite", cite)
-        object.__setattr__(self, "meta", {} if meta is None else meta)
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "lhs": rat_str(self.lhs),
-            "rhs": rat_str(self.rhs),
-            "equal": self.equal,
-            "cite": self.cite,
-            **({"meta": self.meta} if self.meta else {}),
-        }
-
-
 class ProofTrace:
+    """A replayed derivation.  Each step is the record it prints,
+    ``{label, lhs, rhs, equal, cite, meta?}``, with both sides exact."""
+
     def __init__(self, name: str):
         self.name = name
-        self.steps: list[ProofStep] = []
+        self.steps: list[dict] = []
         self.notes: dict = {}
 
     @property
     def verdict(self) -> bool:
-        return all(s.equal for s in self.steps)
+        return all(s["equal"] for s in self.steps)
 
-    def add(self, label: str, lhs: Rat, rhs: Rat, cite: str, **meta) -> ProofStep:
-        step = ProofStep(label, lhs, rhs, cite, dict(meta))
+    def add(self, label: str, lhs: Rat, rhs: Rat, cite: str, **meta) -> None:
+        step = {"label": label, "lhs": rat_str(lhs), "rhs": rat_str(rhs),
+                "equal": lhs == rhs, "cite": cite}
+        if meta:
+            step["meta"] = meta
         self.steps.append(step)
-        return step
 
-    def menelaus_steps(self) -> list[ProofStep]:
-        return [s for s in self.steps if s.meta.get("kind") == "menelaus"]
+    def menelaus_steps(self) -> list[dict]:
+        return [s for s in self.steps if s.get("meta", {}).get("kind") == "menelaus"]
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "steps": [s.to_json() for s in self.steps],
-            "notes": self.notes,
-        }
+        return {"name": self.name, "verdict": self.verdict, "steps": self.steps, "notes": self.notes}
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +168,24 @@ def menelaus_product(sf: SectorFigure) -> Rat:
     a, b, c = sf.vertices()
     chain = RatioChain((Ratio(n1, b, c), Ratio(n2, c, a), Ratio(n3, a, b)))
     return chain.value()
+
+
+def menelaus_converse(sf: SectorFigure) -> bool:
+    """Reconstruct the third noeud from the unit-product constraint and
+    check it falls back on the tronc (zero incidence residual)."""
+    n1, n2, n3 = sf.nodes
+    a, b, c = sf.vertices()
+    r1 = Ratio(n1, b, c).value()
+    r2 = Ratio(n2, c, a).value()
+    target = 1 / (r1 * r2)  # required value of Ratio(N3; a, b)
+    ray = default_chart(join(a, b))
+    ta, tb = ray.coordinate(a), ray.coordinate(b)
+    # solve (ta - t) / (tb - t) = target
+    if target == 1:
+        return False
+    t = (ta - target * tb) / (1 - target)
+    candidate = ray.point_at(t)
+    return candidate == n3 and incident(candidate, sf.tronc)
 
 
 class DecompositionIdentity(Frozen):

@@ -253,11 +253,7 @@ class SvgDoc:
 
 
 def render_figure(kind: str, instance: dict) -> bytes:
-    try:
-        builder = _FIGURES[kind]
-    except KeyError:
-        raise FigureError(f"no figure renderer for kind {kind!r}")
-    return builder(instance).to_bytes()
+    return _FIGURES[kind](instance).to_bytes()
 
 
 def _fig_harmonic(inst) -> SvgDoc:

@@ -40,6 +40,9 @@ from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
     Ratio,
+    SectorFigure,
+    menelaus_converse,
+    menelaus_product,
     replay_quadrangle_proof,
     replay_ramee_proof,
 )
@@ -100,7 +103,7 @@ class TheoremReport:
         self.notes: dict = {}
 
     def claim(self, label: str, lhs, rhs) -> bool:
-        equal = lhs == rhs or (lhs is INF and rhs is INF)
+        equal = lhs == rhs
         self.claims.append(
             {"label": label, "lhs": _show(lhs), "rhs": _show(rhs), "equal": equal}
         )
@@ -128,6 +131,15 @@ class TheoremReport:
         if self.trace is not None:
             out["trace"] = self.trace.to_json()
         return out
+
+
+def verify_menelaus(figure: SectorFigure, inputs: dict) -> TheoremReport:
+    """Menelaus in sector form: the three noeud ratios multiply to 1, and
+    conversely the unit product puts the third noeud back on the tronc."""
+    report = TheoremReport("menelaus", inputs=inputs)
+    report.claim("menelaus product", menelaus_product(figure), 1)
+    report.claim_true("converse: unit product forces collinearity", menelaus_converse(figure))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +583,8 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
 def quadrangle_involution(q: QuadrangleConfig):
     """The three transversal couples are in involution; returns the
     involution (built from two couples) plus a report carrying the
-    rectangle identities and the pivot-based Menelaus replay."""
+    rectangle identities, the match with the three-perspective
+    construction and the pivot-based Menelaus replay."""
     report = TheoremReport("quadrangle_involution", inputs=q.to_json())
     nc = q.node_couples()
     eq = equivalence_check(nc)
@@ -589,6 +602,8 @@ def quadrangle_involution(q: QuadrangleConfig):
         # pivot F at infinity (parallel bornale couple): the identities above
         # still decide the theorem, only the pivot replay is unavailable
         report.notes["replay_skipped"] = str(exc)
+    by_persp = desargues_involution_by_perspectives(q)
+    report.claim("three-perspective construction matches", by_persp.map.matrix, inv.map.matrix)
     return inv, report
 
 
@@ -604,6 +619,14 @@ def desargues_involution_by_perspectives(q: QuadrangleConfig) -> Involution:
     s3 = perspective_map(c, bd, q.transversal)
     composed = s3.compose(s2.compose(s1))
     return Involution(composed)
+
+
+def verify_pencil(q: QuadrangleConfig, members) -> dict:
+    """The pencil theorem on each named member: one report per member, and
+    the verdict is true when every report's is."""
+    sub = [{"member": name, "report": pencil_involution_check(q, member).to_json()}
+           for name, member in members]
+    return {"name": "pencil", "members": sub, "verdict": all(s["report"]["verdict"] for s in sub)}
 
 
 def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport:

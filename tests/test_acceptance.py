@@ -103,7 +103,7 @@ def test_criterion_02_ramee_500():
             assert "classification preserved" in labels
             assert rep.trace is not None
             assert len(rep.trace.menelaus_steps()) == 8
-            assert all(s.equal for s in rep.trace.steps)
+            assert all(s["equal"] for s in rep.trace.steps)
             src_cls = classify(inst["involution"])
             if src_cls["kind"] == "hyperbolic":
                 assert any("fixed point" in c["label"] for c in rep.claims)
@@ -237,7 +237,7 @@ def test_criterion_08_beaugrand_100():
                 inst["conic"], *inst["bornes"], inst["transversal"]
             )
             assert trace.verdict, f"seed {seed}"
-            kinds = [s.meta["kind"] for s in trace.steps]
+            kinds = [s["meta"]["kind"] for s in trace.steps]
             assert kinds.count("apollonius") == 2
             assert kinds.count("menelaus") == 2
             assert kinds.count("final") == 1
@@ -255,8 +255,8 @@ def test_criterion_09_pascal_200_plus_collineations():
             assert rep.claims[0]["equal"]  # collinear M, S, X
             if rep.trace is not None:
                 cr_step = rep.trace.steps[-1]
-                assert cr_step.label.startswith("[A,alpha,M,P]")
-                assert cr_step.equal
+                assert cr_step["label"].startswith("[A,alpha,M,P]")
+                assert cr_step["equal"]
         rng = SplitMix64.for_kind("acceptance-collineations", 1)
         base = generate_instance(InstanceConfig("pascal", 1))
         done = 0

@@ -1,7 +1,7 @@
 """Golden output: sha256 of the exact bytes of fixed CLI commands.
 
 Each verify kind runs on seeds 1..20 (``--seed 1 --trials 20``) with
-``--json``, plus one replay of each kind and the quadrangle figure, and
+``--json``, plus one replay of each kind and every figure at seed 1, and
 ramee runs again at wide bounds, where the discriminants are large enough
 that square roots need real factoring.  The digests pin every output byte, so a change to the
 arithmetic that alters a value, a canonical form or the order of claims
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from arguesia.cli import VERIFY_KINDS, main
+from arguesia.cli import FIGURE_KINDS, VERIFY_KINDS, main
 
 GOLDEN = {
     "verify menelaus": "77d94a5b7d05e11498faba640697061714e4fc04b5ec9773173beeabece2572e",
@@ -60,14 +60,28 @@ def test_golden_output(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
 
 
-FIGURE_QUADRANGLE = "c6a5b29a0448a4fb6a0b9b24c20f64aae016c46ddf5d71d89fb1effba2395a56"
+GOLDEN_FIGURES = {
+    "menelaus": "8c8e36c31212739c28d461c909f09ba3c982f588035675650f71a2d2be20850a",
+    "ramee": "a3bc3143d2dcac4126147089effb03f54973abfbf3d076eef3d1be9889720aac",
+    "quadrangle": "c6a5b29a0448a4fb6a0b9b24c20f64aae016c46ddf5d71d89fb1effba2395a56",
+    "pencil": "8f82dc487ca4c62af69a72a3f8fb7e14a32136d8b9d42d714163990d2f78e933",
+    "pascal": "bb3a446d2d5401a19c031c099fa1f0912de9227499662d2fcc22f6bc64007a64",
+    "beaugrand": "d7f5b9648dbfec6ab82e460074846fd90723010800bfa460a03227f439a0878c",
+    "harmonic": "e8b8c4d95c865bbfe92872e4d1c77ab89d81aa4bfb61008e904af6c062ae217f",
+    "bisector": "8dde6e5c54f8864315c1d2aec67a7b7b08c1f9e864c07a63cfd3b961bc7b63b6",
+    "parallel-bornales": "7dcb2ed258cd3352f9552054d1ef916138c3cdae0bfb154001378a938503d571",
+    "retablissement": "c3fbc13a78f3e0b24b3566f5f407a0924a253aac23eb0482dcc7f35b09f39612",
+    "p13": "dc6930f2319882f70015fb41d3464b46445337083e34a4c98c9ebee26ab2a551",
+}
+FIGURE_QUADRANGLE = GOLDEN_FIGURES["quadrangle"]
 
 
-def test_golden_figure_quadrangle(tmp_path):
-    # the SVG draws the bornales and the six transversal cuts of the config
-    out = tmp_path / "quadrangle.svg"
-    assert main(["figure", "quadrangle", "--seed", "1", "-o", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_QUADRANGLE
+@pytest.mark.parametrize("kind", FIGURE_KINDS)
+def test_golden_figure(kind, tmp_path):
+    # e.g. the quadrangle SVG draws the bornales and the six transversal cuts
+    out = tmp_path / "figure.svg"
+    assert main(["figure", kind, "--seed", "1", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FIGURES[kind]
 
 
 @pytest.mark.parametrize("kind", VERIFY_KINDS)

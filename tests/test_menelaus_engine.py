@@ -155,9 +155,9 @@ def test_ramee_replay_eleven_steps():
     assert trace.verdict
     assert len(trace.steps) == 11
     assert len(trace.menelaus_steps()) == 8
-    series = [s.meta["series"] for s in trace.menelaus_steps()]
+    series = [s["meta"]["series"] for s in trace.menelaus_steps()]
     assert series == [1, 1, 1, 1, 2, 2, 2, 2]
-    assert [s.cite for s in trace.steps[-3:]] == ["p.12 l.11", "p.12 l.7", "p.12 l.26"]
+    assert [s["cite"] for s in trace.steps[-3:]] == ["p.12 l.11", "p.12 l.7", "p.12 l.26"]
 
 
 def test_ramee_replay_rejects_k_on_tronc():
@@ -379,8 +379,8 @@ def test_quadrangle_replay_structure():
     assert trace.verdict
     assert len(trace.steps) == 6
     men = trace.menelaus_steps()
-    assert [s.meta["X"] for s in men] == ["I", "K", "G", "H"]
-    assert [s.meta["couple"] for s in men] == [
+    assert [s["meta"]["X"] for s in men] == ["I", "K", "G", "H"]
+    assert [s["meta"]["couple"] for s in men] == [
         ("C", "B"), ("D", "E"), ("D", "B"), ("C", "E"),
     ]
 

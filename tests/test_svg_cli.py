@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -276,3 +277,56 @@ def test_figure_error_is_a_usage_error(monkeypatch, capsys, tmp_path):
     assert main(["figure", "harmonic", "--seed", "1", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: unbounded configuration: no finite labeled points\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", (["verify", "ramee"], ["figure", "ramee"]))
+def test_unwritable_output_is_a_usage_error(command, capsys, tmp_path):
+    # exit 1 means some verdict is false; a file that cannot be written is exit 2
+    out = tmp_path / "missing" / "out.txt"
+    assert main([*command, "--seed", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
+def _false_labels(node) -> list:
+    """Labels of every claim or proof step, at any depth, whose sides differ."""
+    if isinstance(node, list):
+        return [label for item in node for label in _false_labels(item)]
+    if not isinstance(node, dict):
+        return []
+    own = [node["label"]] if node.get("equal") is False else []
+    return own + [label for value in node.values() for label in _false_labels(value)]
+
+
+@pytest.mark.parametrize("kind, name, broken, label", [
+    ("menelaus", "menelaus_product", lambda real: lambda figure: 2 * real(figure),
+     "menelaus product"),
+    # the identity map stands in for a three-perspective involution that disagrees
+    ("quadrangle", "desargues_involution_by_perspectives",
+     lambda real: lambda q: SimpleNamespace(map=SimpleNamespace(matrix=(1, 0, 0, 1))),
+     "three-perspective construction matches"),
+    # sigma sends each transversal point to itself instead of through the conic
+    ("pencil", "second_intersection", lambda real: lambda conic, on, other: other,
+     "sigma(a) = c  [sigma(P) = G]"),
+    ("beaugrand", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
+     "FA.AG/(FC.CG) = BA.AE/(BC.CE)"),
+], ids=["menelaus", "quadrangle", "pencil", "beaugrand"])
+def test_broken_construction_step_exits_one(monkeypatch, capsys, kind, name, broken, label):
+    import arguesia.theorems as theorems
+
+    monkeypatch.setattr(theorems, name, broken(getattr(theorems, name)))
+    assert main(["verify", kind, "--seed", "1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["all_true"] is False
+    (report,) = data["reports"]
+    assert report["verdict"] is False
+    assert label in _false_labels(report)
+
+
+def test_every_table_names_an_instance_kind():
+    from arguesia import cli, instances, svg_figures
+
+    assert set(svg_figures._FIGURES) == set(instances.KINDS)
+    assert {kind for kind, _ in cli.VERIFIERS.values()} <= set(instances.KINDS)
+    assert set(cli.REPLAYS) <= set(instances.KINDS)

@@ -519,7 +519,7 @@ def test_beaugrand_trace_structure():
     k, n, o, v, trans = beaugrand_instance()
     trace = beaugrand_replay(UC, k, n, o, v, trans)
     assert trace.verdict
-    kinds = [s.meta["kind"] for s in trace.steps]
+    kinds = [s["meta"]["kind"] for s in trace.steps]
     assert kinds.count("apollonius") == 2
     assert kinds.count("menelaus") == 2
     assert kinds.count("analogy") == 2
