@@ -6,14 +6,17 @@
     arguesia figure <kind> [--seed N] [--bounds M] -o FILE.svg
 
 Exit codes: 0 when every verdict is true, 1 when any is false, 2 on usage
-or configuration errors, an unwritable ``-o`` file included.
+or configuration errors, an unwritable ``-o`` file included, and 3 on an
+internal error, reported as a traceback on stderr.
 ARGUESIA_SEED provides the default seed.  Identical invocations produce
-byte-identical output.
+byte-identical output.  ``main`` may be called repeatedly in one process:
+the argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -203,7 +206,9 @@ def _default_seed() -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="arguesia",
         description="Exact verification and replay of the Brouillon Project theorems",
@@ -239,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             seed = args.seed if args.seed is not None else _default_seed()
@@ -298,6 +302,12 @@ def main(argv=None) -> int:
         return 0
     except (InstanceError, ScalarError, GeometryError, OSError) as exc:
         return _usage_error(exc)
+    except Exception:
+        # any other failure is the program's own fault, not a usage error
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 def _usage_error(exc: Exception) -> int:

@@ -96,7 +96,11 @@ def generate_instance(cfg: InstanceConfig) -> dict:
 
 
 def _point(rng: SplitMix64, bounds: int) -> PPoint:
-    return PPoint(rng.fraction(bounds), rng.fraction(bounds), 1)
+    """The point (x, y) of two ``rng.fraction`` draws, built from their
+    integer numerators and denominators."""
+    xn, xd = rng.fraction_pair(bounds)
+    yn, yd = rng.fraction_pair(bounds)
+    return PPoint(xn * yd, yn * xd, xd * yd)
 
 
 def _distinct_points(rng: SplitMix64, bounds: int, n: int) -> list[PPoint]:

@@ -10,7 +10,9 @@ vertices.
 
 ``replay_ramee_proof`` and ``replay_quadrangle_proof`` machine-replay the
 historical derivations step by step, evaluating every claimed identity
-exactly and logging it with its Brouillon citation tag.
+exactly and logging it with its Brouillon citation tag.  Each ratio is a
+quotient of integer brackets and stays an integer pair (``Ratio.pair``)
+through the products; a step builds one ``Fraction`` per printed side.
 """
 
 from __future__ import annotations
@@ -82,7 +84,12 @@ class SectorFigure(Frozen):
 
 
 class Ratio(Frozen):
-    """Signed ratio origin->num_end : origin->den_end on one line."""
+    """Signed ratio origin->num_end : origin->den_end on one line.
+
+    ``pair()`` gives it as an unreduced integer pair (num, den), den never
+    0, so products of ratios stay integer; ``value()`` is the one
+    ``Fraction`` of that pair.
+    """
 
     __slots__ = _fields = ("origin", "num_end", "den_end")
 
@@ -95,8 +102,8 @@ class Ratio(Frozen):
         if det3(origin.coords, den_end.coords, num_end.coords) != 0:
             raise NonGenericError("ratio of non-collinear points")
 
-    def value(self) -> Rat:
-        """Chart-independent signed value; requires finite points.
+    def pair(self) -> tuple[int, int]:
+        """Chart-independent signed value as (num, den); requires finite points.
 
         A bracket quotient of the integer triples o, n, d (origin, num_end,
         den_end): along a coordinate i where den_end and origin differ
@@ -108,12 +115,24 @@ class Ratio(Frozen):
         if oz == 0 or nz == 0 or dz == 0:
             raise NonGenericError("ratio endpoint at infinity")
         i = 0 if d[0] * oz != o[0] * dz else 1
-        return Fraction((n[i] * oz - o[i] * nz) * dz, (d[i] * oz - o[i] * dz) * nz)
+        return (n[i] * oz - o[i] * nz) * dz, (d[i] * oz - o[i] * dz) * nz
+
+    def value(self) -> Rat:
+        return Fraction(*self.pair())
 
     def inverse(self) -> "Ratio":
         if self.origin == self.num_end:
             raise NonGenericError("cannot invert a zero ratio")
         return Ratio(self.origin, self.den_end, self.num_end)
+
+
+def _times(*pairs: tuple[int, int]) -> tuple[int, int]:
+    """Product of unreduced (num, den) pairs, itself unreduced."""
+    num = den = 1
+    for n, d in pairs:
+        num *= n
+        den *= d
+    return num, den
 
 
 class RatioChain(Frozen):
@@ -124,11 +143,11 @@ class RatioChain(Frozen):
     def __init__(self, factors: tuple[Ratio, ...]):
         object.__setattr__(self, "factors", factors)
 
+    def pair(self) -> tuple[int, int]:
+        return _times(*(f.pair() for f in self.factors))
+
     def value(self) -> Rat:
-        v = Fraction(1)
-        for f in self.factors:
-            v *= f.value()
-        return v
+        return Fraction(*self.pair())
 
 
 class ProofTrace:
@@ -304,7 +323,9 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     When the image line passes through D the trace degenerates to the
     single-series shortcut ending in the involution (D,f),(2,5),(3,4).
     Raises NonGenericError exactly when ``check_ramee_replayable`` does,
-    which it calls first for the projected points.
+    which it calls first for the projected points.  Every ratio is built
+    once as an integer pair; products, alpha included, multiply pairs, and
+    each printed side is one ``Fraction``.
     """
     pts = check_ramee_replayable(arbre, k, delta)
     (B, H), (C, G), (D, F) = arbre.pairs
@@ -318,62 +339,61 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     }
     trace.notes["shortcut"] = False
 
-    kd_over_kD = Ratio(k, d, D)
+    kd_over_kD = Ratio(k, d, D).pair()
+    image, middle = {}, {}
     for x_pt, n_pt, xn, nn, cite in (
         (g, n4, "g", "4", "p.11 l.38"),
         (c, n3, "c", "3", "p.11 l.40"),
         (b, n2, "b", "2", "p.11 l.42"),
         (h, n5, "h", "5", "p.11 l.44"),
     ):
-        lhs = Ratio(x_pt, d, f)
-        rhs = RatioChain((kd_over_kD, Ratio(n_pt, D, f)))
+        image[xn] = Ratio(x_pt, d, f).pair()
+        middle[nn] = Ratio(n_pt, D, f).pair()
         trace.add(
             f"{xn}d/{xn}f = (Kd/KD)({nn}D/{nn}f)",
-            lhs.value(),
-            rhs.value(),
+            Fraction(*image[xn]),
+            Fraction(*_times(kd_over_kD, middle[nn])),
             cite,
             kind="menelaus",
             series=1,
             tronc=f"{xn}K{nn}",
         )
 
-    kF_over_kf = Ratio(k, F, f)
-    for n_pt, x_pt, nn, xn, cite in (
-        (n4, G, "4", "G", "p.11 l.45"),
-        (n3, C, "3", "C", "p.11 l.47"),
-        (n2, B, "2", "B", "p.11 l.49"),
-        (n5, H, "5", "H", "p.11 l.51"),
+    kF_over_kf = Ratio(k, F, f).pair()
+    source = {}
+    for x_pt, nn, xn, cite in (
+        (G, "4", "G", "p.11 l.45"),
+        (C, "3", "C", "p.11 l.47"),
+        (B, "2", "B", "p.11 l.49"),
+        (H, "5", "H", "p.11 l.51"),
     ):
-        lhs = Ratio(n_pt, D, f)
-        rhs = RatioChain((Ratio(x_pt, D, F), kF_over_kf))
+        source[xn] = Ratio(x_pt, D, F).pair()
         trace.add(
             f"{nn}D/{nn}f = ({xn}D/{xn}F)(KF/Kf)",
-            lhs.value(),
-            rhs.value(),
+            Fraction(*middle[nn]),
+            Fraction(*_times(source[xn], kF_over_kf)),
             cite,
             kind="menelaus",
             series=2,
             tronc=f"{nn}K{xn}",
         )
 
-    alpha = (kd_over_kD.value() ** 2) * (kF_over_kf.value() ** 2)
-    trace.notes["alpha"] = rat_str(alpha)
+    alpha = _times(kd_over_kD, kd_over_kD, kF_over_kf, kF_over_kf)
+    trace.notes["alpha"] = rat_str(Fraction(*alpha))
 
-    lhs_gc = Ratio(g, d, f).value() * Ratio(c, d, f).value()
-    rhs_gc = alpha * Ratio(G, D, F).value() * Ratio(C, D, F).value()
+    lhs_gc = Fraction(*_times(image["g"], image["c"]))
     trace.add(
         "dg.dc/(fg.fc) = a.DG.DC/(FG.FC)",
         lhs_gc,
-        rhs_gc,
+        Fraction(*_times(alpha, source["G"], source["C"])),
         "p.12 l.11",
         kind="aggregation",
     )
-    lhs_bh = Ratio(b, d, f).value() * Ratio(h, d, f).value()
-    rhs_bh = alpha * Ratio(B, D, F).value() * Ratio(H, D, F).value()
+    lhs_bh = Fraction(*_times(image["b"], image["h"]))
     trace.add(
         "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
         lhs_bh,
-        rhs_bh,
+        Fraction(*_times(alpha, source["B"], source["H"])),
         "p.12 l.7",
         kind="aggregation",
     )
@@ -392,7 +412,8 @@ def _replay_ramee_shortcut(
     arbre: NodeCouples, k: PPoint, delta: AffineChart, pts: dict[str, PPoint]
 ) -> ProofTrace:
     """Projection onto a line through D: one series of four suffices and the
-    image couples are (D, f), (2, 5), (3, 4)."""
+    image couples are (D, f), (2, 5), (3, 4).  Ratios are integer pairs,
+    as in ``replay_ramee_proof``."""
     (B, H), (C, G), (D, F) = arbre.pairs
     f, n2, n3, n4, n5 = (pts[n] for n in "f2345")
 
@@ -403,41 +424,40 @@ def _replay_ramee_shortcut(
         for nm, pt in (("D", D), ("f", f), ("2", n2), ("3", n3), ("4", n4), ("5", n5))
     }
 
-    kF_over_kf = Ratio(k, F, f)
+    kF_over_kf = Ratio(k, F, f).pair()
+    image, source = {}, {}
     for n_pt, x_pt, nn, xn, cite in (
         (n4, G, "4", "G", "p.11 l.45"),
         (n3, C, "3", "C", "p.11 l.47"),
         (n2, B, "2", "B", "p.11 l.49"),
         (n5, H, "5", "H", "p.11 l.51"),
     ):
-        lhs = Ratio(n_pt, D, f)
-        rhs = RatioChain((Ratio(x_pt, D, F), kF_over_kf))
+        image[nn] = Ratio(n_pt, D, f).pair()
+        source[xn] = Ratio(x_pt, D, F).pair()
         trace.add(
             f"{nn}D/{nn}f = ({xn}D/{xn}F)(KF/Kf)",
-            lhs.value(),
-            rhs.value(),
+            Fraction(*image[nn]),
+            Fraction(*_times(source[xn], kF_over_kf)),
             cite,
             kind="menelaus",
             series=1,
             tronc=f"{nn}K{xn}",
         )
 
-    beta = kF_over_kf.value() ** 2
-    lhs_25 = Ratio(n2, D, f).value() * Ratio(n5, D, f).value()
-    rhs_25 = beta * Ratio(B, D, F).value() * Ratio(H, D, F).value()
+    beta = _times(kF_over_kf, kF_over_kf)
+    lhs_25 = Fraction(*_times(image["2"], image["5"]))
     trace.add(
         "D2.D5/(f2.f5) = (KF/Kf)^2.DB.DH/(FB.FH)",
         lhs_25,
-        rhs_25,
+        Fraction(*_times(beta, source["B"], source["H"])),
         "p.12 l.7",
         kind="aggregation",
     )
-    lhs_34 = Ratio(n3, D, f).value() * Ratio(n4, D, f).value()
-    rhs_34 = beta * Ratio(C, D, F).value() * Ratio(G, D, F).value()
+    lhs_34 = Fraction(*_times(image["3"], image["4"]))
     trace.add(
         "D3.D4/(f3.f4) = (KF/Kf)^2.DC.DG/(FC.FG)",
         lhs_34,
-        rhs_34,
+        Fraction(*_times(beta, source["C"], source["G"])),
         "p.12 l.11",
         kind="aggregation",
     )
@@ -461,49 +481,45 @@ def replay_quadrangle_proof(q) -> ProofTrace:
 
     ``q`` must expose bornes B, C, D, E, the diagonal point F = BE^DC and
     the transversal intersections I, K, P, Q, G, H (see QuadrangleConfig).
+    Ratios are integer pairs; the common right side of both aggregations
+    is the product of the I and K steps' right sides.
     """
     B, C, D, E = q.bornes
     F = q.pivot
     I, K, P, Q, G, H = q.I, q.K, q.P, q.Q, q.G, q.H
 
     trace = ProofTrace("quadrangle")
-    factors = {}
+    lhs, rhs = {}, {}
     for X, alpha, beta, xn, an, bn, cite in (
         (I, C, B, "I", "C", "B", "p.17 l.7"),
         (K, D, E, "K", "D", "E", "p.17 l.9"),
         (G, D, B, "G", "D", "B", "p.17 l.16"),
         (H, C, E, "H", "C", "E", "p.17 l.18"),
     ):
-        lhs = Ratio(X, Q, P)
-        ra = Ratio(alpha, Q, F)
-        rb = Ratio(beta, F, P)
-        factors[xn] = lhs.value()
+        lhs[xn] = Ratio(X, Q, P).pair()
+        rhs[xn] = _times(Ratio(alpha, Q, F).pair(), Ratio(beta, F, P).pair())
         trace.add(
             f"{xn}Q/{xn}P = ({an}Q/{an}F)({bn}F/{bn}P)",
-            lhs.value(),
-            RatioChain((ra, rb)).value(),
+            Fraction(*lhs[xn]),
+            Fraction(*rhs[xn]),
             cite,
             kind="menelaus",
             X=xn,
             couple=(an, bn),
         )
 
-    common = (
-        Ratio(C, Q, F).value()
-        * Ratio(B, F, P).value()
-        * Ratio(D, Q, F).value()
-        * Ratio(E, F, P).value()
-    )
+    # (CQ/CF)(BF/BP)(DQ/DF)(EF/EP): the right sides at I and at K
+    common = Fraction(*_times(rhs["I"], rhs["K"]))
     trace.add(
         "QI.QK/(PI.PK) = (CQ/CF)(BF/BP)(DQ/DF)(EF/EP)",
-        factors["I"] * factors["K"],
+        Fraction(*_times(lhs["I"], lhs["K"])),
         common,
         "p.17 l.11",
         kind="aggregation",
     )
     trace.add(
         "QG.QH/(PG.PH) = (CQ/CF)(BF/BP)(DQ/DF)(EF/EP)",
-        factors["G"] * factors["H"],
+        Fraction(*_times(lhs["G"], lhs["H"])),
         common,
         "p.17 l.20",
         kind="aggregation",

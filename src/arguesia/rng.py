@@ -72,12 +72,15 @@ class SplitMix64:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.below(hi - lo + 1)
 
-    def fraction(self, bounds: int) -> Fraction:
-        """Random rational: numerator in [-bounds, bounds], then denominator
-        in [1, min(DEN_MAX, bounds)]."""
+    def fraction_pair(self, bounds: int) -> tuple[int, int]:
+        """Random rational as an unreduced (num, den): numerator in
+        [-bounds, bounds], then denominator in [1, min(DEN_MAX, bounds)]."""
         num = self.int_between(-bounds, bounds)
-        den = self.int_between(1, min(DEN_MAX, bounds))
-        return Fraction(num, den)
+        return num, self.int_between(1, min(DEN_MAX, bounds))
+
+    def fraction(self, bounds: int) -> Fraction:
+        """The reduced rational of ``fraction_pair``."""
+        return Fraction(*self.fraction_pair(bounds))
 
     def nonzero_fraction(self, bounds: int) -> Fraction:
         while True:

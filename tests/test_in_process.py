@@ -1,0 +1,85 @@
+"""Repeated in-process ``main`` calls: one parser per process, and the
+per-op exact-arithmetic budget of ``verify ramee``."""
+
+import argparse
+import fractions
+import json
+import subprocess
+import sys
+
+import pytest
+
+from arguesia import cli
+from arguesia.cli import main
+
+
+def test_cached_parser_reads_each_call_afresh(monkeypatch, capsys):
+    monkeypatch.setenv("ARGUESIA_SEED", "7")
+    assert main(["verify", "ramee", "--seed", "5", "--trials", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [r["seed"] for r in data["reports"]] == [5, 6]
+
+    # no option of the first call carries over: text, the env seed, one trial
+    assert main(["verify", "ramee"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("ramee seed=7 ok (")
+    assert lines[1] == "1/1 verdicts true"
+
+    # a usage error in between leaves later calls unchanged
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ramee", "--trials", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "ramee"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_ten_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "arguesia":
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for seed in range(1, 11):
+        assert main(["verify", "midpoint", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import arguesia.cli as c; print(c.build_parser.cache_info().currsize); "
+        "c.main(['construct', 'harmonic', '--b', '0', '--c', '2', '--d', '3']); "
+        "print(c.build_parser.cache_info().currsize)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n3/2\n1\n"
+
+
+def test_ramee_op_fraction_budget(monkeypatch, capsys):
+    # Brin ratios, drawn points and Menelaus products stay integers until
+    # printed; 155 Fractions per op when each factor was one.
+    made = [0]
+    real_new = fractions.Fraction.__dict__["__new__"]
+    new = real_new.__func__ if isinstance(real_new, staticmethod) else real_new
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+    per_op = []
+    for seed in range(1, 6):
+        before = made[0]
+        assert main(["verify", "ramee", "--bounds", "30000", "--seed", str(seed)]) == 0
+        per_op.append(made[0] - before)
+    capsys.readouterr()
+    assert max(per_op) <= 75, per_op

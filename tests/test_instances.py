@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ from arguesia.instances import (
     KINDS,
     InstanceConfig,
     InstanceError,
+    _point,
     generate_instance,
 )
+from arguesia.projective_core import PPoint
 from arguesia.rng import SplitMix64, fnv1a64
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -160,3 +163,20 @@ def test_verify_at_bounds_past_2_63_finishes(kind, bounds):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("1/1 verdicts true\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.sampled_from((8, 32, 3 * 10**4, 2**70)))
+def test_integer_point_draw_matches_fraction_draw(seed, bounds):
+    # _point builds the point from integer draws; two rational draws by the
+    # documented rule give the same canonical point and leave the same state
+    def fraction_draw(rng):
+        num = rng.int_between(-bounds, bounds)
+        return Fraction(num, rng.int_between(1, min(8, bounds)))
+
+    old_rng, new_rng = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(4):
+        old = PPoint(fraction_draw(old_rng), fraction_draw(old_rng), 1)
+        assert _point(new_rng, bounds) == old
+        assert new_rng.state == old_rng.state
+    assert SplitMix64(seed).fraction(bounds) == fraction_draw(SplitMix64(seed))

@@ -366,6 +366,21 @@ def test_ratio_value_matches_chart_formula(carrier, m0, m1, m2):
         assert r.value() == _chart_ratio(r)
 
 
+RAT = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(RAT, RAT, st.integers(-50, 50), st.integers(-50, 50), RAT, RAT, RAT)
+@example(F(1), F(2), 0, 3, F(0), F(5), F(-1))  # vertical: the quotient is taken along y
+def test_ratio_pair_is_the_chart_quotient(x0, y0, dx, dy, so, sn, sd):
+    # three finite points x0 + s*dx, y0 + s*dy of one line
+    assume((dx, dy) != (0, 0) and so != sd)
+    origin, num_end, den_end = (A(x0 + s * dx, y0 + s * dy) for s in (so, sn, sd))
+    num, den = Ratio(origin, num_end, den_end).pair()
+    assert den != 0
+    assert F(num, den) == _chart_ratio(Ratio(origin, num_end, den_end)) == (sn - so) / (sd - so)
+
+
 # -- the quadrangle replay --------------------------------------------------------
 
 

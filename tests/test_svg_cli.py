@@ -234,14 +234,41 @@ def test_malformed_env_seed_is_usage_error(monkeypatch, capsys):
     assert "ARGUESIA_SEED" in capsys.readouterr().err
 
 
-def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     from arguesia import cli
 
     def broken(kind, seed, bounds=32):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli, "verify_one", broken)
-    with pytest.raises(ValueError, match="internal fault"):
+    assert main(["verify", "ramee", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("ValueError: internal fault\n")
+
+
+def test_type_error_inside_a_verifier_exits_three(monkeypatch, capsys):
+    import arguesia.theorems as theorems
+
+    def broken(o, p, q):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(theorems, "chord_product", broken)
+    assert main(["verify", "parallel-bornales", "--seed", "1", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "in broken" in err and err.endswith("TypeError: unsupported operand\n")
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupts_and_exits_are_not_internal_errors(monkeypatch, exc):
+    from arguesia import cli
+
+    def interrupted(kind, seed, bounds=32):
+        raise exc()
+
+    monkeypatch.setattr(cli, "verify_one", interrupted)
+    with pytest.raises(exc):
         main(["verify", "ramee", "--seed", "1"])
 
 
@@ -311,7 +338,17 @@ def _false_labels(node) -> list:
      "sigma(a) = c  [sigma(P) = G]"),
     ("beaugrand", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
      "FA.AG/(FC.CG) = BA.AE/(BC.CE)"),
-], ids=["menelaus", "quadrangle", "pencil", "beaugrand"])
+    ("pascal", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
+     "Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)"),
+    ("parallel-bornales", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
+     "IC.IB/(KD.KE) = IQ.IP/(KQ.KP)"),
+    # the involution leaves the base chord point where it is
+    ("retablissement", "partner", lambda real: lambda inv, p: p, "base chord couple swapped"),
+    # moving F off the harmonic point fails the verifier's "input points are
+    # not harmonic" precondition (exit 2), so the midpoint construction breaks
+    ("midpoint", "midpoint", lambda real: lambda p, q: p, "f is the midpoint of cb (metric)"),
+], ids=["menelaus", "quadrangle", "pencil", "beaugrand", "pascal", "parallel-bornales",
+        "retablissement", "midpoint"])
 def test_broken_construction_step_exits_one(monkeypatch, capsys, kind, name, broken, label):
     import arguesia.theorems as theorems
 
@@ -330,3 +367,32 @@ def test_every_table_names_an_instance_kind():
     assert set(svg_figures._FIGURES) == set(instances.KINDS)
     assert {kind for kind, _ in cli.VERIFIERS.values()} <= set(instances.KINDS)
     assert set(cli.REPLAYS) <= set(instances.KINDS)
+
+
+def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
+    # Every valid input satisfies the theorem, and a moved source noeud breaks
+    # the couples' involution (exit 2).  The replay's Menelaus steps compare
+    # products of integer ratio pairs; move the image b of B along the image
+    # line and the step through b, its aggregation and the conclusion fail.
+    import arguesia.menelaus_engine as menelaus_engine
+
+    real = menelaus_engine.check_ramee_replayable
+
+    def moved(arbre, k, delta):
+        pts = real(arbre, k, delta)
+        pts["b"] = delta.point_at(delta.coordinate(pts["b"]) + 1)
+        assert len(set(pts.values())) == len(pts)
+        return pts
+
+    monkeypatch.setattr(menelaus_engine, "check_ramee_replayable", moved)
+    assert main(["verify", "ramee", "--seed", "1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["all_true"] is False
+    (report,) = data["reports"]
+    assert report["verdict"] is False
+    assert all(c["equal"] for c in report["claims"])
+    assert _false_labels(report) == [
+        "bd/bf = (Kd/KD)(2D/2f)",
+        "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
+        "dg.dc/(fg.fc) = db.dh/(fb.fh)",
+    ]
