@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import conic_eval, conic_polar, det3, dot3
-from arguesia.exact_scalar import rat_str
+from arguesia.exact_scalar import InternalError, rat_str
 from arguesia.projective_core import (
     INF,
     AffineChart,
@@ -224,7 +224,7 @@ def conic_line_intersection(c: Conic, l: PLine) -> ChordIntersection:
         coords = tuple(s * x0 + t * x1 for x0, x1 in zip(p0.coords, p1.coords))
         pt = PPoint(*coords)
         if not c.contains(pt):
-            raise ConicError("rational intersection failed exactness check")
+            raise InternalError("rational intersection failed exactness check")
         pts.append(pt)
     return ChordIntersection(disc, tuple(pts))
 
@@ -267,7 +267,7 @@ def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:
         return on_point
     pt = PPoint(*coords)
     if not c.contains(pt):
-        raise ConicError("second intersection failed exactness check")
+        raise InternalError("second intersection failed exactness check")
     return pt
 
 

@@ -25,6 +25,11 @@ class ScalarError(ValueError):
     """Raised for malformed rational text or an impossible square root."""
 
 
+class InternalError(Exception):
+    """An arithmetic self-check failed: a fault of the program, never a
+    precondition of its input, so it is not a ``GeometryError``."""
+
+
 def rat_parse(text: str) -> Rat:
     """Parse ``digits`` or ``digits/digits`` (optional leading minus).
 
@@ -47,15 +52,16 @@ def rat_str(x: Rat) -> str:
 
 
 def square_free_decomposition(n: int) -> tuple[int, int]:
-    """Write n > 0 as s**2 * d with d squarefree; returns (s, d).
+    """Write n > 0 as s**2 * d with no prime below 2**14 dividing d twice.
 
-    Trial division runs only while p**3 <= n, over the cofactor n that
-    shrinks as primes are divided out, so an 80-bit n takes at most about
-    2**26 steps instead of 2**39.  Stopping there is exact: every prime below
-    p is gone from the cofactor and p**3 exceeds it, so it has at most two
-    prime factors and is 1, q, q*q' or q*q.  Only q*q is not squarefree,
-    and isqrt recognises it.  This is the classical split (Cohen, *A Course
-    in Computational Algebraic Number Theory*, 1993, section 1.7).
+    Trial division runs over p < 2**14 and only while p**3 <= n, the
+    cofactor that shrinks as primes are divided out, so no n takes more
+    than 2**13 steps.  Stopping at the cube root is exact: every prime below
+    p is gone from the cofactor and p**3 exceeds it, so it is 1, q, q*q' or
+    q*q, and isqrt recognises q*q; d is then squarefree.  This is the
+    classical split (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 1993, section 1.7).  A cofactor the prime bound leaves, at
+    least 2**42, joins d whole unless it is a square: d is never a square.
     """
     if n <= 0:
         raise ScalarError("square_free_decomposition needs a positive integer")
@@ -64,7 +70,7 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     if r * r == n:
         return r, 1
     p = 2
-    while p * p * p <= n:
+    while p * p * p <= n and p < 1 << 14:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -83,7 +89,8 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
 
 
 class QuadExt(Frozen):
-    """Exact value a + b*sqrt(d) with a, b rational and d a squarefree int > 1.
+    """Exact value a + b*sqrt(d) with a, b rational and d an int > 1 that
+    is not a perfect square and is free of the squares of primes below 2**14.
 
     A value, not a field: it is built only for an involution's irrational
     fixed points (:func:`quad_sqrt` and ``involution.classify``), moved only
@@ -92,9 +99,11 @@ class QuadExt(Frozen):
     irrational value never equals a rational one.
 
     A radicand is checked where it enters: the public constructor rejects
-    a d that is not squarefree, and :func:`quad_sqrt` produces d by the
-    square-free split itself.  Values whose d comes from a checked one are
-    built by :func:`_quad` without factoring d again.
+    a d that :func:`square_free_decomposition` would split further, and
+    :func:`quad_sqrt` produces d by that split itself.  Values whose d comes
+    from a checked one are built by :func:`_quad` without factoring d again.
+    A fixed point's image is compared only with its partner, moved from
+    the same d, so a d that keeps a large prime's square stays sound.
     """
 
     __slots__ = ("a", "b", "d")
@@ -123,7 +132,7 @@ class QuadExt(Frozen):
 
 
 def _quad(a: Rat, b: Rat, d: int) -> QuadExt:
-    """a + b*sqrt(d) for b != 0 and a d already known squarefree > 1."""
+    """a + b*sqrt(d) for b != 0 and a d that quad_sqrt already split."""
     q = object.__new__(QuadExt)
     object.__setattr__(q, "a", a)
     object.__setattr__(q, "b", b)
@@ -135,8 +144,9 @@ def quad_sqrt(x: Rat):
     """Exact square root of a nonnegative rational.
 
     Returns a ``Rat`` when x is a perfect square, otherwise ``QuadExt``
-    b*sqrt(d) with d squarefree.  A negative argument signals the elliptic
-    case: there is no real root, and we refuse rather than approximate.
+    b*sqrt(d) with d from :func:`square_free_decomposition`.  A negative
+    argument signals the elliptic case: there is no real root, and we
+    refuse rather than approximate.
     """
     x = Fraction(x)
     if x < 0:
@@ -148,7 +158,7 @@ def quad_sqrt(x: Rat):
     s, d = square_free_decomposition(n)
     b = Fraction(s, x.denominator)
     if b * b * d != x:  # decomposition is checked, never trusted
-        raise ScalarError(f"square root extraction failed for {x}")
+        raise InternalError(f"square root extraction failed for {x}")
     return b if d == 1 else _quad(Fraction(0), b, d)
 
 

@@ -148,9 +148,10 @@ def _make_menelaus(rng: SplitMix64, bounds: int) -> dict:
 
 
 def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
-    """A generic ramee couple: the drawn data must pass
+    """A generic ramee couple: everything is drawn first, then
     ``check_ramee_replayable``, the precondition of ``replay_ramee_proof``,
-    so the verifier's replay runs on every accepted instance."""
+    decides genericity, so the verifier's replay runs on every accepted
+    instance.  Only the involution and its couples are checked here."""
     chart = _chart(rng, bounds)
     a = rng.int_between(-bounds, bounds)
     b = rng.int_between(-bounds, bounds)
@@ -168,13 +169,6 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     arbre = NodeCouples(chart, tuple(pairs))
     k = _point(rng, bounds)
     delta = _chart(rng, bounds)
-    if incident(k, chart.line) or incident(k, delta.line):
-        raise NonGenericError("projection point on a carrier line")
-    if delta.line == chart.line:
-        raise NonGenericError("image line equals the tronc")
-    for p, q in pairs:
-        if incident(p, delta.line) or incident(q, delta.line):
-            raise NonGenericError("image line through a noeud: shortcut case")
     check_ramee_replayable(arbre, k, delta)
     return {"arbre": arbre, "k": k, "delta": delta, "involution": inv}
 

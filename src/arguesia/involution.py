@@ -28,7 +28,6 @@ from arguesia.projective_core import (
     GeometryError,
     LineMap,
     PPoint,
-    cross_ratio_pairs,
     incident,
     param_str,
 )
@@ -216,31 +215,6 @@ def rectangle_identity_check(nc: NodeCouples) -> tuple[bool, list[dict]]:
         )
         ok = ok and equal
     return ok, report
-
-
-def arrangement(nc: NodeCouples) -> str:
-    """Classify the couple arrangement: "meles", "demeles" or "mixed".
-
-    Two couples interleave when each separates the other on the projective
-    line, i.e. the cross-ratio [a,a';b,b'] is negative; for finite couples
-    this is the usual interval test (exactly one endpoint of one couple
-    strictly inside the other).  A couple containing the point at infinity
-    is handled by the same projective criterion.
-    """
-    pairs = nc.param_pairs()
-    interleaved = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            (a1, a2), (b1, b2) = pairs[i], pairs[j]
-            cr = cross_ratio_pairs(a1, a2, b1, b2)
-            if cr is INF or cr == 0:
-                raise InvolutionError("ambiguous arrangement: coincident points")
-            interleaved.append(cr < 0)
-    if all(interleaved):
-        return "meles"
-    if not any(interleaved):
-        return "demeles"
-    return "mixed"
 
 
 def classify_kind(inv: Involution) -> str:

@@ -271,12 +271,14 @@ def check_ramee_replayable(
 ) -> dict[str, PPoint]:
     """Raise NonGenericError unless ``replay_ramee_proof`` can run on the data.
 
-    This is the replay's whole genericity precondition, and the replay
-    starts by calling it.  It needs no ratio: only the six projections from
-    K onto the image line and, off the shortcut, the four onto the
-    intermediate line join(D, f), with their finiteness and distinctness.
-    Returns those projections by name (b h c g d f 2 3 4 5; on the
-    shortcut f 2 3 4 5).
+    This is the whole genericity precondition of the ramee path: the
+    generator draws and calls it, and the replay starts by calling it.  K
+    must be finite and off both carrier lines, and no noeud may lie on the
+    image line (an image line equal to the tronc carries all six).  It
+    needs no ratio: only the six projections from K onto the image line and
+    the four onto the intermediate line join(D, f), with their finiteness
+    and distinctness.  Returns those projections by name
+    (b h c g d f 2 3 4 5).
     """
     tronc = arbre.chart.line
     if incident(k, tronc) or incident(k, delta.line):
@@ -285,30 +287,23 @@ def check_ramee_replayable(
         raise NonGenericError(
             "projection point at infinity: Thales case, no Menelaus replay"
         )
-    if tronc == delta.line:
-        raise NonGenericError("image line equals the tronc")
+    if any(incident(p, delta.line) for pair in arbre.pairs for p in pair):
+        raise NonGenericError("image line through a noeud")
     (B, H), (C, G), (D, F) = arbre.pairs
     if D.is_at_infinity() or F.is_at_infinity():
         raise NonGenericError("mixed couple (D, F) must be finite for the replay")
 
-    if incident(D, delta.line):
-        pts = {"f": _finite_projection(k, F, delta.line, "f")}
-        for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5")):
-            pts[nm] = _finite_projection(k, p, delta.line, nm)
-        if len({D, *pts.values()}) != 6:
-            raise NonGenericError("image points are not pairwise distinct")
-    else:
-        pts = {
-            nm: _finite_projection(k, p, delta.line, nm)
-            for p, nm in ((B, "b"), (H, "h"), (C, "c"), (G, "g"), (D, "d"), (F, "f"))
-        }
-        if len(set(pts.values())) != 6:
-            raise NonGenericError("image points are not pairwise distinct")
-        inter = join(D, pts["f"])
-        if incident(k, inter):
-            raise NonGenericError("projection point on the intermediate line")
-        for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5")):
-            pts[nm] = _finite_projection(k, p, inter, nm)
+    pts = {
+        nm: _finite_projection(k, p, delta.line, nm)
+        for p, nm in ((B, "b"), (H, "h"), (C, "c"), (G, "g"), (D, "d"), (F, "f"))
+    }
+    if len(set(pts.values())) != 6:
+        raise NonGenericError("image points are not pairwise distinct")
+    inter = join(D, pts["f"])
+    if incident(k, inter):
+        raise NonGenericError("projection point on the intermediate line")
+    for p, nm in ((B, "2"), (C, "3"), (G, "4"), (H, "5")):
+        pts[nm] = _finite_projection(k, p, inter, nm)
     # the replay's ratios X->D : X->F on the tronc need finite noeuds
     if any(p.is_at_infinity() for p in (B, H, C, G)):
         raise NonGenericError("ratio endpoint at infinity")
@@ -320,8 +315,6 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     applications through the intermediate line of the mixed couple (D, f),
     then the alpha aggregations and the conclusion.
 
-    When the image line passes through D the trace degenerates to the
-    single-series shortcut ending in the involution (D,f),(2,5),(3,4).
     Raises NonGenericError exactly when ``check_ramee_replayable`` does,
     which it calls first for the projected points.  Every ratio is built
     once as an integer pair; products, alpha included, multiply pairs, and
@@ -329,15 +322,13 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     """
     pts = check_ramee_replayable(arbre, k, delta)
     (B, H), (C, G), (D, F) = arbre.pairs
-    if incident(D, delta.line):
-        return _replay_ramee_shortcut(arbre, k, delta, pts)
     b, h, c, g, d, f, n2, n3, n4, n5 = (pts[n] for n in "bhcgdf2345")
 
     trace = ProofTrace("ramee")
     trace.notes["images"] = {
         nm: str(delta.coordinate(pt)) for nm, pt in zip("bhcgdf", (b, h, c, g, d, f))
     }
-    trace.notes["shortcut"] = False
+    trace.notes["shortcut"] = False  # always; kept for the printed bytes
 
     kd_over_kD = Ratio(k, d, D).pair()
     image, middle = {}, {}
@@ -404,70 +395,6 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
         "p.12 l.26",
         kind="conclusion",
         couples="df, cg, bh",
-    )
-    return trace
-
-
-def _replay_ramee_shortcut(
-    arbre: NodeCouples, k: PPoint, delta: AffineChart, pts: dict[str, PPoint]
-) -> ProofTrace:
-    """Projection onto a line through D: one series of four suffices and the
-    image couples are (D, f), (2, 5), (3, 4).  Ratios are integer pairs,
-    as in ``replay_ramee_proof``."""
-    (B, H), (C, G), (D, F) = arbre.pairs
-    f, n2, n3, n4, n5 = (pts[n] for n in "f2345")
-
-    trace = ProofTrace("ramee")
-    trace.notes["shortcut"] = True
-    trace.notes["images"] = {
-        nm: str(delta.coordinate(pt))
-        for nm, pt in (("D", D), ("f", f), ("2", n2), ("3", n3), ("4", n4), ("5", n5))
-    }
-
-    kF_over_kf = Ratio(k, F, f).pair()
-    image, source = {}, {}
-    for n_pt, x_pt, nn, xn, cite in (
-        (n4, G, "4", "G", "p.11 l.45"),
-        (n3, C, "3", "C", "p.11 l.47"),
-        (n2, B, "2", "B", "p.11 l.49"),
-        (n5, H, "5", "H", "p.11 l.51"),
-    ):
-        image[nn] = Ratio(n_pt, D, f).pair()
-        source[xn] = Ratio(x_pt, D, F).pair()
-        trace.add(
-            f"{nn}D/{nn}f = ({xn}D/{xn}F)(KF/Kf)",
-            Fraction(*image[nn]),
-            Fraction(*_times(source[xn], kF_over_kf)),
-            cite,
-            kind="menelaus",
-            series=1,
-            tronc=f"{nn}K{xn}",
-        )
-
-    beta = _times(kF_over_kf, kF_over_kf)
-    lhs_25 = Fraction(*_times(image["2"], image["5"]))
-    trace.add(
-        "D2.D5/(f2.f5) = (KF/Kf)^2.DB.DH/(FB.FH)",
-        lhs_25,
-        Fraction(*_times(beta, source["B"], source["H"])),
-        "p.12 l.7",
-        kind="aggregation",
-    )
-    lhs_34 = Fraction(*_times(image["3"], image["4"]))
-    trace.add(
-        "D3.D4/(f3.f4) = (KF/Kf)^2.DC.DG/(FC.FG)",
-        lhs_34,
-        Fraction(*_times(beta, source["C"], source["G"])),
-        "p.12 l.11",
-        kind="aggregation",
-    )
-    trace.add(
-        "D2.D5/(f2.f5) = D3.D4/(f3.f4)",
-        lhs_25,
-        lhs_34,
-        "p.12 l.26",
-        kind="conclusion",
-        couples="Df, 25, 34",
     )
     return trace
 

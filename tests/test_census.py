@@ -16,8 +16,6 @@ LIBRARY = Path(__file__).resolve().parent.parent / "src" / "arguesia"
 ALLOWLIST = {
     "decompose_ratio": "Desargues' combinatorial decomposition of a brin ratio, "
     "the centre of the paper; kept for a second route to the Menelaus verdict",
-    "arrangement": "meles/demeles order of three couples (the paper's "
-    "classification); kept for a second route to the involution kind",
     "affine_point": "test fixture: builds points from affine coordinates",
     "from_json": "test fixture: reads points back from the library's own JSON",
     "menelaus_steps": "test fixture: selects the Menelaus steps of a proof trace",

@@ -77,7 +77,7 @@ def test_exactly_three_degenerate_members_on_100_quadrangles():
     # (1:0), (0:1) and one more, which must be the third bornale pair
     rng = SplitMix64.for_kind("three-degenerate", 9)
     done = 0
-    while done < 100:
+    for _ in range(300):
         pts = []
         while len(pts) < 4:
             t = rng.fraction(10)
@@ -103,6 +103,9 @@ def test_exactly_three_degenerate_members_on_100_quadrangles():
             if mu3 * lam != lam3 * mu:
                 assert _pencil_det(pen, lam, mu) != 0
         done += 1
+        if done == 100:
+            break
+    assert done == 100
 
 
 def _pencil_det(pen, lam, mu):

@@ -108,44 +108,71 @@ def test_square_free_decomposition_matches_brute_force(n):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 65521, 65537, 65539, 1048573)
+PRIME_BOUND = 2**14
+
+
+def _assert_split(n, s, d):
+    """The split's contract: s*s*d = n, and no prime below 2**14 divides d
+    twice (checked over every k below 2**14: a square k*k divides d only
+    if the square of one of k's primes does)."""
+    assert s * s * d == n
+    assert all(d % (k * k) for k in range(2, PRIME_BOUND))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(_SMALL_PRIMES), st.integers(1, 3)),
                 min_size=1, max_size=4))
 def test_square_free_decomposition_of_known_factorizations(factors):
+    # primes below 2**14 split by their exponents; the product L of the
+    # larger ones (all above the prime bound) is left whole unless a square
     exps = {}
     for p, e in factors:
         exps[p] = exps.get(p, 0) + e
-    n, s, d = 1, 1, 1
+    n, s, d, large = 1, 1, 1, 1
     for p, e in exps.items():
         n *= p**e
-        s *= p ** (e // 2)
-        d *= p ** (e % 2)
+        if p < PRIME_BOUND:
+            s *= p ** (e // 2)
+            d *= p ** (e % 2)
+        else:
+            large *= p**e
+    root = isqrt(large)
+    if root * root == large:
+        s *= root
+    else:
+        d *= large
     assert square_free_decomposition(n) == (s, d)
+    _assert_split(n, s, d)
 
 
 # Primes near 2**12, 2**16 and 2**24: their products sit on either side of
-# the cube-root cutoff at sizes up to about 50 bits.
+# the cube-root cutoff and of the prime bound 2**14 at sizes up to about 50
+# bits.  A cofactor of 2**42 or more with no prime factor below 2**14 is
+# left whole unless it is a square, so the squares of the 16-bit primes stay
+# in d.
 P12 = _primes_from(2**12 - 40, 2)
 P16 = _primes_from(2**16 - 40, 3)
 P24 = _primes_from(2**24 - 40, 2)
+Q13 = _primes_from(2**13, 1)[0]  # below the prime bound: still divided out
 
 
 @pytest.mark.parametrize("n, expected", [
     (6 * P24[0] ** 2, (P24[0], 6)),  # p*p left above the cutoff: found by isqrt
     (P24[0] * P24[1], (1, P24[0] * P24[1])),  # p*q left above the cutoff
-    (P16[0] ** 2 * P16[1], (P16[0], P16[1])),  # p*p*q, smaller prime squared
-    (P16[1] ** 2 * P16[0], (P16[1], P16[0])),  # p*p*q, larger prime squared
-    (P16[0] ** 3, (P16[0], P16[0])),  # q**3: the cutoff is reached exactly
-    (P16[0] ** 3 * 2, (P16[0], 2 * P16[0])),
+    (P16[0] ** 2 * P16[1], (1, P16[0] ** 2 * P16[1])),  # p*p*q above the prime bound
+    (P16[1] ** 2 * P16[0], (1, P16[1] ** 2 * P16[0])),
+    (P16[0] ** 3, (1, P16[0] ** 3)),  # q**3: the prime bound stops first
+    (P16[0] ** 3 * 2, (1, 2 * P16[0] ** 3)),
     (P16[0] * P16[1] * P16[2], (1, P16[0] * P16[1] * P16[2])),  # three primes near the cube root
     (P12[0] ** 2 * P24[0], (P12[0], P24[0])),
     (P12[0] * P12[1] * P24[0], (1, P12[0] * P12[1] * P24[0])),
+    (Q13**3, (Q13, Q13)),
+    (Q13**2 * P12[0], (Q13, P12[0])),
 ])
 def test_square_free_decomposition_near_cube_root_cutoff(n, expected):
     assert n < 2**51
     assert square_free_decomposition(n) == expected
+    _assert_split(n, *expected)
 
 
 def _count_square_free_calls(monkeypatch):

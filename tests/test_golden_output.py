@@ -6,8 +6,8 @@ ramee runs again at wide bounds, where the discriminants are large enough
 that square roots need real factoring.  The digests pin every output byte, so a change to the
 arithmetic that alters a value, a canonical form or the order of claims
 shows up here; a change that only makes the same bytes faster leaves them
-alone.  Every verify kind also runs once at ``--bounds 10**12`` under a
-time budget.  Two start-up checks run in fresh interpreters: importing
+alone.  Every verify kind also runs at ``--bounds`` 10**12, 10**18 and
+10**30 under a time budget.  Two start-up checks run in fresh interpreters: importing
 ``arguesia.cli`` loads neither ``dataclasses`` nor the SVG renderer, and
 ``figure`` loads the renderer and still writes the golden bytes.
 """
@@ -84,15 +84,27 @@ def test_golden_figure(kind, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FIGURES[kind]
 
 
-@pytest.mark.parametrize("kind", VERIFY_KINDS)
-def test_verify_at_bounds_1e12_finishes(kind):
-    # ~80-bit discriminants: square roots must not fall back on O(sqrt n) trial division
+def _verify_finishes(*args):
     proc = subprocess.run(
-        [sys.executable, "-m", "arguesia.cli", "verify", kind, "--bounds", "1000000000000"],
+        [sys.executable, "-m", "arguesia.cli", "verify", *args],
         env=_subprocess_env(), capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("1/1 verdicts true\n")
+
+
+@pytest.mark.parametrize("kind", VERIFY_KINDS)
+def test_verify_at_bounds_1e12_finishes(kind):
+    # ~80-bit discriminants and up: square roots must not fall back on
+    # O(sqrt n) trial division, nor on trial division to the cube root
+    for bounds in (10**12, 10**18, 10**30):
+        _verify_finishes(kind, "--bounds", str(bounds))
+
+
+def test_verify_ramee_at_bounds_1e18_seed_3_finishes():
+    # its discriminant has no small prime factor: trial division to the
+    # cube root ran past 40 s, and the prime bound 2**14 stops it
+    _verify_finishes("ramee", "--bounds", str(10**18), "--seed", "3")
 
 
 def _subprocess_env() -> dict:

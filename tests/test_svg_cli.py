@@ -260,6 +260,54 @@ def test_type_error_inside_a_verifier_exits_three(monkeypatch, capsys):
     assert "in broken" in err and err.endswith("TypeError: unsupported operand\n")
 
 
+def _assert_internal_error(capsys, argv, message):
+    # a failed arithmetic self-check is the program's fault: exit 3 with a
+    # traceback, not a usage error and not a retried precondition
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith(f"arguesia.exact_scalar.InternalError: {message}\n")
+
+
+def test_failed_square_root_split_is_an_internal_error(monkeypatch, capsys):
+    import arguesia.exact_scalar as exact_scalar
+
+    monkeypatch.setattr(exact_scalar, "square_free_decomposition", lambda n: (1, n + 1))
+    _assert_internal_error(
+        capsys, ["verify", "ramee", "--seed", "1"], "square root extraction failed for 705"
+    )
+
+
+def test_off_conic_chord_point_is_an_internal_error(monkeypatch, capsys):
+    import arguesia.conics as conics
+
+    real = conics.Conic.contains
+
+    def contains(self, p):
+        # only the chord points built by conic_line_intersection miss the conic
+        return real(self, p) and sys._getframe(1).f_code.co_name != "conic_line_intersection"
+
+    monkeypatch.setattr(conics.Conic, "contains", contains)
+    _assert_internal_error(
+        capsys,
+        ["verify", "beaugrand", "--seed", "1"],
+        "rational intersection failed exactness check",
+    )
+
+
+def test_off_conic_second_intersection_is_an_internal_error(monkeypatch, capsys):
+    import arguesia.conics as conics
+
+    real = conics._bilinear
+    monkeypatch.setattr(conics, "_bilinear", lambda c, p, q: real(c, p, q) + 1)
+    _assert_internal_error(
+        capsys,
+        ["verify", "pencil", "--seed", "1"],
+        "second intersection failed exactness check",
+    )
+
+
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_interrupts_and_exits_are_not_internal_errors(monkeypatch, exc):
     from arguesia import cli
