@@ -179,9 +179,8 @@ def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:
     q = QuadrangleConfig(bornes, transversal)
     if q.pivot.is_at_infinity():
         raise NonGenericError("pivot F at infinity")
-    for name, p in q.diagonal_points().items():
-        if name != "N" and p.is_at_infinity():
-            raise NonGenericError(f"diagonal point {name} at infinity")
+    if q.diagonal_points()["R"].is_at_infinity():
+        raise NonGenericError("diagonal point R at infinity")
     return {"quadrangle": q}
 
 

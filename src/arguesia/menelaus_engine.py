@@ -272,7 +272,8 @@ def check_ramee_replayable(
     """Raise NonGenericError unless ``replay_ramee_proof`` can run on the data.
 
     This is the whole genericity precondition of the ramee path: the
-    generator draws and calls it, and the replay starts by calling it.  K
+    generator draws and calls it, and the replay starts by calling it, so
+    it is also the only precondition of ``theorems.verify_ramee``.  K
     must be finite and off both carrier lines, and no noeud may lie on the
     image line (an image line equal to the tronc carries all six).  It
     needs no ratio: only the six projections from K onto the image line and

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, rat_str, scalar_str
+from arguesia.exact_scalar import InternalError, QuadExt, rat_str, scalar_str
 from arguesia.conics import (
     Conic,
     ConicError,
@@ -35,6 +35,7 @@ from arguesia.involution import (
     involution_json,
     partner,
     partner_param,
+    rectangle_identity_check,
 )
 from arguesia.menelaus_engine import (
     NonGenericError,
@@ -263,19 +264,14 @@ class QuadrangleConfig(Frozen):
 def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremReport:
     """Project the six noeuds from K and verify the images stay in involution.
 
-    Claims: the image couples pass both the rectangle-identity and the
-    homography checks; the hyperbolic/elliptic class is preserved; each
-    fixed point maps exactly to a fixed point.  An image couple containing
-    the point at infinity is checked through its souche instead of the
-    rectangle form.  Finite K in generic position also attaches the full
-    Menelaus replay trace.
+    The data must pass ``check_ramee_replayable`` (NonGenericError
+    otherwise), so K and the six images are finite.  Claims: the image
+    couples pass the rectangle identities, and, as a separate claim, the
+    homography check; the hyperbolic/elliptic class is preserved; each
+    fixed point maps exactly to a fixed point.  The Menelaus replay trace
+    is attached.
     """
-    tronc = nc.chart.line
-    if incident(k, tronc) or incident(k, delta.line):
-        raise GeometryError("projection point lies on a carrier line")
-    if tronc == delta.line:
-        raise GeometryError("image line equals the tronc")
-
+    trace = replay_ramee_proof(nc, k, delta)
     report = TheoremReport(
         "ramee",
         inputs={
@@ -284,54 +280,25 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
             "delta": delta.to_json(),
         },
     )
-    report.notes["k_at_infinity"] = k.is_at_infinity()
+    report.notes["k_at_infinity"] = False  # always; kept for the printed bytes
 
     pi = perspective_map(k, nc.chart, delta)
-    image_pairs = tuple(
-        (pi.apply_point(p), pi.apply_point(q)) for p, q in nc.pairs
+    image_nc = NodeCouples(
+        delta, tuple((pi.apply_point(p), pi.apply_point(q)) for p, q in nc.pairs)
     )
     source_inv = nc_involution(nc)
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
-    all_finite = all(
-        not p.is_at_infinity() and not q.is_at_infinity() for p, q in image_pairs
-    )
-    if all_finite:
-        image_nc = NodeCouples(delta, image_pairs)
-        eq = equivalence_check(image_nc)
-        for ident in eq["identities"]:
-            report.claims.append(
-                {
-                    "label": "image " + ident["label"],
-                    "lhs": ident["lhs"],
-                    "rhs": ident["rhs"],
-                    "equal": ident["equal"],
-                }
-            )
-        report.claim_true("image couples in involution (homography)", eq["equivalent"])
-        if eq["involution"] is not None:
-            report.claim(
-                "conjugate involution equals image involution",
-                phi_conjugate.map.matrix,
-                eq["involution"].map.matrix,
-            )
-    else:
-        # souche characterization replaces the rectangle form
-        for (p, q), name in zip(image_pairs, ("bh", "cg", "df")):
-            if p.is_at_infinity() or q.is_at_infinity():
-                fin = q if p.is_at_infinity() else p
-                souche = phi_conjugate.map.apply_param(INF)
-                report.claim(
-                    f"souche pairing for image couple {name}",
-                    souche,
-                    delta.coordinate(fin),
-                )
-            else:
-                report.claim(
-                    f"image couple {name} swapped by conjugate involution",
-                    partner(phi_conjugate, p),
-                    q,
-                )
+    for ident in rectangle_identity_check(image_nc)[1]:
+        report.claims.append(ident | {"label": "image " + ident["label"]})
+    eq = equivalence_check(image_nc)
+    report.claim_true("image couples in involution (homography)", eq["equivalent"])
+    if eq["involution"] is not None:
+        report.claim(
+            "conjugate involution equals image involution",
+            phi_conjugate.map.matrix,
+            eq["involution"].map.matrix,
+        )
 
     src_cls = classify(source_inv)
     report.claim(
@@ -344,14 +311,7 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
             partner_param(phi_conjugate, t_img),
             t_img,
         )
-
-    if not k.is_at_infinity():
-        try:
-            report.trace = replay_ramee_proof(nc, k, delta)
-        except NonGenericError as exc:
-            report.notes["replay_skipped"] = str(exc)
-    else:
-        report.notes["replay_skipped"] = "Thales case: parallel rameaux"
+    report.trace = trace
     return report
 
 
@@ -373,8 +333,9 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
     Closed form from the cross-ratio equation, and the ruler construction:
     a secant through D carrying two points with D as midpoint, their joins
     to B and C meeting in K, then F on BC along the parallel to the secant
-    through K.  Both must agree exactly; D at the midpoint of BC yields the
-    point at infinity, which is a result, not an error.
+    through K.  Both must agree exactly (InternalError otherwise, a fault of
+    the program); D at the midpoint of BC yields the point at infinity,
+    which is a result, not an error.
     """
     if len({b, c, d}) != 3:
         raise GeometryError("harmonic conjugate needs three distinct points")
@@ -387,7 +348,7 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
     f_closed = chart.point_at(t)
     f_built = _harmonic_by_construction(b, c, d)
     if f_built is not None and f_built != f_closed:
-        raise GeometryError("harmonic constructions disagree")
+        raise InternalError("harmonic constructions disagree")
     return f_closed
 
 
@@ -583,25 +544,20 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
 def quadrangle_involution(q: QuadrangleConfig):
     """The three transversal couples are in involution; returns the
     involution (built from two couples) plus a report carrying the
-    rectangle identities, the match with the three-perspective
-    construction and the pivot-based Menelaus replay."""
+    rectangle identities, the homography check, the match with the
+    three-perspective construction and the pivot-based Menelaus replay
+    (NonGenericError for a pivot F at infinity)."""
     report = TheoremReport("quadrangle_involution", inputs=q.to_json())
     nc = q.node_couples()
+    report.claims.extend(rectangle_identity_check(nc)[1])
     eq = equivalence_check(nc)
-    for ident in eq["identities"]:
-        report.claims.append(dict(ident))
     report.claim_true("couples (I,K), (P,Q), (G,H) in involution", eq["equivalent"])
     inv = eq["involution"]
     if inv is None:
         raise InvolutionError("quadrangle couples did not determine an involution")
     report.claim("involution swaps G and H", partner(inv, q.G), q.H)
     report.notes["involution"] = involution_json(inv)
-    try:
-        report.trace = replay_quadrangle_proof(q)
-    except NonGenericError as exc:
-        # pivot F at infinity (parallel bornale couple): the identities above
-        # still decide the theorem, only the pivot replay is unavailable
-        report.notes["replay_skipped"] = str(exc)
+    report.trace = replay_quadrangle_proof(q)
     by_persp = desargues_involution_by_perspectives(q)
     report.claim("three-perspective construction matches", by_persp.map.matrix, inv.map.matrix)
     return inv, report

@@ -257,10 +257,15 @@ def test_involution_invariants_rejected():
 
 
 def test_equivalence_check_positive_and_negative():
+    # each route through its own function: the homography check and the
+    # rectangle identities
     eq = equivalence_check(FOUR_OVER_X)
-    assert eq["equivalent"] and eq["rectangle_identities"]
-    bad = equivalence_check(couples((1, 4), (8, (1, 2)), (-1, -5)))
-    assert not bad["equivalent"] and not bad["rectangle_identities"]
+    assert set(eq) == {"equivalent", "involution"}
+    assert eq["equivalent"] and eq["involution"].map.matrix == (0, 4, 1, 0)
+    assert rectangle_identity_check(FOUR_OVER_X)[0]
+    bad = couples((1, 4), (8, (1, 2)), (-1, -5))
+    assert not equivalence_check(bad)["equivalent"]
+    assert not rectangle_identity_check(bad)[0]
 
 
 def test_equivalence_closure_by_construction():
@@ -307,10 +312,8 @@ def test_equivalence_500_random_involutions():
                 continue
             pts.append((t, u))
         nc = NodeCouples(CH, tuple((CH.point_at(t), CH.point_at(u)) for t, u in pts))
-        eq = equivalence_check(nc)
-        assert eq["equivalent"], f"failed at trial {done}"
-        if eq["rectangle_identities"] is not None:
-            assert eq["rectangle_identities"]
+        assert equivalence_check(nc)["equivalent"], f"failed at trial {done}"
+        assert rectangle_identity_check(nc)[0], f"failed at trial {done}"
         done += 1
 
 
@@ -337,17 +340,52 @@ def _with_doubled_couple(t):
 
 
 def test_doubled_couple_at_a_fixed_point_is_in_involution():
-    eq = equivalence_check(_with_doubled_couple(F(3)))
-    assert eq["equivalent"] is True
-    assert eq["rectangle_identities"] is True
-    assert all(r["equal"] for r in eq["identities"])
+    nc = _with_doubled_couple(F(3))
+    assert equivalence_check(nc)["equivalent"] is True
+    ok, report = rectangle_identity_check(nc)
+    assert ok is True and all(r["equal"] for r in report)
 
 
 def test_doubled_couple_off_the_fixed_points_is_not_in_involution():
-    eq = equivalence_check(_with_doubled_couple(F(5)))  # 5 -> 7/3
-    assert eq["equivalent"] is False
-    assert eq["rectangle_identities"] is False
-    assert not all(r["equal"] for r in eq["identities"])
+    nc = _with_doubled_couple(F(5))  # 5 -> 7/3
+    assert equivalence_check(nc)["equivalent"] is False
+    ok, report = rectangle_identity_check(nc)
+    assert ok is False and not all(r["equal"] for r in report)
+
+
+def test_rectangle_and_homography_routes_agree_on_seeded_couples():
+    # The two forms of Desargues' involution are checked apart; this is the
+    # agreement they must keep.  Finite couples of a random involution on
+    # TILTED (the third one doubled at a rational fixed point when there is
+    # one), then the same couples with one point moved along the line.
+    rng = SplitMix64.for_kind("routes-agree", 1)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        a, b, c = (rng.int_between(-12, 12) for _ in range(3))
+        if c == 0 or a * a + b * c == 0:
+            continue
+        inv = Involution(LineMap((a, b, c, -a), TILTED, TILTED))
+        fixed = [t for t in classify(inv)["fixed_points"] if isinstance(t, F)][:1]
+        taken, params = set(fixed), []
+        while len(params) < 6 - 2 * len(fixed):
+            t = rng.fraction(20)
+            u = partner_param(inv, t)
+            if u is INF or u == t or t in taken or u in taken:
+                continue
+            taken |= {t, u}
+            params += [t, u]
+        params += fixed * 2
+        slot, shift = rng.below(6), rng.nonzero_fraction(20)
+        for flat in (params, params[:slot] + [params[slot] + shift] + params[slot + 1:]):
+            pts = [TILTED.point_at(t) for t in flat]
+            try:
+                nc = NodeCouples(TILTED, tuple(zip(pts[0::2], pts[1::2])))
+            except InvolutionError:
+                continue  # the moved point landed on another couple's point
+            agreed = equivalence_check(nc)["equivalent"]
+            assert rectangle_identity_check(nc)[0] == agreed, flat
+            seen[agreed] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
 def test_involution_json_serialization():

@@ -444,3 +444,48 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
         "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
         "dg.dc/(fg.fc) = db.dh/(fb.fh)",
     ]
+
+
+@pytest.mark.parametrize("argv", (
+    ["construct", "harmonic", "--b", "0", "--c", "2", "--d", "3"],
+    # the generator retries preconditions only, so the fault is not hidden
+    # as an exhausted retry budget
+    ["verify", "midpoint", "--seed", "1"],
+), ids=["construct", "verify-midpoint"])
+def test_harmonic_construction_disagreement_is_an_internal_error(monkeypatch, capsys, argv):
+    import arguesia.theorems as theorems
+
+    # the ruler construction lands on B instead of the harmonic conjugate
+    monkeypatch.setattr(theorems, "_harmonic_by_construction", lambda b, c, d: b)
+    _assert_internal_error(capsys, argv, "harmonic constructions disagree")
+
+
+@pytest.mark.parametrize("kind, label, homography", [
+    ("ramee", "image GF.GD/(CF.CD) = GB.GH/(CB.CH)", "image couples in involution (homography)"),
+    ("quadrangle", "GF.GD/(CF.CD) = GB.GH/(CB.CH)", "couples (I,K), (P,Q), (G,H) in involution"),
+], ids=["ramee", "quadrangle"])
+def test_broken_rectangle_route_exits_one(monkeypatch, capsys, kind, label, homography):
+    # The rectangle identities and the homography check are separate claims:
+    # a fault in the rectangle route falsifies its own claims and leaves the
+    # homography claim true.
+    import itertools
+
+    import arguesia.involution as involution
+
+    real = involution._rect_pair
+    calls = itertools.count()
+
+    def left_side_plus_one(e1, e2, w1, w2):
+        # each identity computes its left side first; add 1 to that side only
+        num, den = real(e1, e2, w1, w2)
+        return (num + den, den) if next(calls) % 2 == 0 else (num, den)
+
+    monkeypatch.setattr(involution, "_rect_pair", left_side_plus_one)
+    assert main(["verify", kind, "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["all_true"] is False
+    (report,) = data["reports"]
+    assert report["verdict"] is False
+    claims = {c["label"]: c["equal"] for c in report["claims"]}
+    assert claims[label] is False
+    assert claims[homography] is True

@@ -13,7 +13,7 @@ from arguesia.conics import (
 )
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import Involution, NodeCouples, classify, classify_kind, equivalence_check
-from arguesia.menelaus_engine import NonGenericError
+from arguesia.menelaus_engine import NonGenericError, check_ramee_replayable
 from arguesia.projective_core import (
     INF,
     GeometryError,
@@ -26,6 +26,7 @@ from arguesia.projective_core import (
     default_chart,
     incident,
     join,
+    parallel_line_through,
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
@@ -71,31 +72,32 @@ def test_verify_ramee_generic():
     assert "classification preserved" in labels
 
 
-def test_verify_ramee_k_at_infinity_thales_path():
-    rep = verify_ramee(arbre_4_over_x(), PPoint(1, 2, 0), default_chart(join(A(0, 1), A(5, 2))))
-    assert rep.verdict
-    assert rep.trace is None
-    assert rep.notes["replay_skipped"] == "Thales case: parallel rameaux"
+def _delta_parallel_to_rameau_dk():
+    # the image line parallel to the rameau DK (D = -1, K = (2, 3)) sends
+    # the image of D to infinity
+    return default_chart(parallel_line_through(join(pt(-1), A(2, 3)), A(0, 7)))
+
+
+@pytest.mark.parametrize("k, delta, message", [
+    (PPoint(1, 2, 0), lambda: default_chart(join(A(0, 1), A(5, 2))),
+     "projection point at infinity: Thales case, no Menelaus replay"),
+    (A(2, 3), _delta_parallel_to_rameau_dk, "image d at infinity; configuration not generic"),
+    (A(2, 3), lambda: default_chart(join(pt(8), A(0, 7))), "image line through a noeud"),
+], ids=["k-at-infinity", "image-at-infinity", "image-line-through-noeud"])
+def test_verify_ramee_rejects_what_the_replay_rejects(k, delta, message):
+    # check_ramee_replayable is verify_ramee's only precondition
+    arbre, delta = arbre_4_over_x(), delta()
+    with pytest.raises(NonGenericError) as want:
+        check_ramee_replayable(arbre, k, delta)
+    assert str(want.value) == message
+    with pytest.raises(NonGenericError) as got:
+        verify_ramee(arbre, k, delta)
+    assert str(got.value) == message
 
 
 def test_verify_ramee_rejects_k_on_carrier():
     with pytest.raises(GeometryError):
         verify_ramee(arbre_4_over_x(), A(3, 0), default_chart(join(A(0, 1), A(5, 2))))
-
-
-def test_verify_ramee_image_at_infinity_uses_souche():
-    # image line through C=8's rameau direction: make the image of D infinite
-    arbre = arbre_4_over_x()
-    k = A(2, 3)
-    d_pt = pt(-1)
-    rameau = join(d_pt, k)
-    # delta parallel to rameau DK, through a harmless finite point
-    from arguesia.projective_core import infinity_point_of, parallel_line_through
-
-    delta_line = parallel_line_through(rameau, A(0, 7))
-    rep = verify_ramee(arbre, k, default_chart(delta_line))
-    assert rep.verdict
-    assert any("souche pairing" in c["label"] for c in rep.claims)
 
 
 def test_verify_ramee_500_seed_property():
@@ -198,13 +200,22 @@ def quad_config():
     )
 
 
-def test_quadrangle_involution_square_example():
+def test_quadrangle_involution_example():
+    _, rep = quadrangle_involution(quad_config())
+    assert rep.verdict and rep.trace is not None and len(rep.trace.steps) == 6
+    assert [c["equal"] for c in rep.claims] == [True] * 6
+
+
+def test_quadrangle_involution_square_needs_a_finite_pivot():
+    # BE and DC are parallel, so the pivot F of the Menelaus replay is at
+    # infinity: the replay's NonGenericError, as _make_quadrangle rejects it
     q = QuadrangleConfig(
         (A(-1, -1), A(1, -1), A(1, 1), A(-1, 1)),
         default_chart(PLine(F(1, 3), -1, F(1, 5))),
     )
-    inv, rep = quadrangle_involution(q)
-    assert rep.verdict
+    assert q.pivot.is_at_infinity()
+    with pytest.raises(NonGenericError, match="^ratio endpoint at infinity$"):
+        quadrangle_involution(q)
 
 
 def test_quadrangle_and_perspectives_agree_200_seeds():
