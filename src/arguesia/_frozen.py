@@ -4,8 +4,9 @@ A subclass names its fields in ``_fields`` and sets them in ``__init__``
 through ``object.__setattr__``; afterwards assignment and deletion raise
 ``AttributeError``.  Instances compare equal when they have the same class
 and equal fields, hash as ``hash((field1, ...))`` and print as
-``Name(field1=..., ...)``.  The hot classes of ``projective_core`` and
-``exact_scalar`` write these methods out by hand.
+``Name(field1=..., ...)``.  A slotted subclass declares
+``__slots__ = _fields = (...)``.  ``PPoint`` and ``PLine``, the classes
+compared most often, write ``__eq__`` and ``__hash__`` out by hand.
 """
 
 

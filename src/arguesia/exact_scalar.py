@@ -98,46 +98,24 @@ class QuadExt(Frozen):
     hashed and printed.  Values with b = 0 are never built, so an
     irrational value never equals a rational one.
 
-    A radicand is checked where it enters: the public constructor rejects
-    a d that :func:`square_free_decomposition` would split further, and
-    :func:`quad_sqrt` produces d by that split itself.  Values whose d comes
-    from a checked one are built by :func:`_quad` without factoring d again.
-    A fixed point's image is compared only with its partner, moved from
-    the same d, so a d that keeps a large prime's square stays sound.
+    Every d is split by :func:`square_free_decomposition` in
+    :func:`quad_sqrt` and carried unchanged from there, so the constructor
+    does not factor it again.  A fixed point's image is compared only with
+    its partner, moved from the same d, so a d that keeps a large prime's
+    square stays sound.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = _fields = ("a", "b", "d")
 
     def __init__(self, a: Rat, b: Rat, d: int):
+        if b == 0:
+            raise ScalarError("QuadExt with b = 0 must be a plain Rat")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-        if b == 0:
-            raise ScalarError("QuadExt with b = 0 must be a plain Rat")
-        if d <= 1 or square_free_decomposition(d)[1] != d:
-            raise ScalarError(f"radicand must be squarefree > 1, got {d}")
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def _quad(a: Rat, b: Rat, d: int) -> QuadExt:
-    """a + b*sqrt(d) for b != 0 and a d that quad_sqrt already split."""
-    q = object.__new__(QuadExt)
-    object.__setattr__(q, "a", a)
-    object.__setattr__(q, "b", b)
-    object.__setattr__(q, "d", d)
-    return q
 
 
 def quad_sqrt(x: Rat):
@@ -159,7 +137,7 @@ def quad_sqrt(x: Rat):
     b = Fraction(s, x.denominator)
     if b * b * d != x:  # decomposition is checked, never trusted
         raise InternalError(f"square root extraction failed for {x}")
-    return b if d == 1 else _quad(Fraction(0), b, d)
+    return b if d == 1 else QuadExt(Fraction(0), b, d)
 
 
 def scalar_str(x) -> str:

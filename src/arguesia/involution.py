@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, _quad, quad_sqrt, rat_str
+from arguesia.exact_scalar import QuadExt, quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,
     AffineChart,
@@ -251,7 +251,7 @@ def classify(inv: Involution) -> dict:
     elif isinstance(root, QuadExt):
         # (a +- b*sqrt(d))/c, built as a/c +- (b/c)*sqrt(d)
         centre, half = Fraction(a, c), root.b / c
-        fixed = (_quad(centre, half, root.d), _quad(centre, -half, root.d))
+        fixed = (QuadExt(centre, half, root.d), QuadExt(centre, -half, root.d))
     else:
         fixed = ((a + root) / c, (a - root) / c)
     return {"kind": "hyperbolic", "fixed_points": fixed, "discriminant": disc}

@@ -8,9 +8,10 @@ dedicated ``INF`` symbol; homographies of a line act on parameters through
 2x2 integer matrices applied to projective parameter pairs, which makes the
 limit cases exact rather than special-cased.
 
-A minimal projective 3-space (quadruples, planes, central projection, exact
-coordinatization of a plane) supports transporting configurations between
-the base and cutting planes of a cone.
+A minimal projective 3-space (points and planes as integer quadruples, a
+deterministic chart on each plane) carries configurations between the base
+and cutting planes of a cone: the central projection from the apex is one
+3x3 integer matrix on the two charts, :func:`plane_perspectivity`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from arguesia._kernel import (
     norm_mat2,
 )
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, Rat, _quad, rat_str
+from arguesia.exact_scalar import QuadExt, Rat, rat_str
 
 
 class GeometryError(ValueError):
@@ -243,7 +244,7 @@ class AffineChart(Frozen):
     segment ratios along the line.
     """
 
-    __slots__ = ("line", "origin", "unit")
+    __slots__ = _fields = ("line", "origin", "unit")
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint):
         object.__setattr__(self, "line", line)
@@ -255,14 +256,6 @@ class AffineChart(Frozen):
             raise GeometryError("chart origin and unit must be finite")
         if not (incident(origin, line) and incident(unit, line)):
             raise GeometryError("chart base points must lie on the chart line")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.line, self.origin, self.unit) == (other.line, other.origin, other.unit)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.line, self.origin, self.unit))
 
     def param_pair(self, p: PPoint) -> tuple[int, int]:
         """Projective parameter pair (u : v) with t = u/v and INF = (1 : 0)."""
@@ -348,7 +341,7 @@ def default_chart(line: PLine) -> AffineChart:
 class LineMap(Frozen):
     """Homography between charted lines: t -> (m00*t + m01)/(m10*t + m11)."""
 
-    __slots__ = ("matrix", "src", "dst")
+    __slots__ = _fields = ("matrix", "src", "dst")
 
     def __init__(self, matrix, src: AffineChart, dst: AffineChart):
         m = norm_mat2(tuple(int(e) for e in matrix))
@@ -357,14 +350,6 @@ class LineMap(Frozen):
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.matrix, self.src, self.dst) == (other.matrix, other.src, other.dst)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.matrix, self.src, self.dst))
 
     def apply_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
         a, b, c, d = self.matrix
@@ -431,7 +416,7 @@ def _apply_quad(matrix, t: QuadExt) -> QuadExt:
     xx, yy = a * p + b * den, a * q
     zz, ww = c * p + d * den, c * q
     norm = zz * zz - ww * ww * rad
-    return _quad(
+    return QuadExt(
         Fraction(xx * zz - yy * ww * rad, norm), Fraction(yy * zz - xx * ww, norm), rad
     )
 
@@ -639,20 +624,6 @@ class P3Plane(Frozen):
         return "[" + ":".join(str(c) for c in self.coeffs) + "]"
 
 
-def central_projection_3d(apex: P3Point, target: P3Plane, p: P3Point) -> P3Point:
-    """Intersection of line(apex, p) with the target plane."""
-    if target.contains(apex):
-        raise GeometryError("apex lies on the target plane")
-    if p == apex:
-        raise GeometryError("cannot project the apex")
-    ip = sum(a * x for a, x in zip(target.coeffs, p.coords))
-    ia = sum(a * x for a, x in zip(target.coeffs, apex.coords))
-    coords = tuple(ip * ax - ia * px for ax, px in zip(apex.coords, p.coords))
-    if all(c == 0 for c in coords):
-        raise GeometryError("projection degenerates: point equals apex")
-    return P3Point(*coords)
-
-
 def plane_basis(plane: P3Plane) -> tuple[P3Point, P3Point, P3Point]:
     """Three independent points spanning the plane, deterministically."""
     u = plane.coeffs
@@ -668,42 +639,32 @@ def plane_basis(plane: P3Plane) -> tuple[P3Point, P3Point, P3Point]:
     return tuple(basis)
 
 
-def plane_to_p2(basis, p: P3Point) -> PPoint:
-    """Coordinates of a plane point in the given basis, as a plane PPoint."""
-    b0, b1, b2 = (b.coords for b in basis)
-    rows = None
-    for drop in range(4):
-        idx = [i for i in range(4) if i != drop]
-        m = [(b0[i], b1[i], b2[i]) for i in idx]
-        d = det3(*m)
-        if d != 0:
-            rows = idx
-            break
-    if rows is None:
-        raise GeometryError("degenerate plane basis")
-    pv = tuple(p.coords[i] for i in rows)
-    m = [(b0[i], b1[i], b2[i]) for i in rows]
-    # Cramer on the 3x3 subsystem (det of the transpose equals the det)
-    col = lambda j: tuple(m[i][j] for i in range(3))
-    d0 = det3(pv, col(1), col(2))
-    d1 = det3(col(0), pv, col(2))
-    d2 = det3(col(0), col(1), pv)
-    point = PPoint(d0, d1, d2)
-    rec = [d0 * b0[i] + d1 * b1[i] + d2 * b2[i] for i in range(4)]
-    if not _proportional4(rec, p.coords):
-        raise GeometryError("point not on the plane of the basis")
-    return point
+def plane_perspectivity(apex: P3Point, src: P3Plane, dst: P3Plane) -> tuple[tuple[int, ...], ...]:
+    """Rows of the integer matrix of the central projection from the apex,
+    from ``plane_basis(src)`` chart coordinates to ``plane_basis(dst)`` ones.
+
+    Projection onto the plane t is x -> (t.x)A - (t.A)x, and reading a point
+    of dst is Cramer's rule on three coordinates whose minor of the dst basis
+    is nonzero; both are linear, so the matrix is their product on the
+    source basis.  The minor leaves out t's first nonzero coordinate k: off
+    k, the j-th basis point of dst is a nonzero multiple of the j-th unit
+    vector, so that minor is diagonal and invertible.
+    """
+    if src.contains(apex) or dst.contains(apex):
+        raise GeometryError("apex must be off both planes")
+    a, t = apex.coords, dst.coeffs
+    ta = sum(ti * ai for ti, ai in zip(t, a))
+    k = _first_nonzero(t)
+    rows = [i for i in range(4) if i != k]
+    c0, c1, c2 = (tuple(b.coords[i] for i in rows) for b in plane_basis(dst))
+    columns = []
+    for s in plane_basis(src):
+        x = s.coords
+        tx = sum(ti * xi for ti, xi in zip(t, x))
+        y = tuple(tx * a[i] - ta * x[i] for i in rows)
+        columns.append((det3(y, c1, c2), det3(c0, y, c2), det3(c0, c1, y)))
+    return tuple(zip(*columns))
 
 
-def _proportional4(a, b) -> bool:
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
-
-
-def p2_to_plane(basis, pp: PPoint) -> P3Point:
-    b0, b1, b2 = (b.coords for b in basis)
-    a, b, c = pp.coords
-    return P3Point(*(a * b0[i] + b * b1[i] + c * b2[i] for i in range(4)))
+def apply_mat3(m, p: PPoint) -> PPoint:
+    return PPoint(*(dot3(row, p.coords) for row in m))

@@ -55,7 +55,7 @@ from arguesia.projective_core import (
     P3Point,
     PLine,
     PPoint,
-    central_projection_3d,
+    apply_mat3,
     chord_product,
     collinear,
     cross_ratio,
@@ -73,9 +73,7 @@ from arguesia.projective_core import (
     parallel_ratio,
     param_str,
     perspective_map,
-    plane_basis,
-    plane_to_p2,
-    p2_to_plane,
+    plane_perspectivity,
     project_point,
     reflect_direction,
 )
@@ -963,20 +961,15 @@ def retablissement_demo(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> T
     intersections, and the involution on the base transversal pulls back
     exactly to an involution on the cut transversal.
     """
-    if base.contains(apex) or cut.contains(apex):
-        raise GeometryError("apex must be off both planes")
     if len(set(params)) != 6:
         raise GeometryError("six distinct parameters required")
 
-    base_basis = plane_basis(base)
-    cut_basis = plane_basis(cut)
+    to_cut = plane_perspectivity(apex, base, cut)
+    to_base = plane_perspectivity(apex, cut, base)
     circle = Conic.unit_circle()
     par = ConicParametrization(circle, PPoint(-1, 0, 1))
-
-    base_pts2 = [par.point_at(t) for t in params]
-    base_pts3 = [p2_to_plane(base_basis, pt) for pt in base_pts2]
-    cut_pts3 = [central_projection_3d(apex, cut, p3) for p3 in base_pts3]
-    cut_pts2 = [plane_to_p2(cut_basis, p3) for p3 in cut_pts3]
+    base_pts = [par.point_at(t) for t in params]
+    cut_pts = [apply_mat3(to_cut, p) for p in base_pts]
 
     report = TheoremReport(
         "retablissement",
@@ -989,40 +982,21 @@ def retablissement_demo(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> T
     )
 
     # round trip: cut-plane bornes project back onto the base conic
-    for i, p3 in enumerate(cut_pts3):
-        back = central_projection_3d(apex, base, p3)
-        back2 = plane_to_p2(base_basis, back)
-        report.claim(f"borne {i + 1} projects onto the base conic", circle.evaluate(back2), 0)
+    for i, p in enumerate(cut_pts):
+        back = apply_mat3(to_base, p)
+        report.claim(f"borne {i + 1} projects onto the base conic", circle.evaluate(back), 0)
 
-    b2, c2, d2, e2, l2, m2 = base_pts2
-    bb, cc, dd, ee, ll, mm = cut_pts2
-
-    def transport(pt2_cut: PPoint) -> PPoint:
-        p3 = p2_to_plane(cut_basis, pt2_cut)
-        down = central_projection_3d(apex, base, p3)
-        return plane_to_p2(base_basis, down)
-
-    for name, (x1, y1), (x2, y2) in (
-        ("BC^ED", (bb, cc), (ee, dd)),
-        ("BE^DC", (bb, ee), (dd, cc)),
-        ("BD^CE", (bb, dd), (cc, ee)),
-    ):
-        cut_meet = meet(join(x1, y1), join(x2, y2))
-        base_pair = {
-            "BC^ED": (join(b2, c2), join(e2, d2)),
-            "BE^DC": (join(b2, e2), join(d2, c2)),
-            "BD^CE": (join(b2, d2), join(c2, e2)),
-        }[name]
+    b2, c2, d2, e2, l2, m2 = base_pts
+    bb, cc, dd, ee, ll, mm = cut_pts
+    base_q = QuadrangleConfig((b2, c2, d2, e2), default_chart(join(l2, m2)))
+    cut_q = QuadrangleConfig((bb, cc, dd, ee), default_chart(join(ll, mm)))
+    base_diag, cut_diag = base_q.diagonal_points(), cut_q.diagonal_points()
+    for name, diag in (("BC^ED", "N"), ("BE^DC", "F"), ("BD^CE", "R")):
         report.claim(
             f"bornale intersection {name} transports exactly",
-            transport(cut_meet),
-            meet(*base_pair),
+            apply_mat3(to_base, cut_diag[diag]),
+            base_diag[diag],
         )
-
-    base_delta = default_chart(join(l2, m2))
-    cut_delta = default_chart(join(ll, mm))
-    base_q = QuadrangleConfig((b2, c2, d2, e2), base_delta)
-    cut_q = QuadrangleConfig((bb, cc, dd, ee), cut_delta)
 
     base_eq = equivalence_check(base_q.node_couples())
     report.claim_true("base couples in involution", base_eq["equivalent"])

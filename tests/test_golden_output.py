@@ -1,15 +1,17 @@
 """Golden output: sha256 of the exact bytes of fixed CLI commands.
 
 Each verify kind runs on seeds 1..20 (``--seed 1 --trials 20``) with
-``--json``, plus one replay of each kind and every figure at seed 1, and
-ramee runs again at wide bounds, where the discriminants are large enough
-that square roots need real factoring.  The digests pin every output byte, so a change to the
-arithmetic that alters a value, a canonical form or the order of claims
-shows up here; a change that only makes the same bytes faster leaves them
-alone.  Every verify kind also runs at ``--bounds`` 10**12, 10**18 and
-10**30 under a time budget.  Two start-up checks run in fresh interpreters: importing
-``arguesia.cli`` loads neither ``dataclasses`` nor the SVG renderer, and
-``figure`` loads the renderer and still writes the golden bytes.
+``--json``, plus one replay of each kind and every figure at seed 1.  Ramee
+runs again at wide bounds, where the discriminants are large enough that
+square roots need real factoring, and so does retablissement, whose
+perspectivity matrices then carry large entries.  The digests pin every
+output byte, so a change to the arithmetic that alters a value, a canonical
+form or the order of claims shows up here; a change that only makes the
+same bytes faster leaves them alone.  Every verify kind also runs at
+``--bounds`` 10**12, 10**18 and 10**30 under a time budget.  Two start-up
+checks run in fresh interpreters: importing ``arguesia.cli`` loads neither
+``dataclasses`` nor the SVG renderer, and ``figure`` loads the renderer and
+still writes the golden bytes.
 """
 
 import hashlib
@@ -41,6 +43,10 @@ GOLDEN = {
         "f2815dcce3550bb1b15c89c32f27190c7c9e5921b39907ecd7dee61792e4fb3a",
     "verify ramee --trials 10 --bounds 1000000":
         "accc92b4fe077a82441b72066ab0389759f0ed134f078a4bf48949e615fc64bc",
+    "verify retablissement --bounds 30000":
+        "d3c178a19569abfeb123fa40fcc0b74e2dbb8a94b5998ab1a7b05f8b7e967ecd",
+    "verify retablissement --bounds 1000000":
+        "4b5e1528d96168b54750cdd05ef14b5152106efbc6f2a28812a86f6341b7a3a8",
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -16,7 +16,7 @@ from arguesia.projective_core import (
     P3Point,
     PLine,
     PPoint,
-    central_projection_3d,
+    apply_mat3,
     chord_product,
     collinear,
     cross_ratio,
@@ -32,11 +32,11 @@ from arguesia.projective_core import (
     midpoint,
     perspective_map,
     plane_basis,
-    plane_to_p2,
-    p2_to_plane,
+    plane_perspectivity,
     parallel_ratio,
     project_point,
 )
+from arguesia._kernel import det3
 from arguesia.exact_scalar import QuadExt, quad_sqrt
 from arguesia.rng import SplitMix64
 from quadfield import homography, pair
@@ -272,58 +272,88 @@ def _random_map(rng, ch):
 # -- minimal 3d ---------------------------------------------------------------
 
 
+def _lift(plane, pp):
+    """The point of 3-space with chart coordinates pp on the plane."""
+    basis = [b.coords for b in plane_basis(plane)]
+    return P3Point(*(sum(c * b[i] for c, b in zip(pp.coords, basis)) for i in range(4)))
+
+
+def _chart_points(kind, n):
+    rng = SplitMix64.for_kind(kind, 4)
+    return [PPoint(rng.fraction(10), rng.fraction(10), rng.int_between(1, 3)) for _ in range(n)]
+
+
+BASE, CUT = P3Plane(0, 0, 1, 0), P3Plane(-1, 0, 2, -2)
+
+
 def test_projection_fixes_points_of_the_plane():
-    target = P3Plane(0, 0, 1, 0)
-    apex = P3Point(0, 0, 2, 1)
-    p = P3Point(3, -4, 0, 5)
-    assert central_projection_3d(apex, target, p) == p
+    # base and cut meet in the line x = -2w, z = 0; every plane is fixed
+    # pointwise by the perspectivity onto itself
+    apex = P3Point(1, 2, 5, 1)
+    to_cut = plane_perspectivity(apex, BASE, CUT)
+    for y in range(-3, 4):
+        common = P3Point(-2, y, 0, 1)
+        assert _lift(CUT, apply_mat3(to_cut, PPoint(-2, y, 1))) == common
+    for plane in (BASE, CUT):
+        same = plane_perspectivity(apex, plane, plane)
+        for pp in _chart_points("fixed", 20):
+            assert apply_mat3(same, pp) == pp
 
 
 def test_projection_drops_z_from_infinite_apex():
-    apex = P3Point(0, 0, 1, 0)
-    target = P3Plane(0, 0, 1, 0)
-    p = P3Point(2, 3, 7, 1)
-    assert central_projection_3d(apex, target, p) == P3Point(2, 3, 0, 1)
+    # an apex at infinity in the z direction projects parallel to the z axis
+    to_base = plane_perspectivity(P3Point(0, 0, 1, 0), CUT, BASE)
+    for pp in _chart_points("parallel", 20):
+        x, y, z, w = _lift(CUT, pp).coords
+        assert _lift(BASE, apply_mat3(to_base, pp)) == P3Point(x, y, 0, w)
 
 
 def test_projection_roundtrip_identity():
-    apex = P3Point(1, 2, 5, 1)
-    pa = P3Plane(0, 0, 1, 0)
-    pb = P3Plane(1, 1, 2, -3)
-    rng = SplitMix64.for_kind("proj3d", 4)
-    for _ in range(50):
-        p = P3Point(rng.fraction(10), rng.fraction(10), 0, 1)
-        if pb.contains(apex) or p == apex:
+    # the two directions are built independently; their product is a
+    # nonzero multiple of the identity
+    for apex, src, dst in (
+        (P3Point(1, 2, 5, 1), BASE, P3Plane(1, 1, 2, -3)),
+        (P3Point(0, 0, 2, 1), BASE, CUT),
+        (P3Point(3, -1, 0, 0), P3Plane(1, 1, 2, -3), CUT),
+    ):
+        there = plane_perspectivity(apex, src, dst)
+        back = plane_perspectivity(apex, dst, src)
+        product = [[sum(back[i][k] * there[k][j] for k in range(3)) for j in range(3)]
+                   for i in range(3)]
+        scale = product[0][0]
+        assert scale != 0
+        assert product == [[scale if i == j else 0 for j in range(3)] for i in range(3)]
+
+
+def test_perspectivity_image_is_on_dst_and_on_the_line_through_the_apex():
+    # oracle in 3-space: lift both points through plane_basis; the image is
+    # on dst, and apex, source point and image have rank 2
+    rng = SplitMix64.for_kind("perspectivity", 7)
+    checked = 0
+    for _ in range(200):
+        apex = P3Point(*(rng.int_between(-5, 5) for _ in range(3)), rng.int_between(0, 1))
+        src, dst = (P3Plane(*(rng.int_between(-4, 4) for _ in range(4))) for _ in range(2))
+        if src.contains(apex) or dst.contains(apex):
             continue
-        up = central_projection_3d(apex, pb, p)
-        down = central_projection_3d(apex, pa, up)
-        assert down == p
+        m = plane_perspectivity(apex, src, dst)
+        for pp in _chart_points(f"perspectivity-{checked}", 5):
+            x, y = _lift(src, pp), _lift(dst, apply_mat3(m, pp))
+            assert dst.contains(y)
+            rows = (apex.coords, x.coords, y.coords)
+            for drop in range(4):
+                assert det3(*(tuple(r[i] for i in range(4) if i != drop) for r in rows)) == 0
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
 
 
 def test_projection_errors():
     apex = P3Point(0, 0, 1, 1)
-    with pytest.raises(GeometryError):
-        central_projection_3d(apex, P3Plane(0, 0, 1, -1), apex)
-    with pytest.raises(GeometryError):
-        central_projection_3d(P3Point(0, 0, 0, 1), P3Plane(0, 0, 1, 0), P3Point(1, 1, 0, 1))
-
-
-def test_plane_chart_roundtrip():
-    plane = P3Plane(-1, 0, 2, -2)
-    basis = plane_basis(plane)
-    rng = SplitMix64.for_kind("plane-chart", 8)
-    for _ in range(50):
-        pp = PPoint(rng.fraction(15), rng.fraction(15), 1)
-        lifted = p2_to_plane(basis, pp)
-        assert plane.contains(lifted)
-        assert plane_to_p2(basis, lifted) == pp
-
-
-def test_plane_to_p2_rejects_off_plane_points():
-    plane = P3Plane(0, 0, 1, 0)
-    basis = plane_basis(plane)
-    with pytest.raises(GeometryError):
-        plane_to_p2(basis, P3Point(0, 0, 1, 1))
+    with pytest.raises(GeometryError, match="apex must be off both planes"):
+        plane_perspectivity(apex, P3Plane(0, 0, 1, -1), BASE)
+    with pytest.raises(GeometryError, match="apex must be off both planes"):
+        plane_perspectivity(apex, BASE, P3Plane(0, 0, 1, -1))
 
 
 # -- misc helpers -------------------------------------------------------------
@@ -449,6 +479,8 @@ def test_value_classes_compare_hash_and_freeze_by_value():
         assert len({a, b}) == 1
         assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
     assert p != q and hash(PPoint(0, 0, 1)) == hash(((0, 0, 1),))
+    for number in (0, 3, F(1, 2), root.a):
+        assert (root == number) is False and (number == root) is False
     assert p != p.coords and (p == p.coords) is False
 
     default_chart.cache_clear()

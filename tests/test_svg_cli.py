@@ -409,6 +409,30 @@ def test_broken_construction_step_exits_one(monkeypatch, capsys, kind, name, bro
     assert label in _false_labels(report)
 
 
+def test_broken_cut_to_base_perspectivity_exits_one(monkeypatch, capsys):
+    # one entry of the cut->base matrix off by one: the cut bornes, mapped
+    # back to the base plane, leave the circle, and the cut diagonal points
+    # miss the base ones; the involution claims use no cut->base map
+    import arguesia.theorems as theorems
+
+    real = theorems.plane_perspectivity
+
+    def broken(apex, src, dst):
+        rows = [list(row) for row in real(apex, src, dst)]
+        if dst.coeffs == (0, 0, 1, 0):  # the base plane
+            rows[0][0] += 1
+        return rows
+
+    monkeypatch.setattr(theorems, "plane_perspectivity", broken)
+    assert main(["verify", "retablissement", "--seed", "1", "--json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] is False
+    assert _false_labels(report) == [
+        *(f"borne {i} projects onto the base conic" for i in range(1, 7)),
+        *(f"bornale intersection {n} transports exactly" for n in ("BC^ED", "BE^DC", "BD^CE")),
+    ]
+
+
 def test_every_table_names_an_instance_kind():
     from arguesia import cli, instances, svg_figures
 
