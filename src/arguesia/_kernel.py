@@ -2,14 +2,9 @@
 
 All functions work on plain Python integers (arbitrary precision) and
 tuples of them.
-
-Canonical form used throughout: a tuple is divided by the gcd of its
-entries and the sign is flipped so the first nonzero entry is positive.
-Two projective objects are then equal iff their canonical tuples are.
 """
 
 import sys
-from math import gcd
 
 # The module that holds the kernel functions; perfbench's tracer reads it.
 _impl = sys.modules[__name__]
@@ -18,20 +13,6 @@ _impl = sys.modules[__name__]
 def kernel_backend() -> str:
     """Name of the kernel implementation: always "python"."""
     return "python"
-
-
-def norm3(x, y, z):
-    """Canonical representative of (x : y : z).  Raises on the zero triple."""
-    g = gcd(gcd(abs(x), abs(y)), abs(z))
-    if g == 0:
-        raise ValueError("zero homogeneous triple")
-    x //= g
-    y //= g
-    z //= g
-    lead = x if x != 0 else (y if y != 0 else z)
-    if lead < 0:
-        return (-x, -y, -z)
-    return (x, y, z)
 
 
 def cross3(a, b):
@@ -54,37 +35,6 @@ def det3(a, b, c):
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
-
-
-def norm2(u, v):
-    """Canonical representative of the projective pair (u : v)."""
-    g = gcd(abs(u), abs(v))
-    if g == 0:
-        raise ValueError("zero projective pair")
-    u //= g
-    v //= g
-    lead = u if u != 0 else v
-    if lead < 0:
-        return (-u, -v)
-    return (u, v)
-
-
-def norm_mat2(m):
-    """Canonical representative of a 2x2 integer matrix up to scale."""
-    a, b, c, d = m
-    g = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
-    if g == 0:
-        raise ValueError("zero matrix")
-    a //= g
-    b //= g
-    c //= g
-    d //= g
-    for lead in (a, b, c, d):
-        if lead != 0:
-            if lead < 0:
-                return (-a, -b, -c, -d)
-            return (a, b, c, d)
-    raise ValueError("zero matrix")
 
 
 def mat2_mul(m, n):

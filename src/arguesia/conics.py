@@ -14,7 +14,7 @@ Pascal circle replay uses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import conic_eval, conic_polar, det3, dot3
@@ -25,7 +25,7 @@ from arguesia.projective_core import (
     GeometryError,
     PLine,
     PPoint,
-    _clear_denominators,
+    _canonical,
     collinear,
     join,
 )
@@ -33,22 +33,6 @@ from arguesia.projective_core import (
 
 class ConicError(GeometryError):
     """Ill-posed conic construction or query."""
-
-
-def _norm6(entries) -> tuple[int, ...]:
-    ints = _clear_denominators(entries)
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
-    if g == 0:
-        raise ConicError("zero conic matrix")
-    ints = [e // g for e in ints]
-    for lead in ints:
-        if lead != 0:
-            if lead < 0:
-                ints = [-e for e in ints]
-            break
-    return tuple(ints)
 
 
 class Conic(Frozen):
@@ -60,7 +44,7 @@ class Conic(Frozen):
     _fields = ("m",)
 
     def __init__(self, m00, m01, m02, m11, m12, m22):
-        object.__setattr__(self, "m", _norm6((m00, m01, m02, m11, m12, m22)))
+        object.__setattr__(self, "m", _canonical((m00, m01, m02, m11, m12, m22)))
 
     def rows(self):
         m00, m01, m02, m11, m12, m22 = self.m
@@ -237,14 +221,12 @@ def chord_quadratic(c: Conic, chart: AffineChart) -> tuple[int, int, int]:
     """(A, B, C) with A*u**2 + B*u*v + C*v**2 the form of c on the point
     ``chart.point_at_pair((u, v))``.
 
-    That point is u*X1 + v*X0 for X0 = U_z*O and X1 = O_z*U - U_z*O (O the
-    origin, U the unit), so A and C are the form at X1 and X0 and B is
-    twice their polar product.  The chord's two parameters are the roots,
-    real or not, and A, B, C are their symmetric functions up to scale.
+    That point is u*X1 + v*X0 for ``(X1, X0) = chart.basis()``, so A and C
+    are the form at X1 and X0 and B is twice their polar product.  The
+    chord's two parameters are the roots, real or not, and A, B, C are
+    their symmetric functions up to scale.
     """
-    o, un = chart.origin.coords, chart.unit.coords
-    x0 = tuple(un[2] * e for e in o)
-    x1 = tuple(o[2] * f - un[2] * e for e, f in zip(o, un))
+    x1, x0 = chart.basis()
     return conic_eval(c.m, x1), 2 * _bilinear(c, x1, x0), conic_eval(c.m, x0)
 
 

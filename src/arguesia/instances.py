@@ -170,7 +170,7 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     k = _point(rng, bounds)
     delta = _chart(rng, bounds)
     check_ramee_replayable(arbre, k, delta)
-    return {"arbre": arbre, "k": k, "delta": delta, "involution": inv}
+    return {"arbre": arbre, "k": k, "delta": delta}
 
 
 def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:

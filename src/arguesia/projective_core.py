@@ -1,34 +1,29 @@
 """The projective plane over exact rationals.
 
-Points and lines are canonical integer triples (denominators cleared,
-divided by the gcd, first nonzero entry positive), so projective equality
+Every homogeneous value (points and lines, parameter pairs, 2x2 line
+maps, 3-space points and planes, and the conics built on them) is one
+canonical integer tuple, made by :func:`_canonical`, so projective equality
 is tuple equality and everything hashes.  Charts give exact affine
 parameters on a line, with the line's point at infinity mapped to a
 dedicated ``INF`` symbol; homographies of a line act on parameters through
 2x2 integer matrices applied to projective parameter pairs, which makes the
 limit cases exact rather than special-cased.
 
-A minimal projective 3-space (points and planes as integer quadruples, a
-deterministic chart on each plane) carries configurations between the base
-and cutting planes of a cone: the central projection from the apex is one
-3x3 integer matrix on the two charts, :func:`plane_perspectivity`.
+Perspectivities are linear maps in closed form: the central projection
+between two charted lines is one 2x2 integer matrix,
+:func:`perspective_map`, and a minimal projective 3-space (points and
+planes as integer quadruples, a deterministic chart on each plane) carries
+configurations between the base and cutting planes of a cone by one 3x3
+integer matrix, :func:`plane_perspectivity`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from arguesia._kernel import (
-    cross3,
-    det3,
-    dot3,
-    mat2_mul,
-    norm2,
-    norm3,
-    norm_mat2,
-)
+from arguesia._kernel import cross3, det3, dot3, mat2_mul
 from arguesia._frozen import Frozen
 from arguesia.exact_scalar import QuadExt, Rat, rat_str
 
@@ -63,22 +58,30 @@ def param_str(t) -> str:
     return rat_str(Fraction(t))
 
 
-def _clear_denominators(coords: tuple) -> tuple[int, ...]:
-    """Integer homogeneous coordinates proportional to rational ones.
+def _canonical(coords: tuple) -> tuple[int, ...]:
+    """The canonical integer form of a homogeneous tuple of rationals.
 
-    Integer tuples, such as the output of ``cross3``, are returned as they
-    are; ``bool`` is not ``int`` here and takes the general path.
+    Denominators are cleared, the tuple is divided by the gcd of its entries
+    and the sign is chosen so the first nonzero entry is positive.  Two
+    homogeneous values are then equal iff their canonical tuples are.
+    Integer tuples, such as the output of ``cross3``, skip the clearing;
+    ``bool`` is not ``int`` here and takes the rational path.
     """
     for c in coords:
         if type(c) is not int:
+            xs = [Fraction(e) for e in coords]
+            den = lcm(*[x.denominator for x in xs])
+            coords = [x.numerator * (den // x.denominator) for x in xs]
             break
-    else:
-        return coords
-    xs = [Fraction(c) for c in coords]
-    den = 1
-    for c in xs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return tuple(int(c * den) for c in xs)
+    g = gcd(*coords)
+    if g == 0:
+        raise GeometryError("zero homogeneous tuple")
+    for c in coords:
+        if c:
+            break
+    if c < 0:
+        g = -g
+    return tuple([c // g for c in coords])
 
 
 class PPoint(Frozen):
@@ -87,11 +90,7 @@ class PPoint(Frozen):
     __slots__ = ("coords",)
 
     def __init__(self, x, y, z):
-        t = _clear_denominators((x, y, z))
-        try:
-            object.__setattr__(self, "coords", norm3(*t))
-        except ValueError:
-            raise GeometryError("point with all coordinates zero")
+        object.__setattr__(self, "coords", _canonical((x, y, z)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -143,11 +142,7 @@ class PLine(Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, u, v, w):
-        t = _clear_denominators((u, v, w))
-        try:
-            object.__setattr__(self, "coeffs", norm3(*t))
-        except ValueError:
-            raise GeometryError("line with all coefficients zero")
+        object.__setattr__(self, "coeffs", _canonical((u, v, w)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -261,15 +256,18 @@ class AffineChart(Frozen):
         """Projective parameter pair (u : v) with t = u/v and INF = (1 : 0)."""
         if not incident(p, self.line):
             raise GeometryError(f"{p} not on chart line {self.line}")
+        return _canonical(self._linear_pair(p.coords))
+
+    def _linear_pair(self, x) -> tuple[int, int]:
+        """The parameter pair of a vector x on the line, not normalized:
+        linear in x, so a projection composed with it is a matrix."""
         o, u = self.origin.coords, self.unit.coords
-        c_ou = cross3(o, u)
-        i = _first_nonzero(c_ou)
-        a_num, a_den = cross3(p.coords, u)[i], c_ou[i]
-        b_num, b_den = cross3(p.coords, o)[i], cross3(u, o)[i]
-        # p ~ a*O + b*U ; affine weights are a*O_z and b*U_z
-        alpha = a_num * b_den * o[2]
-        beta = b_num * a_den * u[2]
-        return norm2(beta, alpha + beta)
+        i = _first_nonzero(cross3(o, u))
+        # x = a*O + b*U for a, b = (x × U)_i, (O × x)_i over (O × U)_i;
+        # the affine weights are a*O_z and b*U_z, and t is b's share
+        alpha = cross3(x, u)[i] * o[2]
+        beta = cross3(o, x)[i] * u[2]
+        return beta, alpha + beta
 
     def coordinate(self, p: PPoint):
         u, v = self.param_pair(p)
@@ -287,11 +285,16 @@ class AffineChart(Frozen):
         u, v = pair
         if u == 0 and v == 0:
             raise GeometryError("zero parameter pair")
+        x1, x0 = self.basis()
+        return PPoint(*[u * a + v * b for a, b in zip(x1, x0)])
+
+    def basis(self):
+        """(X1, X0) with ``point_at_pair((u, v))`` the point u*X1 + v*X0:
+        X0 = U_z*O and X1 = O_z*U - U_z*O for the origin O and the unit U."""
         o, un = self.origin.coords, self.unit.coords
-        coords = tuple(
-            (v - u) * un[2] * o[k] + u * o[2] * un[k] for k in range(3)
-        )
-        return PPoint(*coords)
+        x0 = tuple([un[2] * e for e in o])
+        x1 = tuple([o[2] * f - un[2] * e for e, f in zip(o, un)])
+        return x1, x0
 
     def infinity_point(self) -> PPoint:
         return infinity_point_of(self.line)
@@ -344,7 +347,7 @@ class LineMap(Frozen):
     __slots__ = _fields = ("matrix", "src", "dst")
 
     def __init__(self, matrix, src: AffineChart, dst: AffineChart):
-        m = norm_mat2(tuple(int(e) for e in matrix))
+        m = _canonical(matrix)
         if m[0] * m[3] - m[1] * m[2] == 0:
             raise GeometryError("singular line map")
         object.__setattr__(self, "matrix", m)
@@ -354,7 +357,7 @@ class LineMap(Frozen):
     def apply_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
         a, b, c, d = self.matrix
         u, v = pair
-        return norm2(a * u + b * v, c * u + d * v)
+        return _canonical((a * u + b * v, c * u + d * v))
 
     def apply_param(self, t):
         """Image of a parameter; exact for Rat, QuadExt and INF alike."""
@@ -421,19 +424,6 @@ def _apply_quad(matrix, t: QuadExt) -> QuadExt:
     )
 
 
-def _matrix_sending_012inf(pairs) -> tuple[int, int, int, int]:
-    """2x2 integer matrix sending (0:1), (1:1), (1:0) to the given pairs."""
-    a, b, c = pairs  # images of 0, 1, infinity
-    det_ca = c[0] * a[1] - c[1] * a[0]
-    if det_ca == 0:
-        raise GeometryError("degenerate triple: images of 0 and inf coincide")
-    lam = b[0] * a[1] - b[1] * a[0]
-    mu = c[0] * b[1] - c[1] * b[0]
-    if lam == 0 or mu == 0:
-        raise GeometryError("degenerate triple: repeated image point")
-    return (lam * c[0], mu * a[0], lam * c[1], mu * a[1])
-
-
 def _as_pair(t) -> tuple[int, int]:
     if t is INF:
         return (1, 0)
@@ -453,16 +443,21 @@ def project_point(center: PPoint, p: PPoint, target: PLine) -> PPoint:
 def perspective_map(center: PPoint, src: AffineChart, dst: AffineChart) -> LineMap:
     """The projection of center K from one charted line to another.
 
-    Agrees pointwise with meet(join(center, P), dst.line) and therefore
-    preserves cross-ratios.
+    Projection onto the line m is x -> (m.x)K - (m.K)x, which is
+    -meet(join(K, x), m) by the triple-product rule, and reading a
+    parameter pair is linear too, so the matrix has one column per vector
+    of ``src.basis()``.  It agrees pointwise with meet(join(center, P),
+    dst.line) and therefore preserves cross-ratios.
     """
     if incident(center, src.line) or incident(center, dst.line):
         raise GeometryError("perspective center lies on a carrier line")
-    images = []
-    for t in (Fraction(0), Fraction(1), INF):
-        q = project_point(center, src.point_at(t), dst.line)
-        images.append(dst.param_pair(q))
-    return LineMap(_matrix_sending_012inf(images), src, dst)
+    k, m = center.coords, dst.line.coeffs
+    mk = dot3(m, k)
+    (a, c), (b, d) = (
+        dst._linear_pair([dot3(m, x) * ki - mk * xi for ki, xi in zip(k, x)])
+        for x in src.basis()
+    )
+    return LineMap((a, b, c, d), src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -588,24 +583,11 @@ def directions_parallel(v, w) -> bool:
 # minimal projective 3-space
 
 
-def _norm4(t):
-    g = 0
-    for c in t:
-        g = gcd(g, abs(c))
-    if g == 0:
-        raise GeometryError("zero homogeneous quadruple")
-    t = tuple(c // g for c in t)
-    for lead in t:
-        if lead != 0:
-            return t if lead > 0 else tuple(-c for c in t)
-    raise GeometryError("zero homogeneous quadruple")
-
-
 class P3Point(Frozen):
     _fields = ("coords",)
 
     def __init__(self, x, y, z, w):
-        object.__setattr__(self, "coords", _norm4(_clear_denominators((x, y, z, w))))
+        object.__setattr__(self, "coords", _canonical((x, y, z, w)))
 
     def __repr__(self):
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -615,7 +597,7 @@ class P3Plane(Frozen):
     _fields = ("coeffs",)
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "coeffs", _norm4(_clear_denominators((a, b, c, d))))
+        object.__setattr__(self, "coeffs", _canonical((a, b, c, d)))
 
     def contains(self, p: P3Point) -> bool:
         return sum(a * x for a, x in zip(self.coeffs, p.coords)) == 0

@@ -26,6 +26,7 @@ from arguesia.rng import SplitMix64
 from arguesia.theorems import (
     construct_involution_p13,
     desargues_involution_by_perspectives,
+    nc_involution,
     parallel_bornales_identities,
     pascal_collinear,
     pencil_involution_check,
@@ -96,7 +97,7 @@ def test_criterion_02_ramee_500():
             assert rep.trace is not None
             assert len(rep.trace.menelaus_steps()) == 8
             assert all(s["equal"] for s in rep.trace.steps)
-            src_cls = classify(inst["involution"])
+            src_cls = classify(nc_involution(inst["arbre"]))
             if src_cls["kind"] == "hyperbolic":
                 assert any("fixed point" in c["label"] for c in rep.claims)
 

@@ -4,7 +4,9 @@ Each verify kind runs on seeds 1..20 (``--seed 1 --trials 20``) with
 ``--json``, plus one replay of each kind and every figure at seed 1.  Ramee
 runs again at wide bounds, where the discriminants are large enough that
 square roots need real factoring, and so does retablissement, whose
-perspectivity matrices then carry large entries.  The digests pin every
+perspectivity matrices then carry large entries; quadrangle and pencil run
+at bounds 10**6, where the three perspectives and the rational chords meet
+large coefficients.  The digests pin every
 output byte, so a change to the arithmetic that alters a value, a canonical
 form or the order of claims shows up here; a change that only makes the
 same bytes faster leaves them alone.  Every verify kind also runs at
@@ -47,6 +49,10 @@ GOLDEN = {
         "d3c178a19569abfeb123fa40fcc0b74e2dbb8a94b5998ab1a7b05f8b7e967ecd",
     "verify retablissement --bounds 1000000":
         "4b5e1528d96168b54750cdd05ef14b5152106efbc6f2a28812a86f6341b7a3a8",
+    "verify quadrangle --bounds 1000000":
+        "3eea33dc26aceeaf65eaf07be082c9c47f29395736d2ec3b2db2f331a19a7851",
+    "verify pencil --bounds 1000000":
+        "d5035bd16b7fdadf70a2756d0d0987fee4b1463e81d0444651d85f4d5fd23467",
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -1,6 +1,3 @@
-from math import gcd
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,22 +8,10 @@ from arguesia._kernel import (
     det3,
     dot3,
     kernel_backend,
-    norm2,
-    norm3,
-    norm_mat2,
 )
 
 BIG = st.integers(-10**9, 10**9)
 TRIPLE = st.tuples(BIG, BIG, BIG)
-NONZERO = BIG.filter(lambda k: k != 0)
-
-
-def _canonical(t):
-    g = 0
-    for e in t:
-        g = gcd(g, e)
-    lead = next(e for e in t if e != 0)
-    return g == 1 and lead > 0
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -41,28 +26,6 @@ def test_cross3_is_orthogonal_to_both_factors(a, b):
     n = cross3(a, b)
     assert dot3(n, a) == 0
     assert dot3(n, b) == 0
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(TRIPLE, st.tuples(BIG, BIG), st.tuples(BIG, BIG, BIG, BIG), NONZERO)
-def test_norms_are_scale_invariant_and_canonical(t, p, m, k):
-    for norm, x in ((lambda v: norm3(*v), t), (lambda v: norm2(*v), p), (norm_mat2, m)):
-        if not any(x):
-            continue
-        n = norm(x)
-        assert n == norm(tuple(k * e for e in x))
-        assert _canonical(n)
-        # n is x up to a nonzero scale: every 2x2 minor of (x, n) vanishes
-        assert all(x[i] * n[j] == x[j] * n[i] for i in range(len(x)) for j in range(i))
-
-
-def test_norms_reject_all_zeros():
-    with pytest.raises(ValueError):
-        norm3(0, 0, 0)
-    with pytest.raises(ValueError):
-        norm2(0, 0)
-    with pytest.raises(ValueError):
-        norm_mat2((0, 0, 0, 0))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,8 +36,10 @@ from arguesia.projective_core import (
     plane_perspectivity,
     parallel_ratio,
     project_point,
+    _canonical,
 )
 from arguesia._kernel import det3
+from arguesia.conics import Conic
 from arguesia.exact_scalar import QuadExt, quad_sqrt
 from arguesia.rng import SplitMix64
 from quadfield import homography, pair
@@ -47,6 +50,86 @@ X_AXIS = PLine(0, 1, 0)
 
 def rand_point(rng, bounds=20):
     return PPoint(rng.fraction(bounds), rng.fraction(bounds), 1)
+
+
+# -- the canonical form ------------------------------------------------------
+
+# The per-length normalizers that _canonical replaced, kept as its oracle.
+
+
+def _old_clear_denominators(coords):
+    if all(type(c) is int for c in coords):
+        return coords
+    xs = [F(c) for c in coords]
+    den = 1
+    for c in xs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return tuple(int(c * den) for c in xs)
+
+
+def _old_norm3(x, y, z):
+    g = gcd(gcd(abs(x), abs(y)), abs(z))
+    x, y, z = x // g, y // g, z // g
+    lead = x if x != 0 else (y if y != 0 else z)
+    return (-x, -y, -z) if lead < 0 else (x, y, z)
+
+
+def _old_norm2(u, v):
+    g = gcd(abs(u), abs(v))
+    u, v = u // g, v // g
+    lead = u if u != 0 else v
+    return (-u, -v) if lead < 0 else (u, v)
+
+
+def _old_norm_any(t):  # norm_mat2, _norm4 and _norm6 had this one shape
+    g = 0
+    for c in t:
+        g = gcd(g, abs(c))
+    t = [c // g for c in t]
+    lead = next(c for c in t if c != 0)
+    return tuple(-c for c in t) if lead < 0 else tuple(t)
+
+
+_OLD_NORMS = {2: lambda t: _old_norm2(*t), 3: lambda t: _old_norm3(*t),
+              4: _old_norm_any, 6: _old_norm_any}
+_INT = st.integers(-10**6, 10**6)
+_RAT = st.builds(F, _INT, st.integers(1, 10**3))
+_HOMOGENEOUS = st.sampled_from(sorted(_OLD_NORMS)).flatmap(
+    lambda n: st.tuples(*[st.one_of(_INT, _RAT)] * n))
+_SCALE = st.one_of(_INT, _RAT).filter(bool)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_HOMOGENEOUS, _SCALE)
+@example((True, False, 4), F(-2, 3))
+@example((0, 0, 0, 0, 0, 0), 1)
+def test_canonical_is_one_scale_free_form(t, k):
+    with pytest.raises(GeometryError):
+        _canonical(tuple(0 * e for e in t))
+    if not any(t):
+        return
+    n = _canonical(t)
+    assert all(type(e) is int for e in n)
+    assert n == _canonical(tuple(k * e for e in t))
+    assert gcd(*n) == 1 and next(e for e in n if e != 0) > 0
+    assert n == _OLD_NORMS[len(t)](_old_clear_denominators(t))
+
+
+_X_CHART = default_chart(X_AXIS)
+
+
+@pytest.mark.parametrize("build, args", [
+    (PPoint, (3, -6, 9)),
+    (PLine, (F(1, 2), 0, -4)),
+    (P3Point, (0, -2, F(4, 3), 6)),
+    (P3Plane, (5, 10, 0, -15)),
+    (Conic, (1, 0, F(-1, 2), 1, 0, -3)),
+    (lambda *m: LineMap(m, _X_CHART, _X_CHART), (2, F(-1, 3), 4, 5)),
+], ids=["PPoint", "PLine", "P3Point", "P3Plane", "Conic", "LineMap"])
+@pytest.mark.parametrize("k", [F(-3, 7), 5, F(1, 6)])
+def test_value_equals_itself_built_from_a_rational_multiple(build, args, k):
+    a, b = build(*args), build(*(k * e for e in args))
+    assert a == b and hash(a) == hash(b)
 
 
 # -- join / meet -------------------------------------------------------------
@@ -143,6 +226,14 @@ def test_perspective_identity_when_lines_equal():
     ch = default_chart(X_AXIS)
     m = perspective_map(A(0, 5), ch, ch)
     assert m.matrix == (1, 0, 0, 1)
+
+
+def test_line_map_keeps_rational_entries_exact():
+    ch = default_chart(X_AXIS)
+    assert LineMap((F(3, 2), 1, 0, 1), ch, ch).apply_param(2) == 4
+    m = LineMap((F(1, 2), F(1, 3), 0, 1), ch, ch)
+    assert m.matrix == (3, 2, 0, 6)
+    assert m.apply_param(F(1)) == F(5, 6)
 
 
 def test_perspective_vertical_projection():
