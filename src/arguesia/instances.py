@@ -40,9 +40,9 @@ from arguesia.projective_core import (
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
     QuadrangleConfig,
+    check_retablissement,
     harmonic_conjugate,
     pascal_circle_points,
-    retablissement_demo,
 )
 
 MAX_RETRIES = 400
@@ -328,7 +328,7 @@ def _make_retablissement(rng: SplitMix64, bounds: int) -> dict:
     if cut.coeffs == base.coeffs:
         raise NonGenericError("cut equals base")
     params = tuple(_distinct_params(rng, bounds, 6))
-    retablissement_demo(apex, base, cut, params)  # precondition probe
+    check_retablissement(apex, base, cut, params)
     return {"apex": apex, "base": base, "cut": cut, "params": params}
 
 

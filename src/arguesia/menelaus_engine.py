@@ -8,11 +8,13 @@ into two ratios on the other rays is automatic: the missing vertex is
 inserted, each factor anchored at the noeud whose ray carries its pair of
 vertices.
 
-``replay_ramee_proof`` and ``replay_quadrangle_proof`` machine-replay the
-historical derivations step by step, evaluating every claimed identity
-exactly and logging it with its Brouillon citation tag.  Each ratio is a
-quotient of integer brackets and stays an integer pair (``Ratio.pair``)
-through the products; a step builds one ``Fraction`` per printed side.
+``menelaus_step`` is that decomposition, and every Menelaus step of every
+replay is one call of it: ``replay_ramee_proof`` and
+``replay_quadrangle_proof`` here, the Beaugrand and Pascal replays in
+``theorems``.  The replays evaluate every claimed identity exactly and log
+it with its Brouillon citation tag.  Each ratio is a quotient of integer
+brackets and stays an integer pair (``Ratio.pair``) through the products;
+a step builds one ``Fraction`` per printed side.
 """
 
 from __future__ import annotations
@@ -120,11 +122,6 @@ class Ratio(Frozen):
     def value(self) -> Rat:
         return Fraction(*self.pair())
 
-    def inverse(self) -> "Ratio":
-        if self.origin == self.num_end:
-            raise NonGenericError("cannot invert a zero ratio")
-        return Ratio(self.origin, self.den_end, self.num_end)
-
 
 def _times(*pairs: tuple[int, int]) -> tuple[int, int]:
     """Product of unreduced (num, den) pairs, itself unreduced."""
@@ -133,21 +130,6 @@ def _times(*pairs: tuple[int, int]) -> tuple[int, int]:
         num *= n
         den *= d
     return num, den
-
-
-class RatioChain(Frozen):
-    """Ordered product of ratios."""
-
-    _fields = ("factors",)
-
-    def __init__(self, factors: tuple[Ratio, ...]):
-        object.__setattr__(self, "factors", factors)
-
-    def pair(self) -> tuple[int, int]:
-        return _times(*(f.pair() for f in self.factors))
-
-    def value(self) -> Rat:
-        return Fraction(*self.pair())
 
 
 class ProofTrace:
@@ -185,8 +167,8 @@ def menelaus_product(sf: SectorFigure) -> Rat:
     """Ratio(N1;b,c) * Ratio(N2;c,a) * Ratio(N3;a,b); always exactly 1."""
     n1, n2, n3 = sf.nodes
     a, b, c = sf.vertices()
-    chain = RatioChain((Ratio(n1, b, c), Ratio(n2, c, a), Ratio(n3, a, b)))
-    return chain.value()
+    pairs = (Ratio(n1, b, c).pair(), Ratio(n2, c, a).pair(), Ratio(n3, a, b).pair())
+    return Fraction(*_times(*pairs))
 
 
 def menelaus_converse(sf: SectorFigure) -> bool:
@@ -207,52 +189,34 @@ def menelaus_converse(sf: SectorFigure) -> bool:
     return candidate == n3 and incident(candidate, sf.tronc)
 
 
-class DecompositionIdentity(Frozen):
-    _fields = ("lhs", "rhs")
+def menelaus_step(
+    trace: ProofTrace, n1, n2, n3, a, b, c, cite: str, **meta
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """Desargues' decomposition of the brin ratio at noeud N1, logged as one
+    step of ``trace``:  N1b/N1c = (N3b/N3a)(N2a/N2c).
 
-    def __init__(self, lhs: Ratio, rhs: RatioChain):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def lhs_value(self) -> Rat:
-        return self.lhs.value()
-
-    def rhs_value(self) -> Rat:
-        return self.rhs.value()
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs_value() == self.rhs_value()
-
-
-def decompose_ratio(sf: SectorFigure, exergue_node: int, inverted: bool = False) -> DecompositionIdentity:
-    """Automatic decomposition of the brin ratio at one noeud (1, 2 or 3).
-
-    For noeud N1 the identity reads  N1b/N1c = (N3b/N3a)(N2a/N2c): the
-    missing vertex a is inserted, and each factor is anchored at the noeud
-    whose ray carries its two vertices.  Other noeuds follow by cycling;
-    the inverted form flips the ratio and both factors.
+    Each argument is a (name, point) pair: three noeuds and the three
+    vertices of their sector figure, N1 on the ray bc, N2 on ac, N3 on ab.
+    The missing vertex a is inserted, and each factor is anchored at the
+    noeud whose ray carries its two vertices.  The decompositions at the
+    other noeuds, and the inverted form, are the same call relabelled.  The
+    label is spelled from the six names, and the step's meta is its kind,
+    menelaus, then ``meta``.  A false identity is a false step.  Returns
+    the integer pairs of N1b/N1c, N3b/N3a and N2a/N2c.
     """
-    if exergue_node not in (1, 2, 3):
-        raise ValueError("exergue_node must be 1, 2 or 3")
-    n = sf.nodes
-    a, b, c = sf.vertices()
-    if exergue_node == 1:
-        lhs = Ratio(n[0], b, c)
-        factors = (Ratio(n[2], b, a), Ratio(n[1], a, c))
-    elif exergue_node == 2:
-        lhs = Ratio(n[1], c, a)
-        factors = (Ratio(n[0], c, b), Ratio(n[2], b, a))
-    else:
-        lhs = Ratio(n[2], a, b)
-        factors = (Ratio(n[1], a, c), Ratio(n[0], c, b))
-    if inverted:
-        lhs = lhs.inverse()
-        factors = tuple(f.inverse() for f in reversed(factors))
-    ident = DecompositionIdentity(lhs, RatioChain(factors))
-    if not ident.equal:
-        raise NonGenericError("decomposition identity failed to verify")
-    return ident
+    (l1, p1), (l2, p2), (l3, p3), (la, pa), (lb, pb), (lc, pc) = n1, n2, n3, a, b, c
+    brin = Ratio(p1, pb, pc).pair()
+    at_n3 = Ratio(p3, pb, pa).pair()
+    at_n2 = Ratio(p2, pa, pc).pair()
+    trace.add(
+        f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})",
+        Fraction(*brin),
+        Fraction(*_times(at_n3, at_n2)),
+        cite,
+        kind="menelaus",
+        **meta,
+    )
+    return brin, at_n3, at_n2
 
 
 # ---------------------------------------------------------------------------
@@ -317,57 +281,43 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     then the alpha aggregations and the conclusion.
 
     Raises NonGenericError exactly when ``check_ramee_replayable`` does,
-    which it calls first for the projected points.  Every ratio is built
-    once as an integer pair; products, alpha included, multiply pairs, and
+    which it calls first for the projected points; the image couples
+    ((b, h), (c, g), (d, f)) stay on the trace, unprinted, as
+    ``image_couples``.  Each Menelaus step is one ``menelaus_step``;
+    products, alpha included, multiply the integer pairs it returns, and
     each printed side is one ``Fraction``.
     """
     pts = check_ramee_replayable(arbre, k, delta)
     (B, H), (C, G), (D, F) = arbre.pairs
-    b, h, c, g, d, f, n2, n3, n4, n5 = (pts[n] for n in "bhcgdf2345")
+    named = dict(pts, B=B, H=H, C=C, G=G, D=D, F=F, K=k)
 
     trace = ProofTrace("ramee")
-    trace.notes["images"] = {
-        nm: str(delta.coordinate(pt)) for nm, pt in zip("bhcgdf", (b, h, c, g, d, f))
-    }
+    trace.image_couples = tuple((pts[x], pts[y]) for x, y in ("bh", "cg", "df"))
+    trace.notes["images"] = {nm: str(delta.coordinate(pts[nm])) for nm in "bhcgdf"}
     trace.notes["shortcut"] = False  # always; kept for the printed bytes
 
-    kd_over_kD = Ratio(k, d, D).pair()
-    image, middle = {}, {}
-    for x_pt, n_pt, xn, nn, cite in (
-        (g, n4, "g", "4", "p.11 l.38"),
-        (c, n3, "c", "3", "p.11 l.40"),
-        (b, n2, "b", "2", "p.11 l.42"),
-        (h, n5, "h", "5", "p.11 l.44"),
+    image = {}
+    for x, n, cite in (
+        ("g", "4", "p.11 l.38"),
+        ("c", "3", "p.11 l.40"),
+        ("b", "2", "p.11 l.42"),
+        ("h", "5", "p.11 l.44"),
     ):
-        image[xn] = Ratio(x_pt, d, f).pair()
-        middle[nn] = Ratio(n_pt, D, f).pair()
-        trace.add(
-            f"{xn}d/{xn}f = (Kd/KD)({nn}D/{nn}f)",
-            Fraction(*image[xn]),
-            Fraction(*_times(kd_over_kD, middle[nn])),
-            cite,
-            kind="menelaus",
-            series=1,
-            tronc=f"{xn}K{nn}",
+        image[x], kd_over_kD, _ = menelaus_step(
+            trace, *((nm, named[nm]) for nm in (x, n, "K", "D", "d", "f")), cite,
+            series=1, tronc=f"{x}K{n}",
         )
 
-    kF_over_kf = Ratio(k, F, f).pair()
     source = {}
-    for x_pt, nn, xn, cite in (
-        (G, "4", "G", "p.11 l.45"),
-        (C, "3", "C", "p.11 l.47"),
-        (B, "2", "B", "p.11 l.49"),
-        (H, "5", "H", "p.11 l.51"),
+    for x, n, cite in (
+        ("G", "4", "p.11 l.45"),
+        ("C", "3", "p.11 l.47"),
+        ("B", "2", "p.11 l.49"),
+        ("H", "5", "p.11 l.51"),
     ):
-        source[xn] = Ratio(x_pt, D, F).pair()
-        trace.add(
-            f"{nn}D/{nn}f = ({xn}D/{xn}F)(KF/Kf)",
-            Fraction(*middle[nn]),
-            Fraction(*_times(source[xn], kF_over_kf)),
-            cite,
-            kind="menelaus",
-            series=2,
-            tronc=f"{nn}K{xn}",
+        _, source[x], kF_over_kf = menelaus_step(
+            trace, *((nm, named[nm]) for nm in (n, "K", x, "F", "D", "f")), cite,
+            series=2, tronc=f"{n}K{x}",
         )
 
     alpha = _times(kd_over_kD, kd_over_kD, kF_over_kf, kF_over_kf)
@@ -409,8 +359,8 @@ def replay_quadrangle_proof(q) -> ProofTrace:
 
     ``q`` must expose bornes B, C, D, E, the diagonal point F = BE^DC and
     the transversal intersections I, K, P, Q, G, H (see QuadrangleConfig).
-    Ratios are integer pairs; the common right side of both aggregations
-    is the product of the I and K steps' right sides.
+    Each Menelaus step is one ``menelaus_step``; the common right side of
+    both aggregations is the product of the I and K steps' right sides.
     """
     B, C, D, E = q.bornes
     F = q.pivot
@@ -418,23 +368,17 @@ def replay_quadrangle_proof(q) -> ProofTrace:
 
     trace = ProofTrace("quadrangle")
     lhs, rhs = {}, {}
-    for X, alpha, beta, xn, an, bn, cite in (
-        (I, C, B, "I", "C", "B", "p.17 l.7"),
-        (K, D, E, "K", "D", "E", "p.17 l.9"),
-        (G, D, B, "G", "D", "B", "p.17 l.16"),
-        (H, C, E, "H", "C", "E", "p.17 l.18"),
+    for x, alpha, beta, cite in (
+        (("I", I), ("C", C), ("B", B), "p.17 l.7"),
+        (("K", K), ("D", D), ("E", E), "p.17 l.9"),
+        (("G", G), ("D", D), ("B", B), "p.17 l.16"),
+        (("H", H), ("C", C), ("E", E), "p.17 l.18"),
     ):
-        lhs[xn] = Ratio(X, Q, P).pair()
-        rhs[xn] = _times(Ratio(alpha, Q, F).pair(), Ratio(beta, F, P).pair())
-        trace.add(
-            f"{xn}Q/{xn}P = ({an}Q/{an}F)({bn}F/{bn}P)",
-            Fraction(*lhs[xn]),
-            Fraction(*rhs[xn]),
-            cite,
-            kind="menelaus",
-            X=xn,
-            couple=(an, bn),
+        brin, at_alpha, at_beta = menelaus_step(
+            trace, x, beta, alpha, ("F", F), ("Q", Q), ("P", P), cite,
+            X=x[0], couple=(alpha[0], beta[0]),
         )
+        lhs[x[0]], rhs[x[0]] = brin, _times(at_alpha, at_beta)
 
     # (CQ/CF)(BF/BP)(DQ/DF)(EF/EP): the right sides at I and at K
     common = Fraction(*_times(rhs["I"], rhs["K"]))

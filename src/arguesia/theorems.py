@@ -42,8 +42,10 @@ from arguesia.menelaus_engine import (
     ProofTrace,
     Ratio,
     SectorFigure,
+    _times,
     menelaus_converse,
     menelaus_product,
+    menelaus_step,
     replay_quadrangle_proof,
     replay_ramee_proof,
 )
@@ -266,8 +268,8 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
     otherwise), so K and the six images are finite.  Claims: the image
     couples pass the rectangle identities, and, as a separate claim, the
     homography check; the hyperbolic/elliptic class is preserved; each
-    fixed point maps exactly to a fixed point.  The Menelaus replay trace
-    is attached.
+    fixed point maps exactly to a fixed point.  The image couples are the
+    replay's projections, and its Menelaus trace is attached.
     """
     trace = replay_ramee_proof(nc, k, delta)
     report = TheoremReport(
@@ -281,9 +283,7 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
     report.notes["k_at_infinity"] = False  # always; kept for the printed bytes
 
     pi = perspective_map(k, nc.chart, delta)
-    image_nc = NodeCouples(
-        delta, tuple((pi.apply_point(p), pi.apply_point(q)) for p, q in nc.pairs)
-    )
+    image_nc = NodeCouples(delta, trace.image_couples)
     source_inv = nc_involution(nc)
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
@@ -416,7 +416,7 @@ def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     report.claim("f is the midpoint of cb (metric)", f_img, midpoint(c_img, b_img))
     report.claim(
         "composed ratio (BC/BD)(FD/FC) is the raison double",
-        Ratio(b, c, d).value() * Ratio(f, d, c).value(),
+        Fraction(*_times(Ratio(b, c, d).pair(), Ratio(f, d, c).pair())),
         Fraction(2),
     )
     report.claim_true("d at infinity (image line parallel to DK)", d_img.is_at_infinity())
@@ -763,20 +763,9 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
         "Advis p.5 l.28",
         kind="apollonius",
     )
-    trace.add(
-        "BA/BC = (NA/NP)(KP/KC)",
-        Ratio(b_pt, a_pt, c_pt).value(),
-        Ratio(n, a_pt, p_pt).value() * Ratio(k, p_pt, c_pt).value(),
-        "Advis p.5 l.33",
-        kind="menelaus",
-    )
-    trace.add(
-        "EA/EC = (VA/VP)(OP/OC)",
-        Ratio(e_pt, a_pt, c_pt).value(),
-        Ratio(v, a_pt, p_pt).value() * Ratio(o, p_pt, c_pt).value(),
-        "Advis p.5 l.34",
-        kind="menelaus",
-    )
+    sector = (("P", p_pt), ("A", a_pt), ("C", c_pt))
+    menelaus_step(trace, ("B", b_pt), ("K", k), ("N", n), *sector, "Advis p.5 l.33")
+    menelaus_step(trace, ("E", e_pt), ("O", o), ("V", v), *sector, "Advis p.5 l.34")
     trace.add(
         "(AN.AV/(PN.PV))(PK.PO/(CK.CO)) = BA.AE/(BC.CE)",
         rhs2,
@@ -885,19 +874,13 @@ def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
 
     trace = ProofTrace("pascal_circle")
 
-    trace.add(
-        "MA/Malpha = (VA/Vbeta)(Obeta/Oalpha)",
-        Ratio(m_pt, a_pt, alpha).value(),
-        Ratio(v, a_pt, beta).value() * Ratio(o, beta, alpha).value(),
+    _, va_over_vbeta, _ = menelaus_step(
+        trace, ("M", m_pt), ("O", o), ("V", v), ("beta", beta), ("A", a_pt), ("alpha", alpha),
         "sector A,M,alpha,beta,O,V",
-        kind="menelaus",
     )
-    trace.add(
-        "SA/Sbeta = (KA/Kalpha)(Nalpha/Nbeta)",
-        Ratio(s_pt, a_pt, beta).value(),
-        Ratio(k, a_pt, alpha).value() * Ratio(n, alpha, beta).value(),
+    _, ka_over_kalpha, _ = menelaus_step(
+        trace, ("S", s_pt), ("N", n), ("K", k), ("alpha", alpha), ("A", a_pt), ("beta", beta),
         "sector A,K,alpha,beta,N,S",
-        kind="menelaus",
     )
     trace.add(
         "Kalpha.Palpha = Nalpha.Oalpha",
@@ -923,14 +906,14 @@ def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
     trace.add(
         "Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)",
         Ratio(p, alpha, a_pt).value(),
-        chord_product(alpha, n, o) / chord_product(a_pt, q_pt, v) * Ratio(k, a_pt, alpha).value(),
+        chord_product(alpha, n, o) / chord_product(a_pt, q_pt, v) * Fraction(*ka_over_kalpha),
         "substitution",
         kind="substitution",
     )
     trace.add(
         "Qbeta/QA = (Nbeta/PA)(Obeta/KA)(VA/Vbeta)",
         Ratio(q_pt, beta, a_pt).value(),
-        chord_product(beta, n, o) / chord_product(a_pt, p, k) * Ratio(v, a_pt, beta).value(),
+        chord_product(beta, n, o) / chord_product(a_pt, p, k) * Fraction(*va_over_vbeta),
         "substitution",
         kind="substitution",
     )
@@ -950,26 +933,46 @@ def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
 # the 3d retablissement
 
 
-def retablissement_demo(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> TheoremReport:
-    """Transport a quadrangle-with-transversal configuration between the
-    cutting plane of a cone and its base plane, through the apex.
+def check_retablissement(apex: P3Point, base: P3Plane, cut: P3Plane, params):
+    """Raise GeometryError unless ``retablissement_demo`` can run on the data.
 
-    ``params`` are six distinct rational slopes: four bornes and the two
-    transversal chord points, all on the base conic (the unit circle in
-    the base plane's chart).  Claims: the cut-plane bornes project onto
-    the base conic, bornale intersections project to bornale
-    intersections, and the involution on the base transversal pulls back
-    exactly to an involution on the cut transversal.
+    The generator calls it as its precondition probe, and the demo starts
+    with it and reuses what it builds: the perspectivity matrix back to
+    the base plane, the six points of ``params`` on the base conic (the
+    unit circle in the base plane's chart) and their images in the cutting
+    plane, and the quadrangle with transversal in each plane, which must be
+    generic (NonGenericError otherwise).  Returns
+    (to_base, base_pts, cut_pts, base_q, cut_q).
     """
     if len(set(params)) != 6:
         raise GeometryError("six distinct parameters required")
 
     to_cut = plane_perspectivity(apex, base, cut)
     to_base = plane_perspectivity(apex, cut, base)
-    circle = Conic.unit_circle()
-    par = ConicParametrization(circle, PPoint(-1, 0, 1))
+    par = ConicParametrization(Conic.unit_circle(), PPoint(-1, 0, 1))
     base_pts = [par.point_at(t) for t in params]
     cut_pts = [apply_mat3(to_cut, p) for p in base_pts]
+    base_q, cut_q = (
+        QuadrangleConfig(tuple(pts[:4]), default_chart(join(*pts[4:])))
+        for pts in (base_pts, cut_pts)
+    )
+    return to_base, base_pts, cut_pts, base_q, cut_q
+
+
+def retablissement_demo(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> TheoremReport:
+    """Transport a quadrangle-with-transversal configuration between the
+    cutting plane of a cone and its base plane, through the apex.
+
+    ``params`` are six distinct rational slopes: four bornes and the two
+    transversal chord points, all on the base conic (the unit circle in
+    the base plane's chart); ``check_retablissement`` is the precondition.
+    Claims: the cut-plane bornes project onto the base conic, bornale
+    intersections project to bornale intersections, and the involution on
+    the base transversal pulls back exactly to an involution on the cut
+    transversal.
+    """
+    to_base, base_pts, cut_pts, base_q, cut_q = check_retablissement(apex, base, cut, params)
+    circle = Conic.unit_circle()
 
     report = TheoremReport(
         "retablissement",
@@ -986,10 +989,8 @@ def retablissement_demo(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> T
         back = apply_mat3(to_base, p)
         report.claim(f"borne {i + 1} projects onto the base conic", circle.evaluate(back), 0)
 
-    b2, c2, d2, e2, l2, m2 = base_pts
-    bb, cc, dd, ee, ll, mm = cut_pts
-    base_q = QuadrangleConfig((b2, c2, d2, e2), default_chart(join(l2, m2)))
-    cut_q = QuadrangleConfig((bb, cc, dd, ee), default_chart(join(ll, mm)))
+    l2, m2 = base_pts[4:]
+    ll, mm = cut_pts[4:]
     base_diag, cut_diag = base_q.diagonal_points(), cut_q.diagonal_points()
     for name, diag in (("BC^ED", "N"), ("BE^DC", "F"), ("BD^CE", "R")):
         report.claim(

@@ -4,8 +4,8 @@ A definition counts as used when its name appears somewhere in
 ``src/arguesia`` outside its own body, as a name, an attribute or a
 string constant.  The check is by name only, so a method that shares its
 name with a used one passes; it still catches code that only the tests
-call.  The few definitions kept for the paper or as test fixtures are
-listed below with the reason each one stays.
+call.  The few definitions kept as test fixtures are listed below with
+the reason each one stays.
 """
 
 import ast
@@ -14,8 +14,6 @@ from pathlib import Path
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "arguesia"
 
 ALLOWLIST = {
-    "decompose_ratio": "Desargues' combinatorial decomposition of a brin ratio, "
-    "the centre of the paper; kept for a second route to the Menelaus verdict",
     "affine_point": "test fixture: builds points from affine coordinates",
     "from_json": "test fixture: reads points back from the library's own JSON",
     "menelaus_steps": "test fixture: selects the Menelaus steps of a proof trace",

@@ -8,12 +8,12 @@ from arguesia.involution import NodeCouples
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.menelaus_engine import (
     NonGenericError,
+    ProofTrace,
     Ratio,
-    RatioChain,
     SectorFigure,
     check_ramee_replayable,
-    decompose_ratio,
     menelaus_product,
+    menelaus_step,
     replay_quadrangle_proof,
     replay_ramee_proof,
 )
@@ -103,33 +103,61 @@ def _span_ratio(p, q, r, s):
 # -- decomposition ---------------------------------------------------------------
 
 
-def test_decompose_ratio_all_nodes_and_inverse():
-    fig = triangle_figure()
-    for node in (1, 2, 3):
-        ident = decompose_ratio(fig, node)
-        assert ident.equal
-        inv = decompose_ratio(fig, node, inverted=True)
-        assert inv.equal
-        assert inv.lhs_value() == 1 / ident.lhs_value()
+def _relabellings(fig):
+    """The decomposition at noeud 1, 2 and 3 (cycling noeuds and vertices
+    together), each direct and inverted (N2 with N3 and b with c swapped)."""
+    nodes = [(f"N{i}", p) for i, p in enumerate(fig.nodes, 1)]
+    verts = list(zip("abc", fig.vertices()))
+    for r in range(3):
+        n1, n2, n3 = nodes[r:] + nodes[:r]
+        a, b, c = verts[r:] + verts[:r]
+        yield n1, n2, n3, a, b, c
+        yield n1, n3, n2, a, c, b
 
 
-def test_decompose_ratio_concrete_values():
-    fig = triangle_figure()
-    ident = decompose_ratio(fig, 1)
-    n1 = fig.nodes[0]
-    a, b, c = fig.vertices()
-    assert ident.lhs.origin == n1 and ident.lhs.num_end == b and ident.lhs.den_end == c
-    assert ident.rhs.factors[0].origin == fig.nodes[2]
-    assert ident.rhs.factors[1].origin == fig.nodes[1]
-    assert ident.lhs_value() == ident.rhs.factors[0].value() * ident.rhs.factors[1].value()
-
-
-def test_decompose_ratio_is_chart_independent():
-    # the identity is between ratio values, which do not depend on a chart
+def test_menelaus_step_six_relabellings():
     rng = SplitMix64.for_kind("decompose", 6)
-    for _ in range(50):
-        inst = generate_instance(InstanceConfig("menelaus", rng.below(10**6)))
-        assert decompose_ratio(inst["figure"], 1 + rng.below(3)).equal
+    figures = [triangle_figure()] + [
+        generate_instance(InstanceConfig("menelaus", rng.below(10**6)))["figure"]
+        for _ in range(50)
+    ]
+    for fig in figures:
+        trace = ProofTrace("decompose")
+        for args in _relabellings(fig):
+            brin, at_n3, at_n2 = menelaus_step(trace, *args, "cite", noeud=args[0][0])
+            (l1, p1), (l2, p2), (l3, p3), (la, pa), (lb, pb), (lc, pc) = args
+            step = trace.steps[-1]
+            assert step["label"] == f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})"
+            assert step["meta"] == {"kind": "menelaus", "noeud": l1}
+            assert (brin, at_n3, at_n2) == (
+                Ratio(p1, pb, pc).pair(), Ratio(p3, pb, pa).pair(), Ratio(p2, pa, pc).pair()
+            )
+            assert F(*brin) == F(*at_n3) * F(*at_n2)
+        assert trace.verdict and trace.menelaus_steps() == trace.steps
+        assert len(trace.steps) == 6
+        # each inverted step's sides are the reciprocals of its direct step's
+        for direct, inverted in zip(trace.steps[::2], trace.steps[1::2]):
+            assert F(inverted["lhs"]) == 1 / F(direct["lhs"])
+            assert F(inverted["rhs"]) == 1 / F(direct["rhs"])
+
+
+def test_menelaus_step_with_a_moved_noeud_is_a_false_step():
+    # A vertex lies on two rays, so moving one leaves a ratio of
+    # non-collinear points; the move that keeps all three ratios defined
+    # slides a noeud along its ray, off the tronc.  The identity is then
+    # false, and the step says so instead of raising.
+    fig = triangle_figure()
+    n1, n2, n3 = fig.nodes
+    a, b, c = fig.vertices()
+    ray_chart = default_chart(fig.rays[2])
+    moved = ray_chart.point_at(ray_chart.coordinate(n3) + 1)
+    assert not incident(moved, fig.tronc)
+    trace = ProofTrace("moved")
+    menelaus_step(trace, ("N1", n1), ("N2", n2), ("N3", moved), ("a", a), ("b", b), ("c", c), "cite")
+    (step,) = trace.steps
+    assert step["label"] == "N1b/N1c = (N3b/N3a)(N2a/N2c)"
+    assert step["equal"] is False and step["lhs"] != step["rhs"]
+    assert not trace.verdict
 
 
 # -- the ramee replay ------------------------------------------------------------
@@ -402,7 +430,6 @@ def test_ratio_validation():
         Ratio(A(0, 0), A(1, 1), A(2, 0))  # not collinear
     r = Ratio(A(0, 0), A(2, 2), A(3, 3))
     assert r.value() == F(2, 3)
-    assert RatioChain((r, r.inverse())).value() == 1
     # representatives with z = 3, -7 and 7 (stored as z = -1)
     assert Ratio(PPoint(3, 6, 3), PPoint(-14, -28, -7), PPoint(-7, -14, 7)).value() == F(-1, 2)
     # on a vertical line the quotient is taken along y

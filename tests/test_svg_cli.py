@@ -446,6 +446,9 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     # the couples' involution (exit 2).  The replay's Menelaus steps compare
     # products of integer ratio pairs; move the image b of B along the image
     # line and the step through b, its aggregation and the conclusion fail.
+    # The image-couple claims take their couples from the replay, so the
+    # moved b falsifies them too; the classification and fixed-point claims
+    # stay true.
     import arguesia.menelaus_engine as menelaus_engine
 
     real = menelaus_engine.check_ramee_replayable
@@ -462,12 +465,38 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     assert data["all_true"] is False
     (report,) = data["reports"]
     assert report["verdict"] is False
-    assert all(c["equal"] for c in report["claims"])
     assert _false_labels(report) == [
+        "image GF.GD/(CF.CD) = GB.GH/(CB.CH)",
+        "image FC.FG/(DC.DG) = FB.FH/(DB.DH)",
+        "image HC.HG/(BC.BG) = HD.HF/(BD.BF)",
+        "image couples in involution (homography)",
+        "conjugate involution equals image involution",
         "bd/bf = (Kd/KD)(2D/2f)",
         "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
         "dg.dc/(fg.fc) = db.dh/(fb.fh)",
     ]
+
+
+@pytest.mark.parametrize("command", ("replay", "verify"))
+@pytest.mark.parametrize("kind", ("ramee", "quadrangle", "beaugrand", "pascal"))
+def test_false_menelaus_step_exits_one(monkeypatch, capsys, command, kind):
+    # Every Menelaus step of every replay is one menelaus_step; add 1 to the
+    # right side it logs, and each replay and its verify kind exit 1.
+    from arguesia.menelaus_engine import ProofTrace
+
+    real = ProofTrace.add
+
+    def rhs_plus_one(self, label, lhs, rhs, cite, **meta):
+        if meta.get("kind") == "menelaus":
+            rhs += 1
+        real(self, label, lhs, rhs, cite, **meta)
+
+    monkeypatch.setattr(ProofTrace, "add", rhs_plus_one)
+    assert main([command, kind, "--seed", "1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    trace = data if command == "replay" else data["reports"][0]["trace"]
+    menelaus = [s["equal"] for s in trace["steps"] if s.get("meta", {}).get("kind") == "menelaus"]
+    assert menelaus == [False] * {"ramee": 8, "quadrangle": 4}.get(kind, 2)
 
 
 @pytest.mark.parametrize("argv", (
