@@ -115,30 +115,59 @@ def _relabellings(fig):
         yield n1, n3, n2, a, c, b
 
 
-def test_menelaus_step_six_relabellings():
+def _decompose(fig):
+    """Run menelaus_step on the six relabellings of fig; check each step's
+    label, anchors and returned ratio pairs, and return the trace."""
+    trace = ProofTrace("decompose")
+    for args in _relabellings(fig):
+        brin, at_n3, at_n2 = menelaus_step(trace, *args, "cite", noeud=args[0][0])
+        (l1, p1), (l2, p2), (l3, p3), (la, pa), (lb, pb), (lc, pc) = args
+        step = trace.steps[-1]
+        assert step["label"] == f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})"
+        assert step["meta"] == {"kind": "menelaus", "noeud": l1}
+        assert (brin, at_n3, at_n2) == (
+            Ratio(p1, pb, pc).pair(), Ratio(p3, pb, pa).pair(), Ratio(p2, pa, pc).pair()
+        )
+        assert F(*brin) == F(*at_n3) * F(*at_n2)
+    return trace
+
+
+def test_decompose_ratio_all_nodes_and_inverse():
+    trace = _decompose(triangle_figure())
+    assert trace.verdict and trace.menelaus_steps() == trace.steps
+    assert len(trace.steps) == 6
+    # each inverted step's sides are the reciprocals of its direct step's
+    for direct, inverted in zip(trace.steps[::2], trace.steps[1::2]):
+        assert direct["equal"] and inverted["equal"]
+        assert F(inverted["lhs"]) == 1 / F(direct["lhs"])
+        assert F(inverted["rhs"]) == 1 / F(direct["rhs"])
+
+
+def test_decompose_ratio_concrete_values():
+    fig = triangle_figure()
+    n1, n2, n3 = fig.nodes
+    a, b, c = fig.vertices()
+    trace = ProofTrace("concrete")
+    brin, at_n3, at_n2 = menelaus_step(
+        trace, ("N1", n1), ("N2", n2), ("N3", n3), ("a", a), ("b", b), ("c", c), "cite"
+    )
+    (step,) = trace.steps
+    assert step["label"] == "N1b/N1c = (N3b/N3a)(N2a/N2c)"
+    assert step["equal"] and trace.verdict
+    assert brin == Ratio(n1, b, c).pair()
+    assert at_n3 == Ratio(n3, b, a).pair()
+    assert at_n2 == Ratio(n2, a, c).pair()
+    assert F(*brin) == Ratio(n1, b, c).value()
+    assert F(*brin) == Ratio(n3, b, a).value() * Ratio(n2, a, c).value()
+
+
+def test_decompose_ratio_is_chart_independent():
+    # the identity is between ratio values, which do not depend on a chart
     rng = SplitMix64.for_kind("decompose", 6)
-    figures = [triangle_figure()] + [
-        generate_instance(InstanceConfig("menelaus", rng.below(10**6)))["figure"]
-        for _ in range(50)
-    ]
-    for fig in figures:
-        trace = ProofTrace("decompose")
-        for args in _relabellings(fig):
-            brin, at_n3, at_n2 = menelaus_step(trace, *args, "cite", noeud=args[0][0])
-            (l1, p1), (l2, p2), (l3, p3), (la, pa), (lb, pb), (lc, pc) = args
-            step = trace.steps[-1]
-            assert step["label"] == f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})"
-            assert step["meta"] == {"kind": "menelaus", "noeud": l1}
-            assert (brin, at_n3, at_n2) == (
-                Ratio(p1, pb, pc).pair(), Ratio(p3, pb, pa).pair(), Ratio(p2, pa, pc).pair()
-            )
-            assert F(*brin) == F(*at_n3) * F(*at_n2)
-        assert trace.verdict and trace.menelaus_steps() == trace.steps
-        assert len(trace.steps) == 6
-        # each inverted step's sides are the reciprocals of its direct step's
-        for direct, inverted in zip(trace.steps[::2], trace.steps[1::2]):
-            assert F(inverted["lhs"]) == 1 / F(direct["lhs"])
-            assert F(inverted["rhs"]) == 1 / F(direct["rhs"])
+    for _ in range(50):
+        fig = generate_instance(InstanceConfig("menelaus", rng.below(10**6)))["figure"]
+        trace = _decompose(fig)
+        assert trace.verdict and len(trace.steps) == 6
 
 
 def test_menelaus_step_with_a_moved_noeud_is_a_false_step():
