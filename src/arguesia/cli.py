@@ -6,8 +6,13 @@
     arguesia figure <kind> [--seed N] [--bounds M] -o FILE.svg
 
 Exit codes: 0 when every verdict is true, 1 when any is false, 2 on usage
-or configuration errors, an unwritable ``-o`` file included, and 3 on an
-internal error, reported as a traceback on stderr.
+or configuration errors, and 3 on an internal error, reported as a
+traceback on stderr.  Usage errors are the arguments themselves, the
+instance configuration (bounds, seed, an exhausted retry budget), an
+unwritable ``-o`` file, an unrenderable figure, and a ``construct`` value
+that is malformed or repeated.  Every generated instance meets its
+verifier's and replay's preconditions, so a ``GeometryError`` raised while
+verifying, replaying or drawing one is an internal error.
 ARGUESIA_SEED provides the default seed.  Identical invocations produce
 byte-identical output.  ``main`` may be called repeatedly in one process:
 the argument parser is built on the first call and reused.
@@ -277,9 +282,12 @@ def main(argv=None) -> int:
             return 0 if data["verdict"] else 1
 
         if args.command == "construct":
-            b, c, d = (rat_parse(v) for v in (args.b, args.c, args.d))
-            if len({b, c, d}) != 3:
-                raise GeometryError("construct harmonic needs distinct values")
+            try:
+                b, c, d = (rat_parse(v) for v in (args.b, args.c, args.d))
+                if len({b, c, d}) != 3:
+                    raise GeometryError("construct harmonic needs distinct values")
+            except (ScalarError, GeometryError) as exc:
+                return _usage_error(exc)
             chart = default_chart(join(PPoint(0, 0, 1), PPoint(1, 0, 1)))
             f = harmonic_conjugate(
                 chart.point_at(b), chart.point_at(c), chart.point_at(d)
@@ -300,7 +308,7 @@ def main(argv=None) -> int:
         with open(args.output, "wb") as fh:
             fh.write(payload)
         return 0
-    except (InstanceError, ScalarError, GeometryError, OSError) as exc:
+    except (InstanceError, OSError) as exc:
         return _usage_error(exc)
     except Exception:
         # any other failure is the program's own fault, not a usage error

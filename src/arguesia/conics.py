@@ -2,8 +2,9 @@
 
 A conic is the canonical integer 6-tuple (m00, m01, m02, m11, m12, m22) of
 its symmetric matrix; a point lies on it iff p.M.p = 0.  The module covers
-pencils through four base points, spanned by two of their degenerate
-line-pair members, the rational points of a chord, the binary form a conic
+the member of a pencil through a given point (the pencil spanned by two
+line pairs through its four base points, which ``QuadrangleConfig`` holds
+as ``line_pairs``), the rational points of a chord, the binary form a conic
 induces on a charted line (which decides a chord without rational points by
 its symmetric functions, with no square root), and the rational
 parametrization used to generate exact instances.  The power of a
@@ -26,8 +27,6 @@ from arguesia.projective_core import (
     PLine,
     PPoint,
     _canonical,
-    collinear,
-    join,
 )
 
 
@@ -88,11 +87,6 @@ class Conic(Frozen):
         )
 
     @staticmethod
-    def combine(lam, g1: "Conic", mu, g2: "Conic") -> "Conic":
-        entries = [lam * a + mu * b for a, b in zip(g1.m, g2.m)]
-        return Conic(*entries)
-
-    @staticmethod
     def unit_circle() -> "Conic":
         return Conic(1, 0, 0, 1, 0, -1)
 
@@ -101,42 +95,15 @@ class Conic(Frozen):
 # pencils
 
 
-class Pencil(Frozen):
-    """Linear pencil of conics through four base points in general position."""
-
-    _fields = ("base", "gen1", "gen2")
-
-    def __init__(self, base: tuple[PPoint, ...], gen1: Conic, gen2: Conic):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "gen1", gen1)
-        object.__setattr__(self, "gen2", gen2)
-
-    @staticmethod
-    def through(b: PPoint, c: PPoint, d: PPoint, e: PPoint) -> "Pencil":
-        pts = (b, c, d, e)
-        if len(set(pts)) != 4:
-            raise ConicError("base points must be distinct")
-        for skip in range(4):
-            rest = [p for i, p in enumerate(pts) if i != skip]
-            if collinear(*rest):
-                raise ConicError("three base points are collinear")
-        g1 = Conic.from_lines(join(b, c), join(e, d))
-        g2 = Conic.from_lines(join(b, e), join(d, c))
-        return Pencil(pts, g1, g2)
-
-    def member(self, lam, mu) -> Conic:
-        if lam == 0 and mu == 0:
-            raise ConicError("zero pencil coefficients")
-        return Conic.combine(lam, self.gen1, mu, self.gen2)
-
-
-def pencil_member(pencil: Pencil, through: PPoint) -> Conic:
-    """The unique pencil member through one extra point."""
-    v1 = pencil.gen1.evaluate(through)
-    v2 = pencil.gen2.evaluate(through)
+def pencil_member(gen1: Conic, gen2: Conic, through: PPoint) -> Conic:
+    """The unique member of the pencil spanned by gen1 and gen2 through one
+    extra point: v1*gen2 - v2*gen1, with v1 and v2 the two generators'
+    values there."""
+    v1 = gen1.evaluate(through)
+    v2 = gen2.evaluate(through)
     if v1 == 0 and v2 == 0:
         raise ConicError("every member passes through a base point: ambiguous")
-    return pencil.member(-v2, v1)
+    return Conic(*(v1 * y - v2 * x for x, y in zip(gen1.m, gen2.m)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 ``generate_instance`` maps an InstanceConfig (kind, seed, bounds) to a
 concrete configuration that satisfies the target operation's
 preconditions, by rejection-resampling from the kind's deterministic
-SplitMix64 stream.  The same config always regenerates the identical
-instance; exhausting the retry budget is an error that reports the last
-failing precondition.
+SplitMix64 stream.  A maker states each precondition as a
+``NonGenericError``, and only that class is resampled; any other error
+from a maker is a fault and propagates.  The same config always
+regenerates the identical instance; exhausting the retry budget is an
+error that reports the last failing precondition.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from arguesia._frozen import Frozen
 from arguesia.conics import (
     Conic,
     ConicParametrization,
-    Pencil,
-    conic_line_intersection,
     pencil_member,
 )
 from arguesia.involution import Involution, NodeCouples
@@ -25,7 +25,6 @@ from arguesia.menelaus_engine import NonGenericError, SectorFigure, check_ramee_
 from arguesia.projective_core import (
     INF,
     AffineChart,
-    GeometryError,
     LineMap,
     P3Plane,
     P3Point,
@@ -40,6 +39,7 @@ from arguesia.projective_core import (
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
     QuadrangleConfig,
+    beaugrand_points,
     check_retablissement,
     harmonic_conjugate,
     pascal_circle_points,
@@ -81,7 +81,7 @@ def generate_instance(cfg: InstanceConfig) -> dict:
     for _ in range(MAX_RETRIES):
         try:
             inst = maker(rng, cfg.bounds)
-        except GeometryError as exc:
+        except NonGenericError as exc:
             last_error = str(exc)
             continue
         inst["config"] = cfg.to_json()
@@ -165,6 +165,8 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
         u = inv.map.apply_param(t)
         if u is INF or u == t:
             raise NonGenericError("couple hit infinity or a fixed point")
+        if u in params:
+            raise NonGenericError("two drawn parameters make one couple")
         pairs.append((chart.point_at(t), chart.point_at(u)))
     arbre = NodeCouples(chart, tuple(pairs))
     k = _point(rng, bounds)
@@ -216,24 +218,19 @@ def _make_pencil(rng: SplitMix64, bounds: int) -> dict:
         raise NonGenericError("tangency point among the bornes")
     chart = default_chart(delta_line)
     q = QuadrangleConfig(bornes, chart, strict=False)
-    pencil = Pencil.through(*bornes)
-    members = [("line pair IK", pencil.gen1), ("line pair PQ", pencil.gen2)]
+    gen1, gen2 = q.line_pairs["IK"], q.line_pairs["PQ"]
+    members = [("line pair IK", gen1), ("line pair PQ", gen2)]
     w_params = _distinct_params(rng, bounds, 2)
     for wt in w_params:
         w = chart.point_at(wt)
         if w == tangency or w in bornes or circle.contains(w):
             raise NonGenericError("bad through-point for a generic member")
-        member = pencil_member(pencil, w)
+        member = pencil_member(gen1, gen2, w)
         if member.is_degenerate():
             raise NonGenericError("generic member degenerated")
         members.append((f"member through t={wt}", member))
     members.append(("tangent member", circle))
-    return {
-        "quadrangle": q,
-        "pencil": pencil,
-        "members": members,
-        "tangency": tangency,
-    }
+    return {"quadrangle": q, "members": members, "tangency": tangency}
 
 
 def _make_pascal(rng: SplitMix64, bounds: int) -> dict:
@@ -259,13 +256,12 @@ def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
     nv, ko = join(n, v), join(k, o)
     mu = parallel_line_through(nv, q0)
     c_pt = meet(mu, ko)
-    if c_pt.is_at_infinity() or c_pt == f_pt or circle.contains(c_pt):
+    if c_pt.is_at_infinity() or c_pt == f_pt:
         raise NonGenericError("auxiliary point C degenerate")
-    # mu is the auxiliary parallel chord of beaugrand_replay; through q0 it
-    # is rational, but it must cut the circle twice, not touch it at q0
-    if conic_line_intersection(circle, mu).count != 2:
-        raise NonGenericError("auxiliary parallel chord tangent at Q")
     transversal = join(c_pt, f_pt)
+    # the replay's precondition; its auxiliary chord, the parallel to NV
+    # through C, is mu, rational through q0
+    beaugrand_points(circle, k, n, o, v, transversal)
     return {
         "conic": circle,
         "bornes": (k, n, o, v),

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arguesia._frozen import Frozen
+from arguesia._kernel import cross3
 from arguesia.exact_scalar import QuadExt, quad_sqrt, rat_str
 from arguesia.projective_core import (
     INF,
@@ -111,43 +112,6 @@ def partner_param(inv: Involution, t):
     return inv.map.apply_param(t)
 
 
-def involution_from_pairs(p1, p2, chart: AffineChart) -> Involution:
-    """The unique involution swapping two couples of chart points.
-
-    Couples are (PPoint, PPoint) pairs on the chart's line.  Rejected: equal
-    unordered couples, cross-coincidences, and two doubled couples (fixed
-    points only), which the contract treats as under-determined.
-    """
-    for a, b in (p1, p2):
-        if not (incident(a, chart.line) and incident(b, chart.line)):
-            raise InvolutionError("couple points must lie on the chart line")
-    if frozenset(p1) == frozenset(p2):
-        raise InvolutionError("coincident couples cannot determine an involution")
-    if set(p1) & set(p2):
-        raise InvolutionError("cross-coincident couples")
-    if p1[0] == p1[1] and p2[0] == p2[1]:
-        raise InvolutionError(
-            "two doubled couples: under-determined without a third datum"
-        )
-    rows = []
-    for a, b in (p1, p2):
-        (u1, v1), (u2, v2) = chart.param_pair(a), chart.param_pair(b)
-        rows.append((u1 * v2 + v1 * u2, v1 * v2, -u1 * u2))
-    r, s = rows
-    sol = (
-        r[1] * s[2] - r[2] * s[1],
-        r[2] * s[0] - r[0] * s[2],
-        r[0] * s[1] - r[1] * s[0],
-    )
-    if sol == (0, 0, 0):
-        raise InvolutionError("couples do not determine a unique involution")
-    a, b, c = sol
-    matrix = (a, b, c, -a)
-    if a * (-a) - b * c == 0:
-        raise InvolutionError("data admits only a degenerate involutive matrix")
-    return Involution(LineMap(matrix, chart, chart))
-
-
 # ---------------------------------------------------------------------------
 # the rectangle identities
 
@@ -179,12 +143,12 @@ def _rect_pair(e1, e2, w1, w2) -> tuple[int, int]:
     return num, den
 
 
-def rectangle_identity_check(nc: NodeCouples) -> tuple[bool, list[dict]]:
+def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
     """Evaluate the three rectangle-product identities exactly.
 
-    Returns (all_equal, report); the report lists each identity with both
-    sides as canonical rationals.  Each side is an integer quotient of
-    parameter-pair brackets, and the two sides are compared by
+    Returns the report: each identity with both sides as canonical
+    rationals and whether they are equal.  Each side is an integer
+    quotient of parameter-pair brackets, and the two sides are compared by
     cross-multiplying.  Requires finite noeuds (a couple with a point at
     infinity is checked through the homography form instead).
     """
@@ -200,22 +164,19 @@ def rectangle_identity_check(nc: NodeCouples) -> tuple[bool, list[dict]]:
         "HC.HG/(BC.BG) = HD.HF/(BD.BF)",
     )
     report = []
-    ok = True
     for (ev, lhs_c, rhs_c), label in zip(_IDENTITY_SCHEMES, labels):
         e2, e1 = pairs[ev]  # evaluate at the second member first (G before C)
         l_num, l_den = _rect_pair(e1, e2, *pairs[lhs_c])
         r_num, r_den = _rect_pair(e1, e2, *pairs[rhs_c])
-        equal = l_num * r_den == r_num * l_den
         report.append(
             {
                 "label": label,
                 "lhs": rat_str(Fraction(l_num, l_den)),
                 "rhs": rat_str(Fraction(r_num, r_den)),
-                "equal": equal,
+                "equal": l_num * r_den == r_num * l_den,
             }
         )
-        ok = ok and equal
-    return ok, report
+    return report
 
 
 def classify_kind(inv: Involution) -> str:
@@ -259,19 +220,31 @@ def classify(inv: Involution) -> dict:
 
 def equivalence_check(nc: NodeCouples) -> dict:
     """Desargues' equivalence in homography form: the couples are in
-    involution when the involution of two of them (preferring non-doubled
-    ones) swaps the third.  Returns {"equivalent", "involution"}; the
-    involution is None when the two couples determine none.
+    involution when the involution of two of them swaps the third.
+    Returns {"equivalent", "involution"}; the involution is None when the
+    two couples determine none.
+
+    The two are taken non-doubled first, so at most one is doubled, and
+    ``NodeCouples`` keeps them on the line, distinct and without a shared
+    point.  A couple (u1 : v1), (u2 : v2) puts the trace-zero matrix
+    ((a, b), (c, -a)) on the plane (u1*v2 + v1*u2)*a + v1*v2*b - u1*u2*c = 0;
+    the two planes meet in one line, whose direction is the cross product
+    of their rows.  When that direction has a*a + b*c = 0, zero included,
+    it is no involution.
     """
     doubled = sum(1 for p, q in nc.pairs if p == q)
     if doubled >= 3:
         raise InvolutionError("three doubled couples cannot be in involution")
     idx = sorted(range(3), key=lambda i: nc.pairs[i][0] == nc.pairs[i][1])
     c1, c2, (d, f) = (nc.pairs[i] for i in idx)
-    try:
-        inv = involution_from_pairs(c1, c2, nc.chart)
-    except InvolutionError:
+    rows = []
+    for p, q in (c1, c2):
+        (u1, v1), (u2, v2) = nc.chart.param_pair(p), nc.chart.param_pair(q)
+        rows.append((u1 * v2 + v1 * u2, v1 * v2, -u1 * u2))
+    a, b, c = cross3(*rows)
+    if a * a + b * c == 0:
         return {"equivalent": False, "involution": None}
+    inv = Involution(LineMap((a, b, c, -a), nc.chart, nc.chart))
     if d == f:
         pp = nc.chart.param_pair(d)
         equivalent = inv.map.apply_pair(pp) == pp

@@ -13,8 +13,8 @@ replay is one call of it: ``replay_ramee_proof`` and
 ``replay_quadrangle_proof`` here, the Beaugrand and Pascal replays in
 ``theorems``.  The replays evaluate every claimed identity exactly and log
 it with its Brouillon citation tag.  Each ratio is a quotient of integer
-brackets and stays an integer pair (``Ratio.pair``) through the products;
-a step builds one ``Fraction`` per printed side.
+brackets and stays an integer pair (``ratio``) through the products; a
+step builds one ``Fraction`` per printed side.
 """
 
 from __future__ import annotations
@@ -79,48 +79,36 @@ class SectorFigure(Frozen):
         intersections with the transversal (the tronc).
         """
         sides = (join(q, r), join(r, p), join(p, q))
+        if transversal in sides:
+            raise NonGenericError("transversal is a side line")
         # label rays so that vertex a = r2^r3 etc. works out: node i on ray i
         r1, r2, r3 = sides[0], sides[1], sides[2]
         nodes = tuple(meet(s, transversal) for s in (r1, r2, r3))
         return SectorFigure(transversal, nodes, (r1, r2, r3))
 
 
-class Ratio(Frozen):
-    """Signed ratio origin->num_end : origin->den_end on one line.
+def ratio(origin: PPoint, num_end: PPoint, den_end: PPoint) -> tuple[int, int]:
+    """Signed ratio origin->num_end : origin->den_end on one line, as an
+    unreduced integer pair (num, den), den never 0, so products of ratios
+    stay integer.
 
-    ``pair()`` gives it as an unreduced integer pair (num, den), den never
-    0, so products of ratios stay integer; ``value()`` is the one
-    ``Fraction`` of that pair.
+    A bracket quotient of the integer triples o, n, d (origin, num_end,
+    den_end): along a coordinate i where den_end and origin differ
+    affinely, (n_i/n_z - o_i/o_z) / (d_i/d_z - o_i/o_z), cleared to
+    (n_i o_z - o_i n_z) d_z / ((d_i o_z - o_i d_z) n_z).  NonGenericError
+    for a zero denominator segment, non-collinear points or an endpoint at
+    infinity.
     """
-
-    __slots__ = _fields = ("origin", "num_end", "den_end")
-
-    def __init__(self, origin: PPoint, num_end: PPoint, den_end: PPoint):
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "num_end", num_end)
-        object.__setattr__(self, "den_end", den_end)
-        if origin == den_end:
-            raise NonGenericError("ratio with zero denominator segment")
-        if det3(origin.coords, den_end.coords, num_end.coords) != 0:
-            raise NonGenericError("ratio of non-collinear points")
-
-    def pair(self) -> tuple[int, int]:
-        """Chart-independent signed value as (num, den); requires finite points.
-
-        A bracket quotient of the integer triples o, n, d (origin, num_end,
-        den_end): along a coordinate i where den_end and origin differ
-        affinely, (n_i/n_z - o_i/o_z) / (d_i/d_z - o_i/o_z), cleared to
-        (n_i o_z - o_i n_z) d_z / ((d_i o_z - o_i d_z) n_z).
-        """
-        o, n, d = self.origin.coords, self.num_end.coords, self.den_end.coords
-        oz, nz, dz = o[2], n[2], d[2]
-        if oz == 0 or nz == 0 or dz == 0:
-            raise NonGenericError("ratio endpoint at infinity")
-        i = 0 if d[0] * oz != o[0] * dz else 1
-        return (n[i] * oz - o[i] * nz) * dz, (d[i] * oz - o[i] * dz) * nz
-
-    def value(self) -> Rat:
-        return Fraction(*self.pair())
+    if origin == den_end:
+        raise NonGenericError("ratio with zero denominator segment")
+    o, n, d = origin.coords, num_end.coords, den_end.coords
+    if det3(o, d, n) != 0:
+        raise NonGenericError("ratio of non-collinear points")
+    oz, nz, dz = o[2], n[2], d[2]
+    if oz == 0 or nz == 0 or dz == 0:
+        raise NonGenericError("ratio endpoint at infinity")
+    i = 0 if d[0] * oz != o[0] * dz else 1
+    return (n[i] * oz - o[i] * nz) * dz, (d[i] * oz - o[i] * dz) * nz
 
 
 def _times(*pairs: tuple[int, int]) -> tuple[int, int]:
@@ -164,11 +152,10 @@ class ProofTrace:
 
 
 def menelaus_product(sf: SectorFigure) -> Rat:
-    """Ratio(N1;b,c) * Ratio(N2;c,a) * Ratio(N3;a,b); always exactly 1."""
+    """ratio(N1;b,c) * ratio(N2;c,a) * ratio(N3;a,b); always exactly 1."""
     n1, n2, n3 = sf.nodes
     a, b, c = sf.vertices()
-    pairs = (Ratio(n1, b, c).pair(), Ratio(n2, c, a).pair(), Ratio(n3, a, b).pair())
-    return Fraction(*_times(*pairs))
+    return Fraction(*_times(ratio(n1, b, c), ratio(n2, c, a), ratio(n3, a, b)))
 
 
 def menelaus_converse(sf: SectorFigure) -> bool:
@@ -176,9 +163,9 @@ def menelaus_converse(sf: SectorFigure) -> bool:
     check it falls back on the tronc (zero incidence residual)."""
     n1, n2, n3 = sf.nodes
     a, b, c = sf.vertices()
-    r1 = Ratio(n1, b, c).value()
-    r2 = Ratio(n2, c, a).value()
-    target = 1 / (r1 * r2)  # required value of Ratio(N3; a, b)
+    r1 = Fraction(*ratio(n1, b, c))
+    r2 = Fraction(*ratio(n2, c, a))
+    target = 1 / (r1 * r2)  # required value of ratio(N3; a, b)
     ray = default_chart(join(a, b))
     ta, tb = ray.coordinate(a), ray.coordinate(b)
     # solve (ta - t) / (tb - t) = target
@@ -205,9 +192,9 @@ def menelaus_step(
     the integer pairs of N1b/N1c, N3b/N3a and N2a/N2c.
     """
     (l1, p1), (l2, p2), (l3, p3), (la, pa), (lb, pb), (lc, pc) = n1, n2, n3, a, b, c
-    brin = Ratio(p1, pb, pc).pair()
-    at_n3 = Ratio(p3, pb, pa).pair()
-    at_n2 = Ratio(p2, pa, pc).pair()
+    brin = ratio(p1, pb, pc)
+    at_n3 = ratio(p3, pb, pa)
+    at_n2 = ratio(p2, pa, pc)
     trace.add(
         f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})",
         Fraction(*brin),

@@ -40,12 +40,12 @@ from arguesia.involution import (
 from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
-    Ratio,
     SectorFigure,
     _times,
     menelaus_converse,
     menelaus_product,
     menelaus_step,
+    ratio,
     replay_quadrangle_proof,
     replay_ramee_proof,
 )
@@ -158,9 +158,10 @@ class QuadrangleConfig(Frozen):
 
     The derived geometry (six bornales, three diagonal points, six cuts) is
     computed once per instance, when it is built; ``bornales()`` and
-    ``diagonal_points()`` return copies.  The involution of the three
-    couples is built on first use and kept: by Desargues' theorem it is the
-    one every conic of the pencil through the bornes cuts on the transversal.
+    ``diagonal_points()`` return copies.  The three bornale line pairs and
+    the involution of the three couples are built on first use and kept: by
+    Desargues' theorem the involution is the one every conic of the pencil
+    through the bornes, which two line pairs span, cuts on the transversal.
     """
 
     _fields = ("bornes", "transversal", "strict")
@@ -245,6 +246,18 @@ class QuadrangleConfig(Frozen):
         return NodeCouples(self.transversal, self.couples())
 
     @cached_property
+    def line_pairs(self) -> dict[str, Conic]:
+        """The degenerate members BC+ED, BE+DC and BD+CE of the pencil
+        through the bornes, keyed by the couple each cuts on the
+        transversal: IK, PQ and GH."""
+        ln = self._bornales
+        return {
+            "IK": Conic.from_lines(ln["BC"], ln["ED"]),
+            "PQ": Conic.from_lines(ln["BE"], ln["DC"]),
+            "GH": Conic.from_lines(ln["BD"], ln["CE"]),
+        }
+
+    @cached_property
     def involution(self) -> Involution:
         """The involution swapping I, K and P, Q and G, H; InvolutionError
         when the couples are not in involution."""
@@ -287,7 +300,7 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
     source_inv = nc_involution(nc)
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
-    for ident in rectangle_identity_check(image_nc)[1]:
+    for ident in rectangle_identity_check(image_nc):
         report.claims.append(ident | {"label": "image " + ident["label"]})
     eq = equivalence_check(image_nc)
     report.claim_true("image couples in involution (homography)", eq["equivalent"])
@@ -416,7 +429,7 @@ def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     report.claim("f is the midpoint of cb (metric)", f_img, midpoint(c_img, b_img))
     report.claim(
         "composed ratio (BC/BD)(FD/FC) is the raison double",
-        Fraction(*_times(Ratio(b, c, d).pair(), Ratio(f, d, c).pair())),
+        Fraction(*_times(ratio(b, c, d), ratio(f, d, c))),
         Fraction(2),
     )
     report.claim_true("d at infinity (image line parallel to DK)", d_img.is_at_infinity())
@@ -547,7 +560,7 @@ def quadrangle_involution(q: QuadrangleConfig):
     (NonGenericError for a pivot F at infinity)."""
     report = TheoremReport("quadrangle_involution", inputs=q.to_json())
     nc = q.node_couples()
-    report.claims.extend(rectangle_identity_check(nc)[1])
+    report.claims.extend(rectangle_identity_check(nc))
     eq = equivalence_check(nc)
     report.claim_true("couples (I,K), (P,Q), (G,H) in involution", eq["equivalent"])
     inv = eq["involution"]
@@ -644,14 +657,8 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
 
 
 def _degenerate_chord(q: QuadrangleConfig, member: Conic):
-    ln = q._bornales
-    pairs = {
-        "IK": (ln["BC"], ln["ED"], (q.I, q.K)),
-        "PQ": (ln["BE"], ln["DC"], (q.P, q.Q)),
-        "GH": (ln["BD"], ln["CE"], (q.G, q.H)),
-    }
-    for name, (l1, l2, couple) in pairs.items():
-        if Conic.from_lines(l1, l2) == member:
+    for (name, pair), couple in zip(q.line_pairs.items(), q.couples()):
+        if pair == member:
             return name, couple
     return None
 
@@ -695,21 +702,26 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
 # Beaugrand's derivation
 
 
-def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, transversal: PLine) -> ProofTrace:
-    """Beaugrand's proof of the involution theorem on a conic: two
-    applications of Apollonius III.17, two of Menelaus, the final identity
-    and the two remaining analogies he proved separately.
+def beaugrand_points(
+    conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, transversal: PLine
+) -> tuple[PPoint, ...]:
+    """The named points of Beaugrand's derivation, or NonGenericError.
 
-    The transversal must meet the conic in rational points F, G, and the
-    auxiliary parallel through C must cut the conic rationally; otherwise
-    the caller should regenerate the instance.
+    The bornes K, N, O, V must lie on the conic (ConicError otherwise).  The
+    transversal must cut the conic in two rational points F, G, and the
+    parallel to VN through C = KO^transversal in two rational points Q, R;
+    with A = VN^transversal, B = KN^transversal, E = VO^transversal and
+    P = KO^VN, all thirteen named points must be finite and pairwise
+    distinct.  The generator asks the same question, so every generated
+    instance has its replay, which starts with this call.  Returns
+    (F, G, A, B, C, E, P, Q, R).
     """
     for p in (k, n, o, v):
         if not conic.contains(p):
             raise ConicError("the four bornes must lie on the conic")
     hit = conic_line_intersection(conic, transversal)
     if hit.count != 2:
-        raise ConicError(
+        raise NonGenericError(
             f"transversal chord is not two rational points (disc {hit.discriminant})"
         )
     f_pt, g_pt = hit.points
@@ -720,18 +732,32 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
     c_pt = meet(transversal, ko)
     a_pt = meet(transversal, vn)
     p_pt = meet(ko, vn)
-    mu = parallel_line_through(vn, c_pt)
-    mu_hit = conic_line_intersection(conic, mu)
+    mu_hit = conic_line_intersection(conic, parallel_line_through(vn, c_pt))
     if mu_hit.count != 2:
-        raise ConicError(
-            f"auxiliary parallel chord irrational (disc {mu_hit.discriminant})"
+        raise NonGenericError(
+            f"auxiliary parallel chord is not two rational points "
+            f"(disc {mu_hit.discriminant})"
         )
     q_pt, r_pt = mu_hit.points
-    pts = [k, n, o, v, f_pt, g_pt, a_pt, b_pt, c_pt, e_pt, p_pt, q_pt, r_pt]
+    named = (f_pt, g_pt, a_pt, b_pt, c_pt, e_pt, p_pt, q_pt, r_pt)
+    pts = (k, n, o, v) + named
     if any(p.is_at_infinity() for p in pts):
         raise NonGenericError("a named point fell at infinity")
     if len(set(pts)) != len(pts):
         raise NonGenericError("named points are not pairwise distinct")
+    return named
+
+
+def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, transversal: PLine) -> ProofTrace:
+    """Beaugrand's proof of the involution theorem on a conic: two
+    applications of Apollonius III.17, two of Menelaus, the final identity
+    and the two remaining analogies he proved separately.
+
+    ``beaugrand_points`` is the precondition, and names the points.
+    """
+    f_pt, g_pt, a_pt, b_pt, c_pt, e_pt, p_pt, q_pt, r_pt = beaugrand_points(
+        conic, k, n, o, v, transversal
+    )
 
     trace = ProofTrace("beaugrand")
     trace.notes["points"] = {
@@ -809,6 +835,7 @@ def pascal_collinear(conic: Conic, p: PPoint, k: PPoint, v: PPoint, o: PPoint, n
     For a circle the historical proof is replayed: two Menelaus
     decompositions, three power-of-a-point identities, the substitution
     steps, and the cross-ratio equality that triggers Pappus collinearity.
+    Its precondition is ``pascal_circle_points`` (NonGenericError).
     """
     six = (p, k, v, o, n, q_pt)
     if len(set(six)) != 6:
@@ -866,12 +893,7 @@ def pascal_circle_points(p, k, v, o, n, q_pt):
 
 
 def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
-    try:
-        alpha, beta, a_pt, m_pt, s_pt = pascal_circle_points(p, k, v, o, n, q_pt)
-    except NonGenericError as exc:
-        report.notes["circle_replay"] = f"skipped: {exc}"
-        return
-
+    alpha, beta, a_pt, m_pt, s_pt = pascal_circle_points(p, k, v, o, n, q_pt)
     trace = ProofTrace("pascal_circle")
 
     _, va_over_vbeta, _ = menelaus_step(
@@ -905,14 +927,14 @@ def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
     )
     trace.add(
         "Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)",
-        Ratio(p, alpha, a_pt).value(),
+        Fraction(*ratio(p, alpha, a_pt)),
         chord_product(alpha, n, o) / chord_product(a_pt, q_pt, v) * Fraction(*ka_over_kalpha),
         "substitution",
         kind="substitution",
     )
     trace.add(
         "Qbeta/QA = (Nbeta/PA)(Obeta/KA)(VA/Vbeta)",
-        Ratio(q_pt, beta, a_pt).value(),
+        Fraction(*ratio(q_pt, beta, a_pt)),
         chord_product(beta, n, o) / chord_product(a_pt, p, k) * Fraction(*va_over_vbeta),
         "substitution",
         kind="substitution",

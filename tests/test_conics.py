@@ -7,14 +7,15 @@ from arguesia.conics import (
     Conic,
     ConicError,
     ConicParametrization,
-    Pencil,
     chord_quadratic,
     conic_line_intersection,
     pencil_member,
     second_intersection,
 )
+from arguesia.menelaus_engine import NonGenericError
 from arguesia.projective_core import INF, PLine, PPoint, chord_product, default_chart, join, meet
 from arguesia.rng import SplitMix64
+from arguesia.theorems import QuadrangleConfig
 from collineation import apply_collineation, apply_collineation_point
 
 A = PPoint.affine_point
@@ -24,51 +25,57 @@ PAR = ConicParametrization(UC, A(-1, 0))
 
 # -- pencils -------------------------------------------------------------------
 
+SQUARE = (A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
+# y = 2x + 3 is parallel to no bornale of SQUARE and misses its bornes and
+# diagonal points
+SQUARE_TRANSVERSAL = default_chart(PLine(2, -1, 3))
+
 
 def square_pencil():
-    return Pencil.through(A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
+    """The generators BC+ED and BE+DC of the pencil through SQUARE, and the
+    third line pair BD+CE that they leave out."""
+    pairs = QuadrangleConfig(SQUARE, SQUARE_TRANSVERSAL).line_pairs
+    return pairs["IK"], pairs["PQ"], pairs["GH"]
 
 
-def third_line_pair(pen):
-    """The degenerate member BD + CE that the pencil's generators leave out."""
-    b, c, d, e = pen.base
-    return Conic.from_lines(join(b, d), join(c, e))
+def _combination(lam, g1, mu, g2):
+    return Conic(*(lam * a + mu * b for a, b in zip(g1.m, g2.m)))
 
 
 def test_pencil_member_through_circle_point_is_circle():
-    pen = square_pencil()
-    assert pencil_member(pen, A(F(3, 5), F(4, 5))) == UC
+    gen1, gen2, _ = square_pencil()
+    assert pencil_member(gen1, gen2, A(F(3, 5), F(4, 5))) == UC
 
 
 def test_pencil_member_on_generator():
-    pen = square_pencil()
+    gen1, gen2, _ = square_pencil()
     # a point on gen1's line pair (but not a base point) returns gen1
-    p = join(A(1, 0), A(0, 1))
     probe = PPoint(2, -1, 1)
-    assert pen.gen1.contains(probe)
-    assert pencil_member(pen, probe) == pen.gen1
+    assert gen1.contains(probe)
+    assert pencil_member(gen1, gen2, probe) == gen1
 
 
 def test_pencil_member_base_point_ambiguous():
+    gen1, gen2, _ = square_pencil()
     with pytest.raises(ConicError):
-        pencil_member(square_pencil(), A(1, 0))
+        pencil_member(gen1, gen2, A(1, 0))
 
 
 def test_pencil_rejects_collinear_base():
-    with pytest.raises(ConicError):
-        Pencil.through(A(0, 0), A(1, 0), A(2, 0), A(0, 1))
+    # a pencil's base points are a quadrangle's bornes: no three collinear
+    with pytest.raises(NonGenericError, match="three bornes are collinear"):
+        QuadrangleConfig((A(0, 0), A(1, 0), A(2, 0), A(0, 1)), SQUARE_TRANSVERSAL)
 
 
 def test_members_all_pass_through_base():
     rng = SplitMix64.for_kind("pencil-base", 4)
-    pen = square_pencil()
+    gen1, gen2, _ = square_pencil()
     for _ in range(50):
-        lam = rng.int_between(-9, 9)
-        mu = rng.int_between(-9, 9)
-        if lam == 0 and mu == 0:
+        probe = A(rng.fraction(9), rng.fraction(9))
+        if probe in SQUARE:
             continue
-        member = pen.member(lam, mu)
-        for p in pen.base:
+        member = pencil_member(gen1, gen2, probe)
+        for p in SQUARE + (probe,):
             assert member.contains(p)
 
 
@@ -85,31 +92,31 @@ def test_exactly_three_degenerate_members_on_100_quadrangles():
             if p not in pts:
                 pts.append(p)
         try:
-            pen = Pencil.through(*pts)
-        except ConicError:
+            pairs = QuadrangleConfig(tuple(pts), SQUARE_TRANSVERSAL, strict=False).line_pairs
+        except NonGenericError:
             continue
-        third = third_line_pair(pen)
-        assert pen.gen1.det() == 0 and pen.gen2.det() == 0 and third.det() == 0
-        assert len({pen.gen1, pen.gen2, third}) == 3
+        gen1, gen2, third = pairs["IK"], pairs["PQ"], pairs["GH"]
+        assert gen1.det() == 0 and gen2.det() == 0 and third.det() == 0
+        assert len({gen1, gen2, third}) == 3
         # the cubic lam*mu*(b*lam + c*mu): read b, c off two raw evaluations
-        b_coef = (_pencil_det(pen, 1, 1) - _pencil_det(pen, 1, -1)) // 2
-        c_coef = (_pencil_det(pen, 1, 1) + _pencil_det(pen, 1, -1)) // 2
+        b_coef = (_pencil_det(gen1, gen2, 1, 1) - _pencil_det(gen1, gen2, 1, -1)) // 2
+        c_coef = (_pencil_det(gen1, gen2, 1, 1) + _pencil_det(gen1, gen2, 1, -1)) // 2
         lam3, mu3 = -c_coef, b_coef
         assert lam3 != 0 and mu3 != 0
-        assert _pencil_det(pen, lam3, mu3) == 0
-        assert pen.member(lam3, mu3) == third
+        assert _pencil_det(gen1, gen2, lam3, mu3) == 0
+        assert _combination(lam3, gen1, mu3, gen2) == third
         # elsewhere the pencil member is nondegenerate
         for lam, mu in ((1, 1), (2, 3), (-1, 5)):
             if mu3 * lam != lam3 * mu:
-                assert _pencil_det(pen, lam, mu) != 0
+                assert _pencil_det(gen1, gen2, lam, mu) != 0
         done += 1
         if done == 100:
             break
     assert done == 100
 
 
-def _pencil_det(pen, lam, mu):
-    g1, g2 = pen.gen1.rows(), pen.gen2.rows()
+def _pencil_det(gen1, gen2, lam, mu):
+    g1, g2 = gen1.rows(), gen2.rows()
     rows = [
         tuple(lam * g1[i][j] + mu * g2[i][j] for j in range(3)) for i in range(3)
     ]
@@ -119,12 +126,11 @@ def _pencil_det(pen, lam, mu):
 
 
 def test_third_degenerate_is_in_the_pencil():
-    pen = square_pencil()
-    third = third_line_pair(pen)
+    gen1, gen2, third = square_pencil()
     # probe a point of the third line pair that is not a base point
     probe = A(2, 0)
-    assert third.contains(probe) and probe not in pen.base
-    assert pencil_member(pen, probe) == third
+    assert third.contains(probe) and probe not in SQUARE
+    assert pencil_member(gen1, gen2, probe) == third
 
 
 # -- line intersection -----------------------------------------------------------

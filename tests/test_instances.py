@@ -94,6 +94,67 @@ def test_beaugrand_tangent_auxiliary_chord_resamples(seed, capsys):
     assert "error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["menelaus", "ramee", "quadrangle", "pencil", "pascal",
+                                  "beaugrand", "parallel-bornales", "midpoint", "bisector",
+                                  "retablissement"])
+def test_seed_sweep_at_bounds_8(kind, capsys):
+    # the smallest bounds allowed put the most instances on the edge of
+    # their preconditions; every seeded verify must still exit 0
+    from arguesia.cli import main
+
+    trials = 3000 if kind == "beaugrand" else 200
+    assert main(["verify", kind, "--seed", "1", "--trials", str(trials), "--bounds", "8"]) == 0
+    assert capsys.readouterr().out.endswith(f"{trials}/{trials} verdicts true\n")
+
+
+@pytest.mark.parametrize(
+    "bounds, seed",
+    [(8, 895), (8, 1303), (8, 2172), (8, 2390), (8, 2631),
+     (32, 5283), (32, 6446), (32, 7463), (32, 11948), (32, 12727)],
+)
+def test_every_generated_beaugrand_instance_has_its_replay(bounds, seed, capsys):
+    # these seeds first drew an instance whose replay put a named point at
+    # infinity or two named points together; the maker now asks the
+    # replay's own precondition, beaugrand_points
+    from arguesia.cli import main
+
+    for command in ("verify", "replay"):
+        assert main([command, "beaugrand", "--seed", str(seed), "--bounds", str(bounds)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+SIDE_LINE = "transversal is a side line"
+ONE_COUPLE = "two drawn parameters make one couple"
+
+
+@pytest.mark.parametrize(
+    "kind, bounds, seed, reason",
+    [("menelaus", 8, 51, SIDE_LINE), ("menelaus", 8, 516, SIDE_LINE),
+     ("ramee", 8, 38, ONE_COUPLE), ("ramee", 32, 120, ONE_COUPLE)],
+)
+def test_maker_preconditions_are_non_generic_errors(kind, bounds, seed, reason, monkeypatch):
+    # these seeds first drew a transversal on a side line (menelaus) or
+    # two parameters of one couple (ramee), where a constructor raised a
+    # plain GeometryError; the maker names the case, the generator resamples
+    # it, and nothing else is resampled
+    import arguesia.instances as instances
+    from arguesia.menelaus_engine import NonGenericError
+
+    reasons = []
+    maker = instances._MAKERS[kind]
+
+    def recording(rng, bounds):
+        try:
+            return maker(rng, bounds)
+        except NonGenericError as exc:
+            reasons.append(str(exc))
+            raise
+
+    monkeypatch.setitem(instances._MAKERS, kind, recording)
+    generate_instance(InstanceConfig(kind, seed, bounds))
+    assert reason in reasons
+
+
 @pytest.mark.parametrize("seed", [210000003, 210000037])
 def test_pascal_hexagon_without_circle_replay_resamples(seed, capsys):
     # these seeds first drew a hexagon whose replay point was at infinity

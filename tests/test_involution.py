@@ -12,7 +12,6 @@ from arguesia.involution import (
     classify,
     classify_kind,
     equivalence_check,
-    involution_from_pairs,
     partner,
     partner_param,
     rectangle_identity_check,
@@ -49,21 +48,22 @@ FOUR_OVER_X = couples((1, 4), (8, (1, 2)), (-1, -4))
 # -- rectangle identities -----------------------------------------------------
 
 
+def rectangles_hold(nc):
+    return all(r["equal"] for r in rectangle_identity_check(nc))
+
+
 def test_rectangle_identities_hold_for_4_over_x():
-    ok, report = rectangle_identity_check(FOUR_OVER_X)
-    assert ok
+    report = rectangle_identity_check(FOUR_OVER_X)
     assert report[0]["lhs"] == "1/16" and report[0]["rhs"] == "1/16"
     assert all(r["equal"] for r in report)
 
 
 def test_rectangle_identities_fail_on_perturbation():
-    ok, _ = rectangle_identity_check(couples((1, 4), (8, (1, 2)), (-1, -5)))
-    assert not ok
+    assert not rectangles_hold(couples((1, 4), (8, (1, 2)), (-1, -5)))
 
 
 def test_rectangle_identities_four_point_harmonic():
-    ok, _ = rectangle_identity_check(couples((0, 0), (2, 2), (3, (3, 2))))
-    assert ok
+    assert rectangles_hold(couples((0, 0), (2, 2), (3, (3, 2))))
 
 
 def _rect_side_oracle(e1, e2, w1, w2):
@@ -88,7 +88,7 @@ def _rectangle_oracle(nc):
         lhs = _rect_side_oracle(e1, e2, *params[lhs_c])
         rhs = _rect_side_oracle(e1, e2, *params[rhs_c])
         report.append((rat_str(lhs), rat_str(rhs), lhs == rhs))
-    return all(equal for _, _, equal in report), report
+    return report
 
 
 def _unchecked_couples(chart, pairs):
@@ -153,8 +153,8 @@ def test_rectangle_identities_match_fraction_oracle(chart, params, doubled, matr
             rectangle_identity_check(nc)
         assert str(got.value) == str(exc)
         return
-    ok, report = rectangle_identity_check(nc)
-    assert (ok, [(r["lhs"], r["rhs"], r["equal"]) for r in report]) == expected
+    report = rectangle_identity_check(nc)
+    assert [(r["lhs"], r["rhs"], r["equal"]) for r in report] == expected
 
 
 def test_node_couples_validation():
@@ -167,23 +167,36 @@ def test_node_couples_validation():
 # -- construction of the involution -------------------------------------------
 
 
+# x -> 4/x from the couple (1, 4) and the doubled couple (2, 2)
+FOUR_OVER_X_DOUBLED = couples((2, 2), (1, 4), (8, (1, 2)))
+
+
 def test_involution_from_pairs_4_over_x():
-    inv = involution_from_pairs((pt(1), pt(4)), (pt(2), pt(2)), CH)
-    assert inv.map.matrix == (0, 4, 1, 0)
-
-
-def test_involution_from_two_fixed_points_rejected():
-    with pytest.raises(InvolutionError):
-        involution_from_pairs((pt(0), pt(0)), (CH.infinity_point(), CH.infinity_point()), CH)
+    # the non-doubled couples come first: (1, 4) and (8, 1/2) fix the
+    # involution and the doubled (2, 2) is checked against it
+    eq = equivalence_check(FOUR_OVER_X_DOUBLED)
+    assert eq["equivalent"] and eq["involution"].map.matrix == (0, 4, 1, 0)
 
 
 def test_involution_from_coincident_pairs_rejected():
-    with pytest.raises(InvolutionError):
-        involution_from_pairs((pt(1), pt(2)), (pt(2), pt(1)), CH)
+    with pytest.raises(InvolutionError, match="couples must be pairwise distinct"):
+        couples((1, 2), (2, 1), (3, 5))
+
+
+def test_couples_that_determine_no_involution_are_not_equivalent():
+    # A trace-zero matrix with a*a + b*c = 0 relates t and u exactly when
+    # t or u is one point r, so two couples share r when it is their only
+    # solution.  NodeCouples forbids that; unchecked, the couples (1, 2)
+    # and (1, 3) are not in involution with any third.
+    nc = _unchecked_couples(CH, ((pt(1), pt(2)), (pt(1), pt(3)), (pt(5), pt(7))))
+    assert equivalence_check(nc) == {"equivalent": False, "involution": None}
+    # one couple twice: its equations repeat, and the cross product is zero
+    nc = _unchecked_couples(CH, ((pt(1), pt(2)), (pt(2), pt(1)), (pt(5), pt(7))))
+    assert equivalence_check(nc) == {"equivalent": False, "involution": None}
 
 
 def test_partner_examples():
-    inv = involution_from_pairs((pt(1), pt(4)), (pt(2), pt(2)), CH)
+    inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     assert partner(inv, pt(1)) == pt(4)
     assert partner(inv, CH.infinity_point()) == pt(0)  # the souche
     assert partner(inv, pt(2)) == pt(2)
@@ -191,14 +204,14 @@ def test_partner_examples():
 
 
 def test_partner_rejects_points_off_the_line():
-    inv = involution_from_pairs((pt(1), pt(4)), (pt(2), pt(2)), CH)
+    inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     with pytest.raises(InvolutionError):
         partner(inv, PPoint.affine_point(0, 5))
 
 
 def test_partner_is_involutive_on_random_points():
     rng = SplitMix64.for_kind("partner-invol", 3)
-    inv = involution_from_pairs((pt(1), pt(4)), (pt(8), pt((1, 2))), CH)
+    inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     for _ in range(100):
         t = rng.fraction(50)
         u = partner_param(inv, t)
@@ -262,10 +275,10 @@ def test_equivalence_check_positive_and_negative():
     eq = equivalence_check(FOUR_OVER_X)
     assert set(eq) == {"equivalent", "involution"}
     assert eq["equivalent"] and eq["involution"].map.matrix == (0, 4, 1, 0)
-    assert rectangle_identity_check(FOUR_OVER_X)[0]
+    assert rectangles_hold(FOUR_OVER_X)
     bad = couples((1, 4), (8, (1, 2)), (-1, -5))
     assert not equivalence_check(bad)["equivalent"]
-    assert not rectangle_identity_check(bad)[0]
+    assert not rectangles_hold(bad)
 
 
 def test_equivalence_closure_by_construction():
@@ -313,13 +326,13 @@ def test_equivalence_500_random_involutions():
             pts.append((t, u))
         nc = NodeCouples(CH, tuple((CH.point_at(t), CH.point_at(u)) for t, u in pts))
         assert equivalence_check(nc)["equivalent"], f"failed at trial {done}"
-        assert rectangle_identity_check(nc)[0], f"failed at trial {done}"
+        assert rectangles_hold(nc), f"failed at trial {done}"
         done += 1
 
 
 def test_degenerate_third_couple_requires_fixed_point():
     # (D, D) as third couple passes only when D is a fixed point
-    inv = involution_from_pairs((pt(1), pt(4)), (pt(8), pt((1, 2))), CH)
+    inv = equivalence_check(FOUR_OVER_X)["involution"]
     cls = classify(inv)
     fp = cls["fixed_points"][0]
     nc = NodeCouples(CH, ((pt(1), pt(4)), (pt(8), pt((1, 2))), (CH.point_at(fp), CH.point_at(fp))))
@@ -342,15 +355,13 @@ def _with_doubled_couple(t):
 def test_doubled_couple_at_a_fixed_point_is_in_involution():
     nc = _with_doubled_couple(F(3))
     assert equivalence_check(nc)["equivalent"] is True
-    ok, report = rectangle_identity_check(nc)
-    assert ok is True and all(r["equal"] for r in report)
+    assert rectangles_hold(nc)
 
 
 def test_doubled_couple_off_the_fixed_points_is_not_in_involution():
     nc = _with_doubled_couple(F(5))  # 5 -> 7/3
     assert equivalence_check(nc)["equivalent"] is False
-    ok, report = rectangle_identity_check(nc)
-    assert ok is False and not all(r["equal"] for r in report)
+    assert not rectangles_hold(nc)
 
 
 def test_rectangle_and_homography_routes_agree_on_seeded_couples():
@@ -383,7 +394,7 @@ def test_rectangle_and_homography_routes_agree_on_seeded_couples():
             except InvolutionError:
                 continue  # the moved point landed on another couple's point
             agreed = equivalence_check(nc)["equivalent"]
-            assert rectangle_identity_check(nc)[0] == agreed, flat
+            assert rectangles_hold(nc) == agreed, flat
             seen[agreed] += 1
     assert seen[True] >= 100 and seen[False] >= 100, seen
 

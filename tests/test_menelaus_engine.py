@@ -9,11 +9,11 @@ from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
-    Ratio,
     SectorFigure,
     check_ramee_replayable,
     menelaus_product,
     menelaus_step,
+    ratio,
     replay_quadrangle_proof,
     replay_ramee_proof,
 )
@@ -72,11 +72,7 @@ def test_menelaus_converse_perturbation_breaks_product():
     ray_chart = default_chart(fig.rays[2])
     moved = ray_chart.point_at(ray_chart.coordinate(n3) + 1)
     assert not incident(moved, fig.tronc)
-    product = (
-        Ratio(n1, b, c).value()
-        * Ratio(n2, c, a).value()
-        * Ratio(moved, a, b).value()
-    )
+    product = F(*ratio(n1, b, c)) * F(*ratio(n2, c, a)) * F(*ratio(moved, a, b))
     assert product != 1
 
 
@@ -125,9 +121,7 @@ def _decompose(fig):
         step = trace.steps[-1]
         assert step["label"] == f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})"
         assert step["meta"] == {"kind": "menelaus", "noeud": l1}
-        assert (brin, at_n3, at_n2) == (
-            Ratio(p1, pb, pc).pair(), Ratio(p3, pb, pa).pair(), Ratio(p2, pa, pc).pair()
-        )
+        assert (brin, at_n3, at_n2) == (ratio(p1, pb, pc), ratio(p3, pb, pa), ratio(p2, pa, pc))
         assert F(*brin) == F(*at_n3) * F(*at_n2)
     return trace
 
@@ -154,11 +148,10 @@ def test_decompose_ratio_concrete_values():
     (step,) = trace.steps
     assert step["label"] == "N1b/N1c = (N3b/N3a)(N2a/N2c)"
     assert step["equal"] and trace.verdict
-    assert brin == Ratio(n1, b, c).pair()
-    assert at_n3 == Ratio(n3, b, a).pair()
-    assert at_n2 == Ratio(n2, a, c).pair()
-    assert F(*brin) == Ratio(n1, b, c).value()
-    assert F(*brin) == Ratio(n3, b, a).value() * Ratio(n2, a, c).value()
+    assert brin == ratio(n1, b, c)
+    assert at_n3 == ratio(n3, b, a)
+    assert at_n2 == ratio(n2, a, c)
+    assert F(*brin) == F(*ratio(n3, b, a)) * F(*ratio(n2, a, c))
 
 
 def test_decompose_ratio_is_chart_independent():
@@ -356,14 +349,14 @@ def test_replay_precondition_k_on_intermediate_line():
     )
 
 
-# -- Ratio.value against the chart formula ---------------------------------------
+# -- ratio against the chart formula ---------------------------------------------
 
 
-def _chart_ratio(r: Ratio):
-    """Ratio value through chart parameters (the reference formula)."""
-    chart = default_chart(join(r.origin, r.den_end))
+def _chart_ratio(origin, num_end, den_end):
+    """The ratio's value through chart parameters (the reference formula)."""
+    chart = default_chart(join(origin, den_end))
     ts = []
-    for p in (r.origin, r.num_end, r.den_end):
+    for p in (origin, num_end, den_end):
         t = chart.coordinate(p)
         if t is INF:
             raise NonGenericError("ratio endpoint at infinity")
@@ -389,17 +382,17 @@ def test_ratio_value_matches_chart_formula(carrier, m0, m1, m2):
     # meets give collinear points whose z is rarely 1, and at infinity when
     # a cutting line is parallel to the carrier
     try:
-        origin, num_end, den_end = (meet(carrier, m) for m in (m0, m1, m2))
-        r = Ratio(origin, num_end, den_end)
+        pts = tuple(meet(carrier, m) for m in (m0, m1, m2))
     except GeometryError:
         assume(False)
-    if any(p.is_at_infinity() for p in (origin, num_end, den_end)):
+    assume(pts[0] != pts[2])  # a zero denominator segment
+    if any(p.is_at_infinity() for p in pts):
         with pytest.raises(NonGenericError, match="ratio endpoint at infinity"):
-            r.value()
+            ratio(*pts)
         with pytest.raises(NonGenericError, match="ratio endpoint at infinity"):
-            _chart_ratio(r)
+            _chart_ratio(*pts)
     else:
-        assert r.value() == _chart_ratio(r)
+        assert F(*ratio(*pts)) == _chart_ratio(*pts)
 
 
 RAT = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6)
@@ -412,9 +405,9 @@ def test_ratio_pair_is_the_chart_quotient(x0, y0, dx, dy, so, sn, sd):
     # three finite points x0 + s*dx, y0 + s*dy of one line
     assume((dx, dy) != (0, 0) and so != sd)
     origin, num_end, den_end = (A(x0 + s * dx, y0 + s * dy) for s in (so, sn, sd))
-    num, den = Ratio(origin, num_end, den_end).pair()
+    num, den = ratio(origin, num_end, den_end)
     assert den != 0
-    assert F(num, den) == _chart_ratio(Ratio(origin, num_end, den_end)) == (sn - so) / (sd - so)
+    assert F(num, den) == _chart_ratio(origin, num_end, den_end) == (sn - so) / (sd - so)
 
 
 # -- the quadrangle replay --------------------------------------------------------
@@ -453,16 +446,15 @@ def test_quadrangle_transversal_through_diagonal_point_rejected():
 
 
 def test_ratio_validation():
-    with pytest.raises(NonGenericError):
-        Ratio(A(0, 0), A(1, 1), A(0, 0))  # zero denominator segment
-    with pytest.raises(NonGenericError):
-        Ratio(A(0, 0), A(1, 1), A(2, 0))  # not collinear
-    r = Ratio(A(0, 0), A(2, 2), A(3, 3))
-    assert r.value() == F(2, 3)
+    with pytest.raises(NonGenericError, match="zero denominator segment"):
+        ratio(A(0, 0), A(1, 1), A(0, 0))
+    with pytest.raises(NonGenericError, match="non-collinear"):
+        ratio(A(0, 0), A(1, 1), A(2, 0))
+    assert F(*ratio(A(0, 0), A(2, 2), A(3, 3))) == F(2, 3)
     # representatives with z = 3, -7 and 7 (stored as z = -1)
-    assert Ratio(PPoint(3, 6, 3), PPoint(-14, -28, -7), PPoint(-7, -14, 7)).value() == F(-1, 2)
+    assert F(*ratio(PPoint(3, 6, 3), PPoint(-14, -28, -7), PPoint(-7, -14, 7))) == F(-1, 2)
     # on a vertical line the quotient is taken along y
-    assert Ratio(PPoint(2, 1, 2), PPoint(3, 5, 3), PPoint(1, -2, 1)).value() == F(-7, 15)
+    assert F(*ratio(PPoint(2, 1, 2), PPoint(3, 5, 3), PPoint(1, -2, 1))) == F(-7, 15)
     at_inf = PPoint(1, 1, 0)
     for pts in (
         (at_inf, A(1, 1), A(2, 2)),
@@ -470,4 +462,4 @@ def test_ratio_validation():
         (A(0, 0), A(1, 1), at_inf),
     ):
         with pytest.raises(NonGenericError, match="ratio endpoint at infinity"):
-            Ratio(*pts).value()
+            ratio(*pts)

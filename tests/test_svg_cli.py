@@ -142,6 +142,54 @@ def test_construct_rejects_malformed_rational():
     assert proc.returncode == 2
 
 
+def test_construct_repeated_values_is_a_usage_error(capsys):
+    # construct is the one command whose GeometryError is the user's input
+    assert main(["construct", "harmonic", "--b", "1", "--c", "1", "--d", "3"]) == 2
+    assert capsys.readouterr().err == "error: construct harmonic needs distinct values\n"
+
+
+def test_geometry_error_in_a_maker_is_an_internal_error(monkeypatch, capsys):
+    # the generator resamples NonGenericError alone; another GeometryError
+    # from a maker is a fault, not a precondition to retry
+    import arguesia.instances as instances
+    from arguesia.projective_core import GeometryError
+
+    def broken(rng, bounds):
+        raise GeometryError("meet of equal lines")
+
+    monkeypatch.setitem(instances._MAKERS, "ramee", broken)
+    assert main(["verify", "ramee", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "retry budget exhausted" not in captured.err
+    assert captured.err.endswith("GeometryError: meet of equal lines\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "replay", "figure"])
+def test_geometry_error_on_a_generated_instance_is_an_internal_error(
+    monkeypatch, capsys, tmp_path, command
+):
+    # a generated instance meets every precondition of its verifier, replay
+    # and figure, so even the generator's NonGenericError is a fault there
+    from arguesia import cli
+    import arguesia.svg_figures as svg_figures
+    from arguesia.menelaus_engine import NonGenericError
+
+    def broken(*args):
+        raise NonGenericError("a named point fell at infinity")
+
+    monkeypatch.setattr(cli, "quadrangle_involution", broken)
+    monkeypatch.setattr(cli, "replay_quadrangle_proof", broken)
+    monkeypatch.setattr(svg_figures, "render_figure", broken)
+    out = tmp_path / "fig.svg"
+    argv = [command, "quadrangle", "--seed", "1"] + (["-o", str(out)] if command == "figure" else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("NonGenericError: a named point fell at infinity\n")
+    assert not out.exists()
+
+
 def test_unknown_kind_usage_error():
     proc = run_cli("verify", "frobnicate")
     assert proc.returncode == 2

@@ -6,7 +6,6 @@ from arguesia.conics import (
     Conic,
     ConicError,
     ConicParametrization,
-    Pencil,
     chord_quadratic,
     conic_line_intersection,
     pencil_member,
@@ -291,7 +290,7 @@ def test_pencil_check_rejects_couples_not_in_involution():
     moved = q.transversal.point_at(q.transversal.coordinate(q.H) + 1)
     assert moved not in (q.I, q.K, q.P, q.Q, q.G)
     object.__setattr__(q, "_cuts", dict(q._cuts, CE=moved))
-    member = Pencil.through(*q.bornes).gen1
+    member = q.line_pairs["IK"]
     with pytest.raises(InvolutionError, match="couples are not in involution"):
         pencil_involution_check(q, member)
 
@@ -326,7 +325,7 @@ def test_pencil_members_and_tangency():
         rep = pencil_involution_check(q, member)
         assert rep.verdict, name
     # the third line pair reproduces the (G, H) couple
-    b, c, d, e = inst["pencil"].base
+    b, c, d, e = q.bornes
     third = Conic.from_lines(join(b, d), join(c, e))
     rep3 = pencil_involution_check(q, third)
     assert rep3.verdict
@@ -389,7 +388,9 @@ def _irrational_chord_samples(seed, want=40):
             q = QuadrangleConfig(bornes, default_chart(join(p, r)))
         except GeometryError:
             continue
-        member = Pencil.through(*bornes).member(rng.fraction(9), rng.nonzero_fraction(9))
+        lam, mu = rng.fraction(9), rng.nonzero_fraction(9)
+        pairs = q.line_pairs
+        member = Conic(*(lam * x + mu * y for x, y in zip(pairs["IK"].m, pairs["PQ"].m)))
         if member.is_degenerate():
             continue
         hit = conic_line_intersection(member, q.transversal.line)
@@ -455,13 +456,12 @@ def test_hyperbolic_iff_two_tangent_members():
 
         inv = nc_involution(q.node_couples())
         kind = classify_kind(inv)
-        pen = Pencil.through(*q.bornes)
-        disc = _tangency_discriminant(pen, q.transversal.line)
+        disc = _tangency_discriminant(q.line_pairs["IK"], q.line_pairs["PQ"], q.transversal.line)
         assert (disc > 0) == (kind == "hyperbolic")
         assert (disc < 0) == (kind == "elliptic")
 
 
-def _tangency_discriminant(pen, line):
+def _tangency_discriminant(gen1, gen2, line):
     """Discriminant of the quadratic in (lam:mu) expressing tangency to line."""
     from arguesia.conics import _line_span, _bilinear
 
@@ -473,8 +473,8 @@ def _tangency_discriminant(pen, line):
         c = conic.evaluate(p1)
         return a, b, c
 
-    a1, b1, c1 = restriction(pen.gen1)
-    a2, b2, c2 = restriction(pen.gen2)
+    a1, b1, c1 = restriction(gen1)
+    a2, b2, c2 = restriction(gen2)
     # disc(lam, mu) = (lam*b1 + mu*b2)^2 - (lam*a1 + mu*a2)(lam*c1 + mu*c2)
     # as a quadratic q_ll*lam^2 + q_lm*lam*mu + q_mm*mu^2
     q_ll = b1 * b1 - a1 * c1
@@ -552,7 +552,7 @@ def test_beaugrand_rejects_point_off_conic():
 
 def test_beaugrand_rejects_irrational_transversal():
     k, n, o, v, _ = beaugrand_instance()
-    with pytest.raises(ConicError):
+    with pytest.raises(NonGenericError, match="transversal chord is not two rational points"):
         beaugrand_replay(UC, k, n, o, v, PLine(1, -1, F(1, 3)))
 
 
@@ -574,14 +574,13 @@ def test_pascal_params_0_to_5():
     ],
 )
 def test_pascal_circle_replay_skips_where_the_generator_resamples(params, reason):
-    # hand-built hexagons the generator now rejects: the collinearity still
-    # holds, and the replay names the same obstruction
+    # hand-built hexagons the generator rejects: the circle replay raises
+    # the same obstruction that pascal_circle_points names
     pts = [PAR.point_at(F(t)) for t in params]
     with pytest.raises(NonGenericError, match=reason):
         pascal_circle_points(*pts)
-    rep = pascal_collinear(UC, *pts)
-    assert rep.verdict and rep.trace is None
-    assert rep.notes["circle_replay"] == f"skipped: {reason}"
+    with pytest.raises(NonGenericError, match=reason):
+        pascal_collinear(UC, *pts)
 
 
 def test_pascal_rejects_coincident_vertices():
