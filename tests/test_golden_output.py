@@ -6,7 +6,8 @@ runs again at wide bounds, where the discriminants are large enough that
 square roots need real factoring, and so does retablissement, whose
 perspectivity matrices then carry large entries; quadrangle and pencil run
 at bounds 10**6, where the three perspectives and the rational chords meet
-large coefficients.  The digests pin every
+large coefficients, and so do the beaugrand, pascal and parallel-bornales
+replays, whose chord products and ratios then carry large integers.  The digests pin every
 output byte, so a change to the arithmetic that alters a value, a canonical
 form or the order of claims shows up here; a change that only makes the
 same bytes faster leaves them alone.  Every verify kind also runs at
@@ -53,6 +54,12 @@ GOLDEN = {
         "3eea33dc26aceeaf65eaf07be082c9c47f29395736d2ec3b2db2f331a19a7851",
     "verify pencil --bounds 1000000":
         "d5035bd16b7fdadf70a2756d0d0987fee4b1463e81d0444651d85f4d5fd23467",
+    "verify beaugrand --bounds 1000000":
+        "75bedc16764767ae83bbed6a8d5dfc0e4df1ee13322569dbb942dc3072c137ea",
+    "verify pascal --bounds 1000000":
+        "782428b75471aa0dc14067d95f93842b146db7407e2a04a89e9a1042f55aef2c",
+    "verify parallel-bornales --bounds 1000000":
+        "8e3c172f666c257f9374188d94cc386249cde5a6a63d0bc23a99ca5929989f45",
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src"
