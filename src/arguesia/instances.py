@@ -269,13 +269,21 @@ def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
     }
 
 
-def _make_harmonic(rng: SplitMix64, bounds: int) -> dict:
+def _harmonic_draw(rng: SplitMix64, bounds: int):
+    """A chart, B, C, D at three distinct drawn parameters, and F, their
+    harmonic conjugate: the draw the harmonic and bisector instances share.
+    A finite parameter gives a finite point, and rejecting D at the
+    midpoint of BC keeps F finite."""
     chart = _chart(rng, bounds)
     tb, tc, td = _distinct_params(rng, bounds, 3)
     if td == (tb + tc) / 2:
         raise NonGenericError("D at the midpoint: F would be infinite")
     b, c, d = (chart.point_at(t) for t in (tb, tc, td))
-    f = harmonic_conjugate(b, c, d)
+    return chart, b, c, d, harmonic_conjugate(b, c, d)
+
+
+def _make_harmonic(rng: SplitMix64, bounds: int) -> dict:
+    chart, b, c, d, f = _harmonic_draw(rng, bounds)
     k = _point(rng, bounds)
     if incident(k, chart.line):
         raise NonGenericError("K on the carrier line")
@@ -283,16 +291,7 @@ def _make_harmonic(rng: SplitMix64, bounds: int) -> dict:
 
 
 def _make_bisector(rng: SplitMix64, bounds: int) -> dict:
-    chart = _chart(rng, bounds)
-    tb, tc, td = _distinct_params(rng, bounds, 3)
-    if td == (tb + tc) / 2:
-        raise NonGenericError("D at the midpoint")
-    b, c, d = (chart.point_at(t) for t in (tb, tc, td))
-    if b.is_at_infinity() or c.is_at_infinity():
-        raise NonGenericError("B or C at infinity")
-    f = harmonic_conjugate(b, c, d)
-    if f.is_at_infinity() or d.is_at_infinity():
-        raise NonGenericError("harmonic couple not finite")
+    chart, b, c, d, f = _harmonic_draw(rng, bounds)
     bx, by = b.affine()
     cx, cy = c.affine()
     thales = Conic(

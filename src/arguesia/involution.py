@@ -182,30 +182,26 @@ def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
 def classify_kind(inv: Involution) -> str:
     """Hyperbolic or elliptic by the discriminant sign alone.
 
-    Avoids the square-root extraction, so it stays cheap for involutions
-    whose matrices carry large composed coefficients.
+    With a trace-zero matrix ((a,b),(c,-a)) the discriminant a^2 + bc is
+    -det, never 0 for an ``Involution``.  Avoids the square-root
+    extraction, so it stays cheap for involutions whose matrices carry
+    large composed coefficients.
     """
     a, b, c, d = inv.map.matrix
-    disc = a * a + b * c
-    if disc == 0:
-        raise InvolutionError("zero discriminant: degenerate (parabolic) map")
-    return "hyperbolic" if disc > 0 else "elliptic"
+    return "hyperbolic" if a * a + b * c > 0 else "elliptic"
 
 
 def classify(inv: Involution) -> dict:
     """Hyperbolic (two exact fixed points) or elliptic (none).
 
-    Fixed points solve m10*t^2 + (m11 - m00)*t - m01 = 0; with a trace-zero
-    matrix ((a,b),(c,-a)) the discriminant is a^2 + bc = -det, so the sign
-    of -det decides the class.  Zero discriminant contradicts the
-    Involution invariant and is rejected.
+    Fixed points solve m10*t^2 + (m11 - m00)*t - m01 = 0, whose
+    discriminant's sign ``classify_kind`` reads.
     """
+    kind = classify_kind(inv)
     a, b, c, d = inv.map.matrix
     disc = Fraction(a * a + b * c)
-    if disc == 0:
-        raise InvolutionError("zero discriminant: degenerate (parabolic) map")
-    if disc < 0:
-        return {"kind": "elliptic", "fixed_points": (), "discriminant": disc}
+    if kind == "elliptic":
+        return {"kind": kind, "fixed_points": (), "discriminant": disc}
     root = quad_sqrt(disc)
     if c == 0:
         fixed = (Fraction(-b, 2 * a), INF)
@@ -221,16 +217,17 @@ def classify(inv: Involution) -> dict:
 def equivalence_check(nc: NodeCouples) -> dict:
     """Desargues' equivalence in homography form: the couples are in
     involution when the involution of two of them swaps the third.
-    Returns {"equivalent", "involution"}; the involution is None when the
-    two couples determine none.
+    Returns {"equivalent", "involution"}.
 
     The two are taken non-doubled first, so at most one is doubled, and
     ``NodeCouples`` keeps them on the line, distinct and without a shared
     point.  A couple (u1 : v1), (u2 : v2) puts the trace-zero matrix
     ((a, b), (c, -a)) on the plane (u1*v2 + v1*u2)*a + v1*v2*b - u1*u2*c = 0;
     the two planes meet in one line, whose direction is the cross product
-    of their rows.  When that direction has a*a + b*c = 0, zero included,
-    it is no involution.
+    of their rows.  That direction is an involution: a*a + b*c = 0 would
+    make the matrix relate t and u only when t or u is its one root r, so
+    both couples would contain r, or be one pair twice, and
+    ``NodeCouples`` forbids both.
     """
     doubled = sum(1 for p, q in nc.pairs if p == q)
     if doubled >= 3:
@@ -242,8 +239,6 @@ def equivalence_check(nc: NodeCouples) -> dict:
         (u1, v1), (u2, v2) = nc.chart.param_pair(p), nc.chart.param_pair(q)
         rows.append((u1 * v2 + v1 * u2, v1 * v2, -u1 * u2))
     a, b, c = cross3(*rows)
-    if a * a + b * c == 0:
-        return {"equivalent": False, "involution": None}
     inv = Involution(LineMap((a, b, c, -a), nc.chart, nc.chart))
     if d == f:
         pp = nc.chart.param_pair(d)

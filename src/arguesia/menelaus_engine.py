@@ -13,8 +13,10 @@ replay is one call of it: ``replay_ramee_proof`` and
 ``replay_quadrangle_proof`` here, the Beaugrand and Pascal replays in
 ``theorems``.  The replays evaluate every claimed identity exactly and log
 it with its Brouillon citation tag.  Each ratio is a quotient of integer
-brackets and stays an integer pair (``ratio``) through the products; a
-step builds one ``Fraction`` per printed side.
+brackets and stays an integer pair (``ratio``) through the products, as
+does each chord product (``projective_core.chord_product``); a trace step
+takes both sides as pairs, compares them by cross-multiplying and builds
+one ``Fraction`` per printed side.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arguesia._frozen import Frozen
-from arguesia._kernel import det3
 from arguesia.exact_scalar import Rat, rat_str
 from arguesia.involution import NodeCouples
 from arguesia.projective_core import (
@@ -87,28 +88,38 @@ class SectorFigure(Frozen):
         return SectorFigure(transversal, nodes, (r1, r2, r3))
 
 
-def ratio(origin: PPoint, num_end: PPoint, den_end: PPoint) -> tuple[int, int]:
-    """Signed ratio origin->num_end : origin->den_end on one line, as an
-    unreduced integer pair (num, den), den never 0, so products of ratios
-    stay integer.
+def ratio(
+    origin: PPoint, num_end: PPoint, den_end: PPoint, den_origin: PPoint | None = None
+) -> tuple[int, int]:
+    """Signed ratio origin->num_end : den_origin->den_end of two parallel
+    segments, as an unreduced integer pair (num, den), den never 0, so
+    products of ratios stay integer.  ``den_origin`` defaults to
+    ``origin``: the noeud-anchored ratio of three points on one line.
 
-    A bracket quotient of the integer triples o, n, d (origin, num_end,
-    den_end): along a coordinate i where den_end and origin differ
-    affinely, (n_i/n_z - o_i/o_z) / (d_i/d_z - o_i/o_z), cleared to
-    (n_i o_z - o_i n_z) d_z / ((d_i o_z - o_i d_z) n_z).  NonGenericError
-    for a zero denominator segment, non-collinear points or an endpoint at
-    infinity.
+    A quotient of the integer displacements v = n*o_z - o*n_z and
+    w = d*e_z - e*d_z of the triples o, n, d, e (origin, num_end, den_end,
+    den_origin), which carry the scales o_z*n_z and e_z*d_z: along a
+    coordinate i with w_i != 0 it is v_i*d_z / (w_i*n_z) times e_z/o_z, a
+    factor that is 1 for one origin and is then left out.
+    NonGenericError for an endpoint at infinity, a zero denominator
+    segment, or segments that are not parallel (points not collinear).
     """
-    if origin == den_end:
-        raise NonGenericError("ratio with zero denominator segment")
-    o, n, d = origin.coords, num_end.coords, den_end.coords
-    if det3(o, d, n) != 0:
-        raise NonGenericError("ratio of non-collinear points")
-    oz, nz, dz = o[2], n[2], d[2]
-    if oz == 0 or nz == 0 or dz == 0:
+    e = origin if den_origin is None else den_origin
+    o, n, d, e = origin.coords, num_end.coords, den_end.coords, e.coords
+    oz, nz, dz, ez = o[2], n[2], d[2], e[2]
+    if oz == 0 or nz == 0 or dz == 0 or ez == 0:
         raise NonGenericError("ratio endpoint at infinity")
-    i = 0 if d[0] * oz != o[0] * dz else 1
-    return (n[i] * oz - o[i] * nz) * dz, (d[i] * oz - o[i] * dz) * nz
+    v0, v1 = n[0] * oz - o[0] * nz, n[1] * oz - o[1] * nz
+    w0, w1 = d[0] * ez - e[0] * dz, d[1] * ez - e[1] * dz
+    if w0 == 0 and w1 == 0:
+        raise NonGenericError("ratio with zero denominator segment")
+    if v0 * w1 != v1 * w0:
+        raise NonGenericError("ratio of non-collinear points" if den_origin is None
+                              else "ratio of non-parallel segments")
+    num, den = (v0 * dz, w0 * nz) if w0 else (v1 * dz, w1 * nz)
+    if den_origin is None:
+        return num, den
+    return num * ez, den * oz
 
 
 def _times(*pairs: tuple[int, int]) -> tuple[int, int]:
@@ -120,22 +131,42 @@ def _times(*pairs: tuple[int, int]) -> tuple[int, int]:
     return num, den
 
 
+def _over(num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int]:
+    """Quotient of two unreduced (num, den) pairs, itself unreduced."""
+    return num[0] * den[1], num[1] * den[0]
+
+
 class ProofTrace:
     """A replayed derivation.  Each step is the record it prints,
-    ``{label, lhs, rhs, equal, cite, meta?}``, with both sides exact."""
+    ``{label, lhs, rhs, equal, cite, meta?}``, with both sides exact.
+
+    ``add`` takes each side as an unreduced integer pair (num, den), den
+    nonzero and of either sign, compares the sides by cross-multiplying
+    and prints each reduced, through one ``Fraction`` per distinct pair: a
+    side printed again reuses its text.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.steps: list[dict] = []
         self.notes: dict = {}
+        self._shown: dict[tuple[int, int], str] = {}
 
     @property
     def verdict(self) -> bool:
         return all(s["equal"] for s in self.steps)
 
-    def add(self, label: str, lhs: Rat, rhs: Rat, cite: str, **meta) -> None:
-        step = {"label": label, "lhs": rat_str(lhs), "rhs": rat_str(rhs),
-                "equal": lhs == rhs, "cite": cite}
+    def _show(self, side: tuple[int, int]) -> str:
+        text = self._shown.get(side)
+        if text is None:
+            text = self._shown[side] = rat_str(Fraction(*side))
+        return text
+
+    def add(
+        self, label: str, lhs: tuple[int, int], rhs: tuple[int, int], cite: str, **meta
+    ) -> None:
+        step = {"label": label, "lhs": self._show(lhs), "rhs": self._show(rhs),
+                "equal": lhs[0] * rhs[1] == rhs[0] * lhs[1], "cite": cite}
         if meta:
             step["meta"] = meta
         self.steps.append(step)
@@ -197,8 +228,8 @@ def menelaus_step(
     at_n2 = ratio(p2, pa, pc)
     trace.add(
         f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})",
-        Fraction(*brin),
-        Fraction(*_times(at_n3, at_n2)),
+        brin,
+        _times(at_n3, at_n2),
         cite,
         kind="menelaus",
         **meta,
@@ -310,19 +341,19 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
     alpha = _times(kd_over_kD, kd_over_kD, kF_over_kf, kF_over_kf)
     trace.notes["alpha"] = rat_str(Fraction(*alpha))
 
-    lhs_gc = Fraction(*_times(image["g"], image["c"]))
+    lhs_gc = _times(image["g"], image["c"])
     trace.add(
         "dg.dc/(fg.fc) = a.DG.DC/(FG.FC)",
         lhs_gc,
-        Fraction(*_times(alpha, source["G"], source["C"])),
+        _times(alpha, source["G"], source["C"]),
         "p.12 l.11",
         kind="aggregation",
     )
-    lhs_bh = Fraction(*_times(image["b"], image["h"]))
+    lhs_bh = _times(image["b"], image["h"])
     trace.add(
         "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
         lhs_bh,
-        Fraction(*_times(alpha, source["B"], source["H"])),
+        _times(alpha, source["B"], source["H"]),
         "p.12 l.7",
         kind="aggregation",
     )
@@ -368,17 +399,17 @@ def replay_quadrangle_proof(q) -> ProofTrace:
         lhs[x[0]], rhs[x[0]] = brin, _times(at_alpha, at_beta)
 
     # (CQ/CF)(BF/BP)(DQ/DF)(EF/EP): the right sides at I and at K
-    common = Fraction(*_times(rhs["I"], rhs["K"]))
+    common = _times(rhs["I"], rhs["K"])
     trace.add(
         "QI.QK/(PI.PK) = (CQ/CF)(BF/BP)(DQ/DF)(EF/EP)",
-        Fraction(*_times(lhs["I"], lhs["K"])),
+        _times(lhs["I"], lhs["K"]),
         common,
         "p.17 l.11",
         kind="aggregation",
     )
     trace.add(
         "QG.QH/(PG.PH) = (CQ/CF)(BF/BP)(DQ/DF)(EF/EP)",
-        Fraction(*_times(lhs["G"], lhs["H"])),
+        _times(lhs["G"], lhs["H"]),
         common,
         "p.17 l.20",
         kind="aggregation",

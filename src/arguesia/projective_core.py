@@ -533,35 +533,22 @@ def _scaled_displacement(p: PPoint, q: PPoint) -> tuple[int, int]:
     return qx * pz - px * qz, qy * pz - py * qz
 
 
-def chord_product(origin: PPoint, p: PPoint, q: PPoint) -> Rat:
+def chord_product(origin: PPoint, p: PPoint, q: PPoint) -> tuple[int, int]:
     """Signed euclidean product origin->p . origin->q for collinear data.
 
     For three collinear finite points this is the power-of-a-point style
     product of signed lengths times the (positive) squared direction scale,
     so equalities of such products are scale-consistent within one figure.
-    Computed on the integer coordinates, with one Fraction at the end.
+    Returned as the unreduced integer pair (v.w, oz**2 * pz * qz) of the
+    scaled displacements v, w and the points' z, so quotients and products
+    of chord products stay integer; the denominator is never 0 but may be
+    negative.
     """
     _require_finite(origin, p, q)
     v = _scaled_displacement(origin, p)
     w = _scaled_displacement(origin, q)
     oz = origin.coords[2]
-    return Fraction(v[0] * w[0] + v[1] * w[1], oz * oz * p.coords[2] * q.coords[2])
-
-
-def parallel_ratio(p1: PPoint, p2: PPoint, q1: PPoint, q2: PPoint) -> Rat:
-    """t with vector(p1->p2) = t * vector(q1->q2); segments must be parallel."""
-    _require_finite(p1, p2, q1, q2)
-    v = _scaled_displacement(p1, p2)
-    w = _scaled_displacement(q1, q2)
-    if v[0] * w[1] != v[1] * w[0]:
-        raise GeometryError("segments are not parallel")
-    # v and w carry the scales p1.z * p2.z and q1.z * q2.z
-    scale_v = p1.coords[2] * p2.coords[2]
-    scale_w = q1.coords[2] * q2.coords[2]
-    for i in (0, 1):
-        if w[i] != 0:
-            return Fraction(v[i] * scale_w, scale_v * w[i])
-    raise GeometryError("zero reference segment")
+    return v[0] * w[0] + v[1] * w[1], oz * oz * p.coords[2] * q.coords[2]
 
 
 def reflect_direction(axis, v):

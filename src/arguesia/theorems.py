@@ -41,6 +41,7 @@ from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
     SectorFigure,
+    _over,
     _times,
     menelaus_converse,
     menelaus_product,
@@ -72,7 +73,6 @@ from arguesia.projective_core import (
     meet,
     midpoint,
     parallel_line_through,
-    parallel_ratio,
     param_str,
     perspective_map,
     plane_perspectivity,
@@ -304,12 +304,11 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
         report.claims.append(ident | {"label": "image " + ident["label"]})
     eq = equivalence_check(image_nc)
     report.claim_true("image couples in involution (homography)", eq["equivalent"])
-    if eq["involution"] is not None:
-        report.claim(
-            "conjugate involution equals image involution",
-            phi_conjugate.map.matrix,
-            eq["involution"].map.matrix,
-        )
+    report.claim(
+        "conjugate involution equals image involution",
+        phi_conjugate.map.matrix,
+        eq["involution"].map.matrix,
+    )
 
     src_cls = classify(source_inv)
     report.claim(
@@ -329,7 +328,7 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
 def nc_involution(nc: NodeCouples) -> Involution:
     """The involution determined by a NodeCouples (must be consistent)."""
     eq = equivalence_check(nc)
-    if not eq["equivalent"] or eq["involution"] is None:
+    if not eq["equivalent"]:
         raise InvolutionError("couples are not in involution")
     return eq["involution"]
 
@@ -396,12 +395,11 @@ def _harmonic_by_construction(b: PPoint, c: PPoint, d: PPoint):
     return None if data is None else data["f"]
 
 
-def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) -> TheoremReport:
-    """Four-point involution B=H, C=G, D, F projected onto the line through
-    C parallel to the rameau DK: the image f must be the exact midpoint of
-    cb, the composed ratio (BC/BD)(FD/FC) must be the raison double 2, and
-    conversely the midpoint property must force d to infinity.
-    """
+def _four_point_case(name: str, b, c, d, f, k, finite) -> tuple[PLine, TheoremReport]:
+    """The precondition the midpoint and bisector cases share: B, C, D, F
+    collinear and harmonic, K off their line (the tronc) and the points of
+    ``finite`` finite; GeometryError otherwise.  Returns the tronc and the
+    case's empty report."""
     base = join(b, c)
     if not (incident(d, base) and incident(f, base)):
         raise GeometryError("the four points must be collinear")
@@ -409,16 +407,19 @@ def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
         raise GeometryError("input points are not harmonic")
     if incident(k, base):
         raise GeometryError("projection point on the tronc")
-    for p in (b, c, d, f):
-        if p.is_at_infinity():
-            raise GeometryError("finite harmonic points required here")
+    if any(p.is_at_infinity() for p in finite):
+        raise GeometryError("finite points required here")
+    inputs = {p_name: p.to_json() for p_name, p in zip("BCDFK", (b, c, d, f, k))}
+    return base, TheoremReport(name, inputs=inputs)
 
-    report = TheoremReport(
-        "midpoint_case",
-        inputs={p_name: p.to_json() for p_name, p in zip("BCDF", (b, c, d, f))}
-        | {"K": k.to_json()},
-    )
 
+def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) -> TheoremReport:
+    """Four-point involution B=H, C=G, D, F projected onto the line through
+    C parallel to the rameau DK: the image f must be the exact midpoint of
+    cb, the composed ratio (BC/BD)(FD/FC) must be the raison double 2, and
+    conversely the midpoint property must force d to infinity.
+    """
+    base, report = _four_point_case("midpoint_case", b, c, d, f, k, (b, c, d, f))
     rameau = join(d, k)
     image_line = parallel_line_through(rameau, c)
     c_img = project_point(k, c, image_line)
@@ -475,22 +476,7 @@ def verify_bisector_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     the direction KF exactly; conversely a bisecting KG is perpendicular to
     KB.  Non-perpendicular K is reported false, not rejected.
     """
-    base = join(b, c)
-    if not (incident(d, base) and incident(f, base)):
-        raise GeometryError("the four points must be collinear")
-    if cross_ratio(b, c, d, f) != -1:
-        raise GeometryError("input points are not harmonic")
-    if incident(k, base):
-        raise GeometryError("projection point on the tronc")
-    for p in (b, c, d, f, k):
-        if p.is_at_infinity():
-            raise GeometryError("metric case needs finite points")
-
-    report = TheoremReport(
-        "bisector_case",
-        inputs={p_name: p.to_json() for p_name, p in zip("BCDF", (b, c, d, f))}
-        | {"K": k.to_json()},
-    )
+    _, report = _four_point_case("bisector_case", b, c, d, f, k, (b, c, d, f, k))
     kb = displacement(k, b)
     kc = displacement(k, c)
     kd = displacement(k, d)
@@ -564,8 +550,6 @@ def quadrangle_involution(q: QuadrangleConfig):
     eq = equivalence_check(nc)
     report.claim_true("couples (I,K), (P,Q), (G,H) in involution", eq["equivalent"])
     inv = eq["involution"]
-    if inv is None:
-        raise InvolutionError("quadrangle couples did not determine an involution")
     report.claim("involution swaps G and H", partner(inv, q.G), q.H)
     report.notes["involution"] = involution_json(inv)
     report.trace = replay_quadrangle_proof(q)
@@ -666,7 +650,8 @@ def _degenerate_chord(q: QuadrangleConfig, member: Conic):
 def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
     """The trapezoid case BC parallel to ED: the three Thales-derived
     rectangle identities, one per choice of the non-parallel line playing
-    the tronc role."""
+    the tronc role.  Each side is an integer pair, a ratio of parallel
+    segments or a quotient of chord products, printed as one Fraction."""
     b, c, d, e = q.bornes
     if q._diagonals["N"] != infinity_point_of(q._bornales["BC"]):
         raise GeometryError("BC and ED must be parallel (N at infinity)")
@@ -675,26 +660,19 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
     p_pt, q_pt = q.P, q.Q
     f_pt = q.pivot
 
-    report.claim(
-        "Thales at Q: IC/KD = IQ/KQ",
-        parallel_ratio(i_pt, c, k_pt, d),
-        parallel_ratio(i_pt, q_pt, k_pt, q_pt),
-    )
-    report.claim(
-        "IC.IB/(KD.KE) = IQ.IP/(KQ.KP)",
-        chord_product(i_pt, c, b) / chord_product(k_pt, d, e),
-        chord_product(i_pt, q_pt, p_pt) / chord_product(k_pt, q_pt, p_pt),
-    )
-    report.claim(
-        "CI.CB/(DK.DE) = CQ.CF/(DQ.DF)",
-        chord_product(c, i_pt, b) / chord_product(d, k_pt, e),
-        chord_product(c, q_pt, f_pt) / chord_product(d, q_pt, f_pt),
-    )
-    report.claim(
-        "BI.BC/(EK.ED) = BF.BP/(EF.EP)",
-        chord_product(b, i_pt, c) / chord_product(e, k_pt, d),
-        chord_product(b, f_pt, p_pt) / chord_product(e, f_pt, p_pt),
-    )
+    for label, lhs, rhs in (
+        ("Thales at Q: IC/KD = IQ/KQ", ratio(i_pt, c, d, k_pt), ratio(i_pt, q_pt, q_pt, k_pt)),
+        ("IC.IB/(KD.KE) = IQ.IP/(KQ.KP)",
+         _over(chord_product(i_pt, c, b), chord_product(k_pt, d, e)),
+         _over(chord_product(i_pt, q_pt, p_pt), chord_product(k_pt, q_pt, p_pt))),
+        ("CI.CB/(DK.DE) = CQ.CF/(DQ.DF)",
+         _over(chord_product(c, i_pt, b), chord_product(d, k_pt, e)),
+         _over(chord_product(c, q_pt, f_pt), chord_product(d, q_pt, f_pt))),
+        ("BI.BC/(EK.ED) = BF.BP/(EF.EP)",
+         _over(chord_product(b, i_pt, c), chord_product(e, k_pt, d)),
+         _over(chord_product(b, f_pt, p_pt), chord_product(e, f_pt, p_pt))),
+    ):
+        report.claim(label, Fraction(*lhs), Fraction(*rhs))
     return report
 
 
@@ -770,56 +748,36 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
         "P": p_pt.to_json(),
     }
 
-    trace.add(
-        "NP.PV/(QC.CR) = KP.PO/(KC.CO)",
-        chord_product(p_pt, n, v) / chord_product(c_pt, q_pt, r_pt),
-        chord_product(p_pt, k, o) / chord_product(c_pt, k, o),
-        "Advis p.5 l.25",
-        kind="apollonius",
-    )
-    lhs2 = chord_product(a_pt, n, v) / chord_product(c_pt, q_pt, r_pt)
-    rhs2 = (chord_product(a_pt, n, v) / chord_product(p_pt, n, v)) * (
-        chord_product(p_pt, k, o) / chord_product(c_pt, k, o)
-    )
-    trace.add("AN.AV/(QC.CR) = (AN.AV/(PN.PV))(PK.PO/(CK.CO))", lhs2, rhs2, "Advis p.5 l.26", kind="composition")
-    trace.add(
-        "AN.AV/(AF.AG) = CQ.CR/(CF.CG)",
-        chord_product(a_pt, n, v) / chord_product(a_pt, f_pt, g_pt),
-        chord_product(c_pt, q_pt, r_pt) / chord_product(c_pt, f_pt, g_pt),
-        "Advis p.5 l.28",
-        kind="apollonius",
-    )
+    named = dict(K=k, N=n, O=o, V=v, F=f_pt, G=g_pt, A=a_pt, B=b_pt, C=c_pt, E=e_pt, P=p_pt,
+                 Q=q_pt, R=r_pt)
+    # the 17 chord products, each built once: "PNV" is P->N . P->V
+    product = {
+        key: chord_product(*(named[x] for x in key))
+        for key in ("PNV", "CQR", "PKO", "CKO", "ANV", "AFG", "CFG", "ABE", "CBE",
+                    "BFG", "EFG", "BAC", "EAC", "FAC", "GAC", "FBE", "GBE")
+    }
+
+    def over(num: str, den: str) -> tuple[int, int]:
+        return _over(product[num], product[den])
+
+    trace.add("NP.PV/(QC.CR) = KP.PO/(KC.CO)", over("PNV", "CQR"), over("PKO", "CKO"),
+              "Advis p.5 l.25", kind="apollonius")
+    composed = _times(over("ANV", "PNV"), over("PKO", "CKO"))
+    trace.add("AN.AV/(QC.CR) = (AN.AV/(PN.PV))(PK.PO/(CK.CO))", over("ANV", "CQR"), composed,
+              "Advis p.5 l.26", kind="composition")
+    trace.add("AN.AV/(AF.AG) = CQ.CR/(CF.CG)", over("ANV", "AFG"), over("CQR", "CFG"),
+              "Advis p.5 l.28", kind="apollonius")
     sector = (("P", p_pt), ("A", a_pt), ("C", c_pt))
     menelaus_step(trace, ("B", b_pt), ("K", k), ("N", n), *sector, "Advis p.5 l.33")
     menelaus_step(trace, ("E", e_pt), ("O", o), ("V", v), *sector, "Advis p.5 l.34")
-    trace.add(
-        "(AN.AV/(PN.PV))(PK.PO/(CK.CO)) = BA.AE/(BC.CE)",
-        rhs2,
-        chord_product(a_pt, b_pt, e_pt) / chord_product(c_pt, b_pt, e_pt),
-        "Advis p.5 l.35",
-        kind="composition",
-    )
-    trace.add(
-        "FA.AG/(FC.CG) = BA.AE/(BC.CE)",
-        chord_product(a_pt, f_pt, g_pt) / chord_product(c_pt, f_pt, g_pt),
-        chord_product(a_pt, b_pt, e_pt) / chord_product(c_pt, b_pt, e_pt),
-        "Advis p.5 l.38",
-        kind="final",
-    )
-    trace.add(
-        "BF.BG/(EF.EG) = BA.BC/(EA.EC)",
-        chord_product(b_pt, f_pt, g_pt) / chord_product(e_pt, f_pt, g_pt),
-        chord_product(b_pt, a_pt, c_pt) / chord_product(e_pt, a_pt, c_pt),
-        "Advis p.5 l.40",
-        kind="analogy",
-    )
-    trace.add(
-        "FA.FC/(GA.GC) = FB.FE/(GB.GE)",
-        chord_product(f_pt, a_pt, c_pt) / chord_product(g_pt, a_pt, c_pt),
-        chord_product(f_pt, b_pt, e_pt) / chord_product(g_pt, b_pt, e_pt),
-        "Advis p.6 l.20",
-        kind="analogy",
-    )
+    trace.add("(AN.AV/(PN.PV))(PK.PO/(CK.CO)) = BA.AE/(BC.CE)", composed, over("ABE", "CBE"),
+              "Advis p.5 l.35", kind="composition")
+    trace.add("FA.AG/(FC.CG) = BA.AE/(BC.CE)", over("AFG", "CFG"), over("ABE", "CBE"),
+              "Advis p.5 l.38", kind="final")
+    trace.add("BF.BG/(EF.EG) = BA.BC/(EA.EC)", over("BFG", "EFG"), over("BAC", "EAC"),
+              "Advis p.5 l.40", kind="analogy")
+    trace.add("FA.FC/(GA.GC) = FB.FE/(GB.GE)", over("FAC", "GAC"), over("FBE", "GBE"),
+              "Advis p.6 l.20", kind="analogy")
     trace.notes["couples"] = "A,C; B,E; F,G"
     return trace
 
@@ -896,58 +854,32 @@ def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
     alpha, beta, a_pt, m_pt, s_pt = pascal_circle_points(p, k, v, o, n, q_pt)
     trace = ProofTrace("pascal_circle")
 
-    _, va_over_vbeta, _ = menelaus_step(
+    ma_over_malpha, va_over_vbeta, _ = menelaus_step(
         trace, ("M", m_pt), ("O", o), ("V", v), ("beta", beta), ("A", a_pt), ("alpha", alpha),
         "sector A,M,alpha,beta,O,V",
     )
-    _, ka_over_kalpha, _ = menelaus_step(
+    sa_over_sbeta, ka_over_kalpha, _ = menelaus_step(
         trace, ("S", s_pt), ("N", n), ("K", k), ("alpha", alpha), ("A", a_pt), ("beta", beta),
         "sector A,K,alpha,beta,N,S",
     )
-    trace.add(
-        "Kalpha.Palpha = Nalpha.Oalpha",
-        chord_product(alpha, k, p),
-        chord_product(alpha, n, o),
-        "Euclid III.35/36",
-        kind="power",
-    )
-    trace.add(
-        "Nbeta.Obeta = Vbeta.Qbeta",
-        chord_product(beta, n, o),
-        chord_product(beta, v, q_pt),
-        "Euclid III.35/36",
-        kind="power",
-    )
-    trace.add(
-        "PA.KA = QA.VA",
-        chord_product(a_pt, p, k),
-        chord_product(a_pt, q_pt, v),
-        "Euclid III.35/36",
-        kind="power",
-    )
-    trace.add(
-        "Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)",
-        Fraction(*ratio(p, alpha, a_pt)),
-        chord_product(alpha, n, o) / chord_product(a_pt, q_pt, v) * Fraction(*ka_over_kalpha),
-        "substitution",
-        kind="substitution",
-    )
-    trace.add(
-        "Qbeta/QA = (Nbeta/PA)(Obeta/KA)(VA/Vbeta)",
-        Fraction(*ratio(q_pt, beta, a_pt)),
-        chord_product(beta, n, o) / chord_product(a_pt, p, k) * Fraction(*va_over_vbeta),
-        "substitution",
-        kind="substitution",
-    )
-    cr1 = cross_ratio(a_pt, alpha, m_pt, p)
-    cr2 = cross_ratio(a_pt, beta, s_pt, q_pt)
-    trace.add(
-        "[A,alpha,M,P] = [A,beta,S,Q]",
-        cr1,
-        cr2,
-        "Pappus, Collection 142",
-        kind="cross_ratio",
-    )
+    # the six chord products, each built once
+    alpha_no, beta_no = chord_product(alpha, n, o), chord_product(beta, n, o)
+    a_pk, a_qv = chord_product(a_pt, p, k), chord_product(a_pt, q_pt, v)
+    trace.add("Kalpha.Palpha = Nalpha.Oalpha", chord_product(alpha, k, p), alpha_no,
+              "Euclid III.35/36", kind="power")
+    trace.add("Nbeta.Obeta = Vbeta.Qbeta", beta_no, chord_product(beta, v, q_pt),
+              "Euclid III.35/36", kind="power")
+    trace.add("PA.KA = QA.VA", a_pk, a_qv, "Euclid III.35/36", kind="power")
+    palpha_over_pa = ratio(p, alpha, a_pt)
+    qbeta_over_qa = ratio(q_pt, beta, a_pt)
+    trace.add("Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)", palpha_over_pa,
+              _times(_over(alpha_no, a_qv), ka_over_kalpha), "substitution", kind="substitution")
+    trace.add("Qbeta/QA = (Nbeta/PA)(Obeta/KA)(VA/Vbeta)", qbeta_over_qa,
+              _times(_over(beta_no, a_pk), va_over_vbeta), "substitution", kind="substitution")
+    # [A,alpha;M,P] = (MA/Malpha)/(PA/Palpha), the brin of the first sector
+    # times the first substitution's left side; likewise at beta
+    trace.add("[A,alpha,M,P] = [A,beta,S,Q]", _times(ma_over_malpha, palpha_over_pa),
+              _times(sa_over_sbeta, qbeta_over_qa), "Pappus, Collection 142", kind="cross_ratio")
     report.trace = trace
 
 

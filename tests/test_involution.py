@@ -183,16 +183,39 @@ def test_involution_from_coincident_pairs_rejected():
         couples((1, 2), (2, 1), (3, 5))
 
 
-def test_couples_that_determine_no_involution_are_not_equivalent():
-    # A trace-zero matrix with a*a + b*c = 0 relates t and u exactly when
-    # t or u is one point r, so two couples share r when it is their only
-    # solution.  NodeCouples forbids that; unchecked, the couples (1, 2)
-    # and (1, 3) are not in involution with any third.
-    nc = _unchecked_couples(CH, ((pt(1), pt(2)), (pt(1), pt(3)), (pt(5), pt(7))))
-    assert equivalence_check(nc) == {"equivalent": False, "involution": None}
-    # one couple twice: its equations repeat, and the cross product is zero
-    nc = _unchecked_couples(CH, ((pt(1), pt(2)), (pt(2), pt(1)), (pt(5), pt(7))))
-    assert equivalence_check(nc) == {"equivalent": False, "involution": None}
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.just(TILTED), _charts()),
+    st.lists(st.one_of(st.just(INF), st.builds(F, st.integers(-4, 4), st.integers(1, 2))),
+             min_size=6, max_size=6, unique=True),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+@example(CH, [F(1), F(2), F(1), F(3), F(5), F(7)], [False] * 3)  # a shared noeud
+@example(CH, [F(1), F(2), F(2), F(1), F(5), F(7)], [False] * 3)  # one couple twice
+@example(CH, [F(2), F(2), F(3), F(5), INF, F(0)], [True, False, False])
+def test_validated_couples_always_determine_an_involution(chart, params, doubled):
+    # A trace-zero matrix with a*a + b*c = 0 relates t and u exactly when t
+    # or u is its one root r, so it is the only solution for two couples
+    # only when both contain r or they are one pair twice; NodeCouples
+    # forbids both: the first two examples are such couples.
+    points = [chart.point_at(t) for t in params]
+    pairs = tuple(
+        (points[2 * i], points[2 * i] if doubled[i] else points[2 * i + 1]) for i in range(3)
+    )
+    try:
+        nc = NodeCouples(chart, pairs)
+    except InvolutionError:
+        return
+    if all(p == q for p, q in pairs):
+        with pytest.raises(InvolutionError, match="three doubled couples"):
+            equivalence_check(nc)
+        return
+    eq = equivalence_check(nc)
+    assert isinstance(eq["involution"], Involution)
+    # it swaps the two couples it is built from, and the third exactly
+    # when the couples are in involution
+    swapped = [partner(eq["involution"], p) == q for p, q in pairs]
+    assert sum(swapped) >= 2 and all(swapped) == eq["equivalent"]
 
 
 def test_partner_examples():

@@ -349,6 +349,28 @@ def test_replay_precondition_k_on_intermediate_line():
     )
 
 
+# -- trace steps take integer pairs ---------------------------------------------
+
+
+def test_trace_step_compares_pairs_by_cross_multiplying():
+    # a canonical point's z may be negative, and so may a side's denominator
+    trace = ProofTrace("pairs")
+    trace.add("negative denominators", (3, -6), (-1, 2), "c")
+    trace.add("non-reduced", (4, 6), (-10, -15), "c")
+    trace.add("zero sides", (0, -5), (0, 7), "c")
+    assert trace.verdict
+    trace.add("opposite signs", (1, 2), (1, -2), "c")
+    trace.add("zero against nonzero", (0, 3), (3, 3), "c")
+    assert [(s["lhs"], s["rhs"], s["equal"]) for s in trace.steps] == [
+        ("-1/2", "-1/2", True),
+        ("2/3", "2/3", True),
+        ("0/1", "0/1", True),
+        ("1/2", "-1/2", False),
+        ("0/1", "1/1", False),
+    ]
+    assert not trace.verdict
+
+
 # -- ratio against the chart formula ---------------------------------------------
 
 
@@ -407,6 +429,11 @@ def test_ratio_pair_is_the_chart_quotient(x0, y0, dx, dy, so, sn, sd):
     origin, num_end, den_end = (A(x0 + s * dx, y0 + s * dy) for s in (so, sn, sd))
     num, den = ratio(origin, num_end, den_end)
     assert den != 0
+    # the pair itself is the bracket quotient along the first coordinate
+    # where den_end and origin differ affinely, unreduced
+    o, n, d = origin.coords, num_end.coords, den_end.coords
+    i = 0 if d[0] * o[2] != o[0] * d[2] else 1
+    assert (num, den) == ((n[i] * o[2] - o[i] * n[2]) * d[2], (d[i] * o[2] - o[i] * d[2]) * n[2])
     assert F(num, den) == _chart_ratio(origin, num_end, den_end) == (sn - so) / (sd - so)
 
 

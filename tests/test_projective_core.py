@@ -34,13 +34,13 @@ from arguesia.projective_core import (
     perspective_map,
     plane_basis,
     plane_perspectivity,
-    parallel_ratio,
     project_point,
     _canonical,
 )
 from arguesia._kernel import det3
 from arguesia.conics import Conic
 from arguesia.exact_scalar import QuadExt, quad_sqrt
+from arguesia.menelaus_engine import NonGenericError, ratio
 from arguesia.rng import SplitMix64
 from quadfield import homography, pair
 
@@ -457,7 +457,7 @@ def test_midpoint_and_infinity_point():
         midpoint(A(0, 0), PPoint(1, 0, 0))
 
 
-# -- chord products and parallel ratios ----------------------------------------
+# -- chord products and ratios of parallel segments --------------------------------
 
 
 def _old_chord_product(origin, p, q):
@@ -465,7 +465,13 @@ def _old_chord_product(origin, p, q):
     return dot2(displacement(origin, p), displacement(origin, q))
 
 
-def _old_parallel_ratio(p1, p2, q1, q2):
+def _chord_value(origin, p, q):
+    return F(*chord_product(origin, p, q))
+
+
+def _affine_parallel_ratio(p1, p2, q1, q2):
+    # t with vector(p1->p2) = t * vector(q1->q2), the oracle of ratio's
+    # second-origin form; its errors are renamed by _RATIO_ERRORS
     v = displacement(p1, p2)
     w = displacement(q1, q2)
     if v[0] * w[1] != v[1] * w[0]:
@@ -475,6 +481,12 @@ def _old_parallel_ratio(p1, p2, q1, q2):
     if w[1] != 0:
         return v[1] / w[1]
     raise GeometryError("zero reference segment")
+
+
+_RATIO_ERRORS = {
+    "segments are not parallel": "ratio of non-parallel segments",
+    "zero reference segment": "ratio with zero denominator segment",
+}
 
 
 def _outcome(f, *args):
@@ -500,7 +512,7 @@ SOME_POINT = st.one_of(FINITE, FINITE, FINITE, _points(st.just(0)))
 @example(PPoint(1, 2, 3), PPoint(-4, 1, 6), PPoint(5, 5, -2))
 @example(PPoint(1, 2, 0), PPoint(3, 1, 0), PPoint(1, 1, 1))
 def test_chord_product_matches_affine_formula(origin, p, q):
-    assert _outcome(chord_product, origin, p, q) == _outcome(_old_chord_product, origin, p, q)
+    assert _outcome(_chord_value, origin, p, q) == _outcome(_old_chord_product, origin, p, q)
 
 
 @st.composite
@@ -519,25 +531,35 @@ def parallel_data(draw):
 @given(parallel_data())
 @example((PPoint(1, 2, 3), PPoint(4, 1, 3), PPoint(0, 5, 2), PPoint(0, 5, 2)))
 @example((PPoint(1, 2, 3), PPoint(1, 5, 3), PPoint(2, 1, 7), PPoint(2, 4, 7)))
-def test_parallel_ratio_matches_affine_formula(data):
-    assert _outcome(parallel_ratio, *data) == _outcome(_old_parallel_ratio, *data)
+def test_second_origin_ratio_matches_affine_formula(data):
+    p1, p2, q1, q2 = data
+    got = _outcome(lambda: F(*ratio(p1, p2, q2, q1)))
+    want = _outcome(_affine_parallel_ratio, *data)
+    if want[0] == "error":
+        infinite = want[1].endswith("has no affine coordinates")
+        want = "error", "ratio endpoint at infinity" if infinite else _RATIO_ERRORS[want[1]]
+    assert got == want
 
 
 def test_chord_products_name_the_first_point_at_infinity():
     finite = [PPoint(1, 2, 3), PPoint(-4, 1, 6), PPoint(5, 5, -2), PPoint(2, 7, 5)]
     far = [PPoint(1, 3, 0), PPoint(2, -1, 0)]
-    for f, old, n in ((chord_product, _old_chord_product, 3),
-                      (parallel_ratio, _old_parallel_ratio, 4)):
-        for i in range(n):
-            args = finite[:n]
-            args[i] = far[0]
-            with pytest.raises(GeometryError, match=r"^\(1:3:0\) has no affine"):
-                f(*args)
-            assert _outcome(f, *args) == _outcome(old, *args)
-            for j in range(i + 1, n):
-                args[j] = far[1]
-                assert _outcome(f, *args) == _outcome(old, *args) == (
-                    "error", "(1:3:0) has no affine coordinates")
+    for i in range(4):
+        # the second-origin ratio has one error for every endpoint at infinity
+        args = finite[:]
+        args[i] = far[0]
+        with pytest.raises(NonGenericError, match="^ratio endpoint at infinity$"):
+            ratio(*args)
+    for i in range(3):
+        args = finite[:3]
+        args[i] = far[0]
+        with pytest.raises(GeometryError, match=r"^\(1:3:0\) has no affine"):
+            chord_product(*args)
+        assert _outcome(_chord_value, *args) == _outcome(_old_chord_product, *args)
+        for j in range(i + 1, 3):
+            args[j] = far[1]
+            assert _outcome(_chord_value, *args) == _outcome(_old_chord_product, *args) == (
+                "error", "(1:3:0) has no affine coordinates")
 
 
 def test_default_chart_cache_is_bounded():

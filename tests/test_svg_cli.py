@@ -422,6 +422,12 @@ def _false_labels(node) -> list:
     return own + [label for value in node.values() for label in _false_labels(value)]
 
 
+def _plus_one(pair):
+    # an integer (num, den) pair with 1 added to its value
+    num, den = pair
+    return num + den, den
+
+
 @pytest.mark.parametrize("kind, name, broken, label", [
     ("menelaus", "menelaus_product", lambda real: lambda figure: 2 * real(figure),
      "menelaus product"),
@@ -432,11 +438,11 @@ def _false_labels(node) -> list:
     # sigma sends each transversal point to itself instead of through the conic
     ("pencil", "second_intersection", lambda real: lambda conic, on, other: other,
      "sigma(a) = c  [sigma(P) = G]"),
-    ("beaugrand", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
+    ("beaugrand", "chord_product", lambda real: lambda o, p, q: _plus_one(real(o, p, q)),
      "FA.AG/(FC.CG) = BA.AE/(BC.CE)"),
-    ("pascal", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
+    ("pascal", "chord_product", lambda real: lambda o, p, q: _plus_one(real(o, p, q)),
      "Palpha/PA = (Nalpha/QA)(Oalpha/VA)(KA/Kalpha)"),
-    ("parallel-bornales", "chord_product", lambda real: lambda o, p, q: real(o, p, q) + 1,
+    ("parallel-bornales", "chord_product", lambda real: lambda o, p, q: _plus_one(real(o, p, q)),
      "IC.IB/(KD.KE) = IQ.IP/(KQ.KP)"),
     # the involution leaves the base chord point where it is
     ("retablissement", "partner", lambda real: lambda inv, p: p, "base chord couple swapped"),
@@ -529,14 +535,15 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
 @pytest.mark.parametrize("kind", ("ramee", "quadrangle", "beaugrand", "pascal"))
 def test_false_menelaus_step_exits_one(monkeypatch, capsys, command, kind):
     # Every Menelaus step of every replay is one menelaus_step; add 1 to the
-    # right side it logs, and each replay and its verify kind exit 1.
+    # right side it logs, an integer pair, and each replay and its verify
+    # kind exit 1.
     from arguesia.menelaus_engine import ProofTrace
 
     real = ProofTrace.add
 
     def rhs_plus_one(self, label, lhs, rhs, cite, **meta):
         if meta.get("kind") == "menelaus":
-            rhs += 1
+            rhs = _plus_one(rhs)
         real(self, label, lhs, rhs, cite, **meta)
 
     monkeypatch.setattr(ProofTrace, "add", rhs_plus_one)
