@@ -104,8 +104,8 @@ def ratio(
     NonGenericError for an endpoint at infinity, a zero denominator
     segment, or segments that are not parallel (points not collinear).
     """
-    e = origin if den_origin is None else den_origin
-    o, n, d, e = origin.coords, num_end.coords, den_end.coords, e.coords
+    o, n, d = origin.coords, num_end.coords, den_end.coords
+    e = o if den_origin is None else den_origin.coords
     oz, nz, dz, ez = o[2], n[2], d[2], e[2]
     if oz == 0 or nz == 0 or dz == 0 or ez == 0:
         raise NonGenericError("ratio endpoint at infinity")
