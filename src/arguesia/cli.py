@@ -64,7 +64,7 @@ def _trace_report(trace) -> dict:
 # verify kind -> (instance kind, the JSON report of an instance)
 VERIFIERS = {
     "menelaus": ("menelaus", lambda i: verify_menelaus(i["figure"], i["config"]).to_json()),
-    "ramee": ("ramee", lambda i: verify_ramee(i["arbre"], i["k"], i["delta"]).to_json()),
+    "ramee": ("ramee", lambda i: verify_ramee(i["figure"]).to_json()),
     "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i["quadrangle"])[1].to_json()),
     "pencil": ("pencil", lambda i: verify_pencil(i["quadrangle"], i["members"])),
     "pascal": ("pascal", lambda i: pascal_collinear(i["conic"], *i["hexagon"]).to_json()),
@@ -80,7 +80,7 @@ VERIFIERS = {
 }
 # replay kind (also its instance kind) -> the proof trace of an instance
 REPLAYS = {
-    "ramee": lambda i: replay_ramee_proof(i["arbre"], i["k"], i["delta"]),
+    "ramee": lambda i: replay_ramee_proof(i["figure"]),
     "quadrangle": lambda i: replay_quadrangle_proof(i["quadrangle"]),
     "beaugrand": _beaugrand,
     # every generated hexagon has its circle replay (pascal_circle_points)
@@ -126,47 +126,72 @@ def _json_dump(data) -> str:
     return "".join(out)
 
 
+_JSON_TYPES = frozenset((str, int, bool, dict, list, tuple, type(None)))
+
+
+def _json_base(value) -> type:
+    """The JSON type a value of any other type is written as: a subclass of
+    str, int, dict, list or tuple is written as its base."""
+    for base in (str, int, dict, list, tuple):
+        if isinstance(value, base):
+            return base
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_write(value, newline: str, out: list) -> None:
     """Append the indent-2 JSON text of value; newline holds the newline
-    and the indent of the line value starts on."""
-    if isinstance(value, str):
+    and the indent of the line value starts on.
+
+    Branches on the exact type.  The string and boolean items of a dict,
+    and the string items of a list, the most common ones in a report, are
+    written in place rather than by a call."""
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = _json_base(value)
+    if kind is str:
         out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
         inner = newline + "  "
+        comma = "," + inner
         sep = "{" + inner
         for key, item in value.items():
-            if not isinstance(key, str):
+            if type(key) is not str and not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_write(item, inner, out)
-            sep = "," + inner
+            head = sep + encode_basestring_ascii(key) + ": "
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif item_kind is bool:
+                out.append(head + ("true" if item else "false"))
+            else:
+                out.append(head)
+                _json_write(item, inner, out)
+            sep = comma
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
+        comma = "," + inner
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _json_write(item, inner, out)
-            sep = "," + inner
+            if type(item) is str:
+                out.append(sep + encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _json_write(item, inner, out)
+            sep = comma
         out.append(newline + "]")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
     else:
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable"
-        )
+        out.append("null")
 
 
 def _format_verify_text(kind: str, reports: list[dict]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from arguesia._frozen import Frozen
 
@@ -49,6 +49,17 @@ def rat_parse(text: str) -> Rat:
 def rat_str(x: Rat) -> str:
     """Canonical ``p/q`` form, always with the denominator."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def pair_str(num: int, den: int) -> str:
+    """``rat_str(Fraction(num, den))`` for an integer pair, den nonzero and
+    of either sign, reduced by one gcd without building the Fraction."""
+    if den == 0:
+        raise ZeroDivisionError(f"pair {num}/0")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return f"{num // g}/{den // g}"
 
 
 def square_free_decomposition(n: int) -> tuple[int, int]:

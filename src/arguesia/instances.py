@@ -150,8 +150,9 @@ def _make_menelaus(rng: SplitMix64, bounds: int) -> dict:
 def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     """A generic ramee couple: everything is drawn first, then
     ``check_ramee_replayable``, the precondition of ``replay_ramee_proof``,
-    decides genericity, so the verifier's replay runs on every accepted
-    instance.  Only the involution and its couples are checked here."""
+    decides genericity, and the instance is the checked figure it returns,
+    which the verifier and the replay take as it is.  Only the involution
+    and its couples are checked here."""
     chart = _chart(rng, bounds)
     a = rng.int_between(-bounds, bounds)
     b = rng.int_between(-bounds, bounds)
@@ -171,8 +172,7 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     arbre = NodeCouples(chart, tuple(pairs))
     k = _point(rng, bounds)
     delta = _chart(rng, bounds)
-    check_ramee_replayable(arbre, k, delta)
-    return {"arbre": arbre, "k": k, "delta": delta}
+    return {"figure": check_ramee_replayable(arbre, k, delta)}
 
 
 def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:

@@ -9,8 +9,8 @@ satisfy the three rectangle-product identities
 
 evaluated here with signed chart differences (each side is sign-invariant),
 on the integer parameter pairs (u : v) of the noeuds: each side is a
-quotient of integer brackets u*v' - u'*v, and a ``Fraction`` is built only
-for the printed value.
+quotient of integer brackets u*v' - u'*v, printed reduced by one gcd
+(``exact_scalar.pair_str``).
 Modern form: the couples are swapped by an involutive homography of the
 line, which a trace-zero 2x2 matrix realizes; ``equivalence_check`` decides
 this form.  Each form is its own check, and a verifier records each as its
@@ -20,10 +20,11 @@ own claim, so a faulty route shows as a false claim.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import cross3
-from arguesia.exact_scalar import QuadExt, quad_sqrt, rat_str
+from arguesia.exact_scalar import QuadExt, pair_str, quad_sqrt
 from arguesia.projective_core import (
     INF,
     AffineChart,
@@ -45,6 +46,9 @@ class NodeCouples(Frozen):
     A couple may be doubled (both members equal: a noeud moyen double), but
     the three couples must be pairwise distinct as unordered pairs and no
     point of one couple may equal a point of a different couple.
+    ``param_pairs`` holds the canonical parameter pairs (u : v) of the six
+    points, couple by couple, computed once, when the couples are checked;
+    equal points have equal pairs.
     """
 
     _fields = ("chart", "pairs")
@@ -57,26 +61,24 @@ class NodeCouples(Frozen):
         for p, q in pairs:
             if not (incident(p, chart.line) and incident(q, chart.line)):
                 raise InvolutionError("all noeuds must lie on the tronc")
-        unordered = [frozenset((p, q)) for p, q in pairs]
+        params = self.param_pairs
+        unordered = [frozenset(couple) for couple in params]
         if len(set(unordered)) != 3:
             raise InvolutionError("couples must be pairwise distinct")
         for i in range(3):
             for j in range(3):
                 if i == j:
                     continue
-                for pt in pairs[i]:
-                    if pt in pairs[j]:
+                for pt in params[i]:
+                    if pt in params[j]:
                         raise InvolutionError(
                             "a point of one couple equals a point of another"
                         )
 
-    def param_pairs(self):
-        """Projective parameter pairs (u : v) of the six points, couple by
-        couple."""
-        return [
-            (self.chart.param_pair(p), self.chart.param_pair(q))
-            for p, q in self.pairs
-        ]
+    @cached_property
+    def param_pairs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        chart = self.chart
+        return tuple((chart.param_pair(p), chart.param_pair(q)) for p, q in self.pairs)
 
 
 class Involution(Frozen):
@@ -152,7 +154,7 @@ def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
     cross-multiplying.  Requires finite noeuds (a couple with a point at
     infinity is checked through the homography form instead).
     """
-    pairs = nc.param_pairs()
+    pairs = nc.param_pairs
     for p, q in pairs:
         if p[1] == 0 or q[1] == 0:
             raise InvolutionError(
@@ -171,8 +173,8 @@ def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
         report.append(
             {
                 "label": label,
-                "lhs": rat_str(Fraction(l_num, l_den)),
-                "rhs": rat_str(Fraction(r_num, r_den)),
+                "lhs": pair_str(l_num, l_den),
+                "rhs": pair_str(r_num, r_den),
                 "equal": l_num * r_den == r_num * l_den,
             }
         )
@@ -229,23 +231,16 @@ def equivalence_check(nc: NodeCouples) -> dict:
     both couples would contain r, or be one pair twice, and
     ``NodeCouples`` forbids both.
     """
-    doubled = sum(1 for p, q in nc.pairs if p == q)
+    params = nc.param_pairs
+    doubled = sum(1 for p, q in params if p == q)
     if doubled >= 3:
         raise InvolutionError("three doubled couples cannot be in involution")
-    idx = sorted(range(3), key=lambda i: nc.pairs[i][0] == nc.pairs[i][1])
-    c1, c2, (d, f) = (nc.pairs[i] for i in idx)
-    rows = []
-    for p, q in (c1, c2):
-        (u1, v1), (u2, v2) = nc.chart.param_pair(p), nc.chart.param_pair(q)
-        rows.append((u1 * v2 + v1 * u2, v1 * v2, -u1 * u2))
+    c1, c2, (d, f) = sorted(params, key=lambda couple: couple[0] == couple[1])
+    rows = [(u1 * v2 + v1 * u2, v1 * v2, -u1 * u2) for (u1, v1), (u2, v2) in (c1, c2)]
     a, b, c = cross3(*rows)
     inv = Involution(LineMap((a, b, c, -a), nc.chart, nc.chart))
-    if d == f:
-        pp = nc.chart.param_pair(d)
-        equivalent = inv.map.apply_pair(pp) == pp
-    else:
-        equivalent = partner(inv, d) == f
-    return {"equivalent": equivalent, "involution": inv}
+    # canonical pairs: equal exactly when the points are
+    return {"equivalent": inv.map.apply_pair(d) == f, "involution": inv}
 
 
 def involution_json(inv: Involution) -> dict:

@@ -15,8 +15,8 @@ replay is one call of it: ``replay_ramee_proof`` and
 it with its Brouillon citation tag.  Each ratio is a quotient of integer
 brackets and stays an integer pair (``ratio``) through the products, as
 does each chord product (``projective_core.chord_product``); a trace step
-takes both sides as pairs, compares them by cross-multiplying and builds
-one ``Fraction`` per printed side.
+takes both sides as pairs, compares them by cross-multiplying and prints
+each reduced by one gcd (``exact_scalar.pair_str``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import Rat, rat_str
+from arguesia.exact_scalar import Rat, pair_str
 from arguesia.involution import NodeCouples
 from arguesia.projective_core import (
     AffineChart,
@@ -142,8 +142,8 @@ class ProofTrace:
 
     ``add`` takes each side as an unreduced integer pair (num, den), den
     nonzero and of either sign, compares the sides by cross-multiplying
-    and prints each reduced, through one ``Fraction`` per distinct pair: a
-    side printed again reuses its text.
+    and prints each reduced, by ``pair_str``: a side printed again reuses
+    its text.
     """
 
     def __init__(self, name: str):
@@ -159,7 +159,7 @@ class ProofTrace:
     def _show(self, side: tuple[int, int]) -> str:
         text = self._shown.get(side)
         if text is None:
-            text = self._shown[side] = rat_str(Fraction(*side))
+            text = self._shown[side] = pair_str(*side)
         return text
 
     def add(
@@ -191,19 +191,21 @@ def menelaus_product(sf: SectorFigure) -> Rat:
 
 def menelaus_converse(sf: SectorFigure) -> bool:
     """Reconstruct the third noeud from the unit-product constraint and
-    check it falls back on the tronc (zero incidence residual)."""
+    check it falls back on the tronc (zero incidence residual).
+
+    On integer pairs: with ratio(N3; a, b) = n/d required and chart pairs
+    (ua : va), (ub : vb) of a and b on their ray, the noeud's parameter t
+    solves (ta - t)/(tb - t) = n/d, so t = (ua*vb*d - n*ub*va)/(va*vb*(d - n)).
+    """
     n1, n2, n3 = sf.nodes
     a, b, c = sf.vertices()
-    r1 = Fraction(*ratio(n1, b, c))
-    r2 = Fraction(*ratio(n2, c, a))
-    target = 1 / (r1 * r2)  # required value of ratio(N3; a, b)
-    ray = default_chart(join(a, b))
-    ta, tb = ray.coordinate(a), ray.coordinate(b)
-    # solve (ta - t) / (tb - t) = target
-    if target == 1:
+    # the required ratio(N3; a, b) is 1/(r1*r2): den/num of their product
+    d, n = _times(ratio(n1, b, c), ratio(n2, c, a))
+    if n == d:
         return False
-    t = (ta - target * tb) / (1 - target)
-    candidate = ray.point_at(t)
+    ray = default_chart(join(a, b))
+    (ua, va), (ub, vb) = ray.param_pair(a), ray.param_pair(b)
+    candidate = ray.point_at_pair((ua * vb * d - n * ub * va, va * vb * (d - n)))
     return candidate == n3 and incident(candidate, sf.tronc)
 
 
@@ -248,20 +250,41 @@ def _finite_projection(center: PPoint, p: PPoint, target: PLine, what: str) -> P
     return q
 
 
-def check_ramee_replayable(
-    arbre: NodeCouples, k: PPoint, delta: AffineChart
-) -> dict[str, PPoint]:
-    """Raise NonGenericError unless ``replay_ramee_proof`` can run on the data.
+class RameeFigure(Frozen):
+    """Data of the ramee replay that passed ``check_ramee_replayable``.
 
-    This is the whole genericity precondition of the ramee path: the
-    generator draws and calls it, and the replay starts by calling it, so
-    it is also the only precondition of ``theorems.verify_ramee``.  K
+    The couples ``arbre`` on the tronc, the projection point ``k`` and the
+    image chart ``delta``, with ``points``, the check's ten projections by
+    name: b h c g d f on the image line and 2 3 4 5 on the intermediate line
+    join(D, f).  The check is the one builder, so ``replay_ramee_proof`` and
+    ``theorems.verify_ramee``, which take a figure, never check again.
+    """
+
+    _fields = ("arbre", "k", "delta")
+
+    def __init__(self, arbre: NodeCouples, k: PPoint, delta: AffineChart, points: dict):
+        object.__setattr__(self, "arbre", arbre)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "points", points)
+
+    def image_couples(self) -> tuple[tuple[PPoint, PPoint], ...]:
+        """The images ((b, h), (c, g), (d, f)) of the three couples."""
+        pts = self.points
+        return (pts["b"], pts["h"]), (pts["c"], pts["g"]), (pts["d"], pts["f"])
+
+
+def check_ramee_replayable(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> RameeFigure:
+    """The checked figure of the data, or NonGenericError.
+
+    This is the whole genericity precondition of the ramee path, run once
+    per instance: the generator draws and calls it and keeps the figure,
+    which ``replay_ramee_proof`` and ``theorems.verify_ramee`` take.  K
     must be finite and off both carrier lines, and no noeud may lie on the
     image line (an image line equal to the tronc carries all six).  It
     needs no ratio: only the six projections from K onto the image line and
     the four onto the intermediate line join(D, f), with their finiteness
-    and distinctness.  Returns those projections by name
-    (b h c g d f 2 3 4 5).
+    and distinctness.
     """
     tronc = arbre.chart.line
     if incident(k, tronc) or incident(k, delta.line):
@@ -290,28 +313,28 @@ def check_ramee_replayable(
     # the replay's ratios X->D : X->F on the tronc need finite noeuds
     if any(p.is_at_infinity() for p in (B, H, C, G)):
         raise NonGenericError("ratio endpoint at infinity")
-    return pts
+    return RameeFigure(arbre, k, delta, pts)
 
 
-def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> ProofTrace:
+def replay_ramee_proof(figure: RameeFigure) -> ProofTrace:
     """Machine-replay of the ramee derivation: two series of four Menelaus
     applications through the intermediate line of the mixed couple (D, f),
     then the alpha aggregations and the conclusion.
 
-    Raises NonGenericError exactly when ``check_ramee_replayable`` does,
-    which it calls first for the projected points; the image couples
-    ((b, h), (c, g), (d, f)) stay on the trace, unprinted, as
-    ``image_couples``.  Each Menelaus step is one ``menelaus_step``;
+    Takes the figure ``check_ramee_replayable`` returned, with its
+    projected points.  Each Menelaus step is one ``menelaus_step``;
     products, alpha included, multiply the integer pairs it returns, and
-    each printed side is one ``Fraction``.
+    each printed side, like each note, is formatted from an integer pair.
     """
-    pts = check_ramee_replayable(arbre, k, delta)
-    (B, H), (C, G), (D, F) = arbre.pairs
-    named = dict(pts, B=B, H=H, C=C, G=G, D=D, F=F, K=k)
+    pts, delta = figure.points, figure.delta
+    (B, H), (C, G), (D, F) = figure.arbre.pairs
+    named = dict(pts, B=B, H=H, C=C, G=G, D=D, F=F, K=figure.k)
 
     trace = ProofTrace("ramee")
-    trace.image_couples = tuple((pts[x], pts[y]) for x, y in ("bh", "cg", "df"))
-    trace.notes["images"] = {nm: str(delta.coordinate(pts[nm])) for nm in "bhcgdf"}
+    # str(Fraction) of each image's chart coordinate: no "/1" on integers
+    trace.notes["images"] = {
+        nm: pair_str(*delta.param_pair(pts[nm])).removesuffix("/1") for nm in "bhcgdf"
+    }
     trace.notes["shortcut"] = False  # always; kept for the printed bytes
 
     image = {}
@@ -339,7 +362,7 @@ def replay_ramee_proof(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> Pro
         )
 
     alpha = _times(kd_over_kD, kd_over_kD, kF_over_kf, kF_over_kf)
-    trace.notes["alpha"] = rat_str(Fraction(*alpha))
+    trace.notes["alpha"] = pair_str(*alpha)
 
     lhs_gc = _times(image["g"], image["c"])
     trace.add(

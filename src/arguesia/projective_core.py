@@ -120,7 +120,7 @@ class PPoint(Frozen):
         return Fraction(self.x, self.z), Fraction(self.y, self.z)
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coords]
+        return [f"{c}/1" for c in self.coords]
 
     @staticmethod
     def from_json(data) -> "PPoint":
@@ -156,7 +156,7 @@ class PLine(Frozen):
         return self.coeffs[0] == 0 and self.coeffs[1] == 0
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        return [f"{c}/1" for c in self.coeffs]
 
     def __repr__(self):
         u, v, w = self.coeffs
@@ -174,19 +174,20 @@ def _require_finite(*points: PPoint) -> None:
 
 
 def incident(p: PPoint, l: PLine) -> bool:
-    return dot3(p.coords, l.coeffs) == 0
+    x, u = p.coords, l.coeffs
+    return x[0] * u[0] + x[1] * u[1] + x[2] * u[2] == 0
 
 
 def join(p: PPoint, q: PPoint) -> PLine:
     """Line through two distinct points."""
-    if p == q:
+    if p.coords == q.coords:
         raise GeometryError(f"join of equal points {p}")
     return PLine(*cross3(p.coords, q.coords))
 
 
 def meet(l: PLine, m: PLine) -> PPoint:
     """Common point of two distinct lines; parallels meet at z = 0."""
-    if l == m:
+    if l.coeffs == m.coeffs:
         raise GeometryError(f"meet of equal lines {l}")
     return PPoint(*cross3(l.coeffs, m.coeffs))
 
@@ -236,10 +237,12 @@ class AffineChart(Frozen):
 
     Origin and unit must be finite so the chart's infinity agrees with the
     geometric point at infinity; signed parameter differences then measure
-    segment ratios along the line.
+    segment ratios along the line.  The basis and the linear form that
+    reads a parameter pair are computed once, when the chart is built.
     """
 
-    __slots__ = _fields = ("line", "origin", "unit")
+    _fields = ("line", "origin", "unit")
+    __slots__ = _fields + ("_basis", "_reader")
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint):
         object.__setattr__(self, "line", line)
@@ -251,6 +254,21 @@ class AffineChart(Frozen):
             raise GeometryError("chart origin and unit must be finite")
         if not (incident(origin, line) and incident(unit, line)):
             raise GeometryError("chart base points must lie on the chart line")
+        o, u = origin.coords, unit.coords
+        oz, uz = o[2], u[2]
+        # X0 = U_z*O and X1 = O_z*U - U_z*O
+        x0 = (uz * o[0], uz * o[1], uz * o[2])
+        x1 = (oz * u[0] - x0[0], oz * u[1] - x0[1], oz * u[2] - x0[2])
+        object.__setattr__(self, "_basis", (x1, x0))
+        # x = a*O + b*U for a, b = (x × U)_i, (O × x)_i over (O × U)_i, at
+        # the first i with (O × U)_i != 0, the first nonzero coefficient of
+        # the line; the affine weights are a*O_z and b*U_z, and t is b's
+        # share.  Both are linear in the coordinates j, k of x next to i.
+        i = _first_nonzero(line.coeffs)
+        j, k = (i + 1) % 3, (i + 2) % 3
+        a_j, a_k = u[k] * oz, -u[j] * oz
+        b_j, b_k = -o[k] * uz, o[j] * uz
+        object.__setattr__(self, "_reader", (j, k, b_j, b_k, a_j + b_j, a_k + b_k))
 
     def param_pair(self, p: PPoint) -> tuple[int, int]:
         """Projective parameter pair (u : v) with t = u/v and INF = (1 : 0)."""
@@ -261,13 +279,9 @@ class AffineChart(Frozen):
     def _linear_pair(self, x) -> tuple[int, int]:
         """The parameter pair of a vector x on the line, not normalized:
         linear in x, so a projection composed with it is a matrix."""
-        o, u = self.origin.coords, self.unit.coords
-        i = _first_nonzero(cross3(o, u))
-        # x = a*O + b*U for a, b = (x × U)_i, (O × x)_i over (O × U)_i;
-        # the affine weights are a*O_z and b*U_z, and t is b's share
-        alpha = cross3(x, u)[i] * o[2]
-        beta = cross3(o, x)[i] * u[2]
-        return beta, alpha + beta
+        j, k, bj, bk, vj, vk = self._reader
+        xj, xk = x[j], x[k]
+        return bj * xj + bk * xk, vj * xj + vk * xk
 
     def coordinate(self, p: PPoint):
         u, v = self.param_pair(p)
@@ -285,16 +299,13 @@ class AffineChart(Frozen):
         u, v = pair
         if u == 0 and v == 0:
             raise GeometryError("zero parameter pair")
-        x1, x0 = self.basis()
-        return PPoint(*[u * a + v * b for a, b in zip(x1, x0)])
+        x1, x0 = self._basis
+        return PPoint(u * x1[0] + v * x0[0], u * x1[1] + v * x0[1], u * x1[2] + v * x0[2])
 
     def basis(self):
         """(X1, X0) with ``point_at_pair((u, v))`` the point u*X1 + v*X0:
         X0 = U_z*O and X1 = O_z*U - U_z*O for the origin O and the unit U."""
-        o, un = self.origin.coords, self.unit.coords
-        x0 = tuple([un[2] * e for e in o])
-        x1 = tuple([o[2] * f - un[2] * e for e, f in zip(o, un)])
-        return x1, x0
+        return self._basis
 
     def infinity_point(self) -> PPoint:
         return infinity_point_of(self.line)

@@ -288,10 +288,11 @@ def _fig_menelaus(inst) -> SvgDoc:
 
 
 def _fig_ramee(inst) -> SvgDoc:
-    from arguesia.projective_core import join, project_point
+    from arguesia.projective_core import join
 
     doc = SvgDoc()
-    arbre, k, delta = inst["arbre"], inst["k"], inst["delta"]
+    figure = inst["figure"]
+    arbre, k, delta = figure.arbre, figure.k, figure.delta
     doc.add_line(arbre.chart.line, "carrier")
     doc.add_line(delta.line, "carrier")
     doc.add_point(k, "K")
@@ -301,7 +302,7 @@ def _fig_ramee(inst) -> SvgDoc:
         doc.add_point(q, nq)
         for pt, nm in ((p, np_), (q, nq)):
             doc.add_line(join(k, pt), "construction")
-            doc.add_point(project_point(k, pt, delta.line), nm.lower())
+            doc.add_point(figure.points[nm.lower()], nm.lower())
     return doc
 
 

@@ -40,6 +40,7 @@ from arguesia.involution import (
 from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
+    RameeFigure,
     SectorFigure,
     _over,
     _times,
@@ -263,28 +264,36 @@ class QuadrangleConfig(Frozen):
         when the couples are not in involution."""
         return nc_involution(self.node_couples())
 
-    def to_json(self) -> dict:
+    @cached_property
+    def _json(self) -> dict:
         return {
             "bornes": [p.to_json() for p in self.bornes],
             "transversal": self.transversal.to_json(),
         }
+
+    def to_json(self) -> dict:
+        """The bornes and the transversal.  Built once per instance, as the
+        pencil verifier asks for them once per member: each call returns a
+        new dict over the same values, which no caller mutates."""
+        return dict(self._json)
 
 
 # ---------------------------------------------------------------------------
 # the ramee theorem
 
 
-def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremReport:
+def verify_ramee(figure: RameeFigure) -> TheoremReport:
     """Project the six noeuds from K and verify the images stay in involution.
 
-    The data must pass ``check_ramee_replayable`` (NonGenericError
-    otherwise), so K and the six images are finite.  Claims: the image
-    couples pass the rectangle identities, and, as a separate claim, the
-    homography check; the hyperbolic/elliptic class is preserved; each
-    fixed point maps exactly to a fixed point.  The image couples are the
-    replay's projections, and its Menelaus trace is attached.
+    ``figure`` is what ``check_ramee_replayable`` returned, so K and the six
+    images are finite.  Claims: the image couples pass the rectangle
+    identities, and, as a separate claim, the homography check; the
+    hyperbolic/elliptic class is preserved; each fixed point maps exactly
+    to a fixed point.  The image couples are the check's projections, and
+    the Menelaus trace of ``replay_ramee_proof`` is attached.
     """
-    trace = replay_ramee_proof(nc, k, delta)
+    nc, k, delta = figure.arbre, figure.k, figure.delta
+    trace = replay_ramee_proof(figure)
     report = TheoremReport(
         "ramee",
         inputs={
@@ -296,7 +305,7 @@ def verify_ramee(nc: NodeCouples, k: PPoint, delta: AffineChart) -> TheoremRepor
     report.notes["k_at_infinity"] = False  # always; kept for the printed bytes
 
     pi = perspective_map(k, nc.chart, delta)
-    image_nc = NodeCouples(delta, trace.image_couples)
+    image_nc = NodeCouples(delta, figure.image_couples())
     source_inv = nc_involution(nc)
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 

@@ -87,7 +87,7 @@ def test_criterion_02_ramee_500():
         rect_labels = ("GF.GD", "FC.FG", "HC.HG")
         for seed in range(1, 501):
             inst = generate_instance(InstanceConfig("ramee", seed))
-            rep = verify_ramee(inst["arbre"], inst["k"], inst["delta"])
+            rep = verify_ramee(inst["figure"])
             assert rep.verdict, f"seed {seed}"
             labels = " ".join(c["label"] for c in rep.claims)
             for fragment in rect_labels:
@@ -97,7 +97,7 @@ def test_criterion_02_ramee_500():
             assert rep.trace is not None
             assert len(rep.trace.menelaus_steps()) == 8
             assert all(s["equal"] for s in rep.trace.steps)
-            src_cls = classify(nc_involution(inst["arbre"]))
+            src_cls = classify(nc_involution(inst["figure"].arbre))
             if src_cls["kind"] == "hyperbolic":
                 assert any("fixed point" in c["label"] for c in rep.claims)
 

@@ -2,13 +2,14 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arguesia import exact_scalar
 from arguesia.exact_scalar import (
     QuadExt,
     ScalarError,
+    pair_str,
     quad_sqrt,
     rat_parse,
     rat_str,
@@ -37,6 +38,30 @@ def test_rat_parse_zero_canonical():
 def test_rat_parse_rejects_malformed(bad):
     with pytest.raises(ScalarError):
         rat_parse(bad)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.integers(-(2**70), 2**70) | st.sampled_from((0, 1, -1)),
+    st.integers(-(2**70), 2**70).filter(bool) | st.sampled_from((1, -1, 2, -6)),
+    st.integers(1, 2**40),
+)
+@example(3, -6, 1)  # negative denominator
+@example(0, -5, 1)  # zero numerator
+@example(-4, -2, 1)  # an integer
+@example(10, 15, 7)  # unreduced
+def test_pair_str_is_the_fraction_text(num, den, scale):
+    # a printed side is pair_str of its integer pair; the images note drops
+    # the "/1" of an integer, as str(Fraction) does
+    num, den = num * scale, den * scale
+    assert pair_str(num, den) == rat_str(Fraction(num, den))
+    assert pair_str(num, den).removesuffix("/1") == str(Fraction(num, den))
+
+
+def test_pair_str_rejects_zero_denominator():
+    for num in (0, 3):
+        with pytest.raises(ZeroDivisionError):
+            pair_str(num, 0)
 
 
 def test_quad_sqrt_perfect_square():

@@ -188,7 +188,7 @@ def test_menelaus_step_with_a_moved_noeud_is_a_false_step():
 def test_ramee_replay_eleven_steps():
     k = A(2, 3)
     delta = default_chart(join(A(0, 1), A(5, 2)))
-    trace = replay_ramee_proof(ARBRE, k, delta)
+    trace = replay_ramee_proof(check_ramee_replayable(ARBRE, k, delta))
     assert trace.verdict
     assert len(trace.steps) == 11
     assert len(trace.menelaus_steps()) == 8
@@ -197,20 +197,23 @@ def test_ramee_replay_eleven_steps():
     assert [s["cite"] for s in trace.steps[-3:]] == ["p.12 l.11", "p.12 l.7", "p.12 l.26"]
 
 
+# the replay takes the figure of its precondition, which rejects the data
+
+
 def test_ramee_replay_rejects_k_on_tronc():
     with pytest.raises(NonGenericError):
-        replay_ramee_proof(ARBRE, A(2, 0), default_chart(join(A(0, 1), A(5, 2))))
+        check_ramee_replayable(ARBRE, A(2, 0), default_chart(join(A(0, 1), A(5, 2))))
 
 
 def test_ramee_replay_rejects_infinite_k():
     with pytest.raises(NonGenericError):
-        replay_ramee_proof(ARBRE, PPoint(1, 1, 0), default_chart(join(A(0, 1), A(5, 2))))
+        check_ramee_replayable(ARBRE, PPoint(1, 1, 0), default_chart(join(A(0, 1), A(5, 2))))
 
 
 def test_ramee_replay_on_random_generic_instances():
     for seed in range(1, 51):
         inst = generate_instance(InstanceConfig("ramee", seed))
-        trace = replay_ramee_proof(inst["arbre"], inst["k"], inst["delta"])
+        trace = replay_ramee_proof(inst["figure"])
         assert trace.verdict and len(trace.steps) == 11
 
 
@@ -227,8 +230,9 @@ def _outcome(fn, *args):
 
 
 def _agree(arbre, k, delta):
+    # the check raises, or the replay runs on the figure it returns
     pre = _outcome(check_ramee_replayable, arbre, k, delta)
-    assert pre == _outcome(replay_ramee_proof, arbre, k, delta)
+    assert pre == _outcome(lambda: replay_ramee_proof(check_ramee_replayable(arbre, k, delta)))
     return pre
 
 
@@ -271,7 +275,7 @@ def ramee_data(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(ramee_data())
 def test_replay_precondition_matches_replay(data):
-    # the generator's cheap probe raises exactly when, and as, the replay does
+    # the generator's probe raises, or the replay runs on its figure
     _agree(*data)
 
 
@@ -309,7 +313,7 @@ def test_replay_precondition_shortcut():
     # image line replays
     delta = default_chart(join(CH.point_at(F(-1)), A(0, 5)))
     assert _agree(ARBRE, A(2, 3), delta) == ("raise", "image line through a noeud")
-    assert sorted(check_ramee_replayable(ARBRE, A(2, 3), DELTA)) == sorted("bhcgdf2345")
+    assert sorted(check_ramee_replayable(ARBRE, A(2, 3), DELTA).points) == sorted("bhcgdf2345")
     # a doubled couple (B, B): rejected through D like any noeud, and off
     # the noeuds because it projects to b = h
     doubled = x_axis_arbre([(1, 1), (8, (1, 2)), (-1, -4)])
@@ -327,8 +331,6 @@ def test_replay_precondition_rejects_image_line_through_each_noeud(noeud):
     delta = default_chart(join(pt, A(0, 5)))
     with pytest.raises(NonGenericError, match="image line through a noeud"):
         check_ramee_replayable(ARBRE, A(2, 3), delta)
-    with pytest.raises(NonGenericError, match="image line through a noeud"):
-        replay_ramee_proof(ARBRE, A(2, 3), delta)
 
 
 def test_replay_precondition_k_on_intermediate_line():

@@ -500,20 +500,22 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     # the couples' involution (exit 2).  The replay's Menelaus steps compare
     # products of integer ratio pairs; move the image b of B along the image
     # line and the step through b, its aggregation and the conclusion fail.
-    # The image-couple claims take their couples from the replay, so the
-    # moved b falsifies them too; the classification and fixed-point claims
-    # stay true.
-    import arguesia.menelaus_engine as menelaus_engine
+    # The image-couple claims take their couples from the same checked
+    # figure, so the moved b falsifies them too; the classification and
+    # fixed-point claims stay true.  The fault goes into the one run of the
+    # precondition, the generator's.
+    import arguesia.instances as instances
 
-    real = menelaus_engine.check_ramee_replayable
+    real = instances.check_ramee_replayable
 
     def moved(arbre, k, delta):
-        pts = real(arbre, k, delta)
+        figure = real(arbre, k, delta)
+        pts = figure.points
         pts["b"] = delta.point_at(delta.coordinate(pts["b"]) + 1)
         assert len(set(pts.values())) == len(pts)
-        return pts
+        return figure
 
-    monkeypatch.setattr(menelaus_engine, "check_ramee_replayable", moved)
+    monkeypatch.setattr(instances, "check_ramee_replayable", moved)
     assert main(["verify", "ramee", "--seed", "1", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["all_true"] is False
@@ -529,6 +531,29 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
         "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
         "dg.dc/(fg.fc) = db.dh/(fb.fh)",
     ]
+
+
+@pytest.mark.parametrize("command", ("verify", "replay"))
+def test_one_ramee_precondition_run_per_op(monkeypatch, capsys, command):
+    # the generator checks the data once and keeps the figure; the replay
+    # and the verifier take it as it is, whatever module binds the check
+    import arguesia.menelaus_engine as menelaus_engine
+
+    real = menelaus_engine.check_ramee_replayable
+    runs = []
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arguesia") and getattr(module, "check_ramee_replayable", None) is real:
+            monkeypatch.setattr(module, "check_ramee_replayable", counting)
+    for seed in (1, 2, 3):
+        runs.clear()
+        assert main([command, "ramee", "--seed", str(seed), "--json"]) == 0
+        assert len(runs) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ("replay", "verify"))

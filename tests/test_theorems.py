@@ -64,7 +64,9 @@ def arbre_4_over_x():
 
 
 def test_verify_ramee_generic():
-    rep = verify_ramee(arbre_4_over_x(), A(2, 3), default_chart(join(A(0, 1), A(5, 2))))
+    rep = verify_ramee(
+        check_ramee_replayable(arbre_4_over_x(), A(2, 3), default_chart(join(A(0, 1), A(5, 2))))
+    )
     assert rep.verdict
     assert rep.trace is not None and len(rep.trace.steps) == 11
     labels = [c["label"] for c in rep.claims]
@@ -84,25 +86,23 @@ def _delta_parallel_to_rameau_dk():
     (A(2, 3), lambda: default_chart(join(pt(8), A(0, 7))), "image line through a noeud"),
 ], ids=["k-at-infinity", "image-at-infinity", "image-line-through-noeud"])
 def test_verify_ramee_rejects_what_the_replay_rejects(k, delta, message):
-    # check_ramee_replayable is verify_ramee's only precondition
+    # check_ramee_replayable is verify_ramee's only precondition: the
+    # verifier and the replay take the figure it returns
     arbre, delta = arbre_4_over_x(), delta()
     with pytest.raises(NonGenericError) as want:
         check_ramee_replayable(arbre, k, delta)
     assert str(want.value) == message
-    with pytest.raises(NonGenericError) as got:
-        verify_ramee(arbre, k, delta)
-    assert str(got.value) == message
 
 
 def test_verify_ramee_rejects_k_on_carrier():
     with pytest.raises(GeometryError):
-        verify_ramee(arbre_4_over_x(), A(3, 0), default_chart(join(A(0, 1), A(5, 2))))
+        check_ramee_replayable(arbre_4_over_x(), A(3, 0), default_chart(join(A(0, 1), A(5, 2))))
 
 
 def test_verify_ramee_500_seed_property():
     for seed in range(1, 101):
         inst = generate_instance(InstanceConfig("ramee", seed))
-        rep = verify_ramee(inst["arbre"], inst["k"], inst["delta"])
+        rep = verify_ramee(inst["figure"])
         assert rep.verdict
 
 
