@@ -15,7 +15,8 @@ verifier's and replay's preconditions, so a ``GeometryError`` raised while
 verifying, replaying or drawing one is an internal error.
 ARGUESIA_SEED provides the default seed.  Identical invocations produce
 byte-identical output.  ``main`` may be called repeatedly in one process:
-the argument parser is built on the first call and reused.
+the argument parser is built on the first call and reused.  Each call
+lifts Python's int-to-str digit limit and restores the caller's on return.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ from arguesia.theorems import (
 )
 
 
-def _beaugrand(inst: dict):
-    return beaugrand_replay(inst["conic"], *inst["bornes"], inst["transversal"])
-
-
 def _trace_report(trace) -> dict:
     return {"name": trace.name, "trace": trace.to_json(), "verdict": trace.verdict}
 
@@ -67,24 +64,22 @@ VERIFIERS = {
     "ramee": ("ramee", lambda i: verify_ramee(i["figure"]).to_json()),
     "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i["quadrangle"])[1].to_json()),
     "pencil": ("pencil", lambda i: verify_pencil(i["quadrangle"], i["members"])),
-    "pascal": ("pascal", lambda i: pascal_collinear(i["conic"], *i["hexagon"]).to_json()),
-    "beaugrand": ("beaugrand", lambda i: _trace_report(_beaugrand(i))),
+    "pascal": ("pascal", lambda i: pascal_collinear(i["figure"]).to_json()),
+    "beaugrand": ("beaugrand", lambda i: _trace_report(beaugrand_replay(i["figure"]))),
     "parallel-bornales": ("parallel_bornales",
                           lambda i: parallel_bornales_identities(i["quadrangle"]).to_json()),
     "midpoint": ("harmonic", lambda i: verify_midpoint_case(
         i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
     "bisector": ("bisector", lambda i: verify_bisector_case(
         i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
-    "retablissement": ("retablissement", lambda i: retablissement_demo(
-        i["apex"], i["base"], i["cut"], i["params"]).to_json()),
+    "retablissement": ("retablissement", lambda i: retablissement_demo(i["figure"]).to_json()),
 }
 # replay kind (also its instance kind) -> the proof trace of an instance
 REPLAYS = {
     "ramee": lambda i: replay_ramee_proof(i["figure"]),
     "quadrangle": lambda i: replay_quadrangle_proof(i["quadrangle"]),
-    "beaugrand": _beaugrand,
-    # every generated hexagon has its circle replay (pascal_circle_points)
-    "pascal": lambda i: pascal_collinear(i["conic"], *i["hexagon"]).trace,
+    "beaugrand": lambda i: beaugrand_replay(i["figure"]),
+    "pascal": lambda i: pascal_collinear(i["figure"]).trace,
 }
 VERIFY_KINDS = tuple(VERIFIERS)
 REPLAY_KINDS = tuple(REPLAYS)
@@ -274,8 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # exact values have no digit limit: a long --bounds parses and a long
+    # coordinate prints; the caller's limit is back on return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             seed = args.seed if args.seed is not None else _default_seed()
             if args.trials < 1:
@@ -341,6 +340,8 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _usage_error(exc: Exception) -> int:

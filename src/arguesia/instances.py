@@ -5,9 +5,13 @@ concrete configuration that satisfies the target operation's
 preconditions, by rejection-resampling from the kind's deterministic
 SplitMix64 stream.  A maker states each precondition as a
 ``NonGenericError``, and only that class is resampled; any other error
-from a maker is a fault and propagates.  The same config always
-regenerates the identical instance; exhausting the retry budget is an
-error that reports the last failing precondition.
+from a maker is a fault and propagates.  Every kind with a precondition
+(ramee ``check_ramee_replayable``, beaugrand ``beaugrand_points``, pascal
+``pascal_figure``, retablissement ``check_retablissement``) runs it once:
+the maker keeps the checked figure it returns as ``inst["figure"]``, and
+the verifier, the replay and the SVG figure take it as it is.  The same
+config always regenerates the identical instance; exhausting the retry
+budget is an error that reports the last failing precondition.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from arguesia.theorems import (
     beaugrand_points,
     check_retablissement,
     harmonic_conjugate,
-    pascal_circle_points,
+    pascal_figure,
 )
 
 MAX_RETRIES = 400
@@ -150,9 +154,8 @@ def _make_menelaus(rng: SplitMix64, bounds: int) -> dict:
 def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     """A generic ramee couple: everything is drawn first, then
     ``check_ramee_replayable``, the precondition of ``replay_ramee_proof``,
-    decides genericity, and the instance is the checked figure it returns,
-    which the verifier and the replay take as it is.  Only the involution
-    and its couples are checked here."""
+    decides genericity, and the instance is the checked figure it returns.
+    Only the involution and its couples are checked here."""
     chart = _chart(rng, bounds)
     a = rng.int_between(-bounds, bounds)
     b = rng.int_between(-bounds, bounds)
@@ -240,8 +243,7 @@ def _make_pascal(rng: SplitMix64, bounds: int) -> dict:
     pts = tuple(par.point_at(t) for t in params)
     if len(set(pts)) != 6:
         raise NonGenericError("hexagon points collide")
-    pascal_circle_points(*pts)  # the circle replay needs its five points
-    return {"conic": circle, "hexagon": pts, "params": params}
+    return {"figure": pascal_figure(circle, pts)}
 
 
 def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
@@ -258,15 +260,9 @@ def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
     c_pt = meet(mu, ko)
     if c_pt.is_at_infinity() or c_pt == f_pt:
         raise NonGenericError("auxiliary point C degenerate")
-    transversal = join(c_pt, f_pt)
-    # the replay's precondition; its auxiliary chord, the parallel to NV
-    # through C, is mu, rational through q0
-    beaugrand_points(circle, k, n, o, v, transversal)
-    return {
-        "conic": circle,
-        "bornes": (k, n, o, v),
-        "transversal": transversal,
-    }
+    # the check's auxiliary chord, the parallel to NV through C, is mu,
+    # rational through q0
+    return {"figure": beaugrand_points(circle, k, n, o, v, join(c_pt, f_pt))}
 
 
 def _harmonic_draw(rng: SplitMix64, bounds: int):
@@ -323,8 +319,7 @@ def _make_retablissement(rng: SplitMix64, bounds: int) -> dict:
     if cut.coeffs == base.coeffs:
         raise NonGenericError("cut equals base")
     params = tuple(_distinct_params(rng, bounds, 6))
-    check_retablissement(apex, base, cut, params)
-    return {"apex": apex, "base": base, "cut": cut, "params": params}
+    return {"figure": check_retablissement(apex, base, cut, params)}
 
 
 def _make_p13(rng: SplitMix64, bounds: int) -> dict:

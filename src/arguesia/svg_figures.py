@@ -332,41 +332,38 @@ def _fig_pencil(inst) -> SvgDoc:
 
 
 def _fig_pascal(inst) -> SvgDoc:
-    from arguesia.projective_core import join, meet
+    from arguesia.projective_core import join
 
     doc = SvgDoc()
-    conic = inst["conic"]
-    p, k, v, o, n, q_pt = inst["hexagon"]
-    doc.add_conic(conic, p, "conic")
-    for pt, nm in zip(inst["hexagon"], ("P", "K", "V", "O", "N", "Q")):
+    figure = inst["figure"]
+    p, k, v, o, n, q_pt = figure["hexagon"]
+    pts = figure["points"]
+    doc.add_conic(figure["conic"], p, "conic")
+    for pt, nm in zip(figure["hexagon"], ("P", "K", "V", "O", "N", "Q")):
         doc.add_point(pt, nm)
     for l in (join(p, k), join(v, o), join(n, k), join(v, q_pt), join(n, o), join(p, q_pt)):
         doc.add_line(l, "chord")
-    m_pt = meet(join(p, k), join(v, o))
-    s_pt = meet(join(n, k), join(v, q_pt))
-    x_pt = meet(join(n, o), join(p, q_pt))
-    for pt, nm in ((m_pt, "M"), (s_pt, "S"), (x_pt, "X")):
-        doc.add_point(pt, nm)
-    doc.add_line(join(m_pt, s_pt), "pascal")
+    for nm in "MSX":
+        doc.add_point(pts[nm], nm)
+    doc.add_line(join(pts["M"], pts["S"]), "pascal")
     return doc
 
 
 def _fig_beaugrand(inst) -> SvgDoc:
-    from arguesia.projective_core import join, meet, parallel_line_through
+    from arguesia.projective_core import join, parallel_line_through
 
     doc = SvgDoc()
-    conic = inst["conic"]
-    k, n, o, v = inst["bornes"]
-    trans = inst["transversal"]
-    doc.add_conic(conic, k, "conic")
-    for pt, nm in ((k, "K"), (n, "N"), (o, "O"), (v, "V")):
-        doc.add_point(pt, nm)
+    figure = inst["figure"]
+    pts = figure["points"]
+    k, n, o, v = (pts[nm] for nm in "KNOV")
+    doc.add_conic(figure["conic"], k, "conic")
+    for nm in "KNOV":
+        doc.add_point(pts[nm], nm)
     for l in (join(k, n), join(k, o), join(v, n), join(v, o)):
         doc.add_line(l, "chord")
-    doc.add_line(trans, "carrier")
-    c_pt = meet(trans, join(k, o))
-    doc.add_point(c_pt, "C")
-    doc.add_line(parallel_line_through(join(n, v), c_pt), "construction")
+    doc.add_line(figure["transversal"], "carrier")
+    doc.add_point(pts["C"], "C")
+    doc.add_line(parallel_line_through(join(n, v), pts["C"]), "construction")
     return doc
 
 
@@ -388,20 +385,16 @@ def _fig_parallel(inst) -> SvgDoc:
 
 
 def _fig_retablissement(inst) -> SvgDoc:
-    from arguesia.conics import ConicParametrization
-    from arguesia.projective_core import join
-
     doc = SvgDoc()
-    circle = Conic.unit_circle()
-    par = ConicParametrization(circle, PPoint(-1, 0, 1))
-    pts = [par.point_at(t) for t in inst["params"]]
-    doc.add_conic(circle, PPoint(-1, 0, 1), "conic")
-    for p, nm in zip(pts, ("B", "C", "D", "E", "L", "M")):
+    figure = inst["figure"]
+    base_q = figure["base_q"]
+    doc.add_conic(Conic.unit_circle(), PPoint(-1, 0, 1), "conic")
+    for p, nm in zip(figure["base_pts"], ("B", "C", "D", "E", "L", "M")):
         doc.add_point(p, nm)
-    b, c, d, e, l_pt, m_pt = pts
-    for l in (join(b, c), join(e, d), join(b, e), join(d, c), join(b, d), join(c, e)):
+    # BC, ED, BE, DC, BD, CE and LM, as the check's base quadrangle built them
+    for l in base_q.bornales().values():
         doc.add_line(l, "chord")
-    doc.add_line(join(l_pt, m_pt), "carrier")
+    doc.add_line(base_q.transversal.line, "carrier")
     return doc
 
 

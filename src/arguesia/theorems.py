@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import InternalError, QuadExt, rat_str, scalar_str
+from arguesia.exact_scalar import InternalError, QuadExt, pair_str, rat_str, scalar_str
 from arguesia.conics import (
     Conic,
     ConicError,
@@ -108,6 +108,16 @@ class TheoremReport:
         equal = lhs == rhs
         self.claims.append(
             {"label": label, "lhs": _show(lhs), "rhs": _show(rhs), "equal": equal}
+        )
+        return equal
+
+    def claim_pair(self, label: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
+        """A claim between unreduced integer pairs (num, den), compared by
+        cross-multiplying and printed by ``pair_str``, as ``ProofTrace.add``
+        does."""
+        equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
+        self.claims.append(
+            {"label": label, "lhs": pair_str(*lhs), "rhs": pair_str(*rhs), "equal": equal}
         )
         return equal
 
@@ -437,10 +447,10 @@ def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     d_img = project_point(k, d, image_line)
     report.claim("projection fixes c on the image line", c_img, c)
     report.claim("f is the midpoint of cb (metric)", f_img, midpoint(c_img, b_img))
-    report.claim(
+    report.claim_pair(
         "composed ratio (BC/BD)(FD/FC) is the raison double",
-        Fraction(*_times(ratio(b, c, d), ratio(f, d, c))),
-        Fraction(2),
+        _times(ratio(b, c, d), ratio(f, d, c)),
+        (2, 1),
     )
     report.claim_true("d at infinity (image line parallel to DK)", d_img.is_at_infinity())
 
@@ -660,7 +670,7 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
     """The trapezoid case BC parallel to ED: the three Thales-derived
     rectangle identities, one per choice of the non-parallel line playing
     the tronc role.  Each side is an integer pair, a ratio of parallel
-    segments or a quotient of chord products, printed as one Fraction."""
+    segments or a quotient of chord products."""
     b, c, d, e = q.bornes
     if q._diagonals["N"] != infinity_point_of(q._bornales["BC"]):
         raise GeometryError("BC and ED must be parallel (N at infinity)")
@@ -681,7 +691,7 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
          _over(chord_product(b, i_pt, c), chord_product(e, k_pt, d)),
          _over(chord_product(b, f_pt, p_pt), chord_product(e, f_pt, p_pt))),
     ):
-        report.claim(label, Fraction(*lhs), Fraction(*rhs))
+        report.claim_pair(label, lhs, rhs)
     return report
 
 
@@ -691,17 +701,16 @@ def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
 
 def beaugrand_points(
     conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, transversal: PLine
-) -> tuple[PPoint, ...]:
-    """The named points of Beaugrand's derivation, or NonGenericError.
+) -> dict:
+    """The checked figure of Beaugrand's derivation, or NonGenericError.
 
     The bornes K, N, O, V must lie on the conic (ConicError otherwise).  The
     transversal must cut the conic in two rational points F, G, and the
     parallel to VN through C = KO^transversal in two rational points Q, R;
     with A = VN^transversal, B = KN^transversal, E = VO^transversal and
     P = KO^VN, all thirteen named points must be finite and pairwise
-    distinct.  The generator asks the same question, so every generated
-    instance has its replay, which starts with this call.  Returns
-    (F, G, A, B, C, E, P, Q, R).
+    distinct.  Returns {conic, transversal, points}, ``points`` the thirteen
+    by name, which ``beaugrand_replay`` and the figure take as they are.
     """
     for p in (k, n, o, v):
         if not conic.contains(p):
@@ -726,39 +735,27 @@ def beaugrand_points(
             f"(disc {mu_hit.discriminant})"
         )
     q_pt, r_pt = mu_hit.points
-    named = (f_pt, g_pt, a_pt, b_pt, c_pt, e_pt, p_pt, q_pt, r_pt)
-    pts = (k, n, o, v) + named
+    named = dict(K=k, N=n, O=o, V=v, F=f_pt, G=g_pt, A=a_pt, B=b_pt, C=c_pt, E=e_pt, P=p_pt,
+                 Q=q_pt, R=r_pt)
+    pts = named.values()
     if any(p.is_at_infinity() for p in pts):
         raise NonGenericError("a named point fell at infinity")
-    if len(set(pts)) != len(pts):
+    if len(set(pts)) != len(named):
         raise NonGenericError("named points are not pairwise distinct")
-    return named
+    return {"conic": conic, "transversal": transversal, "points": named}
 
 
-def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, transversal: PLine) -> ProofTrace:
+def beaugrand_replay(figure: dict) -> ProofTrace:
     """Beaugrand's proof of the involution theorem on a conic: two
     applications of Apollonius III.17, two of Menelaus, the final identity
     and the two remaining analogies he proved separately.
 
-    ``beaugrand_points`` is the precondition, and names the points.
+    Takes the figure ``beaugrand_points`` returned, with its named points.
     """
-    f_pt, g_pt, a_pt, b_pt, c_pt, e_pt, p_pt, q_pt, r_pt = beaugrand_points(
-        conic, k, n, o, v, transversal
-    )
-
+    named = figure["points"]
     trace = ProofTrace("beaugrand")
-    trace.notes["points"] = {
-        "F": f_pt.to_json(),
-        "G": g_pt.to_json(),
-        "A": a_pt.to_json(),
-        "B": b_pt.to_json(),
-        "C": c_pt.to_json(),
-        "E": e_pt.to_json(),
-        "P": p_pt.to_json(),
-    }
+    trace.notes["points"] = {nm: named[nm].to_json() for nm in "FGABCEP"}
 
-    named = dict(K=k, N=n, O=o, V=v, F=f_pt, G=g_pt, A=a_pt, B=b_pt, C=c_pt, E=e_pt, P=p_pt,
-                 Q=q_pt, R=r_pt)
     # the 17 chord products, each built once: "PNV" is P->N . P->V
     product = {
         key: chord_product(*(named[x] for x in key))
@@ -776,9 +773,9 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
               "Advis p.5 l.26", kind="composition")
     trace.add("AN.AV/(AF.AG) = CQ.CR/(CF.CG)", over("ANV", "AFG"), over("CQR", "CFG"),
               "Advis p.5 l.28", kind="apollonius")
-    sector = (("P", p_pt), ("A", a_pt), ("C", c_pt))
-    menelaus_step(trace, ("B", b_pt), ("K", k), ("N", n), *sector, "Advis p.5 l.33")
-    menelaus_step(trace, ("E", e_pt), ("O", o), ("V", v), *sector, "Advis p.5 l.34")
+    sector = tuple((nm, named[nm]) for nm in "PAC")
+    menelaus_step(trace, *((nm, named[nm]) for nm in "BKN"), *sector, "Advis p.5 l.33")
+    menelaus_step(trace, *((nm, named[nm]) for nm in "EOV"), *sector, "Advis p.5 l.34")
     trace.add("(AN.AV/(PN.PV))(PK.PO/(CK.CO)) = BA.AE/(BC.CE)", composed, over("ABE", "CBE"),
               "Advis p.5 l.35", kind="composition")
     trace.add("FA.AG/(FC.CG) = BA.AE/(BC.CE)", over("AFG", "CFG"), over("ABE", "CBE"),
@@ -795,33 +792,60 @@ def beaugrand_replay(conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, t
 # Pascal's hexagram lemma
 
 
-def pascal_collinear(conic: Conic, p: PPoint, k: PPoint, v: PPoint, o: PPoint, n: PPoint, q_pt: PPoint) -> TheoremReport:
-    """Pascal's Lemme I in the coupling (P,O; V,K; N,Q): the intersections
-    M = PK^VO, S = NK^VQ, X = NO^PQ are exactly collinear.
+def pascal_figure(conic: Conic, hexagon) -> dict:
+    """The checked figure of Pascal's Lemme I on the hexagon P, K, V, O, N, Q
+    in the coupling (P,O; V,K; N,Q), or an error.
 
-    For a circle the historical proof is replayed: two Menelaus
-    decompositions, three power-of-a-point identities, the substitution
-    steps, and the cross-ratio equality that triggers Pappus collinearity.
-    Its precondition is ``pascal_circle_points`` (NonGenericError).
+    The six vertices must be distinct (GeometryError) and on a
+    nondegenerate conic (ConicError), and M = PK^VO, S = NK^VQ and
+    X = NO^PQ distinct (NonGenericError).  On a circle the replay also needs
+    alpha = NO^PK, beta = NO^QV and A = PK^QV, and these three with M and S
+    finite and distinct (NonGenericError).  Returns {conic, hexagon,
+    points}, ``points`` the named intersections, which ``pascal_collinear``
+    and the figure take as they are.
     """
-    six = (p, k, v, o, n, q_pt)
-    if len(set(six)) != 6:
+    p, k, v, o, n, q_pt = hexagon
+    if len(set(hexagon)) != 6:
         raise GeometryError("hexagon needs six distinct points")
-    for pt in six:
+    for pt in hexagon:
         if not conic.contains(pt):
             raise ConicError("hexagon vertex not on the conic")
     if conic.is_degenerate():
         raise ConicError("hexagram needs a nondegenerate conic")
 
-    m_pt = meet(join(p, k), join(v, o))
-    s_pt = meet(join(n, k), join(v, q_pt))
-    x_pt = meet(join(n, o), join(p, q_pt))
-    if len({m_pt, s_pt, x_pt}) < 3:
+    pk_line, qv_line, no_line = join(p, k), join(v, q_pt), join(n, o)
+    named = {
+        "M": meet(pk_line, join(v, o)),
+        "S": meet(join(n, k), qv_line),
+        "X": meet(no_line, join(p, q_pt)),
+    }
+    if len(set(named.values())) < 3:
         raise NonGenericError("degenerate hexagon: two intersection points merge")
+    if conic.is_circle():
+        named.update(alpha=meet(no_line, pk_line), beta=meet(no_line, qv_line),
+                     A=meet(pk_line, qv_line))
+        replayed = [named[nm] for nm in ("alpha", "beta", "A", "M", "S")]
+        if any(pt.is_at_infinity() for pt in replayed):
+            raise NonGenericError("auxiliary point at infinity")
+        if len(set(replayed)) != 5:
+            raise NonGenericError("auxiliary points merge")
+    return {"conic": conic, "hexagon": tuple(hexagon), "points": named}
 
+
+def pascal_collinear(figure: dict) -> TheoremReport:
+    """Pascal's Lemme I in the coupling (P,O; V,K; N,Q): the intersections
+    M = PK^VO, S = NK^VQ, X = NO^PQ are exactly collinear.
+
+    Takes the figure ``pascal_figure`` returned.  For a circle the
+    historical proof is replayed: two Menelaus decompositions, three
+    power-of-a-point identities, the substitution steps, and the
+    cross-ratio equality that triggers Pappus collinearity.
+    """
+    conic, pts = figure["conic"], figure["points"]
+    m_pt, s_pt, x_pt = pts["M"], pts["S"], pts["X"]
     report = TheoremReport(
         "pascal",
-        inputs={"hexagon": [pt.to_json() for pt in six], "conic": conic.to_json()},
+        inputs={"hexagon": [pt.to_json() for pt in figure["hexagon"]], "conic": conic.to_json()},
     )
     report.claim_true("M, S, X collinear", collinear(m_pt, s_pt, x_pt))
     report.notes["pascal_line"] = join(m_pt, s_pt).to_json()
@@ -830,37 +854,14 @@ def pascal_collinear(conic: Conic, p: PPoint, k: PPoint, v: PPoint, o: PPoint, n
     report.notes["X"] = x_pt.to_json()
 
     if conic.is_circle():
-        _pascal_circle_replay(report, p, k, v, o, n, q_pt)
+        _pascal_circle_replay(report, figure)
     return report
 
 
-def pascal_circle_points(p, k, v, o, n, q_pt):
-    """The five named points of the circle replay: alpha = NO^PK,
-    beta = NO^QV, A = PK^QV, M = PK^VO and S = NK^VQ.
-
-    The replay's Menelaus sectors and chord products need them finite and
-    distinct; otherwise NonGenericError.  The hexagon generator asks the
-    same question, so every generated hexagon has its replay.
-    """
-    no_line = join(n, o)
-    pk_line = join(p, k)
-    qv_line = join(q_pt, v)
-    named = (
-        meet(no_line, pk_line),
-        meet(no_line, qv_line),
-        meet(pk_line, qv_line),
-        meet(pk_line, join(v, o)),
-        meet(join(n, k), qv_line),
-    )
-    if any(pt.is_at_infinity() for pt in named):
-        raise NonGenericError("auxiliary point at infinity")
-    if len(set(named)) != 5:
-        raise NonGenericError("auxiliary points merge")
-    return named
-
-
-def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
-    alpha, beta, a_pt, m_pt, s_pt = pascal_circle_points(p, k, v, o, n, q_pt)
+def _pascal_circle_replay(report, figure):
+    p, k, v, o, n, q_pt = figure["hexagon"]
+    pts = figure["points"]
+    alpha, beta, a_pt, m_pt, s_pt = (pts[nm] for nm in ("alpha", "beta", "A", "M", "S"))
     trace = ProofTrace("pascal_circle")
 
     ma_over_malpha, va_over_vbeta, _ = menelaus_step(
@@ -896,16 +897,16 @@ def _pascal_circle_replay(report, p, k, v, o, n, q_pt):
 # the 3d retablissement
 
 
-def check_retablissement(apex: P3Point, base: P3Plane, cut: P3Plane, params):
-    """Raise GeometryError unless ``retablissement_demo`` can run on the data.
+def check_retablissement(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> dict:
+    """The checked figure of the rétablissement, or GeometryError.
 
-    The generator calls it as its precondition probe, and the demo starts
-    with it and reuses what it builds: the perspectivity matrix back to
-    the base plane, the six points of ``params`` on the base conic (the
-    unit circle in the base plane's chart) and their images in the cutting
-    plane, and the quadrangle with transversal in each plane, which must be
-    generic (NonGenericError otherwise).  Returns
-    (to_base, base_pts, cut_pts, base_q, cut_q).
+    Builds the perspectivity matrix back to the base plane, the six points
+    of ``params`` on the base conic (the unit circle in the base plane's
+    chart) and their images in the cutting plane, and the quadrangle with
+    transversal in each plane, which must be generic (NonGenericError
+    otherwise).  Returns the inputs with {to_base, base_pts, cut_pts,
+    base_q, cut_q}, which ``retablissement_demo`` and the figure take as
+    they are.
     """
     if len(set(params)) != 6:
         raise GeometryError("six distinct parameters required")
@@ -919,31 +920,33 @@ def check_retablissement(apex: P3Point, base: P3Plane, cut: P3Plane, params):
         QuadrangleConfig(tuple(pts[:4]), default_chart(join(*pts[4:])))
         for pts in (base_pts, cut_pts)
     )
-    return to_base, base_pts, cut_pts, base_q, cut_q
+    return {"apex": apex, "base": base, "cut": cut, "params": params, "to_base": to_base,
+            "base_pts": base_pts, "cut_pts": cut_pts, "base_q": base_q, "cut_q": cut_q}
 
 
-def retablissement_demo(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> TheoremReport:
+def retablissement_demo(figure: dict) -> TheoremReport:
     """Transport a quadrangle-with-transversal configuration between the
     cutting plane of a cone and its base plane, through the apex.
 
-    ``params`` are six distinct rational slopes: four bornes and the two
-    transversal chord points, all on the base conic (the unit circle in
-    the base plane's chart); ``check_retablissement`` is the precondition.
-    Claims: the cut-plane bornes project onto the base conic, bornale
-    intersections project to bornale intersections, and the involution on
-    the base transversal pulls back exactly to an involution on the cut
-    transversal.
+    Takes the figure ``check_retablissement`` returned: its ``params`` are
+    six distinct rational slopes, four bornes and the two transversal
+    chord points, all on the base conic (the unit circle in the base
+    plane's chart).  Claims: the cut-plane bornes project onto the base
+    conic, bornale intersections project to bornale intersections, and the
+    involution on the base transversal pulls back exactly to an involution
+    on the cut transversal.
     """
-    to_base, base_pts, cut_pts, base_q, cut_q = check_retablissement(apex, base, cut, params)
+    to_base, base_pts, cut_pts = figure["to_base"], figure["base_pts"], figure["cut_pts"]
+    base_q, cut_q = figure["base_q"], figure["cut_q"]
     circle = Conic.unit_circle()
 
     report = TheoremReport(
         "retablissement",
         inputs={
-            "apex": [str(c) for c in apex.coords],
-            "base": [str(c) for c in base.coeffs],
-            "cut": [str(c) for c in cut.coeffs],
-            "params": [rat_str(Fraction(t)) for t in params],
+            "apex": [str(c) for c in figure["apex"].coords],
+            "base": [str(c) for c in figure["base"].coeffs],
+            "cut": [str(c) for c in figure["cut"].coeffs],
+            "params": [rat_str(t) for t in figure["params"]],
         },
     )
 

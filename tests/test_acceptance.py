@@ -29,6 +29,7 @@ from arguesia.theorems import (
     nc_involution,
     parallel_bornales_identities,
     pascal_collinear,
+    pascal_figure,
     pencil_involution_check,
     quadrangle_involution,
     retablissement_demo,
@@ -196,9 +197,7 @@ def test_criterion_08_beaugrand_100():
 
         for seed in range(1, 101):
             inst = generate_instance(InstanceConfig("beaugrand", seed))
-            trace = beaugrand_replay(
-                inst["conic"], *inst["bornes"], inst["transversal"]
-            )
+            trace = beaugrand_replay(inst["figure"])
             assert trace.verdict, f"seed {seed}"
             kinds = [s["meta"]["kind"] for s in trace.steps]
             assert kinds.count("apollonius") == 2
@@ -213,7 +212,7 @@ def test_criterion_09_pascal_200_plus_collineations():
     def run():
         for seed in range(1, 201):
             inst = generate_instance(InstanceConfig("pascal", seed))
-            rep = pascal_collinear(inst["conic"], *inst["hexagon"])
+            rep = pascal_collinear(inst["figure"])
             assert rep.verdict, f"seed {seed}"
             assert rep.claims[0]["equal"]  # collinear M, S, X
             if rep.trace is not None:
@@ -221,14 +220,14 @@ def test_criterion_09_pascal_200_plus_collineations():
                 assert cr_step["label"].startswith("[A,alpha,M,P]")
                 assert cr_step["equal"]
         rng = SplitMix64.for_kind("acceptance-collineations", 1)
-        base = generate_instance(InstanceConfig("pascal", 1))
+        base = generate_instance(InstanceConfig("pascal", 1))["figure"]
         done = 0
         for _ in range(100):
             t_rows = random_collineation(rng)
             conic = apply_collineation(base["conic"], t_rows)
             pts = [apply_collineation_point(t_rows, p) for p in base["hexagon"]]
             try:
-                rep = pascal_collinear(conic, *pts)
+                rep = pascal_collinear(pascal_figure(conic, pts))
             except (GeometryError, NonGenericError):
                 continue
             assert rep.claims[0]["equal"]
@@ -246,9 +245,7 @@ def test_criterion_10_retablissement_50():
     def run():
         for seed in range(1, 51):
             inst = generate_instance(InstanceConfig("retablissement", seed))
-            rep = retablissement_demo(
-                inst["apex"], inst["base"], inst["cut"], inst["params"]
-            )
+            rep = retablissement_demo(inst["figure"])
             assert rep.verdict, f"seed {seed}"
 
     _criterion(10, "retablissement 3d transport and pullback, 50 seeds", 20.0, run)

@@ -7,11 +7,16 @@ square roots need real factoring, and so does retablissement, whose
 perspectivity matrices then carry large entries; quadrangle and pencil run
 at bounds 10**6, where the three perspectives and the rational chords meet
 large coefficients, and so do the beaugrand, pascal and parallel-bornales
-replays, whose chord products and ratios then carry large integers.  The digests pin every
+replays, whose chord products and ratios then carry large integers.  The
+pascal replay also runs at 10**6, and pencil and the beaugrand replay at
+10**300, where printed integers pass Python's default 4,300-digit limit;
+the pascal, beaugrand and retablissement figures run at seed 2 and bounds
+10**6.  The digests pin every
 output byte, so a change to the arithmetic that alters a value, a canonical
 form or the order of claims shows up here; a change that only makes the
 same bytes faster leaves them alone.  Every verify kind also runs at
-``--bounds`` 10**12, 10**18 and 10**30 under a time budget.  Two start-up
+``--bounds`` 10**12, 10**18 and 10**30 under a time budget, and every
+verify and replay kind at 10**300 in process.  Two start-up
 checks run in fresh interpreters: importing ``arguesia.cli`` loads neither
 ``dataclasses`` nor the SVG renderer, and ``figure`` loads the renderer and
 still writes the golden bytes.
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from arguesia.cli import FIGURE_KINDS, VERIFY_KINDS, main
+from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, VERIFY_KINDS, main
 
 GOLDEN = {
     "verify menelaus": "77d94a5b7d05e11498faba640697061714e4fc04b5ec9773173beeabece2572e",
@@ -60,16 +65,24 @@ GOLDEN = {
         "782428b75471aa0dc14067d95f93842b146db7407e2a04a89e9a1042f55aef2c",
     "verify parallel-bornales --bounds 1000000":
         "8e3c172f666c257f9374188d94cc386249cde5a6a63d0bc23a99ca5929989f45",
+    "verify pencil --bounds 10**300":
+        "b12e968adfc66f214bf20e6b0c96b3ff902f006d37e9abfdd41d73b8a367dd73",
+    "replay beaugrand --bounds 10**300":
+        "3ab3ea85f22dbef058cf08bf3cfd4498c254d4afa1a185320137602619a5d888",
+    "replay pascal --bounds 1000000":
+        "4a3281b971535ad3737b29a65f7ffb574e518585fa7a72f088cf1b3c95baf1f2",
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _command(name: str) -> list[str]:
+    # options in the name override the defaults; 10**N is that power of ten
     command, kind, *extra = name.split(" ")
-    if command == "verify":  # options in the name override the defaults
+    extra = [str(10 ** int(x[4:])) if x.startswith("10**") else x for x in extra]
+    if command == "verify":
         return ["verify", kind, "--seed", "1", "--trials", "20", *extra, "--json"]
-    return ["replay", kind, "--seed", "1", "--json"]
+    return ["replay", kind, "--seed", "1", *extra, "--json"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -93,6 +106,12 @@ GOLDEN_FIGURES = {
     "p13": "dc6930f2319882f70015fb41d3464b46445337083e34a4c98c9ebee26ab2a551",
 }
 FIGURE_QUADRANGLE = GOLDEN_FIGURES["quadrangle"]
+# seed 2 at bounds 10**6: the figures drawn from the points their checks build
+GOLDEN_FIGURES_1E6 = {
+    "pascal": "1040a564ba57fee5b9f01bd74956877d3f2eeefc91f9d761a51d3ece8252a52b",
+    "beaugrand": "7058c404f8149eabfc3d85f2406f81eb29f858f6fd171014c14c0e149e5030bc",
+    "retablissement": "ce06ad33b66a041fc712317abbf4187f5a0d2a1e88d9b3333f80d0020138482a",
+}
 
 
 @pytest.mark.parametrize("kind", FIGURE_KINDS)
@@ -101,6 +120,13 @@ def test_golden_figure(kind, tmp_path):
     out = tmp_path / "figure.svg"
     assert main(["figure", kind, "--seed", "1", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FIGURES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_FIGURES_1E6))
+def test_golden_figure_at_bounds_1e6(kind, tmp_path):
+    out = tmp_path / "figure.svg"
+    assert main(["figure", kind, "--seed", "2", "--bounds", "1000000", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FIGURES_1E6[kind]
 
 
 def _verify_finishes(*args):
@@ -124,6 +150,20 @@ def test_verify_ramee_at_bounds_1e18_seed_3_finishes():
     # its discriminant has no small prime factor: trial division to the
     # cube root ran past 40 s, and the prime bound 2**14 stops it
     _verify_finishes("ramee", "--bounds", str(10**18), "--seed", "3")
+
+
+def test_every_kind_at_bounds_1e300_exits_0(capsys):
+    # main lifts the int-to-str digit limit for the call and then puts the
+    # caller's limit back
+    limit = sys.get_int_max_str_digits()
+    bounds = str(10**300)
+    for command, kinds in (("verify", VERIFY_KINDS), ("replay", REPLAY_KINDS)):
+        for kind in kinds:
+            assert main([command, kind, "--bounds", bounds, "--seed", "1"]) == 0, (command, kind)
+            assert sys.get_int_max_str_digits() == limit
+    assert main(["construct", "harmonic", "--b", "0", "--c", "1" + "0" * 5000, "--d", "1"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    capsys.readouterr()
 
 
 def _subprocess_env() -> dict:

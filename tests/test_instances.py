@@ -72,9 +72,9 @@ def test_tight_bounds_exhaust_retries():
 
 
 def test_pascal_instance_has_six_distinct_params():
-    inst = generate_instance(InstanceConfig("pascal", 7))
-    assert len(set(inst["params"])) == 6
-    assert len(set(inst["hexagon"])) == 6
+    # the hexagon's points are point_at of the six drawn parameters
+    hexagon = generate_instance(InstanceConfig("pascal", 7))["figure"]["hexagon"]
+    assert len(set(hexagon)) == 6
 
 
 def test_generated_sizes_respect_bounds():

@@ -533,13 +533,19 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     ]
 
 
-@pytest.mark.parametrize("command", ("verify", "replay"))
-def test_one_ramee_precondition_run_per_op(monkeypatch, capsys, command):
-    # the generator checks the data once and keeps the figure; the replay
-    # and the verifier take it as it is, whatever module binds the check
-    import arguesia.menelaus_engine as menelaus_engine
+@pytest.mark.parametrize("check, kind, command", [
+    *(("check_ramee_replayable", "ramee", c) for c in ("verify", "replay", "figure")),
+    *(("beaugrand_points", "beaugrand", c) for c in ("verify", "replay", "figure")),
+    *(("pascal_figure", "pascal", c) for c in ("verify", "replay", "figure")),
+    *(("check_retablissement", "retablissement", c) for c in ("verify", "figure")),
+])
+def test_one_precondition_run_per_op(monkeypatch, capsys, tmp_path, check, kind, command):
+    # the generator checks the data once and keeps the figure; the verifier,
+    # the replay and the SVG figure take it as it is, whatever module binds
+    # the check
+    import arguesia.instances as instances
 
-    real = menelaus_engine.check_ramee_replayable
+    real = getattr(instances, check)
     runs = []
 
     def counting(*args):
@@ -547,11 +553,15 @@ def test_one_ramee_precondition_run_per_op(monkeypatch, capsys, command):
         return real(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("arguesia") and getattr(module, "check_ramee_replayable", None) is real:
-            monkeypatch.setattr(module, "check_ramee_replayable", counting)
+        if name.startswith("arguesia") and getattr(module, check, None) is real:
+            monkeypatch.setattr(module, check, counting)
     for seed in (1, 2, 3):
         runs.clear()
-        assert main([command, "ramee", "--seed", str(seed), "--json"]) == 0
+        if command == "figure":
+            argv = ["figure", kind, "--seed", str(seed), "-o", str(tmp_path / "f.svg")]
+        else:
+            argv = [command, kind, "--seed", str(seed), "--json"]
+        assert main(argv) == 0
         assert len(runs) == 1
     capsys.readouterr()
 

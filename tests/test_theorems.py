@@ -30,13 +30,15 @@ from arguesia.projective_core import (
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
     QuadrangleConfig,
+    beaugrand_points,
     beaugrand_replay,
+    check_retablissement,
     construct_involution_p13,
     desargues_involution_by_perspectives,
     harmonic_conjugate,
     parallel_bornales_identities,
-    pascal_circle_points,
     pascal_collinear,
+    pascal_figure,
     pencil_involution_check,
     quadrangle_involution,
     retablissement_demo,
@@ -518,7 +520,7 @@ def beaugrand_instance():
 
 def test_beaugrand_trace_structure():
     k, n, o, v, trans = beaugrand_instance()
-    trace = beaugrand_replay(UC, k, n, o, v, trans)
+    trace = beaugrand_replay(beaugrand_points(UC, k, n, o, v, trans))
     assert trace.verdict
     kinds = [s["meta"]["kind"] for s in trace.steps]
     assert kinds.count("apollonius") == 2
@@ -530,7 +532,7 @@ def test_beaugrand_trace_structure():
 def test_beaugrand_couples_in_involution():
     # the three analogies close into a genuine involution on the transversal
     k, n, o, v, trans = beaugrand_instance()
-    trace = beaugrand_replay(UC, k, n, o, v, trans)
+    trace = beaugrand_replay(beaugrand_points(UC, k, n, o, v, trans))
     pts = {nm: PPoint.from_json(val) for nm, val in trace.notes["points"].items()}
     chart = default_chart(trans)
     nc = NodeCouples(
@@ -547,13 +549,13 @@ def test_beaugrand_couples_in_involution():
 def test_beaugrand_rejects_point_off_conic():
     k, n, o, v, trans = beaugrand_instance()
     with pytest.raises(ConicError):
-        beaugrand_replay(UC, k, n, o, A(5, 5), trans)
+        beaugrand_points(UC, k, n, o, A(5, 5), trans)
 
 
 def test_beaugrand_rejects_irrational_transversal():
     k, n, o, v, _ = beaugrand_instance()
     with pytest.raises(NonGenericError, match="transversal chord is not two rational points"):
-        beaugrand_replay(UC, k, n, o, v, PLine(1, -1, F(1, 3)))
+        beaugrand_points(UC, k, n, o, v, PLine(1, -1, F(1, 3)))
 
 
 # -- pascal ---------------------------------------------------------------------------
@@ -561,7 +563,7 @@ def test_beaugrand_rejects_irrational_transversal():
 
 def test_pascal_params_0_to_5():
     pts = [PAR.point_at(F(t)) for t in (0, 1, 2, 3, 4, 5)]
-    rep = pascal_collinear(UC, *pts)
+    rep = pascal_collinear(pascal_figure(UC, pts))
     assert rep.verdict
     assert rep.trace is not None and rep.trace.verdict
 
@@ -574,19 +576,17 @@ def test_pascal_params_0_to_5():
     ],
 )
 def test_pascal_circle_replay_skips_where_the_generator_resamples(params, reason):
-    # hand-built hexagons the generator rejects: the circle replay raises
-    # the same obstruction that pascal_circle_points names
+    # hand-built hexagons the generator rejects: the one check, which the
+    # maker asks and whose figure the replay takes, names the obstruction
     pts = [PAR.point_at(F(t)) for t in params]
     with pytest.raises(NonGenericError, match=reason):
-        pascal_circle_points(*pts)
-    with pytest.raises(NonGenericError, match=reason):
-        pascal_collinear(UC, *pts)
+        pascal_figure(UC, pts)
 
 
 def test_pascal_rejects_coincident_vertices():
     pts = [PAR.point_at(F(t)) for t in (0, 1, 2, 3, 4, 4)]
     with pytest.raises(GeometryError):
-        pascal_collinear(UC, *pts)
+        pascal_figure(UC, pts)
 
 
 def test_pascal_collineation_images():
@@ -597,7 +597,7 @@ def test_pascal_collineation_images():
         image_conic = apply_collineation(UC, t_rows)
         image_pts = [apply_collineation_point(t_rows, p) for p in pts]
         try:
-            rep = pascal_collinear(image_conic, *image_pts)
+            rep = pascal_collinear(pascal_figure(image_conic, image_pts))
         except NonGenericError:
             continue
         assert rep.claims[0]["equal"]  # collinearity of M, S, X
@@ -607,26 +607,26 @@ def test_pascal_collineation_images():
 
 
 def test_retablissement_cone_example():
-    rep = retablissement_demo(
+    rep = retablissement_demo(check_retablissement(
         P3Point(0, 0, 2, 1),
         P3Plane(0, 0, 1, 0),
         P3Plane(-1, 0, 2, -2),
         [F(0), F(1), F(-1, 2), F(3), F(1, 5), F(-4)],
-    )
+    ))
     assert rep.verdict
 
 
 def test_retablissement_identity_transport():
     base = P3Plane(0, 0, 1, 0)
-    rep = retablissement_demo(
+    rep = retablissement_demo(check_retablissement(
         P3Point(0, 0, 2, 1), base, base, [F(0), F(1), F(-1, 2), F(3), F(1, 5), F(-4)]
-    )
+    ))
     assert rep.verdict
 
 
 def test_retablissement_apex_on_plane_rejected():
     with pytest.raises(GeometryError):
-        retablissement_demo(
+        check_retablissement(
             P3Point(0, 0, 0, 1),
             P3Plane(0, 0, 1, 0),
             P3Plane(-1, 0, 2, -2),
