@@ -544,6 +544,7 @@ def test_one_precondition_run_per_op(monkeypatch, capsys, tmp_path, check, kind,
     # the replay and the SVG figure take it as it is, whatever module binds
     # the check
     import arguesia.instances as instances
+    import arguesia.svg_figures  # noqa: F401  (loaded, so a binding there is wrapped too)
 
     real = getattr(instances, check)
     runs = []
