@@ -8,11 +8,12 @@
 Exit codes: 0 when every verdict is true, 1 when any is false, 2 on usage
 or configuration errors, and 3 on an internal error, reported as a
 traceback on stderr.  Usage errors are the arguments themselves, the
-instance configuration (bounds, seed, an exhausted retry budget), an
-unwritable ``-o`` file, an unrenderable figure, and a ``construct`` value
-that is malformed or repeated.  Every generated instance meets its
-verifier's and replay's preconditions, so a ``GeometryError`` raised while
-verifying, replaying or drawing one is an internal error.
+instance configuration (bounds below 8, seed), an unwritable ``-o`` file,
+an unrenderable figure (a labelled point beyond float range), and a
+``construct`` value that is malformed or repeated.  Every generated
+instance meets its verifier's and replay's preconditions, so a
+``GeometryError`` raised while verifying, replaying or drawing one is an
+internal error, as is a retry budget exhausted at bounds 8 and above.
 ARGUESIA_SEED provides the default seed.  Identical invocations produce
 byte-identical output.  ``main`` may be called repeatedly in one process:
 the argument parser is built on the first call and reused.  Each call

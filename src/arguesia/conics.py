@@ -14,14 +14,12 @@ Pascal circle replay uses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import conic_eval, conic_polar, det3, dot3
 from arguesia.exact_scalar import InternalError, rat_str
 from arguesia.projective_core import (
-    INF,
     AffineChart,
     GeometryError,
     PLine,
@@ -227,9 +225,11 @@ def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:
 class ConicParametrization(Frozen):
     """Slope parametrization of a nondegenerate conic from a rational point.
 
-    Parameter t is the slope of the chord through the seed; t = INF is the
-    vertical chord, and the tangent slope returns the seed itself, so the
-    map covers every point of the conic exactly once.
+    The parameter is the slope of the chord through the seed as an integer
+    pair (num, den), with (1, 0) for the vertical chord, as
+    ``AffineChart.point_at_pair`` takes its parameter; the tangent slope
+    returns the seed itself, so the map covers every point of the conic
+    exactly once.
     """
 
     _fields = ("conic", "seed")
@@ -242,12 +242,9 @@ class ConicParametrization(Frozen):
         if not conic.contains(seed):
             raise ConicError("seed point is not on the conic")
 
-    def point_at(self, t) -> PPoint:
-        if t is INF:
-            direction = PPoint(0, 1, 0)
-        else:
-            t = Fraction(t)
-            direction = PPoint(t.denominator, t.numerator, 0)
+    def point_at(self, slope: tuple[int, int]) -> PPoint:
+        num, den = slope
+        direction = PPoint(den, num, 0)
         if direction == self.seed:
             return self.seed
         return second_intersection(self.conic, self.seed, direction)

@@ -3,20 +3,23 @@
 ``generate_instance`` maps an InstanceConfig (kind, seed, bounds) to a
 concrete configuration that satisfies the target operation's
 preconditions, by rejection-resampling from the kind's deterministic
-SplitMix64 stream.  A maker states each precondition as a
+SplitMix64 stream.  Every drawn rational is an integer pair (num, den) of
+``SplitMix64.fraction_pair``, and a line or slope parameter is a canonical
+projective pair, with (u, 0) for the point at infinity, so generation
+builds no ``Fraction``.  A maker states each precondition as a
 ``NonGenericError``, and only that class is resampled; any other error
 from a maker is a fault and propagates.  Every kind with a precondition
 (ramee ``check_ramee_replayable``, beaugrand ``beaugrand_points``, pascal
 ``pascal_figure``, retablissement ``check_retablissement``) runs it once:
 the maker keeps the checked figure it returns as ``inst["figure"]``, and
 the verifier, the replay and the SVG figure take it as it is.  The same
-config always regenerates the identical instance; exhausting the retry
-budget is an error that reports the last failing precondition.
+config always regenerates the identical instance.  At bounds 8 and above
+no correct genericity test rejects every draw, so an exhausted retry
+budget is an ``InternalError`` that reports the last failing precondition;
+bounds below 8 are refused before any draw.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from arguesia._frozen import Frozen
 from arguesia.conics import (
@@ -24,16 +27,18 @@ from arguesia.conics import (
     ConicParametrization,
     pencil_member,
 )
+from arguesia.exact_scalar import InternalError, pair_str
 from arguesia.involution import Involution, NodeCouples
 from arguesia.menelaus_engine import NonGenericError, SectorFigure, check_ramee_replayable
 from arguesia.projective_core import (
-    INF,
     AffineChart,
     LineMap,
     P3Plane,
     P3Point,
     PLine,
     PPoint,
+    _canonical,
+    _scaled_displacement,
     default_chart,
     incident,
     join,
@@ -90,7 +95,7 @@ def generate_instance(cfg: InstanceConfig) -> dict:
             continue
         inst["config"] = cfg.to_json()
         return inst
-    raise InstanceError(
+    raise InternalError(
         f"retry budget exhausted for kind {cfg.kind!r}: last failure: {last_error}"
     )
 
@@ -100,8 +105,8 @@ def generate_instance(cfg: InstanceConfig) -> dict:
 
 
 def _point(rng: SplitMix64, bounds: int) -> PPoint:
-    """The point (x, y) of two ``rng.fraction`` draws, built from their
-    integer numerators and denominators."""
+    """The point (x, y) of two ``rng.fraction_pair`` draws, built from
+    their integer numerators and denominators."""
     xn, xd = rng.fraction_pair(bounds)
     yn, yd = rng.fraction_pair(bounds)
     return PPoint(xn * yd, yn * xd, xd * yd)
@@ -125,13 +130,26 @@ def _chart(rng: SplitMix64, bounds: int) -> AffineChart:
     return default_chart(_line(rng, bounds))
 
 
-def _distinct_params(rng: SplitMix64, bounds: int, n: int) -> list[Fraction]:
-    vals: list[Fraction] = []
+def _distinct_params(rng: SplitMix64, bounds: int, n: int) -> list[tuple[int, int]]:
+    """n distinct drawn rationals as canonical pairs, so equal values are
+    equal pairs."""
+    vals: list[tuple[int, int]] = []
     while len(vals) < n:
-        t = rng.fraction(bounds)
+        t = _canonical(rng.fraction_pair(bounds))
         if t not in vals:
             vals.append(t)
     return vals
+
+
+def _shifted(p: PPoint, a: PPoint, b: PPoint, t: tuple[int, int]) -> PPoint:
+    """The point p + t*(b - a) for finite p, a, b and the rational t = tn/td,
+    in homogeneous integers: b - a is ``_scaled_displacement(a, b)`` over
+    a.z * b.z."""
+    tn, td = t
+    vx, vy = _scaled_displacement(a, b)
+    px, py, pz = p.coords
+    scale = td * a.z * b.z
+    return PPoint(px * scale + tn * pz * vx, py * scale + tn * pz * vy, pz * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +184,12 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     params = _distinct_params(rng, bounds, 3)
     pairs = []
     for t in params:
-        u = inv.map.apply_param(t)
-        if u is INF or u == t:
+        u = inv.map.apply_pair(t)
+        if u[1] == 0 or u == t:
             raise NonGenericError("couple hit infinity or a fixed point")
         if u in params:
             raise NonGenericError("two drawn parameters make one couple")
-        pairs.append((chart.point_at(t), chart.point_at(u)))
+        pairs.append((chart.point_at_pair(t), chart.point_at_pair(u)))
     arbre = NodeCouples(chart, tuple(pairs))
     k = _point(rng, bounds)
     delta = _chart(rng, bounds)
@@ -194,12 +212,10 @@ def _make_parallel_bornales(rng: SplitMix64, bounds: int) -> dict:
     bc = join(b, c)
     if incident(d, bc):
         raise NonGenericError("D on line BC")
-    lam = rng.nonzero_fraction(bounds)
-    e = PPoint(
-        Fraction(d.x, d.z) + lam * (Fraction(c.x, c.z) - Fraction(b.x, b.z)),
-        Fraction(d.y, d.z) + lam * (Fraction(c.y, c.z) - Fraction(b.y, b.z)),
-        1,
-    )
+    lam = rng.fraction_pair(bounds)
+    while lam[0] == 0:
+        lam = rng.fraction_pair(bounds)
+    e = _shifted(d, b, c, lam)
     transversal = default_chart(_line(rng, bounds))
     q = QuadrangleConfig((b, c, d, e), transversal, strict=False)
     if q.pivot.is_at_infinity():
@@ -225,13 +241,13 @@ def _make_pencil(rng: SplitMix64, bounds: int) -> dict:
     members = [("line pair IK", gen1), ("line pair PQ", gen2)]
     w_params = _distinct_params(rng, bounds, 2)
     for wt in w_params:
-        w = chart.point_at(wt)
+        w = chart.point_at_pair(wt)
         if w == tangency or w in bornes or circle.contains(w):
             raise NonGenericError("bad through-point for a generic member")
         member = pencil_member(gen1, gen2, w)
         if member.is_degenerate():
             raise NonGenericError("generic member degenerated")
-        members.append((f"member through t={wt}", member))
+        members.append((f"member through t={pair_str(*wt).removesuffix('/1')}", member))
     members.append(("tangent member", circle))
     return {"quadrangle": q, "members": members, "tangency": tangency}
 
@@ -271,10 +287,11 @@ def _harmonic_draw(rng: SplitMix64, bounds: int):
     A finite parameter gives a finite point, and rejecting D at the
     midpoint of BC keeps F finite."""
     chart = _chart(rng, bounds)
-    tb, tc, td = _distinct_params(rng, bounds, 3)
-    if td == (tb + tc) / 2:
+    params = _distinct_params(rng, bounds, 3)
+    (nb, db), (nc, dc), (nd, dd) = params
+    if 2 * nd * db * dc == dd * (nb * dc + nc * db):
         raise NonGenericError("D at the midpoint: F would be infinite")
-    b, c, d = (chart.point_at(t) for t in (tb, tc, td))
+    b, c, d = (chart.point_at_pair(t) for t in params)
     return chart, b, c, d, harmonic_conjugate(b, c, d)
 
 
@@ -288,25 +305,23 @@ def _make_harmonic(rng: SplitMix64, bounds: int) -> dict:
 
 def _make_bisector(rng: SplitMix64, bounds: int) -> dict:
     chart, b, c, d, f = _harmonic_draw(rng, bounds)
-    bx, by = b.affine()
-    cx, cy = c.affine()
+    # the circle on the diameter BC: (X - B).(X - C) = 0, times 2*bz*cz
+    (bx, by, bz), (cx, cy, cz) = b.coords, c.coords
+    diag = 2 * bz * cz
     thales = Conic(
-        1,
-        0,
-        Fraction(-(bx + cx), 2),
-        1,
-        Fraction(-(by + cy), 2),
-        bx * cx + by * cy,
+        diag, 0, -(bz * cx + bx * cz), diag, -(bz * cy + by * cz), 2 * (bx * cx + by * cy)
     )
     par = ConicParametrization(thales, b)
-    k = par.point_at(rng.fraction(bounds))
+    k = par.point_at(rng.fraction_pair(bounds))
     if k in (b, c) or incident(k, chart.line) or k.is_at_infinity():
         raise NonGenericError("K degenerate on the Thales circle")
     return {"chart": chart, "b": b, "c": c, "d": d, "f": f, "k": k}
 
 
 def _make_retablissement(rng: SplitMix64, bounds: int) -> dict:
-    apex = P3Point(rng.fraction(bounds), rng.fraction(bounds), rng.int_between(1, bounds), 1)
+    (xn, xd), (yn, yd) = rng.fraction_pair(bounds), rng.fraction_pair(bounds)
+    den = xd * yd
+    apex = P3Point(xn * yd, yn * xd, rng.int_between(1, bounds) * den, den)
     base = P3Plane(0, 0, 1, 0)
     cut = P3Plane(
         rng.int_between(-4, 4),
@@ -324,12 +339,10 @@ def _make_retablissement(rng: SplitMix64, bounds: int) -> dict:
 
 def _make_p13(rng: SplitMix64, bounds: int) -> dict:
     b, k = _distinct_points(rng, bounds, 2)
-    t = rng.fraction(bounds)
-    if t in (0, 1):
+    t = rng.fraction_pair(bounds)
+    if t[0] == 0 or t[0] == t[1]:
         raise NonGenericError("h coincides with B or K")
-    bx, by = b.affine()
-    kx, ky = k.affine()
-    h = PPoint(bx + t * (kx - bx), by + t * (ky - by), 1)
+    h = _shifted(b, b, k, t)
     g = _point(rng, bounds)
     if incident(g, join(b, k)):
         raise NonGenericError("G on line BK")

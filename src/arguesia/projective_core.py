@@ -3,11 +3,15 @@
 Every homogeneous value (points and lines, parameter pairs, 2x2 line
 maps, 3-space points and planes, and the conics built on them) is one
 canonical integer tuple, made by :func:`_canonical`, so projective equality
-is tuple equality and everything hashes.  Charts give exact affine
-parameters on a line, with the line's point at infinity mapped to a
-dedicated ``INF`` symbol; homographies of a line act on parameters through
-2x2 integer matrices applied to projective parameter pairs, which makes the
-limit cases exact rather than special-cased.
+is tuple equality and everything hashes.  A parameter on a charted line is
+an integer pair (u : v), with (1 : 0) for the line's point at infinity, and
+homographies of a line act on pairs through 2x2 integer matrices, which
+makes the limit cases exact rather than special-cased; euclidean tests use
+the integer displacements of :func:`_scaled_displacement`.  A ``Fraction``
+is built only where a rational is the answer: the chart coordinate of
+:meth:`AffineChart.coordinate` and :meth:`AffineChart.point_at` (with
+``INF`` for the point at infinity), a fixed point moved by
+:meth:`LineMap.apply_param`, and a printed cross-ratio.
 
 Perspectivities are linear maps in closed form: the central projection
 between two charted lines is one 2x2 integer matrix,
@@ -25,7 +29,7 @@ from math import gcd, lcm
 
 from arguesia._kernel import cross3, det3, dot3, mat2_mul
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, Rat, rat_str
+from arguesia.exact_scalar import QuadExt, rat_str
 
 
 class GeometryError(ValueError):
@@ -114,10 +118,6 @@ class PPoint(Frozen):
 
     def is_at_infinity(self) -> bool:
         return self.coords[2] == 0
-
-    def affine(self) -> tuple[Rat, Rat]:
-        _require_finite(self)
-        return Fraction(self.x, self.z), Fraction(self.y, self.z)
 
     def to_json(self) -> list[str]:
         return [f"{c}/1" for c in self.coords]
@@ -435,13 +435,6 @@ def _apply_quad(matrix, t: QuadExt) -> QuadExt:
     )
 
 
-def _as_pair(t) -> tuple[int, int]:
-    if t is INF:
-        return (1, 0)
-    t = Fraction(t)
-    return (t.numerator, t.denominator)
-
-
 def project_point(center: PPoint, p: PPoint, target: PLine) -> PPoint:
     """Central projection of one point onto a line."""
     if incident(center, target):
@@ -504,9 +497,9 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint):
     return cross_ratio_pairs(pa, pb, pc, pd)
 
 
-def harmonic_partner_param(a, b, c):
-    """The parameter d with [a,b;c,d] = -1, for distinct a, b, c."""
-    pa, pb, pc = _as_pair(a), _as_pair(b), _as_pair(c)
+def harmonic_partner_param(pa, pb, pc) -> tuple[int, int]:
+    """The parameter pair d with [a,b;c,d] = -1, for the pairs of three
+    distinct parameters; canonical, with (1, 0) for INF."""
     # solve det(c,a)*det(d,b) + det(c,b)*det(d,a) = 0 for the pair d
     k1 = _pair_det(pc, pa)
     k2 = _pair_det(pc, pb)
@@ -517,24 +510,11 @@ def harmonic_partner_param(a, b, c):
     v = k1 * pb[1] + k2 * pa[1]
     if u == 0 and v == 0:
         raise GeometryError("degenerate harmonic configuration")
-    if v == 0:
-        return INF
-    return Fraction(u, v)
+    return _canonical((u, v))
 
 
 # ---------------------------------------------------------------------------
-# euclidean helpers (z = 1 chart)
-
-
-def displacement(p: PPoint, q: PPoint) -> tuple[Rat, Rat]:
-    """Affine vector from p to q; both points must be finite."""
-    px, py = p.affine()
-    qx, qy = q.affine()
-    return qx - px, qy - py
-
-
-def dot2(v, w) -> Rat:
-    return v[0] * w[0] + v[1] * w[1]
+# euclidean helpers (z = 1 chart) on integer vectors
 
 
 def _scaled_displacement(p: PPoint, q: PPoint) -> tuple[int, int]:
@@ -545,7 +525,8 @@ def _scaled_displacement(p: PPoint, q: PPoint) -> tuple[int, int]:
 
 
 def chord_product(origin: PPoint, p: PPoint, q: PPoint) -> tuple[int, int]:
-    """Signed euclidean product origin->p . origin->q for collinear data.
+    """Signed euclidean product origin->p . origin->q, the dot product of
+    the two vectors.
 
     For three collinear finite points this is the power-of-a-point style
     product of signed lengths times the (positive) squared direction scale,
@@ -560,17 +541,6 @@ def chord_product(origin: PPoint, p: PPoint, q: PPoint) -> tuple[int, int]:
     w = _scaled_displacement(origin, q)
     oz = origin.coords[2]
     return v[0] * w[0] + v[1] * w[1], oz * oz * p.coords[2] * q.coords[2]
-
-
-def reflect_direction(axis, v):
-    """Reflect direction v across the line direction axis (both 2-vectors)."""
-    ax, ay = axis
-    n = ax * ax + ay * ay
-    if n == 0:
-        raise GeometryError("zero axis direction")
-    rx = ((ax * ax - ay * ay) * v[0] + 2 * ax * ay * v[1]) / n
-    ry = (2 * ax * ay * v[0] + (ay * ay - ax * ax) * v[1]) / n
-    return rx, ry
 
 
 def directions_parallel(v, w) -> bool:

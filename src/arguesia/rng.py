@@ -21,8 +21,6 @@ Every n <= 2^64 takes one output per draw.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -77,13 +75,3 @@ class SplitMix64:
         [-bounds, bounds], then denominator in [1, min(DEN_MAX, bounds)]."""
         num = self.int_between(-bounds, bounds)
         return num, self.int_between(1, min(DEN_MAX, bounds))
-
-    def fraction(self, bounds: int) -> Fraction:
-        """The reduced rational of ``fraction_pair``."""
-        return Fraction(*self.fraction_pair(bounds))
-
-    def nonzero_fraction(self, bounds: int) -> Fraction:
-        while True:
-            f = self.fraction(bounds)
-            if f != 0:
-                return f

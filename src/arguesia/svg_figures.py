@@ -33,6 +33,19 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _floats(coords) -> tuple[float, ...]:
+    """The floats of a homogeneous tuple's entries.  When one is beyond
+    float range, the tuple is first divided by the power of two at its
+    largest entry, which changes no scale-free quantity; tuples in range
+    are left as they are, because the conic sampler's threshold is not
+    scale-free."""
+    try:
+        return tuple(float(c) for c in coords)
+    except OverflowError:
+        scale = 1 << (max(abs(c) for c in coords).bit_length() - 1)
+        return tuple(c / scale for c in coords)
+
+
 class SvgDoc:
     """Collects labeled points, lines and conic paths, then renders."""
 
@@ -43,14 +56,18 @@ class SvgDoc:
         self.infinities: list = []
 
     def add_point(self, p: PPoint, label: str):
-        if p.is_at_infinity():
-            self.infinities.append((float(p.x), float(p.y), label))
-        else:
-            x, y = p.affine()
-            self.labeled_points.append((float(x), float(y), label))
+        x, y, z = p.coords
+        if z == 0:
+            self.infinities.append(_floats((x, y)) + (label,))
+            return
+        # int true division is correctly rounded, as float(Fraction(x, z)) is
+        try:
+            self.labeled_points.append((x / z, y / z, label))
+        except OverflowError:
+            raise FigureError(f"point {label} lies beyond float range") from None
 
     def add_line(self, l: PLine, cls: str = "carrier"):
-        self.lines.append((tuple(float(c) for c in l.coeffs), cls))
+        self.lines.append((_floats(l.coeffs), cls))
 
     def add_conic(self, conic: Conic, seed: PPoint, cls: str = "conic"):
         self.conics.append((conic.m, seed.coords, cls))
@@ -119,8 +136,8 @@ class SvgDoc:
         """
         import math
 
-        m00, m01, m02, m11, m12, m22 = (float(e) for e in m)
-        sx, sy, sz = (float(c) for c in seed_coords)
+        m00, m01, m02, m11, m12, m22 = _floats(m)
+        sx, sy, sz = _floats(seed_coords)
         x0, x1, y0, y1 = box
         diag = math.hypot(x1 - x0, y1 - y0)
         tol = diag * 0.015

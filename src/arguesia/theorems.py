@@ -59,14 +59,13 @@ from arguesia.projective_core import (
     P3Point,
     PLine,
     PPoint,
+    _scaled_displacement,
     apply_mat3,
     chord_product,
     collinear,
     cross_ratio,
     default_chart,
     directions_parallel,
-    displacement,
-    dot2,
     harmonic_partner_param,
     incident,
     infinity_point_of,
@@ -78,7 +77,6 @@ from arguesia.projective_core import (
     perspective_map,
     plane_perspectivity,
     project_point,
-    reflect_direction,
 )
 
 
@@ -371,10 +369,8 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
     if not collinear(b, c, d):
         raise GeometryError("harmonic conjugate needs collinear points")
     chart = default_chart(join(b, c))
-    t = harmonic_partner_param(
-        chart.coordinate(b), chart.coordinate(c), chart.coordinate(d)
-    )
-    f_closed = chart.point_at(t)
+    t = harmonic_partner_param(chart.param_pair(b), chart.param_pair(c), chart.param_pair(d))
+    f_closed = chart.point_at_pair(t)
     f_built = _harmonic_by_construction(b, c, d)
     if f_built is not None and f_built != f_closed:
         raise InternalError("harmonic constructions disagree")
@@ -494,16 +490,29 @@ def verify_bisector_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     KC then reflecting the direction KD across KC (and across KB) yields
     the direction KF exactly; conversely a bisecting KG is perpendicular to
     KB.  Non-perpendicular K is reported false, not rejected.
+
+    Directions are the integer displacements from K, which are the true
+    ones times the nonzero k.z * p.z, so parallelism and perpendicularity
+    read the same on them; the reflection leaves out the division by the
+    axis' squared length, which only rescales the reflected direction.
     """
     _, report = _four_point_case("bisector_case", b, c, d, f, k, (b, c, d, f, k))
-    kb = displacement(k, b)
-    kc = displacement(k, c)
-    kd = displacement(k, d)
-    kf = displacement(k, f)
-    perp = dot2(kb, kc) == 0
-    report.claim("KB perpendicular KC (metric)", dot2(kb, kc), Fraction(0))
-    bisects_c = directions_parallel(reflect_direction(kc, kd), kf)
-    bisects_b = directions_parallel(reflect_direction(kb, kd), kf)
+    kb, kc, kd, kf = (_scaled_displacement(k, p) for p in (b, c, d, f))
+    # KB.KC as chord_product's pair, the dot product over k.z**2 * b.z * c.z
+    kb_kc = chord_product(k, b, c)
+    perp = kb_kc[0] == 0
+    report.claim_pair("KB perpendicular KC (metric)", kb_kc, (0, 1))
+
+    def reflects_kd_to_kf(axis) -> bool:
+        (ax, ay), (vx, vy) = axis, kd
+        mirrored = (
+            (ax * ax - ay * ay) * vx + 2 * ax * ay * vy,
+            2 * ax * ay * vx + (ay * ay - ax * ax) * vy,
+        )
+        return directions_parallel(mirrored, kf)
+
+    bisects_c = reflects_kd_to_kf(kc)
+    bisects_b = reflects_kd_to_kf(kb)
     report.claim_true("reflection across KC maps line KD to line KF", bisects_c)
     report.claim_true("reflection across KB maps line KD to line KF", bisects_b)
     report.claim("converse: KG bisects DKF iff KG perpendicular KB", bisects_c, perp)
@@ -901,12 +910,12 @@ def check_retablissement(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> 
     """The checked figure of the rétablissement, or GeometryError.
 
     Builds the perspectivity matrix back to the base plane, the six points
-    of ``params`` on the base conic (the unit circle in the base plane's
-    chart) and their images in the cutting plane, and the quadrangle with
-    transversal in each plane, which must be generic (NonGenericError
-    otherwise).  Returns the inputs with {to_base, base_pts, cut_pts,
-    base_q, cut_q}, which ``retablissement_demo`` and the figure take as
-    they are.
+    of ``params``, slope pairs in lowest terms, on the base conic (the unit
+    circle in the base plane's chart) and their images in the cutting
+    plane, and the quadrangle with transversal in each plane, which must
+    be generic (NonGenericError otherwise).  Returns the inputs with
+    {to_base, base_pts, cut_pts, base_q, cut_q}, which
+    ``retablissement_demo`` and the figure take as they are.
     """
     if len(set(params)) != 6:
         raise GeometryError("six distinct parameters required")
@@ -929,9 +938,9 @@ def retablissement_demo(figure: dict) -> TheoremReport:
     cutting plane of a cone and its base plane, through the apex.
 
     Takes the figure ``check_retablissement`` returned: its ``params`` are
-    six distinct rational slopes, four bornes and the two transversal
-    chord points, all on the base conic (the unit circle in the base
-    plane's chart).  Claims: the cut-plane bornes project onto the base
+    six distinct rational slopes as integer pairs, four bornes and the two
+    transversal chord points, all on the base conic (the unit circle in the
+    base plane's chart).  Claims: the cut-plane bornes project onto the base
     conic, bornale intersections project to bornale intersections, and the
     involution on the base transversal pulls back exactly to an involution
     on the cut transversal.
@@ -946,7 +955,7 @@ def retablissement_demo(figure: dict) -> TheoremReport:
             "apex": [str(c) for c in figure["apex"].coords],
             "base": [str(c) for c in figure["base"].coeffs],
             "cut": [str(c) for c in figure["cut"].coeffs],
-            "params": [rat_str(t) for t in figure["params"]],
+            "params": [pair_str(*t) for t in figure["params"]],
         },
     )
 

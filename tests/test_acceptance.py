@@ -4,23 +4,14 @@ its runtime; the final criterion also enforces determinism and the overall
 time budget.
 """
 
-import json
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from arguesia.cli import replay_one, verify_one
-from arguesia.conics import ConicParametrization
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import classify
-from arguesia.menelaus_engine import (
-    NonGenericError,
-    menelaus_product,
-    replay_quadrangle_proof,
-)
+from arguesia.menelaus_engine import NonGenericError, menelaus_product
 from arguesia.projective_core import GeometryError, default_chart, incident, join
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (

@@ -5,13 +5,15 @@ A definition counts as used when its name appears somewhere in
 string constant.  The check is by name only, so a method that shares its
 name with a used one passes; it still catches code that only the tests
 call.  The few definitions kept as test fixtures are listed below with
-the reason each one stays.
+the reason each one stays.  A second check finds imported names that the
+importing module never uses, in the library and in the tests.
 """
 
 import ast
 from pathlib import Path
 
-LIBRARY = Path(__file__).resolve().parent.parent / "src" / "arguesia"
+TESTS = Path(__file__).resolve().parent
+LIBRARY = TESTS.parent / "src" / "arguesia"
 
 ALLOWLIST = {
     "affine_point": "test fixture: builds points from affine coordinates",
@@ -61,3 +63,33 @@ def test_every_definition_is_used_or_allowlisted():
 def test_every_allowlisted_name_has_a_reason():
     for name, reason in ALLOWLIST.items():
         assert reason.strip(), name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module imports and never mentions; ``__future__`` imports,
+    names listed in ``__all__`` and imports marked ``noqa: F401`` (loaded
+    for their effect) are used."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(LIBRARY.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [entry for path in modules for entry in _unused_imports(path)] == []

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from arguesia.conics import (
-    ChordIntersection,
     Conic,
     ConicError,
     ConicParametrization,
@@ -13,7 +12,7 @@ from arguesia.conics import (
     second_intersection,
 )
 from arguesia.menelaus_engine import NonGenericError
-from arguesia.projective_core import INF, PLine, PPoint, chord_product, default_chart, join, meet
+from arguesia.projective_core import PLine, PPoint, chord_product, default_chart, join, meet
 from arguesia.rng import SplitMix64
 from arguesia.theorems import QuadrangleConfig
 from collineation import apply_collineation, apply_collineation_point
@@ -71,7 +70,7 @@ def test_members_all_pass_through_base():
     rng = SplitMix64.for_kind("pencil-base", 4)
     gen1, gen2, _ = square_pencil()
     for _ in range(50):
-        probe = A(rng.fraction(9), rng.fraction(9))
+        probe = A(F(*rng.fraction_pair(9)), F(*rng.fraction_pair(9)))
         if probe in SQUARE:
             continue
         member = pencil_member(gen1, gen2, probe)
@@ -87,7 +86,7 @@ def test_exactly_three_degenerate_members_on_100_quadrangles():
     for _ in range(300):
         pts = []
         while len(pts) < 4:
-            t = rng.fraction(10)
+            t = rng.fraction_pair(10)
             p = PAR.point_at(t)
             if p not in pts:
                 pts.append(p)
@@ -166,8 +165,11 @@ def test_chord_quadratic_is_the_form_on_chart_parameters():
     rational = 0
     for i in range(300):
         # every third line passes through a rational point of the circle
-        p = PAR.point_at(rng.fraction(6)) if i % 3 == 0 else A(rng.fraction(6), rng.fraction(6))
-        q = A(rng.fraction(6), rng.fraction(6))
+        if i % 3 == 0:
+            p = PAR.point_at(rng.fraction_pair(6))
+        else:
+            p = A(F(*rng.fraction_pair(6)), F(*rng.fraction_pair(6)))
+        q = A(F(*rng.fraction_pair(6)), F(*rng.fraction_pair(6)))
         if p == q:
             continue
         chart = default_chart(join(p, q))
@@ -187,7 +189,7 @@ def test_chord_quadratic_is_the_form_on_chart_parameters():
 def test_tangency_iff_polar_line():
     rng = SplitMix64.for_kind("tangency", 2)
     for _ in range(50):
-        t = rng.fraction(9)
+        t = rng.fraction_pair(9)
         p = PAR.point_at(t)
         tangent = UC.polar_line(p)
         hit = conic_line_intersection(UC, tangent)
@@ -204,20 +206,21 @@ def test_degenerate_conic_rejected():
 
 
 def test_classic_parametrization_values():
-    assert PAR.point_at(F(1, 2)) == A(F(3, 5), F(4, 5))
-    assert PAR.point_at(F(0)) == A(1, 0)
-    assert PAR.point_at(INF) == A(-1, 0)
+    assert PAR.point_at((1, 2)) == A(F(3, 5), F(4, 5))
+    assert PAR.point_at((0, 1)) == A(1, 0)
+    assert PAR.point_at((1, 0)) == A(-1, 0)
 
 
 def test_parameter_recovery_on_100_points():
     # t is the slope of the chord from the seed (-1, 0) to point_at(t)
     rng = SplitMix64.for_kind("param-recovery", 1)
     for _ in range(100):
-        t = rng.fraction(40)
-        x, y = PAR.point_at(t).affine()
-        assert x != -1 and y / (x + 1) == t
+        t = rng.fraction_pair(40)
+        p = PAR.point_at(t)
+        x, y = F(p.x, p.z), F(p.y, p.z)
+        assert x != -1 and y / (x + 1) == F(*t)
     # the seed itself is the tangent slope, vertical at (-1, 0)
-    assert PAR.point_at(INF) == A(-1, 0)
+    assert PAR.point_at((1, 0)) == A(-1, 0)
     assert UC.polar_line(A(-1, 0)).coeffs[1] == 0
 
 
@@ -252,8 +255,8 @@ def test_power_random_chords_agree():
     rng = SplitMix64.for_kind("power", 5)
     done = 0
     while done < 50:
-        t1, t2, t3, t4 = (rng.fraction(10) for _ in range(4))
-        if len({t1, t2, t3, t4}) != 4:
+        t1, t2, t3, t4 = (rng.fraction_pair(10) for _ in range(4))
+        if len({F(*t) for t in (t1, t2, t3, t4)}) != 4:
             continue
         a, b, c, d = (PAR.point_at(t) for t in (t1, t2, t3, t4))
         p = meet(join(a, b), join(c, d))
@@ -271,5 +274,5 @@ def test_collineation_preserves_incidence():
     image = apply_collineation(UC, t_rows)
     rng = SplitMix64.for_kind("collineation", 7)
     for _ in range(50):
-        p = PAR.point_at(rng.fraction(20))
+        p = PAR.point_at(rng.fraction_pair(20))
         assert image.contains(apply_collineation_point(t_rows, p))

@@ -15,8 +15,9 @@ the pascal, beaugrand and retablissement figures run at seed 2 and bounds
 output byte, so a change to the arithmetic that alters a value, a canonical
 form or the order of claims shows up here; a change that only makes the
 same bytes faster leaves them alone.  Every verify kind also runs at
-``--bounds`` 10**12, 10**18 and 10**30 under a time budget, and every
-verify and replay kind at 10**300 in process.  Two start-up
+``--bounds`` 10**12, 10**18 and 10**30 under a time budget, every
+verify and replay kind at 10**300 in process, and every figure kind at
+10**100 and 10**300, where coordinates pass float range.  Two start-up
 checks run in fresh interpreters: importing ``arguesia.cli`` loads neither
 ``dataclasses`` nor the SVG renderer, and ``figure`` loads the renderer and
 still writes the golden bytes.
@@ -24,6 +25,7 @@ still writes the golden bytes.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +166,20 @@ def test_every_kind_at_bounds_1e300_exits_0(capsys):
     assert main(["construct", "harmonic", "--b", "0", "--c", "1" + "0" * 5000, "--d", "1"]) == 0
     assert sys.get_int_max_str_digits() == limit
     capsys.readouterr()
+
+
+def test_every_figure_at_bounds_1e100_and_1e300(capsys, tmp_path):
+    # coefficients beyond float range are scaled by a power of two before
+    # float(); a labelled point beyond it is an unrenderable figure, exit 2
+    out = str(tmp_path / "figure.svg")
+    for kind in FIGURE_KINDS:
+        assert main(["figure", kind, "--bounds", str(10**100), "--seed", "1", "-o", out]) == 0, kind
+        assert capsys.readouterr().err == ""
+        code = main(["figure", kind, "--bounds", str(10**300), "--seed", "1", "-o", out])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (
+            code == 2 and re.fullmatch(r"error: point \w+ lies beyond float range\n", err)
+        ), (kind, code, err)
 
 
 def _subprocess_env() -> dict:

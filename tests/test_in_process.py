@@ -1,5 +1,6 @@
 """Repeated in-process ``main`` calls: one parser per process, and the
-per-op exact-arithmetic budget of ``verify ramee``."""
+``Fraction`` budgets: per ``verify ramee`` op, none in instance generation,
+and one per ``verify_bisector_case``."""
 
 import argparse
 import fractions
@@ -9,8 +10,9 @@ import sys
 
 import pytest
 
-from arguesia import cli
+from arguesia import cli, theorems
 from arguesia.cli import main
+from arguesia.instances import KINDS, InstanceConfig, generate_instance
 
 
 def test_cached_parser_reads_each_call_afresh(monkeypatch, capsys):
@@ -64,9 +66,9 @@ def test_import_builds_no_parser():
     assert proc.stdout == "0\n3/2\n1\n"
 
 
-def test_ramee_op_fraction_budget(monkeypatch, capsys):
-    # Brin ratios, drawn points and Menelaus products stay integers until
-    # printed; 155 Fractions per op when each factor was one.
+@pytest.fixture
+def made(monkeypatch):
+    """A one-item list counting the Fractions built while the test runs."""
     made = [0]
     real_new = fractions.Fraction.__dict__["__new__"]
     new = real_new.__func__ if isinstance(real_new, staticmethod) else real_new
@@ -76,6 +78,12 @@ def test_ramee_op_fraction_budget(monkeypatch, capsys):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+    return made
+
+
+def test_ramee_op_fraction_budget(made, capsys):
+    # Brin ratios, drawn points and Menelaus products stay integers until
+    # printed; 155 Fractions per op when each factor was one.
     per_op = []
     for seed in range(1, 6):
         before = made[0]
@@ -83,3 +91,35 @@ def test_ramee_op_fraction_budget(monkeypatch, capsys):
         per_op.append(made[0] - before)
     capsys.readouterr()
     assert max(per_op) <= 75, per_op
+
+
+def test_generation_builds_no_fraction(made):
+    # draws, parameters and euclidean constructions are integer pairs and
+    # homogeneous integers from the draw to the instance
+    for kind in KINDS:
+        for seed in range(1, 21):
+            before = made[0]
+            generate_instance(InstanceConfig(kind, seed))
+            assert made[0] == before, (kind, seed)
+
+
+def test_bisector_case_builds_only_its_cross_ratio(made, monkeypatch):
+    # perpendicularity and reflected directions are decided on integer
+    # displacements; the one Fraction is the harmonic precondition's cross-ratio
+    real = theorems.cross_ratio
+    inside = [0]
+
+    def counted(*args):
+        before = made[0]
+        try:
+            return real(*args)
+        finally:
+            inside[0] += made[0] - before
+
+    monkeypatch.setattr(theorems, "cross_ratio", counted)
+    for seed in range(1, 21):
+        inst = generate_instance(InstanceConfig("bisector", seed))
+        before, before_inside = made[0], inside[0]
+        report = theorems.verify_bisector_case(inst["b"], inst["c"], inst["d"], inst["f"], inst["k"])
+        assert report.verdict
+        assert (made[0] - before, inside[0] - before_inside) == (1, 1), seed

@@ -71,6 +71,25 @@ def test_tight_bounds_exhaust_retries():
         generate_instance(InstanceConfig("quadrangle", 1, bounds=1))
 
 
+def test_exhausted_budget_at_bounds_8_and_above_is_internal(monkeypatch, capsys):
+    # no correct genericity test rejects every draw at these bounds, so a
+    # maker that always raises NonGenericError is a fault: exit 3
+    import arguesia.instances as instances
+    from arguesia.cli import main
+    from arguesia.exact_scalar import InternalError
+    from arguesia.menelaus_engine import NonGenericError
+
+    def never_generic(rng, bounds):
+        raise NonGenericError("always rejected")
+
+    monkeypatch.setitem(instances._MAKERS, "quadrangle", never_generic)
+    with pytest.raises(InternalError, match="last failure: always rejected"):
+        generate_instance(InstanceConfig("quadrangle", 1, bounds=32))
+    assert main(["verify", "quadrangle", "--seed", "1", "--bounds", "32"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "retry budget exhausted" in err
+
+
 def test_pascal_instance_has_six_distinct_params():
     # the hexagon's points are point_at of the six drawn parameters
     hexagon = generate_instance(InstanceConfig("pascal", 7))["figure"]["hexagon"]
@@ -80,7 +99,7 @@ def test_pascal_instance_has_six_distinct_params():
 def test_generated_sizes_respect_bounds():
     inst = generate_instance(InstanceConfig("menelaus", 5, bounds=16))
     for p in inst["triangle"]:
-        x, y = p.affine()
+        x, y = Fraction(p.x, p.z), Fraction(p.y, p.z)
         assert abs(x) <= 16 and abs(y) <= 16
 
 
@@ -240,4 +259,4 @@ def test_integer_point_draw_matches_fraction_draw(seed, bounds):
         old = PPoint(fraction_draw(old_rng), fraction_draw(old_rng), 1)
         assert _point(new_rng, bounds) == old
         assert new_rng.state == old_rng.state
-    assert SplitMix64(seed).fraction(bounds) == fraction_draw(SplitMix64(seed))
+    assert Fraction(*SplitMix64(seed).fraction_pair(bounds)) == fraction_draw(SplitMix64(seed))

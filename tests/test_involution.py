@@ -236,7 +236,7 @@ def test_partner_is_involutive_on_random_points():
     rng = SplitMix64.for_kind("partner-invol", 3)
     inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     for _ in range(100):
-        t = rng.fraction(50)
+        t = F(*rng.fraction_pair(50))
         u = partner_param(inv, t)
         assert partner_param(inv, u) == t
 
@@ -314,7 +314,7 @@ def test_equivalence_closure_by_construction():
         inv = Involution(LineMap((a, b, c, -a), CH, CH))
         ts = []
         while len(ts) < 3:
-            t = rng.fraction(30)
+            t = F(*rng.fraction_pair(30))
             u = partner_param(inv, t)
             if u is INF or u == t or t in ts or any(t == x or u == x or t == y or u == y for x, y in ts):
                 continue
@@ -340,7 +340,7 @@ def test_equivalence_500_random_involutions():
         pts = []
         bad = False
         while len(pts) < 3 and not bad:
-            t = rng.fraction(40)
+            t = F(*rng.fraction_pair(40))
             u = partner_param(inv, t)
             if u is INF or u == t:
                 continue
@@ -402,14 +402,16 @@ def test_rectangle_and_homography_routes_agree_on_seeded_couples():
         fixed = [t for t in classify(inv)["fixed_points"] if isinstance(t, F)][:1]
         taken, params = set(fixed), []
         while len(params) < 6 - 2 * len(fixed):
-            t = rng.fraction(20)
+            t = F(*rng.fraction_pair(20))
             u = partner_param(inv, t)
             if u is INF or u == t or t in taken or u in taken:
                 continue
             taken |= {t, u}
             params += [t, u]
         params += fixed * 2
-        slot, shift = rng.below(6), rng.nonzero_fraction(20)
+        slot, shift = rng.below(6), F(0)
+        while shift == 0:
+            shift = F(*rng.fraction_pair(20))
         for flat in (params, params[:slot] + [params[slot] + shift] + params[slot + 1:]):
             pts = [TILTED.point_at(t) for t in flat]
             try:
@@ -441,9 +443,9 @@ def test_conjugation_preserves_involution_and_class():
         if c == 0 or a * a + b * c == 0:
             continue
         phi = Involution(LineMap((a, b, c, -a), CH, CH))
-        k = PPoint(rng.fraction(15), rng.fraction(15), 1)
-        p1 = PPoint(rng.fraction(15), rng.fraction(15), 1)
-        p2 = PPoint(rng.fraction(15), rng.fraction(15), 1)
+        k = PPoint(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)), 1)
+        p1 = PPoint(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)), 1)
+        p2 = PPoint(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)), 1)
         try:
             dst = default_chart(join(p1, p2))
             if dst.line == CH.line or incident(k, CH.line) or incident(k, dst.line):

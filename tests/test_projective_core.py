@@ -23,8 +23,6 @@ from arguesia.projective_core import (
     cross_ratio,
     cross_ratio_pairs,
     default_chart,
-    displacement,
-    dot2,
     harmonic_partner_param,
     incident,
     infinity_point_of,
@@ -49,7 +47,7 @@ X_AXIS = PLine(0, 1, 0)
 
 
 def rand_point(rng, bounds=20):
-    return PPoint(rng.fraction(bounds), rng.fraction(bounds), 1)
+    return PPoint(F(*rng.fraction_pair(bounds)), F(*rng.fraction_pair(bounds)), 1)
 
 
 # -- the canonical form ------------------------------------------------------
@@ -215,8 +213,8 @@ def test_cross_ratio_params_with_infinity():
 
 
 def test_harmonic_partner_param():
-    assert harmonic_partner_param(F(0), F(2), F(3)) == F(3, 2)
-    assert harmonic_partner_param(F(0), F(2), F(1)) is INF
+    assert harmonic_partner_param((0, 1), (2, 1), (3, 1)) == (3, 2)
+    assert harmonic_partner_param((0, 1), (2, 1), (1, 1)) == (1, 0)
 
 
 # -- line maps ----------------------------------------------------------------
@@ -322,7 +320,7 @@ def test_cross_ratio_invariant_under_maps():
             continue
         ts = []
         while len(ts) < 4:
-            t = rng.fraction(20)
+            t = F(*rng.fraction_pair(20))
             if t not in ts:
                 ts.append(t)
         pts = [src.point_at(t) for t in ts]
@@ -371,7 +369,10 @@ def _lift(plane, pp):
 
 def _chart_points(kind, n):
     rng = SplitMix64.for_kind(kind, 4)
-    return [PPoint(rng.fraction(10), rng.fraction(10), rng.int_between(1, 3)) for _ in range(n)]
+    return [
+        PPoint(F(*rng.fraction_pair(10)), F(*rng.fraction_pair(10)), rng.int_between(1, 3))
+        for _ in range(n)
+    ]
 
 
 BASE, CUT = P3Plane(0, 0, 1, 0), P3Plane(-1, 0, 2, -2)
@@ -460,9 +461,22 @@ def test_midpoint_and_infinity_point():
 # -- chord products and ratios of parallel segments --------------------------------
 
 
+def _affine(p):
+    # the rational affine coordinates of a finite point
+    if p.is_at_infinity():
+        raise GeometryError(f"{p} has no affine coordinates")
+    return F(p.x, p.z), F(p.y, p.z)
+
+
+def _displacement(p, q):
+    (px, py), (qx, qy) = _affine(p), _affine(q)
+    return qx - px, qy - py
+
+
 def _old_chord_product(origin, p, q):
     # the affine formula, kept as the oracle of the integer one
-    return dot2(displacement(origin, p), displacement(origin, q))
+    v, w = _displacement(origin, p), _displacement(origin, q)
+    return v[0] * w[0] + v[1] * w[1]
 
 
 def _chord_value(origin, p, q):
@@ -472,8 +486,8 @@ def _chord_value(origin, p, q):
 def _affine_parallel_ratio(p1, p2, q1, q2):
     # t with vector(p1->p2) = t * vector(q1->q2), the oracle of ratio's
     # second-origin form; its errors are renamed by _RATIO_ERRORS
-    v = displacement(p1, p2)
-    w = displacement(q1, q2)
+    v = _displacement(p1, p2)
+    w = _displacement(q1, q2)
     if v[0] * w[1] != v[1] * w[0]:
         raise GeometryError("segments are not parallel")
     if w[0] != 0:
@@ -522,7 +536,7 @@ def parallel_data(draw):
         return p1, p2, q1, draw(SOME_POINT)
     # q2 = q1 + t * (p2 - p1): parallel segments, t = 0 gives a zero one
     t = F(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
-    (x1, y1), (x2, y2), (qx, qy) = p1.affine(), p2.affine(), q1.affine()
+    (x1, y1), (x2, y2), (qx, qy) = _affine(p1), _affine(p2), _affine(q1)
     q2 = PPoint(qx + t * (x2 - x1), qy + t * (y2 - y1), 1)
     return p1, p2, q1, q2
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -375,7 +376,8 @@ def test_false_verdict_exits_one(monkeypatch, capsys):
 
     def perturbed(config):
         inst = generate_instance(config)
-        x, y = inst["k"].affine()
+        k = inst["k"]
+        x, y = Fraction(k.x, k.z), Fraction(k.y, k.z)
         return dict(inst, k=PPoint.affine_point(x + 1, y + 2))
 
     monkeypatch.setattr(cli, "generate_instance", perturbed)

@@ -8,13 +8,11 @@ from arguesia.conics import (
     ConicParametrization,
     chord_quadratic,
     conic_line_intersection,
-    pencil_member,
 )
 from arguesia.instances import InstanceConfig, generate_instance
-from arguesia.involution import Involution, NodeCouples, classify, classify_kind, equivalence_check
+from arguesia.involution import Involution, NodeCouples, classify_kind, equivalence_check
 from arguesia.menelaus_engine import NonGenericError, check_ramee_replayable
 from arguesia.projective_core import (
-    INF,
     GeometryError,
     LineMap,
     P3Plane,
@@ -23,7 +21,6 @@ from arguesia.projective_core import (
     PPoint,
     cross_ratio,
     default_chart,
-    incident,
     join,
     parallel_line_through,
 )
@@ -154,7 +151,7 @@ def test_midpoint_case_rejects_non_harmonic():
 
 def test_bisector_case_example():
     circ = Conic(1, 0, -1, 1, 0, 0)  # circle with diameter from (0,0) to (2,0)
-    k = ConicParametrization(circ, A(0, 0)).point_at(F(2))
+    k = ConicParametrization(circ, A(0, 0)).point_at((2, 1))
     rep = verify_bisector_case(pt(0), pt(2), pt(3), pt((3, 2)), k)
     assert rep.verdict
 
@@ -164,6 +161,16 @@ def test_bisector_case_negative_control():
     assert not rep.verdict
     perp = next(c for c in rep.claims if "perpendicular KC" in c["label"])
     assert not perp["equal"]
+    # K off z = 1, and B with a negative z: the claim prints the reduced
+    # dot product KB.KC, the texts the rational dot product printed
+    for b, f, k, lhs in (
+        (pt(0), pt((3, 2)), PPoint(3, 11, 2), "59/2"),
+        (pt((-1, 2)), pt((13, 9)), PPoint(7, -4, -3), "175/18"),
+    ):
+        rep = verify_bisector_case(b, pt(2), pt(3), f, k)
+        assert not rep.verdict
+        perp = next(c for c in rep.claims if "perpendicular KC" in c["label"])
+        assert (perp["lhs"], perp["rhs"], perp["equal"]) == (lhs, "0/1", False)
 
 
 # -- p13 construction -------------------------------------------------------------
@@ -384,13 +391,15 @@ def _irrational_chord_samples(seed, want=40):
     while min(seen.values()) < want:
         draws += 1
         assert draws <= 25 * want, f"only {seen} samples in {25 * want} draws"
-        bornes = tuple(PAR.point_at(rng.fraction(12)) for _ in range(4))
-        p, r = (A(rng.fraction(12), rng.fraction(12)) for _ in range(2))
+        bornes = tuple(PAR.point_at(rng.fraction_pair(12)) for _ in range(4))
+        p, r = (A(F(*rng.fraction_pair(12)), F(*rng.fraction_pair(12))) for _ in range(2))
         try:
             q = QuadrangleConfig(bornes, default_chart(join(p, r)))
         except GeometryError:
             continue
-        lam, mu = rng.fraction(9), rng.nonzero_fraction(9)
+        lam, mu = F(*rng.fraction_pair(9)), F(0)
+        while mu == 0:
+            mu = F(*rng.fraction_pair(9))
         pairs = q.line_pairs
         member = Conic(*(lam * x + mu * y for x, y in zip(pairs["IK"].m, pairs["PQ"].m)))
         if member.is_degenerate():
@@ -508,13 +517,13 @@ def test_parallel_bornales_rejects_non_parallel():
 
 
 def beaugrand_instance():
-    k, n, o, v = (PAR.point_at(F(*t)) for t in ((0, 1), (1, 2), (2, 1), (-1, 3)))
+    k, n, o, v = (PAR.point_at(t) for t in ((0, 1), (1, 2), (2, 1), (-1, 3)))
     from arguesia.projective_core import meet, parallel_line_through
 
-    q0 = PAR.point_at(F(4))
+    q0 = PAR.point_at((4, 1))
     mu = parallel_line_through(join(n, v), q0)
     c_pt = meet(mu, join(k, o))
-    f_pt = PAR.point_at(F(-3))
+    f_pt = PAR.point_at((-3, 1))
     return k, n, o, v, join(c_pt, f_pt)
 
 
@@ -562,7 +571,7 @@ def test_beaugrand_rejects_irrational_transversal():
 
 
 def test_pascal_params_0_to_5():
-    pts = [PAR.point_at(F(t)) for t in (0, 1, 2, 3, 4, 5)]
+    pts = [PAR.point_at((t, 1)) for t in (0, 1, 2, 3, 4, 5)]
     rep = pascal_collinear(pascal_figure(UC, pts))
     assert rep.verdict
     assert rep.trace is not None and rep.trace.verdict
@@ -571,26 +580,26 @@ def test_pascal_params_0_to_5():
 @pytest.mark.parametrize(
     "params, reason",
     [
-        ((-2, 4, -5, 13, F(-23, 7), F(12, 7)), "auxiliary point at infinity"),
-        ((F(26, 5), F(-5, 4), 4, F(29, 2), -2, -1), "auxiliary points merge"),
+        (((-2, 1), (4, 1), (-5, 1), (13, 1), (-23, 7), (12, 7)), "auxiliary point at infinity"),
+        (((26, 5), (-5, 4), (4, 1), (29, 2), (-2, 1), (-1, 1)), "auxiliary points merge"),
     ],
 )
 def test_pascal_circle_replay_skips_where_the_generator_resamples(params, reason):
     # hand-built hexagons the generator rejects: the one check, which the
     # maker asks and whose figure the replay takes, names the obstruction
-    pts = [PAR.point_at(F(t)) for t in params]
+    pts = [PAR.point_at(t) for t in params]
     with pytest.raises(NonGenericError, match=reason):
         pascal_figure(UC, pts)
 
 
 def test_pascal_rejects_coincident_vertices():
-    pts = [PAR.point_at(F(t)) for t in (0, 1, 2, 3, 4, 4)]
+    pts = [PAR.point_at((t, 1)) for t in (0, 1, 2, 3, 4, 4)]
     with pytest.raises(GeometryError):
         pascal_figure(UC, pts)
 
 
 def test_pascal_collineation_images():
-    pts = [PAR.point_at(F(t)) for t in (0, 1, 2, 3, 4, 5)]
+    pts = [PAR.point_at((t, 1)) for t in (0, 1, 2, 3, 4, 5)]
     rng = SplitMix64.for_kind("pascal-collineation", 1)
     for _ in range(20):
         t_rows = random_collineation(rng)
@@ -611,7 +620,7 @@ def test_retablissement_cone_example():
         P3Point(0, 0, 2, 1),
         P3Plane(0, 0, 1, 0),
         P3Plane(-1, 0, 2, -2),
-        [F(0), F(1), F(-1, 2), F(3), F(1, 5), F(-4)],
+        [(0, 1), (1, 1), (-1, 2), (3, 1), (1, 5), (-4, 1)],
     ))
     assert rep.verdict
 
@@ -619,7 +628,7 @@ def test_retablissement_cone_example():
 def test_retablissement_identity_transport():
     base = P3Plane(0, 0, 1, 0)
     rep = retablissement_demo(check_retablissement(
-        P3Point(0, 0, 2, 1), base, base, [F(0), F(1), F(-1, 2), F(3), F(1, 5), F(-4)]
+        P3Point(0, 0, 2, 1), base, base, [(0, 1), (1, 1), (-1, 2), (3, 1), (1, 5), (-4, 1)]
     ))
     assert rep.verdict
 
@@ -630,5 +639,5 @@ def test_retablissement_apex_on_plane_rejected():
             P3Point(0, 0, 0, 1),
             P3Plane(0, 0, 1, 0),
             P3Plane(-1, 0, 2, -2),
-            [F(0), F(1), F(2), F(3), F(4), F(5)],
+            [(t, 1) for t in range(6)],
         )
