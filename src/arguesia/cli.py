@@ -15,18 +15,22 @@ instance meets its verifier's and replay's preconditions, so a
 ``GeometryError`` raised while verifying, replaying or drawing one is an
 internal error, as is a retry budget exhausted at bounds 8 and above.
 ARGUESIA_SEED provides the default seed.  Identical invocations produce
-byte-identical output.  ``main`` may be called repeatedly in one process:
-the argument parser is built on the first call and reused.  Each call
-lifts Python's int-to-str digit limit and restores the caller's on return.
+byte-identical output.  ``main`` may be called repeatedly in one process.
+A well-formed ``verify`` or ``replay`` argv is read directly, to the
+namespace argparse would make of it; ``argparse`` is imported, and its
+parser built once and reused, only for help, malformed argv, ``figure``
+and ``construct``, so it alone writes usage, help and error text.  Each
+call lifts Python's int-to-str digit limit and restores the caller's on
+return.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from arguesia.exact_scalar import ScalarError, rat_parse
 from arguesia.instances import KINDS, InstanceConfig, InstanceError, generate_instance
@@ -232,9 +236,60 @@ def _default_seed() -> int:
 # argument parsing
 
 
+# replay or verify option -> the namespace attribute it sets
+_REPLAY_OPTIONS = {"--seed": "seed", "--bounds": "bounds", "--json": "json"}
+_VERIFY_OPTIONS = {**_REPLAY_OPTIONS, "--trials": "trials", "-o": "output", "--output": "output"}
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` makes of a
+    well-formed verify or replay argv, or None for any other argv.
+
+    Well-formed is ``<command> <kind>`` and then options spelled in full,
+    each integer in ASCII digits and the output name not starting with
+    ``-``; argparse accepts every such argv, and reads every other one.
+    """
+    if len(argv) < 2:
+        return None
+    command, kind = argv[0], argv[1]
+    if command == "verify" and kind in VERIFIERS:
+        args = SimpleNamespace(command=command, kind=kind, seed=None, trials=1,
+                               bounds=32, json=False, output=None)
+        options = _VERIFY_OPTIONS
+    elif command == "replay" and kind in REPLAYS:
+        args = SimpleNamespace(command=command, kind=kind, seed=None, bounds=32, json=False)
+        options = _REPLAY_OPTIONS
+    else:
+        return None
+    i, n = 2, len(argv)
+    while i < n:
+        name = options.get(argv[i])
+        if name is None:
+            return None
+        if name == "json":
+            args.json = True
+            i += 1
+            continue
+        if i + 1 == n:
+            return None
+        value = argv[i + 1]
+        if type(value) is not str or not value or value[0] == "-":
+            return None
+        if name != "output":
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        setattr(args, name, value)
+        i += 2
+    return args
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call."""
+def build_parser():
+    """The one ``argparse.ArgumentParser`` of this process, built on the
+    first ``main`` call that ``_read_argv`` hands on."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arguesia",
         description="Exact verification and replay of the Brouillon Project theorems",
@@ -275,7 +330,11 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _read_argv(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         if args.command == "verify":
             seed = args.seed if args.seed is not None else _default_seed()
             if args.trials < 1:

@@ -68,16 +68,17 @@ def _canonical(coords: tuple) -> tuple[int, ...]:
     Denominators are cleared, the tuple is divided by the gcd of its entries
     and the sign is chosen so the first nonzero entry is positive.  Two
     homogeneous values are then equal iff their canonical tuples are.
-    Integer tuples, such as the output of ``cross3``, skip the clearing;
-    ``bool`` is not ``int`` here and takes the rational path.
+    Integer tuples, such as the output of ``cross3``, go straight to the
+    gcd; a tuple that ``math.gcd`` refuses, with a ``Fraction`` or a float
+    among its entries, has its denominators cleared first.
     """
-    for c in coords:
-        if type(c) is not int:
-            xs = [Fraction(e) for e in coords]
-            den = lcm(*[x.denominator for x in xs])
-            coords = [x.numerator * (den // x.denominator) for x in xs]
-            break
-    g = gcd(*coords)
+    try:
+        g = gcd(*coords)
+    except TypeError:
+        xs = [Fraction(e) for e in coords]
+        den = lcm(*[x.denominator for x in xs])
+        coords = [x.numerator * (den // x.denominator) for x in xs]
+        g = gcd(*coords)
     if g == 0:
         raise GeometryError("zero homogeneous tuple")
     for c in coords:

@@ -51,6 +51,7 @@ class SvgDoc:
 
     def __init__(self):
         self.labeled_points: list = []
+        self.exact_points: set = set()  # canonical coords of the finite labeled points
         self.lines: list = []
         self.conics: list = []
         self.infinities: list = []
@@ -65,6 +66,7 @@ class SvgDoc:
             self.labeled_points.append((x / z, y / z, label))
         except OverflowError:
             raise FigureError(f"point {label} lies beyond float range") from None
+        self.exact_points.add(p.coords)
 
     def add_line(self, l: PLine, cls: str = "carrier"):
         self.lines.append((_floats(l.coeffs), cls))
@@ -193,6 +195,13 @@ class SvgDoc:
 
     def to_bytes(self) -> bytes:
         box, to_canvas = self._mapper()
+        marks = []
+        for x, y, label in self.labeled_points:
+            cx, cy = to_canvas(x, y)
+            marks.append((cx, cy, _fmt(cx), _fmt(cy), label))
+        # points too close for floats to part would be drawn as one dot
+        if len(self.exact_points) > 1 and len({m[2:4] for m in marks}) == 1:
+            raise FigureError("distinct labeled points fall on one canvas point")
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -237,10 +246,9 @@ class SvgDoc:
                     continue
                 d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in piece)
                 parts.append(f'<path class="{cls}" d="{d}" {_STYLE[cls]}/>')
-        for x, y, label in self.labeled_points:
-            cx, cy = to_canvas(x, y)
+        for cx, cy, fx, fy, label in marks:
             parts.append(
-                f'<circle class="point" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.2" fill="#000000"/>'
+                f'<circle class="point" cx="{fx}" cy="{fy}" r="3.2" fill="#000000"/>'
             )
             parts.append(
                 f'<text class="label" x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '

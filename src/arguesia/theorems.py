@@ -182,10 +182,6 @@ class QuadrangleConfig(Frozen):
         b, c, d, e = bornes
         if len(set(bornes)) != 4:
             raise NonGenericError("bornes must be distinct")
-        for skip in range(4):
-            rest = [p for i, p in enumerate(bornes) if i != skip]
-            if collinear(*rest):
-                raise NonGenericError("three bornes are collinear")
         ln = {
             "BC": join(b, c),
             "ED": join(e, d),
@@ -194,6 +190,10 @@ class QuadrangleConfig(Frozen):
             "BD": join(b, d),
             "CE": join(c, e),
         }
+        # C, D, E; B, D, E; B, C, E; B, C, D, tested on the bornales
+        if (incident(e, ln["DC"]) or incident(e, ln["BD"]) or incident(e, ln["BC"])
+                or incident(d, ln["BC"])):
+            raise NonGenericError("three bornes are collinear")
         delta = transversal.line
         cuts = {}
         for name, line in ln.items():

@@ -17,10 +17,12 @@ form or the order of claims shows up here; a change that only makes the
 same bytes faster leaves them alone.  Every verify kind also runs at
 ``--bounds`` 10**12, 10**18 and 10**30 under a time budget, every
 verify and replay kind at 10**300 in process, and every figure kind at
-10**100 and 10**300, where coordinates pass float range.  Two start-up
-checks run in fresh interpreters: importing ``arguesia.cli`` loads neither
-``dataclasses`` nor the SVG renderer, and ``figure`` loads the renderer and
-still writes the golden bytes.
+10**100 and 10**300, where coordinates pass float range or every labelled
+point of a unit-circle figure rounds to one canvas point.  Start-up checks
+run in fresh interpreters: importing ``arguesia.cli`` loads neither
+``dataclasses``, ``argparse`` nor the SVG renderer, a ``verify`` run does
+not load ``argparse`` either, and ``figure`` loads the renderer and still
+writes the golden bytes.
 """
 
 import hashlib
@@ -168,16 +170,26 @@ def test_every_kind_at_bounds_1e300_exits_0(capsys):
     capsys.readouterr()
 
 
+ONE_CANVAS_POINT = "error: distinct labeled points fall on one canvas point\n"
+
+
 def test_every_figure_at_bounds_1e100_and_1e300(capsys, tmp_path):
     # coefficients beyond float range are scaled by a power of two before
-    # float(); a labelled point beyond it is an unrenderable figure, exit 2
+    # float(); a labelled point beyond it is an unrenderable figure, exit 2.
+    # So is a unit-circle figure at 10**100, whose points all lie within
+    # about 10**-100 of the seed point (-1, 0) and would draw as one dot.
     out = str(tmp_path / "figure.svg")
+    collapsed = ("pencil", "pascal", "beaugrand", "retablissement")
     for kind in FIGURE_KINDS:
-        assert main(["figure", kind, "--bounds", str(10**100), "--seed", "1", "-o", out]) == 0, kind
-        assert capsys.readouterr().err == ""
+        code = main(["figure", kind, "--bounds", str(10**100), "--seed", "1", "-o", out])
+        err = capsys.readouterr().err
+        if kind in collapsed:
+            assert (code, err) == (2, ONE_CANVAS_POINT), kind
+        else:
+            assert (code, err) == (0, ""), kind
         code = main(["figure", kind, "--bounds", str(10**300), "--seed", "1", "-o", out])
         err = capsys.readouterr().err
-        assert (code, err) == (0, "") or (
+        assert (code, err) in ((0, ""), (2, ONE_CANVAS_POINT)) or (
             code == 2 and re.fullmatch(r"error: point \w+ lies beyond float range\n", err)
         ), (kind, code, err)
 
@@ -189,13 +201,28 @@ def _subprocess_env() -> dict:
     return env
 
 
+_LEFT_OUT = ("dataclasses", "inspect", "argparse", "gettext", "arguesia.svg_figures")
+
+
 def test_cli_import_leaves_out_dataclasses_and_the_renderer():
     probe = ("import sys, arguesia.cli; print(' '.join(m for m in "
-             "('dataclasses', 'inspect', 'arguesia.svg_figures') if m in sys.modules))")
+             f"{_LEFT_OUT!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_verify_from_sys_argv_loads_no_argparse(capsys):
+    # main() reads sys.argv[1:], as the console script calls it
+    probe = ("import sys; from arguesia.cli import main; code = main(); "
+             "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules], "
+             "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe, "verify", "ramee", "--json"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.stderr == "0 []\n"
+    assert main(["verify", "ramee", "--seed", "1", "--json"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_figure_loads_the_renderer_and_keeps_its_bytes(tmp_path):

@@ -1,4 +1,6 @@
-"""Repeated in-process ``main`` calls: one parser per process, and the
+"""Repeated in-process ``main`` calls: a well-formed ``verify`` or
+``replay`` argv is read without argparse, to the namespace argparse makes
+of it, and any other argv builds one parser per process; and the
 ``Fraction`` budgets: per ``verify ramee`` op, none in instance generation,
 and one per ``verify_bisector_case``."""
 
@@ -9,9 +11,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arguesia import cli, theorems
-from arguesia.cli import main
+from arguesia.cli import REPLAY_KINDS, VERIFY_KINDS, main
 from arguesia.instances import KINDS, InstanceConfig, generate_instance
 
 
@@ -38,7 +42,7 @@ def test_cached_parser_reads_each_call_afresh(monkeypatch, capsys):
     assert capsys.readouterr().out == out
 
 
-def test_ten_calls_build_one_parser(monkeypatch, capsys):
+def test_well_formed_calls_build_no_parser(monkeypatch, capsys):
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -51,8 +55,63 @@ def test_ten_calls_build_one_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     for seed in range(1, 11):
         assert main(["verify", "midpoint", "--seed", str(seed)]) == 0
+    assert built == []
+    out = capsys.readouterr().out
+    # an abbreviated option goes to argparse, which builds the one parser
+    assert main(["verify", "midpoint", "--se", "10"]) == 0
+    assert len(built) == 1
+    assert out.endswith(capsys.readouterr().out)
+    # and a later malformed call reuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "midpoint", "--seed", "ten"])
+    assert exc.value.code == 2
     capsys.readouterr()
     assert len(built) == 1
+
+
+# argv pieces: mostly well-formed options, then abbreviations, the
+# --opt=value form, help, "--", and values argparse reads differently or refuses
+_VALUES = ("5", "007", "-5", "+5", " 7", "1_0", "\u0663", "", "-x")
+_PIECES = {
+    "verify": (["--seed", "5"], ["--trials", "2"], ["--bounds", "40"], ["--json"],
+               ["-o", "out.txt"], ["--output", "out.json"]),
+    "replay": (["--seed", "5"], ["--bounds", "40"], ["--json"]),
+}
+_ODD = st.sampled_from(("--seed", "--trials", "--bounds", "-o", "--output", "--se", "--tri",
+                        "--bo", "--js", "--out", "--seed=3", "-h", "--", "ramee", *_VALUES))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("verify", "replay")))
+    kinds = VERIFY_KINDS if command == "verify" else REPLAY_KINDS
+    kind = draw(st.one_of(st.sampled_from(kinds), st.sampled_from(VERIFY_KINDS)))
+    pieces = st.one_of(st.sampled_from(_PIECES["verify"] + _PIECES["replay"]),
+                       st.tuples(st.sampled_from(("--seed", "--trials", "--bounds", "-o")),
+                                 st.sampled_from(_VALUES)).map(list),
+                       _ODD.map(lambda t: [t]))
+    well_formed = st.sampled_from(_PIECES[command])
+    chosen = draw(st.lists(st.one_of(well_formed, well_formed, well_formed, pieces), max_size=6))
+    return [command, kind] + [token for piece in chosen for token in piece]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_argv())
+def test_reader_agrees_with_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    allowed = _PIECES[argv[0]]
+    kinds = VERIFY_KINDS if argv[0] == "verify" else REPLAY_KINDS
+    rest = argv[2:]
+    while rest:
+        n = 1 if rest[0] == "--json" else 2
+        if rest[:n] not in allowed:
+            break
+        rest = rest[n:]
+    else:
+        # built from well-formed pieces alone: the reader reads it
+        assert (args is not None) == (argv[1] in kinds), argv
 
 
 def test_import_builds_no_parser():

@@ -95,6 +95,21 @@ def test_unbounded_configuration_rejected():
         doc.to_bytes()
 
 
+def test_distinct_points_on_one_canvas_point_rejected():
+    from arguesia.projective_core import PPoint
+    from arguesia.svg_figures import FigureError, SvgDoc
+
+    # the same exact point under two labels is one dot, and draws
+    doc = SvgDoc()
+    doc.add_point(PPoint(1, 2, 1), "A")
+    doc.add_point(PPoint(2, 4, 2), "B")
+    assert b'class="point"' in doc.to_bytes()
+    # two points 10**-30 apart round to one float point
+    doc.add_point(PPoint(10**30 + 1, 2 * 10**30, 10**30), "C")
+    with pytest.raises(FigureError, match="distinct labeled points fall on one canvas point"):
+        doc.to_bytes()
+
+
 # -- cli ------------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from arguesia.conics import (
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import Involution, NodeCouples, classify_kind, equivalence_check
 from arguesia.menelaus_engine import NonGenericError, check_ramee_replayable
+from arguesia import projective_core
 from arguesia.projective_core import (
     GeometryError,
     LineMap,
@@ -249,15 +250,28 @@ def test_quadrangle_config_builds_its_geometry_once(monkeypatch):
 
         return wrapped
 
+    # projective_core.join too: collinear() joins through it
+    monkeypatch.setattr(projective_core, "join", counting(join))
     monkeypatch.setattr(theorems, "join", counting(join))
     monkeypatch.setattr(theorems, "meet", counting(theorems.meet))
     q = quad_config()
     for _ in range(3):
         q.bornales(), q.diagonal_points(), q.pivot, q.couples(), q.node_couples()
         q.I, q.K, q.P, q.Q, q.G, q.H
-    # six bornales; six transversal cuts and three diagonal points
+    # six bornales, on which no three bornes collinear is also tested (ten
+    # joins when each triple joined two of its points); six transversal
+    # cuts and three diagonal points
     assert calls.count("join") == 6
     assert calls.count("meet") == 9
+
+
+@pytest.mark.parametrize("skip", range(4))
+def test_quadrangle_config_rejects_each_collinear_triple(skip):
+    # the three bornes other than bornes[skip] on the line y = 0
+    line = [A(0, 0), A(1, 0), A(3, 0)]
+    bornes = tuple(line.pop(0) if i != skip else A(1, 2) for i in range(4))
+    with pytest.raises(NonGenericError, match="^three bornes are collinear$"):
+        QuadrangleConfig(bornes, default_chart(PLine(1, -3, 1)))
 
 
 def test_quadrangle_config_hands_out_copies():
