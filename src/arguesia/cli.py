@@ -376,7 +376,7 @@ def main(argv=None) -> int:
             f = harmonic_conjugate(
                 chart.point_at(b), chart.point_at(c), chart.point_at(d)
             )
-            sys.stdout.write(param_str(chart.coordinate(f)) + "\n")
+            sys.stdout.write(param_str(chart.param_pair(f)) + "\n")
             return 0
 
         # figure, the last command: only it renders, so only it imports the renderer

@@ -1,11 +1,14 @@
-"""Exact scalars: arbitrary-precision rationals and quadratic irrationals.
+"""Exact scalars: the textual rationals, integer pairs and quadratic
+irrationals of configs and reports.
 
-``Rat`` is the standard-library :class:`fractions.Fraction`, which already
-maintains the canonical reduced form (positive denominator, coprime
-numerator/denominator) and exact field arithmetic.  This module adds the
-strict textual form used in configs and reports, and the value ``QuadExt``
-for the square roots that appear at involution fixed points.  Conic chords
-need none: a chord is rational or is decided by its symmetric functions.
+A rational on the verify path is an integer pair (num, den), printed
+reduced by one gcd (:func:`pair_str`).  The standard-library
+:class:`fractions.Fraction` is used only where a rational is read as text
+(:func:`rat_parse`, for ``construct``).  ``QuadExt`` is the integer form
+(p + q*sqrt(d))/r of the square roots that appear at involution fixed
+points, with :func:`quad_sqrt` the checked split of an integer radicand.
+Conic chords need none: a chord is rational or is decided by its symmetric
+functions.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from arguesia._frozen import Frozen
-
-Rat = Fraction
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -30,7 +31,7 @@ class InternalError(Exception):
     precondition of its input, so it is not a ``GeometryError``."""
 
 
-def rat_parse(text: str) -> Rat:
+def rat_parse(text: str) -> Fraction:
     """Parse ``digits`` or ``digits/digits`` (optional leading minus).
 
     The result is canonical: reduced, denominator positive, zero as 0/1.
@@ -46,7 +47,7 @@ def rat_parse(text: str) -> Rat:
     return Fraction(int(text), 1)
 
 
-def rat_str(x: Rat) -> str:
+def rat_str(x: Fraction) -> str:
     """Canonical ``p/q`` form, always with the denominator."""
     return f"{x.numerator}/{x.denominator}"
 
@@ -100,14 +101,16 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
 
 
 class QuadExt(Frozen):
-    """Exact value a + b*sqrt(d) with a, b rational and d an int > 1 that
-    is not a perfect square and is free of the squares of primes below 2**14.
+    """Exact value (p + q*sqrt(d))/r over the integers, with q and r
+    nonzero and d > 1 not a perfect square and free of the squares of primes below
+    2**14; canonical by one gcd, with gcd(p, q, r) = 1 and r > 0, so equal
+    values have equal fields.
 
     A value, not a field: it is built only for an involution's irrational
-    fixed points (:func:`quad_sqrt` and ``involution.classify``), moved only
-    by a line homography (``projective_core._apply_quad``), and compared,
-    hashed and printed.  Values with b = 0 are never built, so an
-    irrational value never equals a rational one.
+    fixed points (``involution.classify``), moved only by a line
+    homography (``projective_core._apply_quad``), and compared, hashed and
+    printed.  Values with q = 0 are never built, so an irrational value
+    never equals a rational one.
 
     Every d is split by :func:`square_free_decomposition` in
     :func:`quad_sqrt` and carried unchanged from there, so the constructor
@@ -116,43 +119,44 @@ class QuadExt(Frozen):
     square stays sound.
     """
 
-    __slots__ = _fields = ("a", "b", "d")
+    __slots__ = _fields = ("p", "q", "r", "d")
 
-    def __init__(self, a: Rat, b: Rat, d: int):
-        if b == 0:
-            raise ScalarError("QuadExt with b = 0 must be a plain Rat")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, p: int, q: int, r: int, d: int):
+        if q == 0:
+            raise ScalarError("QuadExt with q = 0 must be a rational pair")
+        g = gcd(p, q, r)
+        if r < 0:
+            g = -g
+        object.__setattr__(self, "p", p // g)
+        object.__setattr__(self, "q", q // g)
+        object.__setattr__(self, "r", r // g)
         object.__setattr__(self, "d", d)
 
     def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
+        # str(Fraction) of each part: no "/1" on integers
+        a = pair_str(self.p, self.r).removesuffix("/1")
+        b = pair_str(self.q, self.r).removesuffix("/1")
+        return f"({a} + {b}*sqrt({self.d}))"
 
 
-def quad_sqrt(x: Rat):
-    """Exact square root of a nonnegative rational.
+def quad_sqrt(n: int) -> tuple[int, int]:
+    """sqrt(n) = s*sqrt(d) for an integer n >= 0, as the pair (s, d).
 
-    Returns a ``Rat`` when x is a perfect square, otherwise ``QuadExt``
-    b*sqrt(d) with d from :func:`square_free_decomposition`.  A negative
+    d comes from :func:`square_free_decomposition` and is 1 exactly when n
+    is a perfect square; the split is checked, never trusted.  A negative
     argument signals the elliptic case: there is no real root, and we
     refuse rather than approximate.
     """
-    x = Fraction(x)
-    if x < 0:
+    if n < 0:
         raise ScalarError("negative radicand: elliptic case, no real root")
-    if x == 0:
-        return Fraction(0)
-    # sqrt(n/m) = sqrt(n*m)/m
-    n = x.numerator * x.denominator
+    if n == 0:
+        return 0, 1
     s, d = square_free_decomposition(n)
-    b = Fraction(s, x.denominator)
-    if b * b * d != x:  # decomposition is checked, never trusted
-        raise InternalError(f"square root extraction failed for {x}")
-    return b if d == 1 else QuadExt(Fraction(0), b, d)
+    if s * s * d != n:
+        raise InternalError(f"square root extraction failed for {n}")
+    return s, d
 
 
-def scalar_str(x) -> str:
-    """Canonical string for Rat or QuadExt report fields."""
-    if isinstance(x, QuadExt):
-        return f"{rat_str(x.a)}+{rat_str(x.b)}*sqrt({x.d})"
-    return rat_str(Fraction(x))
+def scalar_str(x: QuadExt) -> str:
+    """Canonical report string of a QuadExt, each part with its denominator."""
+    return f"{pair_str(x.p, x.r)}+{pair_str(x.q, x.r)}*sqrt({x.d})"

@@ -14,23 +14,25 @@ quotient of integer brackets u*v' - u'*v, printed reduced by one gcd
 Modern form: the couples are swapped by an involutive homography of the
 line, which a trace-zero 2x2 matrix realizes; ``equivalence_check`` decides
 this form.  Each form is its own check, and a verifier records each as its
-own claim, so a faulty route shows as a false claim.
+own claim, so a faulty route shows as a false claim.  The fixed points of
+a hyperbolic involution (``classify``) are integer forms as well: a
+canonical parameter pair, (1, 0) for infinity, or an
+``exact_scalar.QuadExt``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import cross3
 from arguesia.exact_scalar import QuadExt, pair_str, quad_sqrt
 from arguesia.projective_core import (
-    INF,
     AffineChart,
     GeometryError,
     LineMap,
     PPoint,
+    _canonical,
     incident,
     param_str,
 )
@@ -108,10 +110,6 @@ def partner(inv: Involution, p: PPoint) -> PPoint:
     if not incident(p, inv.chart.line):
         raise InvolutionError("point off the involution's line")
     return inv.map.apply_point(p)
-
-
-def partner_param(inv: Involution, t):
-    return inv.map.apply_param(t)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +194,24 @@ def classify_kind(inv: Involution) -> str:
 def classify(inv: Involution) -> dict:
     """Hyperbolic (two exact fixed points) or elliptic (none).
 
-    Fixed points solve m10*t^2 + (m11 - m00)*t - m01 = 0, whose
-    discriminant's sign ``classify_kind`` reads.
+    For the matrix ((a, b), (c, -a)) the fixed points solve
+    c*t^2 - 2*a*t - b = 0, whose discriminant's sign ``classify_kind``
+    reads: t = (a +- sqrt(a^2 + bc))/c, or -b/(2a) and infinity when c = 0.
+    A rational fixed point is a canonical parameter pair, (1, 0) for
+    infinity, and an irrational one a ``QuadExt`` (a +- s*sqrt(d))/c.
     """
     kind = classify_kind(inv)
-    a, b, c, d = inv.map.matrix
-    disc = Fraction(a * a + b * c)
     if kind == "elliptic":
-        return {"kind": kind, "fixed_points": (), "discriminant": disc}
-    root = quad_sqrt(disc)
+        return {"kind": kind, "fixed_points": ()}
+    a, b, c, _ = inv.map.matrix
+    s, d = quad_sqrt(a * a + b * c)
     if c == 0:
-        fixed = (Fraction(-b, 2 * a), INF)
-    elif isinstance(root, QuadExt):
-        # (a +- b*sqrt(d))/c, built as a/c +- (b/c)*sqrt(d)
-        centre, half = Fraction(a, c), root.b / c
-        fixed = (QuadExt(centre, half, root.d), QuadExt(centre, -half, root.d))
+        fixed = (_canonical((-b, 2 * a)), (1, 0))
+    elif d > 1:
+        fixed = (QuadExt(a, s, c, d), QuadExt(a, -s, c, d))
     else:
-        fixed = ((a + root) / c, (a - root) / c)
-    return {"kind": "hyperbolic", "fixed_points": fixed, "discriminant": disc}
+        fixed = (_canonical((a + s, c)), _canonical((a - s, c)))
+    return {"kind": kind, "fixed_points": fixed}
 
 
 def equivalence_check(nc: NodeCouples) -> dict:
@@ -250,5 +248,5 @@ def involution_json(inv: Involution) -> dict:
     return {
         "matrix": [str(a), str(b), str(c), str(d)],
         "kind": classify_kind(inv),
-        "souche": param_str(partner_param(inv, INF)),
+        "souche": param_str(inv.map.apply_pair((1, 0))),
     }

@@ -21,10 +21,8 @@ each reduced by one gcd (``exact_scalar.pair_str``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import Rat, pair_str
+from arguesia.exact_scalar import pair_str
 from arguesia.involution import NodeCouples
 from arguesia.projective_core import (
     AffineChart,
@@ -63,14 +61,16 @@ class SectorFigure(Frozen):
                 raise NonGenericError("each noeud must lie on tronc and its ray")
         if len(set(rays)) != 3:
             raise NonGenericError("rays must be pairwise distinct")
-        for v in self.vertices():
+        r1, r2, r3 = rays
+        vertices = meet(r2, r3), meet(r1, r3), meet(r1, r2)
+        for v in vertices:
             if incident(v, tronc):
                 raise NonGenericError("a vertex fell on the tronc")
+        object.__setattr__(self, "_vertices", vertices)
 
     def vertices(self) -> tuple[PPoint, PPoint, PPoint]:
-        """(a, b, c) = (r2^r3, r1^r3, r1^r2)."""
-        r1, r2, r3 = self.rays
-        return meet(r2, r3), meet(r1, r3), meet(r1, r2)
+        """(a, b, c) = (r2^r3, r1^r3, r1^r2), built once, with the figure."""
+        return self._vertices
 
     @staticmethod
     def from_triangle(p: PPoint, q: PPoint, r: PPoint, transversal: PLine) -> "SectorFigure":
@@ -182,11 +182,12 @@ class ProofTrace:
 # the theorem and its combinatorics
 
 
-def menelaus_product(sf: SectorFigure) -> Rat:
-    """ratio(N1;b,c) * ratio(N2;c,a) * ratio(N3;a,b); always exactly 1."""
+def menelaus_product(sf: SectorFigure) -> tuple[int, int]:
+    """ratio(N1;b,c) * ratio(N2;c,a) * ratio(N3;a,b), always exactly 1, as
+    an unreduced integer pair."""
     n1, n2, n3 = sf.nodes
     a, b, c = sf.vertices()
-    return Fraction(*_times(ratio(n1, b, c), ratio(n2, c, a), ratio(n3, a, b)))
+    return _times(ratio(n1, b, c), ratio(n2, c, a), ratio(n3, a, b))
 
 
 def menelaus_converse(sf: SectorFigure) -> bool:

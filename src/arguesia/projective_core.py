@@ -6,12 +6,15 @@ canonical integer tuple, made by :func:`_canonical`, so projective equality
 is tuple equality and everything hashes.  A parameter on a charted line is
 an integer pair (u : v), with (1 : 0) for the line's point at infinity, and
 homographies of a line act on pairs through 2x2 integer matrices, which
-makes the limit cases exact rather than special-cased; euclidean tests use
-the integer displacements of :func:`_scaled_displacement`.  A ``Fraction``
-is built only where a rational is the answer: the chart coordinate of
-:meth:`AffineChart.coordinate` and :meth:`AffineChart.point_at` (with
-``INF`` for the point at infinity), a fixed point moved by
-:meth:`LineMap.apply_param`, and a printed cross-ratio.
+makes the limit cases exact rather than special-cased; an irrational fixed
+point, an ``exact_scalar.QuadExt``, moves by the same matrix
+(:func:`_apply_quad`).  A cross-ratio is an unreduced integer pair, with
+den 0 for infinity, printed by :func:`param_str`; euclidean tests use the
+integer displacements of :func:`_scaled_displacement`.  A ``Fraction`` is
+built only for rational input: in :meth:`AffineChart.point_at`, on the
+values ``construct`` reads, and in the rational branch of
+:func:`_canonical`, which the test fixtures :meth:`PPoint.affine_point`
+and :meth:`PPoint.from_json` reach.
 
 Perspectivities are linear maps in closed form: the central projection
 between two charted lines is one 2x2 integer matrix,
@@ -29,7 +32,7 @@ from math import gcd, lcm
 
 from arguesia._kernel import cross3, det3, dot3, mat2_mul
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import QuadExt, rat_str
+from arguesia.exact_scalar import QuadExt, pair_str
 
 
 class GeometryError(ValueError):
@@ -37,29 +40,13 @@ class GeometryError(ValueError):
     point off a line, degenerate map, ...)."""
 
 
-class _Infinity:
-    """The parameter value of a line's point at infinity."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
-
-
 def param_str(t) -> str:
-    if t is INF:
-        return "inf"
+    """A parameter as printed: an integer pair (u, v) reduced by one gcd,
+    ``inf`` for (u, 0), and a QuadExt by its repr."""
     if isinstance(t, QuadExt):
         return repr(t)
-    return rat_str(Fraction(t))
+    u, v = t
+    return "inf" if v == 0 else pair_str(u, v)
 
 
 def _canonical(coords: tuple) -> tuple[int, ...]:
@@ -234,7 +221,7 @@ def midpoint(p: PPoint, q: PPoint) -> PPoint:
 
 
 class AffineChart(Frozen):
-    """Affine coordinate on a line: origin at 0, unit at 1, infinity at INF.
+    """Affine coordinate on a line: origin at 0, unit at 1, infinity at (1 : 0).
 
     Origin and unit must be finite so the chart's infinity agrees with the
     geometric point at infinity; signed parameter differences then measure
@@ -272,7 +259,7 @@ class AffineChart(Frozen):
         object.__setattr__(self, "_reader", (j, k, b_j, b_k, a_j + b_j, a_k + b_k))
 
     def param_pair(self, p: PPoint) -> tuple[int, int]:
-        """Projective parameter pair (u : v) with t = u/v and INF = (1 : 0)."""
+        """Projective parameter pair (u : v) with t = u/v, infinity (1 : 0)."""
         if not incident(p, self.line):
             raise GeometryError(f"{p} not on chart line {self.line}")
         return _canonical(self._linear_pair(p.coords))
@@ -284,15 +271,8 @@ class AffineChart(Frozen):
         xj, xk = x[j], x[k]
         return bj * xj + bk * xk, vj * xj + vk * xk
 
-    def coordinate(self, p: PPoint):
-        u, v = self.param_pair(p)
-        if v == 0:
-            return INF
-        return Fraction(u, v)
-
     def point_at(self, t) -> PPoint:
-        if t is INF:
-            return self.infinity_point()
+        """The point at the rational parameter t."""
         t = Fraction(t)
         return self.point_at_pair((t.numerator, t.denominator))
 
@@ -307,9 +287,6 @@ class AffineChart(Frozen):
         """(X1, X0) with ``point_at_pair((u, v))`` the point u*X1 + v*X0:
         X0 = U_z*O and X1 = O_z*U - U_z*O for the origin O and the unit U."""
         return self._basis
-
-    def infinity_point(self) -> PPoint:
-        return infinity_point_of(self.line)
 
     def to_json(self) -> dict:
         return {
@@ -371,21 +348,6 @@ class LineMap(Frozen):
         u, v = pair
         return _canonical((a * u + b * v, c * u + d * v))
 
-    def apply_param(self, t):
-        """Image of a parameter; exact for Rat, QuadExt and INF alike."""
-        a, b, c, d = self.matrix
-        if t is INF:
-            if c == 0:
-                return INF
-            return Fraction(a, c)
-        if isinstance(t, QuadExt):
-            return _apply_quad(self.matrix, t)
-        p, q = t.numerator, t.denominator
-        den = c * p + d * q
-        if den == 0:
-            return INF
-        return Fraction(a * p + b * q, den)
-
     def apply_point(self, p: PPoint) -> PPoint:
         return self.dst.point_at_pair(self.apply_pair(self.src.param_pair(p)))
 
@@ -412,11 +374,10 @@ class LineMap(Frozen):
 
 
 def _apply_quad(matrix, t: QuadExt) -> QuadExt:
-    """(a*t + b)/(c*t + d) for t = x + y*sqrt(D), in closed form.
+    """(a*t + b)/(c*t + d) for t = (p + q*sqrt(D))/den, in closed form.
 
-    With t = (p + q*sqrt(D))/den over integers, the quotient is
-    (X + Y*sqrt(D))/(Z + W*sqrt(D)) for X = a*p + b*den, Y = a*q,
-    Z = c*p + d*den and W = c*q, that is
+    The quotient is (X + Y*sqrt(D))/(Z + W*sqrt(D)) for X = a*p + b*den,
+    Y = a*q, Z = c*p + d*den and W = c*q, that is
     ((XZ - YWD) + (YZ - XW)*sqrt(D))/(Z^2 - W^2*D).
     The norm Z^2 - W^2*D is never 0, because D is not a square and the
     determinant ad - bc is not 0: with W != 0 it would make D = (Z/W)^2, and
@@ -425,15 +386,10 @@ def _apply_quad(matrix, t: QuadExt) -> QuadExt:
     like t.
     """
     a, b, c, d = matrix
-    x, y, rad = t.a, t.b, t.d
-    p, q = x.numerator * y.denominator, y.numerator * x.denominator
-    den = x.denominator * y.denominator
+    p, q, den, rad = t.p, t.q, t.r, t.d
     xx, yy = a * p + b * den, a * q
     zz, ww = c * p + d * den, c * q
-    norm = zz * zz - ww * ww * rad
-    return QuadExt(
-        Fraction(xx * zz - yy * ww * rad, norm), Fraction(yy * zz - xx * ww, norm), rad
-    )
+    return QuadExt(xx * zz - yy * ww * rad, yy * zz - xx * ww, zz * zz - ww * ww * rad, rad)
 
 
 def project_point(center: PPoint, p: PPoint, target: PLine) -> PPoint:
@@ -473,20 +429,18 @@ def _pair_det(x, y) -> int:
     return x[0] * y[1] - x[1] * y[0]
 
 
-def cross_ratio_pairs(a, b, c, d):
-    """[a,b;c,d] from projective parameter pairs; INF on zero denominator."""
-    num = _pair_det(c, a) * _pair_det(d, b)
-    den = _pair_det(c, b) * _pair_det(d, a)
-    if den == 0:
-        return INF
-    return Fraction(num, den)
+def cross_ratio_pairs(a, b, c, d) -> tuple[int, int]:
+    """[a,b;c,d] from projective parameter pairs, as an unreduced integer
+    pair (num, den), den 0 for infinity."""
+    return _pair_det(c, a) * _pair_det(d, b), _pair_det(c, b) * _pair_det(d, a)
 
 
-def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint):
-    """Cross-ratio [a,b;c,d] = ((c-a)/(c-b)) / ((d-a)/(d-b)).
+def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint) -> tuple[int, int]:
+    """Cross-ratio [a,b;c,d] = ((c-a)/(c-b)) / ((d-a)/(d-b)), as an
+    unreduced integer pair (num, den), as ``menelaus_engine.ratio`` gives.
 
-    Needs four collinear points with a, b, c pairwise distinct; the value
-    is INF exactly when d = a.
+    Needs four collinear points with a, b, c pairwise distinct, so num and
+    den are never both 0; den is 0, the value infinity, exactly when d = a.
     """
     if a == b or a == c or b == c:
         raise GeometryError("cross-ratio needs a, b, c pairwise distinct")
@@ -500,7 +454,7 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint):
 
 def harmonic_partner_param(pa, pb, pc) -> tuple[int, int]:
     """The parameter pair d with [a,b;c,d] = -1, for the pairs of three
-    distinct parameters; canonical, with (1, 0) for INF."""
+    distinct parameters; canonical, with (1, 0) for infinity."""
     # solve det(c,a)*det(d,b) + det(c,b)*det(d,a) = 0 for the pair d
     k1 = _pair_det(pc, pa)
     k2 = _pair_det(pc, pb)

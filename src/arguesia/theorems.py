@@ -12,7 +12,6 @@ labels; everything else is projective.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from arguesia._frozen import Frozen
@@ -34,7 +33,6 @@ from arguesia.involution import (
     equivalence_check,
     involution_json,
     partner,
-    partner_param,
     rectangle_identity_check,
 )
 from arguesia.menelaus_engine import (
@@ -52,13 +50,13 @@ from arguesia.menelaus_engine import (
     replay_ramee_proof,
 )
 from arguesia.projective_core import (
-    INF,
     AffineChart,
     GeometryError,
     P3Plane,
     P3Point,
     PLine,
     PPoint,
+    _apply_quad,
     _scaled_displacement,
     apply_mat3,
     chord_product,
@@ -83,9 +81,7 @@ from arguesia.projective_core import (
 def _show(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is INF:
-        return "inf"
-    if isinstance(v, (Fraction, int)):
+    if isinstance(v, int):
         return rat_str(v)
     if isinstance(v, QuadExt):
         return scalar_str(v)
@@ -111,11 +107,11 @@ class TheoremReport:
 
     def claim_pair(self, label: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
         """A claim between unreduced integer pairs (num, den), compared by
-        cross-multiplying and printed by ``pair_str``, as ``ProofTrace.add``
-        does."""
+        cross-multiplying and printed by ``param_str``: reduced, as
+        ``ProofTrace.add`` prints, and ``inf`` for a side (u, 0)."""
         equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
         self.claims.append(
-            {"label": label, "lhs": pair_str(*lhs), "rhs": pair_str(*rhs), "equal": equal}
+            {"label": label, "lhs": param_str(lhs), "rhs": param_str(rhs), "equal": equal}
         )
         return equal
 
@@ -147,7 +143,7 @@ def verify_menelaus(figure: SectorFigure, inputs: dict) -> TheoremReport:
     """Menelaus in sector form: the three noeud ratios multiply to 1, and
     conversely the unit product puts the third noeud back on the tronc."""
     report = TheoremReport("menelaus", inputs=inputs)
-    report.claim("menelaus product", menelaus_product(figure), 1)
+    report.claim_pair("menelaus product", menelaus_product(figure), (1, 1))
     report.claim_true("converse: unit product forces collinearity", menelaus_converse(figure))
     return report
 
@@ -331,13 +327,15 @@ def verify_ramee(figure: RameeFigure) -> TheoremReport:
     report.claim(
         "classification preserved", src_cls["kind"], classify_kind(phi_conjugate)
     )
+    phi = phi_conjugate.map
     for t in src_cls["fixed_points"]:
-        t_img = pi.apply_param(t)
-        report.claim(
-            f"fixed point {param_str(t)} transported to a fixed point",
-            partner_param(phi_conjugate, t_img),
-            t_img,
-        )
+        label = f"fixed point {param_str(t)} transported to a fixed point"
+        if isinstance(t, QuadExt):
+            t_img = _apply_quad(pi.matrix, t)
+            report.claim(label, _apply_quad(phi.matrix, t_img), t_img)
+        else:
+            t_img = pi.apply_pair(t)
+            report.claim_pair(label, phi.apply_pair(t_img), t_img)
     report.trace = trace
     return report
 
@@ -418,7 +416,8 @@ def _four_point_case(name: str, b, c, d, f, k, finite) -> tuple[PLine, TheoremRe
     base = join(b, c)
     if not (incident(d, base) and incident(f, base)):
         raise GeometryError("the four points must be collinear")
-    if cross_ratio(b, c, d, f) != -1:
+    num, den = cross_ratio(b, c, d, f)
+    if num != -den:
         raise GeometryError("input points are not harmonic")
     if incident(k, base):
         raise GeometryError("projection point on the tronc")
@@ -457,10 +456,8 @@ def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     cb2 = project_point(k, b, control)
     cf2 = project_point(k, f, control)
     cd2 = project_point(k, d, control)
-    report.claim(
-        "harmonic transported to the control line",
-        cross_ratio(cb2, c, cd2, cf2),
-        Fraction(-1),
+    report.claim_pair(
+        "harmonic transported to the control line", cross_ratio(cb2, c, cd2, cf2), (-1, 1)
     )
     mid_holds = (not cb2.is_at_infinity()) and cf2 == midpoint(c, cb2)
     report.claim(
@@ -549,15 +546,13 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
     big_d = meet(parallel_line_through(gh, k), bg)
     report.notes["F"] = big_f.to_json()
     report.notes["D"] = big_d.to_json()
-    report.claim(
+    report.claim_pair(
         "secant harmonic: [G,h; f, inf] = -1",
         cross_ratio(g, h, f_mid, infinity_point_of(gh)),
-        Fraction(-1),
+        (-1, 1),
     )
-    report.claim(
-        "four points in involution: [B,G;D,F] = -1",
-        cross_ratio(b, g, big_d, big_f),
-        Fraction(-1),
+    report.claim_pair(
+        "four points in involution: [B,G;D,F] = -1", cross_ratio(b, g, big_d, big_f), (-1, 1)
     )
     return (f_mid, big_f, big_d), report
 

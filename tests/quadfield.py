@@ -1,18 +1,51 @@
-"""Arithmetic in Q(sqrt(d)) as a test oracle.
+"""Test oracles: arithmetic in Q(sqrt(d)), and ``Fraction`` values of the
+library's integer parameter forms.
 
 x + y*sqrt(d) is the pair (x, y) of Fractions, with d passed to each
-operation; the library's ``QuadExt`` is a value without arithmetic, and
-``pair`` reads one (or a rational) into this form.
+operation; the library's ``QuadExt`` (p + q*sqrt(d))/r is a value without
+arithmetic, and ``pair`` reads one (or a rational) into this form.  A line
+parameter is, in the library, an integer pair (u, v) with (u, 0) for the
+point at infinity; ``rat`` reads one as a Fraction or ``INF``, ``param``
+writes a Fraction, ``INF`` or a pair as a canonical pair, and ``move``
+maps any of them, or a ``QuadExt``, by a ``LineMap`` through the library's
+own ``apply_pair`` and ``_apply_quad``.
 """
 
 from fractions import Fraction
 
 from arguesia.exact_scalar import QuadExt
+from arguesia.projective_core import _apply_quad, _canonical
+
+INF = "inf"  # the oracle's point at infinity, printed as the library prints it
+
+
+def rat(t):
+    """The Fraction u/v of a parameter pair, or INF for (u, 0)."""
+    u, v = t
+    return INF if v == 0 else Fraction(u, v)
+
+
+def param(t) -> tuple[int, int]:
+    """The canonical parameter pair of a rational, INF or a pair."""
+    if t == INF:
+        return (1, 0)
+    if isinstance(t, tuple):
+        return _canonical(t)
+    t = Fraction(t)
+    return _canonical((t.numerator, t.denominator))
+
+
+def move(m, t):
+    """The image of t (a rational, INF, a pair or a QuadExt) under the
+    LineMap m: a QuadExt, else a rational or INF."""
+    if isinstance(t, QuadExt):
+        return _apply_quad(m.matrix, t)
+    return rat(m.apply_pair(param(t)))
 
 
 def pair(t):
     if isinstance(t, QuadExt):
-        return (t.a, t.b)
+        return (Fraction(t.p, t.r), Fraction(t.q, t.r))
     return (Fraction(t), Fraction(0))
 
 

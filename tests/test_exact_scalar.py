@@ -13,6 +13,7 @@ from arguesia.exact_scalar import (
     quad_sqrt,
     rat_parse,
     rat_str,
+    scalar_str,
     square_free_decomposition,
 )
 from arguesia.rng import SplitMix64
@@ -64,33 +65,41 @@ def test_pair_str_rejects_zero_denominator():
             pair_str(num, 0)
 
 
+def _root_of(x: Fraction):
+    """sqrt(x) as the oracle pair (a, b) of a + b*sqrt(d), and d, from
+    quad_sqrt(n*m) for x = n/m: sqrt(n/m) = sqrt(n*m)/m."""
+    s, d = quad_sqrt(x.numerator * x.denominator)
+    b = Fraction(s, x.denominator)
+    return ((0, b) if d > 1 else (b, 0)), d
+
+
 def test_quad_sqrt_perfect_square():
-    assert quad_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert quad_sqrt(9 * 4) == (6, 1)
+    assert _root_of(Fraction(9, 4)) == ((Fraction(3, 2), 0), 1)
 
 
 def test_quad_sqrt_eight():
-    r = quad_sqrt(Fraction(8))
-    assert isinstance(r, QuadExt)
-    assert (r.a, r.b, r.d) == (Fraction(0), Fraction(2), 2)
+    s, d = quad_sqrt(8)
+    assert (s, d) == (2, 2)
+    r = QuadExt(0, s, 1, d)
     assert mul(pair(r), pair(r), r.d) == (8, 0)
 
 
 def test_quad_sqrt_zero():
-    assert quad_sqrt(Fraction(0)) == 0
+    assert quad_sqrt(0) == (0, 1)
 
 
 def test_quad_sqrt_negative_is_elliptic_error():
     with pytest.raises(ScalarError):
-        quad_sqrt(Fraction(-1))
+        quad_sqrt(-1)
 
 
 def test_quad_sqrt_squares_back_property():
     rng = SplitMix64.for_kind("sqrt-prop", 7)
     for _ in range(300):
         x = Fraction(rng.below(10**6), rng.below(10**6) + 1)
-        r = quad_sqrt(x)
-        d = r.d if isinstance(r, QuadExt) else 1
-        assert mul(pair(r), pair(r), d) == (x, 0)
+        r, d = _root_of(x)
+        assert mul(r, r, d) == (x, 0)
 
 
 def test_square_free_decomposition():
@@ -217,7 +226,7 @@ def test_quadext_arithmetic_does_not_refactor_radicand(monkeypatch):
     # fixed points of classify and their transport by a homography, reuse
     # the radicand they were given
     from arguesia.involution import Involution, classify
-    from arguesia.projective_core import LineMap, PLine, default_chart
+    from arguesia.projective_core import LineMap, PLine, _apply_quad, default_chart
 
     d = P24[0] * P24[1]
     chart = default_chart(PLine(0, 1, 0))
@@ -225,27 +234,27 @@ def test_quadext_arithmetic_does_not_refactor_radicand(monkeypatch):
     calls = _count_square_free_calls(monkeypatch)
     f1, f2 = classify(inv)["fixed_points"]
     assert len(calls) == 1  # quad_sqrt's single split of the discriminant
-    x = QuadExt(Fraction(1, 3), Fraction(2), d)
+    x = QuadExt(1, 6, 3, d)  # 1/3 + 2*sqrt(d)
     del calls[:]
-    images = [LineMap(m, chart, chart).apply_param(x) for m in ((1, 2, 3, 4), (0, 1, 1, 0))]
-    images.append(inv.map.apply_param(f1))
+    images = [_apply_quad(LineMap(m, chart, chart).matrix, x) for m in ((1, 2, 3, 4), (0, 1, 1, 0))]
+    images.append(_apply_quad(inv.map.matrix, f1))
     assert calls == []
     assert all(isinstance(r, QuadExt) and r.d == d for r in images + [f1, f2])
     assert images[-1] == f1  # a fixed point stays fixed
-    assert hash(f2) == hash(QuadExt(Fraction(0), Fraction(-1), d))  # same value as a checked build
+    assert hash(f2) == hash(QuadExt(0, -1, 1, d))  # same value as a checked build
 
 
 def test_quad_sqrt_splits_once(monkeypatch):
-    expected = QuadExt(Fraction(0), Fraction(3, 2), P24[0] * P24[1])
+    expected = ((0, Fraction(3, 2)), P24[0] * P24[1])
     calls = _count_square_free_calls(monkeypatch)
-    r = quad_sqrt(Fraction(P24[0] * P24[1] * 9, 4))
+    r = _root_of(Fraction(P24[0] * P24[1] * 9, 4))
     assert len(calls) == 1
     assert r == expected
 
 
 def test_quadext_requires_squarefree_radicand():
     with pytest.raises(ScalarError):
-        QuadExt(Fraction(1), Fraction(0), 2)
+        QuadExt(1, 0, 1, 2)
 
 
 def _random_rat(rng, span=10**6):
@@ -272,6 +281,25 @@ def test_field_axioms_on_random_rats():
 def test_canonical_uniqueness():
     assert Fraction(2, 4) == Fraction(1, 2)
     assert (Fraction(2, 4).numerator, Fraction(2, 4).denominator) == (1, 2)
-    v = QuadExt(Fraction(2, 4), Fraction(6, 4), 3)
-    w = QuadExt(Fraction(1, 2), Fraction(3, 2), 3)
+    v = QuadExt(2, 6, 4, 3)  # 2/4 + (6/4)*sqrt(3)
+    w = QuadExt(1, 3, 2, 3)
     assert v == w and hash(v) == hash(w)
+    assert QuadExt(-1, -3, -2, 3) == w and (w.p, w.q, w.r) == (1, 3, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**70), 2**70).filter(bool),
+    st.integers(-(2**40), 2**40).filter(bool),
+    st.sampled_from((2, 3, 5, 7, 10, 2**61 - 1)),
+)
+@example(0, 4, -2, 2)  # an integer part 0 and an integer coefficient -2
+def test_quadext_prints_the_fraction_text(p, q, r, d):
+    # repr and scalar_str print (p + q*sqrt(d))/r as str and rat_str of the
+    # Fractions p/r and q/r
+    x = QuadExt(p, q, r, d)
+    a, b = Fraction(p, r), Fraction(q, r)
+    assert repr(x) == f"({a} + {b}*sqrt({d}))"
+    assert scalar_str(x) == f"{rat_str(a)}+{rat_str(b)}*sqrt({d})"
+    assert pair(x) == (a, b)

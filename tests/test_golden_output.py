@@ -53,6 +53,9 @@ GOLDEN = {
     "replay pascal": "f7c35dbba6cc7c9f22fed7cad440d3f304750614f72e4d42b511c6f04645a98c",
     "verify ramee --bounds 30000":
         "f2815dcce3550bb1b15c89c32f27190c7c9e5921b39907ecd7dee61792e4fb3a",
+    # its fixed point 0/1 is carried to infinity: both sides print inf
+    "verify ramee --seed 9542 --trials 1":
+        "edb9e242be13534ce763300d5193f7b40d98d45601a0504a28b87a5658c40edc",
     "verify ramee --trials 10 --bounds 1000000":
         "accc92b4fe077a82441b72066ab0389759f0ed134f078a4bf48949e615fc64bc",
     "verify retablissement --bounds 30000":

@@ -1,8 +1,8 @@
 """Repeated in-process ``main`` calls: a well-formed ``verify`` or
 ``replay`` argv is read without argparse, to the namespace argparse makes
 of it, and any other argv builds one parser per process; and the
-``Fraction`` budgets: per ``verify ramee`` op, none in instance generation,
-and one per ``verify_bisector_case``."""
+``Fraction`` budgets: none in instance generation, and none in any verify
+or replay op."""
 
 import argparse
 import fractions
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arguesia import cli, theorems
+from arguesia import cli
 from arguesia.cli import REPLAY_KINDS, VERIFY_KINDS, main
 from arguesia.instances import KINDS, InstanceConfig, generate_instance
 
@@ -162,23 +162,17 @@ def test_generation_builds_no_fraction(made):
             assert made[0] == before, (kind, seed)
 
 
-def test_bisector_case_builds_only_its_cross_ratio(made, monkeypatch):
-    # perpendicularity and reflected directions are decided on integer
-    # displacements; the one Fraction is the harmonic precondition's cross-ratio
-    real = theorems.cross_ratio
-    inside = [0]
-
-    def counted(*args):
-        before = made[0]
-        try:
-            return real(*args)
-        finally:
-            inside[0] += made[0] - before
-
-    monkeypatch.setattr(theorems, "cross_ratio", counted)
-    for seed in range(1, 21):
-        inst = generate_instance(InstanceConfig("bisector", seed))
-        before, before_inside = made[0], inside[0]
-        report = theorems.verify_bisector_case(inst["b"], inst["c"], inst["d"], inst["f"], inst["k"])
-        assert report.verdict
-        assert (made[0] - before, inside[0] - before_inside) == (1, 1), seed
+def test_no_verify_or_replay_op_builds_a_fraction(made, capsys):
+    # fixed points, cross-ratios, Menelaus products and every printed side
+    # are integer forms from the draw to the output bytes
+    for bounds in ("32", "1000000"):
+        for kind in VERIFY_KINDS:
+            before = made[0]
+            assert main(["verify", kind, "--seed", "1", "--trials", "20", "--bounds", bounds, "--json"]) == 0
+            assert made[0] == before, (kind, bounds)
+        for kind in REPLAY_KINDS:
+            for seed in range(1, 21):
+                before = made[0]
+                assert main(["replay", kind, "--seed", str(seed), "--bounds", bounds, "--json"]) == 0
+                assert made[0] == before, (kind, seed, bounds)
+    capsys.readouterr()

@@ -13,11 +13,9 @@ from arguesia.involution import (
     classify_kind,
     equivalence_check,
     partner,
-    partner_param,
     rectangle_identity_check,
 )
 from arguesia.projective_core import (
-    INF,
     AffineChart,
     GeometryError,
     LineMap,
@@ -26,10 +24,11 @@ from arguesia.projective_core import (
     default_chart,
     perspective_map,
     incident,
+    infinity_point_of,
     join,
 )
 from arguesia.rng import SplitMix64
-from quadfield import add, mul, pair
+from quadfield import INF, add, move, mul, pair, param, rat
 
 CH = default_chart(PLine(0, 1, 0))  # x-axis chart
 
@@ -76,7 +75,7 @@ def _rect_side_oracle(e1, e2, w1, w2):
 
 
 def _rectangle_oracle(nc):
-    params = [(nc.chart.coordinate(p), nc.chart.coordinate(q)) for p, q in nc.pairs]
+    params = [(rat(nc.chart.param_pair(p)), rat(nc.chart.param_pair(q))) for p, q in nc.pairs]
     for p, q in params:
         if p is INF or q is INF:
             raise InvolutionError(
@@ -138,10 +137,10 @@ def test_rectangle_identities_match_fraction_oracle(chart, params, doubled, matr
         a, b, c = matrix
         if a * a + b * c != 0:
             inv = LineMap((a, b, c, -a), chart, chart)
-            params[1::2] = [inv.apply_param(t) for t in params[0::2]]
+            params[1::2] = [move(inv, t) for t in params[0::2]]
     if inf_slot < 6:
         params[inf_slot] = INF
-    points = [chart.point_at(t) for t in params]
+    points = [chart.point_at_pair(param(t)) for t in params]
     pairs = tuple(
         (points[2 * i], points[2 * i] if doubled[i] else points[2 * i + 1]) for i in range(3)
     )
@@ -198,7 +197,7 @@ def test_validated_couples_always_determine_an_involution(chart, params, doubled
     # or u is its one root r, so it is the only solution for two couples
     # only when both contain r or they are one pair twice; NodeCouples
     # forbids both: the first two examples are such couples.
-    points = [chart.point_at(t) for t in params]
+    points = [chart.point_at_pair(param(t)) for t in params]
     pairs = tuple(
         (points[2 * i], points[2 * i] if doubled[i] else points[2 * i + 1]) for i in range(3)
     )
@@ -221,7 +220,7 @@ def test_validated_couples_always_determine_an_involution(chart, params, doubled
 def test_partner_examples():
     inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     assert partner(inv, pt(1)) == pt(4)
-    assert partner(inv, CH.infinity_point()) == pt(0)  # the souche
+    assert partner(inv, infinity_point_of(CH.line)) == pt(0)  # the souche
     assert partner(inv, pt(2)) == pt(2)
     assert partner(inv, partner(inv, pt(7))) == pt(7)
 
@@ -237,8 +236,8 @@ def test_partner_is_involutive_on_random_points():
     inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     for _ in range(100):
         t = F(*rng.fraction_pair(50))
-        u = partner_param(inv, t)
-        assert partner_param(inv, u) == t
+        u = move(inv.map, t)
+        assert move(inv.map, u) == t
 
 
 # -- classification -----------------------------------------------------------
@@ -248,7 +247,15 @@ def test_classify_hyperbolic_with_rational_fixed_points():
     inv = Involution(LineMap((0, 4, 1, 0), CH, CH))
     cls = classify(inv)
     assert cls["kind"] == "hyperbolic"
-    assert set(cls["fixed_points"]) == {F(2), F(-2)}
+    assert set(cls["fixed_points"]) == {param(2), param(-2)}
+
+
+def test_classify_fixed_point_at_infinity():
+    # t -> -t - 2 (c = 0) fixes -b/(2a) = -1 and the point at infinity
+    inv = Involution(LineMap((1, 2, 0, -1), CH, CH))
+    assert classify(inv) == {"kind": "hyperbolic", "fixed_points": (param(-1), (1, 0))}
+    for t in (-1, INF):
+        assert move(inv.map, t) == t
 
 
 def test_classify_elliptic():
@@ -265,7 +272,7 @@ def test_classify_quadext_fixed_points():
     f1, f2 = cls["fixed_points"]
     assert isinstance(f1, QuadExt) and f1.d == 2
     for t in (f1, f2):
-        assert partner_param(inv, t) == t
+        assert move(inv.map, t) == t
 
 
 def test_classify_quadext_fixed_points_off_centre():
@@ -276,7 +283,7 @@ def test_classify_quadext_fixed_points_off_centre():
     assert isinstance(f1, QuadExt) and f1.d == 7
     assert f1 != f2
     for t in (f1, f2):
-        assert partner_param(inv, t) == t
+        assert move(inv.map, t) == t
     # the roots of c*t^2 - 2a*t - b = 0
     assert add(pair(f1), pair(f2)) == (F(2, 3), 0)  # 2a/c
     assert mul(pair(f1), pair(f2), 7) == (F(-2, 3), 0)  # -b/c
@@ -315,7 +322,7 @@ def test_equivalence_closure_by_construction():
         ts = []
         while len(ts) < 3:
             t = F(*rng.fraction_pair(30))
-            u = partner_param(inv, t)
+            u = move(inv.map, t)
             if u is INF or u == t or t in ts or any(t == x or u == x or t == y or u == y for x, y in ts):
                 continue
             ts.append((t, u))
@@ -341,7 +348,7 @@ def test_equivalence_500_random_involutions():
         bad = False
         while len(pts) < 3 and not bad:
             t = F(*rng.fraction_pair(40))
-            u = partner_param(inv, t)
+            u = move(inv.map, t)
             if u is INF or u == t:
                 continue
             if any(t in pr or u in pr for pr in pts):
@@ -358,7 +365,7 @@ def test_degenerate_third_couple_requires_fixed_point():
     inv = equivalence_check(FOUR_OVER_X)["involution"]
     cls = classify(inv)
     fp = cls["fixed_points"][0]
-    nc = NodeCouples(CH, ((pt(1), pt(4)), (pt(8), pt((1, 2))), (CH.point_at(fp), CH.point_at(fp))))
+    nc = NodeCouples(CH, ((pt(1), pt(4)), (pt(8), pt((1, 2))), (CH.point_at_pair(fp), CH.point_at_pair(fp))))
     assert equivalence_check(nc)["equivalent"]
     nc_bad = NodeCouples(CH, ((pt(1), pt(4)), (pt(8), pt((1, 2))), (pt(7), pt(7))))
     assert not equivalence_check(nc_bad)["equivalent"]
@@ -369,7 +376,7 @@ def _with_doubled_couple(t):
     # (0, 3/2) and (4, 5/2) and a doubled couple (t, t), on TILTED
     inv = Involution(LineMap((2, -3, 1, -2), TILTED, TILTED))
     pairs = [
-        (TILTED.point_at(s), TILTED.point_at(partner_param(inv, s))) for s in (F(0), F(4))
+        (TILTED.point_at(s), TILTED.point_at(move(inv.map, s))) for s in (F(0), F(4))
     ]
     pairs.append((TILTED.point_at(t), TILTED.point_at(t)))
     return NodeCouples(TILTED, tuple(pairs))
@@ -399,11 +406,11 @@ def test_rectangle_and_homography_routes_agree_on_seeded_couples():
         if c == 0 or a * a + b * c == 0:
             continue
         inv = Involution(LineMap((a, b, c, -a), TILTED, TILTED))
-        fixed = [t for t in classify(inv)["fixed_points"] if isinstance(t, F)][:1]
+        fixed = [rat(t) for t in classify(inv)["fixed_points"] if isinstance(t, tuple)][:1]
         taken, params = set(fixed), []
         while len(params) < 6 - 2 * len(fixed):
             t = F(*rng.fraction_pair(20))
-            u = partner_param(inv, t)
+            u = move(inv.map, t)
             if u is INF or u == t or t in taken or u in taken:
                 continue
             taken |= {t, u}
@@ -431,7 +438,7 @@ def test_involution_json_serialization():
     data = involution_json(inv)
     assert data == {"matrix": ["0", "2", "1", "0"], "kind": "hyperbolic", "souche": "0/1"}
     # the fixed points +-sqrt(2) stay out of the summary; classify finds them
-    assert QuadExt(F(0), F(1), 2) in classify(inv)["fixed_points"]
+    assert QuadExt(0, 1, 1, 2) in classify(inv)["fixed_points"]
 
 
 def test_conjugation_preserves_involution_and_class():
@@ -457,8 +464,8 @@ def test_conjugation_preserves_involution_and_class():
         assert classify_kind(conj) == classify_kind(phi)
         # fixed points transport to fixed points
         for t in classify(phi)["fixed_points"]:
-            t_img = pi.apply_param(t)
-            assert partner_param(conj, t_img) == t_img
+            t_img = move(pi, t)
+            assert move(conj.map, t_img) == t_img
         done += 1
         if done == 100:
             break

@@ -18,7 +18,6 @@ from arguesia.menelaus_engine import (
     replay_ramee_proof,
 )
 from arguesia.projective_core import (
-    INF,
     GeometryError,
     PLine,
     PPoint,
@@ -30,6 +29,7 @@ from arguesia.projective_core import (
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import QuadrangleConfig
+from quadfield import INF, param, rat
 
 A = PPoint.affine_point
 CH = default_chart(PLine(0, 1, 0))
@@ -38,7 +38,7 @@ CH = default_chart(PLine(0, 1, 0))
 def x_axis_arbre(vals):
     """Couples on the x-axis from parameters: ints, (p, q) fractions or INF."""
     def at(t):
-        return CH.point_at(F(*t) if isinstance(t, tuple) else t)
+        return CH.point_at_pair(param(t))
 
     return NodeCouples(CH, tuple((at(a), at(b)) for a, b in vals))
 
@@ -54,13 +54,32 @@ def triangle_figure():
 
 
 def test_menelaus_product_is_one_on_the_triangle():
-    assert menelaus_product(triangle_figure()) == 1
+    assert rat(menelaus_product(triangle_figure())) == 1
 
 
 def test_menelaus_product_one_on_500_random_figures():
     for seed in range(1, 501):
         inst = generate_instance(InstanceConfig("menelaus", seed))
-        assert menelaus_product(inst["figure"]) == 1
+        assert rat(menelaus_product(inst["figure"])) == 1
+
+
+def test_sector_figure_builds_its_vertices_once(monkeypatch):
+    import arguesia.menelaus_engine as menelaus_engine
+    from arguesia.cli import verify_one
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return meet(*args)
+
+    monkeypatch.setattr(menelaus_engine, "meet", counting)
+    for seed in range(1, 21):
+        calls.clear()
+        assert verify_one("menelaus", seed)["verdict"]
+        # three noeuds and three vertices; the generator, the product and
+        # the converse read the vertices the figure built
+        assert len(calls) == 6, seed
 
 
 def test_menelaus_converse_perturbation_breaks_product():
@@ -70,7 +89,7 @@ def test_menelaus_converse_perturbation_breaks_product():
     # move the third noeud along its ray, off the tronc: the signed product
     # of the same three ratios is then no longer 1
     ray_chart = default_chart(fig.rays[2])
-    moved = ray_chart.point_at(ray_chart.coordinate(n3) + 1)
+    moved = ray_chart.point_at(rat(ray_chart.param_pair(n3)) + 1)
     assert not incident(moved, fig.tronc)
     product = F(*ratio(n1, b, c)) * F(*ratio(n2, c, a)) * F(*ratio(moved, a, b))
     assert product != 1
@@ -86,13 +105,13 @@ def test_classical_minus_one_convention_conversion():
     r2 = _span_ratio(c, n2, n2, a)
     r3 = _span_ratio(a, n3, n3, b)
     assert r1 * r2 * r3 == -1
-    assert menelaus_product(fig) == 1
+    assert rat(menelaus_product(fig)) == 1
 
 
 def _span_ratio(p, q, r, s):
     """(q - p)/(s - r) on a common line, via chart parameters."""
     chart = default_chart(join(p, s) if p != s else join(p, q))
-    tp, tq, tr, ts = (chart.coordinate(x) for x in (p, q, r, s))
+    tp, tq, tr, ts = (rat(chart.param_pair(x)) for x in (p, q, r, s))
     return (tq - tp) / (ts - tr)
 
 
@@ -172,7 +191,7 @@ def test_menelaus_step_with_a_moved_noeud_is_a_false_step():
     n1, n2, n3 = fig.nodes
     a, b, c = fig.vertices()
     ray_chart = default_chart(fig.rays[2])
-    moved = ray_chart.point_at(ray_chart.coordinate(n3) + 1)
+    moved = ray_chart.point_at(rat(ray_chart.param_pair(n3)) + 1)
     assert not incident(moved, fig.tronc)
     trace = ProofTrace("moved")
     menelaus_step(trace, ("N1", n1), ("N2", n2), ("N3", moved), ("a", a), ("b", b), ("c", c), "cite")
@@ -260,7 +279,7 @@ def ramee_data(draw):
     doubled = draw(st.sampled_from((None,) * 6 + (0, 1, 2)))
     if doubled is not None:
         ts[2 * doubled + 1] = ts[2 * doubled]
-    pts = [chart.point_at(t) for t in ts]
+    pts = [chart.point_at_pair(param(t)) for t in ts]
     arbre = NodeCouples(chart, tuple(zip(pts[::2], pts[1::2])))
     k = draw(small_point(z=st.sampled_from((1, 1, 1, 2, 0))))
     a = draw(small_point(z=st.just(1)))
@@ -381,7 +400,7 @@ def _chart_ratio(origin, num_end, den_end):
     chart = default_chart(join(origin, den_end))
     ts = []
     for p in (origin, num_end, den_end):
-        t = chart.coordinate(p)
+        t = rat(chart.param_pair(p))
         if t is INF:
             raise NonGenericError("ratio endpoint at infinity")
         ts.append(t)

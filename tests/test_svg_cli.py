@@ -446,7 +446,7 @@ def _plus_one(pair):
 
 
 @pytest.mark.parametrize("kind, name, broken, label", [
-    ("menelaus", "menelaus_product", lambda real: lambda figure: 2 * real(figure),
+    ("menelaus", "menelaus_product", lambda real: lambda figure: _plus_one(real(figure)),
      "menelaus product"),
     # the identity map stands in for a three-perspective involution that disagrees
     ("quadrangle", "desargues_involution_by_perspectives",
@@ -528,7 +528,7 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     def moved(arbre, k, delta):
         figure = real(arbre, k, delta)
         pts = figure.points
-        pts["b"] = delta.point_at(delta.coordinate(pts["b"]) + 1)
+        pts["b"] = delta.point_at_pair(_plus_one(delta.param_pair(pts["b"])))
         assert len(set(pts.values())) == len(pts)
         return figure
 

@@ -45,6 +45,7 @@ from arguesia.theorems import (
     verify_ramee,
 )
 from collineation import apply_collineation, apply_collineation_point, random_collineation
+from quadfield import rat
 
 A = PPoint.affine_point
 CH = default_chart(PLine(0, 1, 0))
@@ -111,7 +112,7 @@ def test_verify_ramee_500_seed_property():
 
 def test_harmonic_conjugate_example():
     f = harmonic_conjugate(pt(0), pt(2), pt(3))
-    assert CH.coordinate(f) == F(3, 2)
+    assert rat(CH.param_pair(f)) == F(3, 2)
 
 
 def test_harmonic_conjugate_midpoint_gives_infinity():
@@ -130,7 +131,7 @@ def test_harmonic_two_paths_agree_on_200_seeds():
         inst = generate_instance(InstanceConfig("harmonic", rng.below(10**9)))
         f = harmonic_conjugate(inst["b"], inst["c"], inst["d"])
         assert f == inst["f"]
-        assert cross_ratio(inst["b"], inst["c"], inst["d"], f) == -1
+        assert rat(cross_ratio(inst["b"], inst["c"], inst["d"], f)) == -1
 
 
 # -- midpoint and bisector cases -------------------------------------------------
@@ -197,7 +198,7 @@ def test_p13_perturbed_midpoint_breaks_harmonicity():
     bg = join(b, g)
     big_f = meet(join(k, bad_f), bg)
     big_d = meet(parallel_line_through(join(g, h), k), bg)
-    assert cross_ratio(b, g, big_d, big_f) != -1
+    assert rat(cross_ratio(b, g, big_d, big_f)) != -1
 
 
 # -- quadrangle suite --------------------------------------------------------------
@@ -310,7 +311,7 @@ def test_pencil_check_rejects_couples_not_in_involution():
 
     q = quad_config()
     # move H along the transversal: G's partner is no longer H
-    moved = q.transversal.point_at(q.transversal.coordinate(q.H) + 1)
+    moved = q.transversal.point_at(rat(q.transversal.param_pair(q.H)) + 1)
     assert moved not in (q.I, q.K, q.P, q.Q, q.G)
     object.__setattr__(q, "_cuts", dict(q._cuts, CE=moved))
     member = q.line_pairs["IK"]
@@ -457,7 +458,7 @@ def test_pencil_chord_identity_false_for_conic_outside_pencil(monkeypatch):
     done = 0
     for q, member, _ in _irrational_chord_samples(3, want=20):
         if q.involution.map.matrix[2] == 0:
-            continue  # INF is fixed: adding z^2 would not move the claim
+            continue  # infinity is fixed: adding z^2 would not move the claim
         # member + z^2 passes through none of the bornes (z = 1 there)
         outside = Conic(*(m + (i == 5) for i, m in enumerate(member.m)))
         if outside.is_degenerate():
