@@ -115,27 +115,16 @@ def _json_dump(data) -> str:
     """Exactly ``json.dumps(data, indent=2) + "\\n"``, without the
     pure-Python encoder that ``json.dumps`` falls back to for an indent.
 
-    Accepts ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``
-    (``bool`` included), and ``None``; anything else, a ``float`` or a
-    non-``str`` key among it, raises ``TypeError``.  Strings go through the
-    C ``encode_basestring_ascii``, as ``json.dumps`` does.
+    Accepts ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``bool`` and ``None``, each of exactly that type; anything else, a
+    ``float``, a subclass or a non-``str`` key among it, raises
+    ``TypeError``.  Strings go through the C ``encode_basestring_ascii``, as
+    ``json.dumps`` does.
     """
     out = []
     _json_write(data, "\n", out)
     out.append("\n")
     return "".join(out)
-
-
-_JSON_TYPES = frozenset((str, int, bool, dict, list, tuple, type(None)))
-
-
-def _json_base(value) -> type:
-    """The JSON type a value of any other type is written as: a subclass of
-    str, int, dict, list or tuple is written as its base."""
-    for base in (str, int, dict, list, tuple):
-        if isinstance(value, base):
-            return base
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_write(value, newline: str, out: list) -> None:
@@ -146,8 +135,6 @@ def _json_write(value, newline: str, out: list) -> None:
     and the string items of a list, the most common ones in a report, are
     written in place rather than by a call."""
     kind = type(value)
-    if kind not in _JSON_TYPES:
-        kind = _json_base(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
     elif kind is dict:
@@ -158,7 +145,7 @@ def _json_write(value, newline: str, out: list) -> None:
         comma = "," + inner
         sep = "{" + inner
         for key, item in value.items():
-            if type(key) is not str and not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = sep + encode_basestring_ascii(key) + ": "
             item_kind = type(item)
@@ -190,8 +177,10 @@ def _json_write(value, newline: str, out: list) -> None:
         out.append("true" if value else "false")
     elif kind is int:
         out.append(int.__repr__(value))
-    else:
+    elif value is None:
         out.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _format_verify_text(kind: str, reports: list[dict]) -> str:
@@ -367,15 +356,13 @@ def main(argv=None) -> int:
 
         if args.command == "construct":
             try:
-                b, c, d = (rat_parse(v) for v in (args.b, args.c, args.d))
-                if len({b, c, d}) != 3:
+                values = [rat_parse(v) for v in (args.b, args.c, args.d)]
+                if len(set(values)) != 3:
                     raise GeometryError("construct harmonic needs distinct values")
             except (ScalarError, GeometryError) as exc:
                 return _usage_error(exc)
             chart = default_chart(join(PPoint(0, 0, 1), PPoint(1, 0, 1)))
-            f = harmonic_conjugate(
-                chart.point_at(b), chart.point_at(c), chart.point_at(d)
-            )
+            f = harmonic_conjugate(*(chart.point_at_pair(t) for t in values))
             sys.stdout.write(param_str(chart.param_pair(f)) + "\n")
             return 0
 

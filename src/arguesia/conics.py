@@ -18,7 +18,7 @@ from math import isqrt
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import conic_eval, conic_polar, det3, dot3
-from arguesia.exact_scalar import InternalError, rat_str
+from arguesia.exact_scalar import InternalError
 from arguesia.projective_core import (
     AffineChart,
     GeometryError,
@@ -69,7 +69,7 @@ class Conic(Frozen):
         return PLine(u, v, w)
 
     def to_json(self) -> list[str]:
-        return [rat_str(e) for e in self.m]
+        return [f"{e}/1" for e in self.m]
 
     @staticmethod
     def from_lines(l: PLine, m: PLine) -> "Conic":

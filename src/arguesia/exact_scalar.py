@@ -1,20 +1,18 @@
 """Exact scalars: the textual rationals, integer pairs and quadratic
 irrationals of configs and reports.
 
-A rational on the verify path is an integer pair (num, den), printed
-reduced by one gcd (:func:`pair_str`).  The standard-library
-:class:`fractions.Fraction` is used only where a rational is read as text
-(:func:`rat_parse`, for ``construct``).  ``QuadExt`` is the integer form
-(p + q*sqrt(d))/r of the square roots that appear at involution fixed
-points, with :func:`quad_sqrt` the checked split of an integer radicand.
-Conic chords need none: a chord is rational or is decided by its symmetric
-functions.
+Every rational is an integer pair (num, den), read from text reduced
+(:func:`rat_parse`, for ``construct``) and printed reduced by one gcd
+(:func:`pair_str`); no module builds a ``Fraction``.  ``QuadExt`` is the
+integer form (p + q*sqrt(d))/r of the square roots that appear at
+involution fixed points, with :func:`quad_sqrt` the checked split of an
+integer radicand.  Conic chords need none: a chord is rational or is
+decided by its symmetric functions.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, isqrt
 
 from arguesia._frozen import Frozen
@@ -31,30 +29,25 @@ class InternalError(Exception):
     precondition of its input, so it is not a ``GeometryError``."""
 
 
-def rat_parse(text: str) -> Fraction:
+def rat_parse(text: str) -> tuple[int, int]:
     """Parse ``digits`` or ``digits/digits`` (optional leading minus).
 
-    The result is canonical: reduced, denominator positive, zero as 0/1.
+    The result is the canonical pair (num, den): reduced, den > 0, and
+    zero as (0, 1), so equal values give equal pairs.
     """
     if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise ScalarError(f"malformed rational: {text!r}")
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ScalarError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text), 1)
-
-
-def rat_str(x: Fraction) -> str:
-    """Canonical ``p/q`` form, always with the denominator."""
-    return f"{x.numerator}/{x.denominator}"
+    num, _, den = text.strip().partition("/")
+    num, den = int(num), int(den or 1)
+    if den == 0:
+        raise ScalarError(f"zero denominator: {text!r}")
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def pair_str(num: int, den: int) -> str:
-    """``rat_str(Fraction(num, den))`` for an integer pair, den nonzero and
-    of either sign, reduced by one gcd without building the Fraction."""
+    """``p/q`` for an integer pair, den nonzero and of either sign,
+    reduced by one gcd, with q > 0."""
     if den == 0:
         raise ZeroDivisionError(f"pair {num}/0")
     g = gcd(num, den)

@@ -71,7 +71,7 @@ class InstanceConfig(Frozen):
         if kind not in KINDS:
             raise InstanceError(f"unknown instance kind {kind!r}")
         if not 0 <= seed < (1 << 64):
-            raise InstanceError("seed must fit in 64 bits")
+            raise InstanceError(f"seed must fit in 64 bits, got {seed}")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "bounds": self.bounds}

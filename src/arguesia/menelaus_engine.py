@@ -171,9 +171,6 @@ class ProofTrace:
             step["meta"] = meta
         self.steps.append(step)
 
-    def menelaus_steps(self) -> list[dict]:
-        return [s for s in self.steps if s.get("meta", {}).get("kind") == "menelaus"]
-
     def to_json(self) -> dict:
         return {"name": self.name, "verdict": self.verdict, "steps": self.steps, "notes": self.notes}
 

@@ -10,11 +10,9 @@ makes the limit cases exact rather than special-cased; an irrational fixed
 point, an ``exact_scalar.QuadExt``, moves by the same matrix
 (:func:`_apply_quad`).  A cross-ratio is an unreduced integer pair, with
 den 0 for infinity, printed by :func:`param_str`; euclidean tests use the
-integer displacements of :func:`_scaled_displacement`.  A ``Fraction`` is
-built only for rational input: in :meth:`AffineChart.point_at`, on the
-values ``construct`` reads, and in the rational branch of
-:func:`_canonical`, which the test fixtures :meth:`PPoint.affine_point`
-and :meth:`PPoint.from_json` reach.
+integer displacements of :func:`_scaled_displacement`.  Every value is
+built from integers: a rational read as text is an integer pair placed by
+:meth:`AffineChart.point_at_pair`, and no ``Fraction`` is built.
 
 Perspectivities are linear maps in closed form: the central projection
 between two charted lines is one 2x2 integer matrix,
@@ -26,9 +24,8 @@ integer matrix, :func:`plane_perspectivity`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from arguesia._kernel import cross3, det3, dot3, mat2_mul
 from arguesia._frozen import Frozen
@@ -50,22 +47,14 @@ def param_str(t) -> str:
 
 
 def _canonical(coords: tuple) -> tuple[int, ...]:
-    """The canonical integer form of a homogeneous tuple of rationals.
+    """The canonical form of a homogeneous tuple of integers.
 
-    Denominators are cleared, the tuple is divided by the gcd of its entries
-    and the sign is chosen so the first nonzero entry is positive.  Two
-    homogeneous values are then equal iff their canonical tuples are.
-    Integer tuples, such as the output of ``cross3``, go straight to the
-    gcd; a tuple that ``math.gcd`` refuses, with a ``Fraction`` or a float
-    among its entries, has its denominators cleared first.
+    The tuple is divided by the gcd of its entries and the sign is chosen
+    so the first nonzero entry is positive.  Two homogeneous values are
+    then equal iff their canonical tuples are.  A tuple with a non-integer
+    entry, which ``math.gcd`` refuses, raises ``TypeError``.
     """
-    try:
-        g = gcd(*coords)
-    except TypeError:
-        xs = [Fraction(e) for e in coords]
-        den = lcm(*[x.denominator for x in xs])
-        coords = [x.numerator * (den // x.denominator) for x in xs]
-        g = gcd(*coords)
+    g = gcd(*coords)
     if g == 0:
         raise GeometryError("zero homogeneous tuple")
     for c in coords:
@@ -109,16 +98,6 @@ class PPoint(Frozen):
 
     def to_json(self) -> list[str]:
         return [f"{c}/1" for c in self.coords]
-
-    @staticmethod
-    def from_json(data) -> "PPoint":
-        from arguesia.exact_scalar import rat_parse
-
-        return PPoint(*(rat_parse(c) for c in data))
-
-    @staticmethod
-    def affine_point(x, y) -> "PPoint":
-        return PPoint(Fraction(x), Fraction(y), 1)
 
     def __repr__(self):
         return f"({self.coords[0]}:{self.coords[1]}:{self.coords[2]})"
@@ -271,12 +250,8 @@ class AffineChart(Frozen):
         xj, xk = x[j], x[k]
         return bj * xj + bk * xk, vj * xj + vk * xk
 
-    def point_at(self, t) -> PPoint:
-        """The point at the rational parameter t."""
-        t = Fraction(t)
-        return self.point_at_pair((t.numerator, t.denominator))
-
     def point_at_pair(self, pair: tuple[int, int]) -> PPoint:
+        """The point at pair = (u, v), t = u/v; (1, 0) is the point at infinity."""
         u, v = pair
         if u == 0 and v == 0:
             raise GeometryError("zero parameter pair")

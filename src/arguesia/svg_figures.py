@@ -61,7 +61,7 @@ class SvgDoc:
         if z == 0:
             self.infinities.append(_floats((x, y)) + (label,))
             return
-        # int true division is correctly rounded, as float(Fraction(x, z)) is
+        # int true division is correctly rounded: the float nearest the quotient
         try:
             self.labeled_points.append((x / z, y / z, label))
         except OverflowError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from arguesia._frozen import Frozen
-from arguesia.exact_scalar import InternalError, QuadExt, pair_str, rat_str, scalar_str
+from arguesia.exact_scalar import InternalError, QuadExt, pair_str, scalar_str
 from arguesia.conics import (
     Conic,
     ConicError,
@@ -82,7 +82,7 @@ def _show(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return rat_str(v)
+        return f"{v}/1"
     if isinstance(v, QuadExt):
         return scalar_str(v)
     if isinstance(v, PPoint):
@@ -635,7 +635,7 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
         return report
 
     hit = conic_line_intersection(member, delta.line)
-    report.notes["discriminant"] = rat_str(hit.discriminant)
+    report.notes["discriminant"] = f"{hit.discriminant}/1"
     if hit.count == 0:
         big_a, big_b, big_c = chord_quadratic(member, inv.chart)
         a, b, c, _ = inv.map.matrix

@@ -1,5 +1,5 @@
-"""Test oracles: arithmetic in Q(sqrt(d)), and ``Fraction`` values of the
-library's integer parameter forms.
+"""Test oracles: arithmetic in Q(sqrt(d)), ``Fraction`` values of the
+library's integer parameter forms, and points built from rationals.
 
 x + y*sqrt(d) is the pair (x, y) of Fractions, with d passed to each
 operation; the library's ``QuadExt`` (p + q*sqrt(d))/r is a value without
@@ -8,13 +8,16 @@ parameter is, in the library, an integer pair (u, v) with (u, 0) for the
 point at infinity; ``rat`` reads one as a Fraction or ``INF``, ``param``
 writes a Fraction, ``INF`` or a pair as a canonical pair, and ``move``
 maps any of them, or a ``QuadExt``, by a ``LineMap`` through the library's
-own ``apply_pair`` and ``_apply_quad``.
+own ``apply_pair`` and ``_apply_quad``.  The library builds every point
+from integers; ``affine_point``, ``point_at`` and ``from_json`` clear the
+denominators of rational coordinates, parameters and JSON text first.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from arguesia.exact_scalar import QuadExt
-from arguesia.projective_core import _apply_quad, _canonical
+from arguesia.projective_core import PPoint, _apply_quad, _canonical
 
 INF = "inf"  # the oracle's point at infinity, printed as the library prints it
 
@@ -33,6 +36,25 @@ def param(t) -> tuple[int, int]:
         return _canonical(t)
     t = Fraction(t)
     return _canonical((t.numerator, t.denominator))
+
+
+def affine_point(x, y) -> PPoint:
+    """The finite point with the rational coordinates (x, y)."""
+    x, y = Fraction(x), Fraction(y)
+    return PPoint(x.numerator * y.denominator, y.numerator * x.denominator,
+                  x.denominator * y.denominator)
+
+
+def point_at(chart, t) -> PPoint:
+    """The point of an AffineChart at t (a rational, INF or a pair)."""
+    return chart.point_at_pair(param(t))
+
+
+def from_json(data) -> PPoint:
+    """The point of ``PPoint.to_json``'s three ``p/q`` strings."""
+    xs = [Fraction(c) for c in data]
+    den = lcm(*(x.denominator for x in xs))
+    return PPoint(*(x.numerator * (den // x.denominator) for x in xs))
 
 
 def move(m, t):

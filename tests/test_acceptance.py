@@ -29,7 +29,7 @@ from arguesia.theorems import (
     verify_ramee,
 )
 from collineation import apply_collineation, apply_collineation_point, random_collineation
-from quadfield import rat
+from quadfield import point_at, rat
 
 _TOTALS = {"elapsed": 0.0}
 
@@ -68,7 +68,7 @@ def test_criterion_01_menelaus_500():
             ta, tb = rat(ray.param_pair(a)), rat(ray.param_pair(b))
             assert target != 1
             t = (ta - target * tb) / (1 - target)
-            rebuilt = ray.point_at(t)
+            rebuilt = point_at(ray, t)
             assert rebuilt == n3
             assert incident(rebuilt, fig.tronc)
 
@@ -88,7 +88,7 @@ def test_criterion_02_ramee_500():
             assert "homography" in labels
             assert "classification preserved" in labels
             assert rep.trace is not None
-            assert len(rep.trace.menelaus_steps()) == 8
+            assert sum(s.get("meta", {}).get("kind") == "menelaus" for s in rep.trace.steps) == 8
             assert all(s["equal"] for s in rep.trace.steps)
             src_cls = classify(nc_involution(inst["figure"].arbre))
             if src_cls["kind"] == "hyperbolic":
@@ -132,7 +132,7 @@ def test_criterion_05_quadrangle_200():
             inv, rep = quadrangle_involution(q)
             assert rep.verdict, f"seed {seed}"
             assert rep.trace is not None
-            assert len(rep.trace.menelaus_steps()) == 4
+            assert sum(s.get("meta", {}).get("kind") == "menelaus" for s in rep.trace.steps) == 4
             other = desargues_involution_by_perspectives(q)
             assert other.map.matrix == inv.map.matrix
 

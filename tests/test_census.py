@@ -4,8 +4,8 @@ A definition counts as used when its name appears somewhere in
 ``src/arguesia`` outside its own body, as a name, an attribute or a
 string constant.  The check is by name only, so a method that shares its
 name with a used one passes; it still catches code that only the tests
-call.  The few definitions kept as test fixtures are listed below with
-the reason each one stays.  A second check finds imported names that the
+call.  A definition kept for the tests alone would be listed below with
+the reason it stays; none is.  A second check finds imported names that the
 importing module never uses, in the library and in the tests.
 
 The census by execution runs every CLI command in process and records,
@@ -28,11 +28,7 @@ from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, VERIFY_KINDS, main
 TESTS = Path(__file__).resolve().parent
 LIBRARY = TESTS.parent / "src" / "arguesia"
 
-ALLOWLIST = {
-    "affine_point": "test fixture: builds points from affine coordinates",
-    "from_json": "test fixture: reads points back from the library's own JSON",
-    "menelaus_steps": "test fixture: selects the Menelaus steps of a proof trace",
-}
+ALLOWLIST = {}
 
 
 def _is_dunder(name: str) -> bool:
@@ -116,18 +112,14 @@ NEVER_RUN = {
     "_frozen.Frozen.__setstate__": "restores fields for copy and pickle; no command copies",
     "_kernel.kernel_backend": "public API (arguesia.kernel_backend), recorded by the benchmark",
     "cli._default_seed": "reads ARGUESIA_SEED when --seed is left out; the census passes --seed",
-    "cli._json_base": "writes a subclass of a JSON type as its base; no report holds one",
     "cli._usage_error": "the exit-2 path; every census command is well-formed",
     "conics.chord_quadratic": "the pencil's no-rational-chord claim; no seeded member reaches it",
     "involution.Involution.__repr__": "debugging text; no output prints it",
-    "menelaus_engine.ProofTrace.menelaus_steps": ALLOWLIST["menelaus_steps"],
     "projective_core.AffineChart.__repr__": "debugging text; no output prints it",
     "projective_core.LineMap.__repr__": "debugging text; no output prints it",
     "projective_core.P3Plane.__repr__": "debugging text; no output prints it",
     "projective_core.P3Point.__repr__": "debugging text; no output prints it",
     "projective_core.PLine.__repr__": "names the line in a GeometryError; no seeded run raises one",
-    "projective_core.PPoint.affine_point": ALLOWLIST["affine_point"],
-    "projective_core.PPoint.from_json": ALLOWLIST["from_json"],
 }
 
 

@@ -16,8 +16,8 @@ from arguesia.projective_core import PLine, PPoint, chord_product, default_chart
 from arguesia.rng import SplitMix64
 from arguesia.theorems import QuadrangleConfig
 from collineation import apply_collineation, apply_collineation_point
+from quadfield import affine_point as A
 
-A = PPoint.affine_point
 UC = Conic.unit_circle()
 PAR = ConicParametrization(UC, A(-1, 0))
 
@@ -136,7 +136,7 @@ def test_third_degenerate_is_in_the_pencil():
 
 
 def test_secant_line_two_rational_points():
-    hit = conic_line_intersection(UC, PLine(0, 1, F(-4, 5)))
+    hit = conic_line_intersection(UC, PLine(0, 5, -4))
     assert hit.count == 2 and hit.discriminant > 0
     assert set(hit.points) == {A(F(3, 5), F(4, 5)), A(F(-3, 5), F(4, 5))}
 

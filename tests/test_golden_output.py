@@ -20,9 +20,10 @@ verify and replay kind at 10**300 in process, and every figure kind at
 10**100 and 10**300, where coordinates pass float range or every labelled
 point of a unit-circle figure rounds to one canvas point.  Start-up checks
 run in fresh interpreters: importing ``arguesia.cli`` loads neither
-``dataclasses``, ``argparse`` nor the SVG renderer, a ``verify`` run does
-not load ``argparse`` either, and ``figure`` loads the renderer and still
-writes the golden bytes.
+``dataclasses``, ``argparse``, the SVG renderer nor ``fractions``,
+``decimal`` or ``numbers``, a ``verify`` run does not load ``argparse``
+either, a ``construct`` run loads no rational arithmetic module, and
+``figure`` loads the renderer and still writes the golden bytes.
 """
 
 import hashlib
@@ -204,7 +205,8 @@ def _subprocess_env() -> dict:
     return env
 
 
-_LEFT_OUT = ("dataclasses", "inspect", "argparse", "gettext", "arguesia.svg_figures")
+_LEFT_OUT = ("dataclasses", "inspect", "argparse", "gettext", "arguesia.svg_figures",
+             "fractions", "decimal", "numbers")
 
 
 def test_cli_import_leaves_out_dataclasses_and_the_renderer():
@@ -216,16 +218,21 @@ def test_cli_import_leaves_out_dataclasses_and_the_renderer():
     assert proc.stdout == "\n"
 
 
-def test_verify_from_sys_argv_loads_no_argparse(capsys):
-    # main() reads sys.argv[1:], as the console script calls it
+def test_verify_from_sys_argv_loads_no_argparse(monkeypatch, capsys):
+    # main() reads sys.argv[1:], as the console script calls it; construct
+    # goes through argparse, and neither loads a rational arithmetic module
+    monkeypatch.delenv("ARGUESIA_SEED", raising=False)
     probe = ("import sys; from arguesia.cli import main; code = main(); "
-             "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules], "
-             "file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", probe, "verify", "ramee", "--json"],
-                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
-    assert proc.stderr == "0 []\n"
-    assert main(["verify", "ramee", "--seed", "1", "--json"]) == 0
-    assert proc.stdout == capsys.readouterr().out
+             "print(code, [m for m in ('argparse', 'gettext', 'fractions', 'decimal', 'numbers') "
+             "if m in sys.modules], file=sys.stderr)")
+    for argv, loaded in ((["verify", "ramee", "--json"], []),
+                         (["construct", "harmonic", "--b", "0", "--c", "2/4", "--d", "3"],
+                          ["argparse", "gettext"])):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert proc.stderr == f"0 {loaded}\n"
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
 
 
 def test_figure_loads_the_renderer_and_keeps_its_bytes(tmp_path):

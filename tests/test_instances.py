@@ -15,8 +15,8 @@ from arguesia.instances import (
     _point,
     generate_instance,
 )
-from arguesia.projective_core import PPoint
 from arguesia.rng import SplitMix64, fnv1a64
+from quadfield import affine_point
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -256,7 +256,7 @@ def test_integer_point_draw_matches_fraction_draw(seed, bounds):
 
     old_rng, new_rng = SplitMix64(seed), SplitMix64(seed)
     for _ in range(4):
-        old = PPoint(fraction_draw(old_rng), fraction_draw(old_rng), 1)
+        old = affine_point(fraction_draw(old_rng), fraction_draw(old_rng))
         assert _point(new_rng, bounds) == old
         assert new_rng.state == old_rng.state
     assert Fraction(*SplitMix64(seed).fraction_pair(bounds)) == fraction_draw(SplitMix64(seed))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arguesia.exact_scalar import QuadExt, rat_str
+from arguesia.exact_scalar import QuadExt
 from arguesia.involution import (
     Involution,
     InvolutionError,
@@ -28,13 +28,13 @@ from arguesia.projective_core import (
     join,
 )
 from arguesia.rng import SplitMix64
-from quadfield import INF, add, move, mul, pair, param, rat
+from quadfield import INF, add, affine_point, move, mul, pair, param, point_at, rat
 
 CH = default_chart(PLine(0, 1, 0))  # x-axis chart
 
 
 def pt(v):
-    return CH.point_at(F(*v) if isinstance(v, tuple) else F(v))
+    return point_at(CH, v)
 
 
 def couples(*vals):
@@ -86,7 +86,8 @@ def _rectangle_oracle(nc):
         e2, e1 = params[ev]
         lhs = _rect_side_oracle(e1, e2, *params[lhs_c])
         rhs = _rect_side_oracle(e1, e2, *params[rhs_c])
-        report.append((rat_str(lhs), rat_str(rhs), lhs == rhs))
+        report.append((f"{lhs.numerator}/{lhs.denominator}",
+                       f"{rhs.numerator}/{rhs.denominator}", lhs == rhs))
     return report
 
 
@@ -228,7 +229,7 @@ def test_partner_examples():
 def test_partner_rejects_points_off_the_line():
     inv = equivalence_check(FOUR_OVER_X_DOUBLED)["involution"]
     with pytest.raises(InvolutionError):
-        partner(inv, PPoint.affine_point(0, 5))
+        partner(inv, affine_point(0, 5))
 
 
 def test_partner_is_involutive_on_random_points():
@@ -331,7 +332,7 @@ def test_equivalence_closure_by_construction():
 
 
 def pt_from(t):
-    return CH.point_at(t)
+    return point_at(CH, t)
 
 
 def test_equivalence_500_random_involutions():
@@ -354,7 +355,7 @@ def test_equivalence_500_random_involutions():
             if any(t in pr or u in pr for pr in pts):
                 continue
             pts.append((t, u))
-        nc = NodeCouples(CH, tuple((CH.point_at(t), CH.point_at(u)) for t, u in pts))
+        nc = NodeCouples(CH, tuple((point_at(CH, t), point_at(CH, u)) for t, u in pts))
         assert equivalence_check(nc)["equivalent"], f"failed at trial {done}"
         assert rectangles_hold(nc), f"failed at trial {done}"
         done += 1
@@ -376,9 +377,9 @@ def _with_doubled_couple(t):
     # (0, 3/2) and (4, 5/2) and a doubled couple (t, t), on TILTED
     inv = Involution(LineMap((2, -3, 1, -2), TILTED, TILTED))
     pairs = [
-        (TILTED.point_at(s), TILTED.point_at(move(inv.map, s))) for s in (F(0), F(4))
+        (point_at(TILTED, s), point_at(TILTED, move(inv.map, s))) for s in (F(0), F(4))
     ]
-    pairs.append((TILTED.point_at(t), TILTED.point_at(t)))
+    pairs.append((point_at(TILTED, t), point_at(TILTED, t)))
     return NodeCouples(TILTED, tuple(pairs))
 
 
@@ -420,7 +421,7 @@ def test_rectangle_and_homography_routes_agree_on_seeded_couples():
         while shift == 0:
             shift = F(*rng.fraction_pair(20))
         for flat in (params, params[:slot] + [params[slot] + shift] + params[slot + 1:]):
-            pts = [TILTED.point_at(t) for t in flat]
+            pts = [point_at(TILTED, t) for t in flat]
             try:
                 nc = NodeCouples(TILTED, tuple(zip(pts[0::2], pts[1::2])))
             except InvolutionError:
@@ -450,9 +451,9 @@ def test_conjugation_preserves_involution_and_class():
         if c == 0 or a * a + b * c == 0:
             continue
         phi = Involution(LineMap((a, b, c, -a), CH, CH))
-        k = PPoint(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)), 1)
-        p1 = PPoint(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)), 1)
-        p2 = PPoint(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)), 1)
+        k = affine_point(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)))
+        p1 = affine_point(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)))
+        p2 = affine_point(F(*rng.fraction_pair(15)), F(*rng.fraction_pair(15)))
         try:
             dst = default_chart(join(p1, p2))
             if dst.line == CH.line or incident(k, CH.line) or incident(k, dst.line):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from arguesia.cli import _json_dump, main, replay_one, verify_one
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.svg_figures import render_figure
+from quadfield import affine_point
 
 
 def run_cli(*args, env_seed=None):
@@ -77,8 +80,8 @@ def test_points_at_infinity_drawn_as_arrows():
     from arguesia.svg_figures import SvgDoc
 
     doc = SvgDoc()
-    doc.add_point(PPoint.affine_point(0, 0), "O")
-    doc.add_point(PPoint.affine_point(1, 1), "U")
+    doc.add_point(affine_point(0, 0), "O")
+    doc.add_point(affine_point(1, 1), "U")
     doc.add_point(PPoint(1, 2, 0), "N")
     svg = doc.to_bytes().decode()
     assert 'class="arrow"' in svg
@@ -153,6 +156,34 @@ def test_construct_harmonic_midpoint_prints_inf():
     assert proc.stdout.strip() == "inf"
 
 
+_RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_RATIONAL, min_size=3, max_size=3, unique=True), st.booleans(),
+       st.integers(1, 9))
+@example([Fraction(0), Fraction(2), Fraction(3)], False, 1)
+@example([Fraction(0), Fraction(2), Fraction(3)], True, 2)
+def test_construct_harmonic_prints_the_closed_form(values, midpoint, k):
+    b, c, d = values
+    if midpoint:
+        d = (b + c) / 2
+    # [B, C; D, F] = -1 solved for F
+    if 2 * d == b + c:
+        expected = "inf"
+    else:
+        f = ((b + c) * d - 2 * b * c) / (2 * d - b - c)
+        expected = f"{f.numerator}/{f.denominator}"
+    # each value spelled with the common factor k left in
+    argv = ["construct", "harmonic"] + [
+        f"--{name}={v.numerator * k}/{v.denominator * k}" for name, v in zip("bcd", (b, c, d))
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == expected + "\n"
+
+
 def test_construct_rejects_malformed_rational():
     proc = run_cli("construct", "harmonic", "--b", "zero", "--c", "2", "--d", "3")
     assert proc.returncode == 2
@@ -162,6 +193,15 @@ def test_construct_repeated_values_is_a_usage_error(capsys):
     # construct is the one command whose GeometryError is the user's input
     assert main(["construct", "harmonic", "--b", "1", "--c", "1", "--d", "3"]) == 2
     assert capsys.readouterr().err == "error: construct harmonic needs distinct values\n"
+
+
+def test_seed_range_error_names_the_seed_that_does_not_fit(capsys):
+    # --trials 3 from 2**64 - 2 runs two seeds that fit, then 2**64
+    top = str(2**64 - 2)
+    assert main(["verify", "ramee", "--seed", top, "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "ramee", "--seed", top, "--trials", "3", "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error: seed must fit in 64 bits, got {2**64}\n")
 
 
 def test_geometry_error_in_a_maker_is_an_internal_error(monkeypatch, capsys):
@@ -263,10 +303,12 @@ def test_main_inprocess_exit_codes():
 
 
 def test_json_dump_rejects_non_json_values():
-    from fractions import Fraction
+    class Text(str):
+        pass
 
     assert _json_dump({"x": "1/2"}) == '{\n  "x": "1/2"\n}\n'
-    for value in ({"x": Fraction(1, 2)}, {1: "x"}, {"x": [1.5]}, 1.5, {(1, 2): 0}):
+    for value in ({"x": Fraction(1, 2)}, {1: "x"}, {"x": [1.5]}, 1.5, {(1, 2): 0},
+                  Text("x"), {"x": [Text("y")]}, {Text("x"): 0}):
         with pytest.raises(TypeError):
             _json_dump(value)
 
@@ -393,7 +435,7 @@ def test_false_verdict_exits_one(monkeypatch, capsys):
         inst = generate_instance(config)
         k = inst["k"]
         x, y = Fraction(k.x, k.z), Fraction(k.y, k.z)
-        return dict(inst, k=PPoint.affine_point(x + 1, y + 2))
+        return dict(inst, k=affine_point(x + 1, y + 2))
 
     monkeypatch.setattr(cli, "generate_instance", perturbed)
     assert main(["verify", "bisector", "--seed", "1"]) == 1

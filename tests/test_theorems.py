@@ -45,16 +45,16 @@ from arguesia.theorems import (
     verify_ramee,
 )
 from collineation import apply_collineation, apply_collineation_point, random_collineation
-from quadfield import rat
+from quadfield import from_json, point_at, rat
+from quadfield import affine_point as A
 
-A = PPoint.affine_point
 CH = default_chart(PLine(0, 1, 0))
 UC = Conic.unit_circle()
 PAR = ConicParametrization(UC, A(-1, 0))
 
 
 def pt(v):
-    return CH.point_at(F(*v) if isinstance(v, tuple) else F(v))
+    return point_at(CH, v)
 
 
 # -- verify_ramee -------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_quadrangle_involution_square_needs_a_finite_pivot():
     # infinity: the replay's NonGenericError, as _make_quadrangle rejects it
     q = QuadrangleConfig(
         (A(-1, -1), A(1, -1), A(1, 1), A(-1, 1)),
-        default_chart(PLine(F(1, 3), -1, F(1, 5))),
+        default_chart(PLine(5, -15, 3)),
     )
     assert q.pivot.is_at_infinity()
     with pytest.raises(NonGenericError, match="^ratio endpoint at infinity$"):
@@ -311,7 +311,7 @@ def test_pencil_check_rejects_couples_not_in_involution():
 
     q = quad_config()
     # move H along the transversal: G's partner is no longer H
-    moved = q.transversal.point_at(rat(q.transversal.param_pair(q.H)) + 1)
+    moved = point_at(q.transversal, rat(q.transversal.param_pair(q.H)) + 1)
     assert moved not in (q.I, q.K, q.P, q.Q, q.G)
     object.__setattr__(q, "_cuts", dict(q._cuts, CE=moved))
     member = q.line_pairs["IK"]
@@ -412,11 +412,12 @@ def _irrational_chord_samples(seed, want=40):
             q = QuadrangleConfig(bornes, default_chart(join(p, r)))
         except GeometryError:
             continue
-        lam, mu = F(*rng.fraction_pair(9)), F(0)
-        while mu == 0:
-            mu = F(*rng.fraction_pair(9))
+        # the member lam*IK + mu*PQ, lam and mu cleared of their denominators
+        (ln, ld), (mn, md) = rng.fraction_pair(9), (0, 1)
+        while mn == 0:
+            mn, md = rng.fraction_pair(9)
         pairs = q.line_pairs
-        member = Conic(*(lam * x + mu * y for x, y in zip(pairs["IK"].m, pairs["PQ"].m)))
+        member = Conic(*(ln * md * x + mn * ld * y for x, y in zip(pairs["IK"].m, pairs["PQ"].m)))
         if member.is_degenerate():
             continue
         hit = conic_line_intersection(member, q.transversal.line)
@@ -557,7 +558,7 @@ def test_beaugrand_couples_in_involution():
     # the three analogies close into a genuine involution on the transversal
     k, n, o, v, trans = beaugrand_instance()
     trace = beaugrand_replay(beaugrand_points(UC, k, n, o, v, trans))
-    pts = {nm: PPoint.from_json(val) for nm, val in trace.notes["points"].items()}
+    pts = {nm: from_json(val) for nm, val in trace.notes["points"].items()}
     chart = default_chart(trans)
     nc = NodeCouples(
         chart,
@@ -579,7 +580,7 @@ def test_beaugrand_rejects_point_off_conic():
 def test_beaugrand_rejects_irrational_transversal():
     k, n, o, v, _ = beaugrand_instance()
     with pytest.raises(NonGenericError, match="transversal chord is not two rational points"):
-        beaugrand_points(UC, k, n, o, v, PLine(1, -1, F(1, 3)))
+        beaugrand_points(UC, k, n, o, v, PLine(3, -3, 1))
 
 
 # -- pascal ---------------------------------------------------------------------------
