@@ -328,6 +328,11 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else _default_seed()
             if args.trials < 1:
                 raise InstanceError("--trials must be at least 1")
+            # refuse before the first op what the loop would refuse at its
+            # first bad config: the first seed, the bounds, or seed 2**64
+            instance_kind = VERIFIERS[args.kind][0]
+            InstanceConfig(instance_kind, seed, args.bounds)
+            InstanceConfig(instance_kind, min(seed + args.trials - 1, 1 << 64), args.bounds)
             reports = [
                 verify_one(args.kind, seed + i, args.bounds)
                 for i in range(args.trials)

@@ -108,30 +108,6 @@ def pencil_member(gen1: Conic, gen2: Conic, through: PPoint) -> Conic:
 # line intersection
 
 
-class ChordIntersection(Frozen):
-    """The rational points where a line meets a nondegenerate conic.
-
-    The integer discriminant of the form the conic induces on the line
-    decides: negative, no real point; zero, one double point; a nonzero
-    square, two rational points.  A positive non-square gives two conjugate
-    irrational points, which are not returned: ``count`` is 0, as for a
-    line that misses the conic, and the discriminant tells the two apart.
-    """
-
-    _fields = ("discriminant", "points")
-
-    def __init__(self, discriminant: int, points: tuple):
-        object.__setattr__(self, "discriminant", discriminant)
-        object.__setattr__(self, "points", points)
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-    def is_tangent(self) -> bool:
-        return self.discriminant == 0
-
-
 def _line_span(l: PLine):
     u, v, w = l.coeffs
     candidates = [(0, w, -v), (-w, 0, u), (v, -u, 0)]
@@ -146,12 +122,17 @@ def _line_span(l: PLine):
     raise ConicError("degenerate line span")
 
 
-def conic_line_intersection(c: Conic, l: PLine) -> ChordIntersection:
-    """The rational points of a nondegenerate conic on a line, exactly.
+def conic_line_intersection(c: Conic, l: PLine) -> tuple[int, tuple[PPoint, ...]]:
+    """(discriminant, points): the rational points of a nondegenerate conic
+    on a line, exactly.
 
     The line is parametrized by two canonical points and the form
-    restricted to the binary quadratic a*s**2 + 2*b*s*t + cc*t**2, whose
-    roots are rational exactly when the integer b*b - a*cc is a square.
+    restricted to the binary quadratic a*s**2 + 2*b*s*t + cc*t**2.  Its
+    integer discriminant b*b - a*cc decides: negative, no real point; zero,
+    a tangent, and ``points`` is its one double point; a nonzero square,
+    two rational points.  A positive non-square gives two conjugate
+    irrational points, which are not returned: ``points`` is empty, as for
+    a line that misses the conic, and the discriminant tells the two apart.
     """
     if c.is_degenerate():
         raise ConicError("degenerate conic: split it into its two lines")
@@ -162,7 +143,7 @@ def conic_line_intersection(c: Conic, l: PLine) -> ChordIntersection:
     disc = b * b - a * cc
     root = isqrt(disc) if disc > 0 else 0
     if disc < 0 or root * root != disc:
-        return ChordIntersection(disc, ())
+        return disc, ()
     if a == 0:
         # p0 is on the conic; with b = 0 the line is tangent there
         roots = [(1, 0), (-cc, 2 * b)]
@@ -175,7 +156,7 @@ def conic_line_intersection(c: Conic, l: PLine) -> ChordIntersection:
         if not c.contains(pt):
             raise InternalError("rational intersection failed exactness check")
         pts.append(pt)
-    return ChordIntersection(disc, tuple(pts))
+    return disc, tuple(pts)
 
 
 def _bilinear(c: Conic, p, q) -> int:

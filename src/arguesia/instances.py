@@ -16,7 +16,7 @@ the verifier, the replay and the SVG figure take it as it is.  The same
 config always regenerates the identical instance.  At bounds 8 and above
 no correct genericity test rejects every draw, so an exhausted retry
 budget is an ``InternalError`` that reports the last failing precondition;
-bounds below 8 are refused before any draw.
+``InstanceConfig`` refuses bounds below 8, so before any draw.
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ class InstanceConfig(Frozen):
             raise InstanceError(f"unknown instance kind {kind!r}")
         if not 0 <= seed < (1 << 64):
             raise InstanceError(f"seed must fit in 64 bits, got {seed}")
+        if bounds < 8:
+            raise InstanceError(
+                f"retry budget exhausted: bounds {bounds} too tight "
+                "(coordinate bounds below 8 cannot clear the genericity checks)"
+            )
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "bounds": self.bounds}
@@ -79,11 +84,6 @@ class InstanceConfig(Frozen):
 
 def generate_instance(cfg: InstanceConfig) -> dict:
     """Deterministic, generic instance for the named theorem suite."""
-    if cfg.bounds < 8:
-        raise InstanceError(
-            f"retry budget exhausted: bounds {cfg.bounds} too tight "
-            "(coordinate bounds below 8 cannot clear the genericity checks)"
-        )
     rng = SplitMix64.for_kind(cfg.kind, cfg.seed)
     maker = _MAKERS[cfg.kind]
     last_error = "no attempt made"

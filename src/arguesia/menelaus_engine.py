@@ -248,41 +248,20 @@ def _finite_projection(center: PPoint, p: PPoint, target: PLine, what: str) -> P
     return q
 
 
-class RameeFigure(Frozen):
-    """Data of the ramee replay that passed ``check_ramee_replayable``.
-
-    The couples ``arbre`` on the tronc, the projection point ``k`` and the
-    image chart ``delta``, with ``points``, the check's ten projections by
-    name: b h c g d f on the image line and 2 3 4 5 on the intermediate line
-    join(D, f).  The check is the one builder, so ``replay_ramee_proof`` and
-    ``theorems.verify_ramee``, which take a figure, never check again.
-    """
-
-    _fields = ("arbre", "k", "delta")
-
-    def __init__(self, arbre: NodeCouples, k: PPoint, delta: AffineChart, points: dict):
-        object.__setattr__(self, "arbre", arbre)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "points", points)
-
-    def image_couples(self) -> tuple[tuple[PPoint, PPoint], ...]:
-        """The images ((b, h), (c, g), (d, f)) of the three couples."""
-        pts = self.points
-        return (pts["b"], pts["h"]), (pts["c"], pts["g"]), (pts["d"], pts["f"])
-
-
-def check_ramee_replayable(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> RameeFigure:
+def check_ramee_replayable(arbre: NodeCouples, k: PPoint, delta: AffineChart) -> dict:
     """The checked figure of the data, or NonGenericError.
 
     This is the whole genericity precondition of the ramee path, run once
     per instance: the generator draws and calls it and keeps the figure,
-    which ``replay_ramee_proof`` and ``theorems.verify_ramee`` take.  K
-    must be finite and off both carrier lines, and no noeud may lie on the
-    image line (an image line equal to the tronc carries all six).  It
-    needs no ratio: only the six projections from K onto the image line and
-    the four onto the intermediate line join(D, f), with their finiteness
-    and distinctness.
+    which ``replay_ramee_proof``, ``theorems.verify_ramee`` and the SVG
+    figure take as it is.  K must be finite and off both carrier lines, and
+    no noeud may lie on the image line (an image line equal to the tronc
+    carries all six).  It needs no ratio: only the six projections from K
+    onto the image line and the four onto the intermediate line join(D, f),
+    with their finiteness and distinctness.  Returns {arbre, k, delta,
+    points}, ``points`` the ten projections by name: b h c g d f, the
+    images of B H C G D F on the image line, and 2 3 4 5, those of B C G H
+    on join(D, f).
     """
     tronc = arbre.chart.line
     if incident(k, tronc) or incident(k, delta.line):
@@ -311,10 +290,10 @@ def check_ramee_replayable(arbre: NodeCouples, k: PPoint, delta: AffineChart) ->
     # the replay's ratios X->D : X->F on the tronc need finite noeuds
     if any(p.is_at_infinity() for p in (B, H, C, G)):
         raise NonGenericError("ratio endpoint at infinity")
-    return RameeFigure(arbre, k, delta, pts)
+    return {"arbre": arbre, "k": k, "delta": delta, "points": pts}
 
 
-def replay_ramee_proof(figure: RameeFigure) -> ProofTrace:
+def replay_ramee_proof(figure: dict) -> ProofTrace:
     """Machine-replay of the ramee derivation: two series of four Menelaus
     applications through the intermediate line of the mixed couple (D, f),
     then the alpha aggregations and the conclusion.
@@ -324,9 +303,9 @@ def replay_ramee_proof(figure: RameeFigure) -> ProofTrace:
     products, alpha included, multiply the integer pairs it returns, and
     each printed side, like each note, is formatted from an integer pair.
     """
-    pts, delta = figure.points, figure.delta
-    (B, H), (C, G), (D, F) = figure.arbre.pairs
-    named = dict(pts, B=B, H=H, C=C, G=G, D=D, F=F, K=figure.k)
+    pts, delta = figure["points"], figure["delta"]
+    (B, H), (C, G), (D, F) = figure["arbre"].pairs
+    named = dict(pts, B=B, H=H, C=C, G=G, D=D, F=F, K=figure["k"])
 
     trace = ProofTrace("ramee")
     # str(Fraction) of each image's chart coordinate: no "/1" on integers

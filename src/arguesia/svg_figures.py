@@ -317,7 +317,7 @@ def _fig_ramee(inst) -> SvgDoc:
 
     doc = SvgDoc()
     figure = inst["figure"]
-    arbre, k, delta = figure.arbre, figure.k, figure.delta
+    arbre, k, delta = figure["arbre"], figure["k"], figure["delta"]
     doc.add_line(arbre.chart.line, "carrier")
     doc.add_line(delta.line, "carrier")
     doc.add_point(k, "K")
@@ -327,7 +327,7 @@ def _fig_ramee(inst) -> SvgDoc:
         doc.add_point(q, nq)
         for pt, nm in ((p, np_), (q, nq)):
             doc.add_line(join(k, pt), "construction")
-            doc.add_point(figure.points[nm.lower()], nm.lower())
+            doc.add_point(figure["points"][nm.lower()], nm.lower())
     return doc
 
 

@@ -38,7 +38,6 @@ from arguesia.involution import (
 from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
-    RameeFigure,
     SectorFigure,
     _over,
     _times,
@@ -286,7 +285,7 @@ class QuadrangleConfig(Frozen):
 # the ramee theorem
 
 
-def verify_ramee(figure: RameeFigure) -> TheoremReport:
+def verify_ramee(figure: dict) -> TheoremReport:
     """Project the six noeuds from K and verify the images stay in involution.
 
     ``figure`` is what ``check_ramee_replayable`` returned, so K and the six
@@ -296,7 +295,7 @@ def verify_ramee(figure: RameeFigure) -> TheoremReport:
     to a fixed point.  The image couples are the check's projections, and
     the Menelaus trace of ``replay_ramee_proof`` is attached.
     """
-    nc, k, delta = figure.arbre, figure.k, figure.delta
+    nc, k, delta, pts = figure["arbre"], figure["k"], figure["delta"], figure["points"]
     trace = replay_ramee_proof(figure)
     report = TheoremReport(
         "ramee",
@@ -309,7 +308,9 @@ def verify_ramee(figure: RameeFigure) -> TheoremReport:
     report.notes["k_at_infinity"] = False  # always; kept for the printed bytes
 
     pi = perspective_map(k, nc.chart, delta)
-    image_nc = NodeCouples(delta, figure.image_couples())
+    image_nc = NodeCouples(
+        delta, ((pts["b"], pts["h"]), (pts["c"], pts["g"]), (pts["d"], pts["f"]))
+    )
     source_inv = nc_involution(nc)
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
@@ -634,9 +635,9 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
         report.claim(f"line-pair chord = couple {name}", partner(inv, l_pt), m_pt)
         return report
 
-    hit = conic_line_intersection(member, delta.line)
-    report.notes["discriminant"] = f"{hit.discriminant}/1"
-    if hit.count == 0:
+    disc, chord = conic_line_intersection(member, delta.line)
+    report.notes["discriminant"] = f"{disc}/1"
+    if not chord:
         big_a, big_b, big_c = chord_quadratic(member, inv.chart)
         a, b, c, _ = inv.map.matrix
         report.claim(
@@ -646,19 +647,17 @@ def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport
         )
         return report
 
-    if hit.is_tangent():
-        t_pt = hit.points[0]
+    if disc == 0:
+        (t_pt,) = chord
         report.claim("tangency double point is a fixed point", partner(inv, t_pt), t_pt)
-        sigma_pts = (t_pt,)
     else:
-        l_pt, m_pt = hit.points
+        l_pt, m_pt = chord
         report.claim("chord couple swapped: partner(L) = M", partner(inv, l_pt), m_pt)
-        sigma_pts = (l_pt, m_pt)
     b, c, d, e = q.bornes
     sigma = lambda x: meet(join(d, second_intersection(member, e, x)), delta.line)
     report.claim("sigma(a) = c  [sigma(P) = G]", sigma(q.P), q.G)
     report.claim("sigma(c') = a'  [sigma(H) = Q]", sigma(q.H), q.Q)
-    for i, pt in enumerate(sigma_pts):
+    for i, pt in enumerate(chord):
         report.claim(f"sigma fixes chord point {i + 1}", sigma(pt), pt)
     return report
 
@@ -719,12 +718,10 @@ def beaugrand_points(
     for p in (k, n, o, v):
         if not conic.contains(p):
             raise ConicError("the four bornes must lie on the conic")
-    hit = conic_line_intersection(conic, transversal)
-    if hit.count != 2:
-        raise NonGenericError(
-            f"transversal chord is not two rational points (disc {hit.discriminant})"
-        )
-    f_pt, g_pt = hit.points
+    disc, chord = conic_line_intersection(conic, transversal)
+    if len(chord) != 2:
+        raise NonGenericError(f"transversal chord is not two rational points (disc {disc})")
+    f_pt, g_pt = chord
 
     kn, ko, vn, vo = join(k, n), join(k, o), join(v, n), join(v, o)
     b_pt = meet(transversal, kn)
@@ -732,13 +729,12 @@ def beaugrand_points(
     c_pt = meet(transversal, ko)
     a_pt = meet(transversal, vn)
     p_pt = meet(ko, vn)
-    mu_hit = conic_line_intersection(conic, parallel_line_through(vn, c_pt))
-    if mu_hit.count != 2:
+    disc, chord = conic_line_intersection(conic, parallel_line_through(vn, c_pt))
+    if len(chord) != 2:
         raise NonGenericError(
-            f"auxiliary parallel chord is not two rational points "
-            f"(disc {mu_hit.discriminant})"
+            f"auxiliary parallel chord is not two rational points (disc {disc})"
         )
-    q_pt, r_pt = mu_hit.points
+    q_pt, r_pt = chord
     named = dict(K=k, N=n, O=o, V=v, F=f_pt, G=g_pt, A=a_pt, B=b_pt, C=c_pt, E=e_pt, P=p_pt,
                  Q=q_pt, R=r_pt)
     pts = named.values()

@@ -90,7 +90,7 @@ def test_criterion_02_ramee_500():
             assert rep.trace is not None
             assert sum(s.get("meta", {}).get("kind") == "menelaus" for s in rep.trace.steps) == 8
             assert all(s["equal"] for s in rep.trace.steps)
-            src_cls = classify(nc_involution(inst["figure"].arbre))
+            src_cls = classify(nc_involution(inst["figure"]["arbre"]))
             if src_cls["kind"] == "hyperbolic":
                 assert any("fixed point" in c["label"] for c in rep.claims)
 

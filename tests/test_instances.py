@@ -96,6 +96,19 @@ def test_pascal_instance_has_six_distinct_params():
     assert len(set(hexagon)) == 6
 
 
+@pytest.mark.parametrize("kind, keys", [
+    ("ramee", {"arbre", "k", "delta", "points"}),
+    ("beaugrand", {"conic", "transversal", "points"}),
+    ("pascal", {"conic", "hexagon", "points"}),
+    ("retablissement", {"apex", "base", "cut", "params", "to_base",
+                        "base_pts", "cut_pts", "base_q", "cut_q"}),
+])
+def test_checked_figure_is_a_plain_dict(kind, keys):
+    # every precondition check returns its figure as plain data, one shape
+    figure = generate_instance(InstanceConfig(kind, 1))["figure"]
+    assert type(figure) is dict and set(figure) == keys
+
+
 def test_generated_sizes_respect_bounds():
     inst = generate_instance(InstanceConfig("menelaus", 5, bounds=16))
     for p in inst["triangle"]:

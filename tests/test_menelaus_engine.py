@@ -337,7 +337,7 @@ def test_replay_precondition_shortcut():
     # image line replays
     delta = default_chart(join(point_at(CH, -1), A(0, 5)))
     assert _agree(ARBRE, A(2, 3), delta) == ("raise", "image line through a noeud")
-    assert sorted(check_ramee_replayable(ARBRE, A(2, 3), DELTA).points) == sorted("bhcgdf2345")
+    assert sorted(check_ramee_replayable(ARBRE, A(2, 3), DELTA)["points"]) == sorted("bhcgdf2345")
     # a doubled couple (B, B): rejected through D like any noeud, and off
     # the noeuds because it projects to b = h
     doubled = x_axis_arbre([(1, 1), (8, (1, 2)), (-1, -4)])

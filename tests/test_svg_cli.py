@@ -195,13 +195,22 @@ def test_construct_repeated_values_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: construct harmonic needs distinct values\n"
 
 
-def test_seed_range_error_names_the_seed_that_does_not_fit(capsys):
-    # --trials 3 from 2**64 - 2 runs two seeds that fit, then 2**64
+def test_seed_range_error_names_the_seed_that_does_not_fit(monkeypatch, capsys):
+    # --trials 3 from 2**64 - 2 would run two seeds that fit, then 2**64:
+    # it is refused before the first op, so the two are never generated
+    from arguesia import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "generate_instance",
+                        lambda cfg: calls.append(cfg) or generate_instance(cfg))
     top = str(2**64 - 2)
     assert main(["verify", "ramee", "--seed", top, "--trials", "2"]) == 0
+    assert len(calls) == 2
     capsys.readouterr()
+    calls.clear()
     assert main(["verify", "ramee", "--seed", top, "--trials", "3", "--json"]) == 2
     assert capsys.readouterr() == ("", f"error: seed must fit in 64 bits, got {2**64}\n")
+    assert calls == []
 
 
 def test_geometry_error_in_a_maker_is_an_internal_error(monkeypatch, capsys):
@@ -569,7 +578,7 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
 
     def moved(arbre, k, delta):
         figure = real(arbre, k, delta)
-        pts = figure.points
+        pts = figure["points"]
         pts["b"] = delta.point_at_pair(_plus_one(delta.param_pair(pts["b"])))
         assert len(set(pts.values())) == len(pts)
         return figure

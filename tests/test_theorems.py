@@ -420,9 +420,9 @@ def _irrational_chord_samples(seed, want=40):
         member = Conic(*(ln * md * x + mn * ld * y for x, y in zip(pairs["IK"].m, pairs["PQ"].m)))
         if member.is_degenerate():
             continue
-        hit = conic_line_intersection(member, q.transversal.line)
-        sign = 1 if hit.discriminant > 0 else -1
-        if hit.count or seen[sign] >= want:
+        disc, chord = conic_line_intersection(member, q.transversal.line)
+        sign = 1 if disc > 0 else -1
+        if chord or seen[sign] >= want:
             continue
         seen[sign] += 1
         yield q, member, sign
