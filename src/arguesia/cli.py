@@ -67,12 +67,12 @@ def _trace_report(trace) -> dict:
 VERIFIERS = {
     "menelaus": ("menelaus", lambda i: verify_menelaus(i["figure"], i["config"]).to_json()),
     "ramee": ("ramee", lambda i: verify_ramee(i["figure"]).to_json()),
-    "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i["quadrangle"])[1].to_json()),
-    "pencil": ("pencil", lambda i: verify_pencil(i["quadrangle"], i["members"])),
+    "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i["figure"])[1].to_json()),
+    "pencil": ("pencil", lambda i: verify_pencil(i["figure"], i["members"])),
     "pascal": ("pascal", lambda i: pascal_collinear(i["figure"]).to_json()),
     "beaugrand": ("beaugrand", lambda i: _trace_report(beaugrand_replay(i["figure"]))),
     "parallel-bornales": ("parallel_bornales",
-                          lambda i: parallel_bornales_identities(i["quadrangle"]).to_json()),
+                          lambda i: parallel_bornales_identities(i["figure"]).to_json()),
     "midpoint": ("harmonic", lambda i: verify_midpoint_case(
         i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
     "bisector": ("bisector", lambda i: verify_bisector_case(
@@ -82,7 +82,7 @@ VERIFIERS = {
 # replay kind (also its instance kind) -> the proof trace of an instance
 REPLAYS = {
     "ramee": lambda i: replay_ramee_proof(i["figure"]),
-    "quadrangle": lambda i: replay_quadrangle_proof(i["quadrangle"]),
+    "quadrangle": lambda i: replay_quadrangle_proof(i["figure"]),
     "beaugrand": lambda i: beaugrand_replay(i["figure"]),
     "pascal": lambda i: pascal_collinear(i["figure"]).trace,
 }

@@ -3,11 +3,12 @@
 A conic is the canonical integer 6-tuple (m00, m01, m02, m11, m12, m22) of
 its symmetric matrix; a point lies on it iff p.M.p = 0.  The module covers
 the member of a pencil through a given point (the pencil spanned by two
-line pairs through its four base points, which ``QuadrangleConfig`` holds
-as ``line_pairs``), the rational points of a chord, the binary form a conic
-induces on a charted line (which decides a chord without rational points by
-its symmetric functions, with no square root), and the rational
-parametrization used to generate exact instances.  The power of a
+line pairs through its four base points, opposite bornales of a
+``theorems.quadrangle_figure``), the rational points of a chord, the binary
+form a conic induces on a charted line (which decides a chord without
+rational points by its symmetric functions, with no square root), and the
+rational parametrization used to generate exact instances, with the unit
+circle and its parametrization built once, at import.  The power of a
 point (Euclid III.35/36) is ``projective_core.chord_product``, which the
 Pascal circle replay uses.
 """
@@ -83,10 +84,6 @@ class Conic(Frozen):
             v1 * w2 + w1 * v2,
             2 * w1 * w2,
         )
-
-    @staticmethod
-    def unit_circle() -> "Conic":
-        return Conic(1, 0, 0, 1, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +226,9 @@ class ConicParametrization(Frozen):
         if direction == self.seed:
             return self.seed
         return second_intersection(self.conic, self.seed, direction)
+
+
+# x**2 + y**2 = z**2 and its slope parametrization from (-1, 0), on which
+# every conic instance is drawn; built and checked once, here
+UNIT_CIRCLE = Conic(1, 0, 0, 1, 0, -1)
+UNIT_CIRCLE_PAR = ConicParametrization(UNIT_CIRCLE, PPoint(-1, 0, 1))

@@ -9,27 +9,31 @@ projective pair, with (u, 0) for the point at infinity, so generation
 builds no ``Fraction``.  A maker states each precondition as a
 ``NonGenericError``, and only that class is resampled; any other error
 from a maker is a fault and propagates.  Every kind with a precondition
-(ramee ``check_ramee_replayable``, beaugrand ``beaugrand_points``, pascal
-``pascal_figure``, retablissement ``check_retablissement``) runs it once:
-the maker keeps the checked figure it returns as ``inst["figure"]``, and
-the verifier, the replay and the SVG figure take it as it is.  The same
-config always regenerates the identical instance.  At bounds 8 and above
-no correct genericity test rejects every draw, so an exhausted retry
-budget is an ``InternalError`` that reports the last failing precondition;
-``InstanceConfig`` refuses bounds below 8, so before any draw.
+(menelaus ``sector_figure``, ramee ``check_ramee_replayable``, quadrangle,
+pencil and parallel_bornales ``quadrangle_figure``, beaugrand
+``beaugrand_points``, pascal ``pascal_figure``, retablissement
+``check_retablissement``) runs it once: the maker keeps the checked figure,
+a plain dict, as ``inst["figure"]``, and the verifier, the replay and the
+SVG figure take it as it is.  The same config always regenerates the
+identical instance.  At bounds 8 and above no correct genericity test
+rejects every draw, so an exhausted retry budget is an ``InternalError``
+that reports the last failing precondition; ``InstanceConfig`` refuses
+bounds below 8, so before any draw.
 """
 
 from __future__ import annotations
 
 from arguesia._frozen import Frozen
 from arguesia.conics import (
+    UNIT_CIRCLE,
+    UNIT_CIRCLE_PAR,
     Conic,
     ConicParametrization,
     pencil_member,
 )
 from arguesia.exact_scalar import InternalError, pair_str
 from arguesia.involution import Involution, NodeCouples
-from arguesia.menelaus_engine import NonGenericError, SectorFigure, check_ramee_replayable
+from arguesia.menelaus_engine import NonGenericError, check_ramee_replayable, sector_figure
 from arguesia.projective_core import (
     AffineChart,
     LineMap,
@@ -47,11 +51,11 @@ from arguesia.projective_core import (
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
-    QuadrangleConfig,
     beaugrand_points,
     check_retablissement,
     harmonic_conjugate,
     pascal_figure,
+    quadrangle_figure,
 )
 
 MAX_RETRIES = 400
@@ -159,11 +163,11 @@ def _shifted(p: PPoint, a: PPoint, b: PPoint, t: tuple[int, int]) -> PPoint:
 def _make_menelaus(rng: SplitMix64, bounds: int) -> dict:
     p, q, r = _distinct_points(rng, bounds, 3)
     transversal = _line(rng, bounds)
-    figure = SectorFigure.from_triangle(p, q, r, transversal)
-    for node in figure.nodes:
+    figure = sector_figure(p, q, r, transversal)
+    for node in figure["nodes"]:
         if node.is_at_infinity():
             raise NonGenericError("noeud at infinity")
-    for vertex in figure.vertices():
+    for vertex in figure["vertices"]:
         if vertex.is_at_infinity():
             raise NonGenericError("vertex at infinity")
     return {"figure": figure, "triangle": (p, q, r), "transversal": transversal}
@@ -199,12 +203,12 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
 def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:
     bornes = tuple(_distinct_points(rng, bounds, 4))
     transversal = default_chart(_line(rng, bounds))
-    q = QuadrangleConfig(bornes, transversal)
-    if q.pivot.is_at_infinity():
+    q = quadrangle_figure(bornes, transversal)
+    if q["diagonals"]["F"].is_at_infinity():
         raise NonGenericError("pivot F at infinity")
-    if q.diagonal_points()["R"].is_at_infinity():
+    if q["diagonals"]["R"].is_at_infinity():
         raise NonGenericError("diagonal point R at infinity")
-    return {"quadrangle": q}
+    return {"figure": q}
 
 
 def _make_parallel_bornales(rng: SplitMix64, bounds: int) -> dict:
@@ -217,54 +221,52 @@ def _make_parallel_bornales(rng: SplitMix64, bounds: int) -> dict:
         lam = rng.fraction_pair(bounds)
     e = _shifted(d, b, c, lam)
     transversal = default_chart(_line(rng, bounds))
-    q = QuadrangleConfig((b, c, d, e), transversal, strict=False)
-    if q.pivot.is_at_infinity():
+    q = quadrangle_figure((b, c, d, e), transversal, strict=False)
+    if q["diagonals"]["F"].is_at_infinity():
         raise NonGenericError("pivot at infinity")
-    for pt in (q.I, q.K, q.P, q.Q):
-        if pt.is_at_infinity():
+    for nm in "IKPQ":
+        if q[nm].is_at_infinity():
             raise NonGenericError("couple point at infinity")
-    return {"quadrangle": q}
+    return {"figure": q}
 
 
 def _make_pencil(rng: SplitMix64, bounds: int) -> dict:
-    circle = Conic.unit_circle()
-    par = ConicParametrization(circle, PPoint(-1, 0, 1))
+    par = UNIT_CIRCLE_PAR
     t0, t1, t2, t3, t4 = _distinct_params(rng, bounds, 5)
     tangency = par.point_at(t0)
-    delta_line = circle.polar_line(tangency)
+    delta_line = UNIT_CIRCLE.polar_line(tangency)
     bornes = tuple(par.point_at(t) for t in (t1, t2, t3, t4))
     if tangency in bornes:
         raise NonGenericError("tangency point among the bornes")
     chart = default_chart(delta_line)
-    q = QuadrangleConfig(bornes, chart, strict=False)
-    gen1, gen2 = q.line_pairs["IK"], q.line_pairs["PQ"]
+    q = quadrangle_figure(bornes, chart, strict=False)
+    ln = q["bornales"]
+    gen1 = Conic.from_lines(ln["BC"], ln["ED"])
+    gen2 = Conic.from_lines(ln["BE"], ln["DC"])
     members = [("line pair IK", gen1), ("line pair PQ", gen2)]
     w_params = _distinct_params(rng, bounds, 2)
     for wt in w_params:
         w = chart.point_at_pair(wt)
-        if w == tangency or w in bornes or circle.contains(w):
+        if w == tangency or w in bornes or UNIT_CIRCLE.contains(w):
             raise NonGenericError("bad through-point for a generic member")
         member = pencil_member(gen1, gen2, w)
         if member.is_degenerate():
             raise NonGenericError("generic member degenerated")
         members.append((f"member through t={pair_str(*wt).removesuffix('/1')}", member))
-    members.append(("tangent member", circle))
-    return {"quadrangle": q, "members": members, "tangency": tangency}
+    members.append(("tangent member", UNIT_CIRCLE))
+    return {"figure": q, "members": members, "tangency": tangency}
 
 
 def _make_pascal(rng: SplitMix64, bounds: int) -> dict:
-    circle = Conic.unit_circle()
-    par = ConicParametrization(circle, PPoint(-1, 0, 1))
     params = _distinct_params(rng, bounds, 6)
-    pts = tuple(par.point_at(t) for t in params)
+    pts = tuple(UNIT_CIRCLE_PAR.point_at(t) for t in params)
     if len(set(pts)) != 6:
         raise NonGenericError("hexagon points collide")
-    return {"figure": pascal_figure(circle, pts)}
+    return {"figure": pascal_figure(UNIT_CIRCLE, pts)}
 
 
 def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
-    circle = Conic.unit_circle()
-    par = ConicParametrization(circle, PPoint(-1, 0, 1))
+    par = UNIT_CIRCLE_PAR
     tk, tn, to_, tv, tq, tf = _distinct_params(rng, bounds, 6)
     k, n, o, v = (par.point_at(t) for t in (tk, tn, to_, tv))
     q0 = par.point_at(tq)
@@ -278,7 +280,7 @@ def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
         raise NonGenericError("auxiliary point C degenerate")
     # the check's auxiliary chord, the parallel to NV through C, is mu,
     # rational through q0
-    return {"figure": beaugrand_points(circle, k, n, o, v, join(c_pt, f_pt))}
+    return {"figure": beaugrand_points(UNIT_CIRCLE, k, n, o, v, join(c_pt, f_pt))}
 
 
 def _harmonic_draw(rng: SplitMix64, bounds: int):

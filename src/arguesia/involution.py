@@ -22,8 +22,6 @@ canonical parameter pair, (1, 0) for infinity, or an
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from arguesia._frozen import Frozen
 from arguesia._kernel import cross3
 from arguesia.exact_scalar import QuadExt, pair_str, quad_sqrt
@@ -63,7 +61,8 @@ class NodeCouples(Frozen):
         for p, q in pairs:
             if not (incident(p, chart.line) and incident(q, chart.line)):
                 raise InvolutionError("all noeuds must lie on the tronc")
-        params = self.param_pairs
+        params = tuple((chart.param_pair(p), chart.param_pair(q)) for p, q in pairs)
+        object.__setattr__(self, "param_pairs", params)
         unordered = [frozenset(couple) for couple in params]
         if len(set(unordered)) != 3:
             raise InvolutionError("couples must be pairwise distinct")
@@ -76,11 +75,6 @@ class NodeCouples(Frozen):
                         raise InvolutionError(
                             "a point of one couple equals a point of another"
                         )
-
-    @cached_property
-    def param_pairs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-        chart = self.chart
-        return tuple((chart.param_pair(p), chart.param_pair(q)) for p, q in self.pairs)
 
 
 class Involution(Frozen):

@@ -21,7 +21,6 @@ each reduced by one gcd (``exact_scalar.pair_str``).
 
 from __future__ import annotations
 
-from arguesia._frozen import Frozen
 from arguesia.exact_scalar import pair_str
 from arguesia.involution import NodeCouples
 from arguesia.projective_core import (
@@ -42,50 +41,27 @@ class NonGenericError(GeometryError):
     generic for the requested replay."""
 
 
-class SectorFigure(Frozen):
-    """Tronc with three noeuds and three deployed rays (figure secteur)."""
+def sector_figure(p: PPoint, q: PPoint, r: PPoint, transversal: PLine) -> dict:
+    """The checked sector figure (figure secteur) of a triangle cut by a
+    transversal line, or NonGenericError.
 
-    _fields = ("tronc", "nodes", "rays")
-
-    def __init__(self, tronc: PLine, nodes: tuple[PPoint, ...], rays: tuple[PLine, ...]):
-        object.__setattr__(self, "tronc", tronc)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "rays", rays)
-        n1, n2, n3 = nodes
-        if len({n1, n2, n3}) != 3:
-            raise NonGenericError("noeuds must be pairwise distinct")
-        for n, r in zip(nodes, rays):
-            if r == tronc:
-                raise NonGenericError("ray folded onto the tronc (not deployed)")
-            if not incident(n, tronc) or not incident(n, r):
-                raise NonGenericError("each noeud must lie on tronc and its ray")
-        if len(set(rays)) != 3:
-            raise NonGenericError("rays must be pairwise distinct")
-        r1, r2, r3 = rays
-        vertices = meet(r2, r3), meet(r1, r3), meet(r1, r2)
-        for v in vertices:
-            if incident(v, tronc):
-                raise NonGenericError("a vertex fell on the tronc")
-        object.__setattr__(self, "_vertices", vertices)
-
-    def vertices(self) -> tuple[PPoint, PPoint, PPoint]:
-        """(a, b, c) = (r2^r3, r1^r3, r1^r2), built once, with the figure."""
-        return self._vertices
-
-    @staticmethod
-    def from_triangle(p: PPoint, q: PPoint, r: PPoint, transversal: PLine) -> "SectorFigure":
-        """Sector figure of a triangle cut by a transversal line.
-
-        The rays are the triangle's side lines; the noeuds are their
-        intersections with the transversal (the tronc).
-        """
-        sides = (join(q, r), join(r, p), join(p, q))
-        if transversal in sides:
-            raise NonGenericError("transversal is a side line")
-        # label rays so that vertex a = r2^r3 etc. works out: node i on ray i
-        r1, r2, r3 = sides[0], sides[1], sides[2]
-        nodes = tuple(meet(s, transversal) for s in (r1, r2, r3))
-        return SectorFigure(transversal, nodes, (r1, r2, r3))
+    The tronc is the transversal; the rays r1, r2, r3 are the side lines
+    QR, RP, PQ, and noeud i is ray i's intersection with the tronc.  The
+    transversal must be no side line and the three noeuds pairwise
+    distinct; then the rays are distinct and deployed and no vertex lies on
+    the tronc, since a vertex there would be the noeud of both its rays.
+    Returns {tronc, nodes, rays, vertices}, the vertices (a, b, c) =
+    (r2^r3, r1^r3, r1^r2).
+    """
+    rays = (join(q, r), join(r, p), join(p, q))
+    if transversal in rays:
+        raise NonGenericError("transversal is a side line")
+    nodes = tuple(meet(ray, transversal) for ray in rays)
+    if len(set(nodes)) != 3:
+        raise NonGenericError("noeuds must be pairwise distinct")
+    r1, r2, r3 = rays
+    vertices = meet(r2, r3), meet(r1, r3), meet(r1, r2)
+    return {"tronc": transversal, "nodes": nodes, "rays": rays, "vertices": vertices}
 
 
 def ratio(
@@ -142,30 +118,22 @@ class ProofTrace:
 
     ``add`` takes each side as an unreduced integer pair (num, den), den
     nonzero and of either sign, compares the sides by cross-multiplying
-    and prints each reduced, by ``pair_str``: a side printed again reuses
-    its text.
+    and prints each reduced, by ``pair_str``.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.steps: list[dict] = []
         self.notes: dict = {}
-        self._shown: dict[tuple[int, int], str] = {}
 
     @property
     def verdict(self) -> bool:
         return all(s["equal"] for s in self.steps)
 
-    def _show(self, side: tuple[int, int]) -> str:
-        text = self._shown.get(side)
-        if text is None:
-            text = self._shown[side] = pair_str(*side)
-        return text
-
     def add(
         self, label: str, lhs: tuple[int, int], rhs: tuple[int, int], cite: str, **meta
     ) -> None:
-        step = {"label": label, "lhs": self._show(lhs), "rhs": self._show(rhs),
+        step = {"label": label, "lhs": pair_str(*lhs), "rhs": pair_str(*rhs),
                 "equal": lhs[0] * rhs[1] == rhs[0] * lhs[1], "cite": cite}
         if meta:
             step["meta"] = meta
@@ -179,15 +147,15 @@ class ProofTrace:
 # the theorem and its combinatorics
 
 
-def menelaus_product(sf: SectorFigure) -> tuple[int, int]:
+def menelaus_product(sf: dict) -> tuple[int, int]:
     """ratio(N1;b,c) * ratio(N2;c,a) * ratio(N3;a,b), always exactly 1, as
     an unreduced integer pair."""
-    n1, n2, n3 = sf.nodes
-    a, b, c = sf.vertices()
+    n1, n2, n3 = sf["nodes"]
+    a, b, c = sf["vertices"]
     return _times(ratio(n1, b, c), ratio(n2, c, a), ratio(n3, a, b))
 
 
-def menelaus_converse(sf: SectorFigure) -> bool:
+def menelaus_converse(sf: dict) -> bool:
     """Reconstruct the third noeud from the unit-product constraint and
     check it falls back on the tronc (zero incidence residual).
 
@@ -195,8 +163,8 @@ def menelaus_converse(sf: SectorFigure) -> bool:
     (ua : va), (ub : vb) of a and b on their ray, the noeud's parameter t
     solves (ta - t)/(tb - t) = n/d, so t = (ua*vb*d - n*ub*va)/(va*vb*(d - n)).
     """
-    n1, n2, n3 = sf.nodes
-    a, b, c = sf.vertices()
+    n1, n2, n3 = sf["nodes"]
+    a, b, c = sf["vertices"]
     # the required ratio(N3; a, b) is 1/(r1*r2): den/num of their product
     d, n = _times(ratio(n1, b, c), ratio(n2, c, a))
     if n == d:
@@ -204,7 +172,7 @@ def menelaus_converse(sf: SectorFigure) -> bool:
     ray = default_chart(join(a, b))
     (ua, va), (ub, vb) = ray.param_pair(a), ray.param_pair(b)
     candidate = ray.point_at_pair((ua * vb * d - n * ub * va, va * vb * (d - n)))
-    return candidate == n3 and incident(candidate, sf.tronc)
+    return candidate == n3 and incident(candidate, sf["tronc"])
 
 
 def menelaus_step(
@@ -372,17 +340,18 @@ def replay_ramee_proof(figure: dict) -> ProofTrace:
 # the quadrangle replay
 
 
-def replay_quadrangle_proof(q) -> ProofTrace:
+def replay_quadrangle_proof(q: dict) -> ProofTrace:
     """Four Menelaus applications with pivot F, then the two aggregations.
 
-    ``q`` must expose bornes B, C, D, E, the diagonal point F = BE^DC and
-    the transversal intersections I, K, P, Q, G, H (see QuadrangleConfig).
-    Each Menelaus step is one ``menelaus_step``; the common right side of
-    both aggregations is the product of the I and K steps' right sides.
+    ``q`` is the figure ``theorems.quadrangle_figure`` returned: bornes
+    B, C, D, E, the diagonal point F = BE^DC among its diagonals and the
+    transversal intersections I, K, P, Q, G, H.  Each Menelaus step is one
+    ``menelaus_step``; the common right side of both aggregations is the
+    product of the I and K steps' right sides.
     """
-    B, C, D, E = q.bornes
-    F = q.pivot
-    I, K, P, Q, G, H = q.I, q.K, q.P, q.Q, q.G, q.H
+    B, C, D, E = q["bornes"]
+    F = q["diagonals"]["F"]
+    I, K, P, Q, G, H = (q[nm] for nm in "IKPQGH")
 
     trace = ProofTrace("quadrangle")
     lhs, rhs = {}, {}

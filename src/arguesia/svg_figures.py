@@ -10,7 +10,7 @@ fixed precision and there is no randomness or timestamping.
 
 from __future__ import annotations
 
-from arguesia.conics import Conic
+from arguesia.conics import UNIT_CIRCLE, UNIT_CIRCLE_PAR, Conic
 from arguesia.projective_core import PLine, PPoint
 
 CANVAS_W = 800.0
@@ -302,12 +302,12 @@ def _fig_harmonic(inst) -> SvgDoc:
 def _fig_menelaus(inst) -> SvgDoc:
     doc = SvgDoc()
     figure = inst["figure"]
-    for ray in figure.rays:
+    for ray in figure["rays"]:
         doc.add_line(ray, "chord")
-    doc.add_line(figure.tronc, "carrier")
-    for p, nm in zip(figure.nodes, ("N1", "N2", "N3")):
+    doc.add_line(figure["tronc"], "carrier")
+    for p, nm in zip(figure["nodes"], ("N1", "N2", "N3")):
         doc.add_point(p, nm)
-    for p, nm in zip(figure.vertices(), ("a", "b", "c")):
+    for p, nm in zip(figure["vertices"], ("a", "b", "c")):
         doc.add_point(p, nm)
     return doc
 
@@ -333,25 +333,22 @@ def _fig_ramee(inst) -> SvgDoc:
 
 def _fig_quadrangle(inst) -> SvgDoc:
     doc = SvgDoc()
-    q = inst["quadrangle"]
-    for p, nm in zip(q.bornes, "BCDE"):
+    q = inst["figure"]
+    for p, nm in zip(q["bornes"], "BCDE"):
         doc.add_point(p, nm)
-    for line in q.bornales().values():
+    for line in q["bornales"].values():
         doc.add_line(line, "chord")
-    doc.add_line(q.transversal.line, "carrier")
-    for p, nm in (
-        (q.I, "I"), (q.K, "K"), (q.P, "P"), (q.Q, "Q"), (q.G, "G"), (q.H, "H"),
-    ):
-        doc.add_point(p, nm)
+    doc.add_line(q["transversal"].line, "carrier")
+    for nm in "IKPQGH":
+        doc.add_point(q[nm], nm)
     return doc
 
 
 def _fig_pencil(inst) -> SvgDoc:
     doc = _fig_quadrangle(inst)
-    q = inst["quadrangle"]
     for name, member in inst["members"]:
         if not member.is_degenerate():
-            doc.add_conic(member, q.bornes[0], "conic")
+            doc.add_conic(member, inst["figure"]["bornes"][0], "conic")
     doc.add_point(inst["tangency"], "T")
     return doc
 
@@ -413,13 +410,13 @@ def _fig_retablissement(inst) -> SvgDoc:
     doc = SvgDoc()
     figure = inst["figure"]
     base_q = figure["base_q"]
-    doc.add_conic(Conic.unit_circle(), PPoint(-1, 0, 1), "conic")
+    doc.add_conic(UNIT_CIRCLE, UNIT_CIRCLE_PAR.seed, "conic")
     for p, nm in zip(figure["base_pts"], ("B", "C", "D", "E", "L", "M")):
         doc.add_point(p, nm)
     # BC, ED, BE, DC, BD, CE and LM, as the check's base quadrangle built them
-    for l in base_q.bornales().values():
+    for l in base_q["bornales"].values():
         doc.add_line(l, "chord")
-    doc.add_line(base_q.transversal.line, "carrier")
+    doc.add_line(base_q["transversal"].line, "carrier")
     return doc
 
 

@@ -12,14 +12,12 @@ labels; everything else is projective.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from arguesia._frozen import Frozen
 from arguesia.exact_scalar import InternalError, QuadExt, pair_str, scalar_str
 from arguesia.conics import (
+    UNIT_CIRCLE,
+    UNIT_CIRCLE_PAR,
     Conic,
     ConicError,
-    ConicParametrization,
     chord_quadratic,
     conic_line_intersection,
     second_intersection,
@@ -38,7 +36,6 @@ from arguesia.involution import (
 from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
-    SectorFigure,
     _over,
     _times,
     menelaus_converse,
@@ -138,7 +135,7 @@ class TheoremReport:
         return out
 
 
-def verify_menelaus(figure: SectorFigure, inputs: dict) -> TheoremReport:
+def verify_menelaus(figure: dict, inputs: dict) -> TheoremReport:
     """Menelaus in sector form: the three noeud ratios multiply to 1, and
     conversely the unit product puts the third noeud back on the tronc."""
     report = TheoremReport("menelaus", inputs=inputs)
@@ -151,134 +148,65 @@ def verify_menelaus(figure: SectorFigure, inputs: dict) -> TheoremReport:
 # quadrangle configuration
 
 
-class QuadrangleConfig(Frozen):
-    """Complete quadrangle B, C, D, E with a generic transversal.
+def quadrangle_figure(
+    bornes: tuple[PPoint, ...], transversal: AffineChart, strict: bool = True
+) -> dict:
+    """The checked figure of a complete quadrangle B, C, D, E with a generic
+    transversal, or NonGenericError.
 
     Bornales come in the three opposite couples (BC, ED), (BE, DC),
     (BD, CE), meeting in the diagonal points N, F, R; the transversal cuts
     them in the couples (I, K), (P, Q), (G, H).  Generic means: no three
-    bornes collinear, the transversal is parallel to no bornale and avoids
-    the bornes and diagonal points.
-
-    The derived geometry (six bornales, three diagonal points, six cuts) is
-    computed once per instance, when it is built; ``bornales()`` and
-    ``diagonal_points()`` return copies.  The three bornale line pairs and
-    the involution of the three couples are built on first use and kept: by
-    Desargues' theorem the involution is the one every conic of the pencil
-    through the bornes, which two line pairs span, cuts on the transversal.
+    bornes collinear, the transversal is parallel to no bornale (unless
+    ``strict`` is false) and avoids the bornes and diagonal points.
+    Returns {bornes, transversal, bornales, diagonals, I, K, P, Q, G, H},
+    ``bornales`` the six lines by name and ``diagonals`` the three points,
+    the pivot F among them; the verifiers, the replay and the SVG figure
+    take it as it is.
     """
+    b, c, d, e = bornes
+    if len(set(bornes)) != 4:
+        raise NonGenericError("bornes must be distinct")
+    ln = {
+        "BC": join(b, c),
+        "ED": join(e, d),
+        "BE": join(b, e),
+        "DC": join(d, c),
+        "BD": join(b, d),
+        "CE": join(c, e),
+    }
+    # C, D, E; B, D, E; B, C, E; B, C, D, tested on the bornales
+    if (incident(e, ln["DC"]) or incident(e, ln["BD"]) or incident(e, ln["BC"])
+            or incident(d, ln["BC"])):
+        raise NonGenericError("three bornes are collinear")
+    delta = transversal.line
+    cuts = {}
+    for name, line in ln.items():
+        if line == delta:
+            raise NonGenericError(f"transversal equals bornale {name}")
+        cuts[name] = meet(delta, line)
+        if strict and cuts[name].is_at_infinity():
+            raise NonGenericError(f"transversal parallel to bornale {name}")
+    diagonals = {
+        "N": meet(ln["BC"], ln["ED"]),
+        "F": meet(ln["BE"], ln["DC"]),
+        "R": meet(ln["BD"], ln["CE"]),
+    }
+    for p in bornes + tuple(diagonals.values()):
+        if incident(p, delta):
+            raise NonGenericError("transversal through a special point")
+    return {"bornes": bornes, "transversal": transversal, "bornales": ln, "diagonals": diagonals,
+            "I": cuts["BC"], "K": cuts["ED"], "P": cuts["BE"], "Q": cuts["DC"],
+            "G": cuts["BD"], "H": cuts["CE"]}
 
-    _fields = ("bornes", "transversal", "strict")
 
-    def __init__(self, bornes: tuple[PPoint, ...], transversal: AffineChart, strict: bool = True):
-        object.__setattr__(self, "bornes", bornes)
-        object.__setattr__(self, "transversal", transversal)
-        object.__setattr__(self, "strict", strict)
-        b, c, d, e = bornes
-        if len(set(bornes)) != 4:
-            raise NonGenericError("bornes must be distinct")
-        ln = {
-            "BC": join(b, c),
-            "ED": join(e, d),
-            "BE": join(b, e),
-            "DC": join(d, c),
-            "BD": join(b, d),
-            "CE": join(c, e),
-        }
-        # C, D, E; B, D, E; B, C, E; B, C, D, tested on the bornales
-        if (incident(e, ln["DC"]) or incident(e, ln["BD"]) or incident(e, ln["BC"])
-                or incident(d, ln["BC"])):
-            raise NonGenericError("three bornes are collinear")
-        delta = transversal.line
-        cuts = {}
-        for name, line in ln.items():
-            if line == delta:
-                raise NonGenericError(f"transversal equals bornale {name}")
-            cuts[name] = meet(delta, line)
-            if strict and cuts[name].is_at_infinity():
-                raise NonGenericError(f"transversal parallel to bornale {name}")
-        diagonals = {
-            "N": meet(ln["BC"], ln["ED"]),
-            "F": meet(ln["BE"], ln["DC"]),
-            "R": meet(ln["BD"], ln["CE"]),
-        }
-        for p in bornes + tuple(diagonals.values()):
-            if incident(p, delta):
-                raise NonGenericError("transversal through a special point")
-        object.__setattr__(self, "_bornales", ln)
-        object.__setattr__(self, "_diagonals", diagonals)
-        object.__setattr__(self, "_cuts", cuts)
+def quadrangle_couples(q: dict) -> NodeCouples:
+    """The transversal couples (I, K), (P, Q), (G, H) of a quadrangle figure."""
+    return NodeCouples(q["transversal"], ((q["I"], q["K"]), (q["P"], q["Q"]), (q["G"], q["H"])))
 
-    def bornales(self) -> dict[str, PLine]:
-        return dict(self._bornales)
 
-    def diagonal_points(self) -> dict[str, PPoint]:
-        return dict(self._diagonals)
-
-    @property
-    def pivot(self) -> PPoint:
-        return self._diagonals["F"]
-
-    @property
-    def I(self) -> PPoint:
-        return self._cuts["BC"]
-
-    @property
-    def K(self) -> PPoint:
-        return self._cuts["ED"]
-
-    @property
-    def P(self) -> PPoint:
-        return self._cuts["BE"]
-
-    @property
-    def Q(self) -> PPoint:
-        return self._cuts["DC"]
-
-    @property
-    def G(self) -> PPoint:
-        return self._cuts["BD"]
-
-    @property
-    def H(self) -> PPoint:
-        return self._cuts["CE"]
-
-    def couples(self):
-        return ((self.I, self.K), (self.P, self.Q), (self.G, self.H))
-
-    def node_couples(self) -> NodeCouples:
-        return NodeCouples(self.transversal, self.couples())
-
-    @cached_property
-    def line_pairs(self) -> dict[str, Conic]:
-        """The degenerate members BC+ED, BE+DC and BD+CE of the pencil
-        through the bornes, keyed by the couple each cuts on the
-        transversal: IK, PQ and GH."""
-        ln = self._bornales
-        return {
-            "IK": Conic.from_lines(ln["BC"], ln["ED"]),
-            "PQ": Conic.from_lines(ln["BE"], ln["DC"]),
-            "GH": Conic.from_lines(ln["BD"], ln["CE"]),
-        }
-
-    @cached_property
-    def involution(self) -> Involution:
-        """The involution swapping I, K and P, Q and G, H; InvolutionError
-        when the couples are not in involution."""
-        return nc_involution(self.node_couples())
-
-    @cached_property
-    def _json(self) -> dict:
-        return {
-            "bornes": [p.to_json() for p in self.bornes],
-            "transversal": self.transversal.to_json(),
-        }
-
-    def to_json(self) -> dict:
-        """The bornes and the transversal.  Built once per instance, as the
-        pencil verifier asks for them once per member: each call returns a
-        new dict over the same values, which no caller mutates."""
-        return dict(self._json)
+def _quadrangle_json(q: dict) -> dict:
+    return {"bornes": [p.to_json() for p in q["bornes"]], "transversal": q["transversal"].to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -562,19 +490,20 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
 # the quadrangle involution theorem
 
 
-def quadrangle_involution(q: QuadrangleConfig):
+def quadrangle_involution(q: dict):
     """The three transversal couples are in involution; returns the
     involution (built from two couples) plus a report carrying the
     rectangle identities, the homography check, the match with the
     three-perspective construction and the pivot-based Menelaus replay
-    (NonGenericError for a pivot F at infinity)."""
-    report = TheoremReport("quadrangle_involution", inputs=q.to_json())
-    nc = q.node_couples()
+    (NonGenericError for a pivot F at infinity).  ``q`` is the figure
+    ``quadrangle_figure`` returned."""
+    report = TheoremReport("quadrangle_involution", inputs=_quadrangle_json(q))
+    nc = quadrangle_couples(q)
     report.claims.extend(rectangle_identity_check(nc))
     eq = equivalence_check(nc)
     report.claim_true("couples (I,K), (P,Q), (G,H) in involution", eq["equivalent"])
     inv = eq["involution"]
-    report.claim("involution swaps G and H", partner(inv, q.G), q.H)
+    report.claim("involution swaps G and H", partner(inv, q["G"]), q["H"])
     report.notes["involution"] = involution_json(inv)
     report.trace = replay_quadrangle_proof(q)
     by_persp = desargues_involution_by_perspectives(q)
@@ -582,105 +511,99 @@ def quadrangle_involution(q: QuadrangleConfig):
     return inv, report
 
 
-def desargues_involution_by_perspectives(q: QuadrangleConfig) -> Involution:
+def desargues_involution_by_perspectives(q: dict) -> Involution:
     """The quadrangle involution as a composition of three perspectives:
     center D from the transversal to CE, center P from CE to BD, center C
     from BD back to the transversal."""
-    b, c, d, e = q.bornes
-    ce = default_chart(q._bornales["CE"])
-    bd = default_chart(q._bornales["BD"])
-    s1 = perspective_map(d, q.transversal, ce)
-    s2 = perspective_map(q.P, ce, bd)
-    s3 = perspective_map(c, bd, q.transversal)
+    b, c, d, e = q["bornes"]
+    ce = default_chart(q["bornales"]["CE"])
+    bd = default_chart(q["bornales"]["BD"])
+    s1 = perspective_map(d, q["transversal"], ce)
+    s2 = perspective_map(q["P"], ce, bd)
+    s3 = perspective_map(c, bd, q["transversal"])
     composed = s3.compose(s2.compose(s1))
     return Involution(composed)
 
 
-def verify_pencil(q: QuadrangleConfig, members) -> dict:
-    """The pencil theorem on each named member: one report per member, and
-    the verdict is true when every report's is."""
-    sub = [{"member": name, "report": pencil_involution_check(q, member).to_json()}
-           for name, member in members]
+def verify_pencil(q: dict, members) -> dict:
+    """Desargues' theorem on the pencil of conics through the bornes of
+    ``q``, checked on each named member: one report per member, and the
+    verdict is true when every report's is.  The involution of the three
+    couples and the inputs are built once, for all members.
+
+    Each member cuts the transversal in a couple of that involution (a
+    member not through the four bornes is a ConicError); a tangent
+    member's double point is a fixed point.  For a nondegenerate member
+    with a rational chord the conic-induced map sigma (pencils at E and D)
+    must satisfy sigma(P)=G, sigma(H)=Q and fix the chord points.  A chord
+    with no rational point, irrational or imaginary, is the root couple of
+    the member's form A*u**2 + B*u*v + C*v**2 on the transversal, and it is
+    a couple of the involution ((a, b), (c, -a)) exactly when
+    c*C + a*B - b*A = 0: the relation c*t*t' - a*(t + t') - b = 0 in the
+    symmetric functions t + t' = -B/A and t*t' = C/A, so no square root is
+    taken.
+    """
+    inv = nc_involution(quadrangle_couples(q))
+    inputs = _quadrangle_json(q)
+    bornes, delta = q["bornes"], q["transversal"]
+    d, e = bornes[2:]
+
+    def check(member: Conic) -> TheoremReport:
+        for p in bornes:
+            if not member.contains(p):
+                raise ConicError("member does not pass through all four bornes")
+        report = TheoremReport("pencil_involution", inputs=inputs | {"member": member.to_json()})
+
+        if member.is_degenerate():
+            # through four bornes, no three collinear, a degenerate conic is
+            # a bornale pair, and of the three diagonal points it holds
+            # only the one its two lines meet in
+            name = next(nm for nm, diag in (("IK", "N"), ("PQ", "F"), ("GH", "R"))
+                        if member.contains(q["diagonals"][diag]))
+            report.notes["member_kind"] = f"line pair {name}"
+            report.claim(f"line-pair chord = couple {name}", partner(inv, q[name[0]]), q[name[1]])
+            return report
+
+        disc, chord = conic_line_intersection(member, delta.line)
+        report.notes["discriminant"] = f"{disc}/1"
+        if not chord:
+            big_a, big_b, big_c = chord_quadratic(member, inv.chart)
+            a, b, c, _ = inv.map.matrix
+            report.claim(
+                "chord couple in the involution: c*C + a*B - b*A = 0",
+                c * big_c + a * big_b - b * big_a,
+                0,
+            )
+            return report
+
+        if disc == 0:
+            (t_pt,) = chord
+            report.claim("tangency double point is a fixed point", partner(inv, t_pt), t_pt)
+        else:
+            l_pt, m_pt = chord
+            report.claim("chord couple swapped: partner(L) = M", partner(inv, l_pt), m_pt)
+        sigma = lambda x: meet(join(d, second_intersection(member, e, x)), delta.line)
+        report.claim("sigma(a) = c  [sigma(P) = G]", sigma(q["P"]), q["G"])
+        report.claim("sigma(c') = a'  [sigma(H) = Q]", sigma(q["H"]), q["Q"])
+        for i, pt in enumerate(chord):
+            report.claim(f"sigma fixes chord point {i + 1}", sigma(pt), pt)
+        return report
+
+    sub = [{"member": name, "report": check(member).to_json()} for name, member in members]
     return {"name": "pencil", "members": sub, "verdict": all(s["report"]["verdict"] for s in sub)}
 
 
-def pencil_involution_check(q: QuadrangleConfig, member: Conic) -> TheoremReport:
-    """One conic of the pencil through the bornes cuts the transversal in a
-    couple of the same involution; a tangent member's double point is a
-    fixed point.  For a nondegenerate member with a rational chord the
-    conic-induced map sigma (pencils at E and D) must satisfy sigma(P)=G,
-    sigma(H)=Q and fix the chord points.  A chord with no rational point,
-    irrational or imaginary, is the root couple of the member's form
-    A*u**2 + B*u*v + C*v**2 on the transversal, and it is a couple of the
-    involution ((a, b), (c, -a)) exactly when c*C + a*B - b*A = 0: the
-    relation c*t*t' - a*(t + t') - b = 0 in the symmetric functions
-    t + t' = -B/A and t*t' = C/A, so no square root is taken.
-    """
-    for p in q.bornes:
-        if not member.contains(p):
-            raise ConicError("member does not pass through all four bornes")
-    report = TheoremReport(
-        "pencil_involution",
-        inputs=q.to_json() | {"member": member.to_json()},
-    )
-    inv = q.involution
-    delta = q.transversal
-
-    if member.is_degenerate():
-        pair = _degenerate_chord(q, member)
-        if pair is None:
-            raise ConicError("degenerate member is not a bornale pair")
-        name, (l_pt, m_pt) = pair
-        report.notes["member_kind"] = f"line pair {name}"
-        report.claim(f"line-pair chord = couple {name}", partner(inv, l_pt), m_pt)
-        return report
-
-    disc, chord = conic_line_intersection(member, delta.line)
-    report.notes["discriminant"] = f"{disc}/1"
-    if not chord:
-        big_a, big_b, big_c = chord_quadratic(member, inv.chart)
-        a, b, c, _ = inv.map.matrix
-        report.claim(
-            "chord couple in the involution: c*C + a*B - b*A = 0",
-            c * big_c + a * big_b - b * big_a,
-            0,
-        )
-        return report
-
-    if disc == 0:
-        (t_pt,) = chord
-        report.claim("tangency double point is a fixed point", partner(inv, t_pt), t_pt)
-    else:
-        l_pt, m_pt = chord
-        report.claim("chord couple swapped: partner(L) = M", partner(inv, l_pt), m_pt)
-    b, c, d, e = q.bornes
-    sigma = lambda x: meet(join(d, second_intersection(member, e, x)), delta.line)
-    report.claim("sigma(a) = c  [sigma(P) = G]", sigma(q.P), q.G)
-    report.claim("sigma(c') = a'  [sigma(H) = Q]", sigma(q.H), q.Q)
-    for i, pt in enumerate(chord):
-        report.claim(f"sigma fixes chord point {i + 1}", sigma(pt), pt)
-    return report
-
-
-def _degenerate_chord(q: QuadrangleConfig, member: Conic):
-    for (name, pair), couple in zip(q.line_pairs.items(), q.couples()):
-        if pair == member:
-            return name, couple
-    return None
-
-
-def parallel_bornales_identities(q: QuadrangleConfig) -> TheoremReport:
+def parallel_bornales_identities(q: dict) -> TheoremReport:
     """The trapezoid case BC parallel to ED: the three Thales-derived
     rectangle identities, one per choice of the non-parallel line playing
     the tronc role.  Each side is an integer pair, a ratio of parallel
     segments or a quotient of chord products."""
-    b, c, d, e = q.bornes
-    if q._diagonals["N"] != infinity_point_of(q._bornales["BC"]):
+    b, c, d, e = q["bornes"]
+    if q["diagonals"]["N"] != infinity_point_of(q["bornales"]["BC"]):
         raise GeometryError("BC and ED must be parallel (N at infinity)")
-    report = TheoremReport("parallel_bornales", inputs=q.to_json())
-    i_pt, k_pt = q.I, q.K
-    p_pt, q_pt = q.P, q.Q
-    f_pt = q.pivot
+    report = TheoremReport("parallel_bornales", inputs=_quadrangle_json(q))
+    i_pt, k_pt, p_pt, q_pt = q["I"], q["K"], q["P"], q["Q"]
+    f_pt = q["diagonals"]["F"]
 
     for label, lhs, rhs in (
         ("Thales at Q: IC/KD = IQ/KQ", ratio(i_pt, c, d, k_pt), ratio(i_pt, q_pt, q_pt, k_pt)),
@@ -913,11 +836,10 @@ def check_retablissement(apex: P3Point, base: P3Plane, cut: P3Plane, params) -> 
 
     to_cut = plane_perspectivity(apex, base, cut)
     to_base = plane_perspectivity(apex, cut, base)
-    par = ConicParametrization(Conic.unit_circle(), PPoint(-1, 0, 1))
-    base_pts = [par.point_at(t) for t in params]
+    base_pts = [UNIT_CIRCLE_PAR.point_at(t) for t in params]
     cut_pts = [apply_mat3(to_cut, p) for p in base_pts]
     base_q, cut_q = (
-        QuadrangleConfig(tuple(pts[:4]), default_chart(join(*pts[4:])))
+        quadrangle_figure(tuple(pts[:4]), default_chart(join(*pts[4:])))
         for pts in (base_pts, cut_pts)
     )
     return {"apex": apex, "base": base, "cut": cut, "params": params, "to_base": to_base,
@@ -938,8 +860,6 @@ def retablissement_demo(figure: dict) -> TheoremReport:
     """
     to_base, base_pts, cut_pts = figure["to_base"], figure["base_pts"], figure["cut_pts"]
     base_q, cut_q = figure["base_q"], figure["cut_q"]
-    circle = Conic.unit_circle()
-
     report = TheoremReport(
         "retablissement",
         inputs={
@@ -953,11 +873,11 @@ def retablissement_demo(figure: dict) -> TheoremReport:
     # round trip: cut-plane bornes project back onto the base conic
     for i, p in enumerate(cut_pts):
         back = apply_mat3(to_base, p)
-        report.claim(f"borne {i + 1} projects onto the base conic", circle.evaluate(back), 0)
+        report.claim(f"borne {i + 1} projects onto the base conic", UNIT_CIRCLE.evaluate(back), 0)
 
     l2, m2 = base_pts[4:]
     ll, mm = cut_pts[4:]
-    base_diag, cut_diag = base_q.diagonal_points(), cut_q.diagonal_points()
+    base_diag, cut_diag = base_q["diagonals"], cut_q["diagonals"]
     for name, diag in (("BC^ED", "N"), ("BE^DC", "F"), ("BD^CE", "R")):
         report.claim(
             f"bornale intersection {name} transports exactly",
@@ -965,12 +885,12 @@ def retablissement_demo(figure: dict) -> TheoremReport:
             base_diag[diag],
         )
 
-    base_eq = equivalence_check(base_q.node_couples())
+    base_eq = equivalence_check(quadrangle_couples(base_q))
     report.claim_true("base couples in involution", base_eq["equivalent"])
     base_inv = base_eq["involution"]
     report.claim("base chord couple swapped", partner(base_inv, l2), m2)
 
-    cut_eq = equivalence_check(cut_q.node_couples())
+    cut_eq = equivalence_check(quadrangle_couples(cut_q))
     report.claim_true("cut couples in involution (pullback)", cut_eq["equivalent"])
     cut_inv = cut_eq["involution"]
     report.claim("cut chord couple swapped", partner(cut_inv, ll), mm)

@@ -11,11 +11,14 @@ maps any of them, or a ``QuadExt``, by a ``LineMap`` through the library's
 own ``apply_pair`` and ``_apply_quad``.  The library builds every point
 from integers; ``affine_point``, ``point_at`` and ``from_json`` clear the
 denominators of rational coordinates, parameters and JSON text first.
+``line_pairs`` gives the three degenerate members of the pencil through
+the bornes of a ``quadrangle_figure``.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from arguesia.conics import Conic
 from arguesia.exact_scalar import QuadExt
 from arguesia.projective_core import PPoint, _apply_quad, _canonical
 
@@ -88,3 +91,14 @@ def homography(matrix, p, d):
     """(a*t + b)/(c*t + e) for the matrix (a, b, c, e) and t = p."""
     a, b, c, e = matrix
     return div((a * p[0] + b, a * p[1]), (c * p[0] + e, c * p[1]), d)
+
+
+def line_pairs(q: dict) -> dict:
+    """BC+ED, BE+DC and BD+CE of a quadrangle figure, keyed by the couple
+    each cuts on the transversal: IK, PQ and GH."""
+    ln = q["bornales"]
+    return {
+        "IK": Conic.from_lines(ln["BC"], ln["ED"]),
+        "PQ": Conic.from_lines(ln["BE"], ln["DC"]),
+        "GH": Conic.from_lines(ln["BD"], ln["CE"]),
+    }

@@ -21,15 +21,15 @@ from arguesia.theorems import (
     parallel_bornales_identities,
     pascal_collinear,
     pascal_figure,
-    pencil_involution_check,
     quadrangle_involution,
     retablissement_demo,
     verify_bisector_case,
     verify_midpoint_case,
+    verify_pencil,
     verify_ramee,
 )
 from collineation import apply_collineation, apply_collineation_point, random_collineation
-from quadfield import point_at, rat
+from quadfield import line_pairs, point_at, rat
 
 _TOTALS = {"elapsed": 0.0}
 
@@ -59,8 +59,8 @@ def test_criterion_01_menelaus_500():
             # constraint; it must land exactly on the transversal
             from arguesia.menelaus_engine import ratio
 
-            n1, n2, n3 = fig.nodes
-            a, b, c = fig.vertices()
+            n1, n2, n3 = fig["nodes"]
+            a, b, c = fig["vertices"]
             r1 = F(*ratio(n1, b, c))
             r2 = F(*ratio(n2, c, a))
             target = 1 / (r1 * r2)
@@ -70,7 +70,7 @@ def test_criterion_01_menelaus_500():
             t = (ta - target * tb) / (1 - target)
             rebuilt = point_at(ray, t)
             assert rebuilt == n3
-            assert incident(rebuilt, fig.tronc)
+            assert incident(rebuilt, fig["tronc"])
 
     _criterion(1, "menelaus product = 1 and converse, 500 seeds", 5.0, run)
 
@@ -128,7 +128,7 @@ def test_criterion_05_quadrangle_200():
     def run():
         for seed in range(1, 201):
             inst = generate_instance(InstanceConfig("quadrangle", seed))
-            q = inst["quadrangle"]
+            q = inst["figure"]
             inv, rep = quadrangle_involution(q)
             assert rep.verdict, f"seed {seed}"
             assert rep.trace is not None
@@ -147,17 +147,18 @@ def test_criterion_06_pencil_100x5():
 
         for seed in range(1, 101):
             inst = generate_instance(InstanceConfig("pencil", seed))
-            q = inst["quadrangle"]
+            q = inst["figure"]
             assert len(inst["members"]) == 5
             degenerate = sum(1 for _, m in inst["members"] if m.is_degenerate())
             assert degenerate == 2  # both line-pair degenerates present
             tangent = dict(inst["members"])["tangent member"]
-            gen1, gen2 = q.line_pairs["IK"], q.line_pairs["PQ"]
-            assert pencil_member(gen1, gen2, inst["tangency"]) == tangent
-            for name, member in inst["members"]:
-                rep = pencil_involution_check(q, member)
-                assert rep.verdict, f"seed {seed} member {name}"
-                labels = " ".join(c["label"] for c in rep.claims)
+            pairs = line_pairs(q)
+            assert pencil_member(pairs["IK"], pairs["PQ"], inst["tangency"]) == tangent
+            reports = verify_pencil(q, inst["members"])["members"]
+            for (name, member), sub in zip(inst["members"], reports):
+                rep = sub["report"]
+                assert rep["verdict"], f"seed {seed} member {name}"
+                labels = " ".join(c["label"] for c in rep["claims"])
                 if not member.is_degenerate():
                     assert "sigma(a) = c" in labels
                     assert "sigma(c') = a'" in labels
@@ -176,7 +177,7 @@ def test_criterion_07_parallel_bornales_200():
     def run():
         for seed in range(1, 201):
             inst = generate_instance(InstanceConfig("parallel_bornales", seed))
-            rep = parallel_bornales_identities(inst["quadrangle"])
+            rep = parallel_bornales_identities(inst["figure"])
             assert rep.verdict, f"seed {seed}"
             assert sum(1 for c in rep.claims if "=" in c["label"]) >= 3
 

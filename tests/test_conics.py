@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from arguesia.conics import (
+    UNIT_CIRCLE as UC,
+    UNIT_CIRCLE_PAR as PAR,
     Conic,
     ConicError,
     ConicParametrization,
@@ -14,12 +16,10 @@ from arguesia.conics import (
 from arguesia.menelaus_engine import NonGenericError
 from arguesia.projective_core import PLine, PPoint, chord_product, default_chart, join, meet
 from arguesia.rng import SplitMix64
-from arguesia.theorems import QuadrangleConfig
+from arguesia.theorems import quadrangle_figure
 from collineation import apply_collineation, apply_collineation_point
 from quadfield import affine_point as A
-
-UC = Conic.unit_circle()
-PAR = ConicParametrization(UC, A(-1, 0))
+from quadfield import line_pairs
 
 
 # -- pencils -------------------------------------------------------------------
@@ -33,7 +33,7 @@ SQUARE_TRANSVERSAL = default_chart(PLine(2, -1, 3))
 def square_pencil():
     """The generators BC+ED and BE+DC of the pencil through SQUARE, and the
     third line pair BD+CE that they leave out."""
-    pairs = QuadrangleConfig(SQUARE, SQUARE_TRANSVERSAL).line_pairs
+    pairs = line_pairs(quadrangle_figure(SQUARE, SQUARE_TRANSVERSAL))
     return pairs["IK"], pairs["PQ"], pairs["GH"]
 
 
@@ -63,7 +63,7 @@ def test_pencil_member_base_point_ambiguous():
 def test_pencil_rejects_collinear_base():
     # a pencil's base points are a quadrangle's bornes: no three collinear
     with pytest.raises(NonGenericError, match="three bornes are collinear"):
-        QuadrangleConfig((A(0, 0), A(1, 0), A(2, 0), A(0, 1)), SQUARE_TRANSVERSAL)
+        quadrangle_figure((A(0, 0), A(1, 0), A(2, 0), A(0, 1)), SQUARE_TRANSVERSAL)
 
 
 def test_members_all_pass_through_base():
@@ -91,7 +91,7 @@ def test_exactly_three_degenerate_members_on_100_quadrangles():
             if p not in pts:
                 pts.append(p)
         try:
-            pairs = QuadrangleConfig(tuple(pts), SQUARE_TRANSVERSAL, strict=False).line_pairs
+            pairs = line_pairs(quadrangle_figure(tuple(pts), SQUARE_TRANSVERSAL, strict=False))
         except NonGenericError:
             continue
         gen1, gen2, third = pairs["IK"], pairs["PQ"], pairs["GH"]

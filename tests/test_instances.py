@@ -96,12 +96,19 @@ def test_pascal_instance_has_six_distinct_params():
     assert len(set(hexagon)) == 6
 
 
+QUADRANGLE_KEYS = {"bornes", "transversal", "bornales", "diagonals", "I", "K", "P", "Q", "G", "H"}
+
+
 @pytest.mark.parametrize("kind, keys", [
     ("ramee", {"arbre", "k", "delta", "points"}),
     ("beaugrand", {"conic", "transversal", "points"}),
     ("pascal", {"conic", "hexagon", "points"}),
     ("retablissement", {"apex", "base", "cut", "params", "to_base",
                         "base_pts", "cut_pts", "base_q", "cut_q"}),
+    ("menelaus", {"tronc", "nodes", "rays", "vertices"}),
+    ("quadrangle", QUADRANGLE_KEYS),
+    ("pencil", QUADRANGLE_KEYS),
+    ("parallel_bornales", QUADRANGLE_KEYS),
 ])
 def test_checked_figure_is_a_plain_dict(kind, keys):
     # every precondition check returns its figure as plain data, one shape

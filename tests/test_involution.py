@@ -97,6 +97,8 @@ def _unchecked_couples(chart, pairs):
     nc = object.__new__(NodeCouples)
     object.__setattr__(nc, "chart", chart)
     object.__setattr__(nc, "pairs", pairs)
+    object.__setattr__(nc, "param_pairs", tuple(
+        (chart.param_pair(p), chart.param_pair(q)) for p, q in pairs))
     return nc
 
 

@@ -9,13 +9,13 @@ from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
-    SectorFigure,
     check_ramee_replayable,
     menelaus_product,
     menelaus_step,
     ratio,
     replay_quadrangle_proof,
     replay_ramee_proof,
+    sector_figure,
 )
 from arguesia.projective_core import (
     GeometryError,
@@ -28,7 +28,7 @@ from arguesia.projective_core import (
     project_point,
 )
 from arguesia.rng import SplitMix64
-from arguesia.theorems import QuadrangleConfig
+from arguesia.theorems import quadrangle_figure
 from quadfield import INF, param, point_at, rat
 from quadfield import affine_point as A
 
@@ -52,7 +52,7 @@ ARBRE = x_axis_arbre([(1, 4), (8, (1, 2)), (-1, -4)])
 
 
 def triangle_figure():
-    return SectorFigure.from_triangle(A(0, 0), A(4, 0), A(0, 4), PLine(1, -1, -1))
+    return sector_figure(A(0, 0), A(4, 0), A(0, 4), PLine(1, -1, -1))
 
 
 # -- menelaus product ----------------------------------------------------------
@@ -89,13 +89,13 @@ def test_sector_figure_builds_its_vertices_once(monkeypatch):
 
 def test_menelaus_converse_perturbation_breaks_product():
     fig = triangle_figure()
-    n1, n2, n3 = fig.nodes
-    a, b, c = fig.vertices()
+    n1, n2, n3 = fig["nodes"]
+    a, b, c = fig["vertices"]
     # move the third noeud along its ray, off the tronc: the signed product
     # of the same three ratios is then no longer 1
-    ray_chart = default_chart(fig.rays[2])
+    ray_chart = default_chart(fig["rays"][2])
     moved = point_at(ray_chart, rat(ray_chart.param_pair(n3)) + 1)
-    assert not incident(moved, fig.tronc)
+    assert not incident(moved, fig["tronc"])
     product = F(*ratio(n1, b, c)) * F(*ratio(n2, c, a)) * F(*ratio(moved, a, b))
     assert product != 1
 
@@ -103,8 +103,8 @@ def test_menelaus_converse_perturbation_breaks_product():
 def test_classical_minus_one_convention_conversion():
     # vertex-anchored ratios give the classical -1; noeud-anchored give +1
     fig = triangle_figure()
-    n1, n2, n3 = fig.nodes
-    a, b, c = fig.vertices()
+    n1, n2, n3 = fig["nodes"]
+    a, b, c = fig["vertices"]
     # (bN1/N1c)(cN2/N2a)(aN3/N3b) = -1 with signed ratios
     r1 = _span_ratio(b, n1, n1, c)
     r2 = _span_ratio(c, n2, n2, a)
@@ -126,8 +126,8 @@ def _span_ratio(p, q, r, s):
 def _relabellings(fig):
     """The decomposition at noeud 1, 2 and 3 (cycling noeuds and vertices
     together), each direct and inverted (N2 with N3 and b with c swapped)."""
-    nodes = [(f"N{i}", p) for i, p in enumerate(fig.nodes, 1)]
-    verts = list(zip("abc", fig.vertices()))
+    nodes = [(f"N{i}", p) for i, p in enumerate(fig["nodes"], 1)]
+    verts = list(zip("abc", fig["vertices"]))
     for r in range(3):
         n1, n2, n3 = nodes[r:] + nodes[:r]
         a, b, c = verts[r:] + verts[:r]
@@ -163,8 +163,8 @@ def test_decompose_ratio_all_nodes_and_inverse():
 
 def test_decompose_ratio_concrete_values():
     fig = triangle_figure()
-    n1, n2, n3 = fig.nodes
-    a, b, c = fig.vertices()
+    n1, n2, n3 = fig["nodes"]
+    a, b, c = fig["vertices"]
     trace = ProofTrace("concrete")
     brin, at_n3, at_n2 = menelaus_step(
         trace, ("N1", n1), ("N2", n2), ("N3", n3), ("a", a), ("b", b), ("c", c), "cite"
@@ -193,11 +193,11 @@ def test_menelaus_step_with_a_moved_noeud_is_a_false_step():
     # slides a noeud along its ray, off the tronc.  The identity is then
     # false, and the step says so instead of raising.
     fig = triangle_figure()
-    n1, n2, n3 = fig.nodes
-    a, b, c = fig.vertices()
-    ray_chart = default_chart(fig.rays[2])
+    n1, n2, n3 = fig["nodes"]
+    a, b, c = fig["vertices"]
+    ray_chart = default_chart(fig["rays"][2])
     moved = point_at(ray_chart, rat(ray_chart.param_pair(n3)) + 1)
-    assert not incident(moved, fig.tronc)
+    assert not incident(moved, fig["tronc"])
     trace = ProofTrace("moved")
     menelaus_step(trace, ("N1", n1), ("N2", n2), ("N3", moved), ("a", a), ("b", b), ("c", c), "cite")
     (step,) = trace.steps
@@ -467,7 +467,7 @@ def test_ratio_pair_is_the_chart_quotient(x0, y0, dx, dy, so, sn, sd):
 
 
 def quad_config():
-    return QuadrangleConfig((A(0, 0), A(4, 1), A(3, 5), A(-1, 3)),
+    return quadrangle_figure((A(0, 0), A(4, 1), A(3, 5), A(-1, 3)),
                             default_chart(PLine(1, -3, 1)))
 
 
@@ -486,16 +486,16 @@ def test_quadrangle_transversal_through_borne_rejected():
     bornes = (A(0, 0), A(4, 1), A(3, 5), A(-1, 3))
     through_b = join(A(0, 0), A(1, 7))
     with pytest.raises(NonGenericError):
-        QuadrangleConfig(bornes, default_chart(through_b))
+        quadrangle_figure(bornes, default_chart(through_b))
 
 
 def test_quadrangle_transversal_through_diagonal_point_rejected():
     bornes = (A(0, 0), A(4, 1), A(3, 5), A(-1, 3))
     q = quad_config()
-    f_pt = q.pivot
+    f_pt = q["diagonals"]["F"]
     bad = join(f_pt, A(100, 3))
     with pytest.raises(NonGenericError):
-        QuadrangleConfig(bornes, default_chart(bad))
+        quadrangle_figure(bornes, default_chart(bad))
 
 
 def test_ratio_validation():

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from arguesia.conics import (
+    UNIT_CIRCLE as UC,
+    UNIT_CIRCLE_PAR as PAR,
     Conic,
     ConicError,
     ConicParametrization,
@@ -27,30 +29,30 @@ from arguesia.projective_core import (
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
-    QuadrangleConfig,
     beaugrand_points,
     beaugrand_replay,
     check_retablissement,
     construct_involution_p13,
     desargues_involution_by_perspectives,
     harmonic_conjugate,
+    nc_involution,
     parallel_bornales_identities,
     pascal_collinear,
     pascal_figure,
-    pencil_involution_check,
+    quadrangle_couples,
+    quadrangle_figure,
     quadrangle_involution,
     retablissement_demo,
     verify_bisector_case,
     verify_midpoint_case,
+    verify_pencil,
     verify_ramee,
 )
 from collineation import apply_collineation, apply_collineation_point, random_collineation
-from quadfield import from_json, point_at, rat
+from quadfield import from_json, line_pairs, point_at, rat
 from quadfield import affine_point as A
 
 CH = default_chart(PLine(0, 1, 0))
-UC = Conic.unit_circle()
-PAR = ConicParametrization(UC, A(-1, 0))
 
 
 def pt(v):
@@ -205,9 +207,14 @@ def test_p13_perturbed_midpoint_breaks_harmonicity():
 
 
 def quad_config():
-    return QuadrangleConfig(
+    return quadrangle_figure(
         (A(0, 0), A(4, 1), A(3, 5), A(-1, 3)), default_chart(PLine(1, -3, 1))
     )
+
+
+def pencil_check(q, member):
+    """The report ``verify_pencil`` gives one member of the pencil of q."""
+    return verify_pencil(q, [("member", member)])["members"][0]["report"]
 
 
 def test_quadrangle_involution_example():
@@ -219,11 +226,11 @@ def test_quadrangle_involution_example():
 def test_quadrangle_involution_square_needs_a_finite_pivot():
     # BE and DC are parallel, so the pivot F of the Menelaus replay is at
     # infinity: the replay's NonGenericError, as _make_quadrangle rejects it
-    q = QuadrangleConfig(
+    q = quadrangle_figure(
         (A(-1, -1), A(1, -1), A(1, 1), A(-1, 1)),
         default_chart(PLine(5, -15, 3)),
     )
-    assert q.pivot.is_at_infinity()
+    assert q["diagonals"]["F"].is_at_infinity()
     with pytest.raises(NonGenericError, match="^ratio endpoint at infinity$"):
         quadrangle_involution(q)
 
@@ -231,7 +238,7 @@ def test_quadrangle_involution_square_needs_a_finite_pivot():
 def test_quadrangle_and_perspectives_agree_200_seeds():
     for seed in range(1, 201):
         inst = generate_instance(InstanceConfig("quadrangle", seed))
-        q = inst["quadrangle"]
+        q = inst["figure"]
         inv, rep = quadrangle_involution(q)
         assert rep.verdict
         other = desargues_involution_by_perspectives(q)
@@ -255,10 +262,7 @@ def test_quadrangle_config_builds_its_geometry_once(monkeypatch):
     monkeypatch.setattr(projective_core, "join", counting(join))
     monkeypatch.setattr(theorems, "join", counting(join))
     monkeypatch.setattr(theorems, "meet", counting(theorems.meet))
-    q = quad_config()
-    for _ in range(3):
-        q.bornales(), q.diagonal_points(), q.pivot, q.couples(), q.node_couples()
-        q.I, q.K, q.P, q.Q, q.G, q.H
+    quad_config()
     # six bornales, on which no three bornes collinear is also tested (ten
     # joins when each triple joined two of its points); six transversal
     # cuts and three diagonal points
@@ -272,20 +276,7 @@ def test_quadrangle_config_rejects_each_collinear_triple(skip):
     line = [A(0, 0), A(1, 0), A(3, 0)]
     bornes = tuple(line.pop(0) if i != skip else A(1, 2) for i in range(4))
     with pytest.raises(NonGenericError, match="^three bornes are collinear$"):
-        QuadrangleConfig(bornes, default_chart(PLine(1, -3, 1)))
-
-
-def test_quadrangle_config_hands_out_copies():
-    q = quad_config()
-    fresh = quad_config()
-    q.bornales()["BC"] = q.bornales()["ED"]
-    q.bornales().clear()
-    q.diagonal_points()["F"] = q.diagonal_points()["N"]
-    q.diagonal_points().clear()
-    assert q.bornales() == fresh.bornales() and len(q.bornales()) == 6
-    assert q.diagonal_points() == fresh.diagonal_points()
-    assert q.pivot == fresh.pivot and q.couples() == fresh.couples()
-    assert q == fresh and hash(q) == hash(fresh)
+        quadrangle_figure(bornes, default_chart(PLine(1, -3, 1)))
 
 
 def test_pencil_builds_one_involution_per_quadrangle(monkeypatch):
@@ -311,12 +302,11 @@ def test_pencil_check_rejects_couples_not_in_involution():
 
     q = quad_config()
     # move H along the transversal: G's partner is no longer H
-    moved = point_at(q.transversal, rat(q.transversal.param_pair(q.H)) + 1)
-    assert moved not in (q.I, q.K, q.P, q.Q, q.G)
-    object.__setattr__(q, "_cuts", dict(q._cuts, CE=moved))
-    member = q.line_pairs["IK"]
+    moved = point_at(q["transversal"], rat(q["transversal"].param_pair(q["H"])) + 1)
+    assert moved not in (q[nm] for nm in "IKPQG")
+    member = line_pairs(q)["IK"]
     with pytest.raises(InvolutionError, match="couples are not in involution"):
-        pencil_involution_check(q, member)
+        pencil_check(dict(q, H=moved), member)
 
 
 def test_perspectives_map_named_couples():
@@ -324,10 +314,10 @@ def test_perspectives_map_named_couples():
     inv = desargues_involution_by_perspectives(q)
     from arguesia.involution import partner
 
-    assert partner(inv, q.P) == q.Q
-    assert partner(inv, q.K) == q.I
-    assert partner(inv, q.G) == q.H
-    assert partner(inv, q.H) == q.G
+    assert partner(inv, q["P"]) == q["Q"]
+    assert partner(inv, q["K"]) == q["I"]
+    assert partner(inv, q["G"]) == q["H"]
+    assert partner(inv, q["H"]) == q["G"]
 
 
 # -- pencil suite --------------------------------------------------------------------
@@ -336,29 +326,28 @@ def test_perspectives_map_named_couples():
 def test_pencil_unit_circle_example():
     bornes = (A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
     delta = default_chart(join(A(F(3, 5), F(4, 5)), A(F(-3, 5), F(4, 5))))
-    q = QuadrangleConfig(bornes, delta, strict=False)
-    rep = pencil_involution_check(q, UC)
-    assert rep.verdict
-    assert any("partner(L) = M" in c["label"] for c in rep.claims)
+    q = quadrangle_figure(bornes, delta, strict=False)
+    rep = pencil_check(q, UC)
+    assert rep["verdict"]
+    assert any("partner(L) = M" in c["label"] for c in rep["claims"])
 
 
 def test_pencil_members_and_tangency():
     inst = generate_instance(InstanceConfig("pencil", 3))
-    q = inst["quadrangle"]
-    for name, member in inst["members"]:
-        rep = pencil_involution_check(q, member)
-        assert rep.verdict, name
+    q = inst["figure"]
+    for member in verify_pencil(q, inst["members"])["members"]:
+        assert member["report"]["verdict"], member["member"]
     # the third line pair reproduces the (G, H) couple
-    b, c, d, e = q.bornes
+    b, c, d, e = q["bornes"]
     third = Conic.from_lines(join(b, d), join(c, e))
-    rep3 = pencil_involution_check(q, third)
-    assert rep3.verdict
-    assert any("couple GH" in c["label"] for c in rep3.claims)
+    rep3 = pencil_check(q, third)
+    assert rep3["verdict"]
+    assert rep3["notes"]["member_kind"] == "line pair GH"
+    assert any("couple GH" in c["label"] for c in rep3["claims"])
     # the tangency point is a fixed point of the involution
-    from arguesia.theorems import nc_involution
     from arguesia.involution import partner
 
-    inv = nc_involution(q.node_couples())
+    inv = nc_involution(quadrangle_couples(q))
     t = inst["tangency"]
     assert partner(inv, t) == t
 
@@ -366,7 +355,7 @@ def test_pencil_members_and_tangency():
 def test_pencil_member_not_through_bornes_rejected():
     q = quad_config()
     with pytest.raises(ConicError):
-        pencil_involution_check(q, UC)
+        pencil_check(q, UC)
 
 
 CHORD_CLAIM = "chord couple in the involution: c*C + a*B - b*A = 0"
@@ -377,11 +366,11 @@ def test_pencil_empty_chord_reported_not_error():
     # decided by the integer identity, without a square root
     bornes = (A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
     delta = default_chart(PLine(0, 1, -2))  # y = 2 misses the unit circle
-    q = QuadrangleConfig(bornes, delta, strict=False)
-    rep = pencil_involution_check(q, UC)
-    assert rep.verdict
-    assert rep.notes["discriminant"].startswith("-")
-    assert [(c["label"], c["lhs"]) for c in rep.claims] == [(CHORD_CLAIM, "0/1")]
+    q = quadrangle_figure(bornes, delta, strict=False)
+    rep = pencil_check(q, UC)
+    assert rep["verdict"]
+    assert rep["notes"]["discriminant"].startswith("-")
+    assert [(c["label"], c["lhs"]) for c in rep["claims"]] == [(CHORD_CLAIM, "0/1")]
 
 
 def test_pencil_quadext_chord():
@@ -389,11 +378,11 @@ def test_pencil_quadext_chord():
     # the same identity decides the couple
     bornes = (A(1, 0), A(0, 1), A(-1, 0), A(0, -1))
     delta = default_chart(join(A(F(1, 5), F(1, 2)), A(1, 3)))
-    q = QuadrangleConfig(bornes, delta, strict=False)
-    rep = pencil_involution_check(q, UC)
-    assert rep.verdict
-    assert int(rep.notes["discriminant"].split("/")[0]) > 0
-    assert [c["label"] for c in rep.claims] == [CHORD_CLAIM]
+    q = quadrangle_figure(bornes, delta, strict=False)
+    rep = pencil_check(q, UC)
+    assert rep["verdict"]
+    assert int(rep["notes"]["discriminant"].split("/")[0]) > 0
+    assert [c["label"] for c in rep["claims"]] == [CHORD_CLAIM]
 
 
 def _irrational_chord_samples(seed, want=40):
@@ -409,18 +398,18 @@ def _irrational_chord_samples(seed, want=40):
         bornes = tuple(PAR.point_at(rng.fraction_pair(12)) for _ in range(4))
         p, r = (A(F(*rng.fraction_pair(12)), F(*rng.fraction_pair(12))) for _ in range(2))
         try:
-            q = QuadrangleConfig(bornes, default_chart(join(p, r)))
+            q = quadrangle_figure(bornes, default_chart(join(p, r)))
         except GeometryError:
             continue
         # the member lam*IK + mu*PQ, lam and mu cleared of their denominators
         (ln, ld), (mn, md) = rng.fraction_pair(9), (0, 1)
         while mn == 0:
             mn, md = rng.fraction_pair(9)
-        pairs = q.line_pairs
+        pairs = line_pairs(q)
         member = Conic(*(ln * md * x + mn * ld * y for x, y in zip(pairs["IK"].m, pairs["PQ"].m)))
         if member.is_degenerate():
             continue
-        disc, chord = conic_line_intersection(member, q.transversal.line)
+        disc, chord = conic_line_intersection(member, q["transversal"].line)
         sign = 1 if disc > 0 else -1
         if chord or seen[sign] >= want:
             continue
@@ -430,27 +419,30 @@ def _irrational_chord_samples(seed, want=40):
 
 def test_pencil_chord_identity_true_on_members():
     for q, member, _ in _irrational_chord_samples(1):
-        rep = pencil_involution_check(q, member)
-        assert rep.verdict
-        assert [(c["label"], c["lhs"], c["equal"]) for c in rep.claims] == [
+        rep = pencil_check(q, member)
+        assert rep["verdict"]
+        assert [(c["label"], c["lhs"], c["equal"]) for c in rep["claims"]] == [
             (CHORD_CLAIM, "0/1", True)
         ]
-        big_a, big_b, big_c = chord_quadratic(member, q.transversal)
+        big_a, big_b, big_c = chord_quadratic(member, q["transversal"])
         assert big_a != 0 and big_c != 0  # both chord points are finite
 
 
 def test_pencil_chord_identity_false_for_perturbed_involution(monkeypatch):
+    import arguesia.theorems as theorems
+
     for q, member, _ in _irrational_chord_samples(2, want=20):
-        a, b, c, _ = q.involution.map.matrix
-        chart = q.involution.chart
+        inv = nc_involution(quadrangle_couples(q))
+        a, b, c, _ = inv.map.matrix
+        chart = inv.chart
         # one of b + 1, b + 2 keeps the perturbed matrix nondegenerate
         k = 1 if a * a + (b + 1) * c != 0 else 2
         wrong = Involution(LineMap((a, b + k, c, -a), chart, chart))
-        monkeypatch.setattr(QuadrangleConfig, "involution", property(lambda self: wrong))
-        rep = pencil_involution_check(q, member)
+        monkeypatch.setattr(theorems, "nc_involution", lambda nc: wrong)
+        rep = pencil_check(q, member)
         monkeypatch.undo()
-        assert not rep.verdict
-        assert rep.claims[0]["label"] == CHORD_CLAIM and rep.claims[0]["equal"] is False
+        assert not rep["verdict"]
+        assert rep["claims"][0]["label"] == CHORD_CLAIM and rep["claims"][0]["equal"] is False
 
 
 def test_pencil_chord_identity_false_for_conic_outside_pencil(monkeypatch):
@@ -458,18 +450,18 @@ def test_pencil_chord_identity_false_for_conic_outside_pencil(monkeypatch):
 
     done = 0
     for q, member, _ in _irrational_chord_samples(3, want=20):
-        if q.involution.map.matrix[2] == 0:
+        if nc_involution(quadrangle_couples(q)).map.matrix[2] == 0:
             continue  # infinity is fixed: adding z^2 would not move the claim
         # member + z^2 passes through none of the bornes (z = 1 there)
         outside = Conic(*(m + (i == 5) for i, m in enumerate(member.m)))
         if outside.is_degenerate():
             continue
-        assert not any(outside.contains(p) for p in q.bornes)
+        assert not any(outside.contains(p) for p in q["bornes"])
         monkeypatch.setattr(theorems, "chord_quadratic", lambda m, ch: chord_quadratic(outside, ch))
-        rep = pencil_involution_check(q, member)
+        rep = pencil_check(q, member)
         monkeypatch.undo()
-        assert not rep.verdict
-        assert rep.claims[0]["label"] == CHORD_CLAIM and rep.claims[0]["equal"] is False
+        assert not rep["verdict"]
+        assert rep["claims"][0]["label"] == CHORD_CLAIM and rep["claims"][0]["equal"] is False
         done += 1
     assert done >= 20
 
@@ -478,12 +470,11 @@ def test_hyperbolic_iff_two_tangent_members():
     # sign of the involution discriminant agrees with the existence of real
     # tangency (double-root) members of the pencil
     for seed in range(1, 41):
-        q = generate_instance(InstanceConfig("quadrangle", seed))["quadrangle"]
-        from arguesia.theorems import nc_involution
-
-        inv = nc_involution(q.node_couples())
+        q = generate_instance(InstanceConfig("quadrangle", seed))["figure"]
+        inv = nc_involution(quadrangle_couples(q))
         kind = classify_kind(inv)
-        disc = _tangency_discriminant(q.line_pairs["IK"], q.line_pairs["PQ"], q.transversal.line)
+        pairs = line_pairs(q)
+        disc = _tangency_discriminant(pairs["IK"], pairs["PQ"], q["transversal"].line)
         assert (disc > 0) == (kind == "hyperbolic")
         assert (disc < 0) == (kind == "elliptic")
 
@@ -514,7 +505,7 @@ def _tangency_discriminant(gen1, gen2, line):
 
 
 def test_parallel_bornales_trapezoid():
-    q = QuadrangleConfig(
+    q = quadrangle_figure(
         (A(0, 0), A(0, 3), A(4, 5), A(4, -1)),
         default_chart(PLine(1, -3, -1)),
         strict=False,
