@@ -88,15 +88,10 @@ class Involution(Frozen):
             raise InvolutionError("an involution maps a line to itself")
         if map.trace() != 0:
             raise InvolutionError("matrix is not involutive (nonzero trace)")
-        if map.det() == 0:
-            raise InvolutionError("degenerate matrix")
 
     @property
     def chart(self) -> AffineChart:
         return self.map.src
-
-    def __repr__(self):
-        return f"Involution{self.map.matrix}"
 
 
 def partner(inv: Involution, p: PPoint) -> PPoint:

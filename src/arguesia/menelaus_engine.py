@@ -51,7 +51,7 @@ def sector_figure(p: PPoint, q: PPoint, r: PPoint, transversal: PLine) -> dict:
     distinct; then the rays are distinct and deployed and no vertex lies on
     the tronc, since a vertex there would be the noeud of both its rays.
     Returns {tronc, nodes, rays, vertices}, the vertices (a, b, c) =
-    (r2^r3, r1^r3, r1^r2).
+    (r2^r3, r1^r3, r1^r2), which are (p, q, r) themselves.
     """
     rays = (join(q, r), join(r, p), join(p, q))
     if transversal in rays:
@@ -59,9 +59,7 @@ def sector_figure(p: PPoint, q: PPoint, r: PPoint, transversal: PLine) -> dict:
     nodes = tuple(meet(ray, transversal) for ray in rays)
     if len(set(nodes)) != 3:
         raise NonGenericError("noeuds must be pairwise distinct")
-    r1, r2, r3 = rays
-    vertices = meet(r2, r3), meet(r1, r3), meet(r1, r2)
-    return {"tronc": transversal, "nodes": nodes, "rays": rays, "vertices": vertices}
+    return {"tronc": transversal, "nodes": nodes, "rays": rays, "vertices": (p, q, r)}
 
 
 def ratio(

@@ -162,10 +162,7 @@ def meet(l: PLine, m: PLine) -> PPoint:
 def collinear(*points: PPoint) -> bool:
     if len(points) < 3:
         return True
-    a, b = points[0], points[1]
-    if a == b:
-        raise GeometryError("collinearity test needs distinct base points")
-    base = join(a, b)
+    base = join(points[0], points[1])
     return all(incident(p, base) for p in points[2:])
 
 
@@ -179,10 +176,7 @@ def infinity_point_of(l: PLine) -> PPoint:
 
 def parallel_line_through(l: PLine, p: PPoint) -> PLine:
     """The line through p with the direction of l."""
-    d = infinity_point_of(l)
-    if p == d:
-        raise GeometryError("cannot draw a parallel through the direction itself")
-    return join(p, d)
+    return join(p, infinity_point_of(l))
 
 
 def midpoint(p: PPoint, q: PPoint) -> PPoint:
@@ -270,9 +264,6 @@ class AffineChart(Frozen):
             "unit": self.unit.to_json(),
         }
 
-    def __repr__(self):
-        return f"AffineChart({self.line}, O={self.origin}, U={self.unit})"
-
 
 def _first_nonzero(t) -> int:
     for i, c in enumerate(t):
@@ -338,14 +329,6 @@ class LineMap(Frozen):
 
     def trace(self) -> int:
         return self.matrix[0] + self.matrix[3]
-
-    def det(self) -> int:
-        a, b, c, d = self.matrix
-        return a * d - b * c
-
-    def __repr__(self):
-        a, b, c, d = self.matrix
-        return f"LineMap[({a},{b});({c},{d})]"
 
 
 def _apply_quad(matrix, t: QuadExt) -> QuadExt:
@@ -435,11 +418,10 @@ def harmonic_partner_param(pa, pb, pc) -> tuple[int, int]:
     k2 = _pair_det(pc, pb)
     if k1 == 0 or k2 == 0:
         raise GeometryError("harmonic partner needs three distinct parameters")
-    # d satisfies  u*(k1*pb[1] + k2*pa[1]) - v*(k1*pb[0] + k2*pa[0]) = 0
+    # d satisfies  u*(k1*pb[1] + k2*pa[1]) - v*(k1*pb[0] + k2*pa[0]) = 0;
+    # with k1, k2 nonzero, k1*pb + k2*pa is never the zero pair
     u = k1 * pb[0] + k2 * pa[0]
     v = k1 * pb[1] + k2 * pa[1]
-    if u == 0 and v == 0:
-        raise GeometryError("degenerate harmonic configuration")
     return _canonical((u, v))
 
 
@@ -487,9 +469,6 @@ class P3Point(Frozen):
     def __init__(self, x, y, z, w):
         object.__setattr__(self, "coords", _canonical((x, y, z, w)))
 
-    def __repr__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
-
 
 class P3Plane(Frozen):
     _fields = ("coeffs",)
@@ -499,9 +478,6 @@ class P3Plane(Frozen):
 
     def contains(self, p: P3Point) -> bool:
         return sum(a * x for a, x in zip(self.coeffs, p.coords)) == 0
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coeffs) + "]"
 
 
 def plane_basis(plane: P3Plane) -> tuple[P3Point, P3Point, P3Point]:

@@ -10,8 +10,11 @@ fixed precision and there is no randomness or timestamping.
 
 from __future__ import annotations
 
+import math
+
 from arguesia.conics import UNIT_CIRCLE, UNIT_CIRCLE_PAR, Conic
-from arguesia.projective_core import PLine, PPoint
+from arguesia.projective_core import PLine, PPoint, join, parallel_line_through
+from arguesia.theorems import construct_involution_p13, harmonic_construction_data
 
 CANVAS_W = 800.0
 CANVAS_H = 600.0
@@ -136,8 +139,6 @@ class SvgDoc:
         relative to the viewport, so tight bends get more points; branches
         through infinity stay as gaps (None markers).
         """
-        import math
-
         m00, m01, m02, m11, m12, m22 = _floats(m)
         sx, sy, sz = _floats(seed_coords)
         x0, x1, y0, y1 = box
@@ -255,8 +256,6 @@ class SvgDoc:
                 f'font-family="serif" font-size="15" fill="#000000">{label}</text>'
             )
         for dx, dy, label in self.infinities:
-            import math
-
             norm = math.hypot(dx, dy) or 1.0
             ux, uy = dx / norm, -dy / norm
             ex = CANVAS_W / 2.0 + ux * (CANVAS_W / 2.0 - 30)
@@ -282,9 +281,6 @@ def render_figure(kind: str, instance: dict) -> bytes:
 
 
 def _fig_harmonic(inst) -> SvgDoc:
-    from arguesia.projective_core import join, parallel_line_through
-    from arguesia.theorems import harmonic_construction_data
-
     doc = SvgDoc()
     b, c, d, f = inst["b"], inst["c"], inst["d"], inst["f"]
     for p, nm in ((b, "B"), (c, "C"), (d, "D"), (f, "F")):
@@ -313,8 +309,6 @@ def _fig_menelaus(inst) -> SvgDoc:
 
 
 def _fig_ramee(inst) -> SvgDoc:
-    from arguesia.projective_core import join
-
     doc = SvgDoc()
     figure = inst["figure"]
     arbre, k, delta = figure["arbre"], figure["k"], figure["delta"]
@@ -354,8 +348,6 @@ def _fig_pencil(inst) -> SvgDoc:
 
 
 def _fig_pascal(inst) -> SvgDoc:
-    from arguesia.projective_core import join
-
     doc = SvgDoc()
     figure = inst["figure"]
     p, k, v, o, n, q_pt = figure["hexagon"]
@@ -372,8 +364,6 @@ def _fig_pascal(inst) -> SvgDoc:
 
 
 def _fig_beaugrand(inst) -> SvgDoc:
-    from arguesia.projective_core import join, parallel_line_through
-
     doc = SvgDoc()
     figure = inst["figure"]
     pts = figure["points"]
@@ -390,8 +380,6 @@ def _fig_beaugrand(inst) -> SvgDoc:
 
 
 def _fig_bisector(inst) -> SvgDoc:
-    from arguesia.projective_core import join
-
     doc = SvgDoc()
     b, c, d, f, k = inst["b"], inst["c"], inst["d"], inst["f"], inst["k"]
     doc.add_line(join(b, c), "carrier")
@@ -400,10 +388,6 @@ def _fig_bisector(inst) -> SvgDoc:
     for p in (b, c, d, f):
         doc.add_line(join(k, p), "construction")
     return doc
-
-
-def _fig_parallel(inst) -> SvgDoc:
-    return _fig_quadrangle(inst)
 
 
 def _fig_retablissement(inst) -> SvgDoc:
@@ -421,9 +405,6 @@ def _fig_retablissement(inst) -> SvgDoc:
 
 
 def _fig_p13(inst) -> SvgDoc:
-    from arguesia.projective_core import join, parallel_line_through
-    from arguesia.theorems import construct_involution_p13
-
     doc = SvgDoc()
     b, h, g, k = inst["b"], inst["h"], inst["g"], inst["k"]
     (f_mid, big_f, big_d), _ = construct_involution_p13(b, h, g, k)
@@ -446,7 +427,7 @@ _FIGURES = {
     "pascal": _fig_pascal,
     "beaugrand": _fig_beaugrand,
     "bisector": _fig_bisector,
-    "parallel_bornales": _fig_parallel,
+    "parallel_bornales": _fig_quadrangle,
     "retablissement": _fig_retablissement,
     "p13": _fig_p13,
 }

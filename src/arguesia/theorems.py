@@ -289,12 +289,10 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
     to B and C meeting in K, then F on BC along the parallel to the secant
     through K.  Both must agree exactly (InternalError otherwise, a fault of
     the program); D at the midpoint of BC yields the point at infinity,
-    which is a result, not an error.
+    which is a result, not an error.  B, C, D must be distinct and
+    collinear: ``join``, ``param_pair`` and ``harmonic_partner_param``
+    raise GeometryError otherwise.
     """
-    if len({b, c, d}) != 3:
-        raise GeometryError("harmonic conjugate needs three distinct points")
-    if not collinear(b, c, d):
-        raise GeometryError("harmonic conjugate needs collinear points")
     chart = default_chart(join(b, c))
     t = harmonic_partner_param(chart.param_pair(b), chart.param_pair(c), chart.param_pair(d))
     f_closed = chart.point_at_pair(t)
@@ -337,32 +335,21 @@ def _harmonic_by_construction(b: PPoint, c: PPoint, d: PPoint):
     return None if data is None else data["f"]
 
 
-def _four_point_case(name: str, b, c, d, f, k, finite) -> tuple[PLine, TheoremReport]:
-    """The precondition the midpoint and bisector cases share: B, C, D, F
-    collinear and harmonic, K off their line (the tronc) and the points of
-    ``finite`` finite; GeometryError otherwise.  Returns the tronc and the
-    case's empty report."""
-    base = join(b, c)
-    if not (incident(d, base) and incident(f, base)):
-        raise GeometryError("the four points must be collinear")
-    num, den = cross_ratio(b, c, d, f)
-    if num != -den:
-        raise GeometryError("input points are not harmonic")
-    if incident(k, base):
-        raise GeometryError("projection point on the tronc")
-    if any(p.is_at_infinity() for p in finite):
-        raise GeometryError("finite points required here")
-    inputs = {p_name: p.to_json() for p_name, p in zip("BCDFK", (b, c, d, f, k))}
-    return base, TheoremReport(name, inputs=inputs)
-
-
 def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) -> TheoremReport:
     """Four-point involution B=H, C=G, D, F projected onto the line through
     C parallel to the rameau DK: the image f must be the exact midpoint of
     cb, the composed ratio (BC/BD)(FD/FC) must be the raison double 2, and
     conversely the midpoint property must force d to infinity.
+
+    The data contract is the generator's: B, C, D, F finite, collinear on
+    the tronc BC and pairwise distinct, and K finite and off the tronc.
+    Whether (B, C; D, F) is harmonic is what the claims decide, so
+    non-harmonic data gives a false verdict, not an error; data outside
+    the contract raises GeometryError from the construction that needs it.
     """
-    base, report = _four_point_case("midpoint_case", b, c, d, f, k, (b, c, d, f))
+    inputs = {name: p.to_json() for name, p in zip("BCDFK", (b, c, d, f, k))}
+    report = TheoremReport("midpoint_case", inputs=inputs)
+    base = join(b, c)
     rameau = join(d, k)
     image_line = parallel_line_through(rameau, c)
     c_img = project_point(k, c, image_line)
@@ -421,8 +408,13 @@ def verify_bisector_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     ones times the nonzero k.z * p.z, so parallelism and perpendicularity
     read the same on them; the reflection leaves out the division by the
     axis' squared length, which only rescales the reflected direction.
+
+    The data contract is the generator's: B, C, D, F finite, collinear and
+    pairwise distinct, and K finite and off their line.  Non-harmonic data
+    is reported false, like non-perpendicular K.
     """
-    _, report = _four_point_case("bisector_case", b, c, d, f, k, (b, c, d, f, k))
+    inputs = {name: p.to_json() for name, p in zip("BCDFK", (b, c, d, f, k))}
+    report = TheoremReport("bisector_case", inputs=inputs)
     kb, kc, kd, kf = (_scaled_displacement(k, p) for p in (b, c, d, f))
     # KB.KC as chord_product's pair, the dot product over k.z**2 * b.z * c.z
     kb_kc = chord_product(k, b, c)
@@ -450,20 +442,11 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
     and D on the parallel to Gh through K; then B, D, G, F are four points
     in involution (B and G doubled), i.e. [B,G;D,F] = -1.  Returns the
     constructed points (f, F, D) and the report.
-    """
-    if b == k:
-        raise GeometryError("B and K must differ")
-    bk = join(b, k)
-    if not incident(h, bk):
-        raise GeometryError("h must lie on the line BK")
-    if h in (b, k):
-        raise GeometryError("h must differ from B and K")
-    if incident(g, bk):
-        raise GeometryError("G on line BK: degenerate")
-    for p in (b, h, g, k):
-        if p.is_at_infinity():
-            raise GeometryError("finite input points required")
 
+    The data contract is ``instances._make_p13``'s: B, h, G, K finite, h on
+    BK other than B and K, and G off BK; a G on BK is a GeometryError from
+    ``meet``.
+    """
     report = TheoremReport(
         "p13_construction",
         inputs={"B": b.to_json(), "h": h.to_json(), "G": g.to_json(), "K": k.to_json()},
@@ -597,10 +580,10 @@ def parallel_bornales_identities(q: dict) -> TheoremReport:
     """The trapezoid case BC parallel to ED: the three Thales-derived
     rectangle identities, one per choice of the non-parallel line playing
     the tronc role.  Each side is an integer pair, a ratio of parallel
-    segments or a quotient of chord products."""
+    segments or a quotient of chord products.  BC parallel to ED is the
+    generator's guarantee; on other data the Thales ratio IC/KD raises
+    NonGenericError."""
     b, c, d, e = q["bornes"]
-    if q["diagonals"]["N"] != infinity_point_of(q["bornales"]["BC"]):
-        raise GeometryError("BC and ED must be parallel (N at infinity)")
     report = TheoremReport("parallel_bornales", inputs=_quadrangle_json(q))
     i_pt, k_pt, p_pt, q_pt = q["I"], q["K"], q["P"], q["Q"]
     f_pt = q["diagonals"]["F"]

@@ -114,11 +114,6 @@ NEVER_RUN = {
     "cli._default_seed": "reads ARGUESIA_SEED when --seed is left out; the census passes --seed",
     "cli._usage_error": "the exit-2 path; every census command is well-formed",
     "conics.chord_quadratic": "the pencil's no-rational-chord claim; no seeded member reaches it",
-    "involution.Involution.__repr__": "debugging text; no output prints it",
-    "projective_core.AffineChart.__repr__": "debugging text; no output prints it",
-    "projective_core.LineMap.__repr__": "debugging text; no output prints it",
-    "projective_core.P3Plane.__repr__": "debugging text; no output prints it",
-    "projective_core.P3Point.__repr__": "debugging text; no output prints it",
     "projective_core.PLine.__repr__": "names the line in a GeometryError; no seeded run raises one",
 }
 

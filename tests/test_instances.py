@@ -15,6 +15,8 @@ from arguesia.instances import (
     _point,
     generate_instance,
 )
+from arguesia.conics import UNIT_CIRCLE_PAR
+from arguesia.projective_core import _canonical
 from arguesia.rng import SplitMix64, fnv1a64
 from quadfield import affine_point
 
@@ -96,6 +98,21 @@ def test_pascal_instance_has_six_distinct_params():
     assert len(set(hexagon)) == 6
 
 
+_SLOPE = st.tuples(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70)).filter(any)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SLOPE, _SLOPE)
+@example((1, 0), (0, 1))  # the tangent at the seed and the horizontal chord
+@example((1, 1), (-1, 1))
+def test_distinct_slopes_give_distinct_circle_points(s, t):
+    # why the pascal, beaugrand and pencil makers need no collision check:
+    # their points are point_at of distinct canonical slope pairs
+    s, t = _canonical(s), _canonical(t)
+    if s != t:
+        assert UNIT_CIRCLE_PAR.point_at(s) != UNIT_CIRCLE_PAR.point_at(t)
+
+
 QUADRANGLE_KEYS = {"bornes", "transversal", "bornales", "diagonals", "I", "K", "P", "Q", "G", "H"}
 
 
@@ -118,7 +135,7 @@ def test_checked_figure_is_a_plain_dict(kind, keys):
 
 def test_generated_sizes_respect_bounds():
     inst = generate_instance(InstanceConfig("menelaus", 5, bounds=16))
-    for p in inst["triangle"]:
+    for p in inst["figure"]["vertices"]:
         x, y = Fraction(p.x, p.z), Fraction(p.y, p.z)
         assert abs(x) <= 16 and abs(y) <= 16
 

@@ -514,8 +514,8 @@ def _plus_one(pair):
      "IC.IB/(KD.KE) = IQ.IP/(KQ.KP)"),
     # the involution leaves the base chord point where it is
     ("retablissement", "partner", lambda real: lambda inv, p: p, "base chord couple swapped"),
-    # moving F off the harmonic point fails the verifier's "input points are
-    # not harmonic" precondition (exit 2), so the midpoint construction breaks
+    # the midpoint construction breaks, not the harmonic data the
+    # generator drew
     ("midpoint", "midpoint", lambda real: lambda p, q: p, "f is the midpoint of cb (metric)"),
 ], ids=["menelaus", "quadrangle", "pencil", "beaugrand", "pascal", "parallel-bornales",
         "retablissement", "midpoint"])

@@ -147,16 +147,38 @@ def test_midpoint_case_example():
 
 
 def test_midpoint_case_rejects_non_harmonic():
+    # F = C leaves the ratio FD/FC without a denominator segment
     with pytest.raises(GeometryError):
         verify_midpoint_case(pt(0), pt(2), pt(3), pt(2), A(1, 2))
-    with pytest.raises(GeometryError):
-        verify_midpoint_case(pt(0), pt(2), pt(3), pt((7, 5)), A(1, 2))
+
+
+def _thales_k():
+    # on the circle with diameter from (0,0) to (2,0), so KB is perpendicular to KC
+    return ConicParametrization(Conic(1, 0, -1, 1, 0, 0), A(0, 0)).point_at((2, 1))
+
+
+@pytest.mark.parametrize("verify, k, failing", [
+    (verify_midpoint_case, lambda: A(1, 2), [
+        "f is the midpoint of cb (metric)",
+        "composed ratio (BC/BD)(FD/FC) is the raison double",
+        "harmonic transported to the control line",
+    ]),
+    (verify_bisector_case, _thales_k, [
+        "reflection across KC maps line KD to line KF",
+        "reflection across KB maps line KD to line KF",
+        "converse: KG bisects DKF iff KG perpendicular KB",
+    ]),
+], ids=["midpoint", "bisector"])
+def test_four_point_case_non_harmonic_is_false(verify, k, failing):
+    # F = 7/5 is not the harmonic conjugate 3/2 of D = 3 for B = 0, C = 2:
+    # the verifier reports the failing claims, it does not raise
+    rep = verify(pt(0), pt(2), pt(3), pt((7, 5)), k())
+    assert not rep.verdict
+    assert [c["label"] for c in rep.claims if not c["equal"]] == failing
 
 
 def test_bisector_case_example():
-    circ = Conic(1, 0, -1, 1, 0, 0)  # circle with diameter from (0,0) to (2,0)
-    k = ConicParametrization(circ, A(0, 0)).point_at((2, 1))
-    rep = verify_bisector_case(pt(0), pt(2), pt(3), pt((3, 2)), k)
+    rep = verify_bisector_case(pt(0), pt(2), pt(3), pt((3, 2)), _thales_k())
     assert rep.verdict
 
 
@@ -516,8 +538,17 @@ def test_parallel_bornales_trapezoid():
 
 
 def test_parallel_bornales_rejects_non_parallel():
-    with pytest.raises(GeometryError):
-        parallel_bornales_identities(quad_config())
+    # the generator's E = D + lambda*(C - B) keeps BC parallel to ED; on
+    # other data, here also the trapezoid with E moved off that parallel,
+    # the Thales ratio IC/KD is the guard
+    moved = quadrangle_figure(
+        (A(0, 0), A(0, 3), A(4, 5), A(5, -1)),
+        default_chart(PLine(1, -3, -1)),
+        strict=False,
+    )
+    for q in (quad_config(), moved):
+        with pytest.raises(GeometryError, match="^ratio of non-parallel segments$"):
+            parallel_bornales_identities(q)
 
 
 # -- beaugrand ----------------------------------------------------------------------
