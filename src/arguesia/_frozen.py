@@ -6,7 +6,9 @@ through ``object.__setattr__``; afterwards assignment and deletion raise
 and equal fields, hash as ``hash((field1, ...))`` and print as
 ``Name(field1=..., ...)``.  A slotted subclass declares
 ``__slots__ = _fields = (...)``.  ``PPoint`` and ``PLine``, the classes
-compared most often, write ``__eq__`` and ``__hash__`` out by hand.
+compared most often, write ``__eq__`` and ``__hash__`` out by hand.  An
+instance is equal to itself before any field is read: most comparisons of
+charts (``Involution``, ``LineMap.compose``) compare one object with itself.
 """
 
 
@@ -32,6 +34,8 @@ class Frozen:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented

@@ -273,6 +273,23 @@ def _read_argv(argv) -> SimpleNamespace | None:
     return args
 
 
+def _glue_signed_values(argv):
+    """A ``construct`` argv with each value that starts with ``-`` and a
+    digit glued to its option, ``--b -1/2`` as ``--b=-1/2``: argparse takes
+    only a plain negative number such as ``-1`` after a space as a value,
+    and reads ``-1/2`` as an unknown option.  Any other argv is returned
+    as it is."""
+    if not argv or argv[0] != "construct":
+        return argv
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--b", "--c", "--d") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @functools.cache
 def build_parser():
     """The one ``argparse.ArgumentParser`` of this process, built on the
@@ -323,7 +340,7 @@ def main(argv=None) -> int:
             argv = sys.argv[1:]
         args = _read_argv(argv)
         if args is None:
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(_glue_signed_values(argv))
         if args.command == "verify":
             seed = args.seed if args.seed is not None else _default_seed()
             if args.trials < 1:

@@ -41,7 +41,7 @@ from arguesia.projective_core import (
     P3Point,
     PLine,
     PPoint,
-    _canonical,
+    _canonical_pair,
     _scaled_displacement,
     default_chart,
     incident,
@@ -139,7 +139,7 @@ def _distinct_params(rng: SplitMix64, bounds: int, n: int) -> list[tuple[int, in
     equal pairs."""
     vals: list[tuple[int, int]] = []
     while len(vals) < n:
-        t = _canonical(rng.fraction_pair(bounds))
+        t = _canonical_pair(*rng.fraction_pair(bounds))
         if t not in vals:
             vals.append(t)
     return vals

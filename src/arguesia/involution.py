@@ -30,7 +30,7 @@ from arguesia.projective_core import (
     GeometryError,
     LineMap,
     PPoint,
-    _canonical,
+    _canonical_pair,
     incident,
     param_str,
 )
@@ -195,11 +195,11 @@ def classify(inv: Involution) -> dict:
     a, b, c, _ = inv.map.matrix
     s, d = quad_sqrt(a * a + b * c)
     if c == 0:
-        fixed = (_canonical((-b, 2 * a)), (1, 0))
+        fixed = (_canonical_pair(-b, 2 * a), (1, 0))
     elif d > 1:
         fixed = (QuadExt(a, s, c, d), QuadExt(a, -s, c, d))
     else:
-        fixed = (_canonical((a + s, c)), _canonical((a - s, c)))
+        fixed = (_canonical_pair(a + s, c), _canonical_pair(a - s, c))
     return {"kind": kind, "fixed_points": fixed}
 
 

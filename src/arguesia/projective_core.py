@@ -2,13 +2,14 @@
 
 Every homogeneous value (points and lines, parameter pairs, 2x2 line
 maps, 3-space points and planes, and the conics built on them) is one
-canonical integer tuple, made by :func:`_canonical`, so projective equality
-is tuple equality and everything hashes.  A parameter on a charted line is
-an integer pair (u : v), with (1 : 0) for the line's point at infinity, and
-homographies of a line act on pairs through 2x2 integer matrices, which
-makes the limit cases exact rather than special-cased; an irrational fixed
-point, an ``exact_scalar.QuadExt``, moves by the same matrix
-(:func:`_apply_quad`).  A cross-ratio is an unreduced integer pair, with
+canonical integer tuple, made by :func:`_canonical` (written out for the
+3-entry points and lines and, as :func:`_canonical_pair`, for pairs), so
+projective equality is tuple equality and everything hashes.  A parameter
+on a charted line is an integer pair (u : v), with (1 : 0) for the line's
+point at infinity, and homographies of a line act on pairs through 2x2
+integer matrices, which makes the limit cases exact rather than
+special-cased; an irrational fixed point, an ``exact_scalar.QuadExt``,
+moves by the same matrix (:func:`_apply_quad`).  A cross-ratio is an unreduced integer pair, with
 den 0 for infinity, printed by :func:`param_str`; euclidean tests use the
 integer displacements of :func:`_scaled_displacement`.  Every value is
 built from integers: a rational read as text is an integer pair placed by
@@ -52,7 +53,10 @@ def _canonical(coords: tuple) -> tuple[int, ...]:
     The tuple is divided by the gcd of its entries and the sign is chosen
     so the first nonzero entry is positive.  Two homogeneous values are
     then equal iff their canonical tuples are.  A tuple with a non-integer
-    entry, which ``math.gcd`` refuses, raises ``TypeError``.
+    entry, which ``math.gcd`` refuses, raises ``TypeError``.  This is the
+    generic form, for the 4- and 6-entry tuples; the hot 3-entry tuples
+    (``PPoint``, ``PLine``) and the pairs (:func:`_canonical_pair`) take
+    the same steps written out for their length.
     """
     g = gcd(*coords)
     if g == 0:
@@ -65,13 +69,30 @@ def _canonical(coords: tuple) -> tuple[int, ...]:
     return tuple([c // g for c in coords])
 
 
+def _canonical_pair(u, v) -> tuple[int, int]:
+    """``_canonical((u, v))``: one gcd, the sign of the first nonzero
+    entry, two floor divisions."""
+    g = gcd(u, v)
+    if g == 0:
+        raise GeometryError("zero homogeneous tuple")
+    if (u or v) < 0:
+        g = -g
+    return u // g, v // g
+
+
 class PPoint(Frozen):
     """Point (x : y : z); z = 0 marks a point at infinity."""
 
     __slots__ = ("coords",)
 
     def __init__(self, x, y, z):
-        object.__setattr__(self, "coords", _canonical((x, y, z)))
+        # _canonical((x, y, z)) written out: the most frequent construction
+        g = gcd(x, y, z)
+        if g == 0:
+            raise GeometryError("zero homogeneous tuple")
+        if (x or y or z) < 0:
+            g = -g
+        object.__setattr__(self, "coords", (x // g, y // g, z // g))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -109,7 +130,13 @@ class PLine(Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, u, v, w):
-        object.__setattr__(self, "coeffs", _canonical((u, v, w)))
+        # _canonical((u, v, w)) written out, as in PPoint
+        g = gcd(u, v, w)
+        if g == 0:
+            raise GeometryError("zero homogeneous tuple")
+        if (u or v or w) < 0:
+            g = -g
+        object.__setattr__(self, "coeffs", (u // g, v // g, w // g))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -235,7 +262,7 @@ class AffineChart(Frozen):
         """Projective parameter pair (u : v) with t = u/v, infinity (1 : 0)."""
         if not incident(p, self.line):
             raise GeometryError(f"{p} not on chart line {self.line}")
-        return _canonical(self._linear_pair(p.coords))
+        return _canonical_pair(*self._linear_pair(p.coords))
 
     def _linear_pair(self, x) -> tuple[int, int]:
         """The parameter pair of a vector x on the line, not normalized:
@@ -312,7 +339,7 @@ class LineMap(Frozen):
     def apply_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
         a, b, c, d = self.matrix
         u, v = pair
-        return _canonical((a * u + b * v, c * u + d * v))
+        return _canonical_pair(a * u + b * v, c * u + d * v)
 
     def apply_point(self, p: PPoint) -> PPoint:
         return self.dst.point_at_pair(self.apply_pair(self.src.param_pair(p)))
@@ -351,12 +378,21 @@ def _apply_quad(matrix, t: QuadExt) -> QuadExt:
 
 
 def project_point(center: PPoint, p: PPoint, target: PLine) -> PPoint:
-    """Central projection of one point onto a line."""
+    """Central projection of one point onto a line, meet(join(center, p),
+    target), built as (l.P)K - (l.K)P for the center K, the point P and
+    the line l by the triple-product rule ``perspective_map`` cites, so no
+    line through K and P is made.  It keeps that construction's two
+    guards, a center on the target and p equal to the center; past them
+    the vector is never 0.
+    """
     if incident(center, target):
         raise GeometryError("projection center on the target line")
-    if p == center:
+    k, x, l = center.coords, p.coords, target.coeffs
+    if x == k:
         raise GeometryError("cannot project the center itself")
-    return meet(join(center, p), target)
+    lx = l[0] * x[0] + l[1] * x[1] + l[2] * x[2]
+    lk = l[0] * k[0] + l[1] * k[1] + l[2] * k[2]
+    return PPoint(lx * k[0] - lk * x[0], lx * k[1] - lk * x[1], lx * k[2] - lk * x[2])
 
 
 def perspective_map(center: PPoint, src: AffineChart, dst: AffineChart) -> LineMap:
@@ -422,7 +458,7 @@ def harmonic_partner_param(pa, pb, pc) -> tuple[int, int]:
     # with k1, k2 nonzero, k1*pb + k2*pa is never the zero pair
     u = k1 * pb[0] + k2 * pa[0]
     v = k1 * pb[1] + k2 * pa[1]
-    return _canonical((u, v))
+    return _canonical_pair(u, v)
 
 
 # ---------------------------------------------------------------------------

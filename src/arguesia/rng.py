@@ -21,7 +21,8 @@ Every n <= 2^64 takes one output per draw.
 
 from __future__ import annotations
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
@@ -53,9 +54,19 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection on k*64-bit draws."""
+        """Uniform integer in [0, n), by rejection on k*64-bit draws.
+
+        Every n <= 2^64 has k = 1 and takes one output per attempt, with
+        no bit length, word loop or ``range`` to set up.
+        """
         if n <= 0:
             raise ValueError("below() needs a positive bound")
+        if n <= _SPAN:
+            limit = _SPAN - _SPAN % n
+            while True:
+                v = self.next_u64()
+                if v < limit:
+                    return v % n
         words = ((n - 1).bit_length() + 63) // 64 or 1
         span = 1 << (64 * words)
         limit = span - span % n

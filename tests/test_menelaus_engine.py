@@ -482,6 +482,31 @@ def test_quadrangle_replay_structure():
     ]
 
 
+@pytest.mark.parametrize("command, kind, ratios", [
+    ("replay", "ramee", 14), ("verify", "ramee", 14), ("replay", "quadrangle", 8),
+])
+def test_each_replay_ratio_is_computed_once_per_trace(monkeypatch, capsys, command, kind, ratios):
+    # ramee: 24 factors in 8 steps, of which Kd/KD (series 1), KF/Kf
+    # (series 2) and each nD/nf (in both) repeat; quadrangle: 12 factors,
+    # the ratios at C, D (N3) and at B, E (N2) each used twice.  A rerun of
+    # the same seed computes them again: the table belongs to the trace.
+    import arguesia.menelaus_engine as menelaus_engine
+    from arguesia.cli import main
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ratio(*args)
+
+    monkeypatch.setattr(menelaus_engine, "ratio", counting)
+    for seed in (1, 2, 3, 1):
+        calls.clear()
+        assert main([command, kind, "--seed", str(seed), "--json"]) == 0
+        assert len(calls) == ratios, seed
+    capsys.readouterr()
+
+
 def test_quadrangle_transversal_through_borne_rejected():
     bornes = (A(0, 0), A(4, 1), A(3, 5), A(-1, 3))
     through_b = join(A(0, 0), A(1, 7))

@@ -34,6 +34,7 @@ from arguesia.projective_core import (
     project_point,
     _apply_quad,
     _canonical,
+    _canonical_pair,
 )
 from arguesia._kernel import det3
 from arguesia.conics import Conic
@@ -104,6 +105,88 @@ def test_canonical_is_one_scale_free_form(t, k):
 
 
 _X_CHART = default_chart(X_AXIS)
+
+
+# The 3-entry form written out in PPoint and PLine, and _canonical_pair, on
+# tuples with zeros anywhere, negative leading entries and bool entries.
+_ENTRY = st.one_of(st.just(0), _INT, st.booleans())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(_ENTRY, _ENTRY, _ENTRY))
+@example((0, 0, -3))
+@example((0, -4, 6))
+@example((-2, 0, 0))
+@example((True, False, True))
+@example((False, False, False))
+@example((0, 0, 0))
+def test_point_and_line_forms_equal_canonical(t):
+    if not any(t):
+        for build in (PPoint, PLine):
+            with pytest.raises(GeometryError, match="^zero homogeneous tuple$"):
+                build(*t)
+        return
+    n = _canonical(t)
+    for coords in (PPoint(*t).coords, PLine(*t).coeffs):
+        assert coords == n and [type(e) for e in coords] == [int] * 3
+    with pytest.raises(TypeError):
+        PPoint(*t[:2], F(1, 2))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(_ENTRY, _ENTRY))
+@example((0, -3))
+@example((-5, 0))
+@example((True, False))
+@example((False, False))
+def test_pair_form_equals_canonical(t):
+    if not any(t):
+        with pytest.raises(GeometryError, match="^zero homogeneous tuple$"):
+            _canonical_pair(*t)
+        return
+    pair = _canonical_pair(*t)
+    assert pair == _canonical(t) and [type(e) for e in pair] == [int, int]
+    # the pairs a line map returns: the identity map gives the canonical pair
+    assert LineMap((1, 0, 0, 1), _X_CHART, _X_CHART).apply_pair(t) == pair
+
+
+def _project_by_meet_join(center, p, target):
+    """project_point as meet(join(center, p), target), with its two guards."""
+    if incident(center, target):
+        raise GeometryError("projection center on the target line")
+    if p == center:
+        raise GeometryError("cannot project the center itself")
+    return meet(join(center, p), target)
+
+
+_TRIPLE = st.tuples(_INT, _INT, _INT).filter(any)
+_SMALL = st.integers(-3, 3)
+_SMALL_TRIPLE = st.tuples(_SMALL, _SMALL, _SMALL).filter(any)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(_TRIPLE, _TRIPLE, _TRIPLE),
+                 st.tuples(_SMALL_TRIPLE, _SMALL_TRIPLE, _SMALL_TRIPLE)))
+@example(((0, 0, 1), (1, 2, 0), (0, 1, 0)))    # p at infinity
+@example(((1, 1, 0), (3, 2, 1), (0, 1, 0)))    # center at infinity
+@example(((0, 0, 1), (5, 0, 1), (0, 1, 0)))    # p on the target
+@example(((0, 0, 1), (0, 0, 1), (0, 1, 0)))    # p == center
+@example(((0, 0, 2), (1, 1, 1), (0, 0, 1)))    # onto the line at infinity
+@example(((3, 0, 1), (1, 1, 1), (1, 0, -3)))   # center on the target
+@example(((3, 0, 1), (3, 0, 1), (1, 0, -3)))   # both
+def test_project_point_equals_meet_of_join(data):
+    k, x, l = data
+    center, p, target = PPoint(*k), PPoint(*x), PLine(*l)
+    try:
+        expected = _project_by_meet_join(center, p, target)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=f"^{exc}$"):
+            project_point(center, p, target)
+        return
+    image = project_point(center, p, target)
+    assert image.coords == expected.coords and incident(image, target)
+    # a point on the target is its own image
+    assert project_point(center, image, target).coords == image.coords
 
 
 @pytest.mark.parametrize("build, args", [
@@ -447,6 +530,24 @@ def test_projection_errors():
         plane_perspectivity(apex, P3Plane(0, 0, 1, -1), BASE)
     with pytest.raises(GeometryError, match="apex must be off both planes"):
         plane_perspectivity(apex, BASE, P3Plane(0, 0, 1, -1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(_INT, _INT, _INT, _INT).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+       _INT.filter(bool), st.integers(1, 10**6))
+def test_frozen_equality_reads_fields_for_distinct_instances(m, k, shift):
+    # built twice from equal data, never the same object, always equal
+    line = PLine(0, 1, -shift)
+    o, u = PPoint(0, shift, 1), PPoint(k, shift, 1)
+    chart, twin = AffineChart(line, o, u), AffineChart(PLine(0, -2, 2 * shift), o, u)
+    first = LineMap(m, chart, chart)
+    second = LineMap(tuple(k * e for e in m), twin, twin)
+    for a, b in ((chart, twin), (first, second)):
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a == a and len({a, b}) == 1
+    other = AffineChart(line, u, o)
+    assert chart != other and not chart == other
+    assert first.compose(second).src == twin
 
 
 # -- misc helpers -------------------------------------------------------------

@@ -184,6 +184,21 @@ def test_construct_harmonic_prints_the_closed_form(values, midpoint, k):
     assert out.getvalue() == expected + "\n"
 
 
+@pytest.mark.parametrize("option", ["--b", "--c", "--d"])
+def test_construct_takes_a_negative_fraction_after_a_space(option, capsys):
+    # argparse alone reads "-1/2" after a space as an unknown option
+    values = {"--b": "0", "--c": "2", "--d": "3"}
+    values[option] = "-1/2"
+    glued = [f"{name}={value}" for name, value in values.items()]
+    spaced = [arg for pair in values.items() for arg in pair]
+    assert main(["construct", "harmonic", *glued]) == 0
+    expected = capsys.readouterr().out
+    assert main(["construct", "harmonic", *spaced]) == 0
+    assert capsys.readouterr() == (expected, "")
+    if option == "--b":
+        assert expected == "13/9\n"
+
+
 def test_construct_rejects_malformed_rational():
     proc = run_cli("construct", "harmonic", "--b", "zero", "--c", "2", "--d", "3")
     assert proc.returncode == 2

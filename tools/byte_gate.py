@@ -14,9 +14,12 @@ only one record has, and exits 1 if there is any, 0 otherwise.  Record
 the parent and the change, each with its own ``--src``, then compare.
 
 The matrix: every verify kind, text and ``--json``, ``--trials 25`` at
-bounds 8, 32, 3*10**4 and 10**18; every replay kind, text and ``--json``,
-at seeds 1-20; ``figure`` of every kind at seeds 1-3; and ``construct
-harmonic`` on three triples of values.  Standard library only.
+bounds 8, 32, 3*10**4 and 10**18; the instance seeds that perfbench's
+workload seed 1 times first, ``--seed 1000001 --trials 50``, text and
+``--json``, for ``verify ramee`` at bounds 32 and 3*10**4 and for each
+``conics`` workload kind at bounds 32; every replay kind, text and
+``--json``, at seeds 1-20; ``figure`` of every kind at seeds 1-3; and
+``construct harmonic`` on three triples of values.  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ REPLAY_KINDS = ("ramee", "quadrangle", "beaugrand", "pascal")
 FIGURE_KINDS = ("menelaus", "ramee", "quadrangle", "pencil", "pascal", "beaugrand",
                 "harmonic", "bisector", "parallel-bornales", "retablissement", "p13")
 CONSTRUCT_VALUES = (("0", "2", "3"), ("1/2", "5/3", "7"), ("0", "2", "1"))
+# (kind, bounds) of the benchmark's timed verify ops, run from TIMED_SEED
+TIMED_VERIFY = (("ramee", 32), ("ramee", 3 * 10**4), ("quadrangle", 32), ("pencil", 32),
+                ("pascal", 32), ("parallel-bornales", 32))
+TIMED_SEED = 1_000_001
 
 
 def full_matrix() -> list[list[str]]:
@@ -48,6 +55,10 @@ def full_matrix() -> list[list[str]]:
             for fmt in ([], ["--json"]):
                 commands.append(["verify", kind, "--seed", "1", "--trials", "25",
                                  "--bounds", str(bounds)] + fmt)
+    for kind, bounds in TIMED_VERIFY:
+        for fmt in ([], ["--json"]):
+            commands.append(["verify", kind, "--seed", str(TIMED_SEED), "--trials", "50",
+                             "--bounds", str(bounds)] + fmt)
     for kind in REPLAY_KINDS:
         for seed in range(1, 21):
             for fmt in ([], ["--json"]):
