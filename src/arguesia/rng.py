@@ -67,7 +67,7 @@ class SplitMix64:
                 v = self.next_u64()
                 if v < limit:
                     return v % n
-        words = ((n - 1).bit_length() + 63) // 64 or 1
+        words = ((n - 1).bit_length() + 63) // 64
         span = 1 << (64 * words)
         limit = span - span % n
         while True:

@@ -515,7 +515,7 @@ def verify_pencil(q: dict, members) -> dict:
     couples and the inputs are built once, for all members.
 
     Each member cuts the transversal in a couple of that involution (a
-    member not through the four bornes is a ConicError); a tangent
+    member not through the four bornes has that one false claim); a tangent
     member's double point is a fixed point.  For a nondegenerate member
     with a rational chord the conic-induced map sigma (pencils at E and D)
     must satisfy sigma(P)=G, sigma(H)=Q and fix the chord points.  A chord
@@ -532,10 +532,10 @@ def verify_pencil(q: dict, members) -> dict:
     d, e = bornes[2:]
 
     def check(member: Conic) -> TheoremReport:
-        for p in bornes:
-            if not member.contains(p):
-                raise ConicError("member does not pass through all four bornes")
         report = TheoremReport("pencil_involution", inputs=inputs | {"member": member.to_json()})
+        if not all(member.contains(p) for p in bornes):
+            report.claim_true("member passes through the four bornes", False)
+            return report
 
         if member.is_degenerate():
             # through four bornes, no three collinear, a degenerate conic is
@@ -565,7 +565,7 @@ def verify_pencil(q: dict, members) -> dict:
         else:
             l_pt, m_pt = chord
             report.claim("chord couple swapped: partner(L) = M", partner(inv, l_pt), m_pt)
-        sigma = lambda x: meet(join(d, second_intersection(member, e, x)), delta.line)
+        sigma = lambda x: project_point(d, second_intersection(member, e, x), delta.line)
         report.claim("sigma(a) = c  [sigma(P) = G]", sigma(q["P"]), q["G"])
         report.claim("sigma(c') = a'  [sigma(H) = Q]", sigma(q["H"]), q["Q"])
         for i, pt in enumerate(chord):

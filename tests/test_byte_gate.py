@@ -1,14 +1,43 @@
-"""tools/byte_gate.py: identical runs record identical digests, and a
-changed digest fails ``compare``."""
+"""tools/byte_gate.py: every command of its matrix prints the bytes that
+``tests/bytes.json`` records, identical runs record identical digests, and
+a changed digest fails ``compare``.
+
+A change that alters output bytes on purpose re-records the file with
+``python3 tools/byte_gate.py record tests/bytes.json``.
+"""
 
 import importlib.util
 import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "byte_gate.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "byte_gate.py"
+RECORD = ROOT / "tests" / "bytes.json"
 _spec = importlib.util.spec_from_file_location("byte_gate", TOOL)
 byte_gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_gate)
+
+MATRIX = byte_gate.full_matrix()
+RECORDED = json.loads(RECORD.read_text())
+
+
+@pytest.mark.parametrize("argv", MATRIX, ids=" ".join)
+def test_bytes(argv):
+    # the command prints, writes and returns what tests/bytes.json records
+    command = " ".join(argv)
+    assert byte_gate.record([argv]) == {command: RECORDED.get(command)}
+
+
+def test_record_holds_exactly_the_matrix():
+    assert sorted(RECORDED) == sorted(" ".join(argv) for argv in MATRIX)
+
+
+def test_record_holds_every_benchmark_check():
+    benchmark = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    assert set(benchmark) <= set(RECORDED)
+
 
 SMALL = [
     ["verify", "midpoint", "--seed", "1", "--trials", "3", "--json"],
@@ -18,14 +47,6 @@ SMALL = [
     ["construct", "harmonic", "--b", "0", "--c", "2", "--d", "3"],
     ["verify", "midpoint", "--bounds", "7"],  # a usage error, exit 2
 ]
-
-
-def test_full_matrix_covers_every_cli_kind():
-    from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, VERIFY_KINDS
-
-    assert set(byte_gate.VERIFY_KINDS) == set(VERIFY_KINDS)
-    assert set(byte_gate.REPLAY_KINDS) == set(REPLAY_KINDS)
-    assert set(byte_gate.FIGURE_KINDS) == set(FIGURE_KINDS)
 
 
 def test_two_records_agree_and_a_changed_one_fails(tmp_path, capsys):

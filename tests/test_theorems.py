@@ -376,8 +376,11 @@ def test_pencil_members_and_tangency():
 
 def test_pencil_member_not_through_bornes_rejected():
     q = quad_config()
-    with pytest.raises(ConicError):
-        pencil_check(q, UC)
+    result = verify_pencil(q, [("member", UC)])
+    assert result["verdict"] is False
+    claims = result["members"][0]["report"]["claims"]
+    assert [(c["label"], c["lhs"], c["equal"]) for c in claims] == [
+        ("member passes through the four bornes", "false", False)]
 
 
 CHORD_CLAIM = "chord couple in the involution: c*C + a*B - b*A = 0"
