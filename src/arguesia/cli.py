@@ -15,18 +15,32 @@ instance meets its verifier's and replay's preconditions, so a
 ``GeometryError`` raised while verifying, replaying or drawing one is an
 internal error, as is a retry budget exhausted at bounds 8 and above.
 ARGUESIA_SEED provides the default seed.  Identical invocations produce
-byte-identical output.  ``main`` may be called repeatedly in one process.
-A well-formed ``verify`` or ``replay`` argv is read directly, to the
-namespace argparse would make of it; ``argparse`` is imported, and its
-parser built once and reused, only for help, malformed argv, ``figure``
-and ``construct``, so it alone writes usage, help and error text.  Each
-call lifts Python's int-to-str digit limit and restores the caller's on
-return.
+byte-identical output.  ``main`` returns the exit code, never raises
+``SystemExit``, and may be called repeatedly in one process.  Each call
+lifts Python's int-to-str digit limit and restores the caller's on return.
+
+One reader reads the argv of every command:
+
+- ``<command> <kind>`` comes first, then the options, each spelled in full.
+- A value follows its option after a space or after ``=``: ``--b -1/2``
+  and ``--b=-1/2`` read the same value.  A later option overrides an
+  earlier one.
+- ``--seed``, ``--trials`` and ``--bounds`` take ASCII digits only.  No
+  value is empty, and only a ``construct`` value may start with ``-``.
+- ``figure`` needs ``-o``/``--output``; ``construct harmonic`` needs
+  ``--b``, ``--c`` and ``--d``.
+- ``-h`` or ``--help`` anywhere in the argv prints the synopsis above to
+  stdout and exits 0.
+
+Any other argv is a usage error: an empty argv, an unknown command, kind
+or option (the message lists the valid ones), an abbreviated option, a
+missing value, ``--json=...``, or an integer with a sign or a non-digit.
+Like every usage error it writes one ``error: ...`` line to stderr and
+nothing to stdout.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -183,12 +197,18 @@ def _json_write(value, newline: str, out: list) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _count_checks(rep: dict) -> int:
+    """The records that decide a report's verdict: its claims, its trace's
+    steps and each pencil member's claims."""
+    return (len(rep.get("claims", ())) + len(rep.get("trace", {}).get("steps", ()))
+            + sum(_count_checks(m["report"]) for m in rep.get("members", ())))
+
+
 def _format_verify_text(kind: str, reports: list[dict]) -> str:
     lines = []
     for rep in reports:
         mark = "ok" if rep["verdict"] else "FAIL"
-        nclaims = len(rep.get("claims", [])) or len(rep.get("members", []))
-        lines.append(f"{kind} seed={rep['seed']} {mark} ({nclaims} checks)")
+        lines.append(f"{kind} seed={rep['seed']} {mark} ({_count_checks(rep)} checks)")
     total = sum(1 for r in reports if r["verdict"])
     lines.append(f"{total}/{len(reports)} verdicts true")
     return "\n".join(lines) + "\n"
@@ -225,109 +245,70 @@ def _default_seed() -> int:
 # argument parsing
 
 
-# replay or verify option -> the namespace attribute it sets
-_REPLAY_OPTIONS = {"--seed": "seed", "--bounds": "bounds", "--json": "json"}
-_VERIFY_OPTIONS = {**_REPLAY_OPTIONS, "--trials": "trials", "-o": "output", "--output": "output"}
+class UsageError(Exception):
+    """An argv the reader refuses; ``main`` reports it and returns 2."""
 
 
-def _read_argv(argv) -> SimpleNamespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` makes of a
-    well-formed verify or replay argv, or None for any other argv.
+# option -> the namespace attribute it sets
+_OPTIONS = {"--seed": "seed", "--trials": "trials", "--bounds": "bounds", "--json": "json",
+            "-o": "output", "--output": "output", "--b": "b", "--c": "c", "--d": "d"}
+_INTEGERS = ("seed", "trials", "bounds")
+# command -> (its kinds, its options' attributes with their defaults, the
+# attributes it requires)
+_COMMANDS = {
+    "verify": (VERIFY_KINDS,
+               {"seed": None, "trials": 1, "bounds": 32, "json": False, "output": None}, ()),
+    "replay": (REPLAY_KINDS, {"seed": None, "bounds": 32, "json": False}, ()),
+    "construct": (("harmonic",), {"b": None, "c": None, "d": None}, ("b", "c", "d")),
+    "figure": (FIGURE_KINDS, {"seed": None, "bounds": 32, "output": None}, ("output",)),
+}
 
-    Well-formed is ``<command> <kind>`` and then options spelled in full,
-    each integer in ASCII digits and the output name not starting with
-    ``-``; argparse accepts every such argv, and reads every other one.
-    """
-    if len(argv) < 2:
-        return None
-    command, kind = argv[0], argv[1]
-    if command == "verify" and kind in VERIFIERS:
-        args = SimpleNamespace(command=command, kind=kind, seed=None, trials=1,
-                               bounds=32, json=False, output=None)
-        options = _VERIFY_OPTIONS
-    elif command == "replay" and kind in REPLAYS:
-        args = SimpleNamespace(command=command, kind=kind, seed=None, bounds=32, json=False)
-        options = _REPLAY_OPTIONS
-    else:
-        return None
+
+def _read_argv(argv) -> SimpleNamespace:
+    """The command, kind and options of argv, read by the rules in the
+    module docstring, with ARGUESIA_SEED for a missing ``--seed``;
+    UsageError for any argv the rules do not read."""
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise UsageError(f"{what} (choose from {', '.join(_COMMANDS)})")
+    command = argv[0]
+    kinds, defaults, required = _COMMANDS[command]
+    if len(argv) < 2 or argv[1] not in kinds:
+        what = f"unknown kind {argv[1]!r}" if len(argv) > 1 else "missing kind"
+        raise UsageError(f"{command}: {what} (choose from {', '.join(kinds)})")
+    args = SimpleNamespace(command=command, kind=argv[1], **defaults)
     i, n = 2, len(argv)
     while i < n:
-        name = options.get(argv[i])
-        if name is None:
-            return None
+        option, eq, value = argv[i].partition("=")
+        i += 1
+        name = _OPTIONS.get(option)
+        if name not in defaults:
+            options = ", ".join(o for o, a in _OPTIONS.items() if a in defaults)
+            raise UsageError(f"{command}: unknown option {option!r} (choose from {options})")
         if name == "json":
+            if eq:
+                raise UsageError("--json takes no value")
             args.json = True
-            i += 1
             continue
-        if i + 1 == n:
-            return None
-        value = argv[i + 1]
-        if type(value) is not str or not value or value[0] == "-":
-            return None
-        if name != "output":
+        if not eq:
+            if i == n:
+                raise UsageError(f"{option} needs a value")
+            value = argv[i]
+            i += 1
+        if name in _INTEGERS:
             if not (value.isascii() and value.isdigit()):
-                return None
+                raise UsageError(f"{option} needs an integer in digits, not {value!r}")
             value = int(value)
+        elif command != "construct" and (not value or value[0] == "-"):
+            raise UsageError(f"{option} needs a value, not {value!r}")
         setattr(args, name, value)
-        i += 2
+    for name in required:
+        if getattr(args, name) is None:
+            option = next(o for o, a in _OPTIONS.items() if a == name)
+            raise UsageError(f"{command} {args.kind} needs {option}")
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
     return args
-
-
-def _glue_signed_values(argv):
-    """A ``construct`` argv with each value that starts with ``-`` and a
-    digit glued to its option, ``--b -1/2`` as ``--b=-1/2``: argparse takes
-    only a plain negative number such as ``-1`` after a space as a value,
-    and reads ``-1/2`` as an unknown option.  Any other argv is returned
-    as it is."""
-    if not argv or argv[0] != "construct":
-        return argv
-    out = []
-    for arg in argv:
-        if out and out[-1] in ("--b", "--c", "--d") and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
-@functools.cache
-def build_parser():
-    """The one ``argparse.ArgumentParser`` of this process, built on the
-    first ``main`` call that ``_read_argv`` hands on."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="arguesia",
-        description="Exact verification and replay of the Brouillon Project theorems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="verify a theorem suite on seeded instances")
-    p_verify.add_argument("kind", choices=VERIFY_KINDS)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=1)
-    p_verify.add_argument("--bounds", type=int, default=32)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("-o", "--output", default=None)
-
-    p_replay = sub.add_parser("replay", help="replay a historical proof step by step")
-    p_replay.add_argument("kind", choices=REPLAY_KINDS)
-    p_replay.add_argument("--seed", type=int, default=None)
-    p_replay.add_argument("--bounds", type=int, default=32)
-    p_replay.add_argument("--json", action="store_true")
-
-    p_construct = sub.add_parser("construct", help="exact constructions")
-    p_construct.add_argument("what", choices=("harmonic",))
-    p_construct.add_argument("--b", required=True)
-    p_construct.add_argument("--c", required=True)
-    p_construct.add_argument("--d", required=True)
-
-    p_figure = sub.add_parser("figure", help="render an instance as SVG")
-    p_figure.add_argument("kind", choices=FIGURE_KINDS)
-    p_figure.add_argument("--seed", type=int, default=None)
-    p_figure.add_argument("--bounds", type=int, default=32)
-    p_figure.add_argument("-o", "--output", required=True)
-    return parser
 
 
 def main(argv=None) -> int:
@@ -338,11 +319,12 @@ def main(argv=None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
+        if "-h" in argv or "--help" in argv:
+            sys.stdout.write(__doc__.split("\n\n")[1] + "\n")
+            return 0
         args = _read_argv(argv)
-        if args is None:
-            args = build_parser().parse_args(_glue_signed_values(argv))
         if args.command == "verify":
-            seed = args.seed if args.seed is not None else _default_seed()
+            seed = args.seed
             if args.trials < 1:
                 raise InstanceError("--trials must be at least 1")
             # refuse before the first op what the loop would refuse at its
@@ -370,8 +352,7 @@ def main(argv=None) -> int:
             return 0 if all_true else 1
 
         if args.command == "replay":
-            seed = args.seed if args.seed is not None else _default_seed()
-            data = replay_one(args.kind, seed, args.bounds)
+            data = replay_one(args.kind, args.seed, args.bounds)
             text = _json_dump(data) if args.json else _format_trace_text(data)
             _emit(text, None)
             return 0 if data["verdict"] else 1
@@ -391,9 +372,8 @@ def main(argv=None) -> int:
         # figure, the last command: only it renders, so only it imports the renderer
         from arguesia.svg_figures import FigureError, render_figure
 
-        seed = args.seed if args.seed is not None else _default_seed()
         kind = args.kind.replace("-", "_")
-        inst = generate_instance(InstanceConfig(kind, seed, args.bounds))
+        inst = generate_instance(InstanceConfig(kind, args.seed, args.bounds))
         try:
             payload = render_figure(kind, inst)
         except FigureError as exc:
@@ -401,7 +381,7 @@ def main(argv=None) -> int:
         with open(args.output, "wb") as fh:
             fh.write(payload)
         return 0
-    except (InstanceError, OSError) as exc:
+    except (UsageError, InstanceError, OSError) as exc:
         return _usage_error(exc)
     except Exception:
         # any other failure is the program's own fault, not a usage error

@@ -24,7 +24,6 @@ from arguesia.conics import (
 )
 from arguesia.involution import (
     Involution,
-    InvolutionError,
     NodeCouples,
     classify,
     classify_kind,
@@ -221,10 +220,10 @@ def verify_ramee(figure: dict) -> TheoremReport:
     identities, and, as a separate claim, the homography check; the
     hyperbolic/elliptic class is preserved; each fixed point maps exactly
     to a fixed point.  The image couples are the check's projections, and
-    the Menelaus trace of ``replay_ramee_proof`` is attached.
+    the Menelaus trace of ``replay_ramee_proof`` is attached.  Source
+    couples not in involution stop the report at that one false claim.
     """
     nc, k, delta, pts = figure["arbre"], figure["k"], figure["delta"], figure["points"]
-    trace = replay_ramee_proof(figure)
     report = TheoremReport(
         "ramee",
         inputs={
@@ -234,12 +233,17 @@ def verify_ramee(figure: dict) -> TheoremReport:
         },
     )
     report.notes["k_at_infinity"] = False  # always; kept for the printed bytes
+    report.trace = replay_ramee_proof(figure)
+    source = equivalence_check(nc)
+    if not source["equivalent"]:
+        report.claim_true("couples in involution", False)
+        return report
 
     pi = perspective_map(k, nc.chart, delta)
     image_nc = NodeCouples(
         delta, ((pts["b"], pts["h"]), (pts["c"], pts["g"]), (pts["d"], pts["f"]))
     )
-    source_inv = nc_involution(nc)
+    source_inv = source["involution"]
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
     for ident in rectangle_identity_check(image_nc):
@@ -265,16 +269,7 @@ def verify_ramee(figure: dict) -> TheoremReport:
         else:
             t_img = pi.apply_pair(t)
             report.claim_pair(label, phi.apply_pair(t_img), t_img)
-    report.trace = trace
     return report
-
-
-def nc_involution(nc: NodeCouples) -> Involution:
-    """The involution determined by a NodeCouples (must be consistent)."""
-    eq = equivalence_check(nc)
-    if not eq["equivalent"]:
-        raise InvolutionError("couples are not in involution")
-    return eq["involution"]
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +509,9 @@ def verify_pencil(q: dict, members) -> dict:
     verdict is true when every report's is.  The involution of the three
     couples and the inputs are built once, for all members.
 
-    Each member cuts the transversal in a couple of that involution (a
-    member not through the four bornes has that one false claim); a tangent
+    Each member cuts the transversal in a couple of that involution (when
+    the three couples are not in involution, or a member is not through
+    the four bornes, its report has that one false claim); a tangent
     member's double point is a fixed point.  For a nondegenerate member
     with a rational chord the conic-induced map sigma (pencils at E and D)
     must satisfy sigma(P)=G, sigma(H)=Q and fix the chord points.  A chord
@@ -526,13 +522,17 @@ def verify_pencil(q: dict, members) -> dict:
     symmetric functions t + t' = -B/A and t*t' = C/A, so no square root is
     taken.
     """
-    inv = nc_involution(quadrangle_couples(q))
+    eq = equivalence_check(quadrangle_couples(q))
+    inv = eq["involution"]
     inputs = _quadrangle_json(q)
     bornes, delta = q["bornes"], q["transversal"]
     d, e = bornes[2:]
 
     def check(member: Conic) -> TheoremReport:
         report = TheoremReport("pencil_involution", inputs=inputs | {"member": member.to_json()})
+        if not eq["equivalent"]:
+            report.claim_true("couples in involution", False)
+            return report
         if not all(member.contains(p) for p in bornes):
             report.claim_true("member passes through the four bornes", False)
             return report

@@ -10,14 +10,13 @@ import time
 from fractions import Fraction as F
 
 from arguesia.instances import InstanceConfig, generate_instance
-from arguesia.involution import classify
+from arguesia.involution import classify, equivalence_check
 from arguesia.menelaus_engine import NonGenericError, menelaus_product
 from arguesia.projective_core import GeometryError, default_chart, incident, join
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
     construct_involution_p13,
     desargues_involution_by_perspectives,
-    nc_involution,
     parallel_bornales_identities,
     pascal_collinear,
     pascal_figure,
@@ -90,7 +89,7 @@ def test_criterion_02_ramee_500():
             assert rep.trace is not None
             assert sum(s.get("meta", {}).get("kind") == "menelaus" for s in rep.trace.steps) == 8
             assert all(s["equal"] for s in rep.trace.steps)
-            src_cls = classify(nc_involution(inst["figure"]["arbre"]))
+            src_cls = classify(equivalence_check(inst["figure"]["arbre"])["involution"])
             if src_cls["kind"] == "hyperbolic":
                 assert any("fixed point" in c["label"] for c in rep.claims)
 

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 import arguesia
-from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, VERIFY_KINDS, build_parser, main
+from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, VERIFY_KINDS, main
 
 TESTS = Path(__file__).resolve().parent
 LIBRARY = TESTS.parent / "src" / "arguesia"
@@ -174,9 +174,6 @@ def test_every_function_runs_or_is_listed(tmp_path, capsys):
             entered.add(frame.f_code)
 
     commands = _census_commands(str(tmp_path / "figure.svg"))
-    # a parser cached by an earlier test in this process would keep the
-    # profiled commands out of build_parser
-    build_parser.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in commands]

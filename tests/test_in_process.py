@@ -1,14 +1,14 @@
-"""Repeated in-process ``main`` calls: a well-formed ``verify`` or
-``replay`` argv is read without argparse, to the namespace argparse makes
-of it, and any other argv builds one parser per process; and the
-``Fraction`` budgets: none in instance generation, and none in any verify
-or replay op."""
+"""Repeated in-process ``main`` calls and the one argv reader: every
+argv is read by the rules in ``arguesia.cli``'s docstring, and every other
+one is a usage error that returns 2; and the ``Fraction`` budgets: none in
+instance generation, and none in any verify or replay op."""
 
-import argparse
+import contextlib
 import fractions
+import io
 import json
-import subprocess
-import sys
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from arguesia.cli import REPLAY_KINDS, VERIFY_KINDS, main
 from arguesia.instances import KINDS, InstanceConfig, generate_instance
 
 
-def test_cached_parser_reads_each_call_afresh(monkeypatch, capsys):
+def test_each_call_reads_its_argv_afresh(monkeypatch, capsys):
     monkeypatch.setenv("ARGUESIA_SEED", "7")
     assert main(["verify", "ramee", "--seed", "5", "--trials", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -34,43 +34,62 @@ def test_cached_parser_reads_each_call_afresh(monkeypatch, capsys):
     assert lines[1] == "1/1 verdicts true"
 
     # a usage error in between leaves later calls unchanged
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "ramee", "--trials", "two"])
-    assert exc.value.code == 2
+    assert main(["verify", "ramee", "--trials", "two"]) == 2
     capsys.readouterr()
     assert main(["verify", "ramee"]) == 0
     assert capsys.readouterr().out == out
 
 
-def test_well_formed_calls_build_no_parser(monkeypatch, capsys):
-    built = []
-    real_init = argparse.ArgumentParser.__init__
+REFUSED = {
+    "no argv": [],
+    "unknown command": ["prove", "ramee"],
+    "missing kind": ["verify"],
+    "unknown kind": ["verify", "frobnicate"],
+    "kind of another command": ["replay", "pencil"],
+    "unknown option": ["verify", "ramee", "--verbose"],
+    "option of another command": ["replay", "ramee", "--trials", "2"],
+    "abbreviation": ["verify", "ramee", "--se", "1"],
+    "end of options": ["verify", "ramee", "--", "--json"],
+    "missing value": ["verify", "ramee", "--seed"],
+    "flag with a value": ["verify", "ramee", "--json=1"],
+    "non-digit integer": ["verify", "ramee", "--trials", "two"],
+    "signed integer": ["verify", "ramee", "--seed", "-5"],
+    "plus-signed integer": ["replay", "ramee", "--seed=+5"],
+    "non-ASCII digits": ["verify", "ramee", "--bounds", "\u0663\u0662"],
+    "value starting with -": ["verify", "ramee", "-o", "-x"],
+    "empty value": ["verify", "ramee", "--output="],
+    "figure without -o": ["figure", "ramee", "--seed", "1"],
+    "construct without --d": ["construct", "harmonic", "--b", "0", "--c", "2"],
+}
 
-    def counting_init(self, *args, **kwargs):
-        if kwargs.get("prog") == "arguesia":
-            built.append(self)
-        real_init(self, *args, **kwargs)
 
-    cli.build_parser.cache_clear()
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for seed in range(1, 11):
-        assert main(["verify", "midpoint", "--seed", str(seed)]) == 0
-    assert built == []
-    out = capsys.readouterr().out
-    # an abbreviated option goes to argparse, which builds the one parser
-    assert main(["verify", "midpoint", "--se", "10"]) == 0
-    assert len(built) == 1
-    assert out.endswith(capsys.readouterr().out)
-    # and a later malformed call reuses it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "midpoint", "--seed", "ten"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    assert len(built) == 1
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED)
+def test_refused_argv_returns_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_unknown_names_list_the_valid_ones(capsys):
+    assert main(["verify", "frobnicate"]) == 2
+    assert ", ".join(VERIFY_KINDS) in capsys.readouterr().err
+    assert main(["replay", "ramee", "--se", "1"]) == 2
+    assert capsys.readouterr().err == ("error: replay: unknown option '--se' "
+                                       "(choose from --seed, --bounds, --json)\n")
+
+
+@pytest.mark.parametrize("argv", (["--help"], ["-h"], ["verify", "--help"],
+                                  ["verify", "ramee", "--seed", "1", "-h"]))
+def test_help_prints_the_synopsis(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == cli.__doc__.split("\n\n")[1].splitlines()
+    assert len(out.splitlines()) == 4 and err == ""
 
 
 # argv pieces: mostly well-formed options, then abbreviations, the
-# --opt=value form, help, "--", and values argparse reads differently or refuses
+# --opt=value form, help, "--", and values the reader refuses
 _VALUES = ("5", "007", "-5", "+5", " 7", "1_0", "\u0663", "", "-x")
 _PIECES = {
     "verify": (["--seed", "5"], ["--trials", "2"], ["--bounds", "40"], ["--json"],
@@ -95,34 +114,61 @@ def _argv(draw):
     return [command, kind] + [token for piece in chosen for token in piece]
 
 
+_DEFAULTS = {
+    "verify": {"seed": 7, "trials": 1, "bounds": 32, "json": False, "output": None},
+    "replay": {"seed": 7, "bounds": 32, "json": False},
+}
+_ATTRIBUTES = {"--seed": "seed", "--trials": "trials", "--bounds": "bounds", "-o": "output",
+               "--output": "output"}
+
+
+def _model(argv) -> dict | None:
+    """What the rules read argv to, with ARGUESIA_SEED=7: the defaults with
+    each piece applied in order, a piece being ``--json``, or an option of
+    the command spelled in full with its value after a space or ``=``, the
+    value ASCII digits for an integer and neither empty nor starting with
+    ``-`` for a file; None for any other argv."""
+    command, kind, rest = argv[0], argv[1], argv[2:]
+    if kind not in (VERIFY_KINDS if command == "verify" else REPLAY_KINDS):
+        return None
+    args = dict(_DEFAULTS[command], command=command, kind=kind)
+    while rest:
+        if rest[0] == "--json":
+            args["json"], rest = True, rest[1:]
+            continue
+        if "=" in rest[0]:
+            (option, value), rest = rest[0].split("=", 1), rest[1:]
+        elif len(rest) > 1:
+            (option, value), rest = rest[:2], rest[2:]
+        else:
+            return None
+        name = _ATTRIBUTES.get(option)
+        if name not in args:
+            return None
+        if name != "output":
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        elif value[:1] in ("", "-"):
+            return None
+        args[name] = value
+    return args
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(_argv())
-def test_reader_agrees_with_argparse(argv):
-    args = cli._read_argv(argv)
-    if args is not None:
-        assert vars(args) == vars(cli.build_parser().parse_args(argv))
-    allowed = _PIECES[argv[0]]
-    kinds = VERIFY_KINDS if argv[0] == "verify" else REPLAY_KINDS
-    rest = argv[2:]
-    while rest:
-        n = 1 if rest[0] == "--json" else 2
-        if rest[:n] not in allowed:
-            break
-        rest = rest[n:]
+def test_reader_agrees_with_its_model(argv):
+    # an argv the model reads is read to the same namespace; any other
+    # returns 2 from main without raising, or 0 for help
+    expected = _model(argv)
+    if expected is not None:
+        with mock.patch.dict(os.environ, {"ARGUESIA_SEED": "7"}):
+            assert vars(cli._read_argv(argv)) == expected
     else:
-        # built from well-formed pieces alone: the reader reads it
-        assert (args is not None) == (argv[1] in kinds), argv
-
-
-def test_import_builds_no_parser():
-    code = (
-        "import arguesia.cli as c; print(c.build_parser.cache_info().currsize); "
-        "c.main(['construct', 'harmonic', '--b', '0', '--c', '2', '--d', '3']); "
-        "print(c.build_parser.cache_info().currsize)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n3/2\n1\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert (code, out.getvalue() == "") == ((0, False) if "-h" in argv else (2, True)), argv
 
 
 @pytest.fixture

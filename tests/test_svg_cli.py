@@ -186,7 +186,7 @@ def test_construct_harmonic_prints_the_closed_form(values, midpoint, k):
 
 @pytest.mark.parametrize("option", ["--b", "--c", "--d"])
 def test_construct_takes_a_negative_fraction_after_a_space(option, capsys):
-    # argparse alone reads "-1/2" after a space as an unknown option
+    # a value after a space may start with "-", as one glued with "=" may
     values = {"--b": "0", "--c": "2", "--d": "3"}
     values[option] = "-1/2"
     glued = [f"{name}={value}" for name, value in values.items()]
@@ -470,6 +470,44 @@ def test_false_verdict_exits_one(monkeypatch, capsys):
     (report,) = data["reports"]
     assert report["verdict"] is False
     assert any(c["equal"] is False for c in report["claims"])
+
+
+NOT_IN_INVOLUTION = {"label": "couples in involution", "lhs": "false", "rhs": "true",
+                     "equal": False}
+
+
+@pytest.mark.parametrize("kind", ["ramee", "pencil"])
+def test_couples_not_in_involution_is_a_false_verdict(kind, monkeypatch, capsys):
+    # the verifier stops at that one false claim instead of building on
+    # an involution the couples do not have
+    import arguesia.theorems as theorems
+
+    real = theorems.equivalence_check
+    monkeypatch.setattr(theorems, "equivalence_check", lambda nc: dict(real(nc), equivalent=False))
+    assert main(["verify", kind, "--seed", "1", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    (report,) = json.loads(out)["reports"]
+    assert report["verdict"] is False
+    reports = [m["report"] for m in report["members"]] if kind == "pencil" else [report]
+    for rep in reports:
+        assert rep["claims"] == [NOT_IN_INVOLUTION]
+    if kind == "ramee":
+        assert len(report["trace"]["steps"]) == 11  # the report keeps its shape
+    # the one claim, plus the ramee trace's 11 steps or one per pencil member
+    checks = {"ramee": 12, "pencil": 5}[kind]
+    assert main(["verify", kind, "--seed", "1"]) == 1
+    assert capsys.readouterr() == (f"{kind} seed=1 FAIL ({checks} checks)\n0/1 verdicts true\n", "")
+
+
+def test_verify_text_counts_every_check(capsys):
+    # claims, trace steps and each pencil member's claims
+    counts = {"menelaus": 2, "ramee": 19, "quadrangle": 12, "pencil": 16, "pascal": 9,
+              "beaugrand": 9, "parallel-bornales": 4, "midpoint": 6, "bisector": 4,
+              "retablissement": 14}
+    for kind, n in counts.items():
+        assert main(["verify", kind, "--seed", "1"]) == 0
+        assert capsys.readouterr().out.startswith(f"{kind} seed=1 ok ({n} checks)\n")
 
 
 def test_figure_error_is_a_usage_error(monkeypatch, capsys, tmp_path):

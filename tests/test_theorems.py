@@ -35,7 +35,6 @@ from arguesia.theorems import (
     construct_involution_p13,
     desargues_involution_by_perspectives,
     harmonic_conjugate,
-    nc_involution,
     parallel_bornales_identities,
     pascal_collinear,
     pascal_figure,
@@ -320,15 +319,16 @@ def test_pencil_builds_one_involution_per_quadrangle(monkeypatch):
 
 
 def test_pencil_check_rejects_couples_not_in_involution():
-    from arguesia.involution import InvolutionError
-
     q = quad_config()
     # move H along the transversal: G's partner is no longer H
     moved = point_at(q["transversal"], rat(q["transversal"].param_pair(q["H"])) + 1)
     assert moved not in (q[nm] for nm in "IKPQG")
     member = line_pairs(q)["IK"]
-    with pytest.raises(InvolutionError, match="couples are not in involution"):
-        pencil_check(dict(q, H=moved), member)
+    rep = pencil_check(dict(q, H=moved), member)
+    assert rep["verdict"] is False
+    assert rep["claims"] == [
+        {"label": "couples in involution", "lhs": "false", "rhs": "true", "equal": False}
+    ]
 
 
 def test_perspectives_map_named_couples():
@@ -369,7 +369,7 @@ def test_pencil_members_and_tangency():
     # the tangency point is a fixed point of the involution
     from arguesia.involution import partner
 
-    inv = nc_involution(quadrangle_couples(q))
+    inv = equivalence_check(quadrangle_couples(q))["involution"]
     t = inst["tangency"]
     assert partner(inv, t) == t
 
@@ -457,13 +457,14 @@ def test_pencil_chord_identity_false_for_perturbed_involution(monkeypatch):
     import arguesia.theorems as theorems
 
     for q, member, _ in _irrational_chord_samples(2, want=20):
-        inv = nc_involution(quadrangle_couples(q))
+        inv = equivalence_check(quadrangle_couples(q))["involution"]
         a, b, c, _ = inv.map.matrix
         chart = inv.chart
         # one of b + 1, b + 2 keeps the perturbed matrix nondegenerate
         k = 1 if a * a + (b + 1) * c != 0 else 2
         wrong = Involution(LineMap((a, b + k, c, -a), chart, chart))
-        monkeypatch.setattr(theorems, "nc_involution", lambda nc: wrong)
+        monkeypatch.setattr(theorems, "equivalence_check",
+                            lambda nc: {"equivalent": True, "involution": wrong})
         rep = pencil_check(q, member)
         monkeypatch.undo()
         assert not rep["verdict"]
@@ -475,7 +476,7 @@ def test_pencil_chord_identity_false_for_conic_outside_pencil(monkeypatch):
 
     done = 0
     for q, member, _ in _irrational_chord_samples(3, want=20):
-        if nc_involution(quadrangle_couples(q)).map.matrix[2] == 0:
+        if equivalence_check(quadrangle_couples(q))["involution"].map.matrix[2] == 0:
             continue  # infinity is fixed: adding z^2 would not move the claim
         # member + z^2 passes through none of the bornes (z = 1 there)
         outside = Conic(*(m + (i == 5) for i, m in enumerate(member.m)))
@@ -496,7 +497,7 @@ def test_hyperbolic_iff_two_tangent_members():
     # tangency (double-root) members of the pencil
     for seed in range(1, 41):
         q = generate_instance(InstanceConfig("quadrangle", seed))["figure"]
-        inv = nc_involution(quadrangle_couples(q))
+        inv = equivalence_check(quadrangle_couples(q))["involution"]
         kind = classify_kind(inv)
         pairs = line_pairs(q)
         disc = _tangency_discriminant(pairs["IK"], pairs["PQ"], q["transversal"].line)

@@ -25,9 +25,10 @@ workload seed 1 times first, ``--seed 1000001 --trials 50``, text and
 ``construct harmonic`` on three triples of values.  Then ``--json`` at
 seed 1: every verify kind with ``--trials 20``, and ``WIDE``'s runs at
 bounds 3*10**4, 10**6 and 10**300 and at seed 9542; the pascal, beaugrand
-and retablissement figures at seed 2 and bounds 10**6; and the benchmark's
-output checks, ``BENCH_CHECKS``, spelled as ``perfbench/run.py`` runs them.
-Standard library only.
+and retablissement figures at seed 2 and bounds 10**6; the benchmark's
+output checks, ``BENCH_CHECKS``, spelled as ``perfbench/run.py`` runs them;
+and ``USAGE``, help and the refused argv, from no argv at all to a
+``construct`` without ``--d``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ WIDE = (
     ("replay", "pascal", "--bounds", str(10**6)),
 )
 WIDE_FIGURES = ("pascal", "beaugrand", "retablissement")  # seed 2 at bounds 10**6
+# argv that the CLI refuses, and help
+USAGE = ((), ("--help",), ("verify", "frobnicate"), ("verify", "ramee", "--verbose"),
+         ("verify", "ramee", "--seed"), ("verify", "ramee", "--trials", "two"),
+         ("figure", "ramee", "--seed", "1"), ("construct", "harmonic", "--b", "0", "--c", "2"))
 # the benchmark's output checks, spelled as it runs them: (command, kind,
 # bounds, seeds 1..n)
 BENCH_CHECKS = (
@@ -125,6 +130,7 @@ def full_matrix(src: Path = SRC) -> list[list[str]]:
         for seed in range(1, seeds + 1):
             commands.append([command, kind, "--seed", str(seed), "--bounds", str(bounds),
                              "--json"])
+    commands += [list(argv) for argv in USAGE]
     return commands
 
 
@@ -133,10 +139,7 @@ def _digest(main, argv: list[str], workdir: Path, src: str) -> str:
     svg.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([str(svg) if arg == SVG else arg for arg in argv])
-        except SystemExit as exc:  # argparse's usage errors and help
-            code = exc.code
+        code = main([str(svg) if arg == SVG else arg for arg in argv])
     h = hashlib.sha256()
     for part in (str(code), out.getvalue(), err.getvalue().replace(src, "<src>")):
         h.update(part.encode("utf-8") + b"\0")
