@@ -1,9 +1,5 @@
-"""Command-line surface: verify, replay, construct, figure.
-
-    arguesia verify <kind> [--seed N] [--trials N] [--bounds M] [--json] [-o FILE]
-    arguesia replay <kind> [--seed N] [--bounds M] [--json]
-    arguesia construct harmonic --b RAT --c RAT --d RAT
-    arguesia figure <kind> [--seed N] [--bounds M] -o FILE.svg
+"""Command-line surface: verify, replay, construct, figure, as ``SYNOPSIS``
+spells them.
 
 Exit codes: 0 when every verdict is true, 1 when any is false, 2 on usage
 or configuration errors, and 3 on an internal error, reported as a
@@ -14,10 +10,11 @@ an unrenderable figure (a labelled point beyond float range), and a
 instance meets its verifier's and replay's preconditions, so a
 ``GeometryError`` raised while verifying, replaying or drawing one is an
 internal error, as is a retry budget exhausted at bounds 8 and above.
-ARGUESIA_SEED provides the default seed.  Identical invocations produce
-byte-identical output.  ``main`` returns the exit code, never raises
-``SystemExit``, and may be called repeatedly in one process.  Each call
-lifts Python's int-to-str digit limit and restores the caller's on return.
+ARGUESIA_SEED provides the default seed, in ASCII digits as ``--seed``
+takes it.  Identical invocations produce byte-identical output.  ``main``
+returns the exit code, never raises ``SystemExit``, and may be called
+repeatedly in one process.  Each call lifts Python's int-to-str digit
+limit and restores the caller's on return.
 
 One reader reads the argv of every command:
 
@@ -29,8 +26,9 @@ One reader reads the argv of every command:
   value is empty, and only a ``construct`` value may start with ``-``.
 - ``figure`` needs ``-o``/``--output``; ``construct harmonic`` needs
   ``--b``, ``--c`` and ``--d``.
-- ``-h`` or ``--help`` anywhere in the argv prints the synopsis above to
-  stdout and exits 0.
+- ``-h`` or ``--help`` anywhere in the argv prints ``SYNOPSIS`` to stdout
+  and exits 0; it is a string, not part of this docstring, so ``python
+  -OO`` prints it too.
 
 Any other argv is a usage error: an empty argv, an unknown command, kind
 or option (the message lists the valid ones), an abbreviated option, a
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # json.encoder's, without loading json
 from types import SimpleNamespace
 
 from arguesia.exact_scalar import ScalarError, rat_parse
@@ -69,6 +67,14 @@ from arguesia.theorems import (
     verify_pencil,
     verify_ramee,
 )
+
+
+SYNOPSIS = """\
+    arguesia verify <kind> [--seed N] [--trials N] [--bounds M] [--json] [-o FILE]
+    arguesia replay <kind> [--seed N] [--bounds M] [--json]
+    arguesia construct harmonic --b RAT --c RAT --d RAT
+    arguesia figure <kind> [--seed N] [--bounds M] -o FILE.svg
+"""
 
 
 def _trace_report(trace) -> dict:
@@ -235,10 +241,10 @@ def _default_seed() -> int:
     env = os.environ.get("ARGUESIA_SEED")
     if env is None:
         return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise InstanceError(f"ARGUESIA_SEED must be an integer, got {env!r}") from None
+    # the rule of --seed: ASCII digits only
+    if not (env.isascii() and env.isdigit()):
+        raise InstanceError(f"ARGUESIA_SEED must be an integer, got {env!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,7 @@ def main(argv=None) -> int:
         if argv is None:
             argv = sys.argv[1:]
         if "-h" in argv or "--help" in argv:
-            sys.stdout.write(__doc__.split("\n\n")[1] + "\n")
+            sys.stdout.write(SYNOPSIS)
             return 0
         args = _read_argv(argv)
         if args.command == "verify":

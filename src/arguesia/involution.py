@@ -48,7 +48,9 @@ class NodeCouples(Frozen):
     point of one couple may equal a point of a different couple.
     ``param_pairs`` holds the canonical parameter pairs (u : v) of the six
     points, couple by couple, computed once, when the couples are checked;
-    equal points have equal pairs.
+    equal points have equal pairs.  Reading them is the check that every
+    noeud lies on the tronc: ``param_pair`` raises ``GeometryError`` for a
+    point off its line.
     """
 
     _fields = ("chart", "pairs")
@@ -58,23 +60,13 @@ class NodeCouples(Frozen):
         object.__setattr__(self, "pairs", pairs)
         if len(pairs) != 3:
             raise InvolutionError("exactly three couples are required")
-        for p, q in pairs:
-            if not (incident(p, chart.line) and incident(q, chart.line)):
-                raise InvolutionError("all noeuds must lie on the tronc")
         params = tuple((chart.param_pair(p), chart.param_pair(q)) for p, q in pairs)
         object.__setattr__(self, "param_pairs", params)
         unordered = [frozenset(couple) for couple in params]
         if len(set(unordered)) != 3:
             raise InvolutionError("couples must be pairwise distinct")
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                for pt in params[i]:
-                    if pt in params[j]:
-                        raise InvolutionError(
-                            "a point of one couple equals a point of another"
-                        )
+        if len(frozenset().union(*unordered)) != sum(map(len, unordered)):
+            raise InvolutionError("a point of one couple equals a point of another")
 
 
 class Involution(Frozen):

@@ -181,7 +181,7 @@ def menelaus_converse(sf: dict) -> bool:
     d, n = _times(ratio(n1, b, c), ratio(n2, c, a))
     if n == d:
         return False
-    ray = default_chart(join(a, b))
+    ray = default_chart(sf["rays"][2])
     (ua, va), (ub, vb) = ray.param_pair(a), ray.param_pair(b)
     candidate = ray.point_at_pair((ua * vb * d - n * ub * va, va * vb * (d - n)))
     return candidate == n3 and incident(candidate, sf["tronc"])

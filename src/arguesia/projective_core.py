@@ -186,13 +186,6 @@ def meet(l: PLine, m: PLine) -> PPoint:
     return PPoint(*cross3(l.coeffs, m.coeffs))
 
 
-def collinear(*points: PPoint) -> bool:
-    if len(points) < 3:
-        return True
-    base = join(points[0], points[1])
-    return all(incident(p, base) for p in points[2:])
-
-
 def infinity_point_of(l: PLine) -> PPoint:
     """Where the line meets the line at infinity (its direction)."""
     if l.is_infinity_line():
@@ -438,10 +431,8 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint) -> tuple[int, int]:
     """
     if a == b or a == c or b == c:
         raise GeometryError("cross-ratio needs a, b, c pairwise distinct")
-    base = join(a, b)
-    if not (incident(c, base) and incident(d, base)):
-        raise GeometryError("cross-ratio of non-collinear points")
-    chart = default_chart(base)
+    # param_pair raises GeometryError for a c or d off the line ab
+    chart = default_chart(join(a, b))
     pa, pb, pc, pd = (chart.param_pair(p) for p in (a, b, c, d))
     return cross_ratio_pairs(pa, pb, pc, pd)
 

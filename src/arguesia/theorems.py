@@ -55,7 +55,6 @@ from arguesia.projective_core import (
     _scaled_displacement,
     apply_mat3,
     chord_product,
-    collinear,
     cross_ratio,
     default_chart,
     directions_parallel,
@@ -753,8 +752,9 @@ def pascal_collinear(figure: dict) -> TheoremReport:
         "pascal",
         inputs={"hexagon": [pt.to_json() for pt in figure["hexagon"]], "conic": conic.to_json()},
     )
-    report.claim_true("M, S, X collinear", collinear(m_pt, s_pt, x_pt))
-    report.notes["pascal_line"] = join(m_pt, s_pt).to_json()
+    line = join(m_pt, s_pt)
+    report.claim_true("M, S, X collinear", incident(x_pt, line))
+    report.notes["pascal_line"] = line.to_json()
     report.notes["M"] = m_pt.to_json()
     report.notes["S"] = s_pt.to_json()
     report.notes["X"] = x_pt.to_json()

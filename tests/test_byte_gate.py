@@ -8,6 +8,8 @@ A change that alters output bytes on purpose re-records the file with
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,11 @@ def test_two_records_agree_and_a_changed_one_fails(tmp_path, capsys):
     assert f"differs: {cmd}" in capsys.readouterr().out
     del changed[cmd]
     assert byte_gate.compare(first, changed) == [cmd]
+
+
+def test_usage_is_printed_under_OO():
+    # python -OO strips docstrings; the usage is a string of its own
+    for flags in ([], ["-OO"]):
+        proc = subprocess.run([sys.executable, *flags, str(TOOL)],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", byte_gate.SYNOPSIS), flags

@@ -84,8 +84,33 @@ def test_unknown_names_list_the_valid_ones(capsys):
 def test_help_prints_the_synopsis(argv, capsys):
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert out.splitlines() == cli.__doc__.split("\n\n")[1].splitlines()
+    assert out == cli.SYNOPSIS
     assert len(out.splitlines()) == 4 and err == ""
+
+
+# spellings int() reads and the reader refuses
+_REFUSED_SEEDS = ("+5", "1_000", " 7 ", "\u0663", "-5", "")
+
+
+@pytest.mark.parametrize("value", _REFUSED_SEEDS)
+def test_env_seed_refuses_what_the_seed_option_refuses(value, monkeypatch, capsys):
+    assert main(["verify", "ramee", "--seed", value]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --seed needs an integer in digits, not {value!r}\n")
+    monkeypatch.setenv("ARGUESIA_SEED", value)
+    assert main(["verify", "ramee"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: ARGUESIA_SEED must be an integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ("7", "007"))
+def test_env_seed_reads_as_the_seed_option(value, monkeypatch, capsys):
+    assert main(["verify", "ramee", "--seed", value, "--json"]) == 0
+    by_option = capsys.readouterr().out
+    monkeypatch.setenv("ARGUESIA_SEED", value)
+    assert main(["verify", "ramee", "--json"]) == 0
+    assert capsys.readouterr().out == by_option
+    assert json.loads(by_option)["reports"][0]["seed"] == 7
 
 
 # argv pieces: mostly well-formed options, then abbreviations, the

@@ -160,10 +160,31 @@ def test_rectangle_identities_match_fraction_oracle(chart, params, doubled, matr
 
 
 def test_node_couples_validation():
-    with pytest.raises(InvolutionError):
+    with pytest.raises(InvolutionError, match="^a point of one couple equals a point of another$"):
         couples((1, 4), (1, 5), (2, 3))  # shared point across couples
     with pytest.raises(InvolutionError):
         couples((1, 4), (4, 1), (2, 3))  # same unordered couple twice
+    # a noeud off the tronc: param_pair's guard, the one incidence test
+    with pytest.raises(GeometryError, match="not on chart line"):
+        NodeCouples(CH, ((pt(1), pt(4)), (pt(2), PPoint(8, 1, 1)), (pt(3), pt(5))))
+
+
+def test_node_couples_test_each_noeud_once(monkeypatch):
+    import arguesia.involution as involution
+    import arguesia.projective_core as projective_core
+
+    pairs = ((pt(1), pt(4)), (pt(2), pt(2)), (pt(8), pt((1, 2))))
+    calls = []
+
+    def counting(p, line):
+        calls.append(p)
+        return incident(p, line)
+
+    monkeypatch.setattr(projective_core, "incident", counting)
+    monkeypatch.setattr(involution, "incident", counting)
+    NodeCouples(CH, pairs)
+    # each of the six noeuds once, when param_pair reads it
+    assert calls == [p for pair in pairs for p in pair]
 
 
 # -- construction of the involution -------------------------------------------

@@ -6,10 +6,12 @@ time budget, every verify and replay kind at 10**300 in process, and every
 figure kind at 10**100 and 10**300, where coordinates pass float range or
 every labelled point of a unit-circle figure rounds to one canvas point.
 Start-up checks run in fresh interpreters: importing ``arguesia.cli`` loads
-neither ``dataclasses``, ``argparse``, the SVG renderer nor ``fractions``,
-``decimal`` or ``numbers``, neither a ``verify`` nor a ``construct`` run
-loads ``argparse``, ``gettext`` or a rational arithmetic module, and
-``figure`` loads the renderer and writes the bytes it writes in process.
+neither ``dataclasses``, ``argparse``, ``json``, the SVG renderer nor
+``fractions``, ``decimal`` or ``numbers``; ``--help`` prints the same
+synopsis under ``python -OO``, which strips docstrings; neither a
+``verify`` nor a ``construct`` run loads ``argparse``, ``gettext`` or a
+rational arithmetic module; and ``figure`` loads the renderer and writes
+the bytes it writes in process.
 """
 
 import os
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, VERIFY_KINDS, main
+from arguesia.cli import FIGURE_KINDS, REPLAY_KINDS, SYNOPSIS, VERIFY_KINDS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,7 +96,7 @@ def _subprocess_env() -> dict:
 
 
 _LEFT_OUT = ("dataclasses", "inspect", "argparse", "gettext", "arguesia.svg_figures",
-             "fractions", "decimal", "numbers")
+             "fractions", "decimal", "numbers", "json")
 
 
 def test_cli_import_leaves_out_dataclasses_and_the_renderer():
@@ -104,6 +106,16 @@ def test_cli_import_leaves_out_dataclasses_and_the_renderer():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_help_prints_the_same_synopsis_under_OO():
+    outs = []
+    for flags in ([], ["-OO"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "arguesia.cli", "--help"],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), flags
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == SYNOPSIS
 
 
 def test_verify_from_sys_argv_loads_no_argparse(monkeypatch, capsys):

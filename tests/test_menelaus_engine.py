@@ -74,17 +74,22 @@ def test_sector_figure_builds_its_vertices_once(monkeypatch):
 
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return meet(*args)
+    def counting(f):
+        def wrapped(*args):
+            calls.append(f.__name__)
+            return f(*args)
 
-    monkeypatch.setattr(menelaus_engine, "meet", counting)
+        return wrapped
+
+    monkeypatch.setattr(menelaus_engine, "meet", counting(meet))
+    monkeypatch.setattr(menelaus_engine, "join", counting(join))
     for seed in range(1, 21):
         calls.clear()
         assert verify_one("menelaus", seed)["verdict"]
-        # three noeuds; the vertices are the triangle itself, which the
-        # generator, the product and the converse read as they are
-        assert len(calls) == 3, seed
+        # three rays and three noeuds; the vertices are the triangle itself,
+        # which the generator, the product and the converse read as they
+        # are, and the converse reads the ray ab from the figure
+        assert (calls.count("join"), calls.count("meet")) == (3, 3), seed
 
 
 def test_menelaus_converse_perturbation_breaks_product():

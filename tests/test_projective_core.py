@@ -18,7 +18,6 @@ from arguesia.projective_core import (
     PPoint,
     apply_mat3,
     chord_product,
-    collinear,
     cross_ratio,
     cross_ratio_pairs,
     default_chart,
@@ -229,7 +228,7 @@ def test_join_meet_duality():
     rng = SplitMix64.for_kind("duality", 3)
     for _ in range(200):
         p, q, r = (rand_point(rng) for _ in range(3))
-        if p == q or p == r or q == r or collinear(p, q, r):
+        if p == q or p == r or q == r or incident(r, join(p, q)):
             continue
         assert meet(join(p, q), join(p, r)) == p
 

@@ -279,7 +279,7 @@ def test_quadrangle_config_builds_its_geometry_once(monkeypatch):
 
         return wrapped
 
-    # projective_core.join too: collinear() joins through it
+    # projective_core.join too, which that module's own helpers call
     monkeypatch.setattr(projective_core, "join", counting(join))
     monkeypatch.setattr(theorems, "join", counting(join))
     monkeypatch.setattr(theorems, "meet", counting(theorems.meet))
@@ -617,6 +617,29 @@ def test_pascal_params_0_to_5():
     rep = pascal_collinear(pascal_figure(UC, pts))
     assert rep.verdict
     assert rep.trace is not None and rep.trace.verdict
+
+
+def test_pascal_joins_its_line_once(monkeypatch):
+    import arguesia.theorems as theorems
+
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return join(p, q)
+
+    for seed in range(1, 11):
+        figure = generate_instance(InstanceConfig("pascal", seed, 32))["figure"]
+        calls.clear()
+        monkeypatch.setattr(projective_core, "join", counting)
+        monkeypatch.setattr(theorems, "join", counting)
+        rep = pascal_collinear(figure)
+        monkeypatch.undo()
+        pts = figure["points"]
+        # the line MS carries the claim and the note; the replay joins
+        # nothing twice
+        assert rep.verdict and calls.count((pts["M"], pts["S"])) == 1, seed
+        assert len(set(calls)) == len(calls), seed
 
 
 @pytest.mark.parametrize(

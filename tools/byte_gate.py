@@ -1,8 +1,5 @@
 """Byte gate: record what every command of a fixed matrix prints, and
-compare two records.
-
-    python3 tools/byte_gate.py record OUT.json [--src DIR]
-    python3 tools/byte_gate.py compare A.json B.json
+compare two records, as ``SYNOPSIS`` spells them.
 
 ``record`` runs each command in this process through ``arguesia.cli.main``,
 imported from ``DIR`` (default: the ``src`` of this checkout), and writes
@@ -40,6 +37,12 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+# printed for any other argv; a string, not the docstring, so -OO keeps it
+SYNOPSIS = """\
+    python3 tools/byte_gate.py record OUT.json [--src DIR]
+    python3 tools/byte_gate.py compare A.json B.json
+"""
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SVG = "{svg}"  # stands for the figure's output file in a recorded command
@@ -175,7 +178,7 @@ def main(argv: list[str]) -> int:
             print(f"differs: {cmd}")
         print(f"{len(differ)} of {len(a.keys() | b.keys())} commands differ")
         return 1 if differ else 0
-    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    print(SYNOPSIS, end="", file=sys.stderr)
     return 2
 
 
