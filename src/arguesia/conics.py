@@ -52,7 +52,11 @@ class Conic(Frozen):
         return conic_eval(self.m, p.coords)
 
     def contains(self, p: PPoint) -> bool:
-        return self.evaluate(p) == 0
+        # evaluate(p) == 0 written out, with the symmetric terms paired
+        x, y, z = p.coords
+        m00, m01, m02, m11, m12, m22 = self.m
+        return (x * (m00 * x + 2 * (m01 * y + m02 * z))
+                + y * (m11 * y + 2 * m12 * z) + z * m22 * z) == 0
 
     def det(self) -> int:
         return det3(*self.rows())
@@ -146,10 +150,10 @@ def conic_line_intersection(c: Conic, l: PLine) -> tuple[int, tuple[PPoint, ...]
         roots = [(1, 0), (-cc, 2 * b)]
     else:
         roots = [(-b + root, a), (-b - root, a)]
+    (x0, y0, z0), (x1, y1, z1) = p0.coords, p1.coords
     pts = []
     for s, t in roots[: 1 if disc == 0 else 2]:
-        coords = tuple(s * x0 + t * x1 for x0, x1 in zip(p0.coords, p1.coords))
-        pt = PPoint(*coords)
+        pt = PPoint(s * x0 + t * x1, s * y0 + t * y1, s * z0 + t * z1)
         if not c.contains(pt):
             raise InternalError("rational intersection failed exactness check")
         pts.append(pt)
@@ -187,10 +191,12 @@ def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:
     cc = c.evaluate(other)
     if b == 0 and cc == 0:
         raise ConicError("degenerate chord")
-    coords = tuple(-cc * x0 + 2 * b * x1 for x0, x1 in zip(on_point.coords, other.coords))
-    if all(e == 0 for e in coords):
+    (x0, y0, z0), (x1, y1, z1) = on_point.coords, other.coords
+    b2 = 2 * b
+    x, y, z = b2 * x1 - cc * x0, b2 * y1 - cc * y0, b2 * z1 - cc * z0
+    if x == 0 and y == 0 and z == 0:
         return on_point
-    pt = PPoint(*coords)
+    pt = PPoint(x, y, z)
     if not c.contains(pt):
         raise InternalError("second intersection failed exactness check")
     return pt

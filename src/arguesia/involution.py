@@ -130,8 +130,9 @@ def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
     Returns the report: each identity with both sides as canonical
     rationals and whether they are equal.  Each side is an integer
     quotient of parameter-pair brackets, and the two sides are compared by
-    cross-multiplying.  Requires finite noeuds (a couple with a point at
-    infinity is checked through the homography form instead).
+    cross-multiplying; equal sides are one rational, printed once.
+    Requires finite noeuds (a couple with a point at infinity is checked
+    through the homography form instead).
     """
     pairs = nc.param_pairs
     for p, q in pairs:
@@ -149,14 +150,10 @@ def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
         e2, e1 = pairs[ev]  # evaluate at the second member first (G before C)
         l_num, l_den = _rect_pair(e1, e2, *pairs[lhs_c])
         r_num, r_den = _rect_pair(e1, e2, *pairs[rhs_c])
-        report.append(
-            {
-                "label": label,
-                "lhs": pair_str(l_num, l_den),
-                "rhs": pair_str(r_num, r_den),
-                "equal": l_num * r_den == r_num * l_den,
-            }
-        )
+        equal = l_num * r_den == r_num * l_den
+        lhs = pair_str(l_num, l_den)
+        report.append({"label": label, "lhs": lhs,
+                       "rhs": lhs if equal else pair_str(r_num, r_den), "equal": equal})
     return report
 
 

@@ -16,7 +16,7 @@ it with its Brouillon citation tag.  Each ratio is a quotient of integer
 brackets and stays an integer pair (``ratio``) through the products, as
 does each chord product (``projective_core.chord_product``); a trace step
 takes both sides as pairs, compares them by cross-multiplying and prints
-each reduced by one gcd (``exact_scalar.pair_str``).
+each reduced by one gcd (``exact_scalar.pair_str``), a true step's once.
 """
 
 from __future__ import annotations
@@ -116,12 +116,13 @@ class ProofTrace:
 
     ``add`` takes each side as an unreduced integer pair (num, den), den
     nonzero and of either sign, compares the sides by cross-multiplying
-    and prints each reduced, by ``pair_str``.  The trace also keeps the
-    Menelaus ratios its steps have computed, by the coordinates of their
-    three points, so a ratio that several steps use is computed once: the
-    ramee replay computes 14 ratios for the 24 factors of its eight steps,
-    and the quadrangle replay 8 for 12.  The table lives and dies with the
-    trace.
+    and prints each reduced, by ``pair_str``; a true step's sides are one
+    rational, so its left side is printed once and serves for both.  The
+    trace also keeps the Menelaus ratios its steps have computed, by the
+    coordinates of their three points, so a ratio that several steps use
+    is computed once: the ramee replay computes 14 ratios for the 24
+    factors of its eight steps, and the quadrangle replay 8 for 12.  The
+    table lives and dies with the trace.
     """
 
     def __init__(self, name: str):
@@ -145,8 +146,12 @@ class ProofTrace:
     def add(
         self, label: str, lhs: tuple[int, int], rhs: tuple[int, int], cite: str, **meta
     ) -> None:
-        step = {"label": label, "lhs": pair_str(*lhs), "rhs": pair_str(*rhs),
-                "equal": lhs[0] * rhs[1] == rhs[0] * lhs[1], "cite": cite}
+        equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
+        lhs_text = pair_str(*lhs)
+        # equal sides are one rational and print alike; a zero denominator
+        # still goes to pair_str, which raises for it
+        rhs_text = lhs_text if equal and rhs[1] else pair_str(*rhs)
+        step = {"label": label, "lhs": lhs_text, "rhs": rhs_text, "equal": equal, "cite": cite}
         if meta:
             step["meta"] = meta
         self.steps.append(step)

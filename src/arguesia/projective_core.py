@@ -3,7 +3,8 @@
 Every homogeneous value (points and lines, parameter pairs, 2x2 line
 maps, 3-space points and planes, and the conics built on them) is one
 canonical integer tuple, made by :func:`_canonical` (written out for the
-3-entry points and lines and, as :func:`_canonical_pair`, for pairs), so
+3-entry points and lines, the 4-entry line maps and, as
+:func:`_canonical_pair` and in :meth:`AffineChart.param_pair`, for pairs), so
 projective equality is tuple equality and everything hashes.  A parameter
 on a charted line is an integer pair (u : v), with (1 : 0) for the line's
 point at infinity, and homographies of a line act on pairs through 2x2
@@ -54,9 +55,10 @@ def _canonical(coords: tuple) -> tuple[int, ...]:
     so the first nonzero entry is positive.  Two homogeneous values are
     then equal iff their canonical tuples are.  A tuple with a non-integer
     entry, which ``math.gcd`` refuses, raises ``TypeError``.  This is the
-    generic form, for the 4- and 6-entry tuples; the hot 3-entry tuples
-    (``PPoint``, ``PLine``) and the pairs (:func:`_canonical_pair`) take
-    the same steps written out for their length.
+    generic form, for the 3-space points and planes and the conics; the hot
+    tuples take the same steps written out for their length: the 3-entry
+    ``PPoint`` and ``PLine``, the 4-entry ``LineMap`` matrix, and the pairs
+    (:func:`_canonical_pair`, and ``AffineChart.param_pair`` in place).
     """
     g = gcd(*coords)
     if g == 0:
@@ -118,10 +120,12 @@ class PPoint(Frozen):
         return self.coords[2] == 0
 
     def to_json(self) -> list[str]:
-        return [f"{c}/1" for c in self.coords]
+        x, y, z = self.coords
+        return [f"{x}/1", f"{y}/1", f"{z}/1"]
 
     def __repr__(self):
-        return f"({self.coords[0]}:{self.coords[1]}:{self.coords[2]})"
+        x, y, z = self.coords
+        return f"({x}:{y}:{z})"
 
 
 class PLine(Frozen):
@@ -255,7 +259,18 @@ class AffineChart(Frozen):
         """Projective parameter pair (u : v) with t = u/v, infinity (1 : 0)."""
         if not incident(p, self.line):
             raise GeometryError(f"{p} not on chart line {self.line}")
-        return _canonical_pair(*self._linear_pair(p.coords))
+        # _canonical_pair(*self._linear_pair(p.coords)) written out: every
+        # parameter a verifier reads comes through here
+        j, k, bj, bk, vj, vk = self._reader
+        x = p.coords
+        xj, xk = x[j], x[k]
+        u, v = bj * xj + bk * xk, vj * xj + vk * xk
+        g = gcd(u, v)
+        if g == 0:
+            raise GeometryError("zero homogeneous tuple")
+        if (u or v) < 0:
+            g = -g
+        return u // g, v // g
 
     def _linear_pair(self, x) -> tuple[int, int]:
         """The parameter pair of a vector x on the line, not normalized:
@@ -322,10 +337,17 @@ class LineMap(Frozen):
     __slots__ = _fields = ("matrix", "src", "dst")
 
     def __init__(self, matrix, src: AffineChart, dst: AffineChart):
-        m = _canonical(matrix)
-        if m[0] * m[3] - m[1] * m[2] == 0:
+        # _canonical(matrix) written out for its four entries, as in PPoint
+        a, b, c, d = matrix
+        g = gcd(a, b, c, d)
+        if g == 0:
+            raise GeometryError("zero homogeneous tuple")
+        if (a or b or c or d) < 0:
+            g = -g
+        a, b, c, d = a // g, b // g, c // g, d // g
+        if a * d - b * c == 0:
             raise GeometryError("singular line map")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", (a, b, c, d))
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
 
@@ -399,12 +421,14 @@ def perspective_map(center: PPoint, src: AffineChart, dst: AffineChart) -> LineM
     """
     if incident(center, src.line) or incident(center, dst.line):
         raise GeometryError("perspective center lies on a carrier line")
-    k, m = center.coords, dst.line.coeffs
-    mk = dot3(m, k)
-    (a, c), (b, d) = (
-        dst._linear_pair([dot3(m, x) * ki - mk * xi for ki, xi in zip(k, x)])
-        for x in src.basis()
-    )
+    k0, k1, k2 = center.coords
+    m0, m1, m2 = dst.line.coeffs
+    (p0, p1, p2), (q0, q1, q2) = src.basis()  # X1 and X0
+    mk = m0 * k0 + m1 * k1 + m2 * k2
+    mp = m0 * p0 + m1 * p1 + m2 * p2
+    mq = m0 * q0 + m1 * q1 + m2 * q2
+    a, c = dst._linear_pair((mp * k0 - mk * p0, mp * k1 - mk * p1, mp * k2 - mk * p2))
+    b, d = dst._linear_pair((mq * k0 - mk * q0, mq * k1 - mk * q1, mq * k2 - mk * q2))
     return LineMap((a, b, c, d), src, dst)
 
 

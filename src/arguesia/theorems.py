@@ -73,14 +73,16 @@ from arguesia.projective_core import (
 
 
 def _show(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return f"{v}/1"
-    if isinstance(v, QuadExt):
-        return scalar_str(v)
-    if isinstance(v, PPoint):
+    """A claim side as printed, by its exact type, the most frequent first."""
+    t = type(v)
+    if t is PPoint:
         return repr(v)
+    if t is bool:
+        return "true" if v else "false"
+    if t is int:
+        return f"{v}/1"
+    if t is QuadExt:
+        return scalar_str(v)
     return str(v)
 
 
@@ -93,20 +95,25 @@ class TheoremReport:
         self.notes: dict = {}
 
     def claim(self, label: str, lhs, rhs) -> bool:
+        """A claim between two values, compared by ``==`` and printed by
+        ``_show``.  Equal sides of one type print alike, so a true claim
+        prints its left side for both; True and 1 are equal but print
+        ``true`` and ``1/1``."""
         equal = lhs == rhs
-        self.claims.append(
-            {"label": label, "lhs": _show(lhs), "rhs": _show(rhs), "equal": equal}
-        )
+        lhs_text = _show(lhs)
+        rhs_text = lhs_text if equal and type(lhs) is type(rhs) else _show(rhs)
+        self.claims.append({"label": label, "lhs": lhs_text, "rhs": rhs_text, "equal": equal})
         return equal
 
     def claim_pair(self, label: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
         """A claim between unreduced integer pairs (num, den), compared by
         cross-multiplying and printed by ``param_str``: reduced, as
-        ``ProofTrace.add`` prints, and ``inf`` for a side (u, 0)."""
+        ``ProofTrace.add`` prints, and ``inf`` for a side (u, 0).  Equal
+        sides with nonzero denominators are one rational, printed once."""
         equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
-        self.claims.append(
-            {"label": label, "lhs": param_str(lhs), "rhs": param_str(rhs), "equal": equal}
-        )
+        lhs_text = param_str(lhs)
+        rhs_text = lhs_text if equal and lhs[1] and rhs[1] else param_str(rhs)
+        self.claims.append({"label": label, "lhs": lhs_text, "rhs": rhs_text, "equal": equal})
         return equal
 
     def claim_true(self, label: str, value: bool) -> bool:

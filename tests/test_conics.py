@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from arguesia import conics
 from arguesia.conics import (
     UNIT_CIRCLE as UC,
     UNIT_CIRCLE_PAR as PAR,
@@ -13,6 +14,7 @@ from arguesia.conics import (
     pencil_member,
     second_intersection,
 )
+from arguesia.exact_scalar import InternalError
 from arguesia.menelaus_engine import NonGenericError
 from arguesia.projective_core import PLine, PPoint, chord_product, default_chart, join, meet
 from arguesia.rng import SplitMix64
@@ -232,6 +234,20 @@ def test_second_intersection_tangent_returns_base():
     p = A(1, 0)
     direction = PPoint(0, 1, 0)  # vertical: tangent at (1,0)
     assert second_intersection(UC, p, direction) == p
+
+
+def test_root_points_keep_their_exactness_self_check(monkeypatch):
+    """A root point forced off the conic is an InternalError, a fault of the
+    program: (x : y : z + 1) is never on x^2 + y^2 = z^2 when (x : y : z)
+    is, as that would need 2z + 1 = 0."""
+    line = PLine(0, 1, 0)  # y = 0 meets the circle in (1, 0) and (-1, 0)
+    span = conics._line_span(line)
+    monkeypatch.setattr(conics, "_line_span", lambda l: span)
+    monkeypatch.setattr(conics, "PPoint", lambda x, y, z: PPoint(x, y, z + 1))
+    with pytest.raises(InternalError, match="^rational intersection failed exactness check$"):
+        conic_line_intersection(UC, line)
+    with pytest.raises(InternalError, match="^second intersection failed exactness check$"):
+        second_intersection(UC, A(-1, 0), PPoint(1, 1, 0))  # the chord y = x + 1
 
 
 # -- power of a point (Euclid III.35/36) through chord_product ----------------------

@@ -392,14 +392,22 @@ def test_trace_step_compares_pairs_by_cross_multiplying():
     assert trace.verdict
     trace.add("opposite signs", (1, 2), (1, -2), "c")
     trace.add("zero against nonzero", (0, 3), (3, 3), "c")
+    trace.add("false, non-reduced", (4, 6), (-10, 15), "c")
     assert [(s["lhs"], s["rhs"], s["equal"]) for s in trace.steps] == [
         ("-1/2", "-1/2", True),
         ("2/3", "2/3", True),
         ("0/1", "0/1", True),
         ("1/2", "-1/2", False),
         ("0/1", "1/1", False),
+        ("2/3", "-2/3", False),
     ]
     assert not trace.verdict
+    # a zero denominator on either side raises and adds no step, also where
+    # cross-multiplying would call the sides equal: 2*0 == 0*3
+    for lhs, rhs in (((1, 0), (2, 3)), ((2, 3), (1, 0)), ((2, 3), (0, 0)), ((0, 0), (2, 3))):
+        with pytest.raises(ZeroDivisionError):
+            trace.add("zero denominator", lhs, rhs, "c")
+    assert len(trace.steps) == 6
 
 
 # -- ratio against the chart formula ---------------------------------------------

@@ -132,6 +132,29 @@ def test_point_and_line_forms_equal_canonical(t):
         PPoint(*t[:2], F(1, 2))
 
 
+# The 4-entry form written out in LineMap, on the same entries: the zero
+# tuple is refused before a singular map.
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY))
+@example((0, 0, 0, -3))
+@example((-2, 4, 6, 0))
+@example((2, -4, -1, 2))
+@example((True, False, False, True))
+@example((False, False, False, False))
+def test_line_map_form_equals_canonical(t):
+    if not any(t):
+        with pytest.raises(GeometryError, match="^zero homogeneous tuple$"):
+            LineMap(t, _X_CHART, _X_CHART)
+        return
+    a, b, c, d = n = _canonical(t)
+    if a * d == b * c:
+        with pytest.raises(GeometryError, match="^singular line map$"):
+            LineMap(t, _X_CHART, _X_CHART)
+        return
+    matrix = LineMap(t, _X_CHART, _X_CHART).matrix
+    assert matrix == n and [type(e) for e in matrix] == [int] * 4
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.tuples(_ENTRY, _ENTRY))
 @example((0, -3))

@@ -29,6 +29,7 @@ from arguesia.projective_core import (
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
+    TheoremReport,
     beaugrand_points,
     beaugrand_replay,
     check_retablissement,
@@ -56,6 +57,35 @@ CH = default_chart(PLine(0, 1, 0))
 
 def pt(v):
     return point_at(CH, v)
+
+
+# -- printed sides ------------------------------------------------------------
+
+
+def test_report_prints_each_side_by_its_own_type():
+    """A true claim prints one text for both sides only where both print
+    alike: equal values of one type, or pairs with nonzero denominators.
+    A false claim prints both sides."""
+    report = TheoremReport("sides", inputs={})
+    report.claim("bool against int", True, 1)
+    report.claim("int against bool", 0, False)
+    report.claim("equal points", PPoint(2, 4, 6), PPoint(-1, -2, -3))
+    report.claim("different points", PPoint(1, 2, 3), PPoint(1, 2, 4))
+    report.claim_pair("false, non-reduced", (4, 6), (-10, 15))
+    report.claim_pair("true, non-reduced", (4, -6), (-10, 15))
+    report.claim_pair("both infinite", (3, 0), (-5, 0))
+    # (0, 0) cross-multiplies equal to any pair and prints as inf
+    report.claim_pair("zero pair against a value", (0, 0), (3, 1))
+    assert [(c["lhs"], c["rhs"], c["equal"]) for c in report.claims] == [
+        ("true", "1/1", True),
+        ("0/1", "false", True),
+        ("(1:2:3)", "(1:2:3)", True),
+        ("(1:2:3)", "(1:2:4)", False),
+        ("2/3", "-2/3", False),
+        ("-2/3", "-2/3", True),
+        ("inf", "inf", True),
+        ("inf", "3/1", True),
+    ]
 
 
 # -- verify_ramee -------------------------------------------------------------
