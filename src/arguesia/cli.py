@@ -151,9 +151,8 @@ def _json_write(value, newline: str, out: list) -> None:
     """Append the indent-2 JSON text of value; newline holds the newline
     and the indent of the line value starts on.
 
-    Branches on the exact type.  The string and boolean items of a dict,
-    and the string items of a list, the most common ones in a report, are
-    written in place rather than by a call."""
+    Branches on the exact type, one branch per type; a dict or list
+    writes each of its items by a call."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -167,15 +166,8 @@ def _json_write(value, newline: str, out: list) -> None:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = sep + encode_basestring_ascii(key) + ": "
-            item_kind = type(item)
-            if item_kind is str:
-                out.append(head + encode_basestring_ascii(item))
-            elif item_kind is bool:
-                out.append(head + ("true" if item else "false"))
-            else:
-                out.append(head)
-                _json_write(item, inner, out)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_write(item, inner, out)
             sep = comma
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -186,11 +178,8 @@ def _json_write(value, newline: str, out: list) -> None:
         comma = "," + inner
         sep = "[" + inner
         for item in value:
-            if type(item) is str:
-                out.append(sep + encode_basestring_ascii(item))
-            else:
-                out.append(sep)
-                _json_write(item, inner, out)
+            out.append(sep)
+            _json_write(item, inner, out)
             sep = comma
         out.append(newline + "]")
     elif kind is bool:

@@ -139,8 +139,8 @@ def conic_line_intersection(c: Conic, l: PLine) -> tuple[int, tuple[PPoint, ...]
         raise ConicError("degenerate conic: split it into its two lines")
     p0, p1 = _line_span(l)
     a = c.evaluate(p0)
-    b = _bilinear(c, p0.coords, p1.coords)
-    cc = c.evaluate(p1)
+    m = conic_polar(c.m, p1.coords)
+    b, cc = dot3(p0.coords, m), dot3(p1.coords, m)
     disc = b * b - a * cc
     root = isqrt(disc) if disc > 0 else 0
     if disc < 0 or root * root != disc:
@@ -160,10 +160,6 @@ def conic_line_intersection(c: Conic, l: PLine) -> tuple[int, tuple[PPoint, ...]
     return disc, tuple(pts)
 
 
-def _bilinear(c: Conic, p, q) -> int:
-    return dot3(p, conic_polar(c.m, q))
-
-
 def chord_quadratic(c: Conic, chart: AffineChart) -> tuple[int, int, int]:
     """(A, B, C) with A*u**2 + B*u*v + C*v**2 the form of c on the point
     ``chart.point_at_pair((u, v))``.
@@ -174,7 +170,8 @@ def chord_quadratic(c: Conic, chart: AffineChart) -> tuple[int, int, int]:
     their symmetric functions up to scale.
     """
     x1, x0 = chart.basis()
-    return conic_eval(c.m, x1), 2 * _bilinear(c, x1, x0), conic_eval(c.m, x0)
+    m = conic_polar(c.m, x0)
+    return conic_eval(c.m, x1), 2 * dot3(x1, m), dot3(x0, m)
 
 
 def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:
@@ -187,8 +184,8 @@ def second_intersection(c: Conic, on_point: PPoint, other: PPoint) -> PPoint:
         raise ConicError("base point of the chord is not on the conic")
     if on_point == other:
         raise ConicError("chord needs two distinct points")
-    b = _bilinear(c, on_point.coords, other.coords)
-    cc = c.evaluate(other)
+    m = conic_polar(c.m, other.coords)
+    b, cc = dot3(on_point.coords, m), dot3(other.coords, m)
     if b == 0 and cc == 0:
         raise ConicError("degenerate chord")
     (x0, y0, z0), (x1, y1, z1) = on_point.coords, other.coords

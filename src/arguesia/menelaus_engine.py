@@ -117,27 +117,13 @@ class ProofTrace:
     ``add`` takes each side as an unreduced integer pair (num, den), den
     nonzero and of either sign, compares the sides by cross-multiplying
     and prints each reduced, by ``pair_str``; a true step's sides are one
-    rational, so its left side is printed once and serves for both.  The
-    trace also keeps the Menelaus ratios its steps have computed, by the
-    coordinates of their three points, so a ratio that several steps use
-    is computed once: the ramee replay computes 14 ratios for the 24
-    factors of its eight steps, and the quadrangle replay 8 for 12.  The
-    table lives and dies with the trace.
+    rational, so its left side is printed once and serves for both.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.steps: list[dict] = []
         self.notes: dict = {}
-        self._ratios: dict = {}
-
-    def _ratio(self, origin: PPoint, num_end: PPoint, den_end: PPoint) -> tuple[int, int]:
-        """``ratio(origin, num_end, den_end)``, computed once per trace."""
-        key = (origin.coords, num_end.coords, den_end.coords)
-        pair = self._ratios.get(key)
-        if pair is None:
-            pair = self._ratios[key] = ratio(origin, num_end, den_end)
-        return pair
 
     @property
     def verdict(self) -> bool:
@@ -205,13 +191,13 @@ def menelaus_step(
     other noeuds, and the inverted form, are the same call relabelled.  The
     label is spelled from the six names, and the step's meta is its kind,
     menelaus, then ``meta``.  A false identity is a false step.  Returns
-    the integer pairs of N1b/N1c, N3b/N3a and N2a/N2c, each computed once
-    per trace.
+    the integer pairs of N1b/N1c, N3b/N3a and N2a/N2c, three ``ratio``
+    calls; a step shares nothing with the other steps of its trace.
     """
     (l1, p1), (l2, p2), (l3, p3), (la, pa), (lb, pb), (lc, pc) = n1, n2, n3, a, b, c
-    brin = trace._ratio(p1, pb, pc)
-    at_n3 = trace._ratio(p3, pb, pa)
-    at_n2 = trace._ratio(p2, pa, pc)
+    brin = ratio(p1, pb, pc)
+    at_n3 = ratio(p3, pb, pa)
+    at_n2 = ratio(p2, pa, pc)
     trace.add(
         f"{l1}{lb}/{l1}{lc} = ({l3}{lb}/{l3}{la})({l2}{la}/{l2}{lc})",
         brin,
@@ -285,11 +271,11 @@ def replay_ramee_proof(figure: dict) -> ProofTrace:
     then the alpha aggregations and the conclusion.
 
     Takes the figure ``check_ramee_replayable`` returned, with its
-    projected points.  Each Menelaus step is one ``menelaus_step``, and
-    the steps share the trace's table of ratios (Kd/KD in series 1, KF/Kf
-    in series 2, and each nD/nf in both); products, alpha included,
-    multiply the integer pairs it returns, and each printed side, like
-    each note, is formatted from an integer pair.
+    projected points.  Each Menelaus step is one ``menelaus_step``, which
+    computes its own three ratios, and alpha is built from the Kd/KD and
+    KF/Kf that the last step of each series returns; products, alpha
+    included, multiply the integer pairs the steps return, and each
+    printed side, like each note, is formatted from an integer pair.
     """
     pts, delta = figure["points"], figure["delta"]
     (B, H), (C, G), (D, F) = figure["arbre"].pairs

@@ -496,13 +496,12 @@ def test_quadrangle_replay_structure():
 
 
 @pytest.mark.parametrize("command, kind, ratios", [
-    ("replay", "ramee", 14), ("verify", "ramee", 14), ("replay", "quadrangle", 8),
+    ("replay", "ramee", 24), ("verify", "ramee", 24), ("replay", "quadrangle", 12),
 ])
-def test_each_replay_ratio_is_computed_once_per_trace(monkeypatch, capsys, command, kind, ratios):
-    # ramee: 24 factors in 8 steps, of which Kd/KD (series 1), KF/Kf
-    # (series 2) and each nD/nf (in both) repeat; quadrangle: 12 factors,
-    # the ratios at C, D (N3) and at B, E (N2) each used twice.  A rerun of
-    # the same seed computes them again: the table belongs to the trace.
+def test_each_menelaus_step_computes_its_three_ratios(monkeypatch, capsys, command, kind, ratios):
+    # ramee: 8 Menelaus steps, quadrangle: 4; each step calls ratio for its
+    # three factors and shares none with another step, so a rerun of the
+    # same seed counts the same.
     import arguesia.menelaus_engine as menelaus_engine
     from arguesia.cli import main
 

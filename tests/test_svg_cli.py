@@ -332,7 +332,7 @@ def test_json_dump_rejects_non_json_values():
 
     assert _json_dump({"x": "1/2"}) == '{\n  "x": "1/2"\n}\n'
     for value in ({"x": Fraction(1, 2)}, {1: "x"}, {"x": [1.5]}, 1.5, {(1, 2): 0},
-                  Text("x"), {"x": [Text("y")]}, {Text("x"): 0}):
+                  Text("x"), {"x": Text("y")}, {"x": [Text("y")]}, {Text("x"): 0}):
         with pytest.raises(TypeError):
             _json_dump(value)
 
@@ -429,8 +429,14 @@ def test_off_conic_chord_point_is_an_internal_error(monkeypatch, capsys):
 def test_off_conic_second_intersection_is_an_internal_error(monkeypatch, capsys):
     import arguesia.conics as conics
 
-    real = conics._bilinear
-    monkeypatch.setattr(conics, "_bilinear", lambda c, p, q: real(c, p, q) + 1)
+    real = conics.conic_polar
+
+    def conic_polar(m6, p):
+        # a polar one off in its first entry: the chord's products miss
+        u, v, w = real(m6, p)
+        return u + 1, v, w
+
+    monkeypatch.setattr(conics, "conic_polar", conic_polar)
     _assert_internal_error(
         capsys,
         ["verify", "pencil", "--seed", "1"],

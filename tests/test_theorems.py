@@ -537,15 +537,14 @@ def test_hyperbolic_iff_two_tangent_members():
 
 def _tangency_discriminant(gen1, gen2, line):
     """Discriminant of the quadratic in (lam:mu) expressing tangency to line."""
-    from arguesia.conics import _line_span, _bilinear
+    from arguesia._kernel import conic_polar, dot3
+    from arguesia.conics import _line_span
 
     p0, p1 = _line_span(line)
 
     def restriction(conic):
-        a = conic.evaluate(p0)
-        b = _bilinear(conic, p0.coords, p1.coords)
-        c = conic.evaluate(p1)
-        return a, b, c
+        m = conic_polar(conic.m, p1.coords)
+        return conic.evaluate(p0), dot3(p0.coords, m), dot3(p1.coords, m)
 
     a1, b1, c1 = restriction(gen1)
     a2, b2, c2 = restriction(gen2)
