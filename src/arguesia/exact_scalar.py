@@ -3,22 +3,19 @@ irrationals of configs and reports.
 
 Every rational is an integer pair (num, den), read from text reduced
 (:func:`rat_parse`, for ``construct``) and printed reduced by one gcd
-(:func:`pair_str`); no module builds a ``Fraction``.  ``QuadExt`` is the
-integer form (p + q*sqrt(d))/r of the square roots that appear at
-involution fixed points, with :func:`quad_sqrt` the checked split of an
-integer radicand.  Conic chords need none: a chord is rational or is
-decided by its symmetric functions.
+(:func:`pair_str`, and two compared ones by :func:`pair_record`); no
+module builds a ``Fraction``.  ``QuadExt`` is the integer form
+(p + q*sqrt(d))/r of the square roots that appear at involution fixed
+points, with :func:`quad_sqrt` the checked split of an integer radicand.
+Conic chords need none: a chord is rational or is decided by its
+symmetric functions.
 """
 
 from __future__ import annotations
 
-import re
 from math import gcd, isqrt
 
 from arguesia._frozen import Frozen
-
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
-
 
 class ScalarError(ValueError):
     """Raised for malformed rational text or an impossible square root."""
@@ -30,14 +27,16 @@ class InternalError(Exception):
 
 
 def rat_parse(text: str) -> tuple[int, int]:
-    """Parse ``digits`` or ``digits/digits`` (optional leading minus).
+    """Parse ``digits`` or ``digits/digits`` (optional leading minus), in
+    ASCII digits with nothing around them, as ``--seed`` is read.
 
     The result is the canonical pair (num, den): reduced, den > 0, and
     zero as (0, 1), so equal values give equal pairs.
     """
-    if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
+    num, slash, den = text.partition("/")
+    digits = (num.removeprefix("-"), den) if slash else (num.removeprefix("-"),)
+    if not all(d.isascii() and d.isdigit() for d in digits):
         raise ScalarError(f"malformed rational: {text!r}")
-    num, _, den = text.strip().partition("/")
     num, den = int(num), int(den or 1)
     if den == 0:
         raise ScalarError(f"zero denominator: {text!r}")
@@ -54,6 +53,19 @@ def pair_str(num: int, den: int) -> str:
     if den < 0:
         g = -g
     return f"{num // g}/{den // g}"
+
+
+def pair_record(label: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> dict:
+    """The printed record ``{label, lhs, rhs, equal}`` of two integer pairs
+    (num, den), compared by cross-multiplying; equal sides print once.  A
+    side (u, 0) prints ``inf``; a side (0, 0), equal to anything, raises."""
+    (a, b), (c, d) = lhs, rhs
+    if not (a or b) or not (c or d):
+        raise ZeroDivisionError(f"{label}: a side 0/0 has no value")
+    equal = a * d == c * b
+    lhs_text = pair_str(a, b) if b else "inf"
+    rhs_text = lhs_text if equal else pair_str(c, d) if d else "inf"
+    return {"label": label, "lhs": lhs_text, "rhs": rhs_text, "equal": equal}
 
 
 def square_free_decomposition(n: int) -> tuple[int, int]:

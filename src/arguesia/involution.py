@@ -9,8 +9,9 @@ satisfy the three rectangle-product identities
 
 evaluated here with signed chart differences (each side is sign-invariant),
 on the integer parameter pairs (u : v) of the noeuds: each side is a
-quotient of integer brackets u*v' - u'*v, printed reduced by one gcd
-(``exact_scalar.pair_str``).
+quotient of integer brackets u*v' - u'*v, an integer pair that a verifier
+records as a claim (``exact_scalar.pair_record``); this module prints
+nothing.
 Modern form: the couples are swapped by an involutive homography of the
 line, which a trace-zero 2x2 matrix realizes; ``equivalence_check`` decides
 this form.  Each form is its own check, and a verifier records each as its
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from arguesia._frozen import Frozen
 from arguesia._kernel import cross3
-from arguesia.exact_scalar import QuadExt, pair_str, quad_sqrt
+from arguesia.exact_scalar import QuadExt, quad_sqrt
 from arguesia.projective_core import (
     AffineChart,
     GeometryError,
@@ -32,7 +33,6 @@ from arguesia.projective_core import (
     PPoint,
     _canonical_pair,
     incident,
-    param_str,
 )
 
 
@@ -98,13 +98,13 @@ def partner(inv: Involution, p: PPoint) -> PPoint:
 
 
 _IDENTITY_SCHEMES = (
-    # (eval couple index, lhs couple index, rhs couple index)
+    # (label, eval couple index, lhs couple index, rhs couple index)
     # identity 1: at G and C, products over (D,F) vs (B,H)
-    (1, 2, 0),
+    ("GF.GD/(CF.CD) = GB.GH/(CB.CH)", 1, 2, 0),
     # identity 2: at F and D, products over (C,G) vs (B,H)
-    (2, 1, 0),
+    ("FC.FG/(DC.DG) = FB.FH/(DB.DH)", 2, 1, 0),
     # identity 3: at H and B, products over (C,G) vs (D,F)
-    (0, 1, 2),
+    ("HC.HG/(BC.BG) = HD.HF/(BD.BF)", 0, 1, 2),
 )
 
 
@@ -124,13 +124,12 @@ def _rect_pair(e1, e2, w1, w2) -> tuple[int, int]:
     return num, den
 
 
-def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
-    """Evaluate the three rectangle-product identities exactly.
+def rectangle_identity_check(nc: NodeCouples) -> list[tuple]:
+    """The three rectangle-product identities, exactly.
 
-    Returns the report: each identity with both sides as canonical
-    rationals and whether they are equal.  Each side is an integer
-    quotient of parameter-pair brackets, and the two sides are compared by
-    cross-multiplying; equal sides are one rational, printed once.
+    Returns each identity as (label, lhs, rhs), each side an integer
+    quotient of parameter-pair brackets, an unreduced (num, den) pair with
+    den nonzero; the identity holds when the sides cross-multiply equal.
     Requires finite noeuds (a couple with a point at infinity is checked
     through the homography form instead).
     """
@@ -140,21 +139,13 @@ def rectangle_identity_check(nc: NodeCouples) -> list[dict]:
             raise InvolutionError(
                 "rectangle identities need finite noeuds; use the homography form"
             )
-    labels = (
-        "GF.GD/(CF.CD) = GB.GH/(CB.CH)",
-        "FC.FG/(DC.DG) = FB.FH/(DB.DH)",
-        "HC.HG/(BC.BG) = HD.HF/(BD.BF)",
-    )
-    report = []
-    for (ev, lhs_c, rhs_c), label in zip(_IDENTITY_SCHEMES, labels):
+    identities = []
+    for label, ev, lhs_c, rhs_c in _IDENTITY_SCHEMES:
         e2, e1 = pairs[ev]  # evaluate at the second member first (G before C)
-        l_num, l_den = _rect_pair(e1, e2, *pairs[lhs_c])
-        r_num, r_den = _rect_pair(e1, e2, *pairs[rhs_c])
-        equal = l_num * r_den == r_num * l_den
-        lhs = pair_str(l_num, l_den)
-        report.append({"label": label, "lhs": lhs,
-                       "rhs": lhs if equal else pair_str(r_num, r_den), "equal": equal})
-    return report
+        identities.append(
+            (label, _rect_pair(e1, e2, *pairs[lhs_c]), _rect_pair(e1, e2, *pairs[rhs_c]))
+        )
+    return identities
 
 
 def classify_kind(inv: Involution) -> str:
@@ -218,13 +209,3 @@ def equivalence_check(nc: NodeCouples) -> dict:
     # canonical pairs: equal exactly when the points are
     return {"equivalent": inv.map.apply_pair(d) == f, "involution": inv}
 
-
-def involution_json(inv: Involution) -> dict:
-    """Serializable involution summary: matrix, kind and souche (the
-    partner of the point at infinity)."""
-    a, b, c, d = inv.map.matrix
-    return {
-        "matrix": [str(a), str(b), str(c), str(d)],
-        "kind": classify_kind(inv),
-        "souche": param_str(inv.map.apply_pair((1, 0))),
-    }

@@ -15,13 +15,13 @@ replay is one call of it: ``replay_ramee_proof`` and
 it with its Brouillon citation tag.  Each ratio is a quotient of integer
 brackets and stays an integer pair (``ratio``) through the products, as
 does each chord product (``projective_core.chord_product``); a trace step
-takes both sides as pairs, compares them by cross-multiplying and prints
-each reduced by one gcd (``exact_scalar.pair_str``), a true step's once.
+takes both sides as pairs with nonzero denominators and prints them by
+``exact_scalar.pair_record``, the builder of every claim between pairs.
 """
 
 from __future__ import annotations
 
-from arguesia.exact_scalar import pair_str
+from arguesia.exact_scalar import pair_record, pair_str
 from arguesia.involution import NodeCouples
 from arguesia.projective_core import (
     AffineChart,
@@ -115,9 +115,10 @@ class ProofTrace:
     ``{label, lhs, rhs, equal, cite, meta?}``, with both sides exact.
 
     ``add`` takes each side as an unreduced integer pair (num, den), den
-    nonzero and of either sign, compares the sides by cross-multiplying
-    and prints each reduced, by ``pair_str``; a true step's sides are one
-    rational, so its left side is printed once and serves for both.
+    nonzero and of either sign, and records it by ``pair_record``: compared
+    by cross-multiplying, printed reduced, a true step's left side once for
+    both.  A side with den 0, which a claim would print as ``inf``, is
+    refused: every step's sides are finite.
     """
 
     def __init__(self, name: str):
@@ -132,12 +133,10 @@ class ProofTrace:
     def add(
         self, label: str, lhs: tuple[int, int], rhs: tuple[int, int], cite: str, **meta
     ) -> None:
-        equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
-        lhs_text = pair_str(*lhs)
-        # equal sides are one rational and print alike; a zero denominator
-        # still goes to pair_str, which raises for it
-        rhs_text = lhs_text if equal and rhs[1] else pair_str(*rhs)
-        step = {"label": label, "lhs": lhs_text, "rhs": rhs_text, "equal": equal, "cite": cite}
+        if not (lhs[1] and rhs[1]):
+            raise ZeroDivisionError(f"{label}: a trace step side has denominator 0")
+        step = pair_record(label, lhs, rhs)
+        step["cite"] = cite
         if meta:
             step["meta"] = meta
         self.steps.append(step)

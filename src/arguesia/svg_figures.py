@@ -79,7 +79,8 @@ class SvgDoc:
 
     # -- rendering ---------------------------------------------------------
 
-    def _world_box(self):
+    def _mapper(self):
+        """The labeled points' box with a 10% margin, and its canvas map."""
         if not self.labeled_points:
             raise FigureError("unbounded configuration: no finite labeled points")
         xs = [p[0] for p in self.labeled_points]
@@ -88,10 +89,7 @@ class SvgDoc:
         y0, y1 = min(ys), max(ys)
         w = x1 - x0 or 1.0
         h = y1 - y0 or 1.0
-        return (x0 - 0.1 * w, x1 + 0.1 * w, y0 - 0.1 * h, y1 + 0.1 * h)
-
-    def _mapper(self):
-        x0, x1, y0, y1 = self._world_box()
+        x0, x1, y0, y1 = x0 - 0.1 * w, x1 + 0.1 * w, y0 - 0.1 * h, y1 + 0.1 * h
         sx = CANVAS_W / (x1 - x0)
         sy = CANVAS_H / (y1 - y0)
         s = min(sx, sy)
@@ -131,13 +129,14 @@ class SvgDoc:
         return dedup[0], dedup[-1]
 
     @staticmethod
-    def _conic_samples(m, seed_coords, box, n=64):
-        """Adaptive sweep over chord slopes through the seed point.
+    def _conic_samples(m, seed_coords, box, to_canvas, n=64):
+        """The drawable pieces (two or more canvas points) of an adaptive
+        sweep over chord slopes through the seed point.
 
         A coarse angular grid of second intersections is refined by
         bisection wherever the chord between consecutive samples is long
-        relative to the viewport, so tight bends get more points; branches
-        through infinity stay as gaps (None markers).
+        relative to the viewport, so tight bends get more points; a piece
+        ends at a branch through infinity or far outside the viewport.
         """
         m00, m01, m02, m11, m12, m22 = _floats(m)
         sx, sy, sz = _floats(seed_coords)
@@ -159,7 +158,16 @@ class SvgDoc:
                 return None
             return (px / pz, py / pz)
 
-        out = []
+        stretch_x = (x1 - x0) * 4
+        stretch_y = (y1 - y0) * 4
+        pieces = [[]]
+
+        def push(p):
+            if p is not None and (x0 - stretch_x <= p[0] <= x1 + stretch_x
+                                  and y0 - stretch_y <= p[1] <= y1 + stretch_y):
+                pieces[-1].append(to_canvas(*p))
+            elif pieces[-1]:
+                pieces.append([])
 
         def near_box(p):
             return (x0 - 2 * (x1 - x0) <= p[0] <= x1 + 2 * (x1 - x0)
@@ -167,9 +175,9 @@ class SvgDoc:
 
         def emit(t0, p0, t1, p1, depth):
             if p0 is None or p1 is None:
-                out.append(None)
+                push(None)
                 if p1 is not None:
-                    out.append(p1)
+                    push(p1)
                 return
             chord = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
             if depth < 8 and chord > tol and (near_box(p0) or near_box(p1)):
@@ -179,20 +187,20 @@ class SvgDoc:
                 if pm is not None:
                     emit(tm, pm, t1, p1, depth + 1)
                 else:
-                    out.append(None)
+                    push(None)
                     emit(tm + 1e-9, at(tm + 1e-9), t1, p1, depth + 1)
             else:
-                out.append(p1)
+                push(p1)
 
         thetas = [-math.pi / 2 + math.pi * (i + 0.5) / n for i in range(n)]
         prev_t, prev_p = thetas[0], at(thetas[0])
         if prev_p is not None:
-            out.append(prev_p)
+            push(prev_p)
         for t in thetas[1:]:
             p = at(t)
             emit(prev_t, prev_p, t, p, 0)
             prev_t, prev_p = t, p
-        return out
+        return [piece for piece in pieces if len(piece) > 1]
 
     def to_bytes(self) -> bytes:
         box, to_canvas = self._mapper()
@@ -222,29 +230,7 @@ class SvgDoc:
                 f'x2="{_fmt(bx)}" y2="{_fmt(by)}" {_STYLE[cls]}/>'
             )
         for m, seed_coords, cls in self.conics:
-            samples = self._conic_samples(m, seed_coords, box)
-            pieces = []
-            current = []
-            x0, x1, y0, y1 = box
-            stretch_x = (x1 - x0) * 4
-            stretch_y = (y1 - y0) * 4
-            for sample in samples:
-                if sample is None:
-                    if current:
-                        pieces.append(current)
-                        current = []
-                    continue
-                x, y = sample
-                if x0 - stretch_x <= x <= x1 + stretch_x and y0 - stretch_y <= y <= y1 + stretch_y:
-                    current.append(to_canvas(x, y))
-                elif current:
-                    pieces.append(current)
-                    current = []
-            if current:
-                pieces.append(current)
-            for piece in pieces:
-                if len(piece) < 2:
-                    continue
+            for piece in self._conic_samples(m, seed_coords, box, to_canvas):
                 d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in piece)
                 parts.append(f'<path class="{cls}" d="{d}" {_STYLE[cls]}/>')
         for cx, cy, fx, fy, label in marks:

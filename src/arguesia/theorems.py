@@ -12,7 +12,7 @@ labels; everything else is projective.
 
 from __future__ import annotations
 
-from arguesia.exact_scalar import InternalError, QuadExt, pair_str, scalar_str
+from arguesia.exact_scalar import InternalError, QuadExt, pair_record, pair_str, scalar_str
 from arguesia.conics import (
     UNIT_CIRCLE,
     UNIT_CIRCLE_PAR,
@@ -28,7 +28,6 @@ from arguesia.involution import (
     classify,
     classify_kind,
     equivalence_check,
-    involution_json,
     partner,
     rectangle_identity_check,
 )
@@ -106,15 +105,12 @@ class TheoremReport:
         return equal
 
     def claim_pair(self, label: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
-        """A claim between unreduced integer pairs (num, den), compared by
-        cross-multiplying and printed by ``param_str``: reduced, as
-        ``ProofTrace.add`` prints, and ``inf`` for a side (u, 0).  Equal
-        sides with nonzero denominators are one rational, printed once."""
-        equal = lhs[0] * rhs[1] == rhs[0] * lhs[1]
-        lhs_text = param_str(lhs)
-        rhs_text = lhs_text if equal and lhs[1] and rhs[1] else param_str(rhs)
-        self.claims.append({"label": label, "lhs": lhs_text, "rhs": rhs_text, "equal": equal})
-        return equal
+        """A claim between unreduced integer pairs (num, den), recorded by
+        ``pair_record`` as ``ProofTrace.add`` records a step: ``inf`` for a
+        side (u, 0), and a side (0, 0) refused."""
+        record = pair_record(label, lhs, rhs)
+        self.claims.append(record)
+        return record["equal"]
 
     def claim_true(self, label: str, value: bool) -> bool:
         return self.claim(label, value, True)
@@ -223,11 +219,12 @@ def verify_ramee(figure: dict) -> TheoremReport:
 
     ``figure`` is what ``check_ramee_replayable`` returned, so K and the six
     images are finite.  Claims: the image couples pass the rectangle
-    identities, and, as a separate claim, the homography check; the
-    hyperbolic/elliptic class is preserved; each fixed point maps exactly
-    to a fixed point.  The image couples are the check's projections, and
-    the Menelaus trace of ``replay_ramee_proof`` is attached.  Source
-    couples not in involution stop the report at that one false claim.
+    identities, and, as a separate claim, the homography check; their
+    involution is the conjugate of the source's, of its class, and fixes
+    the image of each source fixed point.  The image couples are the
+    check's projections, and the Menelaus trace of ``replay_ramee_proof``
+    is attached.  Source couples not in involution stop the report at that
+    one false claim.
     """
     nc, k, delta, pts = figure["arbre"], figure["k"], figure["delta"], figure["points"]
     report = TheoremReport(
@@ -252,21 +249,21 @@ def verify_ramee(figure: dict) -> TheoremReport:
     source_inv = source["involution"]
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
-    for ident in rectangle_identity_check(image_nc):
-        report.claims.append(ident | {"label": "image " + ident["label"]})
+    for label, lhs, rhs in rectangle_identity_check(image_nc):
+        report.claim_pair("image " + label, lhs, rhs)
     eq = equivalence_check(image_nc)
+    image_inv = eq["involution"]
     report.claim_true("image couples in involution (homography)", eq["equivalent"])
     report.claim(
         "conjugate involution equals image involution",
         phi_conjugate.map.matrix,
-        eq["involution"].map.matrix,
+        image_inv.map.matrix,
     )
 
+    # read from the image couples: the conjugate fixes pi(t) by construction
     src_cls = classify(source_inv)
-    report.claim(
-        "classification preserved", src_cls["kind"], classify_kind(phi_conjugate)
-    )
-    phi = phi_conjugate.map
+    report.claim("classification preserved", src_cls["kind"], classify_kind(image_inv))
+    phi = image_inv.map
     for t in src_cls["fixed_points"]:
         label = f"fixed point {param_str(t)} transported to a fixed point"
         if isinstance(t, QuadExt):
@@ -474,6 +471,17 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
 # the quadrangle involution theorem
 
 
+def involution_json(inv: Involution) -> dict:
+    """Serializable involution summary: matrix, kind and souche (the
+    partner of the point at infinity)."""
+    a, b, c, d = inv.map.matrix
+    return {
+        "matrix": [str(a), str(b), str(c), str(d)],
+        "kind": classify_kind(inv),
+        "souche": param_str(inv.map.apply_pair((1, 0))),
+    }
+
+
 def quadrangle_involution(q: dict):
     """The three transversal couples are in involution; returns the
     involution (built from two couples) plus a report carrying the
@@ -483,7 +491,8 @@ def quadrangle_involution(q: dict):
     ``quadrangle_figure`` returned."""
     report = TheoremReport("quadrangle_involution", inputs=_quadrangle_json(q))
     nc = quadrangle_couples(q)
-    report.claims.extend(rectangle_identity_check(nc))
+    for label, lhs, rhs in rectangle_identity_check(nc):
+        report.claim_pair(label, lhs, rhs)
     eq = equivalence_check(nc)
     report.claim_true("couples (I,K), (P,Q), (G,H) in involution", eq["equivalent"])
     inv = eq["involution"]

@@ -58,7 +58,10 @@ def test_rat_parse_is_the_reduced_fraction_pair(text):
     assert pair_str(*pair) == f"{oracle.numerator}/{oracle.denominator}"
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a/2", "1.5", "2/-3", "--1", "1/2/3"])
+# then non-ASCII digits and padding, refused as --seed refuses them, and
+# empty digit runs
+@pytest.mark.parametrize("bad", ["", "1/0", "a/2", "1.5", "2/-3", "--1", "1/2/3",
+                                 "\u0663", "1/\u0662", " 3 ", "3\n", "-", "1/"])
 def test_rat_parse_rejects_malformed(bad):
     with pytest.raises(ScalarError):
         rat_parse(bad)

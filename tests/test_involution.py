@@ -48,13 +48,19 @@ FOUR_OVER_X = couples((1, 4), (8, (1, 2)), (-1, -4))
 
 
 def rectangles_hold(nc):
-    return all(r["equal"] for r in rectangle_identity_check(nc))
+    return all(lhs[0] * rhs[1] == rhs[0] * lhs[1] for _, lhs, rhs in rectangle_identity_check(nc))
 
 
 def test_rectangle_identities_hold_for_4_over_x():
     report = rectangle_identity_check(FOUR_OVER_X)
-    assert report[0]["lhs"] == "1/16" and report[0]["rhs"] == "1/16"
-    assert all(r["equal"] for r in report)
+    assert [label for label, _, _ in report] == [
+        "GF.GD/(CF.CD) = GB.GH/(CB.CH)",
+        "FC.FG/(DC.DG) = FB.FH/(DB.DH)",
+        "HC.HG/(BC.BG) = HD.HF/(BD.BF)",
+    ]
+    _, lhs, rhs = report[0]
+    assert F(*lhs) == F(*rhs) == F(1, 16)
+    assert rectangles_hold(FOUR_OVER_X)
 
 
 def test_rectangle_identities_fail_on_perturbation():
@@ -86,8 +92,7 @@ def _rectangle_oracle(nc):
         e2, e1 = params[ev]
         lhs = _rect_side_oracle(e1, e2, *params[lhs_c])
         rhs = _rect_side_oracle(e1, e2, *params[rhs_c])
-        report.append((f"{lhs.numerator}/{lhs.denominator}",
-                       f"{rhs.numerator}/{rhs.denominator}", lhs == rhs))
+        report.append((lhs, rhs))
     return report
 
 
@@ -156,7 +161,7 @@ def test_rectangle_identities_match_fraction_oracle(chart, params, doubled, matr
         assert str(got.value) == str(exc)
         return
     report = rectangle_identity_check(nc)
-    assert [(r["lhs"], r["rhs"], r["equal"]) for r in report] == expected
+    assert [(F(*lhs), F(*rhs)) for _, lhs, rhs in report] == expected
 
 
 def test_node_couples_validation():
@@ -456,7 +461,7 @@ def test_rectangle_and_homography_routes_agree_on_seeded_couples():
 
 
 def test_involution_json_serialization():
-    from arguesia.involution import involution_json
+    from arguesia.theorems import involution_json
 
     inv = Involution(LineMap((0, 2, 1, 0), CH, CH))  # x -> 2/x
     data = involution_json(inv)

@@ -199,9 +199,13 @@ def test_construct_takes_a_negative_fraction_after_a_space(option, capsys):
         assert expected == "13/9\n"
 
 
-def test_construct_rejects_malformed_rational():
+def test_construct_rejects_malformed_rational(capsys):
     proc = run_cli("construct", "harmonic", "--b", "zero", "--c", "2", "--d", "3")
     assert proc.returncode == 2
+    # ASCII digits only, with nothing around them, as --seed is read
+    for bad in ("\u0663", "1/\u0662", " 3 ", "3\n"):
+        assert main(["construct", "harmonic", "--b", "0", "--c", "2", "--d", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed rational: {bad!r}\n")
 
 
 def test_construct_repeated_values_is_a_usage_error(capsys):
@@ -628,8 +632,9 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     # products of integer ratio pairs; move the image b of B along the image
     # line and the step through b, its aggregation and the conclusion fail.
     # The image-couple claims take their couples from the same checked
-    # figure, so the moved b falsifies them too; the classification and
-    # fixed-point claims stay true.  The fault goes into the one run of the
+    # figure, so the moved b falsifies them too, and with them the
+    # classification and fixed-point claims, which read the involution of
+    # the image couples.  The fault goes into the one run of the
     # precondition, the generator's.
     import arguesia.instances as instances
 
@@ -654,6 +659,9 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
         "image HC.HG/(BC.BG) = HD.HF/(BD.BF)",
         "image couples in involution (homography)",
         "conjugate involution equals image involution",
+        "classification preserved",
+        "fixed point (-9/2 + -1/6*sqrt(705)) transported to a fixed point",
+        "fixed point (-9/2 + 1/6*sqrt(705)) transported to a fixed point",
         "bd/bf = (Kd/KD)(2D/2f)",
         "db.dh/(fb.fh) = a.DB.DH/(FB.FH)",
         "dg.dc/(fg.fc) = db.dh/(fb.fh)",

@@ -13,7 +13,7 @@ from arguesia.conics import (
 )
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import Involution, NodeCouples, classify_kind, equivalence_check
-from arguesia.menelaus_engine import NonGenericError, check_ramee_replayable
+from arguesia.menelaus_engine import NonGenericError, ProofTrace, check_ramee_replayable
 from arguesia import projective_core
 from arguesia.projective_core import (
     GeometryError,
@@ -64,8 +64,8 @@ def pt(v):
 
 def test_report_prints_each_side_by_its_own_type():
     """A true claim prints one text for both sides only where both print
-    alike: equal values of one type, or pairs with nonzero denominators.
-    A false claim prints both sides."""
+    alike: equal values of one type, or equal pairs.  A false claim prints
+    both sides."""
     report = TheoremReport("sides", inputs={})
     report.claim("bool against int", True, 1)
     report.claim("int against bool", 0, False)
@@ -74,8 +74,10 @@ def test_report_prints_each_side_by_its_own_type():
     report.claim_pair("false, non-reduced", (4, 6), (-10, 15))
     report.claim_pair("true, non-reduced", (4, -6), (-10, 15))
     report.claim_pair("both infinite", (3, 0), (-5, 0))
-    # (0, 0) cross-multiplies equal to any pair and prints as inf
-    report.claim_pair("zero pair against a value", (0, 0), (3, 1))
+    report.claim_pair("infinite against a value", (3, 0), (3, 1))
+    # (0, 0) cross-multiplies equal to any pair: it has no value and is refused
+    with pytest.raises(ZeroDivisionError):
+        report.claim_pair("zero pair against a value", (0, 0), (3, 1))
     assert [(c["lhs"], c["rhs"], c["equal"]) for c in report.claims] == [
         ("true", "1/1", True),
         ("0/1", "false", True),
@@ -84,8 +86,27 @@ def test_report_prints_each_side_by_its_own_type():
         ("2/3", "-2/3", False),
         ("-2/3", "-2/3", True),
         ("inf", "inf", True),
-        ("inf", "3/1", True),
+        ("inf", "3/1", False),
     ]
+
+
+@pytest.mark.parametrize("lhs, rhs", [((0, 0), (3, 1)), ((3, 1), (0, 0)), ((1, 0), (0, 0)),
+                                      ((0, 0), (1, 0)), ((0, 0), (0, 0))])
+def test_a_side_with_no_value_is_refused_in_claims_and_steps(lhs, rhs):
+    # one rule for a claim and a trace step: (0, 0) has no value; a step
+    # refuses an infinite side (u, 0) as well, which a claim prints as inf
+    report = TheoremReport("sides", inputs={})
+    trace = ProofTrace("sides")
+    with pytest.raises(ZeroDivisionError):
+        report.claim_pair("no value", lhs, rhs)
+    with pytest.raises(ZeroDivisionError):
+        trace.add("no value", lhs, rhs, "c")
+    assert report.claim_pair("both infinite", (1, 0), (-7, 0))
+    with pytest.raises(ZeroDivisionError):
+        trace.add("both infinite", (1, 0), (-7, 0), "c")
+    assert report.claims == [
+        {"label": "both infinite", "lhs": "inf", "rhs": "inf", "equal": True}]
+    assert trace.steps == []
 
 
 # -- verify_ramee -------------------------------------------------------------
