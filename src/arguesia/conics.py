@@ -37,6 +37,8 @@ class Conic(Frozen):
     """Symmetric conic matrix, canonical up to scale.
 
     Entries are the upper triangle row-major: (m00, m01, m02, m11, m12, m22).
+    The form at a point is the one kernel ``conic_eval``, for ``evaluate``
+    and ``contains`` alike.
     """
 
     _fields = ("m",)
@@ -52,11 +54,7 @@ class Conic(Frozen):
         return conic_eval(self.m, p.coords)
 
     def contains(self, p: PPoint) -> bool:
-        # evaluate(p) == 0 written out, with the symmetric terms paired
-        x, y, z = p.coords
-        m00, m01, m02, m11, m12, m22 = self.m
-        return (x * (m00 * x + 2 * (m01 * y + m02 * z))
-                + y * (m11 * y + 2 * m12 * z) + z * m22 * z) == 0
+        return conic_eval(self.m, p.coords) == 0
 
     def det(self) -> int:
         return det3(*self.rows())

@@ -159,7 +159,8 @@ def menelaus_product(sf: dict) -> tuple[int, int]:
 
 def menelaus_converse(sf: dict) -> bool:
     """Reconstruct the third noeud from the unit-product constraint and
-    check it falls back on the tronc (zero incidence residual).
+    check it is N3, the meet of its ray with the tronc, so it falls back on
+    the tronc.
 
     On integer pairs: with ratio(N3; a, b) = n/d required and chart pairs
     (ua : va), (ub : vb) of a and b on their ray, the noeud's parameter t
@@ -174,7 +175,7 @@ def menelaus_converse(sf: dict) -> bool:
     ray = default_chart(sf["rays"][2])
     (ua, va), (ub, vb) = ray.param_pair(a), ray.param_pair(b)
     candidate = ray.point_at_pair((ua * vb * d - n * ub * va, va * vb * (d - n)))
-    return candidate == n3 and incident(candidate, sf["tronc"])
+    return candidate == n3
 
 
 def menelaus_step(

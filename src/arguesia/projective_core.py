@@ -4,13 +4,14 @@ Every homogeneous value (points and lines, parameter pairs, 2x2 line
 maps, 3-space points and planes, and the conics built on them) is one
 canonical integer tuple, made by :func:`_canonical` (written out for the
 3-entry points and lines, the 4-entry line maps and, as
-:func:`_canonical_pair` and in :meth:`AffineChart.param_pair`, for pairs), so
-projective equality is tuple equality and everything hashes.  A parameter
-on a charted line is an integer pair (u : v), with (1 : 0) for the line's
-point at infinity, and homographies of a line act on pairs through 2x2
-integer matrices, which makes the limit cases exact rather than
-special-cased; an irrational fixed point, an ``exact_scalar.QuadExt``,
-moves by the same matrix (:func:`_apply_quad`).  A cross-ratio is an unreduced integer pair, with
+:func:`_canonical_pair`, for pairs), so projective equality is tuple
+equality and everything hashes.  A parameter on a charted line is an
+integer pair (u : v), with (1 : 0) for the line's point at infinity, read
+by one linear form (:meth:`AffineChart._linear_pair`), and homographies
+of a line act on pairs through 2x2 integer matrices, which makes the
+limit cases exact rather than special-cased; an irrational fixed point,
+an ``exact_scalar.QuadExt``, moves by the same matrix
+(:func:`_apply_quad`).  A cross-ratio is an unreduced integer pair, with
 den 0 for infinity, printed by :func:`param_str`; euclidean tests use the
 integer displacements of :func:`_scaled_displacement`.  Every value is
 built from integers: a rational read as text is an integer pair placed by
@@ -58,7 +59,7 @@ def _canonical(coords: tuple) -> tuple[int, ...]:
     generic form, for the 3-space points and planes and the conics; the hot
     tuples take the same steps written out for their length: the 3-entry
     ``PPoint`` and ``PLine``, the 4-entry ``LineMap`` matrix, and the pairs
-    (:func:`_canonical_pair`, and ``AffineChart.param_pair`` in place).
+    (:func:`_canonical_pair`).
     """
     g = gcd(*coords)
     if g == 0:
@@ -120,8 +121,7 @@ class PPoint(Frozen):
         return self.coords[2] == 0
 
     def to_json(self) -> list[str]:
-        x, y, z = self.coords
-        return [f"{x}/1", f"{y}/1", f"{z}/1"]
+        return [f"{c}/1" for c in self.coords]
 
     def __repr__(self):
         x, y, z = self.coords
@@ -159,9 +159,6 @@ class PLine(Frozen):
     def __repr__(self):
         u, v, w = self.coeffs
         return f"[{u}:{v}:{w}]"
-
-
-LINE_AT_INFINITY = PLine(0, 0, 1)
 
 
 def _require_finite(*points: PPoint) -> None:
@@ -259,18 +256,7 @@ class AffineChart(Frozen):
         """Projective parameter pair (u : v) with t = u/v, infinity (1 : 0)."""
         if not incident(p, self.line):
             raise GeometryError(f"{p} not on chart line {self.line}")
-        # _canonical_pair(*self._linear_pair(p.coords)) written out: every
-        # parameter a verifier reads comes through here
-        j, k, bj, bk, vj, vk = self._reader
-        x = p.coords
-        xj, xk = x[j], x[k]
-        u, v = bj * xj + bk * xk, vj * xj + vk * xk
-        g = gcd(u, v)
-        if g == 0:
-            raise GeometryError("zero homogeneous tuple")
-        if (u or v) < 0:
-            g = -g
-        return u // g, v // g
+        return _canonical_pair(*self._linear_pair(p.coords))
 
     def _linear_pair(self, x) -> tuple[int, int]:
         """The parameter pair of a vector x on the line, not normalized:
