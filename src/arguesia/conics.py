@@ -162,12 +162,12 @@ def chord_quadratic(c: Conic, chart: AffineChart) -> tuple[int, int, int]:
     """(A, B, C) with A*u**2 + B*u*v + C*v**2 the form of c on the point
     ``chart.point_at_pair((u, v))``.
 
-    That point is u*X1 + v*X0 for ``(X1, X0) = chart.basis()``, so A and C
+    That point is u*X1 + v*X0 for ``(X1, X0) = chart.basis``, so A and C
     are the form at X1 and X0 and B is twice their polar product.  The
     chord's two parameters are the roots, real or not, and A, B, C are
     their symmetric functions up to scale.
     """
-    x1, x0 = chart.basis()
+    x1, x0 = chart.basis
     m = conic_polar(c.m, x0)
     return conic_eval(c.m, x1), 2 * dot3(x1, m), dot3(x0, m)
 

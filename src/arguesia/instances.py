@@ -62,7 +62,8 @@ MAX_RETRIES = 400
 
 
 class InstanceError(ValueError):
-    """Instance generation failed (bad kind, bounds, or retries exhausted)."""
+    """A configuration refused before any draw: a bad kind, seed, bounds
+    or trial count."""
 
 
 class InstanceConfig(Frozen):
@@ -78,7 +79,7 @@ class InstanceConfig(Frozen):
             raise InstanceError(f"seed must fit in 64 bits, got {seed}")
         if bounds < 8:
             raise InstanceError(
-                f"retry budget exhausted: bounds {bounds} too tight "
+                f"--bounds must be at least 8, got {bounds} "
                 "(coordinate bounds below 8 cannot clear the genericity checks)"
             )
 
@@ -152,7 +153,7 @@ def _shifted(p: PPoint, a: PPoint, b: PPoint, t: tuple[int, int]) -> PPoint:
     tn, td = t
     vx, vy = _scaled_displacement(a, b)
     px, py, pz = p.coords
-    scale = td * a.z * b.z
+    scale = td * a.coords[2] * b.coords[2]
     return PPoint(px * scale + tn * pz * vx, py * scale + tn * pz * vy, pz * scale)
 
 

@@ -105,18 +105,6 @@ class PPoint(Frozen):
     def __hash__(self):
         return hash((self.coords,))
 
-    @property
-    def x(self):
-        return self.coords[0]
-
-    @property
-    def y(self):
-        return self.coords[1]
-
-    @property
-    def z(self):
-        return self.coords[2]
-
     def is_at_infinity(self) -> bool:
         return self.coords[2] == 0
 
@@ -203,11 +191,8 @@ def parallel_line_through(l: PLine, p: PPoint) -> PLine:
 def midpoint(p: PPoint, q: PPoint) -> PPoint:
     if p.is_at_infinity() or q.is_at_infinity():
         raise GeometryError("midpoint needs finite points")
-    return PPoint(
-        p.x * q.z + q.x * p.z,
-        p.y * q.z + q.y * p.z,
-        2 * p.z * q.z,
-    )
+    (px, py, pz), (qx, qy, qz) = p.coords, q.coords
+    return PPoint(px * qz + qx * pz, py * qz + qy * pz, 2 * pz * qz)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +204,14 @@ class AffineChart(Frozen):
 
     Origin and unit must be finite so the chart's infinity agrees with the
     geometric point at infinity; signed parameter differences then measure
-    segment ratios along the line.  The basis and the linear form that
-    reads a parameter pair are computed once, when the chart is built.
+    segment ratios along the line.  The basis (X1, X0) and the linear form
+    that reads a parameter pair are computed once, when the chart is built:
+    ``point_at_pair((u, v))`` is the point u*X1 + v*X0, with X0 = U_z*O and
+    X1 = O_z*U - U_z*O for the origin O and the unit U.
     """
 
     _fields = ("line", "origin", "unit")
-    __slots__ = _fields + ("_basis", "_reader")
+    __slots__ = _fields + ("basis", "_reader")
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint):
         object.__setattr__(self, "line", line)
@@ -241,7 +228,7 @@ class AffineChart(Frozen):
         # X0 = U_z*O and X1 = O_z*U - U_z*O
         x0 = (uz * o[0], uz * o[1], uz * o[2])
         x1 = (oz * u[0] - x0[0], oz * u[1] - x0[1], oz * u[2] - x0[2])
-        object.__setattr__(self, "_basis", (x1, x0))
+        object.__setattr__(self, "basis", (x1, x0))
         # x = a*O + b*U for a, b = (x × U)_i, (O × x)_i over (O × U)_i, at
         # the first i with (O × U)_i != 0, the first nonzero coefficient of
         # the line; the affine weights are a*O_z and b*U_z, and t is b's
@@ -270,13 +257,8 @@ class AffineChart(Frozen):
         u, v = pair
         if u == 0 and v == 0:
             raise GeometryError("zero parameter pair")
-        x1, x0 = self._basis
+        x1, x0 = self.basis
         return PPoint(u * x1[0] + v * x0[0], u * x1[1] + v * x0[1], u * x1[2] + v * x0[2])
-
-    def basis(self):
-        """(X1, X0) with ``point_at_pair((u, v))`` the point u*X1 + v*X0:
-        X0 = U_z*O and X1 = O_z*U - U_z*O for the origin O and the unit U."""
-        return self._basis
 
     def to_json(self) -> dict:
         return {
@@ -402,14 +384,14 @@ def perspective_map(center: PPoint, src: AffineChart, dst: AffineChart) -> LineM
     Projection onto the line m is x -> (m.x)K - (m.K)x, which is
     -meet(join(K, x), m) by the triple-product rule, and reading a
     parameter pair is linear too, so the matrix has one column per vector
-    of ``src.basis()``.  It agrees pointwise with meet(join(center, P),
+    of ``src.basis``.  It agrees pointwise with meet(join(center, P),
     dst.line) and therefore preserves cross-ratios.
     """
     if incident(center, src.line) or incident(center, dst.line):
         raise GeometryError("perspective center lies on a carrier line")
     k0, k1, k2 = center.coords
     m0, m1, m2 = dst.line.coeffs
-    (p0, p1, p2), (q0, q1, q2) = src.basis()  # X1 and X0
+    (p0, p1, p2), (q0, q1, q2) = src.basis  # X1 and X0
     mk = m0 * k0 + m1 * k1 + m2 * k2
     mp = m0 * p0 + m1 * p1 + m2 * p2
     mq = m0 * q0 + m1 * q1 + m2 * q2

@@ -72,16 +72,17 @@ from arguesia.projective_core import (
 
 
 def _show(v) -> str:
-    """A claim side as printed, by its exact type, the most frequent first."""
-    t = type(v)
-    if t is PPoint:
-        return repr(v)
-    if t is bool:
+    """A claim side as printed: a bool as ``true``/``false`` (tested before
+    int, its base class), an int as ``n/1``, a QuadExt by ``scalar_str``, a
+    point by its repr, anything else by ``str``."""
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if t is int:
+    if isinstance(v, int):
         return f"{v}/1"
-    if t is QuadExt:
+    if isinstance(v, QuadExt):
         return scalar_str(v)
+    if isinstance(v, PPoint):
+        return repr(v)
     return str(v)
 
 
@@ -294,8 +295,8 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
     chart = default_chart(join(b, c))
     t = harmonic_partner_param(chart.param_pair(b), chart.param_pair(c), chart.param_pair(d))
     f_closed = chart.point_at_pair(t)
-    f_built = _harmonic_by_construction(b, c, d)
-    if f_built is not None and f_built != f_closed:
+    built = harmonic_construction_data(b, c, d)
+    if built is not None and built["f"] != f_closed:
         raise InternalError("harmonic constructions disagree")
     return f_closed
 
@@ -310,13 +311,14 @@ def harmonic_construction_data(b: PPoint, c: PPoint, d: PPoint):
     if b.is_at_infinity() or c.is_at_infinity() or d.is_at_infinity():
         return None
     base = join(b, c)
-    for direction in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)):
-        dir_pt = PPoint(direction[0], direction[1], 0)
+    dx, dy, dz = d.coords
+    for ex, ey in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)):
+        dir_pt = PPoint(ex, ey, 0)
         if incident(dir_pt, base):
             continue
         secant = join(d, dir_pt)
-        lo = PPoint(d.x + direction[0] * d.z, d.y + direction[1] * d.z, d.z)
-        hi = PPoint(d.x - direction[0] * d.z, d.y - direction[1] * d.z, d.z)
+        lo = PPoint(dx + ex * dz, dy + ey * dz, dz)
+        hi = PPoint(dx - ex * dz, dy - ey * dz, dz)
         if lo in (b, c) or hi in (b, c):
             continue
         try:
@@ -326,11 +328,6 @@ def harmonic_construction_data(b: PPoint, c: PPoint, d: PPoint):
             continue
         return {"secant": secant, "lo": lo, "hi": hi, "k": k, "f": f}
     return None
-
-
-def _harmonic_by_construction(b: PPoint, c: PPoint, d: PPoint):
-    data = harmonic_construction_data(b, c, d)
-    return None if data is None else data["f"]
 
 
 def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) -> TheoremReport:

@@ -218,7 +218,8 @@ def test_parameter_recovery_on_100_points():
     for _ in range(100):
         t = rng.fraction_pair(40)
         p = PAR.point_at(t)
-        x, y = F(p.x, p.z), F(p.y, p.z)
+        px, py, pz = p.coords
+        x, y = F(px, pz), F(py, pz)
         assert x != -1 and y / (x + 1) == F(*t)
     # the seed itself is the tangent slope, vertical at (-1, 0)
     assert PAR.point_at((1, 0)) == A(-1, 0)

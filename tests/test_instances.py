@@ -68,9 +68,13 @@ def test_unknown_kind_rejected():
         InstanceConfig("frobnicate", 1)
 
 
-def test_tight_bounds_exhaust_retries():
-    with pytest.raises(InstanceError):
-        generate_instance(InstanceConfig("quadrangle", 1, bounds=1))
+def test_bounds_below_8_are_refused_before_any_draw():
+    # a usage refusal, worded apart from the exit-3 exhausted retry budget
+    for bounds in (1, 7):
+        with pytest.raises(InstanceError, match=(
+                rf"^--bounds must be at least 8, got {bounds} \(coordinate bounds below 8 "
+                r"cannot clear the genericity checks\)$")):
+            InstanceConfig("quadrangle", 1, bounds=bounds)
 
 
 def test_exhausted_budget_at_bounds_8_and_above_is_internal(monkeypatch, capsys):
@@ -136,7 +140,8 @@ def test_checked_figure_is_a_plain_dict(kind, keys):
 def test_generated_sizes_respect_bounds():
     inst = generate_instance(InstanceConfig("menelaus", 5, bounds=16))
     for p in inst["figure"]["vertices"]:
-        x, y = Fraction(p.x, p.z), Fraction(p.y, p.z)
+        px, py, pz = p.coords
+        x, y = Fraction(px, pz), Fraction(py, pz)
         assert abs(x) <= 16 and abs(y) <= 16
 
 

@@ -2,9 +2,10 @@
 ``tests/bytes.json`` pins.
 
 Every verify kind runs at ``--bounds`` 10**12, 10**18 and 10**30 under a
-time budget, every verify and replay kind at 10**300 in process, and every
-figure kind at 10**100 and 10**300, where coordinates pass float range or
-every labelled point of a unit-circle figure rounds to one canvas point.
+time budget, every verify and replay kind at 10**300 and 10**1000 in
+process, and every figure kind at 10**100 and 10**300, where coordinates
+pass float range or every labelled point of a unit-circle figure rounds to
+one canvas point.
 Start-up checks run in fresh interpreters: importing ``arguesia.cli`` loads
 neither ``dataclasses``, ``argparse``, ``json``, the SVG renderer nor
 ``fractions``, ``decimal`` or ``numbers``; ``--help`` prints the same
@@ -52,13 +53,14 @@ def test_verify_ramee_at_bounds_1e18_seed_3_finishes():
 
 def test_every_kind_at_bounds_1e300_exits_0(capsys):
     # main lifts the int-to-str digit limit for the call and then puts the
-    # caller's limit back
+    # caller's limit back; 10**1000 is one bound past 10**300
     limit = sys.get_int_max_str_digits()
-    bounds = str(10**300)
-    for command, kinds in (("verify", VERIFY_KINDS), ("replay", REPLAY_KINDS)):
-        for kind in kinds:
-            assert main([command, kind, "--bounds", bounds, "--seed", "1"]) == 0, (command, kind)
-            assert sys.get_int_max_str_digits() == limit
+    for bounds in (str(10**300), str(10**1000)):
+        for command, kinds in (("verify", VERIFY_KINDS), ("replay", REPLAY_KINDS)):
+            for kind in kinds:
+                assert main([command, kind, "--bounds", bounds, "--seed", "1"]) == 0, (
+                    command, kind, len(bounds))
+                assert sys.get_int_max_str_digits() == limit
     assert main(["construct", "harmonic", "--b", "0", "--c", "1" + "0" * 5000, "--d", "1"]) == 0
     assert sys.get_int_max_str_digits() == limit
     capsys.readouterr()

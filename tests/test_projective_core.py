@@ -589,7 +589,8 @@ def _affine(p):
     # the rational affine coordinates of a finite point
     if p.is_at_infinity():
         raise GeometryError(f"{p} has no affine coordinates")
-    return F(p.x, p.z), F(p.y, p.z)
+    x, y, z = p.coords
+    return F(x, z), F(y, z)
 
 
 def _displacement(p, q):

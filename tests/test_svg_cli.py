@@ -468,7 +468,8 @@ def test_false_verdict_exits_one(monkeypatch, capsys):
     def perturbed(config):
         inst = generate_instance(config)
         k = inst["k"]
-        x, y = Fraction(k.x, k.z), Fraction(k.y, k.z)
+        kx, ky, kz = k.coords
+        x, y = Fraction(kx, kz), Fraction(ky, kz)
         return dict(inst, k=affine_point(x + 1, y + 2))
 
     monkeypatch.setattr(cli, "generate_instance", perturbed)
@@ -735,7 +736,7 @@ def test_harmonic_construction_disagreement_is_an_internal_error(monkeypatch, ca
     import arguesia.theorems as theorems
 
     # the ruler construction lands on B instead of the harmonic conjugate
-    monkeypatch.setattr(theorems, "_harmonic_by_construction", lambda b, c, d: b)
+    monkeypatch.setattr(theorems, "harmonic_construction_data", lambda b, c, d: {"f": b})
     _assert_internal_error(capsys, argv, "harmonic constructions disagree")
 
 

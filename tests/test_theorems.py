@@ -11,6 +11,7 @@ from arguesia.conics import (
     chord_quadratic,
     conic_line_intersection,
 )
+from arguesia.exact_scalar import QuadExt
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import Involution, NodeCouples, classify_kind, equivalence_check
 from arguesia.menelaus_engine import NonGenericError, ProofTrace, check_ramee_replayable
@@ -71,6 +72,8 @@ def test_report_prints_each_side_by_its_own_type():
     report.claim("int against bool", 0, False)
     report.claim("equal points", PPoint(2, 4, 6), PPoint(-1, -2, -3))
     report.claim("different points", PPoint(1, 2, 3), PPoint(1, 2, 4))
+    report.claim("a str prints as it is", "hyperbolic", "elliptic")
+    report.claim("a QuadExt prints by scalar_str", QuadExt(1, 2, 3, 5), QuadExt(-1, 2, 6, 5))
     report.claim_pair("false, non-reduced", (4, 6), (-10, 15))
     report.claim_pair("true, non-reduced", (4, -6), (-10, 15))
     report.claim_pair("both infinite", (3, 0), (-5, 0))
@@ -83,6 +86,8 @@ def test_report_prints_each_side_by_its_own_type():
         ("0/1", "false", True),
         ("(1:2:3)", "(1:2:3)", True),
         ("(1:2:3)", "(1:2:4)", False),
+        ("hyperbolic", "elliptic", False),
+        ("1/3+2/3*sqrt(5)", "-1/6+1/3*sqrt(5)", False),
         ("2/3", "-2/3", False),
         ("-2/3", "-2/3", True),
         ("inf", "inf", True),

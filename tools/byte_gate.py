@@ -25,7 +25,7 @@ bounds 3*10**4, 10**6 and 10**300 and at seed 9542; the pascal, beaugrand
 and retablissement figures at seed 2 and bounds 10**6; the benchmark's
 output checks, ``BENCH_CHECKS``, spelled as ``perfbench/run.py`` runs them;
 and ``USAGE``, help and the refused argv, from no argv at all to a
-``construct`` without ``--d``.  Standard library only.
+``construct`` without ``--d`` and bounds below 8.  Standard library only.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ WIDE_FIGURES = ("pascal", "beaugrand", "retablissement")  # seed 2 at bounds 10*
 # argv that the CLI refuses, and help
 USAGE = ((), ("--help",), ("verify", "frobnicate"), ("verify", "ramee", "--verbose"),
          ("verify", "ramee", "--seed"), ("verify", "ramee", "--trials", "two"),
-         ("figure", "ramee", "--seed", "1"), ("construct", "harmonic", "--b", "0", "--c", "2"))
+         ("figure", "ramee", "--seed", "1"), ("construct", "harmonic", "--b", "0", "--c", "2"),
+         ("verify", "midpoint", "--bounds", "7"))
 # the benchmark's output checks, spelled as it runs them: (command, kind,
 # bounds, seeds 1..n)
 BENCH_CHECKS = (
