@@ -14,7 +14,9 @@ pencil and parallel_bornales ``quadrangle_figure``, beaugrand
 ``beaugrand_points``, pascal ``pascal_figure``, retablissement
 ``check_retablissement``) runs it once: the maker keeps the checked figure,
 a plain dict, as ``inst["figure"]``, and the verifier, the replay and the
-SVG figure take it as it is.  The same config always regenerates the
+SVG figure take it as it is.  What a check builds is in its figure and is
+built nowhere else: the ramee figure's image couples, the beaugrand and
+pascal figures' chords.  The same config always regenerates the
 identical instance.  At bounds 8 and above no correct genericity test
 rejects every draw, so an exhausted retry budget is an ``InternalError``
 that reports the last failing precondition; ``InstanceConfig`` refuses

@@ -231,9 +231,10 @@ def check_ramee_replayable(arbre: NodeCouples, k: PPoint, delta: AffineChart) ->
     carries all six).  It needs no ratio: only the six projections from K
     onto the image line and the four onto the intermediate line join(D, f),
     with their finiteness and distinctness.  Returns {arbre, k, delta,
-    points}, ``points`` the ten projections by name: b h c g d f, the
-    images of B H C G D F on the image line, and 2 3 4 5, those of B C G H
-    on join(D, f).
+    points, image}, ``points`` the ten projections by name: b h c g d f,
+    the images of B H C G D F on the image line, and 2 3 4 5, those of
+    B C G H on join(D, f); ``image`` the image couples (b, h), (c, g),
+    (d, f) on ``delta``, built once here, their parameter pairs with them.
     """
     tronc = arbre.chart.line
     if incident(k, tronc) or incident(k, delta.line):
@@ -262,7 +263,8 @@ def check_ramee_replayable(arbre: NodeCouples, k: PPoint, delta: AffineChart) ->
     # the replay's ratios X->D : X->F on the tronc need finite noeuds
     if any(p.is_at_infinity() for p in (B, H, C, G)):
         raise NonGenericError("ratio endpoint at infinity")
-    return {"arbre": arbre, "k": k, "delta": delta, "points": pts}
+    image = NodeCouples(delta, ((pts["b"], pts["h"]), (pts["c"], pts["g"]), (pts["d"], pts["f"])))
+    return {"arbre": arbre, "k": k, "delta": delta, "points": pts, "image": image}
 
 
 def replay_ramee_proof(figure: dict) -> ProofTrace:
@@ -271,13 +273,14 @@ def replay_ramee_proof(figure: dict) -> ProofTrace:
     then the alpha aggregations and the conclusion.
 
     Takes the figure ``check_ramee_replayable`` returned, with its
-    projected points.  Each Menelaus step is one ``menelaus_step``, which
-    computes its own three ratios, and alpha is built from the Kd/KD and
-    KF/Kf that the last step of each series returns; products, alpha
+    projected points and image couples; the ``images`` note prints the
+    couples' parameter pairs.  Each Menelaus step is one ``menelaus_step``,
+    which computes its own three ratios, and alpha is built from the Kd/KD
+    and KF/Kf that the last step of each series returns; products, alpha
     included, multiply the integer pairs the steps return, and each
     printed side, like each note, is formatted from an integer pair.
     """
-    pts, delta = figure["points"], figure["delta"]
+    pts = figure["points"]
     (B, H), (C, G), (D, F) = figure["arbre"].pairs
     # name -> the (name, point) argument of menelaus_step
     named = {nm: (nm, p) for nm, p in
@@ -286,7 +289,8 @@ def replay_ramee_proof(figure: dict) -> ProofTrace:
     trace = ProofTrace("ramee")
     # str(Fraction) of each image's chart coordinate: no "/1" on integers
     trace.notes["images"] = {
-        nm: pair_str(*delta.param_pair(pts[nm])).removesuffix("/1") for nm in "bhcgdf"
+        nm: pair_str(*pair).removesuffix("/1")
+        for nm, pair in zip("bhcgdf", sum(figure["image"].param_pairs, ()))
     }
     trace.notes["shortcut"] = False  # always; kept for the printed bytes
 

@@ -336,12 +336,12 @@ def _fig_pencil(inst) -> SvgDoc:
 def _fig_pascal(inst) -> SvgDoc:
     doc = SvgDoc()
     figure = inst["figure"]
-    p, k, v, o, n, q_pt = figure["hexagon"]
     pts = figure["points"]
-    doc.add_conic(figure["conic"], p, "conic")
+    doc.add_conic(figure["conic"], figure["hexagon"][0], "conic")
     for pt, nm in zip(figure["hexagon"], ("P", "K", "V", "O", "N", "Q")):
         doc.add_point(pt, nm)
-    for l in (join(p, k), join(v, o), join(n, k), join(v, q_pt), join(n, o), join(p, q_pt)):
+    # PK, VO, NK, VQ, NO, PQ, as the check built them
+    for l in figure["lines"].values():
         doc.add_line(l, "chord")
     for nm in "MSX":
         doc.add_point(pts[nm], nm)
@@ -352,16 +352,16 @@ def _fig_pascal(inst) -> SvgDoc:
 def _fig_beaugrand(inst) -> SvgDoc:
     doc = SvgDoc()
     figure = inst["figure"]
-    pts = figure["points"]
-    k, n, o, v = (pts[nm] for nm in "KNOV")
-    doc.add_conic(figure["conic"], k, "conic")
+    pts, lines = figure["points"], figure["lines"]
+    doc.add_conic(figure["conic"], pts["K"], "conic")
     for nm in "KNOV":
         doc.add_point(pts[nm], nm)
-    for l in (join(k, n), join(k, o), join(v, n), join(v, o)):
+    # KN, KO, VN, VO, as the check built them
+    for l in lines.values():
         doc.add_line(l, "chord")
     doc.add_line(figure["transversal"], "carrier")
     doc.add_point(pts["C"], "C")
-    doc.add_line(parallel_line_through(join(n, v), pts["C"]), "construction")
+    doc.add_line(parallel_line_through(lines["VN"], pts["C"]), "construction")
     return doc
 
 

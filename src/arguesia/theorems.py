@@ -223,11 +223,11 @@ def verify_ramee(figure: dict) -> TheoremReport:
     identities, and, as a separate claim, the homography check; their
     involution is the conjugate of the source's, of its class, and fixes
     the image of each source fixed point.  The image couples are the
-    check's projections, and the Menelaus trace of ``replay_ramee_proof``
-    is attached.  Source couples not in involution stop the report at that
-    one false claim.
+    figure's ``image``, the ones the check built, and the Menelaus trace of
+    ``replay_ramee_proof`` is attached.  Source couples not in involution
+    stop the report at that one false claim.
     """
-    nc, k, delta, pts = figure["arbre"], figure["k"], figure["delta"], figure["points"]
+    nc, k, delta, image_nc = figure["arbre"], figure["k"], figure["delta"], figure["image"]
     report = TheoremReport(
         "ramee",
         inputs={
@@ -244,9 +244,6 @@ def verify_ramee(figure: dict) -> TheoremReport:
         return report
 
     pi = perspective_map(k, nc.chart, delta)
-    image_nc = NodeCouples(
-        delta, ((pts["b"], pts["h"]), (pts["c"], pts["g"]), (pts["d"], pts["f"]))
-    )
     source_inv = source["involution"]
     phi_conjugate = Involution(pi.compose(source_inv.map).compose(pi.inverse()))
 
@@ -630,8 +627,10 @@ def beaugrand_points(
     parallel to VN through C = KO^transversal in two rational points Q, R;
     with A = VN^transversal, B = KN^transversal, E = VO^transversal and
     P = KO^VN, all thirteen named points must be finite and pairwise
-    distinct.  Returns {conic, transversal, points}, ``points`` the thirteen
-    by name, which ``beaugrand_replay`` and the figure take as they are.
+    distinct.  Returns {conic, transversal, points, lines}, ``points`` the
+    thirteen by name, which ``beaugrand_replay`` and the figure take as they
+    are, and ``lines`` the four chords KN, KO, VN, VO by name, which the
+    figure draws.
     """
     for p in (k, n, o, v):
         if not conic.contains(p):
@@ -660,7 +659,8 @@ def beaugrand_points(
         raise NonGenericError("a named point fell at infinity")
     if len(set(pts)) != len(named):
         raise NonGenericError("named points are not pairwise distinct")
-    return {"conic": conic, "transversal": transversal, "points": named}
+    return {"conic": conic, "transversal": transversal, "points": named,
+            "lines": {"KN": kn, "KO": ko, "VN": vn, "VO": vo}}
 
 
 def beaugrand_replay(figure: dict) -> ProofTrace:
@@ -719,8 +719,9 @@ def pascal_figure(conic: Conic, hexagon) -> dict:
     X = NO^PQ distinct (NonGenericError).  On a circle the replay also needs
     alpha = NO^PK, beta = NO^QV and A = PK^QV, and these three with M and S
     finite and distinct (NonGenericError).  Returns {conic, hexagon,
-    points}, ``points`` the named intersections, which ``pascal_collinear``
-    and the figure take as they are.
+    points, lines}, ``points`` the named intersections, which
+    ``pascal_collinear`` and the figure take as they are, and ``lines`` the
+    six chords PK, VO, NK, VQ, NO, PQ by name, which the figure draws.
     """
     p, k, v, o, n, q_pt = hexagon
     if len(set(hexagon)) != 6:
@@ -731,23 +732,24 @@ def pascal_figure(conic: Conic, hexagon) -> dict:
     if conic.is_degenerate():
         raise ConicError("hexagram needs a nondegenerate conic")
 
-    pk_line, qv_line, no_line = join(p, k), join(v, q_pt), join(n, o)
+    lines = {"PK": join(p, k), "VO": join(v, o), "NK": join(n, k),
+             "VQ": join(v, q_pt), "NO": join(n, o), "PQ": join(p, q_pt)}
     named = {
-        "M": meet(pk_line, join(v, o)),
-        "S": meet(join(n, k), qv_line),
-        "X": meet(no_line, join(p, q_pt)),
+        "M": meet(lines["PK"], lines["VO"]),
+        "S": meet(lines["NK"], lines["VQ"]),
+        "X": meet(lines["NO"], lines["PQ"]),
     }
     if len(set(named.values())) < 3:
         raise NonGenericError("degenerate hexagon: two intersection points merge")
     if conic.is_circle():
-        named.update(alpha=meet(no_line, pk_line), beta=meet(no_line, qv_line),
-                     A=meet(pk_line, qv_line))
+        named.update(alpha=meet(lines["NO"], lines["PK"]), beta=meet(lines["NO"], lines["VQ"]),
+                     A=meet(lines["PK"], lines["VQ"]))
         replayed = [named[nm] for nm in ("alpha", "beta", "A", "M", "S")]
         if any(pt.is_at_infinity() for pt in replayed):
             raise NonGenericError("auxiliary point at infinity")
         if len(set(replayed)) != 5:
             raise NonGenericError("auxiliary points merge")
-    return {"conic": conic, "hexagon": tuple(hexagon), "points": named}
+    return {"conic": conic, "hexagon": tuple(hexagon), "points": named, "lines": lines}
 
 
 def pascal_collinear(figure: dict) -> TheoremReport:

@@ -1,13 +1,13 @@
 """Transport oracle for projective-invariance tests.
 
 A collineation p -> T.p (T an invertible integer 3x3 matrix, as rows)
-sends a conic with matrix M to the conic with matrix adj(T)^t . M . adj(T).
-Theorems stated projectively must survive the transport; the tests check
-that on random T.
+sends a line l to the line adj(T)^t . l and a conic with matrix M to the
+conic with matrix adj(T)^t . M . adj(T).  Theorems stated projectively
+must survive the transport; the tests check that on random T.
 """
 
 from arguesia.conics import Conic
-from arguesia.projective_core import PPoint
+from arguesia.projective_core import PLine, PPoint
 from arguesia.rng import SplitMix64
 
 
@@ -43,6 +43,13 @@ def apply_collineation(conic: Conic, t_rows) -> Conic:
 def apply_collineation_point(t_rows, p: PPoint) -> PPoint:
     c = p.coords
     return PPoint(*(sum(t_rows[i][k] * c[k] for k in range(3)) for i in range(3)))
+
+
+def apply_collineation_line(t_rows, l: PLine) -> PLine:
+    """Image line under p -> T.p: (adj(T)^t . l) . (T.p) = det(T) * (l . p),
+    so the image of every point of l lies on it."""
+    a, c = _adjugate(t_rows), l.coeffs
+    return PLine(*(sum(a[k][i] * c[k] for k in range(3)) for i in range(3)))
 
 
 def random_collineation(rng: SplitMix64, bounds: int = 5):

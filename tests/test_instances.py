@@ -121,9 +121,9 @@ QUADRANGLE_KEYS = {"bornes", "transversal", "bornales", "diagonals", "I", "K", "
 
 
 @pytest.mark.parametrize("kind, keys", [
-    ("ramee", {"arbre", "k", "delta", "points"}),
-    ("beaugrand", {"conic", "transversal", "points"}),
-    ("pascal", {"conic", "hexagon", "points"}),
+    ("ramee", {"arbre", "k", "delta", "points", "image"}),
+    ("beaugrand", {"conic", "transversal", "points", "lines"}),
+    ("pascal", {"conic", "hexagon", "points", "lines"}),
     ("retablissement", {"apex", "base", "cut", "params", "to_base",
                         "base_pts", "cut_pts", "base_q", "cut_q"}),
     ("menelaus", {"tronc", "nodes", "rays", "vertices"}),

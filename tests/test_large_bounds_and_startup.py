@@ -5,7 +5,8 @@ Every verify kind runs at ``--bounds`` 10**12, 10**18 and 10**30 under a
 time budget, every verify and replay kind at 10**300 and 10**1000 in
 process, and every figure kind at 10**100 and 10**300, where coordinates
 pass float range or every labelled point of a unit-circle figure rounds to
-one canvas point.
+one canvas point.  At 10**300 each verify and replay kind's printed and raw
+digit degrees must equal ``DIGIT_DEGREES``.
 Start-up checks run in fresh interpreters: importing ``arguesia.cli`` loads
 neither ``dataclasses``, ``argparse``, ``json``, the SVG renderer nor
 ``fractions``, ``decimal`` or ``numbers``; ``--help`` prints the same
@@ -15,6 +16,7 @@ rational arithmetic module; and ``figure`` loads the renderer and writes
 the bytes it writes in process.
 """
 
+import math
 import os
 import re
 import subprocess
@@ -64,6 +66,56 @@ def test_every_kind_at_bounds_1e300_exits_0(capsys):
     assert main(["construct", "harmonic", "--b", "0", "--c", "1" + "0" * 5000, "--d", "1"]) == 0
     assert sys.get_int_max_str_digits() == limit
     capsys.readouterr()
+
+
+# (printed, raw) digit degree of each kind at seed 1: a kind's longest
+# printed integer, and its longest integer pair before the gcd of
+# exact_scalar.pair_str, in multiples of the bound's digits.  Raw far above
+# printed is digits built only to be divided out again.  A change that
+# lowers a degree lowers it here.
+DIGIT_DEGREES = {
+    ("verify", "menelaus"): (1, 9),
+    ("verify", "ramee"): (12, 32),
+    ("verify", "quadrangle"): (12, 18),
+    ("verify", "pencil"): (26, 1),
+    ("verify", "pascal"): (6, 13),
+    ("verify", "beaugrand"): (24, 50),
+    ("verify", "parallel-bornales"): (5, 11),
+    ("verify", "midpoint"): (4, 11),
+    ("verify", "bisector"): (5, 8),
+    ("verify", "retablissement"): (4, 1),
+    ("replay", "ramee"): (12, 32),
+    ("replay", "quadrangle"): (12, 14),
+    ("replay", "beaugrand"): (24, 50),
+    ("replay", "pascal"): (6, 13),
+}
+
+
+def test_digit_degrees_match_the_table(monkeypatch, capsys):
+    # at bounds 10**300 a degree is its digit count over 300, rounded; the
+    # raw side reads every pair_str argument, in every module that binds it
+    import arguesia.exact_scalar as exact_scalar
+
+    real = exact_scalar.pair_str
+    longest = [0]
+
+    def widest(num, den):
+        longest[0] = max(longest[0], abs(num), abs(den))
+        return real(num, den)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arguesia") and getattr(module, "pair_str", None) is real:
+            monkeypatch.setattr(module, "pair_str", widest)
+    degrees = {}
+    for command, kinds in (("verify", VERIFY_KINDS), ("replay", REPLAY_KINDS)):
+        for kind in kinds:
+            longest[0] = 0
+            assert main([command, kind, "--seed", "1", "--bounds", str(10**300), "--json"]) == 0
+            printed = max(map(len, re.findall(r"\d+", capsys.readouterr().out)))
+            # within one of its digit count, which the rounding absorbs
+            raw = longest[0].bit_length() * math.log10(2)
+            degrees[command, kind] = (round(printed / 300), round(raw / 300))
+    assert degrees == DIGIT_DEGREES
 
 
 ONE_CANVAS_POINT = "error: distinct labeled points fall on one canvas point\n"

@@ -636,8 +636,10 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     # figure, so the moved b falsifies them too, and with them the
     # classification and fixed-point claims, which read the involution of
     # the image couples.  The fault goes into the one run of the
-    # precondition, the generator's.
+    # precondition, the generator's, and its image couples are rebuilt
+    # from the moved b.
     import arguesia.instances as instances
+    from arguesia.involution import NodeCouples
 
     real = instances.check_ramee_replayable
 
@@ -646,6 +648,7 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
         pts = figure["points"]
         pts["b"] = delta.point_at_pair(_plus_one(delta.param_pair(pts["b"])))
         assert len(set(pts.values())) == len(pts)
+        figure["image"] = NodeCouples(delta, tuple((pts[x], pts[y]) for x, y in ("bh", "cg", "df")))
         return figure
 
     monkeypatch.setattr(instances, "check_ramee_replayable", moved)
@@ -700,6 +703,36 @@ def test_one_precondition_run_per_op(monkeypatch, capsys, tmp_path, check, kind,
             argv = [command, kind, "--seed", str(seed), "--json"]
         assert main(argv) == 0
         assert len(runs) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ("verify", "replay"))
+def test_ramee_image_couples_built_once_per_op(monkeypatch, capsys, command):
+    # the check builds the image couples and their six parameter pairs once;
+    # the verifier and the replay's images note read them, so an op reads
+    # six pairs for the arbre and six for the image, and no function but
+    # the generator's maker and the check builds a NodeCouples
+    from arguesia.involution import NodeCouples
+    from arguesia.projective_core import AffineChart
+
+    real_pair, real_init = AffineChart.param_pair, NodeCouples.__init__
+    pairs, builders = [], []
+
+    def counting_pair(self, p):
+        pairs.append(p)
+        return real_pair(self, p)
+
+    def recording_init(self, chart, couples):
+        builders.append(sys._getframe(1).f_code.co_name)
+        real_init(self, chart, couples)
+
+    monkeypatch.setattr(AffineChart, "param_pair", counting_pair)
+    monkeypatch.setattr(NodeCouples, "__init__", recording_init)
+    for seed in (1, 2, 3):
+        pairs.clear()
+        builders.clear()
+        assert main([command, "ramee", "--seed", str(seed), "--json"]) == 0
+        assert (len(pairs), builders) == (12, ["_make_ramee", "check_ramee_replayable"])
     capsys.readouterr()
 
 

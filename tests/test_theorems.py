@@ -25,6 +25,7 @@ from arguesia.projective_core import (
     PPoint,
     cross_ratio,
     default_chart,
+    incident,
     join,
     parallel_line_through,
 )
@@ -49,7 +50,12 @@ from arguesia.theorems import (
     verify_pencil,
     verify_ramee,
 )
-from collineation import apply_collineation, apply_collineation_point, random_collineation
+from collineation import (
+    apply_collineation,
+    apply_collineation_line,
+    apply_collineation_point,
+    random_collineation,
+)
 from quadfield import from_json, line_pairs, point_at, rat
 from quadfield import affine_point as A
 
@@ -162,6 +168,74 @@ def test_verify_ramee_500_seed_property():
         inst = generate_instance(InstanceConfig("ramee", seed))
         rep = verify_ramee(inst["figure"])
         assert rep.verdict
+
+
+def _moved_ramee(figure, t_rows):
+    # the data of a checked ramee figure under p -> T.p, checked again
+    def move(p):
+        return apply_collineation_point(t_rows, p)
+
+    arbre, delta = figure["arbre"], figure["delta"]
+    moved_arbre = NodeCouples(default_chart(apply_collineation_line(t_rows, arbre.chart.line)),
+                              tuple((move(p), move(q)) for p, q in arbre.pairs))
+    moved_delta = default_chart(apply_collineation_line(t_rows, delta.line))
+    return check_ramee_replayable(moved_arbre, move(figure["k"]), moved_delta)
+
+
+def _couple_cross_ratios(nc):
+    # [X, Y; Z, W] of each couple (X, Y) with the next couple (Z, W)
+    return [cross_ratio(*nc.pairs[i], *nc.pairs[(i + 1) % 3]) for i in range(3)]
+
+
+def _image_kind(figure):
+    return classify_kind(equivalence_check(figure["image"])["involution"])
+
+
+RAMEE_MOVES = 100
+RAMEE_MOVES_REJECTED_CAP = 5  # moves the check may refuse as not generic (none did when set)
+
+
+def test_ramee_is_invariant_under_collineations():
+    # The ramee is the invariance of the involution under perspective, and a
+    # collineation of the whole plane commutes with every projection: the
+    # moved data, checked again, give the moved images, a true report, an
+    # image involution of the same kind and the same cross-ratios of the
+    # source and image couples.  A move that sends a point the replay needs
+    # finite to infinity is refused by the check, and counted.
+    rng = SplitMix64.for_kind("ramee-collineation", 1)
+    rejected = 0
+    for i in range(RAMEE_MOVES):
+        figure = generate_instance(InstanceConfig("ramee", 1 + i // 5))["figure"]
+        t_rows = random_collineation(rng)
+        try:
+            moved = _moved_ramee(figure, t_rows)
+        except NonGenericError:
+            rejected += 1
+            continue
+        assert moved["points"] == {nm: apply_collineation_point(t_rows, p)
+                                   for nm, p in figure["points"].items()}
+        assert verify_ramee(moved).verdict
+        assert _image_kind(moved) == _image_kind(figure)
+        for couples in ("arbre", "image"):
+            before = _couple_cross_ratios(figure[couples])
+            after = _couple_cross_ratios(moved[couples])
+            assert all(a * d == b * c for (a, b), (c, d) in zip(before, after))
+    assert rejected <= RAMEE_MOVES_REJECTED_CAP
+
+
+def test_an_image_noeud_off_delta_fails_the_collineation_checks():
+    # negative control: moved off the image line, the image b is no longer
+    # the moved b, and the image couples refuse it as a noeud off their tronc
+    figure = generate_instance(InstanceConfig("ramee", 1))["figure"]
+    t_rows = ((2, 1, 0), (0, 1, 1), (1, 0, 1))
+    moved = _moved_ramee(figure, t_rows)
+    u, v, w = moved["points"]["b"].coords
+    off = PPoint(u + w, v, w)
+    assert not incident(off, moved["delta"].line)
+    assert off != apply_collineation_point(t_rows, figure["points"]["b"])
+    pts = dict(moved["points"], b=off)
+    with pytest.raises(GeometryError, match="not on chart line"):
+        NodeCouples(moved["delta"], tuple((pts[x], pts[y]) for x, y in ("bh", "cg", "df")))
 
 
 # -- harmonic conjugates --------------------------------------------------------
