@@ -56,8 +56,9 @@ from arguesia.projective_core import (
 )
 from arguesia.theorems import (
     beaugrand_replay,
-    harmonic_conjugate,
+    harmonic_figure,
     parallel_bornales_identities,
+    pascal_circle_replay,
     pascal_collinear,
     quadrangle_involution,
     retablissement_demo,
@@ -83,28 +84,27 @@ def _trace_report(trace) -> dict:
 
 # Each entry reaches its verifier through this module's globals, not a
 # function object stored at import, so a rebound verifier is the one called.
+# An instance is its kind's checked figure, each verifier's and replay's one
+# argument.
 # verify kind -> (instance kind, the JSON report of an instance)
 VERIFIERS = {
-    "menelaus": ("menelaus", lambda i: verify_menelaus(i["figure"], i["config"]).to_json()),
-    "ramee": ("ramee", lambda i: verify_ramee(i["figure"]).to_json()),
-    "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i["figure"])[1].to_json()),
-    "pencil": ("pencil", lambda i: verify_pencil(i["figure"], i["members"])),
-    "pascal": ("pascal", lambda i: pascal_collinear(i["figure"]).to_json()),
-    "beaugrand": ("beaugrand", lambda i: _trace_report(beaugrand_replay(i["figure"]))),
-    "parallel-bornales": ("parallel_bornales",
-                          lambda i: parallel_bornales_identities(i["figure"]).to_json()),
-    "midpoint": ("harmonic", lambda i: verify_midpoint_case(
-        i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
-    "bisector": ("bisector", lambda i: verify_bisector_case(
-        i["b"], i["c"], i["d"], i["f"], i["k"]).to_json()),
-    "retablissement": ("retablissement", lambda i: retablissement_demo(i["figure"]).to_json()),
+    "menelaus": ("menelaus", lambda i: verify_menelaus(i).to_json()),
+    "ramee": ("ramee", lambda i: verify_ramee(i).to_json()),
+    "quadrangle": ("quadrangle", lambda i: quadrangle_involution(i).to_json()),
+    "pencil": ("pencil", lambda i: verify_pencil(i)),
+    "pascal": ("pascal", lambda i: pascal_collinear(i).to_json()),
+    "beaugrand": ("beaugrand", lambda i: _trace_report(beaugrand_replay(i))),
+    "parallel-bornales": ("parallel_bornales", lambda i: parallel_bornales_identities(i).to_json()),
+    "midpoint": ("harmonic", lambda i: verify_midpoint_case(i).to_json()),
+    "bisector": ("bisector", lambda i: verify_bisector_case(i).to_json()),
+    "retablissement": ("retablissement", lambda i: retablissement_demo(i).to_json()),
 }
 # replay kind (also its instance kind) -> the proof trace of an instance
 REPLAYS = {
-    "ramee": lambda i: replay_ramee_proof(i["figure"]),
-    "quadrangle": lambda i: replay_quadrangle_proof(i["figure"]),
-    "beaugrand": lambda i: beaugrand_replay(i["figure"]),
-    "pascal": lambda i: pascal_collinear(i["figure"]).trace,
+    "ramee": lambda i: replay_ramee_proof(i),
+    "quadrangle": lambda i: replay_quadrangle_proof(i),
+    "beaugrand": lambda i: beaugrand_replay(i),
+    "pascal": lambda i: pascal_circle_replay(i),
 }
 VERIFY_KINDS = tuple(VERIFIERS)
 REPLAY_KINDS = tuple(REPLAYS)
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
             except (ScalarError, GeometryError) as exc:
                 return _usage_error(exc)
             chart = default_chart(join(PPoint(0, 0, 1), PPoint(1, 0, 1)))
-            f = harmonic_conjugate(*(chart.point_at_pair(t) for t in values))
+            f = harmonic_figure(*(chart.point_at_pair(t) for t in values))["f"]
             sys.stdout.write(param_str(chart.param_pair(f)) + "\n")
             return 0
 

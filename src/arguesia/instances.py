@@ -8,15 +8,20 @@ SplitMix64 stream.  Every drawn rational is an integer pair (num, den) of
 projective pair, with (u, 0) for the point at infinity, so generation
 builds no ``Fraction``.  A maker states each precondition as a
 ``NonGenericError``, and only that class is resampled; any other error
-from a maker is a fault and propagates.  Every kind with a precondition
-(menelaus ``sector_figure``, ramee ``check_ramee_replayable``, quadrangle,
-pencil and parallel_bornales ``quadrangle_figure``, beaugrand
-``beaugrand_points``, pascal ``pascal_figure``, retablissement
-``check_retablissement``) runs it once: the maker keeps the checked figure,
-a plain dict, as ``inst["figure"]``, and the verifier, the replay and the
-SVG figure take it as it is.  What a check builds is in its figure and is
-built nowhere else: the ramee figure's image couples, the beaugrand and
-pascal figures' chords.  The same config always regenerates the
+from a maker is a fault and propagates.  An instance is its kind's checked
+figure, a plain dict, plus ``config``: each maker runs its kind's check
+once (menelaus ``sector_figure``, ramee ``check_ramee_replayable``,
+quadrangle, pencil and parallel_bornales ``quadrangle_figure``, beaugrand
+``beaugrand_points``, pascal ``pascal_figure``, harmonic and bisector
+``harmonic_figure``, retablissement ``check_retablissement``) and returns
+the figure, with what the maker drew after the check as more keys: the
+pencil's ``members`` and ``tangency``, the harmonic and bisector ``k``.
+p13 has no check, and its instance is the points {b, h, g, k}.  The
+verifier, the replay and the SVG figure take the instance as their one
+argument, as it is.  What a check builds is in its figure and is built
+nowhere else: the ramee figure's image couples, the beaugrand and pascal
+figures' chords, the beaugrand parallel through C and the harmonic ruler
+construction.  The same config always regenerates the
 identical instance.  At bounds 8 and above no correct genericity test
 rejects every draw, so an exhausted retry budget is an ``InternalError``
 that reports the last failing precondition; ``InstanceConfig`` refuses
@@ -55,7 +60,7 @@ from arguesia.rng import SplitMix64
 from arguesia.theorems import (
     beaugrand_points,
     check_retablissement,
-    harmonic_conjugate,
+    harmonic_figure,
     pascal_figure,
     quadrangle_figure,
 )
@@ -170,7 +175,7 @@ def _make_menelaus(rng: SplitMix64, bounds: int) -> dict:
     for node in figure["nodes"]:
         if node.is_at_infinity():
             raise NonGenericError("noeud at infinity")
-    return {"figure": figure}
+    return figure
 
 
 def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
@@ -197,7 +202,7 @@ def _make_ramee(rng: SplitMix64, bounds: int) -> dict:
     arbre = NodeCouples(chart, tuple(pairs))
     k = _point(rng, bounds)
     delta = _chart(rng, bounds)
-    return {"figure": check_ramee_replayable(arbre, k, delta)}
+    return check_ramee_replayable(arbre, k, delta)
 
 
 def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:
@@ -208,7 +213,7 @@ def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:
         raise NonGenericError("pivot F at infinity")
     if q["diagonals"]["R"].is_at_infinity():
         raise NonGenericError("diagonal point R at infinity")
-    return {"figure": q}
+    return q
 
 
 def _make_parallel_bornales(rng: SplitMix64, bounds: int) -> dict:
@@ -227,7 +232,7 @@ def _make_parallel_bornales(rng: SplitMix64, bounds: int) -> dict:
     for nm in "IKPQ":
         if q[nm].is_at_infinity():
             raise NonGenericError("couple point at infinity")
-    return {"figure": q}
+    return q
 
 
 def _make_pencil(rng: SplitMix64, bounds: int) -> dict:
@@ -253,13 +258,14 @@ def _make_pencil(rng: SplitMix64, bounds: int) -> dict:
             raise NonGenericError("generic member degenerated")
         members.append((f"member through t={pair_str(*wt).removesuffix('/1')}", member))
     members.append(("tangent member", UNIT_CIRCLE))
-    return {"figure": q, "members": members, "tangency": tangency}
+    q["members"], q["tangency"] = members, tangency
+    return q
 
 
 def _make_pascal(rng: SplitMix64, bounds: int) -> dict:
     params = _distinct_params(rng, bounds, 6)
     pts = tuple(UNIT_CIRCLE_PAR.point_at(t) for t in params)
-    return {"figure": pascal_figure(UNIT_CIRCLE, pts)}
+    return pascal_figure(UNIT_CIRCLE, pts)
 
 
 def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
@@ -275,35 +281,37 @@ def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
         raise NonGenericError("auxiliary point C degenerate")
     # the check's auxiliary chord, the parallel to NV through C, is mu,
     # rational through q0
-    return {"figure": beaugrand_points(UNIT_CIRCLE, k, n, o, v, join(c_pt, f_pt))}
+    return beaugrand_points(UNIT_CIRCLE, k, n, o, v, join(c_pt, f_pt))
 
 
 def _harmonic_draw(rng: SplitMix64, bounds: int):
-    """A chart, B, C, D at three distinct drawn parameters, and F, their
-    harmonic conjugate: the draw the harmonic and bisector instances share.
-    A finite parameter gives a finite point, and rejecting D at the
-    midpoint of BC keeps F finite."""
+    """A chart and the ``harmonic_figure`` of B, C, D at three distinct
+    drawn parameters on it: the draw the harmonic and bisector instances
+    share, each adding its K.  A finite parameter gives a finite point, and
+    rejecting D at the midpoint of BC keeps F finite."""
     chart = _chart(rng, bounds)
     params = _distinct_params(rng, bounds, 3)
     (nb, db), (nc, dc), (nd, dd) = params
     if 2 * nd * db * dc == dd * (nb * dc + nc * db):
         raise NonGenericError("D at the midpoint: F would be infinite")
     b, c, d = (chart.point_at_pair(t) for t in params)
-    return chart, b, c, d, harmonic_conjugate(b, c, d)
+    return chart, harmonic_figure(b, c, d)
 
 
 def _make_harmonic(rng: SplitMix64, bounds: int) -> dict:
-    chart, b, c, d, f = _harmonic_draw(rng, bounds)
+    chart, figure = _harmonic_draw(rng, bounds)
     k = _point(rng, bounds)
     if incident(k, chart.line):
         raise NonGenericError("K on the carrier line")
-    return {"b": b, "c": c, "d": d, "f": f, "k": k}
+    figure["k"] = k
+    return figure
 
 
 def _make_bisector(rng: SplitMix64, bounds: int) -> dict:
-    chart, b, c, d, f = _harmonic_draw(rng, bounds)
+    chart, figure = _harmonic_draw(rng, bounds)
+    b = figure["b"]
     # the circle on the diameter BC: (X - B).(X - C) = 0, times 2*bz*cz
-    (bx, by, bz), (cx, cy, cz) = b.coords, c.coords
+    (bx, by, bz), (cx, cy, cz) = b.coords, figure["c"].coords
     diag = 2 * bz * cz
     thales = Conic(
         diag, 0, -(bz * cx + bx * cz), diag, -(bz * cy + by * cz), 2 * (bx * cx + by * cy)
@@ -314,7 +322,8 @@ def _make_bisector(rng: SplitMix64, bounds: int) -> dict:
     # infinity
     if incident(k, chart.line):
         raise NonGenericError("K degenerate on the Thales circle")
-    return {"b": b, "c": c, "d": d, "f": f, "k": k}
+    figure["k"] = k
+    return figure
 
 
 def _make_retablissement(rng: SplitMix64, bounds: int) -> dict:
@@ -333,7 +342,7 @@ def _make_retablissement(rng: SplitMix64, bounds: int) -> dict:
     if cut.coeffs == base.coeffs:
         raise NonGenericError("cut equals base")
     params = tuple(_distinct_params(rng, bounds, 6))
-    return {"figure": check_retablissement(apex, base, cut, params)}
+    return check_retablissement(apex, base, cut, params)
 
 
 def _make_p13(rng: SplitMix64, bounds: int) -> dict:

@@ -14,7 +14,7 @@ import math
 
 from arguesia.conics import UNIT_CIRCLE, UNIT_CIRCLE_PAR, Conic
 from arguesia.projective_core import PLine, PPoint, join, parallel_line_through
-from arguesia.theorems import construct_involution_p13, harmonic_construction_data
+from arguesia.theorems import construct_involution_p13
 
 CANVAS_W = 800.0
 CANVAS_H = 600.0
@@ -263,27 +263,27 @@ class SvgDoc:
 
 
 def render_figure(kind: str, instance: dict) -> bytes:
+    """The SVG of an instance, its kind's checked figure, drawn from what
+    the figure holds."""
     return _FIGURES[kind](instance).to_bytes()
 
 
-def _fig_harmonic(inst) -> SvgDoc:
+def _fig_harmonic(figure) -> SvgDoc:
     doc = SvgDoc()
-    b, c, d, f = inst["b"], inst["c"], inst["d"], inst["f"]
-    for p, nm in ((b, "B"), (c, "C"), (d, "D"), (f, "F")):
-        doc.add_point(p, nm)
-    doc.add_line(join(b, c), "carrier")
-    data = harmonic_construction_data(b, c, d)
-    if data is not None:
-        doc.add_line(data["secant"], "carrier")
-        doc.add_line(join(data["lo"], b), "construction")
-        doc.add_line(join(data["hi"], c), "construction")
-        doc.add_line(parallel_line_through(data["secant"], data["k"]), "construction")
+    for nm in "BCDF":
+        doc.add_point(figure[nm.lower()], nm)
+    doc.add_line(join(figure["b"], figure["c"]), "carrier")
+    construction = figure["construction"]
+    if construction is not None:
+        doc.add_line(construction["secant"], "carrier")
+        # the joins lo-B and hi-C, and the parallel through their meet
+        for line in construction["lines"]:
+            doc.add_line(line, "construction")
     return doc
 
 
-def _fig_menelaus(inst) -> SvgDoc:
+def _fig_menelaus(figure) -> SvgDoc:
     doc = SvgDoc()
-    figure = inst["figure"]
     for ray in figure["rays"]:
         doc.add_line(ray, "chord")
     doc.add_line(figure["tronc"], "carrier")
@@ -294,9 +294,8 @@ def _fig_menelaus(inst) -> SvgDoc:
     return doc
 
 
-def _fig_ramee(inst) -> SvgDoc:
+def _fig_ramee(figure) -> SvgDoc:
     doc = SvgDoc()
-    figure = inst["figure"]
     arbre, k, delta = figure["arbre"], figure["k"], figure["delta"]
     doc.add_line(arbre.chart.line, "carrier")
     doc.add_line(delta.line, "carrier")
@@ -311,9 +310,8 @@ def _fig_ramee(inst) -> SvgDoc:
     return doc
 
 
-def _fig_quadrangle(inst) -> SvgDoc:
+def _fig_quadrangle(q) -> SvgDoc:
     doc = SvgDoc()
-    q = inst["figure"]
     for p, nm in zip(q["bornes"], "BCDE"):
         doc.add_point(p, nm)
     for line in q["bornales"].values():
@@ -324,18 +322,17 @@ def _fig_quadrangle(inst) -> SvgDoc:
     return doc
 
 
-def _fig_pencil(inst) -> SvgDoc:
-    doc = _fig_quadrangle(inst)
-    for name, member in inst["members"]:
+def _fig_pencil(q) -> SvgDoc:
+    doc = _fig_quadrangle(q)
+    for name, member in q["members"]:
         if not member.is_degenerate():
-            doc.add_conic(member, inst["figure"]["bornes"][0], "conic")
-    doc.add_point(inst["tangency"], "T")
+            doc.add_conic(member, q["bornes"][0], "conic")
+    doc.add_point(q["tangency"], "T")
     return doc
 
 
-def _fig_pascal(inst) -> SvgDoc:
+def _fig_pascal(figure) -> SvgDoc:
     doc = SvgDoc()
-    figure = inst["figure"]
     pts = figure["points"]
     doc.add_conic(figure["conic"], figure["hexagon"][0], "conic")
     for pt, nm in zip(figure["hexagon"], ("P", "K", "V", "O", "N", "Q")):
@@ -349,9 +346,8 @@ def _fig_pascal(inst) -> SvgDoc:
     return doc
 
 
-def _fig_beaugrand(inst) -> SvgDoc:
+def _fig_beaugrand(figure) -> SvgDoc:
     doc = SvgDoc()
-    figure = inst["figure"]
     pts, lines = figure["points"], figure["lines"]
     doc.add_conic(figure["conic"], pts["K"], "conic")
     for nm in "KNOV":
@@ -361,13 +357,13 @@ def _fig_beaugrand(inst) -> SvgDoc:
         doc.add_line(l, "chord")
     doc.add_line(figure["transversal"], "carrier")
     doc.add_point(pts["C"], "C")
-    doc.add_line(parallel_line_through(lines["VN"], pts["C"]), "construction")
+    doc.add_line(figure["parallel"], "construction")
     return doc
 
 
-def _fig_bisector(inst) -> SvgDoc:
+def _fig_bisector(figure) -> SvgDoc:
     doc = SvgDoc()
-    b, c, d, f, k = inst["b"], inst["c"], inst["d"], inst["f"], inst["k"]
+    b, c, d, f, k = (figure[nm] for nm in "bcdfk")
     doc.add_line(join(b, c), "carrier")
     for p, nm in ((b, "B"), (c, "C"), (d, "D"), (f, "F"), (k, "K")):
         doc.add_point(p, nm)
@@ -376,9 +372,8 @@ def _fig_bisector(inst) -> SvgDoc:
     return doc
 
 
-def _fig_retablissement(inst) -> SvgDoc:
+def _fig_retablissement(figure) -> SvgDoc:
     doc = SvgDoc()
-    figure = inst["figure"]
     base_q = figure["base_q"]
     doc.add_conic(UNIT_CIRCLE, UNIT_CIRCLE_PAR.seed, "conic")
     for p, nm in zip(figure["base_pts"], ("B", "C", "D", "E", "L", "M")):

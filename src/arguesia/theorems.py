@@ -137,10 +137,12 @@ class TheoremReport:
         return out
 
 
-def verify_menelaus(figure: dict, inputs: dict) -> TheoremReport:
+def verify_menelaus(figure: dict) -> TheoremReport:
     """Menelaus in sector form: the three noeud ratios multiply to 1, and
-    conversely the unit product puts the third noeud back on the tronc."""
-    report = TheoremReport("menelaus", inputs=inputs)
+    conversely the unit product puts the third noeud back on the tronc.
+    ``figure`` is the instance, ``sector_figure``'s figure with its
+    ``config``, which the report echoes as its inputs."""
+    report = TheoremReport("menelaus", inputs=figure["config"])
     report.claim_pair("menelaus product", menelaus_product(figure), (1, 1))
     report.claim_true("converse: unit product forces collinearity", menelaus_converse(figure))
     return report
@@ -277,13 +279,13 @@ def verify_ramee(figure: dict) -> TheoremReport:
 # harmonic conjugates and the four-point special cases
 
 
-def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
-    """The point F with cross-ratio [B,C;D,F] = -1, computed two ways.
+def harmonic_figure(b: PPoint, c: PPoint, d: PPoint) -> dict:
+    """The point F with cross-ratio [B,C;D,F] = -1, computed two ways, in
+    the figure {b, c, d, f, construction}.
 
-    Closed form from the cross-ratio equation, and the ruler construction:
-    a secant through D carrying two points with D as midpoint, their joins
-    to B and C meeting in K, then F on BC along the parallel to the secant
-    through K.  Both must agree exactly (InternalError otherwise, a fault of
+    Closed form from the cross-ratio equation, and the ruler construction
+    ``harmonic_construction_data``, kept as ``construction`` for the figure
+    to draw.  Both must agree exactly (InternalError otherwise, a fault of
     the program); D at the midpoint of BC yields the point at infinity,
     which is a result, not an error.  B, C, D must be distinct and
     collinear: ``join``, ``param_pair`` and ``harmonic_partner_param``
@@ -295,15 +297,17 @@ def harmonic_conjugate(b: PPoint, c: PPoint, d: PPoint) -> PPoint:
     built = harmonic_construction_data(b, c, d)
     if built is not None and built["f"] != f_closed:
         raise InternalError("harmonic constructions disagree")
-    return f_closed
+    return {"b": b, "c": c, "d": d, "f": f_closed, "construction": built}
 
 
 def harmonic_construction_data(b: PPoint, c: PPoint, d: PPoint):
-    """The ruler construction of the harmonic conjugate, with its pieces.
+    """The ruler construction of the harmonic conjugate, with its lines.
 
-    Returns {secant, lo, hi, k, f} for a deterministic secant through D
-    carrying two points with D as midpoint, or None when no listed secant
-    direction works (never for finite inputs in practice).
+    A deterministic secant through D carries two points lo, hi with D as
+    midpoint; the joins lo-B and hi-C meet in K, and the parallel to the
+    secant through K meets BC in F.  Returns {secant, lines, f}, ``lines``
+    the two joins and the parallel, or None when no listed secant direction
+    works (never for finite inputs in practice).
     """
     if b.is_at_infinity() or c.is_at_infinity() or d.is_at_infinity():
         return None
@@ -319,26 +323,29 @@ def harmonic_construction_data(b: PPoint, c: PPoint, d: PPoint):
         if lo in (b, c) or hi in (b, c):
             continue
         try:
-            k = meet(join(lo, b), join(hi, c))
-            f = meet(base, parallel_line_through(secant, k))
+            lo_b, hi_c = join(lo, b), join(hi, c)
+            parallel = parallel_line_through(secant, meet(lo_b, hi_c))
+            f = meet(base, parallel)
         except GeometryError:
             continue
-        return {"secant": secant, "lo": lo, "hi": hi, "k": k, "f": f}
+        return {"secant": secant, "lines": (lo_b, hi_c, parallel), "f": f}
     return None
 
 
-def verify_midpoint_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) -> TheoremReport:
+def verify_midpoint_case(figure: dict) -> TheoremReport:
     """Four-point involution B=H, C=G, D, F projected onto the line through
     C parallel to the rameau DK: the image f must be the exact midpoint of
     cb, the composed ratio (BC/BD)(FD/FC) must be the raison double 2, and
     conversely the midpoint property must force d to infinity.
 
-    The data contract is the generator's: B, C, D, F finite, collinear on
-    the tronc BC and pairwise distinct, and K finite and off the tronc.
-    Whether (B, C; D, F) is harmonic is what the claims decide, so
-    non-harmonic data gives a false verdict, not an error; data outside
-    the contract raises GeometryError from the construction that needs it.
+    ``figure`` holds the points b, c, d, f, k, as ``harmonic_figure`` and
+    the generator's K give them: B, C, D, F finite, collinear on the tronc
+    BC and pairwise distinct, and K finite and off the tronc.  Whether
+    (B, C; D, F) is harmonic is what the claims decide, so non-harmonic
+    data gives a false verdict, not an error; data outside the contract
+    raises GeometryError from the construction that needs it.
     """
+    b, c, d, f, k = (figure[nm] for nm in "bcdfk")
     inputs = {name: p.to_json() for name, p in zip("BCDFK", (b, c, d, f, k))}
     report = TheoremReport("midpoint_case", inputs=inputs)
     base = join(b, c)
@@ -388,7 +395,7 @@ def _control_line(c: PPoint, k: PPoint, rameau: PLine, base: PLine) -> PLine:
     raise GeometryError("no control line found")
 
 
-def verify_bisector_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) -> TheoremReport:
+def verify_bisector_case(figure: dict) -> TheoremReport:
     """Perpendicular correspondent rameaux are the two bisectors (metric).
 
     With B=H, C=G doubled and (B,C;D,F) harmonic: if KB is perpendicular to
@@ -401,10 +408,12 @@ def verify_bisector_case(b: PPoint, c: PPoint, d: PPoint, f: PPoint, k: PPoint) 
     read the same on them; the reflection leaves out the division by the
     axis' squared length, which only rescales the reflected direction.
 
-    The data contract is the generator's: B, C, D, F finite, collinear and
-    pairwise distinct, and K finite and off their line.  Non-harmonic data
-    is reported false, like non-perpendicular K.
+    ``figure`` holds the points b, c, d, f, k, as ``harmonic_figure`` and
+    the generator's K on the Thales circle give them: B, C, D, F finite,
+    collinear and pairwise distinct, and K finite and off their line.
+    Non-harmonic data is reported false, like non-perpendicular K.
     """
+    b, c, d, f, k = (figure[nm] for nm in "bcdfk")
     inputs = {name: p.to_json() for name, p in zip("BCDFK", (b, c, d, f, k))}
     report = TheoremReport("bisector_case", inputs=inputs)
     kb, kc, kd, kf = (_scaled_displacement(k, p) for p in (b, c, d, f))
@@ -476,13 +485,13 @@ def involution_json(inv: Involution) -> dict:
     }
 
 
-def quadrangle_involution(q: dict):
-    """The three transversal couples are in involution; returns the
-    involution (built from two couples) plus a report carrying the
-    rectangle identities, the homography check, the match with the
-    three-perspective construction and the pivot-based Menelaus replay
-    (NonGenericError for a pivot F at infinity).  ``q`` is the figure
-    ``quadrangle_figure`` returned."""
+def quadrangle_involution(q: dict) -> TheoremReport:
+    """The three transversal couples are in involution: a report carrying
+    the rectangle identities, the homography check, the involution built
+    from two couples as a note, the match with the three-perspective
+    construction and the pivot-based Menelaus replay (NonGenericError for
+    a pivot F at infinity).  ``q`` is the figure ``quadrangle_figure``
+    returned."""
     report = TheoremReport("quadrangle_involution", inputs=_quadrangle_json(q))
     nc = quadrangle_couples(q)
     for label, lhs, rhs in rectangle_identity_check(nc):
@@ -495,7 +504,7 @@ def quadrangle_involution(q: dict):
     report.trace = replay_quadrangle_proof(q)
     by_persp = desargues_involution_by_perspectives(q)
     report.claim("three-perspective construction matches", by_persp.map.matrix, inv.map.matrix)
-    return inv, report
+    return report
 
 
 def desargues_involution_by_perspectives(q: dict) -> Involution:
@@ -512,10 +521,11 @@ def desargues_involution_by_perspectives(q: dict) -> Involution:
     return Involution(composed)
 
 
-def verify_pencil(q: dict, members) -> dict:
-    """Desargues' theorem on the pencil of conics through the bornes of
-    ``q``, checked on each named member: one report per member, and the
-    verdict is true when every report's is.  The involution of the three
+def verify_pencil(q: dict) -> dict:
+    """Desargues' theorem on the pencil of conics through the bornes of the
+    quadrangle figure ``q``, checked on each of its named ``members``, a
+    list of (name, conic): one report per member, and the verdict is true
+    when every report's is.  The involution of the three
     couples and the inputs are built once, for all members.
 
     Each member cuts the transversal in a couple of that involution (when
@@ -581,7 +591,7 @@ def verify_pencil(q: dict, members) -> dict:
             report.claim(f"sigma fixes chord point {i + 1}", sigma(pt), pt)
         return report
 
-    sub = [{"member": name, "report": check(member).to_json()} for name, member in members]
+    sub = [{"member": name, "report": check(member).to_json()} for name, member in q["members"]]
     return {"name": "pencil", "members": sub, "verdict": all(s["report"]["verdict"] for s in sub)}
 
 
@@ -627,10 +637,11 @@ def beaugrand_points(
     parallel to VN through C = KO^transversal in two rational points Q, R;
     with A = VN^transversal, B = KN^transversal, E = VO^transversal and
     P = KO^VN, all thirteen named points must be finite and pairwise
-    distinct.  Returns {conic, transversal, points, lines}, ``points`` the
-    thirteen by name, which ``beaugrand_replay`` and the figure take as they
-    are, and ``lines`` the four chords KN, KO, VN, VO by name, which the
-    figure draws.
+    distinct.  Returns {conic, transversal, points, lines, parallel},
+    ``points`` the thirteen by name, which ``beaugrand_replay`` and the
+    figure take as they are, ``lines`` the four chords KN, KO, VN, VO by
+    name, and ``parallel`` the parallel to VN through C, which the figure
+    draws.
     """
     for p in (k, n, o, v):
         if not conic.contains(p):
@@ -646,7 +657,8 @@ def beaugrand_points(
     c_pt = meet(transversal, ko)
     a_pt = meet(transversal, vn)
     p_pt = meet(ko, vn)
-    disc, chord = conic_line_intersection(conic, parallel_line_through(vn, c_pt))
+    parallel = parallel_line_through(vn, c_pt)
+    disc, chord = conic_line_intersection(conic, parallel)
     if len(chord) != 2:
         raise NonGenericError(
             f"auxiliary parallel chord is not two rational points (disc {disc})"
@@ -660,7 +672,7 @@ def beaugrand_points(
     if len(set(pts)) != len(named):
         raise NonGenericError("named points are not pairwise distinct")
     return {"conic": conic, "transversal": transversal, "points": named,
-            "lines": {"KN": kn, "KO": ko, "VN": vn, "VO": vo}}
+            "lines": {"KN": kn, "KO": ko, "VN": vn, "VO": vo}, "parallel": parallel}
 
 
 def beaugrand_replay(figure: dict) -> ProofTrace:
@@ -756,10 +768,8 @@ def pascal_collinear(figure: dict) -> TheoremReport:
     """Pascal's Lemme I in the coupling (P,O; V,K; N,Q): the intersections
     M = PK^VO, S = NK^VQ, X = NO^PQ are exactly collinear.
 
-    Takes the figure ``pascal_figure`` returned.  For a circle the
-    historical proof is replayed: two Menelaus decompositions, three
-    power-of-a-point identities, the substitution steps, and the
-    cross-ratio equality that triggers Pappus collinearity.
+    Takes the figure ``pascal_figure`` returned.  For a circle the report
+    carries ``pascal_circle_replay``'s trace.
     """
     conic, pts = figure["conic"], figure["points"]
     m_pt, s_pt, x_pt = pts["M"], pts["S"], pts["X"]
@@ -775,11 +785,15 @@ def pascal_collinear(figure: dict) -> TheoremReport:
     report.notes["X"] = x_pt.to_json()
 
     if conic.is_circle():
-        _pascal_circle_replay(report, figure)
+        report.trace = pascal_circle_replay(figure)
     return report
 
 
-def _pascal_circle_replay(report, figure):
+def pascal_circle_replay(figure: dict) -> ProofTrace:
+    """The historical proof of Lemme I on a circle, replayed on the figure
+    ``pascal_figure`` returned for a circle: two Menelaus decompositions,
+    three power-of-a-point identities, the substitution steps, and the
+    cross-ratio equality that triggers Pappus collinearity."""
     p, k, v, o, n, q_pt = figure["hexagon"]
     pts = figure["points"]
     alpha, beta, a_pt, m_pt, s_pt = (pts[nm] for nm in ("alpha", "beta", "A", "M", "S"))
@@ -811,7 +825,7 @@ def _pascal_circle_replay(report, figure):
     # times the first substitution's left side; likewise at beta
     trace.add("[A,alpha,M,P] = [A,beta,S,Q]", _times(ma_over_malpha, palpha_over_pa),
               _times(sa_over_sbeta, qbeta_over_qa), "Pappus, Collection 142", kind="cross_ratio")
-    report.trace = trace
+    return trace
 
 
 # ---------------------------------------------------------------------------

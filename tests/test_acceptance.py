@@ -20,6 +20,7 @@ from arguesia.theorems import (
     parallel_bornales_identities,
     pascal_collinear,
     pascal_figure,
+    quadrangle_couples,
     quadrangle_involution,
     retablissement_demo,
     verify_bisector_case,
@@ -51,8 +52,7 @@ def _criterion(number, description, budget_s, fn):
 def test_criterion_01_menelaus_500():
     def run():
         for seed in range(1, 501):
-            inst = generate_instance(InstanceConfig("menelaus", seed))
-            fig = inst["figure"]
+            fig = generate_instance(InstanceConfig("menelaus", seed))
             assert rat(menelaus_product(fig)) == 1
             # converse: rebuild the third noeud from the unit-product
             # constraint; it must land exactly on the transversal
@@ -79,7 +79,7 @@ def test_criterion_02_ramee_500():
         rect_labels = ("GF.GD", "FC.FG", "HC.HG")
         for seed in range(1, 501):
             inst = generate_instance(InstanceConfig("ramee", seed))
-            rep = verify_ramee(inst["figure"])
+            rep = verify_ramee(inst)
             assert rep.verdict, f"seed {seed}"
             labels = " ".join(c["label"] for c in rep.claims)
             for fragment in rect_labels:
@@ -89,7 +89,7 @@ def test_criterion_02_ramee_500():
             assert rep.trace is not None
             assert sum(s.get("meta", {}).get("kind") == "menelaus" for s in rep.trace.steps) == 8
             assert all(s["equal"] for s in rep.trace.steps)
-            src_cls = classify(equivalence_check(inst["figure"]["arbre"])["involution"])
+            src_cls = classify(equivalence_check(inst["arbre"])["involution"])
             if src_cls["kind"] == "hyperbolic":
                 assert any("fixed point" in c["label"] for c in rep.claims)
 
@@ -104,14 +104,12 @@ def test_criterion_02_ramee_500():
 def test_criterion_04_special_cases_200_each():
     def run():
         for seed in range(1, 201):
-            h = generate_instance(InstanceConfig("harmonic", seed))
-            rep = verify_midpoint_case(h["b"], h["c"], h["d"], h["f"], h["k"])
+            rep = verify_midpoint_case(generate_instance(InstanceConfig("harmonic", seed)))
             assert rep.verdict, f"midpoint seed {seed}"
             ratio_claim = next(c for c in rep.claims if "raison double" in c["label"])
             assert ratio_claim["lhs"] == "2/1" and ratio_claim["rhs"] == "2/1"
         for seed in range(1, 201):
-            b = generate_instance(InstanceConfig("bisector", seed))
-            rep = verify_bisector_case(b["b"], b["c"], b["d"], b["f"], b["k"])
+            rep = verify_bisector_case(generate_instance(InstanceConfig("bisector", seed)))
             assert rep.verdict, f"bisector seed {seed}"
         for seed in range(1, 201):
             p = generate_instance(InstanceConfig("p13", seed))
@@ -126,12 +124,12 @@ def test_criterion_04_special_cases_200_each():
 def test_criterion_05_quadrangle_200():
     def run():
         for seed in range(1, 201):
-            inst = generate_instance(InstanceConfig("quadrangle", seed))
-            q = inst["figure"]
-            inv, rep = quadrangle_involution(q)
+            q = generate_instance(InstanceConfig("quadrangle", seed))
+            rep = quadrangle_involution(q)
             assert rep.verdict, f"seed {seed}"
             assert rep.trace is not None
             assert sum(s.get("meta", {}).get("kind") == "menelaus" for s in rep.trace.steps) == 4
+            inv = equivalence_check(quadrangle_couples(q))["involution"]
             other = desargues_involution_by_perspectives(q)
             assert other.map.matrix == inv.map.matrix
 
@@ -145,16 +143,15 @@ def test_criterion_06_pencil_100x5():
         from arguesia.conics import pencil_member
 
         for seed in range(1, 101):
-            inst = generate_instance(InstanceConfig("pencil", seed))
-            q = inst["figure"]
-            assert len(inst["members"]) == 5
-            degenerate = sum(1 for _, m in inst["members"] if m.is_degenerate())
+            q = generate_instance(InstanceConfig("pencil", seed))
+            assert len(q["members"]) == 5
+            degenerate = sum(1 for _, m in q["members"] if m.is_degenerate())
             assert degenerate == 2  # both line-pair degenerates present
-            tangent = dict(inst["members"])["tangent member"]
+            tangent = dict(q["members"])["tangent member"]
             pairs = line_pairs(q)
-            assert pencil_member(pairs["IK"], pairs["PQ"], inst["tangency"]) == tangent
-            reports = verify_pencil(q, inst["members"])["members"]
-            for (name, member), sub in zip(inst["members"], reports):
+            assert pencil_member(pairs["IK"], pairs["PQ"], q["tangency"]) == tangent
+            reports = verify_pencil(q)["members"]
+            for (name, member), sub in zip(q["members"], reports):
                 rep = sub["report"]
                 assert rep["verdict"], f"seed {seed} member {name}"
                 labels = " ".join(c["label"] for c in rep["claims"])
@@ -176,7 +173,7 @@ def test_criterion_07_parallel_bornales_200():
     def run():
         for seed in range(1, 201):
             inst = generate_instance(InstanceConfig("parallel_bornales", seed))
-            rep = parallel_bornales_identities(inst["figure"])
+            rep = parallel_bornales_identities(inst)
             assert rep.verdict, f"seed {seed}"
             assert sum(1 for c in rep.claims if "=" in c["label"]) >= 3
 
@@ -189,7 +186,7 @@ def test_criterion_08_beaugrand_100():
 
         for seed in range(1, 101):
             inst = generate_instance(InstanceConfig("beaugrand", seed))
-            trace = beaugrand_replay(inst["figure"])
+            trace = beaugrand_replay(inst)
             assert trace.verdict, f"seed {seed}"
             kinds = [s["meta"]["kind"] for s in trace.steps]
             assert kinds.count("apollonius") == 2
@@ -204,7 +201,7 @@ def test_criterion_09_pascal_200_plus_collineations():
     def run():
         for seed in range(1, 201):
             inst = generate_instance(InstanceConfig("pascal", seed))
-            rep = pascal_collinear(inst["figure"])
+            rep = pascal_collinear(inst)
             assert rep.verdict, f"seed {seed}"
             assert rep.claims[0]["equal"]  # collinear M, S, X
             if rep.trace is not None:
@@ -212,7 +209,7 @@ def test_criterion_09_pascal_200_plus_collineations():
                 assert cr_step["label"].startswith("[A,alpha,M,P]")
                 assert cr_step["equal"]
         rng = SplitMix64.for_kind("acceptance-collineations", 1)
-        base = generate_instance(InstanceConfig("pascal", 1))["figure"]
+        base = generate_instance(InstanceConfig("pascal", 1))
         done = 0
         for _ in range(100):
             t_rows = random_collineation(rng)
@@ -237,7 +234,7 @@ def test_criterion_10_retablissement_50():
     def run():
         for seed in range(1, 51):
             inst = generate_instance(InstanceConfig("retablissement", seed))
-            rep = retablissement_demo(inst["figure"])
+            rep = retablissement_demo(inst)
             assert rep.verdict, f"seed {seed}"
 
     _criterion(10, "retablissement 3d transport and pullback, 50 seeds", 20.0, run)

@@ -98,7 +98,7 @@ def test_exhausted_budget_at_bounds_8_and_above_is_internal(monkeypatch, capsys)
 
 def test_pascal_instance_has_six_distinct_params():
     # the hexagon's points are point_at of the six drawn parameters
-    hexagon = generate_instance(InstanceConfig("pascal", 7))["figure"]["hexagon"]
+    hexagon = generate_instance(InstanceConfig("pascal", 7))["hexagon"]
     assert len(set(hexagon)) == 6
 
 
@@ -122,24 +122,30 @@ QUADRANGLE_KEYS = {"bornes", "transversal", "bornales", "diagonals", "I", "K", "
 
 @pytest.mark.parametrize("kind, keys", [
     ("ramee", {"arbre", "k", "delta", "points", "image"}),
-    ("beaugrand", {"conic", "transversal", "points", "lines"}),
+    ("beaugrand", {"conic", "transversal", "points", "lines", "parallel"}),
     ("pascal", {"conic", "hexagon", "points", "lines"}),
     ("retablissement", {"apex", "base", "cut", "params", "to_base",
                         "base_pts", "cut_pts", "base_q", "cut_q"}),
     ("menelaus", {"tronc", "nodes", "rays", "vertices"}),
     ("quadrangle", QUADRANGLE_KEYS),
-    ("pencil", QUADRANGLE_KEYS),
+    ("pencil", QUADRANGLE_KEYS | {"members", "tangency"}),
     ("parallel_bornales", QUADRANGLE_KEYS),
+    ("harmonic", {"b", "c", "d", "f", "construction", "k"}),
+    ("bisector", {"b", "c", "d", "f", "construction", "k"}),
+    ("p13", {"b", "h", "g", "k"}),
 ])
 def test_checked_figure_is_a_plain_dict(kind, keys):
-    # every precondition check returns its figure as plain data, one shape
-    figure = generate_instance(InstanceConfig(kind, 1))["figure"]
-    assert type(figure) is dict and set(figure) == keys
+    # an instance is its kind's checked figure, plain data in one shape,
+    # plus its config: no wrapper, and what the maker drew after the check
+    # (pencil members, a K) as keys of the figure
+    inst = generate_instance(InstanceConfig(kind, 1))
+    assert type(inst) is dict and set(inst) == keys | {"config"}
+    assert inst["config"] == {"kind": kind, "seed": 1, "bounds": 32}
 
 
 def test_generated_sizes_respect_bounds():
     inst = generate_instance(InstanceConfig("menelaus", 5, bounds=16))
-    for p in inst["figure"]["vertices"]:
+    for p in inst["vertices"]:
         px, py, pz = p.coords
         x, y = Fraction(px, pz), Fraction(py, pz)
         assert abs(x) <= 16 and abs(y) <= 16

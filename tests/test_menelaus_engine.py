@@ -65,7 +65,7 @@ def test_menelaus_product_is_one_on_the_triangle():
 def test_menelaus_product_one_on_500_random_figures():
     for seed in range(1, 501):
         inst = generate_instance(InstanceConfig("menelaus", seed))
-        assert rat(menelaus_product(inst["figure"])) == 1
+        assert rat(menelaus_product(inst)) == 1
 
 
 def test_sector_figure_builds_its_vertices_once(monkeypatch):
@@ -187,7 +187,7 @@ def test_decompose_ratio_is_chart_independent():
     # the identity is between ratio values, which do not depend on a chart
     rng = SplitMix64.for_kind("decompose", 6)
     for _ in range(50):
-        fig = generate_instance(InstanceConfig("menelaus", rng.below(10**6)))["figure"]
+        fig = generate_instance(InstanceConfig("menelaus", rng.below(10**6)))
         trace = _decompose(fig)
         assert trace.verdict and len(trace.steps) == 6
 
@@ -242,7 +242,7 @@ def test_ramee_replay_rejects_infinite_k():
 def test_ramee_replay_on_random_generic_instances():
     for seed in range(1, 51):
         inst = generate_instance(InstanceConfig("ramee", seed))
-        trace = replay_ramee_proof(inst["figure"])
+        trace = replay_ramee_proof(inst)
         assert trace.verdict and len(trace.steps) == 11
 
 

@@ -677,6 +677,7 @@ def test_moved_image_noeud_fails_the_ramee_replay(monkeypatch, capsys):
     *(("beaugrand_points", "beaugrand", c) for c in ("verify", "replay", "figure")),
     *(("pascal_figure", "pascal", c) for c in ("verify", "replay", "figure")),
     *(("check_retablissement", "retablissement", c) for c in ("verify", "figure")),
+    *(("harmonic_figure", "bisector", c) for c in ("verify", "figure")),
 ])
 def test_one_precondition_run_per_op(monkeypatch, capsys, tmp_path, check, kind, command):
     # the generator checks the data once and keeps the figure; the verifier,
@@ -733,6 +734,45 @@ def test_ramee_image_couples_built_once_per_op(monkeypatch, capsys, command):
         builders.clear()
         assert main([command, "ramee", "--seed", str(seed), "--json"]) == 0
         assert (len(pairs), builders) == (12, ["_make_ramee", "check_ramee_replayable"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, kind, watched", [
+    (["figure", "harmonic"], "harmonic", ("harmonic_construction_data", "parallel_line_through")),
+    (["verify", "midpoint"], "harmonic", ("harmonic_construction_data",)),
+    (["figure", "beaugrand"], "beaugrand", ("parallel_line_through",)),
+    (["verify", "beaugrand"], "beaugrand", ("parallel_line_through",)),
+    (["replay", "pascal"], "pascal", ("pascal_collinear",)),
+], ids=["figure-harmonic", "verify-midpoint", "figure-beaugrand", "verify-beaugrand",
+        "replay-pascal"])
+def test_an_op_builds_nothing_its_check_built(monkeypatch, capsys, tmp_path, argv, kind, watched):
+    # the op makes exactly the watched calls that generating its instance
+    # makes: the harmonic figure draws the ruler construction and the
+    # beaugrand figure the parallel through C that the check built, and the
+    # pascal replay builds no report to read its trace (verify midpoint
+    # builds an image line of its own, so only its construction is watched)
+    import arguesia.svg_figures  # noqa: F401  (loaded, so a binding there is wrapped too)
+    import arguesia.theorems as theorems
+
+    calls = []
+    for name in watched:
+        real = getattr(theorems, name)  # theorems binds all three
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("arguesia") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    out = ["-o", str(tmp_path / "f.svg")] if argv[0] == "figure" else ["--json"]
+    for seed in (1, 2, 3):
+        calls.clear()
+        generate_instance(InstanceConfig(kind, seed))
+        generated = sorted(calls)
+        calls.clear()
+        assert main(argv + ["--seed", str(seed)] + out) == 0
+        assert sorted(calls) == generated
     capsys.readouterr()
 
 

@@ -37,7 +37,7 @@ from arguesia.theorems import (
     check_retablissement,
     construct_involution_p13,
     desargues_involution_by_perspectives,
-    harmonic_conjugate,
+    harmonic_figure,
     parallel_bornales_identities,
     pascal_collinear,
     pascal_figure,
@@ -166,7 +166,7 @@ def test_verify_ramee_rejects_k_on_carrier():
 def test_verify_ramee_500_seed_property():
     for seed in range(1, 101):
         inst = generate_instance(InstanceConfig("ramee", seed))
-        rep = verify_ramee(inst["figure"])
+        rep = verify_ramee(inst)
         assert rep.verdict
 
 
@@ -205,7 +205,7 @@ def test_ramee_is_invariant_under_collineations():
     rng = SplitMix64.for_kind("ramee-collineation", 1)
     rejected = 0
     for i in range(RAMEE_MOVES):
-        figure = generate_instance(InstanceConfig("ramee", 1 + i // 5))["figure"]
+        figure = generate_instance(InstanceConfig("ramee", 1 + i // 5))
         t_rows = random_collineation(rng)
         try:
             moved = _moved_ramee(figure, t_rows)
@@ -226,7 +226,7 @@ def test_ramee_is_invariant_under_collineations():
 def test_an_image_noeud_off_delta_fails_the_collineation_checks():
     # negative control: moved off the image line, the image b is no longer
     # the moved b, and the image couples refuse it as a noeud off their tronc
-    figure = generate_instance(InstanceConfig("ramee", 1))["figure"]
+    figure = generate_instance(InstanceConfig("ramee", 1))
     t_rows = ((2, 1, 0), (0, 1, 1), (1, 0, 1))
     moved = _moved_ramee(figure, t_rows)
     u, v, w = moved["points"]["b"].coords
@@ -238,29 +238,88 @@ def test_an_image_noeud_off_delta_fails_the_collineation_checks():
         NodeCouples(moved["delta"], tuple((pts[x], pts[y]) for x, y in ("bh", "cg", "df")))
 
 
+def _moved_quadrangle(q, t_rows):
+    # the bornes and transversal of a checked quadrangle figure under
+    # p -> T.p, checked again
+    bornes = tuple(apply_collineation_point(t_rows, p) for p in q["bornes"])
+    transversal = default_chart(apply_collineation_line(t_rows, q["transversal"].line))
+    return quadrangle_figure(bornes, transversal)
+
+
+def _quadrangle_kind(q):
+    return classify_kind(equivalence_check(quadrangle_couples(q))["involution"])
+
+
+QUADRANGLE_MOVES = 100
+QUADRANGLE_MOVES_REJECTED_CAP = 5  # moves refused as not generic (none was when set)
+
+
+def test_quadrangle_is_invariant_under_collineations():
+    # Desargues' involution is projective: a collineation moves the
+    # transversal couples onto the couples of the moved quadrangle, checked
+    # again, which give a true report, an involution of the same kind and the
+    # same cross-ratios of the couples.  A move that sends a cut or the pivot
+    # to infinity is refused by the check or the replay, and counted.
+    rng = SplitMix64.for_kind("quadrangle-collineation", 1)
+    rejected = 0
+    for i in range(QUADRANGLE_MOVES):
+        q = generate_instance(InstanceConfig("quadrangle", 1 + i // 5))
+        t_rows = random_collineation(rng)
+        try:
+            moved = _moved_quadrangle(q, t_rows)
+            report = quadrangle_involution(moved)
+        except NonGenericError:
+            rejected += 1
+            continue
+        assert all(moved[nm] == apply_collineation_point(t_rows, q[nm]) for nm in "IKPQGH")
+        assert report.verdict
+        assert _quadrangle_kind(moved) == _quadrangle_kind(q)
+        before = _couple_cross_ratios(quadrangle_couples(q))
+        after = _couple_cross_ratios(quadrangle_couples(moved))
+        assert all(a * d == b * c for (a, b), (c, d) in zip(before, after))
+    assert rejected <= QUADRANGLE_MOVES_REJECTED_CAP
+
+
+def test_a_moved_h_fails_the_quadrangle_collineation_checks():
+    # negative control: H moved along the moved transversal is no longer the
+    # image of H, G's partner or a point of the couples' cross-ratios
+    q = generate_instance(InstanceConfig("quadrangle", 1))
+    t_rows = ((2, 1, 0), (0, 1, 1), (1, 0, 1))
+    moved = _moved_quadrangle(q, t_rows)
+    delta = moved["transversal"]
+    off = dict(moved, H=point_at(delta, rat(delta.param_pair(moved["H"])) + 1))
+    report = quadrangle_involution(off)
+    assert not report.verdict
+    homography = next(c for c in report.claims if c["label"].startswith("couples (I,K)"))
+    assert homography["equal"] is False
+    before = _couple_cross_ratios(quadrangle_couples(q))
+    after = _couple_cross_ratios(quadrangle_couples(off))
+    assert not all(a * d == b * c for (a, b), (c, d) in zip(before, after))
+
+
 # -- harmonic conjugates --------------------------------------------------------
 
 
 def test_harmonic_conjugate_example():
-    f = harmonic_conjugate(pt(0), pt(2), pt(3))
+    f = harmonic_figure(pt(0), pt(2), pt(3))["f"]
     assert rat(CH.param_pair(f)) == F(3, 2)
 
 
 def test_harmonic_conjugate_midpoint_gives_infinity():
-    f = harmonic_conjugate(pt(0), pt(2), pt(1))
+    f = harmonic_figure(pt(0), pt(2), pt(1))["f"]
     assert f.is_at_infinity()
 
 
 def test_harmonic_conjugate_involutive():
-    f = harmonic_conjugate(pt(0), pt(2), pt(3))
-    assert harmonic_conjugate(pt(0), pt(2), f) == pt(3)
+    f = harmonic_figure(pt(0), pt(2), pt(3))["f"]
+    assert harmonic_figure(pt(0), pt(2), f)["f"] == pt(3)
 
 
 def test_harmonic_two_paths_agree_on_200_seeds():
     rng = SplitMix64.for_kind("harmonic-paths", 1)
     for _ in range(200):
         inst = generate_instance(InstanceConfig("harmonic", rng.below(10**9)))
-        f = harmonic_conjugate(inst["b"], inst["c"], inst["d"])
+        f = harmonic_figure(inst["b"], inst["c"], inst["d"])["f"]
         assert f == inst["f"]
         assert rat(cross_ratio(inst["b"], inst["c"], inst["d"], f)) == -1
 
@@ -268,8 +327,13 @@ def test_harmonic_two_paths_agree_on_200_seeds():
 # -- midpoint and bisector cases -------------------------------------------------
 
 
+def bcdfk(*points):
+    """The figure of the points b, c, d, f, k, as the verifiers read it."""
+    return dict(zip("bcdfk", points))
+
+
 def test_midpoint_case_example():
-    rep = verify_midpoint_case(pt(0), pt(2), pt(3), pt((3, 2)), A(1, 2))
+    rep = verify_midpoint_case(bcdfk(pt(0), pt(2), pt(3), pt((3, 2)), A(1, 2)))
     assert rep.verdict
     ratio_claim = next(c for c in rep.claims if "raison double" in c["label"])
     assert ratio_claim["lhs"] == "2/1"
@@ -278,7 +342,7 @@ def test_midpoint_case_example():
 def test_midpoint_case_rejects_non_harmonic():
     # F = C leaves the ratio FD/FC without a denominator segment
     with pytest.raises(GeometryError):
-        verify_midpoint_case(pt(0), pt(2), pt(3), pt(2), A(1, 2))
+        verify_midpoint_case(bcdfk(pt(0), pt(2), pt(3), pt(2), A(1, 2)))
 
 
 def _thales_k():
@@ -301,18 +365,18 @@ def _thales_k():
 def test_four_point_case_non_harmonic_is_false(verify, k, failing):
     # F = 7/5 is not the harmonic conjugate 3/2 of D = 3 for B = 0, C = 2:
     # the verifier reports the failing claims, it does not raise
-    rep = verify(pt(0), pt(2), pt(3), pt((7, 5)), k())
+    rep = verify(bcdfk(pt(0), pt(2), pt(3), pt((7, 5)), k()))
     assert not rep.verdict
     assert [c["label"] for c in rep.claims if not c["equal"]] == failing
 
 
 def test_bisector_case_example():
-    rep = verify_bisector_case(pt(0), pt(2), pt(3), pt((3, 2)), _thales_k())
+    rep = verify_bisector_case(bcdfk(pt(0), pt(2), pt(3), pt((3, 2)), _thales_k()))
     assert rep.verdict
 
 
 def test_bisector_case_negative_control():
-    rep = verify_bisector_case(pt(0), pt(2), pt(3), pt((3, 2)), A(1, 5))
+    rep = verify_bisector_case(bcdfk(pt(0), pt(2), pt(3), pt((3, 2)), A(1, 5)))
     assert not rep.verdict
     perp = next(c for c in rep.claims if "perpendicular KC" in c["label"])
     assert not perp["equal"]
@@ -322,7 +386,7 @@ def test_bisector_case_negative_control():
         (pt(0), pt((3, 2)), PPoint(3, 11, 2), "59/2"),
         (pt((-1, 2)), pt((13, 9)), PPoint(7, -4, -3), "175/18"),
     ):
-        rep = verify_bisector_case(b, pt(2), pt(3), f, k)
+        rep = verify_bisector_case(bcdfk(b, pt(2), pt(3), f, k))
         assert not rep.verdict
         perp = next(c for c in rep.claims if "perpendicular KC" in c["label"])
         assert (perp["lhs"], perp["rhs"], perp["equal"]) == (lhs, "0/1", False)
@@ -365,11 +429,11 @@ def quad_config():
 
 def pencil_check(q, member):
     """The report ``verify_pencil`` gives one member of the pencil of q."""
-    return verify_pencil(q, [("member", member)])["members"][0]["report"]
+    return verify_pencil(dict(q, members=[("member", member)]))["members"][0]["report"]
 
 
 def test_quadrangle_involution_example():
-    _, rep = quadrangle_involution(quad_config())
+    rep = quadrangle_involution(quad_config())
     assert rep.verdict and rep.trace is not None and len(rep.trace.steps) == 6
     assert [c["equal"] for c in rep.claims] == [True] * 6
 
@@ -388,10 +452,9 @@ def test_quadrangle_involution_square_needs_a_finite_pivot():
 
 def test_quadrangle_and_perspectives_agree_200_seeds():
     for seed in range(1, 201):
-        inst = generate_instance(InstanceConfig("quadrangle", seed))
-        q = inst["figure"]
-        inv, rep = quadrangle_involution(q)
-        assert rep.verdict
+        q = generate_instance(InstanceConfig("quadrangle", seed))
+        assert quadrangle_involution(q).verdict
+        inv = equivalence_check(quadrangle_couples(q))["involution"]
         other = desargues_involution_by_perspectives(q)
         assert other.map.matrix == inv.map.matrix
         assert other.map.compose(other.map).matrix == (1, 0, 0, 1)
@@ -485,9 +548,8 @@ def test_pencil_unit_circle_example():
 
 
 def test_pencil_members_and_tangency():
-    inst = generate_instance(InstanceConfig("pencil", 3))
-    q = inst["figure"]
-    for member in verify_pencil(q, inst["members"])["members"]:
+    q = generate_instance(InstanceConfig("pencil", 3))
+    for member in verify_pencil(q)["members"]:
         assert member["report"]["verdict"], member["member"]
     # the third line pair reproduces the (G, H) couple
     b, c, d, e = q["bornes"]
@@ -500,13 +562,13 @@ def test_pencil_members_and_tangency():
     from arguesia.involution import partner
 
     inv = equivalence_check(quadrangle_couples(q))["involution"]
-    t = inst["tangency"]
+    t = q["tangency"]
     assert partner(inv, t) == t
 
 
 def test_pencil_member_not_through_bornes_rejected():
     q = quad_config()
-    result = verify_pencil(q, [("member", UC)])
+    result = verify_pencil(dict(q, members=[("member", UC)]))
     assert result["verdict"] is False
     claims = result["members"][0]["report"]["claims"]
     assert [(c["label"], c["lhs"], c["equal"]) for c in claims] == [
@@ -626,7 +688,7 @@ def test_hyperbolic_iff_two_tangent_members():
     # sign of the involution discriminant agrees with the existence of real
     # tangency (double-root) members of the pencil
     for seed in range(1, 41):
-        q = generate_instance(InstanceConfig("quadrangle", seed))["figure"]
+        q = generate_instance(InstanceConfig("quadrangle", seed))
         inv = equivalence_check(quadrangle_couples(q))["involution"]
         kind = classify_kind(inv)
         pairs = line_pairs(q)
@@ -758,7 +820,7 @@ def test_pascal_joins_its_line_once(monkeypatch):
         return join(p, q)
 
     for seed in range(1, 11):
-        figure = generate_instance(InstanceConfig("pascal", seed, 32))["figure"]
+        figure = generate_instance(InstanceConfig("pascal", seed, 32))
         calls.clear()
         monkeypatch.setattr(projective_core, "join", counting)
         monkeypatch.setattr(theorems, "join", counting)
