@@ -360,7 +360,7 @@ def main(argv=None) -> int:
             except (ScalarError, GeometryError) as exc:
                 return _usage_error(exc)
             chart = default_chart(join(PPoint(0, 0, 1), PPoint(1, 0, 1)))
-            f = harmonic_figure(*(chart.point_at_pair(t) for t in values))["f"]
+            f = harmonic_figure(chart, *values)["f"]
             sys.stdout.write(param_str(chart.param_pair(f)) + "\n")
             return 0
 

@@ -16,12 +16,14 @@ quadrangle, pencil and parallel_bornales ``quadrangle_figure``, beaugrand
 ``harmonic_figure``, retablissement ``check_retablissement``) and returns
 the figure, with what the maker drew after the check as more keys: the
 pencil's ``members`` and ``tangency``, the harmonic and bisector ``k``.
-p13 has no check, and its instance is the points {b, h, g, k}.  The
-verifier, the replay and the SVG figure take the instance as their one
-argument, as it is.  What a check builds is in its figure and is built
-nowhere else: the ramee figure's image couples, the beaugrand and pascal
-figures' chords, the beaugrand parallel through C and the harmonic ruler
-construction.  The same config always regenerates the
+p13 has no check; its instance is the points {b, h, g, k} and the line
+BK its maker joined.  The verifier, the replay and the SVG figure take
+the instance as their one argument, as it is.  What a check builds is in
+its figure and is built nowhere else: the ramee image couples, the
+beaugrand and pascal chords, the beaugrand parallel through C, and the
+harmonic chart, whose line is BC, and ruler construction.  No op builds
+a line or point twice, but for ``cross_ratio``'s chart on the line
+through its first two points.  The same config always regenerates the
 identical instance.  At bounds 8 and above no correct genericity test
 rejects every draw, so an exhausted retry budget is an ``InternalError``
 that reports the last failing precondition; ``InstanceConfig`` refuses
@@ -31,6 +33,7 @@ bounds below 8, so before any draw.
 from __future__ import annotations
 
 from arguesia._frozen import Frozen
+from arguesia._kernel import det3
 from arguesia.conics import (
     UNIT_CIRCLE,
     UNIT_CIRCLE_PAR,
@@ -53,8 +56,6 @@ from arguesia.projective_core import (
     default_chart,
     incident,
     join,
-    meet,
-    parallel_line_through,
 )
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
@@ -218,8 +219,8 @@ def _make_quadrangle(rng: SplitMix64, bounds: int) -> dict:
 
 def _make_parallel_bornales(rng: SplitMix64, bounds: int) -> dict:
     b, c, d = _distinct_points(rng, bounds, 3)
-    bc = join(b, c)
-    if incident(d, bc):
+    # the collinearity test of D on BC, whose line quadrangle_figure builds
+    if det3(b.coords, c.coords, d.coords) == 0:
         raise NonGenericError("D on line BC")
     lam = rng.fraction_pair(bounds)
     while lam[0] == 0:
@@ -269,46 +270,35 @@ def _make_pascal(rng: SplitMix64, bounds: int) -> dict:
 
 
 def _make_beaugrand(rng: SplitMix64, bounds: int) -> dict:
-    par = UNIT_CIRCLE_PAR
-    tk, tn, to_, tv, tq, tf = _distinct_params(rng, bounds, 6)
-    k, n, o, v = (par.point_at(t) for t in (tk, tn, to_, tv))
-    q0 = par.point_at(tq)
-    f_pt = par.point_at(tf)
-    nv, ko = join(n, v), join(k, o)
-    mu = parallel_line_through(nv, q0)
-    c_pt = meet(mu, ko)
-    if c_pt.is_at_infinity() or c_pt == f_pt:
-        raise NonGenericError("auxiliary point C degenerate")
-    # the check's auxiliary chord, the parallel to NV through C, is mu,
-    # rational through q0
-    return beaugrand_points(UNIT_CIRCLE, k, n, o, v, join(c_pt, f_pt))
+    # K, N, O, V, then the points on the auxiliary chord and the transversal
+    pts = (UNIT_CIRCLE_PAR.point_at(t) for t in _distinct_params(rng, bounds, 6))
+    return beaugrand_points(UNIT_CIRCLE, *pts)
 
 
-def _harmonic_draw(rng: SplitMix64, bounds: int):
-    """A chart and the ``harmonic_figure`` of B, C, D at three distinct
-    drawn parameters on it: the draw the harmonic and bisector instances
-    share, each adding its K.  A finite parameter gives a finite point, and
-    rejecting D at the midpoint of BC keeps F finite."""
+def _harmonic_draw(rng: SplitMix64, bounds: int) -> dict:
+    """The ``harmonic_figure`` of three distinct drawn parameters on a drawn
+    chart: the draw the harmonic and bisector instances share, each adding
+    its K.  A finite parameter gives a finite point, and rejecting D at the
+    midpoint of BC keeps F finite."""
     chart = _chart(rng, bounds)
     params = _distinct_params(rng, bounds, 3)
     (nb, db), (nc, dc), (nd, dd) = params
     if 2 * nd * db * dc == dd * (nb * dc + nc * db):
         raise NonGenericError("D at the midpoint: F would be infinite")
-    b, c, d = (chart.point_at_pair(t) for t in params)
-    return chart, harmonic_figure(b, c, d)
+    return harmonic_figure(chart, *params)
 
 
 def _make_harmonic(rng: SplitMix64, bounds: int) -> dict:
-    chart, figure = _harmonic_draw(rng, bounds)
+    figure = _harmonic_draw(rng, bounds)
     k = _point(rng, bounds)
-    if incident(k, chart.line):
+    if incident(k, figure["chart"].line):
         raise NonGenericError("K on the carrier line")
     figure["k"] = k
     return figure
 
 
 def _make_bisector(rng: SplitMix64, bounds: int) -> dict:
-    chart, figure = _harmonic_draw(rng, bounds)
+    figure = _harmonic_draw(rng, bounds)
     b = figure["b"]
     # the circle on the diameter BC: (X - B).(X - C) = 0, times 2*bz*cz
     (bx, by, bz), (cx, cy, cz) = b.coords, figure["c"].coords
@@ -320,7 +310,7 @@ def _make_bisector(rng: SplitMix64, bounds: int) -> dict:
     k = par.point_at(rng.fraction_pair(bounds))
     # K = B or C lies on the line too, and the circle has no real point at
     # infinity
-    if incident(k, chart.line):
+    if incident(k, figure["chart"].line):
         raise NonGenericError("K degenerate on the Thales circle")
     figure["k"] = k
     return figure
@@ -352,9 +342,10 @@ def _make_p13(rng: SplitMix64, bounds: int) -> dict:
         raise NonGenericError("h coincides with B or K")
     h = _shifted(b, b, k, t)
     g = _point(rng, bounds)
-    if incident(g, join(b, k)):
+    bk = join(b, k)
+    if incident(g, bk):
         raise NonGenericError("G on line BK")
-    return {"b": b, "h": h, "g": g, "k": k}
+    return {"b": b, "h": h, "g": g, "k": k, "lines": {"BK": bk}}
 
 
 _MAKERS = {

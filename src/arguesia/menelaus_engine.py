@@ -149,33 +149,32 @@ class ProofTrace:
 # the theorem and its combinatorics
 
 
-def menelaus_product(sf: dict) -> tuple[int, int]:
-    """ratio(N1;b,c) * ratio(N2;c,a) * ratio(N3;a,b), always exactly 1, as
-    an unreduced integer pair."""
+def menelaus_ratios(sf: dict) -> tuple[tuple[int, int], ...]:
+    """ratio(N1;b,c), ratio(N2;c,a), ratio(N3;a,b), unreduced integer pairs
+    whose product is always exactly 1."""
     n1, n2, n3 = sf["nodes"]
     a, b, c = sf["vertices"]
-    return _times(ratio(n1, b, c), ratio(n2, c, a), ratio(n3, a, b))
+    return ratio(n1, b, c), ratio(n2, c, a), ratio(n3, a, b)
 
 
-def menelaus_converse(sf: dict) -> bool:
-    """Reconstruct the third noeud from the unit-product constraint and
-    check it is N3, the meet of its ray with the tronc, so it falls back on
-    the tronc.
+def menelaus_converse(sf: dict, r1: tuple[int, int], r2: tuple[int, int]) -> bool:
+    """Reconstruct the third noeud from the unit-product constraint on the
+    first two of ``menelaus_ratios``, r1 and r2, and check it is N3, the
+    meet of its ray with the tronc, so it falls back on the tronc.
 
     On integer pairs: with ratio(N3; a, b) = n/d required and chart pairs
     (ua : va), (ub : vb) of a and b on their ray, the noeud's parameter t
     solves (ta - t)/(tb - t) = n/d, so t = (ua*vb*d - n*ub*va)/(va*vb*(d - n)).
     """
-    n1, n2, n3 = sf["nodes"]
-    a, b, c = sf["vertices"]
+    a, b, _ = sf["vertices"]
     # the required ratio(N3; a, b) is 1/(r1*r2): den/num of their product
-    d, n = _times(ratio(n1, b, c), ratio(n2, c, a))
+    d, n = _times(r1, r2)
     if n == d:
         return False
     ray = default_chart(sf["rays"][2])
     (ua, va), (ub, vb) = ray.param_pair(a), ray.param_pair(b)
     candidate = ray.point_at_pair((ua * vb * d - n * ub * va, va * vb * (d - n)))
-    return candidate == n3
+    return candidate == sf["nodes"][2]
 
 
 def menelaus_step(

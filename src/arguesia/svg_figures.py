@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from arguesia.conics import UNIT_CIRCLE, UNIT_CIRCLE_PAR, Conic
-from arguesia.projective_core import PLine, PPoint, join, parallel_line_through
+from arguesia.projective_core import PLine, PPoint, join
 from arguesia.theorems import construct_involution_p13
 
 CANVAS_W = 800.0
@@ -272,13 +272,12 @@ def _fig_harmonic(figure) -> SvgDoc:
     doc = SvgDoc()
     for nm in "BCDF":
         doc.add_point(figure[nm.lower()], nm)
-    doc.add_line(join(figure["b"], figure["c"]), "carrier")
+    doc.add_line(figure["chart"].line, "carrier")
     construction = figure["construction"]
-    if construction is not None:
-        doc.add_line(construction["secant"], "carrier")
-        # the joins lo-B and hi-C, and the parallel through their meet
-        for line in construction["lines"]:
-            doc.add_line(line, "construction")
+    doc.add_line(construction["secant"], "carrier")
+    # the joins lo-B and hi-C, and the parallel through their meet
+    for line in construction["lines"]:
+        doc.add_line(line, "construction")
     return doc
 
 
@@ -364,7 +363,7 @@ def _fig_beaugrand(figure) -> SvgDoc:
 def _fig_bisector(figure) -> SvgDoc:
     doc = SvgDoc()
     b, c, d, f, k = (figure[nm] for nm in "bcdfk")
-    doc.add_line(join(b, c), "carrier")
+    doc.add_line(figure["chart"].line, "carrier")
     for p, nm in ((b, "B"), (c, "C"), (d, "D"), (f, "F"), (k, "K")):
         doc.add_point(p, nm)
     for p in (b, c, d, f):
@@ -388,14 +387,15 @@ def _fig_retablissement(figure) -> SvgDoc:
 def _fig_p13(inst) -> SvgDoc:
     doc = SvgDoc()
     b, h, g, k = inst["b"], inst["h"], inst["g"], inst["k"]
-    (f_mid, big_f, big_d), _ = construct_involution_p13(b, h, g, k)
-    for p, nm in ((b, "B"), (h, "h"), (g, "G"), (k, "K"), (f_mid, "f"), (big_f, "F"), (big_d, "D")):
+    built, _ = construct_involution_p13(b, h, g, k)
+    for p, nm in ((b, "B"), (h, "h"), (g, "G"), (k, "K"), (built["f"], "f"), (built["F"], "F"),
+                  (built["D"], "D")):
         doc.add_point(p, nm)
-    doc.add_line(join(b, k), "carrier")
-    doc.add_line(join(b, g), "carrier")
-    doc.add_line(join(g, h), "construction")
-    doc.add_line(join(k, f_mid), "construction")
-    doc.add_line(parallel_line_through(join(g, h), k), "construction")
+    lines = built["lines"]
+    doc.add_line(inst["lines"]["BK"], "carrier")
+    doc.add_line(lines["BG"], "carrier")
+    for nm in ("Gh", "Kf", "parallel"):
+        doc.add_line(lines[nm], "construction")
     return doc
 
 

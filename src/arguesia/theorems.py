@@ -37,7 +37,7 @@ from arguesia.menelaus_engine import (
     _over,
     _times,
     menelaus_converse,
-    menelaus_product,
+    menelaus_ratios,
     menelaus_step,
     ratio,
     replay_quadrangle_proof,
@@ -143,8 +143,10 @@ def verify_menelaus(figure: dict) -> TheoremReport:
     ``figure`` is the instance, ``sector_figure``'s figure with its
     ``config``, which the report echoes as its inputs."""
     report = TheoremReport("menelaus", inputs=figure["config"])
-    report.claim_pair("menelaus product", menelaus_product(figure), (1, 1))
-    report.claim_true("converse: unit product forces collinearity", menelaus_converse(figure))
+    r1, r2, r3 = menelaus_ratios(figure)
+    report.claim_pair("menelaus product", _times(r1, r2, r3), (1, 1))
+    report.claim_true("converse: unit product forces collinearity",
+                      menelaus_converse(figure, r1, r2))
     return report
 
 
@@ -279,57 +281,48 @@ def verify_ramee(figure: dict) -> TheoremReport:
 # harmonic conjugates and the four-point special cases
 
 
-def harmonic_figure(b: PPoint, c: PPoint, d: PPoint) -> dict:
+def harmonic_figure(chart: AffineChart, pb, pc, pd) -> dict:
     """The point F with cross-ratio [B,C;D,F] = -1, computed two ways, in
-    the figure {b, c, d, f, construction}.
+    the figure {chart, b, c, d, f, construction}.
 
-    Closed form from the cross-ratio equation, and the ruler construction
+    B, C, D are the points of ``chart`` at the finite parameter pairs pb,
+    pc, pd, which must be distinct (``harmonic_partner_param`` raises
+    GeometryError otherwise); the chart's line is the tronc BC.  Closed
+    form from the cross-ratio equation, and the ruler construction
     ``harmonic_construction_data``, kept as ``construction`` for the figure
     to draw.  Both must agree exactly (InternalError otherwise, a fault of
     the program); D at the midpoint of BC yields the point at infinity,
-    which is a result, not an error.  B, C, D must be distinct and
-    collinear: ``join``, ``param_pair`` and ``harmonic_partner_param``
-    raise GeometryError otherwise.
+    which is a result, not an error.
     """
-    chart = default_chart(join(b, c))
-    t = harmonic_partner_param(chart.param_pair(b), chart.param_pair(c), chart.param_pair(d))
-    f_closed = chart.point_at_pair(t)
-    built = harmonic_construction_data(b, c, d)
-    if built is not None and built["f"] != f_closed:
+    f_closed = chart.point_at_pair(harmonic_partner_param(pb, pc, pd))
+    b, c, d = (chart.point_at_pair(t) for t in (pb, pc, pd))
+    built = harmonic_construction_data(chart.line, b, c, d)
+    if built["f"] != f_closed:
         raise InternalError("harmonic constructions disagree")
-    return {"b": b, "c": c, "d": d, "f": f_closed, "construction": built}
+    return {"chart": chart, "b": b, "c": c, "d": d, "f": f_closed, "construction": built}
 
 
-def harmonic_construction_data(b: PPoint, c: PPoint, d: PPoint):
-    """The ruler construction of the harmonic conjugate, with its lines.
+def harmonic_construction_data(base: PLine, b: PPoint, c: PPoint, d: PPoint) -> dict:
+    """The ruler construction of the harmonic conjugate, with its lines,
+    for finite, distinct B, C, D on the line ``base``.
 
-    A deterministic secant through D carries two points lo, hi with D as
-    midpoint; the joins lo-B and hi-C meet in K, and the parallel to the
-    secant through K meets BC in F.  Returns {secant, lines, f}, ``lines``
-    the two joins and the parallel, or None when no listed secant direction
-    works (never for finite inputs in practice).
+    A secant through D in the direction (1, 0), or (0, 1) when that is the
+    base's, carries lo and hi with D as midpoint; the joins lo-B and hi-C
+    meet in K, and the parallel to the secant through K meets BC in F.
+    Returns {secant, lines, f}, ``lines`` the two joins and the parallel.
+    Nothing else can fail: the secant meets the base only in D, so lo and
+    hi are off it and neither is B or C, and the joins are two lines; they
+    are parallel exactly when D is the midpoint, and then K is at infinity
+    off the secant's direction, since B is not D, so the parallel through K
+    is the line at infinity, which is not the base.
     """
-    if b.is_at_infinity() or c.is_at_infinity() or d.is_at_infinity():
-        return None
-    base = join(b, c)
     dx, dy, dz = d.coords
-    for ex, ey in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)):
-        dir_pt = PPoint(ex, ey, 0)
-        if incident(dir_pt, base):
-            continue
-        secant = join(d, dir_pt)
-        lo = PPoint(dx + ex * dz, dy + ey * dz, dz)
-        hi = PPoint(dx - ex * dz, dy - ey * dz, dz)
-        if lo in (b, c) or hi in (b, c):
-            continue
-        try:
-            lo_b, hi_c = join(lo, b), join(hi, c)
-            parallel = parallel_line_through(secant, meet(lo_b, hi_c))
-            f = meet(base, parallel)
-        except GeometryError:
-            continue
-        return {"secant": secant, "lines": (lo_b, hi_c, parallel), "f": f}
-    return None
+    ex, ey = (0, 1) if incident(PPoint(1, 0, 0), base) else (1, 0)
+    secant = join(d, PPoint(ex, ey, 0))
+    lo_b = join(PPoint(dx + ex * dz, dy + ey * dz, dz), b)
+    hi_c = join(PPoint(dx - ex * dz, dy - ey * dz, dz), c)
+    parallel = parallel_line_through(secant, meet(lo_b, hi_c))
+    return {"secant": secant, "lines": (lo_b, hi_c, parallel), "f": meet(base, parallel)}
 
 
 def verify_midpoint_case(figure: dict) -> TheoremReport:
@@ -338,17 +331,17 @@ def verify_midpoint_case(figure: dict) -> TheoremReport:
     cb, the composed ratio (BC/BD)(FD/FC) must be the raison double 2, and
     conversely the midpoint property must force d to infinity.
 
-    ``figure`` holds the points b, c, d, f, k, as ``harmonic_figure`` and
-    the generator's K give them: B, C, D, F finite, collinear on the tronc
-    BC and pairwise distinct, and K finite and off the tronc.  Whether
-    (B, C; D, F) is harmonic is what the claims decide, so non-harmonic
-    data gives a false verdict, not an error; data outside the contract
-    raises GeometryError from the construction that needs it.
+    ``figure`` holds the chart of the tronc BC and the points b, c, d, f,
+    k, as ``harmonic_figure`` and the generator's K give them: B, C, D, F
+    finite, on the tronc and pairwise distinct, and K finite and off it.
+    Whether (B, C; D, F) is harmonic is what the claims decide, so
+    non-harmonic data gives a false verdict, not an error; data outside the
+    contract raises GeometryError from the construction that needs it.
     """
     b, c, d, f, k = (figure[nm] for nm in "bcdfk")
     inputs = {name: p.to_json() for name, p in zip("BCDFK", (b, c, d, f, k))}
     report = TheoremReport("midpoint_case", inputs=inputs)
-    base = join(b, c)
+    base = figure["chart"].line
     rameau = join(d, k)
     image_line = parallel_line_through(rameau, c)
     c_img = project_point(k, c, image_line)
@@ -384,14 +377,15 @@ def verify_midpoint_case(figure: dict) -> TheoremReport:
 
 
 def _control_line(c: PPoint, k: PPoint, rameau: PLine, base: PLine) -> PLine:
-    for direction in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)):
-        dir_pt = PPoint(direction[0], direction[1], 0)
+    # C is on the base and off the rameau, so the line through C in a
+    # direction is one of them exactly when the direction is theirs
+    for ex, ey in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)):
+        dir_pt = PPoint(ex, ey, 0)
+        if incident(dir_pt, base) or incident(dir_pt, rameau):
+            continue
         cand = join(c, dir_pt)
-        if cand in (base, rameau):
-            continue
-        if incident(k, cand) or incident(dir_pt, rameau):
-            continue
-        return cand
+        if not incident(k, cand):
+            return cand
     raise GeometryError("no control line found")
 
 
@@ -441,8 +435,9 @@ def verify_bisector_case(figure: dict) -> TheoremReport:
 def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
     """The page-13 construction: h on BK, f the midpoint of Gh, F on Kf^BG
     and D on the parallel to Gh through K; then B, D, G, F are four points
-    in involution (B and G doubled), i.e. [B,G;D,F] = -1.  Returns the
-    constructed points (f, F, D) and the report.
+    in involution (B and G doubled), i.e. [B,G;D,F] = -1.  Returns what it
+    built, {f, F, D, lines}, ``lines`` BG, Gh, Kf and the parallel by name,
+    and the report.
 
     The data contract is ``instances._make_p13``'s: B, h, G, K finite, h on
     BK other than B and K, and G off BK; a G on BK is a GeometryError from
@@ -453,21 +448,21 @@ def construct_involution_p13(b: PPoint, h: PPoint, g: PPoint, k: PPoint):
         inputs={"B": b.to_json(), "h": h.to_json(), "G": g.to_json(), "K": k.to_json()},
     )
     f_mid = midpoint(g, h)
-    gh = join(g, h)
-    bg = join(b, g)
-    big_f = meet(join(k, f_mid), bg)
-    big_d = meet(parallel_line_through(gh, k), bg)
+    lines = {"BG": join(b, g), "Gh": join(g, h), "Kf": join(k, f_mid)}
+    lines["parallel"] = parallel_line_through(lines["Gh"], k)
+    big_f = meet(lines["Kf"], lines["BG"])
+    big_d = meet(lines["parallel"], lines["BG"])
     report.notes["F"] = big_f.to_json()
     report.notes["D"] = big_d.to_json()
     report.claim_pair(
         "secant harmonic: [G,h; f, inf] = -1",
-        cross_ratio(g, h, f_mid, infinity_point_of(gh)),
+        cross_ratio(g, h, f_mid, infinity_point_of(lines["Gh"])),
         (-1, 1),
     )
     report.claim_pair(
         "four points in involution: [B,G;D,F] = -1", cross_ratio(b, g, big_d, big_f), (-1, 1)
     )
-    return (f_mid, big_f, big_d), report
+    return {"f": f_mid, "F": big_f, "D": big_d, "lines": lines}, report
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +623,15 @@ def parallel_bornales_identities(q: dict) -> TheoremReport:
 
 
 def beaugrand_points(
-    conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, transversal: PLine
+    conic: Conic, k: PPoint, n: PPoint, o: PPoint, v: PPoint, q0: PPoint, f0: PPoint
 ) -> dict:
     """The checked figure of Beaugrand's derivation, or NonGenericError.
 
     The bornes K, N, O, V must lie on the conic (ConicError otherwise).  The
-    transversal must cut the conic in two rational points F, G, and the
-    parallel to VN through C = KO^transversal in two rational points Q, R;
-    with A = VN^transversal, B = KN^transversal, E = VO^transversal and
+    parallel to VN through q0 meets KO in C, finite and not f0, and the
+    transversal is CF0; they must cut the conic in two rational points Q, R
+    and F, G, as they do for the generator's q0 and f0 on the conic.  With
+    A = VN^transversal, B = KN^transversal, E = VO^transversal and
     P = KO^VN, all thirteen named points must be finite and pairwise
     distinct.  Returns {conic, transversal, points, lines, parallel},
     ``points`` the thirteen by name, which ``beaugrand_replay`` and the
@@ -646,18 +642,21 @@ def beaugrand_points(
     for p in (k, n, o, v):
         if not conic.contains(p):
             raise ConicError("the four bornes must lie on the conic")
+    kn, ko, vn, vo = join(k, n), join(k, o), join(v, n), join(v, o)
+    parallel = parallel_line_through(vn, q0)
+    c_pt = meet(parallel, ko)
+    if c_pt.is_at_infinity() or c_pt == f0:
+        raise NonGenericError("auxiliary point C degenerate")
+    transversal = join(c_pt, f0)
     disc, chord = conic_line_intersection(conic, transversal)
     if len(chord) != 2:
         raise NonGenericError(f"transversal chord is not two rational points (disc {disc})")
     f_pt, g_pt = chord
 
-    kn, ko, vn, vo = join(k, n), join(k, o), join(v, n), join(v, o)
     b_pt = meet(transversal, kn)
     e_pt = meet(transversal, vo)
-    c_pt = meet(transversal, ko)
     a_pt = meet(transversal, vn)
     p_pt = meet(ko, vn)
-    parallel = parallel_line_through(vn, c_pt)
     disc, chord = conic_line_intersection(conic, parallel)
     if len(chord) != 2:
         raise NonGenericError(

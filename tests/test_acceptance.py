@@ -8,10 +8,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from math import prod
 
 from arguesia.instances import InstanceConfig, generate_instance
 from arguesia.involution import classify, equivalence_check
-from arguesia.menelaus_engine import NonGenericError, menelaus_product
+from arguesia.menelaus_engine import NonGenericError, menelaus_ratios
 from arguesia.projective_core import GeometryError, default_chart, incident, join
 from arguesia.rng import SplitMix64
 from arguesia.theorems import (
@@ -53,7 +54,7 @@ def test_criterion_01_menelaus_500():
     def run():
         for seed in range(1, 501):
             fig = generate_instance(InstanceConfig("menelaus", seed))
-            assert rat(menelaus_product(fig)) == 1
+            assert prod(map(rat, menelaus_ratios(fig))) == 1
             # converse: rebuild the third noeud from the unit-product
             # constraint; it must land exactly on the transversal
             from arguesia.menelaus_engine import ratio

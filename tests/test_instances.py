@@ -130,9 +130,9 @@ QUADRANGLE_KEYS = {"bornes", "transversal", "bornales", "diagonals", "I", "K", "
     ("quadrangle", QUADRANGLE_KEYS),
     ("pencil", QUADRANGLE_KEYS | {"members", "tangency"}),
     ("parallel_bornales", QUADRANGLE_KEYS),
-    ("harmonic", {"b", "c", "d", "f", "construction", "k"}),
-    ("bisector", {"b", "c", "d", "f", "construction", "k"}),
-    ("p13", {"b", "h", "g", "k"}),
+    ("harmonic", {"chart", "b", "c", "d", "f", "construction", "k"}),
+    ("bisector", {"chart", "b", "c", "d", "f", "construction", "k"}),
+    ("p13", {"b", "h", "g", "k", "lines"}),
 ])
 def test_checked_figure_is_a_plain_dict(kind, keys):
     # an instance is its kind's checked figure, plain data in one shape,

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +11,7 @@ from arguesia.menelaus_engine import (
     NonGenericError,
     ProofTrace,
     check_ramee_replayable,
-    menelaus_product,
+    menelaus_ratios,
     menelaus_step,
     ratio,
     replay_quadrangle_proof,
@@ -59,13 +60,13 @@ def triangle_figure():
 
 
 def test_menelaus_product_is_one_on_the_triangle():
-    assert rat(menelaus_product(triangle_figure())) == 1
+    assert prod(map(rat, menelaus_ratios(triangle_figure()))) == 1
 
 
 def test_menelaus_product_one_on_500_random_figures():
     for seed in range(1, 501):
         inst = generate_instance(InstanceConfig("menelaus", seed))
-        assert rat(menelaus_product(inst)) == 1
+        assert prod(map(rat, menelaus_ratios(inst))) == 1
 
 
 def test_sector_figure_builds_its_vertices_once(monkeypatch):
@@ -92,6 +93,29 @@ def test_sector_figure_builds_its_vertices_once(monkeypatch):
         assert (calls.count("join"), calls.count("meet")) == (3, 3), seed
 
 
+def test_verify_menelaus_computes_each_noeud_ratio_once(monkeypatch):
+    # the product and the converse share ratio(N1;b,c) and ratio(N2;c,a), so
+    # an op makes three ratio calls, whatever module binds ratio
+    import sys
+
+    import arguesia.theorems  # noqa: F401  (loaded, so its binding is wrapped too)
+    from arguesia.cli import verify_one
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ratio(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arguesia") and getattr(module, "ratio", None) is ratio:
+            monkeypatch.setattr(module, "ratio", counting)
+    for seed in range(1, 21):
+        calls.clear()
+        assert verify_one("menelaus", seed)["verdict"]
+        assert len(calls) == 3, seed
+
+
 def test_menelaus_converse_perturbation_breaks_product():
     fig = triangle_figure()
     n1, n2, n3 = fig["nodes"]
@@ -115,7 +139,7 @@ def test_classical_minus_one_convention_conversion():
     r2 = _span_ratio(c, n2, n2, a)
     r3 = _span_ratio(a, n3, n3, b)
     assert r1 * r2 * r3 == -1
-    assert rat(menelaus_product(fig)) == 1
+    assert prod(map(rat, menelaus_ratios(fig))) == 1
 
 
 def _span_ratio(p, q, r, s):

@@ -56,7 +56,7 @@ from collineation import (
     apply_collineation_point,
     random_collineation,
 )
-from quadfield import from_json, line_pairs, point_at, rat
+from quadfield import from_json, line_pairs, param, point_at, rat
 from quadfield import affine_point as A
 
 CH = default_chart(PLine(0, 1, 0))
@@ -297,29 +297,77 @@ def test_a_moved_h_fails_the_quadrangle_collineation_checks():
     assert not all(a * d == b * c for (a, b), (c, d) in zip(before, after))
 
 
+def _moved_pencil(q, t_rows):
+    # a pencil instance under p -> T.p: its quadrangle checked again, as the
+    # generator checks it, with the moved members and tangency point
+    bornes = tuple(apply_collineation_point(t_rows, p) for p in q["bornes"])
+    transversal = default_chart(apply_collineation_line(t_rows, q["transversal"].line))
+    moved = quadrangle_figure(bornes, transversal, strict=False)
+    moved["members"] = [(nm, apply_collineation(m, t_rows)) for nm, m in q["members"]]
+    moved["tangency"] = apply_collineation_point(t_rows, q["tangency"])
+    return moved
+
+
+PENCIL_MOVES = 100
+
+
+def test_pencil_is_invariant_under_collineations():
+    # Desargues' pencil theorem is projective: each moved member still cuts
+    # the moved transversal in a couple of the moved quadrangle's involution,
+    # and its report makes the same claims (line pair, tangency or chord)
+    rng = SplitMix64.for_kind("pencil-collineation", 1)
+    for i in range(PENCIL_MOVES):
+        q = generate_instance(InstanceConfig("pencil", 1 + i // 5))
+        t_rows = random_collineation(rng)
+        result = verify_pencil(_moved_pencil(q, t_rows))
+        assert result["verdict"], i
+        assert _claim_labels(result) == _claim_labels(verify_pencil(q)), i
+
+
+def _claim_labels(pencil_result):
+    return [[c["label"] for c in m["report"]["claims"]] for m in pencil_result["members"]]
+
+
+def test_a_member_off_a_borne_fails_the_pencil_collineation_checks():
+    # negative control: one moved member, its constant term off by one,
+    # misses a borne and the verdict is false
+    q = generate_instance(InstanceConfig("pencil", 1))
+    moved = _moved_pencil(q, ((2, 1, 0), (0, 1, 1), (1, 0, 1)))
+    name, member = moved["members"][2]
+    m00, m01, m02, m11, m12, m22 = member.m
+    off = Conic(m00, m01, m02, m11, m12, m22 + 1)
+    moved["members"][2] = (name, off)
+    result = verify_pencil(moved)
+    assert not result["verdict"]
+    failed = [(m["member"], c["label"]) for m in result["members"]
+              for c in m["report"]["claims"] if not c["equal"]]
+    assert failed == [(name, "member passes through the four bornes")]
+
+
 # -- harmonic conjugates --------------------------------------------------------
 
 
 def test_harmonic_conjugate_example():
-    f = harmonic_figure(pt(0), pt(2), pt(3))["f"]
+    f = harmonic_figure(CH, param(0), param(2), param(3))["f"]
     assert rat(CH.param_pair(f)) == F(3, 2)
 
 
 def test_harmonic_conjugate_midpoint_gives_infinity():
-    f = harmonic_figure(pt(0), pt(2), pt(1))["f"]
+    f = harmonic_figure(CH, param(0), param(2), param(1))["f"]
     assert f.is_at_infinity()
 
 
 def test_harmonic_conjugate_involutive():
-    f = harmonic_figure(pt(0), pt(2), pt(3))["f"]
-    assert harmonic_figure(pt(0), pt(2), f)["f"] == pt(3)
+    f = harmonic_figure(CH, param(0), param(2), param(3))["f"]
+    assert harmonic_figure(CH, param(0), param(2), CH.param_pair(f))["f"] == pt(3)
 
 
 def test_harmonic_two_paths_agree_on_200_seeds():
     rng = SplitMix64.for_kind("harmonic-paths", 1)
     for _ in range(200):
         inst = generate_instance(InstanceConfig("harmonic", rng.below(10**9)))
-        f = harmonic_figure(inst["b"], inst["c"], inst["d"])["f"]
+        chart = inst["chart"]
+        f = harmonic_figure(chart, *(chart.param_pair(inst[nm]) for nm in "bcd"))["f"]
         assert f == inst["f"]
         assert rat(cross_ratio(inst["b"], inst["c"], inst["d"], f)) == -1
 
@@ -328,8 +376,9 @@ def test_harmonic_two_paths_agree_on_200_seeds():
 
 
 def bcdfk(*points):
-    """The figure of the points b, c, d, f, k, as the verifiers read it."""
-    return dict(zip("bcdfk", points))
+    """The figure of the points b, c, d, f, k on the line of CH, as the
+    verifiers read it."""
+    return dict(zip("bcdfk", points), chart=CH)
 
 
 def test_midpoint_case_example():
@@ -750,19 +799,13 @@ def test_parallel_bornales_rejects_non_parallel():
 
 
 def beaugrand_instance():
-    k, n, o, v = (PAR.point_at(t) for t in ((0, 1), (1, 2), (2, 1), (-1, 3)))
-    from arguesia.projective_core import meet, parallel_line_through
-
-    q0 = PAR.point_at((4, 1))
-    mu = parallel_line_through(join(n, v), q0)
-    c_pt = meet(mu, join(k, o))
-    f_pt = PAR.point_at((-3, 1))
-    return k, n, o, v, join(c_pt, f_pt)
+    """K, N, O, V and the points q0, f0 on the auxiliary chord and the
+    transversal, all on the unit circle."""
+    return tuple(PAR.point_at(t) for t in ((0, 1), (1, 2), (2, 1), (-1, 3), (4, 1), (-3, 1)))
 
 
 def test_beaugrand_trace_structure():
-    k, n, o, v, trans = beaugrand_instance()
-    trace = beaugrand_replay(beaugrand_points(UC, k, n, o, v, trans))
+    trace = beaugrand_replay(beaugrand_points(UC, *beaugrand_instance()))
     assert trace.verdict
     kinds = [s["meta"]["kind"] for s in trace.steps]
     assert kinds.count("apollonius") == 2
@@ -773,10 +816,10 @@ def test_beaugrand_trace_structure():
 
 def test_beaugrand_couples_in_involution():
     # the three analogies close into a genuine involution on the transversal
-    k, n, o, v, trans = beaugrand_instance()
-    trace = beaugrand_replay(beaugrand_points(UC, k, n, o, v, trans))
+    figure = beaugrand_points(UC, *beaugrand_instance())
+    trace = beaugrand_replay(figure)
     pts = {nm: from_json(val) for nm, val in trace.notes["points"].items()}
-    chart = default_chart(trans)
+    chart = default_chart(figure["transversal"])
     nc = NodeCouples(
         chart,
         (
@@ -789,15 +832,17 @@ def test_beaugrand_couples_in_involution():
 
 
 def test_beaugrand_rejects_point_off_conic():
-    k, n, o, v, trans = beaugrand_instance()
+    k, n, o, v, q0, f0 = beaugrand_instance()
     with pytest.raises(ConicError):
-        beaugrand_points(UC, k, n, o, A(5, 5), trans)
+        beaugrand_points(UC, k, n, o, A(5, 5), q0, f0)
 
 
 def test_beaugrand_rejects_irrational_transversal():
-    k, n, o, v, _ = beaugrand_instance()
+    # f0 = (0, 0) is off the circle, and the line through it and C cuts the
+    # circle where the discriminant 91177 is not a square
+    k, n, o, v, q0, _ = beaugrand_instance()
     with pytest.raises(NonGenericError, match="transversal chord is not two rational points"):
-        beaugrand_points(UC, k, n, o, v, PLine(3, -3, 1))
+        beaugrand_points(UC, k, n, o, v, q0, A(0, 0))
 
 
 # -- pascal ---------------------------------------------------------------------------
